@@ -117,6 +117,23 @@ fn bench_classifiers(c: &mut Criterion) {
     c.bench_function("micro/langid_detect", |b| {
         b.iter(|| black_box(langid::detect(&prose)))
     });
+    // What the crawl actually detects on: a page's visible text, a space,
+    // then the wall copy with its price (as `record_from_page` builds it).
+    let doc = parse(&sample_page());
+    let wall_copy = webgen::wall_text(
+        langid::Language::German,
+        "beispiel.de",
+        &webgen::PriceSpec {
+            amount_cents: 299,
+            currency: webgen::Currency::Eur,
+            period: webgen::Period::Month,
+        },
+        Some("contentpass"),
+    );
+    let page_text = format!("{} {wall_copy}", doc.visible_text(doc.root()));
+    c.bench_function("micro/langid_detect_page", |b| {
+        b.iter(|| black_box(langid::detect(&page_text)))
+    });
     c.bench_function("micro/classify_wall", |b| {
         b.iter(|| {
             black_box(bannerclick::classify_wall(&wall_text, Default::default()).is_cookiewall)

@@ -7,6 +7,31 @@
 //! the classical, well-understood member of that family — trained on
 //! embedded corpora for the eight languages the study encounters.
 //!
+//! ## Model layout
+//!
+//! The model is one packed table, built lazily on first use. Each trigram
+//! of normalised text is keyed by a `u64` holding its three 21-bit scalar
+//! values, so keys are exact. The value is the trigram's row of
+//! add-one-smoothed log-probabilities, one per language in
+//! [`Language::ALL`] order. A language that never saw the trigram has its
+//! unseen log-probability in that slot, and a trigram no language saw
+//! scores the shared unseen row. Keys are hashed with a single folded
+//! 128-bit multiply.
+//!
+//! [`detect`] makes one streaming pass over the text. The pass counts
+//! alphabetic characters, normalises each character (digits to `#`,
+//! whitespace runs to one space, lowercase), keeps a three-character
+//! window and adds one row per trigram into eight running scores. It
+//! allocates nothing and does one table lookup per trigram.
+//!
+//! **Bit-identity invariant.** Any change to the model or its layout must
+//! keep [`detect`]'s output bit for bit, `margin` included. Each
+//! language's score is the in-order sum of its per-trigram
+//! log-probabilities, with exactly one add per trigram. Ties between
+//! languages keep [`Language::ALL`] order through a stable sort. The
+//! `equivalence` test checks both against the original
+//! one-table-per-language implementation.
+//!
 //! ## Example
 //!
 //! ```
@@ -23,8 +48,11 @@
 #![warn(missing_docs)]
 
 mod corpus;
+#[cfg(test)]
+mod samples;
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// Languages the detector distinguishes — the ones appearing in the study's
@@ -78,8 +106,9 @@ impl Language {
 
     /// Parse an ISO 639-1 code (case-insensitive).
     pub fn from_code(code: &str) -> Option<Language> {
-        let code = code.to_ascii_lowercase();
-        Language::ALL.into_iter().find(|l| l.code() == code)
+        Language::ALL
+            .into_iter()
+            .find(|l| l.code().eq_ignore_ascii_case(code))
     }
 
     fn corpus(self) -> &'static str {
@@ -119,61 +148,112 @@ impl Detection {
 /// Minimum alphabetic characters before detection is attempted.
 pub const MIN_INPUT_CHARS: usize = 8;
 
-struct Model {
-    /// Per-language trigram log-probabilities plus the unseen-trigram
-    /// (smoothing) log-probability.
-    tables: Vec<(Language, HashMap<[char; 3], f64>, f64)>,
+const LANGS: usize = Language::ALL.len();
+
+/// Three 21-bit scalar values: the packed trigram key's width.
+const KEY_MASK: u64 = (1 << 63) - 1;
+
+/// Hasher for packed trigram keys: one multiply by an odd constant, with
+/// the 128-bit product's halves folded so the low bits (which pick the
+/// bucket) depend on every key bit.
+///
+/// It offers no protection against crafted collisions, and needs none:
+/// only the embedded corpora insert keys, so page text can look rows up
+/// but never lengthen a probe sequence.
+#[derive(Default)]
+struct TrigramHasher(u64);
+
+impl Hasher for TrigramHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
 }
 
-fn trigrams(text: &str) -> Vec<[char; 3]> {
-    // Normalize: lowercase, collapse digits (prices should not sway the
-    // decision), map whitespace runs to a single space boundary.
-    let mut chars: Vec<char> = Vec::with_capacity(text.len());
+type TrigramMap<V> = HashMap<u64, V, BuildHasherDefault<TrigramHasher>>;
+
+/// The packed model: per-trigram log-probability rows, columns in
+/// `Language::ALL` order.
+struct Table {
+    rows: TrigramMap<[f64; LANGS]>,
+    /// Each language's smoothing log-probability for a trigram it never saw.
+    unseen: [f64; LANGS],
+}
+
+/// Stream the packed trigrams of `text`'s normalised form to `f`, in
+/// order, and return the number of alphabetic characters in the raw text.
+///
+/// Normalisation lowercases, collapses digits to `#` (prices should not
+/// sway the decision) and maps whitespace runs to a single space boundary.
+fn for_each_trigram(text: &str, mut f: impl FnMut(u64)) -> usize {
+    let mut alphabetic = 0;
+    let mut window = 0u64;
+    let mut normalised = 0usize;
+    let mut push = |c: char| {
+        window = ((window << 21) | u64::from(c)) & KEY_MASK;
+        normalised += 1;
+        if normalised >= 3 {
+            f(window);
+        }
+    };
     let mut last_space = true;
     for c in text.chars() {
+        alphabetic += usize::from(c.is_alphabetic());
         let c = if c.is_numeric() { '#' } else { c };
         if c.is_whitespace() {
             if !last_space {
-                chars.push(' ');
+                push(' ');
                 last_space = true;
             }
         } else {
-            for lc in c.to_lowercase() {
-                chars.push(lc);
-            }
+            c.to_lowercase().for_each(&mut push);
             last_space = false;
         }
     }
-    if chars.len() < 3 {
-        return Vec::new();
-    }
-    chars.windows(3).map(|w| [w[0], w[1], w[2]]).collect()
+    alphabetic
 }
 
-fn build_model() -> Model {
-    let mut tables = Vec::new();
-    for lang in Language::ALL {
-        let grams = trigrams(lang.corpus());
-        let mut counts: HashMap<[char; 3], f64> = HashMap::new();
-        for g in &grams {
-            *counts.entry(*g).or_insert(0.0) += 1.0;
-        }
-        // Add-one (Laplace) smoothing over the observed vocabulary.
-        let vocab = counts.len() as f64;
-        let total = grams.len() as f64 + vocab + 1.0;
-        let table: HashMap<[char; 3], f64> = counts
-            .into_iter()
-            .map(|(g, c)| (g, ((c + 1.0) / total).ln()))
-            .collect();
-        let unseen = (1.0 / total).ln();
-        tables.push((lang, table, unseen));
+fn build_table() -> Table {
+    let mut counts: TrigramMap<[u32; LANGS]> = TrigramMap::default();
+    let mut grams = [0u32; LANGS];
+    for (i, lang) in Language::ALL.into_iter().enumerate() {
+        for_each_trigram(lang.corpus(), |key| {
+            counts.entry(key).or_default()[i] += 1;
+            grams[i] += 1;
+        });
     }
-    Model { tables }
+    // Add-one (Laplace) smoothing over each language's observed vocabulary.
+    let total: [f64; LANGS] = std::array::from_fn(|i| {
+        let vocab = counts.values().filter(|row| row[i] > 0).count();
+        f64::from(grams[i]) + vocab as f64 + 1.0
+    });
+    let unseen = total.map(|t| (1.0 / t).ln());
+    let rows = counts
+        .into_iter()
+        .map(|(key, row)| {
+            let logp = std::array::from_fn(|i| match row[i] {
+                0 => unseen[i],
+                c => ((f64::from(c) + 1.0) / total[i]).ln(),
+            });
+            (key, logp)
+        })
+        .collect();
+    Table { rows, unseen }
 }
 
-fn model() -> &'static Model {
-    static MODEL: OnceLock<Model> = OnceLock::new();
-    MODEL.get_or_init(build_model)
+fn table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(build_table)
 }
 
 /// Detect the language of `text`.
@@ -181,78 +261,39 @@ fn model() -> &'static Model {
 /// Returns `None` for inputs that are too short or contain no letters —
 /// the cases where any answer would be noise.
 pub fn detect(text: &str) -> Option<Detection> {
-    if text.chars().filter(|c| c.is_alphabetic()).count() < MIN_INPUT_CHARS {
+    let table = table();
+    // Starting from +0.0 matches `Iterator::sum` bit for bit, since every
+    // log-probability is negative.
+    let mut scores = [0.0f64; LANGS];
+    let mut trigrams = 0usize;
+    let alphabetic = for_each_trigram(text, |key| {
+        let row = table.rows.get(&key).unwrap_or(&table.unseen);
+        for (score, logp) in scores.iter_mut().zip(row) {
+            *score += logp;
+        }
+        trigrams += 1;
+    });
+    // Past this check there are at least MIN_INPUT_CHARS normalised
+    // characters, hence at least one trigram.
+    if alphabetic < MIN_INPUT_CHARS {
         return None;
     }
-    let grams = trigrams(text);
-    if grams.is_empty() {
-        return None;
-    }
-    let m = model();
-    let mut scores: Vec<(Language, f64)> = m
-        .tables
-        .iter()
-        .map(|(lang, table, unseen)| {
-            let score: f64 = grams
-                .iter()
-                .map(|g| table.get(g).copied().unwrap_or(*unseen))
-                .sum();
-            (*lang, score)
-        })
-        .collect();
-    scores.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let (best, best_score) = scores[0];
-    let runner_up = scores[1].1;
+    let mut ranked: [(Language, f64); LANGS] =
+        std::array::from_fn(|i| (Language::ALL[i], scores[i]));
+    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    let (best, best_score) = ranked[0];
+    let runner_up = ranked[1].1;
     Some(Detection {
         language: best,
-        margin: (best_score - runner_up) / grams.len() as f64,
-        trigrams: grams.len(),
+        margin: (best_score - runner_up) / trigrams as f64,
+        trigrams,
     })
-}
-
-/// Detect and return just the ISO code, like CLD3's typical use.
-pub fn detect_code(text: &str) -> Option<&'static str> {
-    detect(text).map(|d| d.language.code())
 }
 
 #[cfg(test)]
 mod tests {
+    use super::samples::SAMPLES;
     use super::*;
-
-    const SAMPLES: &[(Language, &str)] = &[
-        (
-            Language::German,
-            "Bitte stimmen Sie der Nutzung von Cookies zu oder lesen Sie unsere Inhalte werbefrei mit einem günstigen Abonnement.",
-        ),
-        (
-            Language::English,
-            "Please agree to the use of cookies or read our content ad-free with an affordable monthly plan.",
-        ),
-        (
-            Language::Italian,
-            "Acconsenti all'uso dei cookie oppure leggi i nostri contenuti senza pubblicità con un abbonamento conveniente.",
-        ),
-        (
-            Language::Swedish,
-            "Godkänn användningen av kakor eller läs vårt innehåll reklamfritt med en billig prenumeration varje månad.",
-        ),
-        (
-            Language::French,
-            "Acceptez l'utilisation des cookies ou lisez nos contenus sans publicité grâce à un abonnement avantageux.",
-        ),
-        (
-            Language::Portuguese,
-            "Aceite a utilização de cookies ou leia os nossos conteúdos sem publicidade com uma assinatura acessível.",
-        ),
-        (
-            Language::Spanish,
-            "Acepte el uso de cookies o lea nuestros contenidos sin publicidad con una suscripción asequible cada mes.",
-        ),
-        (
-            Language::Dutch,
-            "Accepteer het gebruik van cookies of lees onze inhoud reclamevrij met een voordelig maandabonnement.",
-        ),
-    ];
 
     #[test]
     fn classifies_out_of_sample_consent_text() {
@@ -275,6 +316,8 @@ mod tests {
         assert_eq!(detect(en).unwrap().language, Language::English);
         let sv = "Utskottet sammanträder på torsdag för att diskutera stadens budget och planerade investeringar i skolor.";
         assert_eq!(detect(sv).unwrap().language, Language::Swedish);
+        let en = "We would like to welcome all readers to our coverage of the election.";
+        assert_eq!(detect(en).unwrap().language.code(), "en");
     }
 
     #[test]
@@ -301,13 +344,26 @@ mod tests {
         }
         assert_eq!(Language::from_code("xx"), None);
         assert_eq!(Language::from_code("DE"), Some(Language::German));
+        assert_eq!(Language::from_code("dE"), Some(Language::German));
+        assert_eq!(Language::from_code(""), None);
+        assert_eq!(Language::from_code("d"), None);
+        assert_eq!(Language::from_code("dé"), None);
+        assert_eq!(Language::from_code("ＤＥ"), None);
     }
 
     #[test]
-    fn detect_code_api() {
+    fn packed_keys_are_exact() {
+        // Three maximal scalar values fill all 63 key bits without
+        // spilling into a neighbour's field.
+        let mut keys = Vec::new();
+        for_each_trigram("\u{10ffff}a\u{10ffff}b", |k| keys.push(k));
+        let max = u64::from(char::MAX);
         assert_eq!(
-            detect_code("We would like to welcome all readers to our coverage of the election."),
-            Some("en")
+            keys,
+            [
+                (max << 42) | (u64::from('a') << 21) | max,
+                (u64::from('a') << 42) | (max << 21) | u64::from('b'),
+            ]
         );
     }
 

@@ -63,6 +63,10 @@ cargo test -q -p analysis --test stress --release --offline
 # and require the report byte-identical to the fault-free baseline.
 PROPTEST_CASES=4 cargo test -q -p analysis --test diskfault --release --offline
 
+# Language-detector bit-identity oracle at full strength: the packed
+# single-table detector against the original per-language tables.
+PROPTEST_CASES=20000 cargo test -q -p langid --test equivalence --release --offline
+
 # Resume smoke test: run the tiny sweep to completion, then again with a
 # simulated kill plus a resume, and require byte-identical JSON reports.
 BIN=target/release/cookiewall-study
