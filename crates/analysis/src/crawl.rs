@@ -30,9 +30,17 @@
 //! get geo-gated content (a wall hidden from a non-EU visitor) hash to a
 //! different key and are analyzed separately, so region-dependent
 //! observations are never shared by construction.
+//!
+//! ## Variant passes
+//!
+//! The ablation and bot-detection experiments re-crawl one region under
+//! several detector settings or user agents. `crawl_variants` runs all of
+//! them in one pass, cell by cell, under the same rule: every variant
+//! dispatches its own navigation, and only byte-identical documents share
+//! a loaded page (and, per detector setting, its detection).
 
-use bannerclick::{BannerClick, ObservedEmbedding};
-use browser::{Browser, FetchError};
+use bannerclick::{classify_wall, BannerClick, BannerFinding, DetectorOptions, ObservedEmbedding};
+use browser::{Browser, FetchError, FetchedDocument, Page};
 use crossbeam::thread;
 use httpsim::{content_hash, Network, Region};
 use serde::Serialize;
@@ -614,47 +622,71 @@ impl<'a> Resilience<'a> {
     }
 }
 
-/// Crawl one `(region, domain)` cell to a record, applying the retry
-/// policy and converting panics into failure records.
-///
-/// `browser_slot` is the worker's reusable profile for this region; it is
-/// discarded after a panic (the pipeline may have left it in an arbitrary
-/// half-updated state) and lazily rebuilt on the next task.
-#[allow(clippy::too_many_arguments)]
-fn crawl_one(
-    res: &Resilience<'_>,
-    net: &Network,
-    tool: &BannerClick,
+/// Where a cell's navigations come from: the network, the vantage point,
+/// and the user agent the browser presents (`None`: the default one).
+#[derive(Clone, Copy)]
+struct Vantage<'a> {
+    net: &'a Network,
     region: Region,
+    user_agent: Option<&'a str>,
+}
+
+impl<'a> Vantage<'a> {
+    /// `region` on `net`, with the default user agent.
+    fn new(net: &'a Network, region: Region) -> Self {
+        Vantage {
+            net,
+            region,
+            user_agent: None,
+        }
+    }
+
+    /// A fresh browser profile at this vantage point.
+    fn browser(&self) -> Browser {
+        let browser = Browser::new(self.net.clone(), self.region);
+        match self.user_agent {
+            Some(ua) => browser.with_user_agent(ua),
+            None => browser,
+        }
+    }
+}
+
+/// The crawl's retry protocol for one cell, generic over what an attempt
+/// does with its navigation: skip a host whose breaker is open, clear the
+/// profile's cookies before every try, retry transient fetch failures
+/// with virtual backoff, and convert a panic into a failure.
+///
+/// `browser_slot` is the worker's reusable profile for this vantage point;
+/// it is discarded after a panic (the pipeline may have left it in an
+/// arbitrary half-updated state) and lazily rebuilt on the next attempt.
+///
+/// Returns the attempt's value, or the failure class; either way with the
+/// attempts spent (0 when an open breaker skipped the cell).
+fn with_retries<T>(
+    res: &Resilience<'_>,
+    vantage: Vantage<'_>,
     browser_slot: &mut Option<Browser>,
     domain: &str,
-    cache: Option<&FetchCache>,
     counters: &mut WorkerCounters,
-) -> CrawlRecord {
+    mut attempt: impl FnMut(&mut Browser) -> Result<T, FetchError>,
+) -> Result<(T, u32), (FailureKind, u32)> {
     let host_key = httpsim::registrable_domain(domain).unwrap_or(domain);
     if res.breaker.is_open(host_key) {
         counters.breaker_skips += 1;
-        return failure_record(domain, FailureKind::Unreachable, 0);
+        return Err((FailureKind::Unreachable, 0));
     }
     let mut attempts: u32 = 0;
     loop {
         attempts += 1;
-        let browser = browser_slot.get_or_insert_with(|| Browser::new(net.clone(), region));
+        let browser = browser_slot.get_or_insert_with(|| vantage.browser());
         browser.clear_cookies();
-        let outcome = catch_unwind(AssertUnwindSafe(|| match cache {
-            Some(cache) => try_analyze_domain_cached(tool, browser, domain, cache),
-            None => try_analyze_domain(tool, browser, domain),
-        }));
-        match outcome {
+        match catch_unwind(AssertUnwindSafe(|| attempt(browser))) {
             Err(_) => {
                 *browser_slot = None;
                 counters.panics += 1;
-                return failure_record(domain, FailureKind::Panic, attempts);
+                return Err((FailureKind::Panic, attempts));
             }
-            Ok(Ok(mut record)) => {
-                record.attempts = attempts;
-                return record;
-            }
+            Ok(Ok(value)) => return Ok((value, attempts)),
             Ok(Err(err)) => {
                 if err.is_transient() && attempts <= res.policy.max_retries {
                     counters.retries += 1;
@@ -667,10 +699,80 @@ fn crawl_one(
                 {
                     counters.breaker_opened += 1;
                 }
-                return failure_record(domain, kind, attempts);
+                return Err((kind, attempts));
             }
         }
     }
+}
+
+/// Crawl one `(region, domain)` cell to a record under the retry protocol.
+fn crawl_one(
+    res: &Resilience<'_>,
+    vantage: Vantage<'_>,
+    tool: &BannerClick,
+    browser_slot: &mut Option<Browser>,
+    domain: &str,
+    cache: Option<&FetchCache>,
+    counters: &mut WorkerCounters,
+) -> CrawlRecord {
+    let outcome = with_retries(
+        res,
+        vantage,
+        browser_slot,
+        domain,
+        counters,
+        |browser| match cache {
+            Some(cache) => try_analyze_domain_cached(tool, browser, domain, cache),
+            None => try_analyze_domain(tool, browser, domain),
+        },
+    );
+    match outcome {
+        Ok((mut record, attempts)) => {
+            record.attempts = attempts;
+            record
+        }
+        Err((kind, attempts)) => failure_record(domain, kind, attempts),
+    }
+}
+
+/// Run `task` over the cells `0..n` on `workers` workers that claim cells
+/// from one shared cursor, each with private state from `init`. The
+/// calling thread is one of the workers, so a single-worker pass spawns
+/// no thread. Results come back in cell order. A worker can only die
+/// outside the per-task panic guard through a scheduler bug; a cell left
+/// unfinished becomes `lost(i)`.
+fn par_cells<S, T: Send>(
+    workers: usize,
+    n: usize,
+    init: impl Fn() -> S + Sync,
+    task: impl Fn(&mut S, usize) -> T + Sync,
+    lost: impl Fn(usize) -> T,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<parking_lot::Mutex<Option<T>>> =
+        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    let work = || {
+        let mut state = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let out = task(&mut state, i);
+            *slots[i].lock() = Some(out);
+        }
+    };
+    let _ = thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(|_| work());
+        }
+        work();
+    });
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| slot.into_inner().unwrap_or_else(|| lost(i)))
+        .collect()
 }
 
 /// Crawl `targets` from `region` with `workers` parallel browser profiles
@@ -697,56 +799,27 @@ pub fn crawl_region_with(
     workers: usize,
     policy: &RetryPolicy,
 ) -> VantageCrawl {
-    let workers = workers.max(1);
     // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
     let start = Instant::now();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<CrawlRecord>>> = targets
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
     let res = Resilience::new(policy);
-
-    // A worker can only die outside the per-task panic guard through a
-    // scheduler bug; its unclaimed slots are converted to panic records
-    // below, so the sweep degrades instead of unwinding.
-    let _ = thread::scope(|scope| {
-        for _ in 0..workers {
-            let res = &res;
-            let next = &next;
-            let slots = &slots;
-            scope.spawn(move |_| {
-                let mut browser_slot: Option<Browser> = None;
-                let mut counters = WorkerCounters::new(1);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= targets.len() {
-                        break;
-                    }
-                    let record = crawl_one(
-                        res,
-                        net,
-                        tool,
-                        region,
-                        &mut browser_slot,
-                        &targets[i],
-                        None,
-                        &mut counters,
-                    );
-                    *slots[i].lock() = Some(record);
-                }
-            });
-        }
-    });
-
-    let records = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(|| failure_record(&targets[i], FailureKind::Panic, 1))
-        })
-        .collect();
+    let vantage = Vantage::new(net, region);
+    let records = par_cells(
+        workers,
+        targets.len(),
+        || (None, WorkerCounters::new(1)),
+        |(browser_slot, counters), i| {
+            crawl_one(
+                &res,
+                vantage,
+                tool,
+                browser_slot,
+                &targets[i],
+                None,
+                counters,
+            )
+        },
+        |i| failure_record(&targets[i], FailureKind::Panic, 1),
+    );
     VantageCrawl {
         region,
         records,
@@ -755,6 +828,166 @@ pub fn crawl_region_with(
             stolen: 0,
             wall_ms: start.elapsed().as_millis() as u64,
         },
+    }
+}
+
+/// One setting of a variant pass: the tool that detects and classifies,
+/// and the user agent its browser presents (`None`: the default,
+/// OpenWPM-style one).
+pub(crate) struct Variant<'a> {
+    pub(crate) tool: &'a BannerClick,
+    pub(crate) user_agent: Option<&'a str>,
+}
+
+/// What a variant pass observes of one cell under one variant: all the
+/// re-crawling experiments count. A failed cell is all `false`, as its
+/// failure record would be.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Verdict {
+    /// A banner of any kind was detected.
+    pub(crate) banner: bool,
+    /// The banner was classified as a cookiewall.
+    pub(crate) cookiewall: bool,
+}
+
+/// Crawl `targets` from `region` once per variant, in one pass: each cell
+/// runs every variant, in order, before the worker claims the next cell.
+///
+/// Every variant dispatches its own navigation — on its own browser, under
+/// `opts.retry` and its own circuit breaker — so origins observe exactly
+/// the visits (and the fault plan the attempt ordinals) of one
+/// [`crawl_region_with`] per variant. With `opts.cache`, a variant whose
+/// fetched document hashes like the one the cell's page was loaded from
+/// reuses that page, and detection runs once per distinct
+/// [`DetectorOptions`] on it. Without it, nothing is shared. Language and
+/// provider are never computed, and no price is recorded: a verdict is
+/// only whether a banner was found and whether it classifies as a wall.
+///
+/// Returns the verdicts indexed `[variant][cell]`, cells in target order.
+pub(crate) fn crawl_variants(
+    net: &Network,
+    region: Region,
+    targets: &[String],
+    variants: &[Variant<'_>],
+    opts: &CrawlOptions,
+) -> Vec<Vec<Verdict>> {
+    let resilience: Vec<Resilience<'_>> = variants
+        .iter()
+        .map(|_| Resilience::new(&opts.retry))
+        .collect();
+    let cells = par_cells(
+        opts.workers,
+        targets.len(),
+        || VariantWorker {
+            browsers: variants.iter().map(|_| None).collect(),
+            memo: CellMemo::default(),
+            counters: WorkerCounters::new(1),
+        },
+        |worker, i| {
+            worker.memo.clear();
+            let domain = targets[i].as_str();
+            let mut verdicts = Vec::with_capacity(variants.len());
+            for ((variant, res), browser_slot) in
+                variants.iter().zip(&resilience).zip(&mut worker.browsers)
+            {
+                if !opts.cache {
+                    worker.memo.clear();
+                }
+                let vantage = Vantage {
+                    net,
+                    region,
+                    user_agent: variant.user_agent,
+                };
+                let memo = &mut worker.memo;
+                let outcome = with_retries(
+                    res,
+                    vantage,
+                    browser_slot,
+                    domain,
+                    &mut worker.counters,
+                    |b| {
+                        let fetched = b.fetch_domain_document(domain)?;
+                        memo.verdict(variant.tool, b, &fetched)
+                    },
+                );
+                verdicts.push(match outcome {
+                    Ok((verdict, _)) => verdict,
+                    Err((kind, _)) => {
+                        if kind == FailureKind::Panic {
+                            // The page may be half-way through detection.
+                            worker.memo.clear();
+                        }
+                        Verdict::default()
+                    }
+                });
+            }
+            verdicts
+        },
+        |_| vec![Verdict::default(); variants.len()],
+    );
+    (0..variants.len())
+        .map(|v| cells.iter().map(|cell| cell[v]).collect())
+        .collect()
+}
+
+/// A variant-pass worker's private state: one browser per variant, the
+/// current cell's memo, and its counters.
+struct VariantWorker {
+    browsers: Vec<Option<Browser>>,
+    memo: CellMemo,
+    counters: WorkerCounters,
+}
+
+/// The current cell's loaded page, keyed by the content hash of the
+/// document it was loaded from, plus the first finding per detector
+/// setting run on it. The shared-fetch cache's soundness rule applies: a
+/// fresh-profile page is a pure function of its document, and detection
+/// leaves the page structurally unchanged.
+#[derive(Default)]
+struct CellMemo {
+    page: Option<(u64, Page)>,
+    findings: Vec<(DetectorOptions, Option<BannerFinding>)>,
+}
+
+impl CellMemo {
+    fn clear(&mut self) {
+        self.page = None;
+        self.findings.clear();
+    }
+
+    /// `tool`'s verdict on `fetched`, loading the page only when the memo
+    /// holds none for this document, and detecting only under a detector
+    /// setting not yet run on it.
+    fn verdict(
+        &mut self,
+        tool: &BannerClick,
+        browser: &mut Browser,
+        fetched: &FetchedDocument,
+    ) -> Result<Verdict, FetchError> {
+        let hash = content_hash(fetched.body().as_bytes());
+        let page = match self.page.take() {
+            Some((memo_hash, page)) if memo_hash == hash => page,
+            _ => {
+                self.findings.clear();
+                browser.load_fetched(fetched)?
+            }
+        };
+        let page = &mut self.page.insert((hash, page)).1;
+        let k = match self.findings.iter().position(|(d, _)| *d == tool.detector) {
+            Some(k) => k,
+            None => {
+                self.findings
+                    .push((tool.detector.clone(), tool.detect(page)));
+                self.findings.len() - 1
+            }
+        };
+        let finding = &self.findings[k].1;
+        Ok(Verdict {
+            banner: finding.is_some(),
+            cookiewall: finding
+                .as_ref()
+                .is_some_and(|b| classify_wall(&b.text, tool.corpus).is_cookiewall),
+        })
     }
 }
 
@@ -867,9 +1100,8 @@ pub fn crawl_all_regions_with(
                     let cache_ref = cache.enabled.then_some(cache);
                     let record = crawl_one(
                         res,
-                        net,
+                        Vantage::new(net, region),
                         tool,
-                        region,
                         browser_slot,
                         &targets[i],
                         cache_ref,
@@ -1075,8 +1307,7 @@ pub fn crawl_all_regions_persistent(
                         Some(rec) => {
                             replay_restored(
                                 res,
-                                net,
-                                region,
+                                Vantage::new(net, region),
                                 browser_slot,
                                 &targets[i],
                                 rec,
@@ -1088,9 +1319,8 @@ pub fn crawl_all_regions_persistent(
                         None => {
                             let rec = crawl_one(
                                 res,
-                                net,
+                                Vantage::new(net, region),
                                 tool,
-                                region,
                                 browser_slot,
                                 &targets[i],
                                 cache_ref,
@@ -1187,16 +1417,14 @@ pub fn crawl_all_regions_persistent(
 }
 
 /// Re-drive the origin-visible side effects of a restored reachable cell:
-/// one successful navigation under the same retry loop [`crawl_one`] uses,
-/// without the load/parse/analysis that the stored record already holds.
-/// With the cache on, the restored record is seeded under the fetched
-/// document's key so later vantage points hit it exactly as they would
-/// have hit the computed record.
-#[allow(clippy::too_many_arguments)]
+/// one successful navigation under the same retry protocol [`crawl_one`]
+/// uses, without the load/parse/analysis that the stored record already
+/// holds. With the cache on, the restored record is seeded under the
+/// fetched document's key so later vantage points hit it exactly as they
+/// would have hit the computed record.
 fn replay_restored(
     res: &Resilience<'_>,
-    net: &Network,
-    region: Region,
+    vantage: Vantage<'_>,
     browser_slot: &mut Option<Browser>,
     domain: &str,
     record: &CrawlRecord,
@@ -1208,35 +1436,22 @@ fn replay_restored(
         // so there is nothing to replay.
         return;
     }
-    let mut attempts: u32 = 0;
-    loop {
-        attempts += 1;
-        let browser = browser_slot.get_or_insert_with(|| Browser::new(net.clone(), region));
-        browser.clear_cookies();
-        match browser.fetch_domain_document(domain) {
-            Ok(fetched) => {
-                if let Some(cache) = cache {
-                    let key = (domain.to_string(), content_hash(fetched.body().as_bytes()));
-                    cache.stripes[stripe_of(domain)]
-                        .lock()
-                        .map
-                        .entry(key)
-                        .or_insert_with(|| record.clone());
-                }
-                return;
-            }
-            Err(err) if err.is_transient() && attempts <= res.policy.max_retries => {
-                counters.retries += 1;
-                counters.backoff_virtual_ms += res.policy.backoff_ms(attempts);
-            }
-            Err(_) => {
-                // The original run fetched this cell successfully, so under
-                // the deterministic fault plan the replay succeeds too;
-                // keep the stored record defensively if it somehow doesn't.
-                return;
-            }
+    let replayed = with_retries(res, vantage, browser_slot, domain, counters, |browser| {
+        let fetched = browser.fetch_domain_document(domain)?;
+        if let Some(cache) = cache {
+            let key = (domain.to_string(), content_hash(fetched.body().as_bytes()));
+            cache.stripes[stripe_of(domain)]
+                .lock()
+                .map
+                .entry(key)
+                .or_insert_with(|| record.clone());
         }
-    }
+        Ok(())
+    });
+    // The original run fetched this cell successfully, so under the
+    // deterministic fault plan the replay succeeds too; the stored record
+    // stands either way.
+    let _ = replayed;
 }
 
 /// Shared-fetch cache: `(domain, document hash)` → finished record, split

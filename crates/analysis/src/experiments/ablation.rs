@@ -4,9 +4,15 @@
 //! shadow-embedded walls (76 of 280 at paper scale), iframe descent buys
 //! the iframe walls (132), and the corpus halves trade precision for
 //! recall.
+//!
+//! All five configurations run in one German variant pass
+//! ([`crate::crawl`]'s `crawl_variants`): every cell is navigated once per
+//! configuration, in table order, but the page is loaded once and each
+//! distinct detector setting runs once on it, with the study's worker
+//! count, cache mode and retry policy.
 
 use crate::context::Study;
-use crate::crawl::crawl_region;
+use crate::crawl::{crawl_variants, Variant};
 use crate::render::TextTable;
 use bannerclick::{BannerClick, CorpusMode, DetectorOptions};
 use httpsim::Region;
@@ -84,14 +90,28 @@ fn configs() -> Vec<(String, BannerClick)> {
 /// Run the ablation from the German vantage point (which sees every wall).
 pub fn compute(study: &Study) -> Ablation {
     let targets = study.targets();
+    let configs = configs();
+    let variants: Vec<Variant<'_>> = configs
+        .iter()
+        .map(|(_, tool)| Variant {
+            tool,
+            user_agent: None,
+        })
+        .collect();
+    let verdicts = crawl_variants(
+        &study.net,
+        Region::Germany,
+        &targets,
+        &variants,
+        &study.crawl_options(),
+    );
     let mut rows = Vec::new();
     let mut full_tp = 0usize;
-    for (label, tool) in configs() {
-        let crawl = crawl_region(&study.net, Region::Germany, &targets, &tool, study.workers);
+    for ((label, _), cells) in configs.into_iter().zip(verdicts) {
         let mut tp = 0;
         let mut fp = 0;
-        for r in crawl.detected_walls() {
-            if study.verify_wall(&r.domain) {
+        for (domain, _) in targets.iter().zip(cells).filter(|(_, v)| v.cookiewall) {
+            if study.verify_wall(domain) {
                 tp += 1;
             } else {
                 fp += 1;

@@ -2,12 +2,18 @@
 //! when the visitor looks like a crawler. OpenWPM mitigates this with a
 //! realistic browser fingerprint; a naive crawler user agent loses part of
 //! the measurement.
+//!
+//! Both user agents run in one German variant pass ([`crate::crawl`]'s
+//! `crawl_variants`), stealthy first, with the study's tool, worker count,
+//! cache mode and retry policy. Each cell is navigated once per user
+//! agent; only the main document reads the user agent, so a site without
+//! bot detection serves both the same bytes and is loaded and detected
+//! once, while a bot-sensitive site's naive document hashes differently
+//! and is loaded afresh.
 
 use crate::context::Study;
-use crate::crawl::crawl_region;
+use crate::crawl::{crawl_variants, Variant, Verdict};
 use crate::render::TextTable;
-use bannerclick::BannerClick;
-use browser::Browser;
 use httpsim::Region;
 use serde::Serialize;
 
@@ -32,85 +38,41 @@ pub struct BotDetection {
 /// Crawl the target list from Germany with both user agents.
 pub fn compute(study: &Study) -> BotDetection {
     let targets = study.targets();
-    let stealth = crawl_region(
+    let variants = [
+        Variant {
+            tool: &study.tool,
+            user_agent: None,
+        },
+        // A degraded crawl: identical pipeline, honest bot UA.
+        Variant {
+            tool: &study.tool,
+            user_agent: Some(NAIVE_BOT_UA),
+        },
+    ];
+    let verdicts = crawl_variants(
         &study.net,
         Region::Germany,
         &targets,
-        &study.tool,
-        study.workers,
+        &variants,
+        &study.crawl_options(),
     );
-
-    // A degraded crawl: identical pipeline, honest bot UA.
-    let naive = crawl_with_ua(study, &targets, NAIVE_BOT_UA);
-
-    let verified = |crawl: &crate::crawl::VantageCrawl| {
-        crawl
-            .detected_walls()
-            .filter(|r| study.verify_wall(&r.domain))
+    let (stealth, naive) = (&verdicts[0], &verdicts[1]);
+    let verified = |cells: &[Verdict]| {
+        targets
+            .iter()
+            .zip(cells)
+            .filter(|(domain, v)| v.cookiewall && study.verify_wall(domain))
             .count()
     };
-    let banners =
-        |crawl: &crate::crawl::VantageCrawl| crawl.records.iter().filter(|r| r.banner).count();
-    let walls_stealth = verified(&stealth);
-    let walls_naive = verified(&naive);
+    let banners = |cells: &[Verdict]| cells.iter().filter(|v| v.banner).count();
+    let walls_stealth = verified(stealth);
+    let walls_naive = verified(naive);
     BotDetection {
         walls_stealth,
         walls_naive,
         lost: walls_stealth.saturating_sub(walls_naive),
-        banners_stealth: banners(&stealth),
-        banners_naive: banners(&naive),
-    }
-}
-
-/// Serial crawl with a custom user agent (the degraded configuration).
-fn crawl_with_ua(
-    study: &Study,
-    targets: &[String],
-    user_agent: &str,
-) -> crate::crawl::VantageCrawl {
-    // Reuse the parallel machinery by cloning the tool; the UA lives on the
-    // browser, so run a dedicated worker pool here.
-    use crossbeam::thread;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let tool = BannerClick {
-        detector: study.tool.detector.clone(),
-        corpus: study.tool.corpus,
-    };
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<crate::crawl::CrawlRecord>>> = targets
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    thread::scope(|scope| {
-        for _ in 0..study.workers.max(1) {
-            scope.spawn(|_| {
-                let mut browser = Browser::new(study.net.clone(), Region::Germany)
-                    .with_user_agent(user_agent.to_string());
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= targets.len() {
-                        break;
-                    }
-                    browser.clear_all_data();
-                    let record = crate::crawl::analyze_domain(&tool, &mut browser, &targets[i]);
-                    *slots[i].lock() = Some(record);
-                }
-            });
-        }
-    })
-    .expect("bot-crawl workers");
-    let records: Vec<crate::crawl::CrawlRecord> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("crawled"))
-        .collect();
-    let metrics = crate::crawl::RegionMetrics {
-        tasks: records.len(),
-        ..Default::default()
-    };
-    crate::crawl::VantageCrawl {
-        region: Region::Germany,
-        records,
-        metrics,
+        banners_stealth: banners(stealth),
+        banners_naive: banners(naive),
     }
 }
 

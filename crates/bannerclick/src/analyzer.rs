@@ -33,12 +33,19 @@ impl BannerClick {
         }
     }
 
+    /// The detection step of [`BannerClick::analyze_page`] on its own: the
+    /// first banner this detector finds, not yet classified. The page is
+    /// structurally unchanged on return, so detecting again — under these
+    /// or other [`DetectorOptions`] — finds what a fresh load would.
+    pub fn detect(&self, page: &mut Page) -> Option<BannerFinding> {
+        detect_banners(page, &self.detector).into_iter().next()
+    }
+
     /// Analyze an already loaded page.
     // lint:allow(r9) — SiteAnalysis owns its domain/provider strings by design; ROADMAP item 1 arena rewrite
     pub fn analyze_page(&self, domain: &str, page: &mut Page) -> SiteAnalysis {
         let provider = observed_provider(page);
-        let banners = detect_banners(page, &self.detector);
-        let Some(banner) = banners.into_iter().next() else {
+        let Some(banner) = self.detect(page) else {
             return SiteAnalysis {
                 domain: domain.to_string(),
                 reachable: true,

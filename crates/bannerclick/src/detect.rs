@@ -44,7 +44,7 @@ pub struct BannerFinding {
 
 /// Detector configuration; the non-default settings exist for the ablation
 /// benches (what breaks without each §3 mechanism).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectorOptions {
     /// Apply the shadow-DOM cloning workaround (§3). Off ⇒ the 76
     /// shadow-embedded walls go undetected.

@@ -240,3 +240,64 @@ fn smp_provider_observed_for_iframe_walls() {
         "at least one SMP wall attributes its provider"
     );
 }
+
+#[test]
+fn detection_on_one_loaded_page_matches_fresh_loads() {
+    // The variant pass of the German re-crawls loads a page once and runs
+    // every detector setting on it. The shadow workaround clones into and
+    // detaches from the page's documents, so each run must leave the page
+    // as a fresh load would find it: every setting, in any order and
+    // repeated, must report exactly what it reports on a fresh load.
+    let (pop, net) = world();
+    let mut settings = Vec::new();
+    for pierce_shadow in [true, false] {
+        for descend_iframes in [true, false] {
+            for overlay_heuristics in [true, false] {
+                settings.push(DetectorOptions {
+                    pierce_shadow,
+                    descend_iframes,
+                    overlay_heuristics,
+                });
+            }
+        }
+    }
+    // Run the full list twice, in both directions, on the one page.
+    let order: Vec<&DetectorOptions> = settings.iter().chain(settings.iter().rev()).collect();
+    let mut browser = Browser::new(net, Region::Germany);
+    let mut seen = std::collections::HashSet::new();
+    for site in pop.ground_truth_walls() {
+        let BannerKind::Cookiewall(cw) = &site.banner else {
+            continue;
+        };
+        seen.insert(cw.embedding);
+        browser.clear_cookies();
+        let mut shared = browser.visit_domain(&site.domain).expect("wall site loads");
+        for detector in &order {
+            let tool = BannerClick {
+                detector: (*detector).clone(),
+                corpus: CorpusMode::WordsAndPrices,
+            };
+            browser.clear_cookies();
+            let mut fresh = browser.visit_domain(&site.domain).expect("wall site loads");
+            let want = tool.detect(&mut fresh);
+            let got = tool.detect(&mut shared);
+            assert_eq!(
+                got.as_ref().map(|f| (f.root, f.embedding, f.text.as_str())),
+                want.as_ref()
+                    .map(|f| (f.root, f.embedding, f.text.as_str())),
+                "{} ({:?}) under {:?}",
+                site.domain,
+                cw.embedding,
+                detector
+            );
+        }
+    }
+    for embedding in [
+        Embedding::MainDom,
+        Embedding::Iframe,
+        Embedding::ShadowOpen,
+        Embedding::ShadowClosed,
+    ] {
+        assert!(seen.contains(&embedding), "no {embedding:?} wall checked");
+    }
+}

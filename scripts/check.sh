@@ -53,6 +53,11 @@ rm -rf "$LINT_CACHE"
 
 cargo test -q --workspace --offline
 
+# The benchmark is a workspace of its own that builds the crates by path:
+# its smoke tests fail here, not in the benchmark's build, when a public
+# struct or entry point it uses changes shape.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # High-concurrency smoke: the stress battery in release mode hammers the
 # sharded lock topology at 1/4/64 workers (fault on and off, plus a
 # 64-worker abort+resume) and requires byte-identical reports throughout.
