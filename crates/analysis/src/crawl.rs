@@ -22,14 +22,20 @@
 //! injected fragments, parsed DOM, detection verdict) is in turn a pure
 //! function of that document. Two vantage points that receive
 //! byte-identical documents would do byte-identical analysis work. The
-//! scheduler therefore keys a cache on `(domain, content_hash(document))`:
-//! the navigation request is always dispatched (so origin servers observe
-//! every vantage point's visit and per-site counters advance exactly as in
-//! an uncached crawl), but the subresource loading, DOM parse, and
-//! BannerClick analysis run only once per distinct document. Regions that
-//! get geo-gated content (a wall hidden from a non-EU visitor) hash to a
-//! different key and are analyzed separately, so region-dependent
-//! observations are never shared by construction.
+//! scheduler therefore keys a cache on the domain's and the document's
+//! [`document_hash`], and a hit must also match the stored record's
+//! domain. The navigation request is always dispatched (so origin servers
+//! observe every vantage point's visit and per-site counters advance
+//! exactly as in an uncached crawl), but the subresource loading, DOM
+//! parse, and BannerClick analysis run only once per distinct document:
+//! misses are single-flight, so a worker that reaches a document another
+//! worker is still analyzing waits for that record instead of redoing
+//! the work. A hit costs its navigation, one hash of the body, and one
+//! probe; the document's own `Set-Cookie` headers are never parsed, since
+//! only a load reads the jar. Regions that get geo-gated content (a wall
+//! hidden from a non-EU visitor) hash to a different key and are analyzed
+//! separately, so region-dependent observations are never shared by
+//! construction.
 //!
 //! ## Variant passes
 //!
@@ -42,11 +48,12 @@
 use bannerclick::{classify_wall, BannerClick, BannerFinding, DetectorOptions, ObservedEmbedding};
 use browser::{Browser, FetchError, FetchedDocument, Page};
 use crossbeam::thread;
-use httpsim::{content_hash, Network, Region};
+use httpsim::{content_hash, document_hash, Network, Region};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, PoisonError};
 use std::time::Instant;
 use store::Store;
 
@@ -938,7 +945,7 @@ struct VariantWorker {
     counters: WorkerCounters,
 }
 
-/// The current cell's loaded page, keyed by the content hash of the
+/// The current cell's loaded page, keyed by the [`document_hash`] of the
 /// document it was loaded from, plus the first finding per detector
 /// setting run on it. The shared-fetch cache's soundness rule applies: a
 /// fresh-profile page is a pure function of its document, and detection
@@ -964,7 +971,7 @@ impl CellMemo {
         browser: &mut Browser,
         fetched: &FetchedDocument,
     ) -> Result<Verdict, FetchError> {
-        let hash = content_hash(fetched.body().as_bytes());
+        let hash = document_hash(fetched.body_bytes());
         let page = match self.page.take() {
             Some((memo_hash, page)) if memo_hash == hash => page,
             _ => {
@@ -1439,12 +1446,10 @@ fn replay_restored(
     let replayed = with_retries(res, vantage, browser_slot, domain, counters, |browser| {
         let fetched = browser.fetch_domain_document(domain)?;
         if let Some(cache) = cache {
-            let key = (domain.to_string(), content_hash(fetched.body().as_bytes()));
-            cache.stripes[stripe_of(domain)]
-                .lock()
-                .map
-                .entry(key)
-                .or_insert_with(|| record.clone());
+            // A restored record fills a vacant or pending slot (waking
+            // its waiters) and never waits.
+            let key = CacheKey::new(domain, &fetched);
+            cache.stripe(key).fill(key, record);
         }
         Ok(())
     });
@@ -1454,42 +1459,194 @@ fn replay_restored(
     let _ = replayed;
 }
 
-/// Shared-fetch cache: `(domain, document hash)` → finished record, split
-/// into [`STRIPES`] domain-hash stripes. The hit/miss tallies live inside
-/// each stripe — bumped under the stripe lock the lookup already holds —
+/// Shared-fetch cache: `(domain hash, document hash)` → slot, split into
+/// [`STRIPES`] stripes by the domain hash. A slot is either pending (a
+/// worker is loading that document) or holds the finished record, which
+/// a hit checks against its own domain. The hit/miss tallies live inside
+/// each stripe — bumped under the stripe lock the probe already holds —
 /// and are summed only at read-out.
+///
+/// Misses are single-flight. The first worker to miss a key installs a
+/// pending slot and leads: it loads, analyzes, and fills the slot, or, if
+/// the attempt fails or panics, its [`Lead`] is dropped and clears the
+/// slot. Either way the stripe's condvar wakes every worker waiting on
+/// that stripe, and each re-probes: a filled slot is a hit, a cleared one
+/// makes the first re-prober the new leader (a miss), and a slot still
+/// pending — another key's wake-up, or a new leader — is waited on again.
+/// A leader never waits while it leads, so every wait ends. Fault-free,
+/// misses therefore equal the number of distinct keys at any worker
+/// count.
 struct FetchCache {
     enabled: bool,
-    stripes: Vec<parking_lot::Mutex<CacheStripe>>,
+    stripes: Vec<CacheStripe>,
+}
+
+/// A cache key: the domain's and the document's [`document_hash`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct CacheKey {
+    domain: u64,
+    document: u64,
+}
+
+impl CacheKey {
+    fn new(domain: &str, fetched: &FetchedDocument) -> Self {
+        CacheKey {
+            domain: document_hash(domain.as_bytes()),
+            document: document_hash(fetched.body_bytes()),
+        }
+    }
 }
 
 /// One stripe of the shared-fetch cache.
 #[derive(Default)]
 struct CacheStripe {
-    // lint:allow(r10) — bounded by the epoch's target list today; cache eviction lands with the shared-cache scaling work in ROADMAP item 2
-    map: HashMap<(String, u64), CrawlRecord>,
+    state: parking_lot::Mutex<StripeState>,
+    /// Notified whenever a slot of this stripe is filled or cleared.
+    settled: Condvar,
+}
+
+#[derive(Default)]
+struct StripeState {
+    // lint:allow(r10) — bounded by the epoch's target list today; cache eviction is parked with the million-domain streaming crawl (ROADMAP, "Parked from earlier rounds")
+    slots: HashMap<CacheKey, Slot>,
     hits: usize,
     misses: usize,
+}
+
+enum Slot {
+    /// A leader is loading and analyzing the document.
+    Pending,
+    Ready(CrawlRecord),
+}
+
+/// What a settled cache probe decided for one cell.
+enum Claim<'a> {
+    /// Another cell of the same domain fetched the same document.
+    Hit(CrawlRecord),
+    /// A miss: the caller computes the record and fills the slot.
+    Lead(Lead<'a>),
+    /// The key holds another domain's record (a hash collision): a miss
+    /// the caller computes without caching.
+    Bypass,
+}
+
+/// A miss's leadership of its pending slot. [`Lead::fill`] publishes the
+/// record; dropping it unfilled — a failed attempt, or an unwind through
+/// the retry loop's `catch_unwind` — clears the slot for a waiter to take
+/// over. Both wake the stripe's waiters.
+struct Lead<'a> {
+    stripe: &'a CacheStripe,
+    key: CacheKey,
+    filled: bool,
+}
+
+impl Lead<'_> {
+    fn fill(mut self, record: &CrawlRecord) {
+        self.stripe.fill(self.key, record);
+        self.filled = true;
+    }
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        if !self.filled {
+            self.stripe.clear_pending(self.key);
+        }
+    }
+}
+
+impl CacheStripe {
+    /// One probe of `key` for `domain` under the stripe lock: `None` while
+    /// another worker leads the key.
+    fn probe<'a>(
+        &'a self,
+        state: &mut StripeState,
+        key: CacheKey,
+        domain: &str,
+    ) -> Option<Claim<'a>> {
+        match state.slots.get(&key) {
+            Some(Slot::Pending) => None,
+            Some(Slot::Ready(record)) if record.domain == domain => {
+                state.hits += 1;
+                Some(Claim::Hit(record.clone()))
+            }
+            Some(Slot::Ready(_)) => {
+                state.misses += 1;
+                Some(Claim::Bypass)
+            }
+            None => {
+                state.slots.insert(key, Slot::Pending);
+                state.misses += 1;
+                Some(Claim::Lead(Lead {
+                    stripe: self,
+                    key,
+                    filled: false,
+                }))
+            }
+        }
+    }
+
+    /// Fill `key`'s slot with `record` unless it already holds one, and
+    /// wake the waiters.
+    fn fill(&self, key: CacheKey, record: &CrawlRecord) {
+        let mut state = self.state.lock();
+        let slot = state.slots.entry(key).or_insert(Slot::Pending);
+        if matches!(slot, Slot::Pending) {
+            *slot = Slot::Ready(record.clone());
+        }
+        drop(state);
+        self.settled.notify_all();
+    }
+
+    /// Clear `key`'s slot if it is still pending, and wake the waiters.
+    fn clear_pending(&self, key: CacheKey) {
+        let mut state = self.state.lock();
+        if matches!(state.slots.get(&key), Some(Slot::Pending)) {
+            state.slots.remove(&key);
+        }
+        drop(state);
+        self.settled.notify_all();
+    }
 }
 
 impl FetchCache {
     fn new(enabled: bool) -> Self {
         FetchCache {
             enabled,
-            stripes: (0..STRIPES)
-                .map(|_| parking_lot::Mutex::new(CacheStripe::default()))
-                .collect(),
+            stripes: (0..STRIPES).map(|_| CacheStripe::default()).collect(),
+        }
+    }
+
+    fn stripe(&self, key: CacheKey) -> &CacheStripe {
+        &self.stripes[(key.domain % STRIPES as u64) as usize]
+    }
+
+    /// Settle `domain`'s cell under `key`: a hit, a lead, or a bypass,
+    /// waiting while another worker leads the same key.
+    fn claim(&self, key: CacheKey, domain: &str) -> Claim<'_> {
+        let stripe = self.stripe(key);
+        let mut state = stripe.state.lock();
+        loop {
+            if let Some(claim) = stripe.probe(&mut state, key, domain) {
+                return claim;
+            }
+            // The wait takes the guard, releases the lock while parked,
+            // and hands it back re-acquired.
+            state = stripe
+                .settled
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Cache hits across all stripes.
     fn hits(&self) -> usize {
-        (0..STRIPES).map(|i| self.stripes[i].lock().hits).sum()
+        self.stripes.iter().map(|s| s.state.lock().hits).sum()
     }
 
     /// Cache misses across all stripes.
     fn misses(&self) -> usize {
-        (0..STRIPES).map(|i| self.stripes[i].lock().misses).sum()
+        self.stripes.iter().map(|s| s.state.lock().misses).sum()
     }
 }
 
@@ -1514,8 +1671,9 @@ fn try_analyze_domain(
 }
 
 /// Cached variant: fetch the main document (the origin always sees the
-/// navigation), then reuse a previous analysis of byte-identical content
-/// or complete the load and remember the result.
+/// navigation), then reuse the analysis of byte-identical content — or
+/// wait for the worker already computing it — or complete the load and
+/// publish the result.
 fn try_analyze_domain_cached(
     tool: &BannerClick,
     browser: &mut Browser,
@@ -1523,24 +1681,17 @@ fn try_analyze_domain_cached(
     cache: &FetchCache,
 ) -> Result<CrawlRecord, FetchError> {
     let fetched = browser.fetch_domain_document(domain)?;
-    let key = (domain.to_string(), content_hash(fetched.body().as_bytes()));
-    {
-        let mut stripe = cache.stripes[stripe_of(domain)].lock();
-        if let Some(record) = stripe.map.get(&key) {
-            let record = record.clone();
-            stripe.hits += 1;
-            return Ok(record);
-        }
-        stripe.misses += 1;
-    }
-    // Concurrent misses on the same key may both do the work; the results
-    // are identical by construction, so the second insert is harmless.
+    let lead = match cache.claim(CacheKey::new(domain, &fetched), domain) {
+        Claim::Hit(record) => return Ok(record),
+        Claim::Lead(lead) => Some(lead),
+        Claim::Bypass => None,
+    };
+    // A failure or panic from here on drops `lead`, clearing its slot.
     let mut page = browser.load_fetched(&fetched)?;
     let record = record_from_page(tool, domain, &mut page);
-    cache.stripes[stripe_of(domain)]
-        .lock()
-        .map
-        .insert(key, record.clone());
+    if let Some(lead) = lead {
+        lead.fill(&record);
+    }
     Ok(record)
 }
 
@@ -1699,6 +1850,103 @@ mod tests {
         assert!((0.0..=1.0).contains(&util), "utilization {util}");
         assert!(metrics.hit_rate() > 0.0);
         assert!(metrics.render().contains("crawl scheduler"));
+    }
+
+    fn cached_record(domain: &str) -> CrawlRecord {
+        CrawlRecord {
+            banner: true,
+            ..failure_record(domain, FailureKind::Panic, 1)
+        }
+    }
+
+    /// The leader of a key fails and drops its lead without a record; the
+    /// waiter takes over as the new leader. Driven one probe at a time,
+    /// for a waiter that found the slot pending and for one that arrives
+    /// after the failure.
+    #[test]
+    fn failed_leader_hands_the_key_to_a_waiter_in_either_order() {
+        let record = cached_record("a.de");
+        for waiter_arrives_first in [true, false] {
+            let cache = FetchCache::new(true);
+            let key = CacheKey {
+                domain: document_hash(b"a.de"),
+                document: 7,
+            };
+            let stripe = cache.stripe(key);
+            let Claim::Lead(lead) = cache.claim(key, "a.de") else {
+                panic!("the first probe of a vacant key leads");
+            };
+            if waiter_arrives_first {
+                let pending = stripe.probe(&mut stripe.state.lock(), key, "a.de");
+                assert!(pending.is_none(), "a pending slot makes the waiter wait");
+            }
+            drop(lead);
+            let Claim::Lead(takeover) = cache.claim(key, "a.de") else {
+                panic!("a cleared slot is led by the next prober");
+            };
+            assert_eq!((cache.hits(), cache.misses()), (0, 2));
+            takeover.fill(&record);
+            let Claim::Hit(hit) = cache.claim(key, "a.de") else {
+                panic!("a filled slot is a hit");
+            };
+            assert_eq!(hit, record);
+            assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        }
+    }
+
+    /// The same hand-over with a real waiter parked on the condvar: the
+    /// leader unwinds through `catch_unwind`, as a panicking analysis does
+    /// in the retry loop, and the waiter leads. Either interleaving ends
+    /// the same way.
+    #[test]
+    fn leader_unwind_wakes_a_waiter_to_lead() {
+        let record = cached_record("a.de");
+        let cache = FetchCache::new(true);
+        let key = CacheKey {
+            domain: document_hash(b"a.de"),
+            document: 7,
+        };
+        std::thread::scope(|scope| {
+            let Claim::Lead(lead) = cache.claim(key, "a.de") else {
+                panic!("the first probe of a vacant key leads");
+            };
+            let waiter = scope.spawn(|| match cache.claim(key, "a.de") {
+                Claim::Lead(takeover) => {
+                    takeover.fill(&record);
+                    true
+                }
+                _ => false,
+            });
+            let unwound = catch_unwind(AssertUnwindSafe(move || {
+                let _lead = lead;
+                std::panic::resume_unwind(Box::new("analysis failed"));
+            }));
+            assert!(unwound.is_err());
+            assert!(waiter.join().expect("waiter thread"), "the waiter leads");
+        });
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert!(matches!(cache.claim(key, "a.de"), Claim::Hit(_)));
+    }
+
+    /// A restored record fills a pending slot without waiting; the
+    /// leader's own fill, or its failure, leaves that record in place. A
+    /// key holding another domain's record is a miss that bypasses it.
+    #[test]
+    fn restored_fill_settles_a_pending_slot_and_collisions_bypass() {
+        let record = cached_record("a.de");
+        let cache = FetchCache::new(true);
+        let key = CacheKey {
+            domain: document_hash(b"a.de"),
+            document: 7,
+        };
+        let Claim::Lead(lead) = cache.claim(key, "a.de") else {
+            panic!("the first probe of a vacant key leads");
+        };
+        cache.stripe(key).fill(key, &record);
+        drop(lead);
+        assert!(matches!(cache.claim(key, "a.de"), Claim::Hit(r) if r == record));
+        assert!(matches!(cache.claim(key, "b.de"), Claim::Bypass));
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]

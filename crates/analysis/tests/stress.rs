@@ -124,3 +124,44 @@ fn persistent_abort_and_resume_at_high_concurrency() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Single-flight misses: a fault-free sweep analyzes each distinct
+/// `(domain, document)` exactly once, so the miss count is the same at
+/// every worker count — workers reaching a document another worker is
+/// still analyzing wait for its record instead of redoing the work.
+#[test]
+fn cache_misses_are_independent_of_worker_count() {
+    use analysis::crawl::{crawl_all_regions_with, CrawlOptions};
+    use bannerclick::BannerClick;
+    use std::sync::Arc;
+    use webgen::Population;
+
+    let tool = BannerClick::new();
+    let sweep = |workers: usize| {
+        let pop = Arc::new(Population::generate(PopulationConfig::tiny()));
+        let net = httpsim::Network::new();
+        webgen::server::install(Arc::clone(&pop), &net);
+        let targets = pop.merged_targets();
+        let (_, metrics) =
+            crawl_all_regions_with(&net, &targets, &tool, &CrawlOptions::with_workers(workers));
+        let cells = targets.len() * Region::ALL.len();
+        assert_eq!(metrics.tasks_completed, cells);
+        assert_eq!(
+            metrics.cache_hits + metrics.cache_misses,
+            cells,
+            "every cell is one hit or one miss (workers={workers})"
+        );
+        metrics.cache_misses
+    };
+    let baseline = sweep(1);
+    assert!(baseline > 0);
+    for workers in [1, 2, 4, 64] {
+        for rep in 0..REPETITIONS {
+            assert_eq!(
+                sweep(workers),
+                baseline,
+                "cache misses moved (workers={workers}, repetition={rep})"
+            );
+        }
+    }
+}

@@ -26,7 +26,8 @@
 use crate::page::{BlockedRequest, ElementRef, Frame, Page};
 use crate::storage::LocalStorage;
 use blocklist::{BlockDecision, FilterEngine};
-use httpsim::{CookieJar, Method, Network, Region, Request, Response, TransportFault, Url};
+use httpsim::{Bytes, CookieJar, Method, Network, Region, Request, Response, TransportFault, Url};
+use std::sync::OnceLock;
 use webdom::{parse, parse_fragment_into, NodeId};
 
 /// Maximum iframe nesting depth processed.
@@ -101,12 +102,21 @@ impl std::error::Error for FetchError {}
 /// phase is needed at all (shared-fetch caching across vantage points),
 /// while the origin server still observes the navigation request exactly
 /// as it would during a full visit.
+///
+/// The document's own `Set-Cookie` headers ride along unparsed: only a
+/// load reads the jar, so [`Browser::load_fetched`] stores them, and a
+/// caller that stops after the fetch never pays for them.
 #[derive(Debug, Clone)]
 pub struct FetchedDocument {
     url: Url,
     final_url: Url,
     status: u16,
-    body: String,
+    /// The response body as received, shared with the response.
+    body: Bytes,
+    /// The lossy decoding of `body`, made on first read of a body that is
+    /// not valid UTF-8.
+    lossy: OnceLock<String>,
+    set_cookies: Vec<String>,
 }
 
 impl FetchedDocument {
@@ -125,8 +135,20 @@ impl FetchedDocument {
         self.status
     }
 
-    /// The raw document text.
+    /// The raw document text. Each call checks the bytes as UTF-8 (one
+    /// pass, paid only by callers that want text, such as a load); a body
+    /// that is not valid UTF-8 reads as its lossy decoding.
     pub fn body(&self) -> &str {
+        match std::str::from_utf8(&self.body) {
+            Ok(text) => text,
+            Err(_) => self
+                .lossy
+                .get_or_init(|| String::from_utf8_lossy(&self.body).into_owned()),
+        }
+    }
+
+    /// The raw document bytes as received, without the UTF-8 check.
+    pub fn body_bytes(&self) -> &[u8] {
         &self.body
     }
 }
@@ -281,41 +303,51 @@ impl Browser {
     /// document fetch, with nothing parsed or loaded yet. The origin sees
     /// this request exactly as it would under [`Browser::visit`].
     ///
+    /// Every redirect hop's cookies are stored as they arrive (the next
+    /// hop's `Cookie` header needs them). The document's own cookies are
+    /// stored by [`Browser::load_fetched`], or here before an error is
+    /// returned, so a visit leaves the jar as it always did.
+    ///
     /// Callers that decide the document is worth loading continue with
     /// [`Browser::load_fetched`]; callers that already know the outcome for
     /// these bytes (a shared-fetch cache) simply stop here.
-    // lint:allow(r9) — the host String is now built only on error paths (lazy closure); the Url clone is the owned return — ROADMAP item 1
+    // lint:allow(r9) — the host String is built only on error paths (lazy closure); the Url clone is the owned return
     pub fn fetch_document(&mut self, url: &Url) -> Result<FetchedDocument, VisitError> {
         self.restore_consent_from_storage(url);
         self.request_log.clear();
-        let (resp, final_url, latency_ms) = self.fetch_following(url, None);
+        let (resp, final_url, latency_ms) = self.fetch_chain(url, None);
+        let Response {
+            status,
+            set_cookies,
+            body,
+            transport,
+            ..
+        } = resp;
         // The host string is only needed to describe a failure; building
         // it lazily keeps the per-visit success path allocation-free.
         let host = || url.host().to_string();
-        match resp.transport {
-            Some(TransportFault::ConnectionReset) => {
-                return Err(FetchError::ConnectionReset(host()));
-            }
-            Some(TransportFault::TruncatedBody) => return Err(FetchError::Truncated(host())),
-            None => {}
-        }
-        if latency_ms > self.timeout_budget_ms {
-            return Err(FetchError::Timeout {
+        let failure = match transport {
+            Some(TransportFault::ConnectionReset) => Some(FetchError::ConnectionReset(host())),
+            Some(TransportFault::TruncatedBody) => Some(FetchError::Truncated(host())),
+            None if latency_ms > self.timeout_budget_ms => Some(FetchError::Timeout {
                 host: host(),
                 budget_ms: self.timeout_budget_ms,
-            });
-        }
-        if resp.status == 0 {
-            return Err(FetchError::Unreachable(host()));
-        }
-        if resp.status >= 400 {
-            return Err(FetchError::HttpError(resp.status));
+            }),
+            None if status == 0 => Some(FetchError::Unreachable(host())),
+            None if status >= 400 => Some(FetchError::HttpError(status)),
+            None => None,
+        };
+        if let Some(err) = failure {
+            self.store_cookies(&set_cookies, &final_url);
+            return Err(err);
         }
         Ok(FetchedDocument {
             url: url.clone(),
             final_url,
-            status: resp.status,
-            body: resp.body_text(),
+            status,
+            body,
+            lossy: OnceLock::new(),
+            set_cookies,
         })
     }
 
@@ -325,8 +357,9 @@ impl Browser {
         self.fetch_document(&url)
     }
 
-    /// Phase two of a visit: parse a fetched document and complete the load
-    /// (subresources, script effects, iframes, entitlement checks).
+    /// Phase two of a visit: store the document's cookies, then parse it
+    /// and complete the load (subresources, script effects, iframes,
+    /// entitlement checks).
     ///
     /// `visit` is exactly `fetch_document` followed by `load_fetched`.
     pub fn load_fetched(&mut self, fetched: &FetchedDocument) -> Result<Page, VisitError> {
@@ -342,13 +375,14 @@ impl Browser {
         self.load_fetched_inner(&fetched, allow_entitlement_reload)
     }
 
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
+    // lint:allow(r9) — owned page/request state built during the visit; the ROADMAP item on zero-copy DOM payloads is the planned fix
     fn load_fetched_inner(
         &mut self,
         fetched: &FetchedDocument,
         allow_entitlement_reload: bool,
     ) -> Result<Page, VisitError> {
-        let doc = parse(&fetched.body);
+        self.store_cookies(&fetched.set_cookies, &fetched.final_url);
+        let doc = parse(fetched.body());
         let final_url = fetched.final_url.clone();
         let url = &fetched.url;
         let mut page = Page {
@@ -393,15 +427,23 @@ impl Browser {
     /// the jar (Network::dispatch_following would drop them). The third
     /// return value is virtual transfer time accumulated across all hops,
     /// checked against the timeout budget by navigation callers.
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
     fn fetch_following(&mut self, url: &Url, initiator: Option<&str>) -> (Response, Url, u64) {
+        let (resp, final_url, elapsed_ms) = self.fetch_chain(url, initiator);
+        self.store_cookies(&resp.set_cookies, &final_url);
+        (resp, final_url, elapsed_ms)
+    }
+
+    /// [`Browser::fetch_following`] without storing the returned response's
+    /// own cookies: every earlier hop's are stored, the caller stores the
+    /// last ones (from the returned URL) when it needs them.
+    // lint:allow(r9) — each hop logs its URL; the request log is part of the Page
+    fn fetch_chain(&mut self, url: &Url, initiator: Option<&str>) -> (Response, Url, u64) {
         let mut current = url.clone();
         let mut elapsed_ms: u64 = 0;
         for _ in 0..httpsim::MAX_REDIRECTS {
-            let resp = self.fetch_once(&current, initiator);
+            let (resp, url) = self.fetch_once(current, initiator);
+            current = url;
             elapsed_ms = elapsed_ms.saturating_add(resp.latency_ms);
-            self.jar
-                .store_response_cookies(resp.set_cookies.iter().map(String::as_str), &current);
             self.request_log.push(crate::page::LoggedRequest {
                 url: current.to_string(),
                 status: resp.status,
@@ -411,24 +453,38 @@ impl Browser {
             if !resp.is_redirect() {
                 return (resp, current, elapsed_ms);
             }
-            let loc = resp.location.clone().unwrap_or_else(|| "/".to_string());
-            match current.join(&loc) {
-                Ok(next) => current = next,
-                Err(_) => return (resp, current, elapsed_ms),
-            }
+            let next = current.join(resp.location.as_deref().unwrap_or("/"));
+            let Ok(next) = next else {
+                return (resp, current, elapsed_ms);
+            };
+            self.store_cookies(&resp.set_cookies, &current);
+            current = next;
         }
         (Response::not_found(), current, elapsed_ms)
     }
 
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
-    fn fetch_once(&self, url: &Url, initiator: Option<&str>) -> Response {
-        let mut req = match initiator {
-            Some(host) => Request::subresource(url.clone(), self.region, host),
-            None => Request::navigation(url.clone(), self.region),
+    /// Parse and store `set_cookies`, received from `origin`, in the jar.
+    fn store_cookies(&mut self, set_cookies: &[String], origin: &Url) {
+        self.jar
+            .store_response_cookies(set_cookies.iter().map(String::as_str), origin);
+    }
+
+    /// One request, carrying the profile's user agent and cookies. The URL
+    /// moves into the request and is handed back with the response.
+    // lint:allow(r9) — the request owns its user agent, cookie header and initiator
+    fn fetch_once(&self, url: Url, initiator: Option<&str>) -> (Response, Url) {
+        let cookie_header = self.jar.cookie_header(&url);
+        let req = Request {
+            method: Method::Get,
+            url,
+            region: self.region,
+            cookie_header,
+            user_agent: self.user_agent.clone(),
+            initiator_host: initiator.map(str::to_string),
+            body_params: Vec::new(),
         };
-        req.user_agent = self.user_agent.clone();
-        req.cookie_header = self.jar.cookie_header(url);
-        self.net.dispatch(&req)
+        let resp = self.net.dispatch(&req);
+        (resp, req.url)
     }
 
     /// Consult the blocker for a subresource; record and skip if blocked.
@@ -684,15 +740,16 @@ impl Browser {
     /// localStorage holds consent state but the matching cookie is gone
     /// (e.g. the user deleted cookies), the script re-sets the cookie —
     /// the §5 pitfall that makes cookie-only revocation ineffective.
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
+    // lint:allow(r9) — the restored name/value pairs are copied out of storage before the jar is written, and only when storage holds consent state
     fn restore_consent_from_storage(&mut self, url: &Url) {
-        let site = httpsim::registrable_domain(url.host())
-            .unwrap_or(url.host())
-            .to_string();
+        if self.storage.origin_count() == 0 {
+            return;
+        }
+        let site = httpsim::registrable_domain(url.host()).unwrap_or(url.host());
         let restore: Vec<(String, String)> = {
             let mut v = Vec::new();
             for key in ["cw_consent", "cw_sub"] {
-                if let Some(value) = self.storage.get(&site, key) {
+                if let Some(value) = self.storage.get(site, key) {
                     let missing = !self.jar.cookies_for(url).iter().any(|c| c.name == key);
                     if missing {
                         v.push((key.to_string(), value.to_string()));
@@ -702,7 +759,7 @@ impl Browser {
             v
         };
         for (name, value) in restore {
-            self.set_site_cookie(&site, &name, &value);
+            self.set_site_cookie(site, &name, &value);
         }
     }
 

@@ -432,3 +432,143 @@ fn timeout_budget_is_configurable_and_spans_redirect_hops() {
         "latency accumulates across redirect hops"
     );
 }
+
+/// Everything a navigation leaves behind, as text: the page (frames,
+/// requests, observations) and the jar, cookie by cookie in storage order.
+fn outcome(b: &Browser, page: &browser::Page) -> (String, Vec<httpsim::Cookie>) {
+    (format!("{page:?}"), b.jar().iter().cloned().collect())
+}
+
+/// `visit` is `fetch_document` then `load_fetched`: the document's own
+/// cookies, deferred by the fetch, are stored by the load before anything
+/// else, so the jar and the page come out identical. Each pair runs on
+/// its own freshly installed world, since origins count visits.
+#[test]
+fn two_phase_visit_matches_visit() {
+    let sites = {
+        let (pop, _) = world();
+        let wall = wall_with(&pop, |c| {
+            c.embedding == webgen::Embedding::MainDom
+                && c.serving == Serving::FirstParty
+                && c.visibility != Visibility::DeOnly
+        })
+        .expect("a first-party main-DOM wall");
+        let partner = pop.smp_partners(Smp::Contentpass)[0].clone();
+        [(wall, false), (partner, true)]
+    };
+    for (domain, subscribed) in sites {
+        let run = |two_phase: bool| {
+            let (_pop, net) = world();
+            let mut b = Browser::new(net, Region::Germany);
+            if subscribed {
+                assert!(b.login_smp(Smp::Contentpass.account_host(), "alice", "pw"));
+            }
+            let url = Url::parse(&domain).unwrap();
+            let page = if two_phase {
+                let fetched = b.fetch_document(&url).unwrap();
+                b.load_fetched(&fetched).unwrap()
+            } else {
+                b.visit(&url).unwrap()
+            };
+            assert_eq!(page.reloaded_for_subscription, subscribed, "{domain}");
+            outcome(&b, &page)
+        };
+        assert_eq!(run(false), run(true), "{domain}");
+    }
+
+    // A redirecting site, whose hop and document both set cookies.
+    let net = Network::new();
+    net.register_fn("hop.example", |r| {
+        if r.url.path() == "/" {
+            httpsim::Response::redirect("https://hop.example/land").with_cookie("hop=1; Path=/")
+        } else {
+            httpsim::Response::html("<html><body><p>landed</p></body></html>")
+                .with_cookie("doc=2; Path=/land")
+                .with_cookie("sid=3")
+        }
+    });
+    let url = Url::parse("hop.example").unwrap();
+    let mut one = Browser::new(net.clone(), Region::Germany);
+    let visited = one.visit(&url).unwrap();
+    let mut two = Browser::new(net, Region::Germany);
+    let fetched = two.fetch_document(&url).unwrap();
+    let loaded = two.load_fetched(&fetched).unwrap();
+    assert_eq!(outcome(&one, &visited), outcome(&two, &loaded));
+    assert_eq!(two.jar().len(), 3);
+}
+
+/// A fetch that fails still stores the failing response's cookies, as
+/// it did when every response's cookies were stored on arrival.
+#[test]
+fn failed_fetches_keep_their_cookies() {
+    use httpsim::Response;
+
+    let net = Network::new();
+    let failing = |status: u16, latency_ms: u64| {
+        move |_: &httpsim::Request| {
+            let mut r = Response::html("<html>error</html>").with_cookie(format!("s{status}=1"));
+            r.status = status;
+            r.latency_ms = latency_ms;
+            r
+        }
+    };
+    net.register_fn("gone.example", failing(404, 0));
+    net.register_fn("down.example", failing(503, 0));
+    net.register_fn("slow.example", failing(200, 45_000));
+
+    let mut b = Browser::new(net, Region::Germany);
+    for (host, cookie) in [
+        ("gone.example", "s404"),
+        ("down.example", "s503"),
+        ("slow.example", "s200"),
+    ] {
+        b.clear_cookies();
+        assert!(b.fetch_domain_document(host).is_err(), "{host}");
+        let names: Vec<&str> = b.jar().iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, [cookie], "{host}");
+    }
+}
+
+/// A redirect hop's cookie is in the jar before the next hop is
+/// requested, so that hop carries it; the document's own cookie waits
+/// for the load.
+#[test]
+fn redirect_hop_cookie_reaches_the_next_hop() {
+    use httpsim::Response;
+
+    let net = Network::new();
+    net.register_fn("hop.example", |r| {
+        if r.url.path() == "/" {
+            Response::redirect("/land").with_cookie("hop=1")
+        } else {
+            let sent = r.cookie_header.clone().unwrap_or_default();
+            Response::html(format!("<p>sent: {sent}</p>")).with_cookie("doc=2")
+        }
+    });
+    let mut b = Browser::new(net, Region::Germany);
+    let fetched = b.fetch_domain_document("hop.example").unwrap();
+    assert_eq!(fetched.body(), "<p>sent: hop=1</p>");
+    let names = |b: &Browser| -> Vec<String> { b.jar().iter().map(|c| c.name.clone()).collect() };
+    assert_eq!(names(&b), ["hop"]);
+    b.load_fetched(&fetched).unwrap();
+    assert_eq!(names(&b), ["hop", "doc"]);
+}
+
+/// A body that is not valid UTF-8 keeps its bytes for hashing and reads
+/// as its lossy decoding, which is also what the load parses.
+#[test]
+fn invalid_utf8_body_reads_lossily() {
+    use httpsim::{Bytes, Response};
+
+    let net = Network::new();
+    net.register_fn("latin1.example", |_| {
+        Response::html(Bytes::from_static(b"<p>M\xfcnchen</p>"))
+    });
+    let mut b = Browser::new(net, Region::Germany);
+    let fetched = b.fetch_domain_document("latin1.example").unwrap();
+    assert_eq!(fetched.body_bytes(), b"<p>M\xfcnchen</p>");
+    assert_eq!(fetched.body(), "<p>M\u{fffd}nchen</p>");
+    assert_eq!(fetched.body(), "<p>M\u{fffd}nchen</p>");
+    let page = b.load_fetched(&fetched).unwrap();
+    assert!(page.main_text().contains("M\u{fffd}nchen"));
+}

@@ -24,12 +24,14 @@ pub enum SameSite {
 
 impl SameSite {
     fn parse(v: &str) -> Option<Self> {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "none" => Some(SameSite::None),
-            "lax" => Some(SameSite::Lax),
-            "strict" => Some(SameSite::Strict),
-            _ => None,
-        }
+        let v = v.trim();
+        [
+            ("none", SameSite::None),
+            ("lax", SameSite::Lax),
+            ("strict", SameSite::Strict),
+        ]
+        .into_iter()
+        .find_map(|(name, ss)| v.eq_ignore_ascii_case(name).then_some(ss))
     }
 }
 
@@ -66,7 +68,8 @@ impl Cookie {
     /// Returns `None` for unparseable or rejected cookies (empty name,
     /// domain not matching the origin — the "domain attribute must
     /// domain-match the request host" rule that stops cross-site planting).
-    // lint:allow(r9) — the jar owns cookie fields; zero-copy Set-Cookie parsing is part of ROADMAP item 1
+    /// Attribute names match case-insensitively without allocating.
+    // lint:allow(r9) — the jar owns each cookie's name, value, domain and path: four Strings per stored cookie
     pub fn parse_set_cookie(header: &str, origin: &Url) -> Option<Cookie> {
         let mut parts = header.split(';');
         let nv = parts.next()?;
@@ -88,49 +91,48 @@ impl Cookie {
         };
         for attr in parts {
             let (k, v) = match attr.split_once('=') {
-                Some((k, v)) => (k.trim().to_ascii_lowercase(), v.trim()),
-                None => (attr.trim().to_ascii_lowercase(), ""),
+                Some((k, v)) => (k.trim(), v.trim()),
+                None => (attr.trim(), ""),
             };
-            match k.as_str() {
-                "domain" => {
-                    let d = v.trim_start_matches('.').to_ascii_lowercase();
-                    if d.is_empty() {
-                        continue;
-                    }
-                    // Reject cookies for domains the origin doesn't live in.
-                    if !crate::psl::domain_match(origin.host(), &d) {
-                        return None;
-                    }
-                    // Reject cookies scoped to a bare public suffix.
-                    crate::psl::registrable_domain(&d)?;
-                    cookie.domain = d;
-                    cookie.host_only = false;
+            let is = |name: &str| k.eq_ignore_ascii_case(name);
+            if is("domain") {
+                let d = v.trim_start_matches('.').to_ascii_lowercase();
+                if d.is_empty() {
+                    continue;
                 }
-                "path" if v.starts_with('/') => {
+                // Reject cookies for domains the origin doesn't live in.
+                if !crate::psl::domain_match(origin.host(), &d) {
+                    return None;
+                }
+                // Reject cookies scoped to a bare public suffix.
+                crate::psl::registrable_domain(&d)?;
+                cookie.domain = d;
+                cookie.host_only = false;
+            } else if is("path") {
+                // `/` is already the default; only another path allocates.
+                if v.starts_with('/') && v != cookie.path {
                     cookie.path = v.to_string();
                 }
-                "max-age" => {
-                    if let Ok(secs) = v.parse::<i64>() {
-                        cookie.max_age = Some(secs);
-                    }
+            } else if is("max-age") {
+                if let Ok(secs) = v.parse::<i64>() {
+                    cookie.max_age = Some(secs);
                 }
-                "expires" => {
-                    // Simplified: any Expires makes the cookie persistent
-                    // with a long lifetime; an epoch-ish date expires it.
-                    if v.contains("1970") || v.contains("1969") {
-                        cookie.max_age = Some(0);
-                    } else if cookie.max_age.is_none() {
-                        cookie.max_age = Some(86400 * 365);
-                    }
+            } else if is("expires") {
+                // Simplified: any Expires makes the cookie persistent
+                // with a long lifetime; an epoch-ish date expires it.
+                if v.contains("1970") || v.contains("1969") {
+                    cookie.max_age = Some(0);
+                } else if cookie.max_age.is_none() {
+                    cookie.max_age = Some(86400 * 365);
                 }
-                "secure" => cookie.secure = true,
-                "httponly" => cookie.http_only = true,
-                "samesite" => {
-                    if let Some(ss) = SameSite::parse(v) {
-                        cookie.same_site = ss;
-                    }
+            } else if is("secure") {
+                cookie.secure = true;
+            } else if is("httponly") {
+                cookie.http_only = true;
+            } else if is("samesite") {
+                if let Some(ss) = SameSite::parse(v) {
+                    cookie.same_site = ss;
                 }
-                _ => {}
             }
         }
         Some(cookie)
@@ -231,6 +233,38 @@ mod tests {
         assert_eq!(c.max_age, Some(3600));
         assert!(c.secure && c.http_only);
         assert_eq!(c.same_site, SameSite::None);
+    }
+
+    #[test]
+    fn attribute_names_match_case_insensitively() {
+        let o = origin("https://www.example.de/x/y");
+        let c = Cookie::parse_set_cookie(
+            "id=7; PATH=/x; MAX-AGE=5; HttpOnly; SameSite=Lax; Domain=.Example.de",
+            &o,
+        )
+        .unwrap();
+        let expected = Cookie {
+            name: "id".to_string(),
+            value: "7".to_string(),
+            domain: "example.de".to_string(),
+            host_only: false,
+            path: "/x".to_string(),
+            max_age: Some(5),
+            secure: false,
+            http_only: true,
+            same_site: SameSite::Lax,
+        };
+        assert_eq!(c, expected);
+        let upper = Cookie::parse_set_cookie(
+            "id=7; path=/x; max-age=5; HTTPONLY; SAMESITE=lax; DOMAIN=example.de",
+            &o,
+        )
+        .unwrap();
+        assert_eq!(upper, expected);
+        let root = Cookie::parse_set_cookie("n=1; Path=/; SECURE; samesite=STRICT", &o).unwrap();
+        assert_eq!(root.path, "/");
+        assert!(root.secure);
+        assert_eq!(root.same_site, SameSite::Strict);
     }
 
     #[test]

@@ -111,10 +111,16 @@ impl Network {
     }
 
     fn lookup(&self, host: &str) -> Option<Arc<dyn Server>> {
+        let lowered;
+        let host = if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            lowered = host.to_ascii_lowercase();
+            lowered.as_str()
+        } else {
+            host
+        };
         let servers = self.inner.servers.lock();
-        let host = host.to_ascii_lowercase();
         // Exact, then parent domains.
-        let mut candidate = host.as_str();
+        let mut candidate = host;
         loop {
             if let Some(s) = servers.get(candidate) {
                 return Some(Arc::clone(s));
@@ -179,6 +185,40 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// In-memory 64-bit hash of a document, eight bytes per step.
+///
+/// Keys the crawl's shared-fetch cache and per-cell page memo, where
+/// [`content_hash`]'s byte-at-a-time loop would cost more than the lookup
+/// it serves. It is never persisted: on-disk checksums stay
+/// [`content_hash`]. The length seeds the state and the tail word is
+/// zero-padded, and every step is a bijection of the state for a fixed
+/// input word, so two inputs of equal length that differ in a single word
+/// never collide.
+pub fn document_hash(bytes: &[u8]) -> u64 {
+    const M: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, word: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        let x = (h ^ u64::from_le_bytes(w)).wrapping_mul(M);
+        x ^ (x >> 29)
+    };
+    let mut h = (bytes.len() as u64 ^ 0xcbf2_9ce4_8422_2325).wrapping_mul(M);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = step(h, word);
+    }
+    if !words.remainder().is_empty() {
+        h = step(h, words.remainder());
+    }
+    // Murmur3's 64-bit finalizer, so every input bit reaches every output
+    // bit (the cache stripes on the low bits).
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 #[cfg(test)]
@@ -266,6 +306,63 @@ mod tests {
         assert!(clone.resolves("shared.de"));
         clone.dispatch(&req("https://shared.de/"));
         assert_eq!(net.stats().requests(), 1);
+    }
+
+    #[test]
+    fn document_hash_vectors_cover_every_tail_length() {
+        let input = b"<!doctype html><p>";
+        let got: Vec<u64> = (0..=17).map(|n| document_hash(&input[..n])).collect();
+        let want = [
+            0x292f_3a10_75f4_cce4,
+            0x6e4c_9d1d_662a_7505,
+            0xc774_3f08_f8fd_2708,
+            0x5c0d_41ce_0ae3_d3f0,
+            0x384d_c3a6_762d_0bd8,
+            0xb888_6339_3efc_02f2,
+            0x0316_7df2_c854_bb2c,
+            0xb778_9658_16b4_99aa,
+            0x9200_0bfd_468d_80dd,
+            0xac71_8ff5_6418_dcf0,
+            0xb80b_4bf2_af48_78b9,
+            0x19e3_a15d_9f6b_0d5d,
+            0x3201_154a_e51d_4659,
+            0x66b7_e37b_6d4f_a1a2,
+            0x2282_5909_eeb5_e958,
+            0xd260_258d_2553_c2ec,
+            0x6f03_813f_0a00_b561,
+            0x7acd_6d8d_9022_fdbf,
+        ];
+        assert_eq!(got, want);
+        // Zero padding never aliases a shorter input onto a longer one.
+        assert_ne!(document_hash(b"ab"), document_hash(b"ab\0"));
+        assert_ne!(document_hash(b""), document_hash(b"\0"));
+    }
+
+    /// A fresh-profile main page as `webgen` renders it for a German
+    /// visitor: an SMP-served iframe wall.
+    const RENDERED_PAGE: &str = concat!(
+        "<html><head><title>nordkurier.de</title></head><body><header>",
+        "<h1>nordkurier.de</h1><nav><a href=\"/privacy\">Privacy</a></nav>",
+        "</header><main><p>Nach dem Sturm räumten viele Freiwillige die umgestürzten Bäume von den Wegen im Stadtpark.</p>",
+        "<p>Der neue Fahrplan bringt mehr Verbindungen am Wochenende, allerdings steigen auch die Preise leicht.</p>",
+        "<p>Forschende der Hochschule stellten ein Verfahren vor, das Wärme aus Abwasser zurückgewinnt.</p>",
+        "<p>Die Ausstellung im Museum zeigt Fotografien aus hundert Jahren Stadtgeschichte und läuft bis Oktober.</p>",
+        "</main><script src=\"/static/app.js\"></script><iframe id=\"cw-frame\" title=\"consent-or-pay\" src=\"https://cdn.contentpass.net/wall?site=nordkurier.de\" style=\"position:fixed;top:0;z-index:100000;width:100%;height:100%\">",
+        "</iframe><footer>© nordkurier.de</footer></body></html>",
+    );
+
+    #[test]
+    fn document_hash_sees_every_single_byte_flip_of_a_page() {
+        let page = RENDERED_PAGE.as_bytes();
+        let original = document_hash(page);
+        let mut flipped = page.to_vec();
+        for i in 0..page.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                flipped[i] ^= mask;
+                assert_ne!(document_hash(&flipped), original, "byte {i} ^ {mask:#04x}");
+                flipped[i] ^= mask;
+            }
+        }
     }
 
     #[test]

@@ -14,26 +14,78 @@ use rand_chacha::ChaCha8Rng;
 /// across Rust versions is what matters — `DefaultHasher` does not
 /// guarantee that).
 pub fn stable_hash(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
+    StableHasher::new().write(key.as_bytes()).finish()
+}
+
+/// [`stable_hash`] fed in pieces: the hash of the pieces' concatenation,
+/// so a composite key (`noise/{domain}/{visit}`) is hashed without ever
+/// being built.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StableHasher(u64);
+
+impl StableHasher {
+    pub(crate) fn new() -> Self {
+        StableHasher(0xcbf29ce484222325)
     }
-    h
+
+    /// Continue after a key whose [`stable_hash`] is `hash`.
+    pub(crate) fn resume(hash: u64) -> Self {
+        StableHasher(hash)
+    }
+
+    pub(crate) fn write(mut self, bytes: &[u8]) -> Self {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+        self
+    }
+
+    /// Append `n` in decimal, exactly as `format!("{n}")` renders it.
+    pub(crate) fn write_decimal(self, mut n: u64) -> Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.write(&digits[start..])
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// A ChaCha8 RNG seeded from a string key (plus a numeric lane so one key
 /// can drive several independent streams).
-// lint:allow(r9) — RNG lane label, one short String per derived stream; ROADMAP item 1
 pub fn rng_for(key: &str, lane: u64) -> ChaCha8Rng {
+    rng_for_hash(stable_hash(key), lane)
+}
+
+/// [`rng_for`] given the key's [`stable_hash`] instead of the key.
+pub(crate) fn rng_for_hash(key_hash: u64, lane: u64) -> ChaCha8Rng {
+    ChaCha8Rng::from_seed(seed_for(key_hash, lane))
+}
+
+/// The seed of `rng_for(key, lane)`: the key's hash, the hash of
+/// `{key}/{lane}` (streamed on from the key's hash), the key's hash
+/// rotated, and the lane.
+fn seed_for(key_hash: u64, lane: u64) -> [u8; 32] {
     let mut seed = [0u8; 32];
-    let h1 = stable_hash(key);
-    let h2 = stable_hash(&format!("{key}/{lane}"));
-    seed[..8].copy_from_slice(&h1.to_le_bytes());
+    let h2 = StableHasher::resume(key_hash)
+        .write(b"/")
+        .write_decimal(lane)
+        .finish();
+    seed[..8].copy_from_slice(&key_hash.to_le_bytes());
     seed[8..16].copy_from_slice(&h2.to_le_bytes());
-    seed[16..24].copy_from_slice(&h1.rotate_left(32).to_le_bytes());
+    seed[16..24].copy_from_slice(&key_hash.rotate_left(32).to_le_bytes());
     seed[24..32].copy_from_slice(&lane.to_le_bytes());
-    ChaCha8Rng::from_seed(seed)
+    seed
 }
 
 const DE_FIRST: &[&str] = &[
@@ -219,6 +271,43 @@ mod tests {
         let x: u64 = a.random();
         assert_eq!(x, a2.random::<u64>(), "same key+lane ⇒ same stream");
         assert_ne!(x, b.random::<u64>(), "different lane ⇒ different stream");
+    }
+
+    /// The seed `rng_for` used before it streamed the lane suffix: two
+    /// hashes over built strings.
+    fn seed_from_strings(key: &str, lane: u64) -> [u8; 32] {
+        let mut seed = [0u8; 32];
+        let h1 = stable_hash(key);
+        let h2 = stable_hash(&format!("{key}/{lane}"));
+        seed[..8].copy_from_slice(&h1.to_le_bytes());
+        seed[8..16].copy_from_slice(&h2.to_le_bytes());
+        seed[16..24].copy_from_slice(&h1.rotate_left(32).to_le_bytes());
+        seed[24..32].copy_from_slice(&lane.to_le_bytes());
+        seed
+    }
+
+    #[test]
+    fn streamed_seed_matches_built_strings() {
+        for key in [
+            "",
+            "key",
+            "noise/spiegel.de/0",
+            "flaky/müller-blatt.de/ägypten",
+        ] {
+            for lane in [0, 1, 3, 9, 10, 99, 1000, 12345, u64::MAX] {
+                assert_eq!(
+                    seed_for(stable_hash(key), lane),
+                    seed_from_strings(key, lane),
+                    "{key:?} lane {lane}"
+                );
+            }
+        }
+        for n in [0, 7, 10, 101, 999_999, u64::MAX] {
+            assert_eq!(
+                StableHasher::new().write(b"v").write_decimal(n).finish(),
+                stable_hash(&format!("v{n}")),
+            );
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! the site's ground-truth spec.
 
 use crate::content;
-use crate::names::rng_for;
+use crate::names::{rng_for_hash, StableHasher};
 use crate::population::Population;
-use crate::spec::{BannerKind, Cmp, CookieCounts, Embedding, Serving, SiteSpec, Smp};
+use crate::spec::{BannerKind, Cmp, Embedding, Serving, SiteSpec, Smp};
 use crate::trackers::{plan_benign, plan_trackers};
 use httpsim::{Method, Network, Region, Request, Response};
 use rand::Rng;
@@ -133,31 +133,39 @@ fn looks_like_bot(user_agent: &str) -> bool {
     .any(|m| ua.contains(m))
 }
 
+/// Noise lanes: one independent stream per cookie quantity.
+const FIRST_PARTY_LANE: u64 = 1;
+const BENIGN_LANE: u64 = 2;
+const TRACKING_LANE: u64 = 3;
+
+/// The noise seed of one visit: the stable hash of `noise/{domain}/{visit}`,
+/// streamed rather than built.
+fn noise_seed(domain: &str, visit: u64) -> u64 {
+    StableHasher::new()
+        .write(b"noise/")
+        .write(domain.as_bytes())
+        .write(b"/")
+        .write_decimal(visit)
+        .finish()
+}
+
 /// Per-repetition multiplicative noise on cookie counts (advertising
-/// variability; the reason the paper averages five repetitions).
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
-fn noisy(base: u32, domain: &str, visit: u64, lane: u64) -> u32 {
+/// variability; the reason the paper averages five repetitions). Each lane
+/// is a pure function of `(domain, visit, lane)`, so a page draws only the
+/// lanes whose counts it reads.
+fn noisy(base: u32, seed: u64, lane: u64) -> u32 {
     if base == 0 {
         return 0;
     }
-    let mut rng = rng_for(&format!("noise/{domain}/{visit}"), lane);
+    let mut rng = rng_for_hash(seed, lane);
     let factor: f64 = rng.random_range(0.85..1.15);
     ((base as f64) * factor).round().max(0.0) as u32
-}
-
-fn noisy_counts(c: CookieCounts, domain: &str, visit: u64) -> CookieCounts {
-    CookieCounts {
-        first_party: noisy(c.first_party, domain, visit, 1),
-        benign_third_party: noisy(c.benign_third_party, domain, visit, 2),
-        tracking: noisy(c.tracking, domain, visit, 3),
-    }
 }
 
 /// Should this site's wall/banner be shown to a visitor from `region` right
 /// now? Applies ground-truth targeting plus the small per-(site, region)
 /// flakiness that makes non-EU detection counts vary between 190 and 199
 /// across vantage points (Table 1).
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
 fn ui_visible(site: &SiteSpec, region: Region) -> bool {
     match &site.banner {
         BannerKind::None => false,
@@ -175,9 +183,15 @@ fn ui_visible(site: &SiteSpec, region: Region) -> bool {
             if site.on_toplist(crate::spec::Country::for_region(region)) {
                 return true;
             }
-            // ~3% per-(site, region) dropout: geo-CDN quirks.
-            crate::names::stable_hash(&format!("flaky/{}/{}", site.domain, region.label())) % 1000
-                >= 30
+            // ~3% per-(site, region) dropout: geo-CDN quirks, keyed on
+            // the stable hash of `flaky/{domain}/{region}`.
+            let flaky = StableHasher::new()
+                .write(b"flaky/")
+                .write(site.domain.as_bytes())
+                .write(b"/")
+                .write(region.label().as_bytes())
+                .finish();
+            flaky % 1000 >= 30
         }
     }
 }
@@ -210,7 +224,7 @@ impl httpsim::Server for SiteHandler {
 }
 
 /// Render a site's main page for one request.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+// lint:allow(r9) — the simulated origin renders the page HTML and its Set-Cookie lines per request: they are the response payload itself
 fn render_main_page(site: &SiteSpec, req: &Request, visit: u64) -> Response {
     let state = consent_state(req);
     let lang = site.language;
@@ -224,7 +238,7 @@ fn render_main_page(site: &SiteSpec, req: &Request, visit: u64) -> Response {
         ConsentState::Subscribed => site.cookies.subscribed,
         ConsentState::Fresh | ConsentState::Rejected => site.cookies.pre_consent,
     };
-    let counts = noisy_counts(base, domain, visit);
+    let noise = noise_seed(domain, visit);
 
     let mut body = String::with_capacity(4096);
     body.push_str("<html><head><title>");
@@ -282,7 +296,8 @@ fn render_main_page(site: &SiteSpec, req: &Request, visit: u64) -> Response {
 
     // Post-consent third parties.
     if state == ConsentState::Accepted {
-        for plan in plan_trackers(domain, visit, counts.tracking) {
+        let tracking = noisy(base.tracking, noise, TRACKING_LANE);
+        for plan in plan_trackers(domain, visit, tracking) {
             body.push_str(&format!(
                 "<script src=\"https://{}/t.js?n={}&o={}&site={}{}\"></script>",
                 plan.host,
@@ -296,10 +311,8 @@ fn render_main_page(site: &SiteSpec, req: &Request, visit: u64) -> Response {
         }
     }
     if matches!(state, ConsentState::Accepted | ConsentState::Subscribed) {
-        for (i, host) in plan_benign(domain, visit, counts.benign_third_party)
-            .into_iter()
-            .enumerate()
-        {
+        let benign = noisy(base.benign_third_party, noise, BENIGN_LANE);
+        for (i, host) in plan_benign(domain, visit, benign).into_iter().enumerate() {
             body.push_str(&format!(
                 "<script src=\"https://{host}/c.js?site={domain}&slot={i}\"></script>"
             ));
@@ -311,9 +324,11 @@ fn render_main_page(site: &SiteSpec, req: &Request, visit: u64) -> Response {
     body.push_str("</footer></body></html>");
 
     // First-party cookies.
+    let first_party = noisy(base.first_party, noise, FIRST_PARTY_LANE);
     let mut resp = Response::html(body);
+    resp.set_cookies.reserve(first_party.max(1) as usize);
     resp.set_cookies.push(format!("sid={visit}; Path=/"));
-    for i in 1..counts.first_party {
+    for i in 1..first_party {
         resp.set_cookies
             .push(format!("fp{i}=v{visit}; Path=/; Max-Age=31536000"));
     }
@@ -878,6 +893,29 @@ mod tests {
                 "bot visit must hide consent UI on {}",
                 site.domain
             );
+        }
+    }
+
+    /// The streamed noise seed draws exactly the stream the built key
+    /// `noise/{domain}/{visit}` did, lane by lane.
+    #[test]
+    fn streamed_noise_seed_matches_built_key() {
+        use rand::RngCore;
+        for domain in ["spiegel.de", "a.b", "müller-blatt.de", "日本語.jp", ""] {
+            for visit in 0..1000 {
+                let seed = noise_seed(domain, visit);
+                for lane in [FIRST_PARTY_LANE, BENIGN_LANE, TRACKING_LANE] {
+                    let mut streamed = rng_for_hash(seed, lane);
+                    let mut built = crate::names::rng_for(&format!("noise/{domain}/{visit}"), lane);
+                    for _ in 0..2 {
+                        assert_eq!(
+                            streamed.next_u64(),
+                            built.next_u64(),
+                            "{domain} visit {visit} lane {lane}"
+                        );
+                    }
+                }
+            }
         }
     }
 
