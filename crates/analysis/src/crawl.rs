@@ -3,16 +3,16 @@
 //!
 //! ## The global scheduler
 //!
-//! Table 1 crawls the same target list from eight vantage points. The
-//! original implementation ran those regions strictly one after another,
-//! paying eight sequential barriers (each region's tail latency adds up).
-//! [`crawl_all_regions`] instead schedules the full `(region × domain)`
-//! task matrix over one work-stealing pool: every worker has a home region
-//! (regions are spread round-robin over the pool) and claims tasks from it
-//! until the region is exhausted, then steals from the next region. All
-//! eight vantage points therefore crawl concurrently and the sweep ends
-//! when the *global* matrix is drained, not when the slowest region of
-//! each sequential phase is.
+//! Table 1 crawls the same target list from eight vantage points. Rather
+//! than eight region-after-region passes, each paying its slowest site's
+//! tail, [`crawl_all_regions_with`] schedules the whole `(region × domain)`
+//! matrix over one work-stealing pool: every worker has a home region
+//! (spread round-robin over the pool), claims its cells until that region
+//! is drained, then steals from the next. The sweep ends when the global
+//! matrix is drained. That pool, `par_matrix`, is the only one in the
+//! crate: a one-region crawl ([`crawl_region_with`]), the persistent sweep
+//! ([`crawl_all_regions_persistent`]), the variant pass, and the cookie and
+//! bypass measurements all run on it.
 //!
 //! ## The shared-fetch cache
 //!
@@ -47,12 +47,11 @@
 
 use bannerclick::{classify_wall, BannerClick, BannerFinding, DetectorOptions, ObservedEmbedding};
 use browser::{Browser, FetchError, FetchedDocument, Page};
-use crossbeam::thread;
 use httpsim::{content_hash, document_hash, Network, Region};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, PoisonError};
 use std::time::Instant;
 use store::Store;
@@ -639,15 +638,6 @@ struct Vantage<'a> {
 }
 
 impl<'a> Vantage<'a> {
-    /// `region` on `net`, with the default user agent.
-    fn new(net: &'a Network, region: Region) -> Self {
-        Vantage {
-            net,
-            region,
-            user_agent: None,
-        }
-    }
-
     /// A fresh browser profile at this vantage point.
     fn browser(&self) -> Browser {
         let browser = Browser::new(self.net.clone(), self.region);
@@ -722,17 +712,9 @@ fn crawl_one(
     cache: Option<&FetchCache>,
     counters: &mut WorkerCounters,
 ) -> CrawlRecord {
-    let outcome = with_retries(
-        res,
-        vantage,
-        browser_slot,
-        domain,
-        counters,
-        |browser| match cache {
-            Some(cache) => try_analyze_domain_cached(tool, browser, domain, cache),
-            None => try_analyze_domain(tool, browser, domain),
-        },
-    );
+    let outcome = with_retries(res, vantage, browser_slot, domain, counters, |browser| {
+        try_analyze_domain(tool, browser, domain, cache)
+    });
     match outcome {
         Ok((mut record, attempts)) => {
             record.attempts = attempts;
@@ -742,44 +724,69 @@ fn crawl_one(
     }
 }
 
-/// Run `task` over the cells `0..n` on `workers` workers that claim cells
-/// from one shared cursor, each with private state from `init`. The
-/// calling thread is one of the workers, so a single-worker pass spawns
-/// no thread. Results come back in cell order. A worker can only die
-/// outside the per-task panic guard through a scheduler bug; a cell left
-/// unfinished becomes `lost(i)`.
-fn par_cells<S, T: Send>(
+/// Run `task` over a `lanes × n` matrix of cells on `workers` workers, and
+/// return the cells lane by lane together with every worker's private
+/// state, in worker order.
+///
+/// Worker `w` gets its home lane `w % lanes` and the state `init(home)`.
+/// It claims its home lane's cells in order and, once that lane is
+/// drained, steals from the following lanes round-robin. The calling
+/// thread is worker 0, so a one-worker pass spawns no thread.
+///
+/// A task that returns `None` stops its worker: that cell, and every cell
+/// no worker goes on to claim, stays empty, and the matrix comes back
+/// `None`. A task that panics is not caught here. The other workers drain
+/// the matrix, and then the panic resumes out of `par_matrix` with its
+/// own payload, so it never becomes a cell; turning a panic into a failure
+/// record is [`with_retries`]'s job.
+pub(crate) fn par_matrix<S: Send, T: Send>(
     workers: usize,
+    lanes: usize,
     n: usize,
-    init: impl Fn() -> S + Sync,
-    task: impl Fn(&mut S, usize) -> T + Sync,
-    lost: impl Fn(usize) -> T,
-) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<T>>> =
-        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-    let work = || {
-        let mut state = init();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let out = task(&mut state, i);
-            *slots[i].lock() = Some(out);
-        }
+    init: impl Fn(usize) -> S + Sync,
+    task: impl Fn(&mut S, usize, usize) -> Option<T> + Sync,
+) -> (Option<Vec<Vec<T>>>, Vec<S>) {
+    let cursors: Vec<AtomicUsize> = (0..lanes).map(|_| AtomicUsize::new(0)).collect();
+    let slots: Vec<Vec<parking_lot::Mutex<Option<T>>>> = (0..lanes)
+        .map(|_| (0..n).map(|_| parking_lot::Mutex::new(None)).collect())
+        .collect();
+    let claim = |home: usize| {
+        (0..lanes).map(|k| (home + k) % lanes).find_map(|lane| {
+            let i = cursors[lane].fetch_add(1, Ordering::Relaxed);
+            (i < n).then_some((lane, i))
+        })
     };
-    let _ = thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(|_| work());
+    let work = |w: usize| {
+        let home = w % lanes;
+        let mut state = init(home);
+        while let Some((lane, i)) = claim(home) {
+            let Some(out) = task(&mut state, lane, i) else {
+                break;
+            };
+            *slots[lane][i].lock() = Some(out);
         }
-        work();
+        state
+    };
+    let states = std::thread::scope(|scope| {
+        let work = &work;
+        let spawned: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
+        let mut states = vec![work(0)];
+        for handle in spawned {
+            states.push(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        states
     });
-    slots
+    // Each lane is collected in place, into its own slot buffer, so the
+    // matrix is never held twice.
+    let cells = slots
         .into_iter()
-        .enumerate()
-        .map(|(i, slot)| slot.into_inner().unwrap_or_else(|| lost(i)))
-        .collect()
+        .map(|lane| {
+            lane.into_iter()
+                .map(parking_lot::Mutex::into_inner)
+                .collect()
+        })
+        .collect();
+    (cells, states)
 }
 
 /// Crawl `targets` from `region` with `workers` parallel browser profiles
@@ -797,7 +804,8 @@ pub fn crawl_region(
     crawl_region_with(net, region, targets, tool, workers, &RetryPolicy::default())
 }
 
-/// [`crawl_region`] with an explicit retry policy.
+/// [`crawl_region`] with an explicit retry policy: a one-region sweep with
+/// the shared-fetch cache off.
 pub fn crawl_region_with(
     net: &Network,
     region: Region,
@@ -806,36 +814,23 @@ pub fn crawl_region_with(
     workers: usize,
     policy: &RetryPolicy,
 ) -> VantageCrawl {
-    // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
-    let start = Instant::now();
-    let res = Resilience::new(policy);
-    let vantage = Vantage::new(net, region);
-    let records = par_cells(
+    let opts = CrawlOptions {
         workers,
-        targets.len(),
-        || (None, WorkerCounters::new(1)),
-        |(browser_slot, counters), i| {
-            crawl_one(
-                &res,
-                vantage,
-                tool,
-                browser_slot,
-                &targets[i],
-                None,
-                counters,
-            )
-        },
-        |i| failure_record(&targets[i], FailureKind::Panic, 1),
-    );
-    VantageCrawl {
-        region,
-        records,
-        metrics: RegionMetrics {
-            tasks: targets.len(),
-            stolen: 0,
-            wall_ms: start.elapsed().as_millis() as u64,
-        },
-    }
+        cache: false,
+        retry: policy.clone(),
+    };
+    // Without a store a sweep neither fails nor aborts, so the fallback is
+    // never taken.
+    let (crawls, _) = sweep(net, &[region], targets, tool, &opts, None).unwrap_or_default();
+    crawls
+        .into_iter()
+        .flatten()
+        .next()
+        .unwrap_or_else(|| VantageCrawl {
+            region,
+            records: Vec::new(),
+            metrics: RegionMetrics::default(),
+        })
 }
 
 /// One setting of a variant pass: the tool that detects and classifies,
@@ -882,15 +877,16 @@ pub(crate) fn crawl_variants(
         .iter()
         .map(|_| Resilience::new(&opts.retry))
         .collect();
-    let cells = par_cells(
+    let (cells, _) = par_matrix(
         opts.workers,
+        1,
         targets.len(),
-        || VariantWorker {
+        |_| VariantWorker {
             browsers: variants.iter().map(|_| None).collect(),
             memo: CellMemo::default(),
             counters: WorkerCounters::new(1),
         },
-        |worker, i| {
+        |worker, _, i| {
             worker.memo.clear();
             let domain = targets[i].as_str();
             let mut verdicts = Vec::with_capacity(variants.len());
@@ -928,10 +924,11 @@ pub(crate) fn crawl_variants(
                     }
                 });
             }
-            verdicts
+            Some(verdicts)
         },
-        |_| vec![Verdict::default(); variants.len()],
     );
+    // A variant task never aborts, so the one lane is always whole.
+    let cells = cells.into_iter().flatten().next().unwrap_or_default();
     (0..variants.len())
         .map(|v| cells.iter().map(|cell| cell[v]).collect())
         .collect()
@@ -998,38 +995,8 @@ impl CellMemo {
     }
 }
 
-/// Crawl every region over the same target list (Table 1's measurement),
-/// with the global scheduler and the shared-fetch cache enabled.
-pub fn crawl_all_regions(
-    net: &Network,
-    targets: &[String],
-    tool: &BannerClick,
-    workers: usize,
-) -> Vec<VantageCrawl> {
-    let opts = CrawlOptions {
-        workers,
-        cache: true,
-        ..CrawlOptions::default()
-    };
-    crawl_all_regions_with(net, targets, tool, &opts).0
-}
-
-/// The original region-after-region sweep, kept as the reference
-/// implementation: the scheduler's output must be byte-identical to it
-/// (see the determinism tests), and the bench suite compares against it.
-pub fn crawl_all_regions_serial(
-    net: &Network,
-    targets: &[String],
-    tool: &BannerClick,
-    workers: usize,
-) -> Vec<VantageCrawl> {
-    Region::ALL
-        .iter()
-        .map(|&region| crawl_region(net, region, targets, tool, workers))
-        .collect()
-}
-
-/// Crawl every region with the global work-stealing scheduler.
+/// Crawl every region over the same target list (Table 1's measurement)
+/// with the work-stealing scheduler.
 ///
 /// The full `(region × domain)` matrix is one task pool: workers start on
 /// their home region (assigned round-robin) and steal from other regions
@@ -1043,142 +1010,10 @@ pub fn crawl_all_regions_with(
     tool: &BannerClick,
     opts: &CrawlOptions,
 ) -> (Vec<VantageCrawl>, CrawlMetrics) {
-    let workers = opts.workers.max(1);
-    let n_regions = Region::ALL.len();
-    let n_targets = targets.len();
-    // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
-    let start = Instant::now();
-
-    // Per-region claim cursors and completion tracking.
-    let cursors: Vec<AtomicUsize> = (0..n_regions).map(|_| AtomicUsize::new(0)).collect();
-    let remaining: Vec<AtomicUsize> = (0..n_regions)
-        .map(|_| AtomicUsize::new(n_targets))
-        .collect();
-    let region_wall_ms: Vec<AtomicU64> = (0..n_regions).map(|_| AtomicU64::new(0)).collect();
-    // One private counter block per worker, written back exactly once when
-    // the worker runs out of tasks — nothing shared is bumped per task.
-    let worker_counters: Vec<parking_lot::Mutex<WorkerCounters>> = (0..workers)
-        .map(|_| parking_lot::Mutex::new(WorkerCounters::new(n_regions)))
-        .collect();
-    let slots: Vec<Vec<parking_lot::Mutex<Option<CrawlRecord>>>> = (0..n_regions)
-        .map(|_| {
-            targets
-                .iter()
-                .map(|_| parking_lot::Mutex::new(None))
-                .collect()
-        })
-        .collect();
-    let cache = FetchCache::new(opts.cache);
-    let res = Resilience::new(&opts.retry);
-    let unresolved_before = net.stats().unresolved();
-
-    // Worker panics are caught per task inside `crawl_one`; a thread dying
-    // anyway (scheduler bug) leaves its claimed slot empty, which becomes
-    // a panic failure record below instead of aborting the sweep.
-    let _ = thread::scope(|scope| {
-        for w in 0..workers {
-            let cursors = &cursors;
-            let remaining = &remaining;
-            let region_wall_ms = &region_wall_ms;
-            let worker_counters = &worker_counters;
-            let slots = &slots;
-            let cache = &cache;
-            let res = &res;
-            scope.spawn(move |_| {
-                let home = w % n_regions;
-                let mut browsers: HashMap<Region, Option<Browser>> = HashMap::new();
-                let mut counters = WorkerCounters::new(n_regions);
-                loop {
-                    // Claim: home region first, then steal round-robin.
-                    let mut claimed = None;
-                    for k in 0..n_regions {
-                        let r = (home + k) % n_regions;
-                        let i = cursors[r].fetch_add(1, Ordering::Relaxed);
-                        if i < n_targets {
-                            claimed = Some((r, i, k != 0));
-                            break;
-                        }
-                    }
-                    let Some((r, i, stole)) = claimed else { break };
-                    let region = Region::ALL[r];
-                    // lint:allow(determinism) — per-task wall time is diagnostic-only metrics, excluded from serialized output
-                    let task_start = Instant::now();
-                    let browser_slot = browsers.entry(region).or_insert(None);
-                    let cache_ref = cache.enabled.then_some(cache);
-                    let record = crawl_one(
-                        res,
-                        Vantage::new(net, region),
-                        tool,
-                        browser_slot,
-                        &targets[i],
-                        cache_ref,
-                        &mut counters,
-                    );
-                    *slots[r][i].lock() = Some(record);
-                    counters.tasks += 1;
-                    counters.busy_us += task_start.elapsed().as_micros() as u64;
-                    if stole {
-                        counters.stolen[r] += 1;
-                    }
-                    if remaining[r].fetch_sub(1, Ordering::Relaxed) == 1 {
-                        region_wall_ms[r]
-                            .store(start.elapsed().as_millis() as u64, Ordering::Relaxed);
-                    }
-                }
-                *worker_counters[w].lock() = counters;
-            });
-        }
-    });
-
-    // Single merge point: fold every worker's private counters, in worker
-    // order (though any order yields the same totals — merge commutes).
-    let mut merged = WorkerCounters::new(n_regions);
-    for wc in worker_counters {
-        merged.merge(&wc.into_inner());
-    }
-
-    let mut crawls = Vec::with_capacity(n_regions);
-    let mut per_region = Vec::with_capacity(n_regions);
-    for (r, region_slots) in slots.into_iter().enumerate() {
-        let records: Vec<CrawlRecord> = region_slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(|| failure_record(&targets[i], FailureKind::Panic, 1))
-            })
-            .collect();
-        let metrics = RegionMetrics {
-            tasks: n_targets,
-            stolen: merged.stolen[r],
-            wall_ms: region_wall_ms[r].load(Ordering::Relaxed),
-        };
-        per_region.push((Region::ALL[r], metrics.clone()));
-        crawls.push(VantageCrawl {
-            region: Region::ALL[r],
-            records,
-            metrics,
-        });
-    }
-    let failures = FailureTaxonomy::from_crawls(&crawls);
-    let metrics = CrawlMetrics {
-        workers,
-        cache_enabled: opts.cache,
-        tasks_completed: n_regions * n_targets,
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-        wall_ms: start.elapsed().as_millis() as u64,
-        busy_us: merged.busy_us,
-        per_region,
-        retries: merged.retries,
-        backoff_virtual_ms: merged.backoff_virtual_ms,
-        panics: merged.panics,
-        breaker_open_hosts: merged.breaker_opened,
-        breaker_skips: merged.breaker_skips,
-        unresolved_requests: net.stats().unresolved().saturating_sub(unresolved_before),
-        failures,
-    };
-    (crawls, metrics)
+    // Without a store a sweep neither fails nor aborts, so neither default
+    // is ever taken.
+    let (crawls, metrics) = sweep(net, &Region::ALL, targets, tool, opts, None).unwrap_or_default();
+    (crawls.unwrap_or_default(), metrics)
 }
 
 /// Checkpoint/abort behaviour for a persistent sweep.
@@ -1230,179 +1065,159 @@ pub fn crawl_all_regions_persistent(
     store: &Store,
     policy: &CheckpointPolicy,
 ) -> std::io::Result<(Option<Vec<VantageCrawl>>, CrawlMetrics)> {
+    sweep(
+        net,
+        &Region::ALL,
+        targets,
+        tool,
+        opts,
+        Some((store, policy)),
+    )
+}
+
+/// A sweep worker's private state: its home lane, one lazily built
+/// browser per lane, its counters, and when it last finished a cell of
+/// each lane (ms since the sweep started).
+struct SweepWorker {
+    home: usize,
+    browsers: Vec<Option<Browser>>,
+    counters: WorkerCounters,
+    done_ms: Vec<u64>,
+}
+
+/// Crawl `targets` from every region in `regions`, one lane per region,
+/// as one [`par_matrix`] pass.
+///
+/// With a store, a cell already stored is restored and replayed instead of
+/// crawled, every crawled cell is put, the sweep stops once
+/// [`CheckpointPolicy::abort_after`] new cells are done, and a sweep that
+/// did not stop ends with a checkpoint. A lane's store region is its index
+/// in `regions`, so only [`Region::ALL`] sweeps are stored.
+///
+/// Returns `None` for the crawls when the sweep aborted; the metrics count
+/// the cells completed either way, and carry no per-region entries for an
+/// aborted sweep.
+fn sweep(
+    net: &Network,
+    regions: &[Region],
+    targets: &[String],
+    tool: &BannerClick,
+    opts: &CrawlOptions,
+    store: Option<(&Store, &CheckpointPolicy)>,
+) -> std::io::Result<(Option<Vec<VantageCrawl>>, CrawlMetrics)> {
     let workers = opts.workers.max(1);
-    let n_regions = Region::ALL.len();
-    let n_targets = targets.len();
+    let lanes = regions.len();
     // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
     let start = Instant::now();
-    store.set_checkpoint_every(policy.every);
-
-    // Decode the restored matrix up front; a payload that fails to decode
-    // (codec version skew) degrades to a recompute of that cell.
-    let restored: Vec<Vec<Option<CrawlRecord>>> = (0..n_regions)
-        .map(|r| {
-            targets
-                .iter()
-                .map(|domain| {
-                    store
-                        .get(r as u8, domain)
-                        .and_then(|bytes| crate::persist::decode_record(&bytes).ok())
-                        .filter(|rec| rec.domain == *domain)
-                })
-                .collect()
-        })
-        .collect();
-
-    let cursors: Vec<AtomicUsize> = (0..n_regions).map(|_| AtomicUsize::new(0)).collect();
-    let remaining: Vec<AtomicUsize> = (0..n_regions)
-        .map(|_| AtomicUsize::new(n_targets))
-        .collect();
-    let region_wall_ms: Vec<AtomicU64> = (0..n_regions).map(|_| AtomicU64::new(0)).collect();
-    let worker_counters: Vec<parking_lot::Mutex<WorkerCounters>> = (0..workers)
-        .map(|_| parking_lot::Mutex::new(WorkerCounters::new(n_regions)))
-        .collect();
-    let new_done = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(policy.abort_after == Some(0));
-    let slots: Vec<Vec<parking_lot::Mutex<Option<CrawlRecord>>>> = (0..n_regions)
-        .map(|_| {
-            targets
-                .iter()
-                .map(|_| parking_lot::Mutex::new(None))
-                .collect()
-        })
-        .collect();
     let cache = FetchCache::new(opts.cache);
+    let cache_ref = cache.enabled.then_some(&cache);
     let res = Resilience::new(&opts.retry);
     let unresolved_before = net.stats().unresolved();
-
-    let _ = thread::scope(|scope| {
-        for w in 0..workers {
-            let cursors = &cursors;
-            let remaining = &remaining;
-            let region_wall_ms = &region_wall_ms;
-            let worker_counters = &worker_counters;
-            let new_done = &new_done;
-            let aborted = &aborted;
-            let slots = &slots;
-            let restored = &restored;
-            let cache = &cache;
-            let res = &res;
-            scope.spawn(move |_| {
-                let home = w % n_regions;
-                let mut browsers: HashMap<Region, Option<Browser>> = HashMap::new();
-                let mut counters = WorkerCounters::new(n_regions);
-                loop {
-                    if aborted.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let mut claimed = None;
-                    for k in 0..n_regions {
-                        let r = (home + k) % n_regions;
-                        let i = cursors[r].fetch_add(1, Ordering::Relaxed);
-                        if i < n_targets {
-                            claimed = Some((r, i, k != 0));
-                            break;
-                        }
-                    }
-                    let Some((r, i, stole)) = claimed else { break };
-                    let region = Region::ALL[r];
-                    // lint:allow(determinism) — per-task wall time is diagnostic-only metrics, excluded from serialized output
-                    let task_start = Instant::now();
-                    let browser_slot = browsers.entry(region).or_insert(None);
-                    let cache_ref = cache.enabled.then_some(cache);
-                    let record = match &restored[r][i] {
-                        Some(rec) => {
-                            replay_restored(
-                                res,
-                                Vantage::new(net, region),
-                                browser_slot,
-                                &targets[i],
-                                rec,
-                                cache_ref,
-                                &mut counters,
-                            );
-                            rec.clone()
-                        }
-                        None => {
-                            let rec = crawl_one(
-                                res,
-                                Vantage::new(net, region),
-                                tool,
-                                browser_slot,
-                                &targets[i],
-                                cache_ref,
-                                &mut counters,
-                            );
-                            // A failed put is a durability loss, not a
-                            // correctness loss: the journal stays valid
-                            // (open() truncates any torn tail) and resume
-                            // simply recomputes the cell.
-                            // lint:allow(r11) — per-cell put loss is recoverable by design: resume recomputes the cell
-                            let _ = store.put(
-                                r as u8,
-                                &targets[i],
-                                &crate::persist::encode_record(&rec),
-                            );
-                            let done = new_done.fetch_add(1, Ordering::Relaxed) + 1;
-                            if policy.abort_after.is_some_and(|limit| done >= limit) {
-                                aborted.store(true, Ordering::Relaxed);
-                            }
-                            rec
-                        }
-                    };
-                    *slots[r][i].lock() = Some(record);
-                    counters.tasks += 1;
-                    counters.busy_us += task_start.elapsed().as_micros() as u64;
-                    if stole {
-                        counters.stolen[r] += 1;
-                    }
-                    if remaining[r].fetch_sub(1, Ordering::Relaxed) == 1 {
-                        region_wall_ms[r]
-                            .store(start.elapsed().as_millis() as u64, Ordering::Relaxed);
-                    }
-                }
-                *worker_counters[w].lock() = counters;
-            });
-        }
-    });
-
-    let mut merged = WorkerCounters::new(n_regions);
-    for wc in worker_counters {
-        merged.merge(&wc.into_inner());
+    let new_done = AtomicUsize::new(0);
+    let aborted = AtomicBool::new(false);
+    if let Some((store, policy)) = store {
+        store.set_checkpoint_every(policy.every);
+        aborted.store(policy.abort_after == Some(0), Ordering::Relaxed);
     }
 
-    let aborted = aborted.load(Ordering::Relaxed);
-    let mut crawls = Vec::with_capacity(n_regions);
-    let mut per_region = Vec::with_capacity(n_regions);
-    if !aborted {
+    let (lanes_done, states) = par_matrix(
+        workers,
+        lanes,
+        targets.len(),
+        |home| SweepWorker {
+            home,
+            browsers: (0..lanes).map(|_| None).collect(),
+            counters: WorkerCounters::new(lanes),
+            done_ms: vec![0; lanes],
+        },
+        |worker, lane, i| {
+            if aborted.load(Ordering::Relaxed) {
+                return None;
+            }
+            // lint:allow(determinism) — per-task wall time is diagnostic-only metrics, excluded from serialized output
+            let task_start = Instant::now();
+            let domain = &targets[i];
+            let vantage = Vantage {
+                net,
+                region: regions[lane],
+                user_agent: None,
+            };
+            let profile = &mut worker.browsers[lane];
+            let counters = &mut worker.counters;
+            // A payload that fails to decode (codec version skew) degrades
+            // to a recompute of that cell.
+            let restored = store
+                .and_then(|(store, _)| store.get(lane as u8, domain))
+                .and_then(|bytes| crate::persist::decode_record(&bytes).ok())
+                .filter(|rec| rec.domain == *domain);
+            let record = match restored {
+                Some(rec) => {
+                    replay_restored(&res, vantage, profile, domain, &rec, cache_ref, counters);
+                    rec
+                }
+                None => {
+                    let rec = crawl_one(&res, vantage, tool, profile, domain, cache_ref, counters);
+                    if let Some((store, policy)) = store {
+                        // A failed put is a durability loss, not a
+                        // correctness loss: the journal stays valid
+                        // (open() truncates any torn tail) and resume
+                        // simply recomputes the cell.
+                        // lint:allow(r11) — per-cell put loss is recoverable by design: resume recomputes the cell
+                        let _ = store.put(lane as u8, domain, &crate::persist::encode_record(&rec));
+                        let done = new_done.fetch_add(1, Ordering::Relaxed) + 1;
+                        if policy.abort_after.is_some_and(|limit| done >= limit) {
+                            aborted.store(true, Ordering::Relaxed);
+                        }
+                    }
+                    rec
+                }
+            };
+            counters.tasks += 1;
+            counters.busy_us += task_start.elapsed().as_micros() as u64;
+            if lane != worker.home {
+                counters.stolen[lane] += 1;
+            }
+            worker.done_ms[lane] = start.elapsed().as_millis() as u64;
+            Some(record)
+        },
+    );
+
+    // Single merge point: fold every worker's private counters (merge
+    // commutes, so the order is immaterial). A region finished when the
+    // last worker to finish one of its cells did.
+    let mut merged = WorkerCounters::new(lanes);
+    let mut region_wall_ms = vec![0; lanes];
+    for worker in &states {
+        merged.merge(&worker.counters);
+        for (wall, &done) in region_wall_ms.iter_mut().zip(&worker.done_ms) {
+            *wall = done.max(*wall);
+        }
+    }
+
+    let crawls = lanes_done.filter(|_| !aborted.load(Ordering::Relaxed));
+    if let (Some(_), Some((store, _))) = (&crawls, store) {
         // Durability point: every cell is in the store, flush the tail.
         // A failed flush is a real durability loss — unlike a single
         // failed put, the whole journal tail may be unsynced — so it
         // surfaces to the caller instead of being discarded.
         store.checkpoint()?;
-        for (r, region_slots) in slots.into_iter().enumerate() {
-            let records: Vec<CrawlRecord> = region_slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| {
-                    slot.into_inner()
-                        .unwrap_or_else(|| failure_record(&targets[i], FailureKind::Panic, 1))
-                })
-                .collect();
-            let metrics = RegionMetrics {
-                tasks: n_targets,
-                stolen: merged.stolen[r],
-                wall_ms: region_wall_ms[r].load(Ordering::Relaxed),
-            };
-            per_region.push((Region::ALL[r], metrics.clone()));
-            crawls.push(VantageCrawl {
-                region: Region::ALL[r],
-                records,
-                metrics,
-            });
-        }
     }
-    let failures = FailureTaxonomy::from_crawls(&crawls);
+    let crawls: Option<Vec<VantageCrawl>> = crawls.map(|lanes_done| {
+        lanes_done
+            .into_iter()
+            .enumerate()
+            .map(|(lane, records)| VantageCrawl {
+                region: regions[lane],
+                records,
+                metrics: RegionMetrics {
+                    tasks: targets.len(),
+                    stolen: merged.stolen[lane],
+                    wall_ms: region_wall_ms[lane],
+                },
+            })
+            .collect()
+    });
+    let finished = crawls.as_deref().unwrap_or_default();
     let metrics = CrawlMetrics {
         workers,
         cache_enabled: opts.cache,
@@ -1411,16 +1226,19 @@ pub fn crawl_all_regions_persistent(
         cache_misses: cache.misses(),
         wall_ms: start.elapsed().as_millis() as u64,
         busy_us: merged.busy_us,
-        per_region,
+        per_region: finished
+            .iter()
+            .map(|crawl| (crawl.region, crawl.metrics.clone()))
+            .collect(),
         retries: merged.retries,
         backoff_virtual_ms: merged.backoff_virtual_ms,
         panics: merged.panics,
         breaker_open_hosts: merged.breaker_opened,
         breaker_skips: merged.breaker_skips,
         unresolved_requests: net.stats().unresolved().saturating_sub(unresolved_before),
-        failures,
+        failures: FailureTaxonomy::from_crawls(finished),
     };
-    Ok(((!aborted).then_some(crawls), metrics))
+    Ok((crawls, metrics))
 }
 
 /// Re-drive the origin-visible side effects of a restored reachable cell:
@@ -1653,7 +1471,7 @@ impl FetchCache {
 /// Analyze a single domain into a crawl record (single attempt, failures
 /// folded into the record — the retrying path is [`crawl_region_with`]).
 pub fn analyze_domain(tool: &BannerClick, browser: &mut Browser, domain: &str) -> CrawlRecord {
-    match try_analyze_domain(tool, browser, domain) {
+    match try_analyze_domain(tool, browser, domain, None) {
         Ok(record) => record,
         Err(err) => failure_record(domain, FailureKind::from_error(&err), 1),
     }
@@ -1661,30 +1479,22 @@ pub fn analyze_domain(tool: &BannerClick, browser: &mut Browser, domain: &str) -
 
 /// One navigation + analysis attempt, with the typed fetch failure
 /// surfaced so the retry loop can branch on transience.
+///
+/// The main document is always fetched, so the origin sees the navigation.
+/// With a cache, the analysis of byte-identical content is then reused —
+/// or awaited from the worker already computing it — and only a miss
+/// completes the load and publishes its record.
 fn try_analyze_domain(
     tool: &BannerClick,
     browser: &mut Browser,
     domain: &str,
-) -> Result<CrawlRecord, FetchError> {
-    let mut page = browser.visit_domain(domain)?;
-    Ok(record_from_page(tool, domain, &mut page))
-}
-
-/// Cached variant: fetch the main document (the origin always sees the
-/// navigation), then reuse the analysis of byte-identical content — or
-/// wait for the worker already computing it — or complete the load and
-/// publish the result.
-fn try_analyze_domain_cached(
-    tool: &BannerClick,
-    browser: &mut Browser,
-    domain: &str,
-    cache: &FetchCache,
+    cache: Option<&FetchCache>,
 ) -> Result<CrawlRecord, FetchError> {
     let fetched = browser.fetch_domain_document(domain)?;
-    let lead = match cache.claim(CacheKey::new(domain, &fetched), domain) {
-        Claim::Hit(record) => return Ok(record),
-        Claim::Lead(lead) => Some(lead),
-        Claim::Bypass => None,
+    let lead = match cache.map(|cache| cache.claim(CacheKey::new(domain, &fetched), domain)) {
+        Some(Claim::Hit(record)) => return Ok(record),
+        Some(Claim::Lead(lead)) => Some(lead),
+        Some(Claim::Bypass) | None => None,
     };
     // A failure or panic from here on drops `lead`, clearing its slot.
     let mut page = browser.load_fetched(&fetched)?;
@@ -1792,7 +1602,10 @@ mod tests {
         let (pop, net) = install_tiny();
         let targets = pop.merged_targets();
         let tool = BannerClick::new();
-        let serial = crawl_all_regions_serial(&net, &targets, &tool, 1);
+        let serial: Vec<VantageCrawl> = Region::ALL
+            .iter()
+            .map(|&region| crawl_region(&net, region, &targets, &tool, 1))
+            .collect();
         for cache in [true, false] {
             let opts = CrawlOptions {
                 workers: 4,
@@ -1947,6 +1760,36 @@ mod tests {
         assert!(matches!(cache.claim(key, "a.de"), Claim::Hit(r) if r == record));
         assert!(matches!(cache.claim(key, "b.de"), Claim::Bypass));
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    }
+
+    /// A panic outside `with_retries` is not caught by the pool: whether
+    /// the calling worker (home lane 0) or the spawned one hits it, the
+    /// panic leaves `par_matrix` with its own payload and is never a cell.
+    #[test]
+    fn a_task_panic_propagates_out_of_par_matrix() {
+        for panicking_home in [0, 1] {
+            // Both workers meet at their first cell, so each has one.
+            let both_started = std::sync::Barrier::new(2);
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                par_matrix(
+                    2,
+                    2,
+                    32,
+                    |home| (home, false),
+                    |(home, met), _, i| {
+                        if !std::mem::replace(met, true) {
+                            both_started.wait();
+                        }
+                        if *home == panicking_home {
+                            panic!("analysis bug");
+                        }
+                        Some(i)
+                    },
+                )
+            }));
+            let payload = run.expect_err("the panic propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"analysis bug"));
+        }
     }
 
     #[test]

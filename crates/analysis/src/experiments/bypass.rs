@@ -7,10 +7,8 @@ use crate::context::Study;
 use crate::crawl::VantageCrawl;
 use blocklist::FilterEngine;
 use browser::Browser;
-use crossbeam::thread;
 use httpsim::Region;
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Repetitions per site, as in the paper.
 const REPS: usize = 5;
@@ -33,7 +31,7 @@ pub struct BypassRecord {
 #[derive(Debug, Clone, Serialize)]
 pub struct Bypass {
     /// Per-site outcomes.
-    // lint:allow(r10) — report rows are bounded by the study's site population; the ROADMAP item 2 streaming report aggregates incrementally
+    // lint:allow(r10) — report rows are bounded by the study's site population; the streaming report parked in ROADMAP "Parked from earlier rounds" aggregates incrementally
     pub records: Vec<BypassRecord>,
     /// Walls tested.
     pub total: usize,
@@ -58,28 +56,16 @@ pub fn compute(study: &Study, crawls: &[VantageCrawl]) -> Bypass {
     }
     walls.sort();
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<BypassRecord>>> = walls
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    thread::scope(|scope| {
-        for _ in 0..study.workers.max(1) {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= walls.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(test_site(study, &walls[i]));
-            });
-        }
-    })
-    .expect("bypass workers");
-
-    let records: Vec<BypassRecord> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("tested"))
-        .collect();
+    let (cells, _) = crate::crawl::par_matrix(
+        study.workers,
+        1,
+        walls.len(),
+        |_| (),
+        |_, _, i| Some(test_site(study, &walls[i])),
+    );
+    let records = cells
+        .and_then(|lanes| lanes.into_iter().next())
+        .expect("a bypass task never aborts");
     let total = records.len();
     let bypassed = records.iter().filter(|r| r.bypassed).count();
     let misbehaving = records

@@ -3,7 +3,7 @@
 //! or disappeared, price changes on persisting walls, and per-region
 //! tracking-cookie drift.
 //!
-//! The engine works entirely from the stores: decoded [`CrawlRecord`]s
+//! The engine works entirely from the stores: decoded [`CrawlRecord`](crate::crawl::CrawlRecord)s
 //! give the wall sets and prices, and the `epoch-summary` note written by
 //! [`crate::runner::run_all_persistent`] supplies the measured per-region
 //! tracking means. No live network is needed, so two snapshots crawled

@@ -5,10 +5,8 @@
 use bannerclick::BannerClick;
 use blocklist::TrackerDb;
 use browser::Browser;
-use crossbeam::thread;
 use httpsim::{CookieBreakdown, Network, Region};
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Repetitions per site, as in the paper ("we repeat each measurement five
 /// times per website and calculate the average number of cookies").
@@ -51,7 +49,7 @@ pub struct SiteCookieMeasurement {
 
 /// Measure one site: `REPETITIONS` independent fresh-profile visits with
 /// the requested interaction, averaged.
-// lint:allow(r9) — one owned domain String per site measurement, not per request; the rest is the ROADMAP item 1 arena rewrite
+// lint:allow(r9) — one owned domain String per site measurement, not per request; the rest is ROADMAP "Zero-copy DOM payloads"
 pub fn measure_site(
     net: &Network,
     region: Region,
@@ -88,7 +86,7 @@ pub fn measure_site(
 /// within [`VISIT_ATTEMPTS`] — or, in subscriber mode, when the SMP login
 /// itself was refused (account hosts are infrastructure and never faulted,
 /// so a login failure is permanent and not worth retrying).
-// lint:allow(r9) — Network is an Arc handle, so clone() is a refcount bump, not a buffer copy (ROADMAP item 1 work-list noise)
+// lint:allow(r9) — Network is an Arc handle, so clone() is a refcount bump, not a buffer copy (work-list noise for ROADMAP "Zero-copy DOM payloads")
 fn visit_with_retries(
     net: &Network,
     region: Region,
@@ -137,29 +135,25 @@ pub fn measure_sites(
     workers: usize,
 ) -> Vec<SiteCookieMeasurement> {
     let trackers = TrackerDb::justdomains();
-    let workers = workers.max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<SiteCookieMeasurement>>> = domains
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= domains.len() {
-                    break;
-                }
-                let m = measure_site(net, region, &domains[i], mode, tool, &trackers);
-                *slots[i].lock() = Some(m);
-            });
-        }
-    })
-    .expect("measurement workers must not panic");
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("measured"))
-        .collect()
+    let (cells, _) = crate::crawl::par_matrix(
+        workers,
+        1,
+        domains.len(),
+        |_| (),
+        |_, _, i| {
+            Some(measure_site(
+                net,
+                region,
+                &domains[i],
+                mode,
+                tool,
+                &trackers,
+            ))
+        },
+    );
+    cells
+        .and_then(|lanes| lanes.into_iter().next())
+        .expect("a measurement task never aborts")
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 //! plus the parallel-crawl scaling ablation.
 
 use analysis::{
-    crawl_all_regions_serial, crawl_all_regions_with, crawl_region, experiments::table1,
-    run_crawls, CrawlOptions,
+    crawl_all_regions_with, crawl_region, experiments::table1, run_crawls, CrawlOptions,
 };
 use bannerclick::BannerClick;
 use bench::{small_crawls, small_study, tiny_study};
@@ -51,7 +50,13 @@ fn bench_crawl(c: &mut Criterion) {
     g.sample_size(10);
     let workers = 4usize;
     g.bench_function("serial_loop", |b| {
-        b.iter(|| black_box(crawl_all_regions_serial(&tiny.net, &targets, &tool, workers).len()))
+        b.iter(|| {
+            let crawls: Vec<_> = Region::ALL
+                .iter()
+                .map(|&region| crawl_region(&tiny.net, region, &targets, &tool, workers))
+                .collect();
+            black_box(crawls.len())
+        })
     });
     g.bench_function("scheduler_no_cache", |b| {
         b.iter(|| {

@@ -290,7 +290,7 @@ fn match_brace(tokens: &[Token], open: usize) -> usize {
 }
 
 /// Recursively collect the `.rs` files the linter scans: `src/**` at the
-/// workspace root and under every `crates/*`, skipping [`SKIP_DIRS`].
+/// workspace root and under every `crates/*`, skipping `SKIP_DIRS`.
 pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let root_src = root.join("src");

@@ -1,16 +1,16 @@
 //! # serve — the deterministic always-on query service
 //!
-//! ROADMAP item 3: turn the write-mostly crawl store into the backend of
-//! a long-running analytics daemon. A [`QueryService`] holds one or two
+//! The write-mostly crawl store as the backend of a long-running
+//! analytics daemon. A [`QueryService`] holds one or two
 //! sealed [`store::StoreSnapshot`]s — the current epoch and, once its
 //! background ingest seals, the next — and answers concurrent read
 //! queries (per-domain wall status, per-region prevalence, price
 //! percentiles, epoch-over-epoch diffs) without ever touching the
 //! writer's stripe/queue/io locks.
 //!
-//! The crate follows the same determinism discipline as
-//! [`httpsim::fault`]: every decision — which query class a synthetic
-//! request belongs to, which Zipf-ranked domain it hits, how much
+//! The crate follows the same determinism discipline as `httpsim`'s
+//! [`FaultPlan`](httpsim::FaultPlan): every decision — which query class
+//! a synthetic request belongs to, which Zipf-ranked domain it hits, how much
 //! simulated time an answer costs — is a pure function of a seed and
 //! stable labels, hashed through the same FNV-1a + splitmix64 lanes. No
 //! wall clock is read anywhere in this crate; the [`SimClock`] advances

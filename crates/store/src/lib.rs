@@ -20,7 +20,7 @@
 //! Each journal record carries the task key (region index + domain), the
 //! payload's byte offset and length in its region shard, the payload's
 //! [`content_hash`], and a trailing hash of the record bytes themselves
-//! (see [`journal`]). [`Store::open`] replays the journal tolerantly:
+//! (see the `journal` module). [`Store::open`] replays the journal tolerantly:
 //! every record is verified against the shard bytes actually on disk —
 //! a payload is never handed back (let alone decoded) unless its hash
 //! matches — and a record that is torn (its shard bytes never landed) or
@@ -88,7 +88,7 @@
 //!
 //! [`Store::seal`] (run by every [`Store::checkpoint`]) freezes the
 //! durable prefix of every shard and describes it in a double-buffered,
-//! FNV-checksummed index file (the `CWI1` contract, see [`index`]).
+//! FNV-checksummed index file (the `CWI1` contract, see the `index` module).
 //! [`StoreSnapshot`] opens that sealed view straight from disk — it
 //! never takes the writer's stripe/queue/io locks, so an always-on query
 //! service reads at full speed while a new epoch ingests. The
@@ -432,7 +432,7 @@ impl Store {
     }
 
     /// Fetch a stored payload.
-    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup; borrowed-key lookup is scoped into the ROADMAP item 1 arena work
+    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup; borrowed-key lookup belongs to the per-visit allocation work (ROADMAP "Zero-copy DOM payloads")
     pub fn get(&self, region: u8, domain: &str) -> Option<Vec<u8>> {
         self.stripes[stripe_of(domain)]
             .lock()
@@ -442,7 +442,7 @@ impl Store {
     }
 
     /// Is this task already stored?
-    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup; borrowed-key lookup is scoped into the ROADMAP item 1 arena work
+    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup; borrowed-key lookup belongs to the per-visit allocation work (ROADMAP "Zero-copy DOM payloads")
     pub fn contains(&self, region: u8, domain: &str) -> bool {
         self.stripes[stripe_of(domain)]
             .lock()
@@ -516,7 +516,7 @@ impl Store {
     }
 
     /// Flush, then write a sealed index slot describing every durable
-    /// cell (the `CWI1` contract, see [`index`]). Returns the sealed
+    /// cell (the `CWI1` contract, see the `index` module). Returns the sealed
     /// generation. Sealing an unchanged store skips the slot write and
     /// returns the previous generation. One sealer runs at a time; the
     /// slot written alternates with the generation, so the newest two

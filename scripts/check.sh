@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# Rustdoc gate: a broken or private intra-doc link (say, to a deleted
+# entry point) fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Invariant linter gate (crates/lint): the workspace must be clean, and
 # each rule-class fixture must still trip its rule — if a fixture exits 0
@@ -145,4 +148,4 @@ cargo bench -p bench --bench serve --offline -- --noplot
 # findings at --jobs 1 vs --jobs 8.
 cargo bench -p bench --bench lint --offline -- --noplot
 
-echo "check.sh: fmt + build + clippy + lint + tests + stress + fuzzer + benches + resume/fsck/diff/serve/stats smoke all green"
+echo "check.sh: fmt + build + clippy + rustdoc + lint + tests + stress + fuzzer + benches + resume/fsck/diff/serve/stats smoke all green"
