@@ -42,8 +42,8 @@ pub struct BannerFinding {
     pub text: String,
 }
 
-/// Detector configuration; the non-default settings exist for the ablation
-/// benches (what breaks without each §3 mechanism).
+/// Detector configuration; the non-default settings exist for the
+/// ablation experiment (what breaks without each §3 mechanism).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectorOptions {
     /// Apply the shadow-DOM cloning workaround (§3). Off ⇒ the 76

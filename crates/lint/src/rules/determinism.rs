@@ -1,9 +1,8 @@
 //! R1 `determinism`: the measurement pipeline must be a pure function of
 //! its seeds. Wall-clock reads (`SystemTime::now`, `Instant::now`),
 //! ambient randomness (`thread_rng`), and process-environment reads
-//! (`std::env::…`) are banned everywhere except `crates/bench` (real
-//! timing is its job), the CLI entry point `src/main.rs` (flags and exit
-//! paths), and `#[cfg(test)]` code.
+//! (`std::env::…`) are banned everywhere except the CLI entry point
+//! `src/main.rs` (flags and exit paths) and `#[cfg(test)]` code.
 
 use super::{match_path, Finding, Rule, Workspace};
 use crate::source::SourceFile;
@@ -41,7 +40,7 @@ impl Rule for Determinism {
     }
 
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.path.starts_with("crates/bench/") || file.path == "src/main.rs" {
+        if file.path == "src/main.rs" {
             return;
         }
         let tokens = &file.tokens;
@@ -72,8 +71,8 @@ impl Rule for Determinism {
                         col: tokens[i].col,
                         message: format!(
                             "call to `{what}` — wall-clock, ambient RNG, and process-environment \
-                             reads are banned outside `crates/bench`, `src/main.rs`, and \
-                             `#[cfg(test)]` code (use the seeded/virtual equivalents)"
+                             reads are banned outside `src/main.rs` and `#[cfg(test)]` code \
+                             (use the seeded/virtual equivalents)"
                         ),
                     });
                     i += n;

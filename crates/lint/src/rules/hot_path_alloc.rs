@@ -11,7 +11,7 @@
 //! `Vec::new()` binding that is later `push`ed into (growing from empty
 //! on every visit). Findings aggregate per function — one entry per hot
 //! function listing every allocation site — so the report reads as the
-//! ranked work-list for the ROADMAP item 1 arena rewrite.
+//! ranked work-list for the ROADMAP item "Zero-copy DOM payloads".
 //!
 //! Documented over-approximations (DESIGN.md §10): method-call edges
 //! without a receiver-type hint resolve to every same-named method, so
@@ -36,9 +36,8 @@ const ROOTS: &[(Option<&str>, Option<&str>, &str)] = &[
 /// Zero-argument methods that allocate an owned copy.
 const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_owned", "to_string"];
 
-/// Crates never on the per-visit path: the analyzer and the bench
-/// harness analyzing/measuring it.
-const COLD_PATHS: &[&str] = &["crates/lint/", "crates/bench/"];
+/// Crates never on the per-visit path: the analyzer analyzing it.
+const COLD_PATHS: &[&str] = &["crates/lint/"];
 
 /// R9: allocation-free per-visit hot path (arena-rewrite work-list).
 pub struct HotPathAlloc;
@@ -161,7 +160,7 @@ impl Rule for HotPathAlloc {
                 col: 0,
                 message: format!(
                     "per-visit hot path `{}` ({} hop{} from root `{root}`) allocates {} time{}: \
-                     {} — arena-rewrite work-list (ROADMAP item 1)",
+                     {} — arena-rewrite work-list (ROADMAP: Zero-copy DOM payloads)",
                     model.display(id),
                     hops,
                     if *hops == 1 { "" } else { "s" },

@@ -16,8 +16,7 @@
 //! wall clock is read anywhere in this crate; the [`SimClock`] advances
 //! by a cost model, so a served script produces byte-identical
 //! responses, digests, and latency ledgers on every run. Real p50/p99
-//! under real threads is measured by `bench/benches/serve.rs`, which is
-//! the one place allowed to look at `Instant`.
+//! under real threads is measured by perfbench (`serve.answer_us.*`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,9 +5,13 @@
 //! recovers to the full set once the missing cells are re-put.
 
 use proptest::test_runner::{run_cases, TestCaseError};
+use std::collections::BTreeSet;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use store::{fsck, quarantine_ledger, DiskFaultConfig, FaultyBackend, MemBackend, Store};
+use std::sync::{Arc, Mutex};
+use store::{
+    fsck, quarantine_ledger, DiskFaultConfig, FaultyBackend, MemBackend, StorageBackend, Store,
+};
 
 fn mem_dir() -> PathBuf {
     PathBuf::from("/mem/store")
@@ -78,9 +82,59 @@ fn assert_payloads_exact(store: &Store, cells: &[(u8, String, Vec<u8>)]) {
     }
 }
 
+/// A `MemBackend` that remembers every file path written through it,
+/// so two runs can be compared file by file.
+#[derive(Default)]
+struct Recorder {
+    mem: MemBackend,
+    written: Mutex<BTreeSet<PathBuf>>,
+}
+
+impl Recorder {
+    fn note(&self, path: &Path) {
+        self.written.lock().unwrap().insert(path.to_path_buf());
+    }
+
+    fn written(&self) -> BTreeSet<PathBuf> {
+        self.written.lock().unwrap().clone()
+    }
+}
+
+impl StorageBackend for Recorder {
+    fn read_file(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.mem.read_file(path)
+    }
+
+    fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.note(path);
+        self.mem.write_file(path, bytes)
+    }
+
+    fn append_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.note(path);
+        self.mem.append_file(path, bytes)
+    }
+
+    fn truncate_file(&self, path: &Path, len: u64) -> io::Result<()> {
+        self.note(path);
+        self.mem.truncate_file(path, len)
+    }
+
+    fn sync_file(&self, path: &Path) -> io::Result<()> {
+        self.mem.sync_file(path)
+    }
+
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.mem.create_dir_all(path)
+    }
+
+    fn file_exists(&self, path: &Path) -> bool {
+        self.mem.file_exists(path)
+    }
+}
+
 #[test]
 fn mem_backend_models_cache_vs_platter() {
-    use store::StorageBackend;
     let mem = MemBackend::default();
     let f = Path::new("/mem/file");
     mem.append_file(f, b"hello").unwrap();
@@ -103,7 +157,6 @@ fn mem_backend_models_cache_vs_platter() {
 
 #[test]
 fn lying_fsync_is_only_observable_through_a_crash() {
-    use store::StorageBackend;
     let mem = Arc::new(MemBackend::default());
     // rate 1.0: every sync through the faulty layer lies.
     let faulty = FaultyBackend::new(mem.clone(), DiskFaultConfig { seed: 9, rate: 1.0 });
@@ -124,7 +177,6 @@ fn lying_fsync_is_only_observable_through_a_crash() {
 
 #[test]
 fn fault_trace_is_a_pure_function_of_the_seed() {
-    use store::StorageBackend;
     let schedule = |seed: u64| {
         let mem = Arc::new(MemBackend::default());
         let faulty = FaultyBackend::new(mem, DiskFaultConfig { seed, rate: 0.5 });
@@ -144,7 +196,6 @@ fn fault_trace_is_a_pure_function_of_the_seed() {
 
 #[test]
 fn fault_mix_covers_every_kind() {
-    use store::StorageBackend;
     let mem = Arc::new(MemBackend::default());
     let faulty = FaultyBackend::new(mem.clone(), DiskFaultConfig { seed: 7, rate: 1.0 });
     for i in 0..64u32 {
@@ -268,6 +319,45 @@ fn fsck_drops_bad_records_superseded_by_a_recrawl() {
         Some(b"original bytes".as_ref())
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `FaultyBackend` at rate 0 is free: the same schedule leaves every
+/// file byte-identical (cached and durable images) to a run on the bare
+/// backend, acks every cell, and injects nothing.
+#[test]
+fn noop_fault_layer_leaves_every_file_identical() {
+    let dir = mem_dir();
+    let cells = cells();
+
+    let bare = Arc::new(Recorder::default());
+    Store::create_with(&dir, 2, &[], bare.clone()).unwrap();
+    let bare_acked = run_schedule(&Store::open_with(&dir, bare.clone()).unwrap(), &cells);
+
+    let disk = Arc::new(Recorder::default());
+    let faulty = Arc::new(FaultyBackend::new(disk.clone(), DiskFaultConfig::noop()));
+    Store::create_with(&dir, 2, &[], faulty.clone()).unwrap();
+    let faulty_acked = run_schedule(&Store::open_with(&dir, faulty.clone()).unwrap(), &cells);
+
+    assert!(bare_acked.iter().all(|&a| a), "bare run acks every cell");
+    assert!(faulty_acked.iter().all(|&a| a), "noop run acks every cell");
+    assert!(faulty.trace().is_empty(), "rate 0 injects no fault");
+    let files = bare.written();
+    assert!(!files.is_empty(), "the schedule must write files");
+    assert_eq!(files, disk.written(), "both runs write the same files");
+    for path in &files {
+        assert_eq!(
+            bare.mem.read_file(path).unwrap(),
+            disk.mem.read_file(path).unwrap(),
+            "cached bytes of {} differ",
+            path.display()
+        );
+        assert_eq!(
+            bare.mem.durable_bytes(path),
+            disk.mem.durable_bytes(path),
+            "durable bytes of {} differ",
+            path.display()
+        );
+    }
 }
 
 /// The tentpole invariant, store-level: crash after every single mutated

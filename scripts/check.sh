@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, release build, lint-clean clippy, the
 # invariant linter (plus its fixture self-test), the whole test suite,
-# and an end-to-end resume/diff smoke test through the CLI binary. Everything runs offline — external dependencies are
-# vendored under vendor/, so no registry access is needed (or attempted).
+# the release-mode batteries, the perfbench counts gate, and end-to-end
+# resume/fsck/diff/serve/stats smoke tests through the CLI binary.
+# Everything runs offline — external dependencies are vendored under
+# vendor/, so no registry access is needed (or attempted).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,6 +63,25 @@ cargo test -q --workspace --offline
 # struct or entry point it uses changes shape.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+SMOKE=$(mktemp -d)
+trap 'rm -rf "$SMOKE"' EXIT
+
+# Counts gate: the deterministic per-layer counts of a tiny traced run
+# (allocations per layer, cache misses, append calls, write ratio,
+# snapshot read bytes, simulated serve latencies) must match
+# BENCH_counts.json exactly, one line per gated workload in the order
+# below. Uses the dev-profile perfbench binary the perfbench test step
+# built. A change that moves a count updates the file and says why.
+PERFBENCH=perfbench/target/debug/perfbench
+for workload in sweep-paper study-journaled; do
+    "$PERFBENCH" --workload "$workload" --scale tiny --seed 1 --seconds 0.2 \
+        --trace 1 --work "$SMOKE/perf" >/dev/null 2>"$SMOKE/perf.err" \
+        || { cat "$SMOKE/perf.err" >&2; exit 1; }
+    grep '^{"deterministic"' "$SMOKE/perf.err"
+done >"$SMOKE/counts.json"
+diff BENCH_counts.json "$SMOKE/counts.json" \
+    || { echo "check.sh: deterministic counts differ from BENCH_counts.json" >&2; exit 1; }
+
 # High-concurrency smoke: the stress battery in release mode hammers the
 # sharded lock topology at 1/4/64 workers (fault on and off, plus a
 # 64-worker abort+resume) and requires byte-identical reports throughout.
@@ -75,12 +96,19 @@ PROPTEST_CASES=4 cargo test -q -p analysis --test diskfault --release --offline
 # single-table detector against the original per-language tables.
 PROPTEST_CASES=20000 cargo test -q -p langid --test equivalence --release --offline
 
+# Serve under live ingest: 3 readers × 1,000 Zipf(1.1) requests while a
+# second epoch is built, sealed and installed mid-stream; every one of
+# the 3,000 answers must be byte-identical to direct evaluation against
+# the final sealed snapshots.
+cargo test -q -p serve --test live_ingest --release --offline
+
+# Lint cache: a warm run over the real workspace must be a full hit with
+# byte-identical findings and at least 3x faster than the cold run.
+cargo test -q -p lint --test warm_cache --release --offline
+
 # Resume smoke test: run the tiny sweep to completion, then again with a
 # simulated kill plus a resume, and require byte-identical JSON reports.
 BIN=target/release/cookiewall-study
-SMOKE=$(mktemp -d)
-trap 'rm -rf "$SMOKE"' EXIT
-
 "$BIN" run --scale tiny --json "$SMOKE/clean.json" >/dev/null 2>&1
 "$BIN" run --scale tiny --store "$SMOKE/epoch0" --checkpoint-every 8 \
     --abort-after 100 >/dev/null 2>&1
@@ -132,20 +160,4 @@ if "$BIN" run --scael tiny >/dev/null 2>&1; then
     echo "check.sh: unknown flag was silently accepted" >&2; exit 1
 fi
 
-# Worker-scaling benches (table1/worker_scaling up to 64 workers,
-# store/journaled_worker_scaling + store/concurrent_puts): record the
-# high-worker numbers in the PR description when the lock topology moves.
-cargo bench -p bench --bench table1 --offline -- --noplot
-cargo bench -p bench --bench store --offline -- --noplot
-
-# Serve bench: 3 reader threads × Zipf(1.1) against a live second-epoch
-# ingest; every served answer is verified byte-identical to direct
-# evaluation against the sealed store, and real p50/p99 print per class.
-cargo bench -p bench --bench serve --offline -- --noplot
-
-# Lint bench: cold vs warm-cache engine runs over the workspace; the
-# bench itself asserts warm >=3x faster than cold and byte-identical
-# findings at --jobs 1 vs --jobs 8.
-cargo bench -p bench --bench lint --offline -- --noplot
-
-echo "check.sh: fmt + build + clippy + rustdoc + lint + tests + stress + fuzzer + benches + resume/fsck/diff/serve/stats smoke all green"
+echo "check.sh: fmt + build + clippy + rustdoc + lint + tests + stress + fuzzer + counts gate + resume/fsck/diff/serve/stats smoke all green"
