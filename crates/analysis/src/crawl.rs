@@ -946,7 +946,7 @@ struct VariantWorker {
 /// document it was loaded from, plus the first finding per detector
 /// setting run on it. The shared-fetch cache's soundness rule applies: a
 /// fresh-profile page is a pure function of its document, and detection
-/// leaves the page structurally unchanged.
+/// only reads the page (it takes `&Page`).
 #[derive(Default)]
 struct CellMemo {
     page: Option<(u64, Page)>,
@@ -976,7 +976,7 @@ impl CellMemo {
                 browser.load_fetched(fetched)?
             }
         };
-        let page = &mut self.page.insert((hash, page)).1;
+        let page = &self.page.insert((hash, page)).1;
         let k = match self.findings.iter().position(|(d, _)| *d == tool.detector) {
             Some(k) => k,
             None => {
@@ -1497,15 +1497,15 @@ fn try_analyze_domain(
         Some(Claim::Bypass) | None => None,
     };
     // A failure or panic from here on drops `lead`, clearing its slot.
-    let mut page = browser.load_fetched(&fetched)?;
-    let record = record_from_page(tool, domain, &mut page);
+    let page = browser.load_fetched(&fetched)?;
+    let record = record_from_page(tool, domain, &page);
     if let Some(lead) = lead {
         lead.fill(&record);
     }
     Ok(record)
 }
 
-fn record_from_page(tool: &BannerClick, domain: &str, page: &mut browser::Page) -> CrawlRecord {
+fn record_from_page(tool: &BannerClick, domain: &str, page: &browser::Page) -> CrawlRecord {
     let analysis = tool.analyze_page(domain, page);
     // Language identification over page prose plus banner copy —
     // the CLD3 step of §4.1.

@@ -93,8 +93,8 @@ fn test_site(study: &Study, domain: &str) -> BypassRecord {
         let mut browser = Browser::new(study.net.clone(), Region::Germany)
             .with_blocker(FilterEngine::ublock_with_annoyances());
         match browser.visit_domain(domain) {
-            Ok(mut page) => {
-                let analysis = study.tool.analyze_page(domain, &mut page);
+            Ok(page) => {
+                let analysis = study.tool.analyze_page(domain, &page);
                 if analysis.cookiewall_detected() {
                     wall_seen = true;
                 }

@@ -74,10 +74,10 @@ fn inspect_group(study: &Study, label: &str, domains: &[String]) -> ControlStats
     let mut browser = Browser::new(study.net.clone(), Region::Germany);
     for domain in domains {
         browser.clear_all_data();
-        let Ok(mut page) = browser.visit_domain(domain) else {
+        let Ok(page) = browser.visit_domain(domain) else {
             continue;
         };
-        let found = detect_banners(&mut page, &study.tool.detector);
+        let found = detect_banners(&page, &study.tool.detector);
         let Some(banner) = found.first() else {
             continue;
         };

@@ -65,10 +65,10 @@ fn path(doc: &Document, node: NodeId) -> String {
             }
             None if cursor == doc.root() => break,
             None => {
-                let host = doc
+                let host = *doc
                     .shadow_hosts()
-                    .into_iter()
-                    .find(|&h| doc.shadow_root(h).map(|s| s.root) == Some(cursor))
+                    .iter()
+                    .find(|&&h| doc.shadow_root(h).map(|s| s.root) == Some(cursor))
                     .expect("a parentless node other than the root is a shadow root");
                 steps.push("s".to_string());
                 cursor = host;
@@ -110,34 +110,10 @@ fn page_line(tool: &BannerClick, page: &Page) -> String {
             detector: options,
             corpus: tool.corpus,
         };
-        let finding = detector.detect(&mut *clone_page(page));
+        let finding = detector.detect(page);
         write!(line, " {label}=[{}]", finding_line(page, finding.as_ref())).unwrap();
     }
     line
-}
-
-/// Detection runs on its own copy of the page, so one setting's run can
-/// never influence the next.
-fn clone_page(page: &Page) -> Box<Page> {
-    Box::new(Page {
-        url: page.url.clone(),
-        final_url: page.final_url.clone(),
-        status: page.status,
-        frames: page
-            .frames
-            .iter()
-            .map(|f| browser::Frame {
-                doc: f.doc.clone(),
-                url: f.url.clone(),
-                parent: f.parent,
-            })
-            .collect(),
-        blocked: page.blocked.clone(),
-        requests: page.requests.clone(),
-        scroll_locked: page.scroll_locked,
-        adblock_interstitial: page.adblock_interstitial,
-        reloaded_for_subscription: page.reloaded_for_subscription,
-    })
 }
 
 fn render() -> String {

@@ -8,6 +8,8 @@ use crate::interact::{click_accept, reject_button};
 use crate::pricing::PriceQuote;
 use browser::{Browser, Page, VisitError};
 use httpsim::Url;
+use std::sync::OnceLock;
+use webdom::{NodeId, SelectorList};
 
 /// Detector + classifier configuration.
 #[derive(Debug, Clone, Default)]
@@ -28,22 +30,22 @@ impl BannerClick {
     /// Visit `domain` and analyze its consent UI without interacting.
     pub fn analyze(&self, browser: &mut Browser, domain: &str) -> SiteAnalysis {
         match browser.visit_domain(domain) {
-            Ok(mut page) => self.analyze_page(domain, &mut page),
+            Ok(page) => self.analyze_page(domain, &page),
             Err(err) => SiteAnalysis::unreachable(domain, err),
         }
     }
 
     /// The detection step of [`BannerClick::analyze_page`] on its own: the
-    /// first banner this detector finds, not yet classified. The page is
-    /// structurally unchanged on return, so detecting again — under these
-    /// or other [`DetectorOptions`] — finds what a fresh load would.
-    pub fn detect(&self, page: &mut Page) -> Option<BannerFinding> {
+    /// first banner this detector finds, not yet classified. Detection
+    /// only reads the page, so detecting again — under these or other
+    /// [`DetectorOptions`] — finds what a fresh load would.
+    pub fn detect(&self, page: &Page) -> Option<BannerFinding> {
         detect_banners(page, &self.detector).into_iter().next()
     }
 
     /// Analyze an already loaded page.
-    // lint:allow(r9) — SiteAnalysis owns its domain/provider strings by design; ROADMAP item 1 arena rewrite
-    pub fn analyze_page(&self, domain: &str, page: &mut Page) -> SiteAnalysis {
+    // lint:allow(r9) — SiteAnalysis owns its domain/provider strings by design
+    pub fn analyze_page(&self, domain: &str, page: &Page) -> SiteAnalysis {
         let provider = observed_provider(page);
         let Some(banner) = self.detect(page) else {
             return SiteAnalysis {
@@ -73,11 +75,11 @@ impl BannerClick {
         browser: &mut Browser,
         domain: &str,
     ) -> (SiteAnalysis, Option<Page>) {
-        let mut page = match browser.visit_domain(domain) {
+        let page = match browser.visit_domain(domain) {
             Ok(p) => p,
             Err(err) => return (SiteAnalysis::unreachable(domain, err), None),
         };
-        let analysis = self.analyze_page(domain, &mut page);
+        let analysis = self.analyze_page(domain, &page);
         let after = match &analysis.banner {
             Some(banner) => click_accept(browser, &page, banner).ok().flatten(),
             None => None,
@@ -126,7 +128,7 @@ pub struct SiteAnalysis {
 }
 
 impl SiteAnalysis {
-    // lint:allow(r9) — error-path constructor, runs once per unreachable site; ROADMAP item 1
+    // lint:allow(r9) — error-path constructor, runs once per unreachable site
     fn unreachable(domain: &str, _err: VisitError) -> Self {
         SiteAnalysis {
             domain: domain.to_string(),
@@ -171,30 +173,43 @@ impl SiteAnalysis {
 
 /// Identify the consent-infrastructure provider serving this page's
 /// banner/wall from iframe and script sources — the signal §4.4 uses to
-/// attribute walls to SMPs.
-// lint:allow(r9) — the single to_string builds the owned return and runs only when a provider is found; further savings belong to the ROADMAP item 1 arena
+/// attribute walls to SMPs. Iframes are searched before scripts, each in
+/// document order, over the main frame's light DOM, in one walk.
 pub fn observed_provider(page: &Page) -> Option<String> {
+    static SELECTORS: OnceLock<[SelectorList; 2]> = OnceLock::new();
+    let [iframes, scripts] = SELECTORS.get_or_init(|| {
+        ["iframe[src]", "script[src]"]
+            .map(|s| SelectorList::parse(s).expect("the provider selectors are valid"))
+    });
     let main = &page.frames[0].doc;
-    let page_host = page.host();
-    for sel in ["iframe[src]", "script[src]"] {
-        for node in main.select(main.root(), sel).unwrap_or_default() {
-            let Some(src) = main
-                .attr(node, "src")
-                .or_else(|| main.attr(node, "data-src"))
-            else {
-                continue;
-            };
-            if let Ok(url) = Url::parse(src) {
-                if !httpsim::same_site(url.host(), page_host)
-                    && (url.path().contains("wall") || url.path().contains("banner"))
-                {
-                    // Only the first match is attributed; returning it
-                    // directly keeps the per-visit path allocation-free
-                    // until a provider is actually found.
-                    return Some(url.host().to_string());
-                }
+    let mut script_provider = None;
+    for node in main.descendant_elements(main.root()) {
+        if iframes.matches(main, node) {
+            if let Some(host) = provider_host(page, node) {
+                return Some(host);
             }
+        } else if script_provider.is_none() && scripts.matches(main, node) {
+            script_provider = provider_host(page, node);
         }
     }
-    None
+    script_provider
+}
+
+/// The host serving element `node`'s source, if it is a third party's
+/// wall or banner.
+// lint:allow(r9) — the single to_string builds the owned return and runs only when a provider is found
+fn provider_host(page: &Page, node: NodeId) -> Option<String> {
+    let main = &page.frames[0].doc;
+    let src = main
+        .attr(node, "src")
+        .or_else(|| main.attr(node, "data-src"))?;
+    // The path is `src`'s own segments, so it can name a wall or banner
+    // only if `src` does; most sources skip the parse.
+    if !(src.contains("wall") || src.contains("banner")) {
+        return None;
+    }
+    let url = Url::parse(src).ok()?;
+    let third_party = !httpsim::same_site(url.host(), page.host());
+    (third_party && (url.path().contains("wall") || url.path().contains("banner")))
+        .then(|| url.host().to_string())
 }

@@ -10,10 +10,15 @@
 //! 3. **iframe descent** — repeat in every subframe; a consent iframe's
 //!    whole document is the banner when the frame itself is the overlay.
 //! 4. **Shadow workaround** — selectors cannot see into shadow roots, so
-//!    for every element with a `shadow_root` property the shadow children
-//!    are *cloned and appended to the body*, inspected there, and any hit
-//!    is mapped back to the original shadow element for interaction —
-//!    exactly the paper's §3 procedure, for open *and* closed roots.
+//!    for every element with a `shadow_root` property the paper clones the
+//!    shadow children *into the body*, inspects them there, and maps any
+//!    hit back to the original shadow element for interaction, for open
+//!    *and* closed roots. This port walks each shadow child where it is,
+//!    read-only, and lets its ascent continue from the shadow child to
+//!    `<body>` and up, as the clone's would. A hit inside the shadow
+//!    subtree is its own original; a hit on `<body>` or above has no
+//!    original, and that shadow child yields nothing, exactly as in the
+//!    paper's procedure. Detection therefore never changes the page.
 
 use crate::corpus::{contains_any, CONSENT_WORDS};
 use browser::{ElementRef, Page};
@@ -27,14 +32,15 @@ pub enum ObservedEmbedding {
     MainDom,
     /// Inside an `<iframe>` subdocument.
     Iframe,
-    /// Behind a shadow root (reached via the cloning workaround).
+    /// Behind a shadow root (reached via the piercing workaround).
     ShadowDom,
 }
 
 /// A detected banner.
 #[derive(Debug, Clone)]
 pub struct BannerFinding {
-    /// Banner root element (in the original, uncloned DOM).
+    /// Banner root element (in the original DOM; for shadow banners, in
+    /// the shadow tree).
     pub root: ElementRef,
     /// Where it was found.
     pub embedding: ObservedEmbedding,
@@ -46,7 +52,7 @@ pub struct BannerFinding {
 /// ablation experiment (what breaks without each §3 mechanism).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectorOptions {
-    /// Apply the shadow-DOM cloning workaround (§3). Off ⇒ the 76
+    /// Apply the shadow-DOM piercing workaround (§3). Off ⇒ the 76
     /// shadow-embedded walls go undetected.
     pub pierce_shadow: bool,
     /// Search iframe subdocuments. Off ⇒ the 132 iframe walls vanish.
@@ -76,50 +82,44 @@ const CONTAINER_MARKERS: &[&str] = &[
 /// z-index at or above which an element counts as an overlay.
 const OVERLAY_Z_INDEX: i64 = 1000;
 
-/// Detect banners on a loaded page.
-///
-/// Mutates frame documents transiently during the shadow workaround (clone
-/// in, inspect, detach again); the page is structurally unchanged on
-/// return.
-// lint:allow(r9) — the findings vec is the fn's return value; per-visit buffer reuse is ROADMAP item 1
-pub fn detect_banners(page: &mut Page, options: &DetectorOptions) -> Vec<BannerFinding> {
+/// Detect banners on a loaded page. The page is only read.
+// lint:allow(r9) — the findings vec is the fn's return value
+pub fn detect_banners(page: &Page, options: &DetectorOptions) -> Vec<BannerFinding> {
     let mut findings = Vec::new();
-    let frame_count = page.frames.len();
-    for frame_idx in 0..frame_count {
+    let mut buffers = Buffers::default();
+    for (frame_idx, frame) in page.frames.iter().enumerate() {
         if frame_idx > 0 && !options.descend_iframes {
             break;
         }
         let in_iframe = frame_idx > 0;
+        let doc = &frame.doc;
+        let root = ElementRef {
+            frame: frame_idx,
+            node: doc.root(),
+        };
 
         // Light-DOM pass.
-        let doc = &page.frames[frame_idx].doc;
-        if let Some(root) = find_banner_root(doc, doc.root(), options, in_iframe) {
+        let scope = Scope::light(doc, doc.root());
+        if let Some(node) = find_banner_root(&scope, options, in_iframe, &mut buffers) {
             findings.push(BannerFinding {
-                root: ElementRef {
-                    frame: frame_idx,
-                    node: root,
-                },
+                root: ElementRef { node, ..root },
                 embedding: if in_iframe {
                     ObservedEmbedding::Iframe
                 } else {
                     ObservedEmbedding::MainDom
                 },
-                text: doc.visible_text(root),
+                text: doc.visible_text(node),
             });
             continue; // one banner per frame, like the original tool
         }
 
         // Shadow workaround pass.
         if options.pierce_shadow {
-            let doc = &mut page.frames[frame_idx].doc;
-            if let Some((root, text)) = pierce_shadow_roots(doc, options) {
+            if let Some(node) = pierce_shadow_roots(doc, options, &mut buffers) {
                 findings.push(BannerFinding {
-                    root: ElementRef {
-                        frame: frame_idx,
-                        node: root,
-                    },
+                    root: ElementRef { node, ..root },
                     embedding: ObservedEmbedding::ShadowDom,
-                    text,
+                    text: doc.visible_text(node),
                 });
             }
         }
@@ -127,42 +127,124 @@ pub fn detect_banners(page: &mut Page, options: &DetectorOptions) -> Vec<BannerF
     findings
 }
 
-/// Find the banner root in the light DOM of `scope`.
-// lint:allow(r9) — the candidate list is the detection result handed to the caller; per-visit buffer reuse is ROADMAP item 1
+/// A subtree to search, and what its root's parent is during an ascent.
+struct Scope<'a> {
+    doc: &'a Document,
+    root: NodeId,
+    /// Stands in for the root's parent: `<body>` for a shadow child, which
+    /// the paper's workaround appends to the body.
+    above: Option<NodeId>,
+}
+
+impl<'a> Scope<'a> {
+    fn light(doc: &'a Document, root: NodeId) -> Self {
+        Scope {
+            doc,
+            root,
+            above: None,
+        }
+    }
+
+    fn parent(&self, node: NodeId) -> Option<NodeId> {
+        match self.above {
+            Some(above) if node == self.root => Some(above),
+            _ => self.doc.node(node).parent,
+        }
+    }
+}
+
+/// Buffers reused across candidates and ancestors.
+#[derive(Default)]
+struct Buffers {
+    joined: String,
+    lower: String,
+}
+
+impl Buffers {
+    /// The direct text children of `el`, joined with spaces and
+    /// lowercased — only direct text counts for candidacy; this finds the
+    /// `<p>`/`<span>`/`<button>` leaves rather than every ancestor.
+    fn own_text(&mut self, doc: &Document, el: NodeId) -> &str {
+        self.joined.clear();
+        let mut texts = doc.children(el).filter_map(|c| doc.text(c));
+        if let Some(first) = texts.next() {
+            self.joined.push_str(first);
+            for text in texts {
+                self.joined.push(' ');
+                self.joined.push_str(text);
+            }
+        }
+        self.lower.clear();
+        lowercase_into(&self.joined, &mut self.lower);
+        &self.lower
+    }
+
+    /// Does `value`, lowercased, contain a container marker?
+    fn has_marker(&mut self, value: &str) -> bool {
+        let lower = if value
+            .bytes()
+            .all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+        {
+            value
+        } else {
+            self.lower.clear();
+            lowercase_into(value, &mut self.lower);
+            &self.lower
+        };
+        CONTAINER_MARKERS.iter().any(|m| lower.contains(m))
+    }
+}
+
+/// Append `text`'s Unicode lowercase (`str::to_lowercase`) to `out`,
+/// copying ASCII runs in bulk.
+fn lowercase_into(text: &str, out: &mut String) {
+    if text.contains('Σ') {
+        // Only a capital sigma lowercases by its context.
+        out.push_str(&text.to_lowercase());
+        return;
+    }
+    let mut rest = text;
+    while !rest.is_empty() {
+        let ascii = rest
+            .bytes()
+            .position(|b| !b.is_ascii())
+            .unwrap_or(rest.len());
+        let start = out.len();
+        out.push_str(&rest[..ascii]);
+        out[start..].make_ascii_lowercase();
+        rest = &rest[ascii..];
+        if let Some(c) = rest.chars().next() {
+            out.extend(c.to_lowercase());
+            rest = &rest[c.len_utf8()..];
+        }
+    }
+}
+
+/// Find the banner root for the light subtree of `scope`.
 fn find_banner_root(
-    doc: &Document,
-    scope: NodeId,
+    scope: &Scope<'_>,
     options: &DetectorOptions,
     in_iframe: bool,
+    buffers: &mut Buffers,
 ) -> Option<NodeId> {
-    // Candidates: elements whose own subtree text mentions consent words.
-    // Walk elements; check leaf-ish text to avoid selecting <html> every
-    // time (we want the deepest matches, then ascend).
-    let mut candidates = Vec::new();
-    for el in doc.descendant_elements(scope) {
-        let tag = doc.tag(el).unwrap_or("");
+    let doc = scope.doc;
+    // Candidates: elements whose own text mentions consent words, in
+    // document order; the first one that resolves decides.
+    for candidate in doc.descendant_elements(scope.root) {
+        let tag = doc.tag(candidate).unwrap_or("");
         if matches!(tag, "script" | "style" | "head" | "title") {
             continue;
         }
-        // Only direct text children count for candidacy; this finds the
-        // <p>/<span>/<button> leaves rather than every ancestor.
-        let own_text: String = doc
-            .children(el)
-            .filter_map(|c| doc.node(c).as_text().map(str::to_string))
-            .collect::<Vec<_>>()
-            .join(" ")
-            .to_lowercase();
-        if !own_text.is_empty() && contains_any(&own_text, CONSENT_WORDS) {
-            candidates.push(el);
+        let text = buffers.own_text(doc, candidate);
+        if text.is_empty() || !contains_any(text, CONSENT_WORDS) {
+            continue;
         }
-    }
-    for candidate in candidates {
-        if let Some(root) = ascend_to_overlay(doc, candidate) {
+        if let Some(root) = ascend_to_overlay(scope, candidate, buffers) {
             return Some(root);
         }
         if !options.overlay_heuristics {
             // Fallback mode: accept the candidate's parent block directly.
-            return Some(doc.node(candidate).parent.unwrap_or(candidate));
+            return Some(scope.parent(candidate).unwrap_or(candidate));
         }
         if in_iframe {
             // Inside a dedicated consent iframe the frame itself is the
@@ -177,65 +259,61 @@ fn find_banner_root(
 
 /// Ascend from `node` to the nearest ancestor-or-self that looks like an
 /// overlay container.
-// lint:allow(r9) — overlay selector rendered once per detected banner, not per node; ROADMAP item 1
-fn ascend_to_overlay(doc: &Document, node: NodeId) -> Option<NodeId> {
+fn ascend_to_overlay(scope: &Scope<'_>, node: NodeId, buffers: &mut Buffers) -> Option<NodeId> {
+    let doc = scope.doc;
     let mut cursor = Some(node);
     while let Some(n) = cursor {
-        if let Some(el) = doc.element(n) {
+        if doc.element(n).is_some() {
             let style = doc.style(n);
             if style.is_overlay_positioned()
                 || style.z_index().is_some_and(|z| z >= OVERLAY_Z_INDEX)
             {
                 return Some(n);
             }
-            let idclass = format!(
-                "{} {}",
-                el.id().unwrap_or(""),
-                el.attr("class").unwrap_or("")
-            )
-            .to_lowercase();
-            if CONTAINER_MARKERS.iter().any(|m| idclass.contains(m)) {
+            // No marker contains a space, so the id and the class are
+            // searched one at a time rather than as one `id class` string.
+            if buffers.has_marker(doc.attr(n, "id").unwrap_or(""))
+                || buffers.has_marker(doc.attr(n, "class").unwrap_or(""))
+            {
                 return Some(n);
             }
         }
-        cursor = doc.node(n).parent;
+        cursor = scope.parent(n);
     }
     None
 }
 
-/// The §3 shadow-DOM workaround: for every shadow host, clone the shadow
-/// children into `<body>`, look for a banner in the clone, and map the hit
-/// back to the original shadow element. The clone is detached afterwards.
+/// The §3 shadow-DOM workaround, read-only: for every shadow host, search
+/// each shadow child as if it were the body's last child, and keep a hit
+/// only if it lies in that shadow child.
 ///
-/// Returns the banner root *in the original shadow tree* plus its text.
-fn pierce_shadow_roots(doc: &mut Document, options: &DetectorOptions) -> Option<(NodeId, String)> {
+/// Returns the banner root *in the original shadow tree*.
+fn pierce_shadow_roots(
+    doc: &Document,
+    options: &DetectorOptions,
+    buffers: &mut Buffers,
+) -> Option<NodeId> {
     let hosts = doc.shadow_hosts();
     if hosts.is_empty() {
         return None;
     }
     let body = doc.body()?;
-    for host in hosts {
+    for &host in hosts {
         let Some(sref) = doc.shadow_root(host) else {
             continue;
         };
-        let shadow_children: Vec<NodeId> = doc.children(sref.root).collect();
-        for child in shadow_children {
-            // Clone this shadow child into the body (the paper's "clone and
-            // append all child elements within a shadow DOM to the body").
-            let (clone, map) = doc.clone_subtree_mapped(child);
-            doc.append_child(body, clone);
-            let found = find_banner_root(doc, clone, options, false);
-            // Map the cloned hit back to the original shadow element.
-            let result = found.and_then(|clone_hit| {
-                map.iter()
-                    .find(|(_, &v)| v == clone_hit)
-                    .map(|(&orig, _)| orig)
-            });
-            // Restore the document before returning or continuing.
-            doc.detach(clone);
-            if let Some(original) = result {
-                let text = doc.visible_text(original);
-                return Some((original, text));
+        for child in doc.children(sref.root) {
+            let scope = Scope {
+                doc,
+                root: child,
+                above: Some(body),
+            };
+            // A hit on <body> or above has no counterpart in the shadow
+            // tree: this shadow child yields nothing.
+            let hit = find_banner_root(&scope, options, false, buffers)
+                .filter(|&hit| hit == child || doc.is_ancestor(child, hit));
+            if hit.is_some() {
+                return hit;
             }
         }
     }
@@ -269,14 +347,14 @@ mod tests {
 
     #[test]
     fn detects_fixed_overlay_banner() {
-        let mut page = fake_page(
+        let page = fake_page(
             r#"<div id="x" style="position:fixed;bottom:0">
                  <p>Wir verwenden Cookies für Werbung.</p>
                  <button>Akzeptieren</button>
                </div>
                <main><p>Artikel über Brücken.</p></main>"#,
         );
-        let found = detect_banners(&mut page, &DetectorOptions::default());
+        let found = detect_banners(&page, &DetectorOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].embedding, ObservedEmbedding::MainDom);
         assert!(found[0].text.contains("Cookies"));
@@ -285,20 +363,20 @@ mod tests {
 
     #[test]
     fn detects_marker_class_banner_without_styles() {
-        let mut page = fake_page(
+        let page = fake_page(
             r#"<div class="cmp-container"><span>We use cookies.</span><button>Accept</button></div>"#,
         );
-        let found = detect_banners(&mut page, &DetectorOptions::default());
+        let found = detect_banners(&page, &DetectorOptions::default());
         assert_eq!(found.len(), 1);
     }
 
     #[test]
     fn privacy_footer_link_is_not_a_banner() {
-        let mut page = fake_page(
+        let page = fake_page(
             r#"<main><p>Article text here.</p></main>
                <footer><a href="/privacy">Privacy policy</a></footer>"#,
         );
-        let found = detect_banners(&mut page, &DetectorOptions::default());
+        let found = detect_banners(&page, &DetectorOptions::default());
         assert!(
             found.is_empty(),
             "footer link must not be detected: {found:?}"
@@ -307,8 +385,8 @@ mod tests {
 
     #[test]
     fn no_banner_on_plain_page() {
-        let mut page = fake_page("<main><p>Just an article about bridges.</p></main>");
-        assert!(detect_banners(&mut page, &DetectorOptions::default()).is_empty());
+        let page = fake_page("<main><p>Just an article about bridges.</p></main>");
+        assert!(detect_banners(&page, &DetectorOptions::default()).is_empty());
     }
 
     #[test]
@@ -320,8 +398,8 @@ mod tests {
             </div></template></div>"#;
         // Workaround on: found, attributed to ShadowDom, mapped to the
         // original (interactable) element.
-        let mut page = fake_page(html);
-        let found = detect_banners(&mut page, &DetectorOptions::default());
+        let page = fake_page(html);
+        let found = detect_banners(&page, &DetectorOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].embedding, ObservedEmbedding::ShadowDom);
         assert!(found[0].text.contains("2,99"));
@@ -342,30 +420,54 @@ mod tests {
         );
 
         // Workaround off: invisible (the ablation's point).
-        let mut page = fake_page(html);
+        let page = fake_page(html);
         let opts = DetectorOptions {
             pierce_shadow: false,
             ..Default::default()
         };
-        assert!(detect_banners(&mut page, &opts).is_empty());
+        assert!(detect_banners(&page, &opts).is_empty());
+    }
+
+    /// Root of the single shadow finding, with its `id`.
+    fn shadow_hit(page: &Page, options: &DetectorOptions) -> Option<String> {
+        let found = detect_banners(page, options);
+        assert!(found.len() <= 1);
+        found.first().map(|f| {
+            assert_eq!(f.embedding, ObservedEmbedding::ShadowDom);
+            let doc = &page.frames[0].doc;
+            doc.attr(f.root.node, "id").unwrap_or("").to_string()
+        })
     }
 
     #[test]
-    fn shadow_workaround_leaves_document_clean() {
-        let html = r#"<div id="host"><template shadowrootmode="open">
-            <div class="consent-wall"><p>cookies und Abo 1,99 €</p></div>
-            </template></div><p>light content</p>"#;
-        let mut page = fake_page(html);
-        let before = page.frames[0]
-            .doc
-            .body()
-            .map(|b| page.frames[0].doc.children(b).count());
-        let _ = detect_banners(&mut page, &DetectorOptions::default());
-        let after = page.frames[0]
-            .doc
-            .body()
-            .map(|b| page.frames[0].doc.children(b).count());
-        assert_eq!(before, after, "clones must be detached again");
+    fn shadow_hit_on_body_is_skipped_not_returned() {
+        // The first shadow child ascends to the marked <body>: a hit with
+        // no counterpart in the shadow tree, so that child yields nothing
+        // and the next one is searched.
+        let html = r#"<body class="cookie-page"><div id="host"><template shadowrootmode="open"><p>Wir verwenden Cookies.</p><div id="box" class="consent-box"><span>cookies</span></div></template></div><p>light</p></body>"#;
+        let page = fake_page(html);
+        assert_eq!(
+            shadow_hit(&page, &DetectorOptions::default()).as_deref(),
+            Some("box")
+        );
+        let only_body = r#"<body class="cookie-page"><div id="host"><template shadowrootmode="open"><p>Wir verwenden Cookies.</p></template></div></body>"#;
+        assert_eq!(
+            shadow_hit(&fake_page(only_body), &DetectorOptions::default()),
+            None
+        );
+    }
+
+    #[test]
+    fn shadow_fallback_parent_of_a_shadow_child_is_body() {
+        // Without overlay heuristics a candidate's parent is the root. For
+        // a shadow child that parent is <body>, which maps to nothing.
+        let html = r#"<div id="host"><template shadowrootmode="closed"><p>We use cookies.</p><div id="outer"><span>cookies</span></div></template></div>"#;
+        let page = fake_page(html);
+        let options = DetectorOptions {
+            overlay_heuristics: false,
+            ..DetectorOptions::default()
+        };
+        assert_eq!(shadow_hit(&page, &options).as_deref(), Some("outer"));
     }
 
     #[test]
@@ -374,7 +476,7 @@ mod tests {
         let main = parse(r#"<p>article</p><iframe src="https://cmp.example/banner"></iframe>"#);
         let iframe_el = main.select(main.root(), "iframe").unwrap()[0];
         let frame_doc = parse(r#"<div><p>We use cookies.</p><button>Accept all</button></div>"#);
-        let mut page = Page {
+        let page = Page {
             url: url.clone(),
             final_url: url.clone(),
             status: 200,
@@ -396,7 +498,7 @@ mod tests {
             adblock_interstitial: false,
             reloaded_for_subscription: false,
         };
-        let found = detect_banners(&mut page, &DetectorOptions::default());
+        let found = detect_banners(&page, &DetectorOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].embedding, ObservedEmbedding::Iframe);
 
@@ -404,6 +506,6 @@ mod tests {
             descend_iframes: false,
             ..Default::default()
         };
-        assert!(detect_banners(&mut page, &opts).is_empty());
+        assert!(detect_banners(&page, &opts).is_empty());
     }
 }

@@ -41,7 +41,7 @@ pub struct ButtonFinding {
 }
 
 /// Find all role-classified buttons inside a banner.
-// lint:allow(r9) — the button list is the fn's return value; per-visit buffer reuse is ROADMAP item 1
+// lint:allow(r9) — the button list is the fn's return value
 pub fn find_buttons(page: &Page, banner: &BannerFinding) -> Vec<ButtonFinding> {
     let doc = &page.frames[banner.root.frame].doc;
     let mut out = Vec::new();
@@ -115,12 +115,9 @@ pub fn click_reject(
 fn clickable_descendants(doc: &Document, root: NodeId) -> Vec<NodeId> {
     doc.descendant_elements(root)
         .filter(|&n| {
-            let Some(el) = doc.element(n) else {
-                return false;
-            };
-            matches!(el.tag.as_str(), "button" | "a" | "input")
-                || el.attr("role") == Some("button")
-                || el.attr("data-cw-action").is_some()
+            matches!(doc.tag(n), Some("button" | "a" | "input"))
+                || doc.attr(n, "role") == Some("button")
+                || doc.attr(n, "data-cw-action").is_some()
         })
         .collect()
 }
@@ -153,7 +150,7 @@ mod tests {
 
     #[test]
     fn classifies_banner_buttons() {
-        let mut page = page_of(
+        let page = page_of(
             r#"<div class="cookie-banner" style="position:fixed">
                 <p>Wir verwenden Cookies.</p>
                 <button>Alle akzeptieren</button>
@@ -161,7 +158,7 @@ mod tests {
                 <a href="/mehr">Mehr erfahren</a>
                </div>"#,
         );
-        let banners = detect_banners(&mut page, &DetectorOptions::default());
+        let banners = detect_banners(&page, &DetectorOptions::default());
         let buttons = find_buttons(&page, &banners[0]);
         assert_eq!(buttons.len(), 2, "the info link has no role: {buttons:?}");
         assert!(accept_button(&page, &banners[0]).is_some());
@@ -170,14 +167,14 @@ mod tests {
 
     #[test]
     fn wall_has_accept_and_subscribe_but_no_reject() {
-        let mut page = page_of(
+        let page = page_of(
             r#"<div id="cw-wall" class="consent-wall" style="position:fixed;z-index:100000">
                 <p>Mit Werbung und Tracking weiterlesen oder Pur-Abo für 2,99 € pro Monat.</p>
                 <button data-cw-action="accept">Akzeptieren und weiter</button>
                 <a data-cw-action="subscribe" href="/abo">Jetzt Abo abschließen</a>
                </div>"#,
         );
-        let banners = detect_banners(&mut page, &DetectorOptions::default());
+        let banners = detect_banners(&page, &DetectorOptions::default());
         let buttons = find_buttons(&page, &banners[0]);
         assert!(buttons.iter().any(|b| b.role == ButtonRole::Accept));
         assert!(buttons.iter().any(|b| b.role == ButtonRole::Subscribe));
@@ -191,11 +188,11 @@ mod tests {
     fn subscribe_priority_over_accept_words() {
         // "Jetzt Abo abschließen und akzeptieren"-style labels must
         // classify as subscribe, not accept.
-        let mut page = page_of(
+        let page = page_of(
             r#"<div class="consent-wall"><p>cookies</p>
                <a role="button">Jetzt Abo abschließen</a></div>"#,
         );
-        let banners = detect_banners(&mut page, &DetectorOptions::default());
+        let banners = detect_banners(&page, &DetectorOptions::default());
         let buttons = find_buttons(&page, &banners[0]);
         assert_eq!(buttons.len(), 1);
         assert_eq!(buttons[0].role, ButtonRole::Subscribe);
@@ -203,13 +200,13 @@ mod tests {
 
     #[test]
     fn settings_control_classified_not_confused() {
-        let mut page = page_of(
+        let page = page_of(
             r#"<div class="cookie-banner"><p>We use cookies.</p>
                 <button>Accept all</button>
                 <a data-cw-action="settings" href="/privacy">Manage my cookies</a>
                </div>"#,
         );
-        let banners = detect_banners(&mut page, &DetectorOptions::default());
+        let banners = detect_banners(&page, &DetectorOptions::default());
         let buttons = find_buttons(&page, &banners[0]);
         assert_eq!(buttons.len(), 2);
         assert!(buttons.iter().any(|b| b.role == ButtonRole::Settings));
@@ -224,23 +221,23 @@ mod tests {
 
     #[test]
     fn bare_ok_label_is_accept() {
-        let mut page = page_of(
+        let page = page_of(
             r#"<div class="cookie-banner"><p>We use cookies.</p><button>OK</button></div>"#,
         );
-        let banners = detect_banners(&mut page, &DetectorOptions::default());
+        let banners = detect_banners(&page, &DetectorOptions::default());
         let accept = accept_button(&page, &banners[0]).expect("OK is an accept button");
         assert_eq!(accept.label, "OK");
     }
 
     #[test]
     fn buttons_found_inside_shadow_tree() {
-        let mut page = page_of(
+        let page = page_of(
             r#"<div id="h"><template shadowrootmode="open">
                 <div class="consent-wall"><p>Cookies und Abo für 1,99 €</p>
                 <button>Accept all</button></div>
                </template></div>"#,
         );
-        let banners = detect_banners(&mut page, &DetectorOptions::default());
+        let banners = detect_banners(&page, &DetectorOptions::default());
         assert_eq!(banners.len(), 1);
         let btn = accept_button(&page, &banners[0]).expect("button in shadow tree");
         // The button element must be interactable: it lives in the original
@@ -324,7 +321,7 @@ mod xpath_tests {
            </div>"#;
         let doc = parse(html);
         let url = httpsim::Url::parse("https://test.de/").unwrap();
-        let mut page = Page {
+        let page = Page {
             url: url.clone(),
             final_url: url.clone(),
             status: 200,
@@ -339,7 +336,7 @@ mod xpath_tests {
             adblock_interstitial: false,
             reloaded_for_subscription: false,
         };
-        let banners = detect_banners(&mut page, &DetectorOptions::default());
+        let banners = detect_banners(&page, &DetectorOptions::default());
         let css = find_buttons(&page, &banners[0]);
         let xpath = find_buttons_xpath(&page, &banners[0]);
         assert_eq!(css.len(), xpath.len(), "css {css:?} vs xpath {xpath:?}");

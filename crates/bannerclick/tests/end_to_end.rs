@@ -196,8 +196,7 @@ fn accept_interaction_works_on_all_embeddings() {
         assert!(analysis.cookiewall_detected(), "{}", site.domain);
         let after = after.unwrap_or_else(|| panic!("accept click failed on {}", site.domain));
         // Post-consent page shows no wall.
-        let mut after = after;
-        let re = tool.analyze_page(&site.domain, &mut after);
+        let re = tool.analyze_page(&site.domain, &after);
         assert!(
             !re.banner_detected(),
             "wall gone after accept on {}",
@@ -271,16 +270,16 @@ fn detection_on_one_loaded_page_matches_fresh_loads() {
         };
         seen.insert(cw.embedding);
         browser.clear_cookies();
-        let mut shared = browser.visit_domain(&site.domain).expect("wall site loads");
+        let shared = browser.visit_domain(&site.domain).expect("wall site loads");
         for detector in &order {
             let tool = BannerClick {
                 detector: (*detector).clone(),
                 corpus: CorpusMode::WordsAndPrices,
             };
             browser.clear_cookies();
-            let mut fresh = browser.visit_domain(&site.domain).expect("wall site loads");
-            let want = tool.detect(&mut fresh);
-            let got = tool.detect(&mut shared);
+            let fresh = browser.visit_domain(&site.domain).expect("wall site loads");
+            let want = tool.detect(&fresh);
+            let got = tool.detect(&shared);
             assert_eq!(
                 got.as_ref().map(|f| (f.root, f.embedding, f.text.as_str())),
                 want.as_ref()

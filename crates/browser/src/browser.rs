@@ -28,7 +28,7 @@ use crate::storage::LocalStorage;
 use blocklist::{BlockDecision, FilterEngine};
 use httpsim::{Bytes, CookieJar, Method, Network, Region, Request, Response, TransportFault, Url};
 use std::sync::OnceLock;
-use webdom::{parse, parse_fragment_into, NodeId};
+use webdom::{parse, parse_fragment_into, Document, NodeId, SelectorList};
 
 /// Maximum iframe nesting depth processed.
 const MAX_FRAME_DEPTH: usize = 3;
@@ -179,11 +179,13 @@ pub struct Browser {
     timeout_budget_ms: u64,
     /// Per-load request log, moved into the [`Page`] when the load ends.
     request_log: Vec<crate::page::LoggedRequest>,
+    /// The main frame's scan buffers, kept across loads.
+    scan: FrameScan,
 }
 
 impl Browser {
     /// A fresh profile at `region` on `net`.
-    // lint:allow(r9) — per-profile construction, once per visit attempt, not per request; ROADMAP item 1
+    // lint:allow(r9) — per-profile construction, once per visit attempt, not per request; ROADMAP "Zero-copy DOM payloads"
     pub fn new(net: Network, region: Region) -> Self {
         Browser {
             net,
@@ -194,6 +196,7 @@ impl Browser {
             user_agent: httpsim::DEFAULT_USER_AGENT.to_string(),
             timeout_budget_ms: DEFAULT_TIMEOUT_BUDGET_MS,
             request_log: Vec::new(),
+            scan: FrameScan::default(),
         }
     }
 
@@ -293,7 +296,7 @@ impl Browser {
     }
 
     /// Convenience: navigate to `https://{domain}/`.
-    // lint:allow(r9) — the to_string runs only on the unparsable-domain error path; ROADMAP item 1
+    // lint:allow(r9) — the to_string runs only on the unparsable-domain error path; ROADMAP "Zero-copy DOM payloads"
     pub fn visit_domain(&mut self, domain: &str) -> Result<Page, VisitError> {
         let url = Url::parse(domain).map_err(|_| VisitError::Unreachable(domain.to_string()))?;
         self.visit(&url)
@@ -375,7 +378,7 @@ impl Browser {
         self.load_fetched_inner(&fetched, allow_entitlement_reload)
     }
 
-    // lint:allow(r9) — owned page/request state built during the visit; the ROADMAP item on zero-copy DOM payloads is the planned fix
+    // lint:allow(r9) — the Page owns its URLs, frames and logs; its documents borrow their payloads (ROADMAP "Zero-copy DOM payloads")
     fn load_fetched_inner(
         &mut self,
         fetched: &FetchedDocument,
@@ -401,12 +404,12 @@ impl Browser {
             reloaded_for_subscription: false,
         };
 
-        let mut entitled_cookie: Option<(String, String)> = None;
-        self.process_frame(&mut page, 0, 0, &mut entitled_cookie);
+        let mut effects = LoadEffects::default();
+        self.process_frame(&mut page, 0, 0, &mut effects);
 
         // Subscriber flow: a successful entitlement probe sets a
         // first-party cookie and reloads once.
-        if let Some((name, value)) = entitled_cookie {
+        if let Some((name, value)) = effects.entitled_cookie {
             if allow_entitlement_reload {
                 let site = httpsim::registrable_domain(page.host())
                     .unwrap_or(page.host())
@@ -418,7 +421,7 @@ impl Browser {
             }
         }
 
-        self.finish_page(&mut page);
+        finish_page(&mut page, &effects.detectors);
         page.requests = std::mem::take(&mut self.request_log);
         Ok(page)
     }
@@ -488,7 +491,7 @@ impl Browser {
     }
 
     /// Consult the blocker for a subresource; record and skip if blocked.
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
+    // lint:allow(r9) — owned page/request state built during the visit; ROADMAP "Zero-copy DOM payloads" covers the DOM, not this state
     fn blocked_by_extension(&self, page: &mut Page, url: &Url, initiator: &str) -> bool {
         if let Some(blocker) = &self.blocker {
             if let BlockDecision::Blocked(rule) = blocker.decide(url, Some(initiator)) {
@@ -504,45 +507,56 @@ impl Browser {
 
     /// Load a frame's subresources: scripts (with injection and entitlement
     /// effects), then iframes (recursively).
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
+    ///
+    /// Each script round walks the frame once ([`FrameScan`]). Injection
+    /// only ever adds nodes, so a script is fresh exactly when it was
+    /// created after the previous walk; the walk that finds none (or the
+    /// one after the last round) also lists the passive subresources and
+    /// iframes of the final document.
+    // lint:allow(r9) — the initiator host is owned because the page is mutated while it is in use
     fn process_frame(
         &mut self,
         page: &mut Page,
         frame_idx: usize,
         depth: usize,
-        entitled_cookie: &mut Option<(String, String)>,
+        effects: &mut LoadEffects,
     ) {
         let top_host = page.host().to_string();
-        let mut processed: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-
-        for _round in 0..MAX_INJECT_ROUNDS {
-            let scripts = collect_with_shadow(&page.frames[frame_idx].doc, "script[src]");
-            let fresh: Vec<NodeId> = scripts
-                .into_iter()
-                .filter(|n| !processed.contains(n))
-                .collect();
-            if fresh.is_empty() {
+        let mut scan = std::mem::take(&mut self.scan);
+        let mut scanned = 0;
+        for round in 0..=MAX_INJECT_ROUNDS {
+            let doc = &page.frames[frame_idx].doc;
+            let len = doc.len();
+            scan.scan(doc);
+            if round == MAX_INJECT_ROUNDS {
                 break;
             }
-            for node in fresh {
-                processed.insert(node);
-                self.process_script(page, frame_idx, node, &top_host, entitled_cookie);
+            let mut fresh = false;
+            for &node in scan.scripts.iter().filter(|n| n.index() >= scanned) {
+                fresh = true;
+                self.process_script(page, frame_idx, node, &top_host, effects);
             }
+            scanned = len;
+            if !fresh {
+                break;
+            }
+        }
+        if let Some(node) = scan.adblock {
+            effects.detectors.push((frame_idx, node));
         }
 
         // Other passive subresources (images, stylesheets) — fetched for
         // cookie side effects, no DOM impact.
-        for node in collect_with_shadow(&page.frames[frame_idx].doc, "img[src], link[href]") {
-            let frame_url = page.frames[frame_idx].url.clone();
-            let doc = &page.frames[frame_idx].doc;
-            let src = doc.attr(node, "src").or_else(|| doc.attr(node, "href"));
-            let Some(src) = src.map(str::to_string) else {
+        for &node in &scan.passive {
+            let frame = &page.frames[frame_idx];
+            let src = frame
+                .doc
+                .attr(node, "src")
+                .or_else(|| frame.doc.attr(node, "href"));
+            let Some(Ok(url)) = src.map(|src| frame.url.join(src)) else {
                 continue;
             };
-            let Ok(url) = frame_url.join(&src) else {
-                continue;
-            };
-            if url == frame_url {
+            if url == frame.url {
                 continue;
             }
             if self.blocked_by_extension(page, &url, &top_host) {
@@ -553,16 +567,10 @@ impl Browser {
 
         // Iframes.
         if depth < MAX_FRAME_DEPTH {
-            for node in collect_with_shadow(&page.frames[frame_idx].doc, "iframe[src]") {
-                let frame_url = page.frames[frame_idx].url.clone();
-                let Some(src) = page.frames[frame_idx]
-                    .doc
-                    .attr(node, "src")
-                    .map(str::to_string)
-                else {
-                    continue;
-                };
-                let Ok(url) = frame_url.join(&src) else {
+            for &node in &scan.iframes {
+                let frame = &page.frames[frame_idx];
+                let src = frame.doc.attr(node, "src");
+                let Some(Ok(url)) = src.map(|src| frame.url.join(src)) else {
                     continue;
                 };
                 if self.blocked_by_extension(page, &url, &top_host) {
@@ -572,37 +580,30 @@ impl Browser {
                 if resp.status != 200 {
                     continue;
                 }
-                let doc = parse(&resp.body_text());
+                let doc = parse(&String::from_utf8_lossy(&resp.body));
                 page.frames.push(Frame {
                     doc,
                     url: final_url,
                     parent: Some((frame_idx, node)),
                 });
                 let new_idx = page.frames.len() - 1;
-                self.process_frame(page, new_idx, depth + 1, entitled_cookie);
+                self.process_frame(page, new_idx, depth + 1, effects);
             }
         }
+        self.scan = scan;
     }
 
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
     fn process_script(
         &mut self,
         page: &mut Page,
         frame_idx: usize,
         node: NodeId,
         top_host: &str,
-        entitled_cookie: &mut Option<(String, String)>,
+        effects: &mut LoadEffects,
     ) {
-        let frame_url = page.frames[frame_idx].url.clone();
-        let doc = &page.frames[frame_idx].doc;
-        let Some(src) = doc.attr(node, "src").map(str::to_string) else {
-            return;
-        };
-        let inject_target = doc.attr(node, "data-cw-inject").map(str::to_string);
-        let smp_check = doc.attr(node, "data-smp-check").is_some();
-        let smp_set = doc.attr(node, "data-smp-set").map(str::to_string);
-
-        let Ok(url) = frame_url.join(&src) else {
+        let frame = &page.frames[frame_idx];
+        let src = frame.doc.attr(node, "src");
+        let Some(Ok(url)) = src.map(|src| frame.url.join(src)) else {
             return;
         };
         if self.blocked_by_extension(page, &url, top_host) {
@@ -612,59 +613,18 @@ impl Browser {
         if resp.status != 200 {
             return;
         }
-        if let Some(target_id) = inject_target {
-            let doc = &mut page.frames[frame_idx].doc;
-            if let Some(target) = doc.get_element_by_id(&target_id) {
-                parse_fragment_into(doc, target, &resp.body_text());
-            }
+        // The fetch leaves the document as it was, so its attributes are
+        // read only now.
+        let doc = &mut page.frames[frame_idx].doc;
+        let body = String::from_utf8_lossy(&resp.body);
+        let target = doc
+            .attr(node, "data-cw-inject")
+            .and_then(|id| doc.get_element_by_id(id));
+        if let Some(target) = target {
+            parse_fragment_into(doc, target, &body);
         }
-        if smp_check && resp.body_text().trim() == "entitled" {
-            let (name, value) = smp_set
-                .as_deref()
-                .and_then(|s| s.split_once('='))
-                .map(|(n, v)| (n.to_string(), v.to_string()))
-                .unwrap_or(("cw_sub".to_string(), "1".to_string()));
-            *entitled_cookie = Some((name, value));
-        }
-    }
-
-    /// Post-load observations: scroll lock and adblock interstitial.
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
-    fn finish_page(&self, page: &mut Page) {
-        let main = &page.frames[0].doc;
-        if let Some(body) = main.body() {
-            page.scroll_locked = main
-                .style(body)
-                .get("overflow")
-                .is_some_and(|v| v.eq_ignore_ascii_case("hidden"));
-        }
-        let detector_present = page
-            .frames
-            .iter()
-            .any(|f| !collect_with_shadow(&f.doc, "[data-detect-adblock]").is_empty());
-        if detector_present && page.anything_blocked() {
-            let message = page
-                .frames
-                .iter()
-                .find_map(|f| {
-                    collect_with_shadow(&f.doc, "[data-detect-adblock]")
-                        .first()
-                        .and_then(|&n| f.doc.attr(n, "data-message").map(str::to_string))
-                })
-                .unwrap_or_else(|| "Please disable your ad blocker".to_string());
-            let main = &mut page.frames[0].doc;
-            if let Some(body) = main.body() {
-                let overlay = main.create_element("div");
-                main.set_attr(overlay, "id", "adblock-interstitial");
-                main.set_attr(overlay, "class", "adblock-wall");
-                main.set_attr(overlay, "style", "position:fixed;top:0;z-index:999999");
-                let p = main.create_element("p");
-                let text = main.create_text(&message);
-                main.append_child(p, text);
-                main.append_child(overlay, p);
-                main.append_child(body, overlay);
-            }
-            page.adblock_interstitial = true;
+        if doc.attr(node, "data-smp-check").is_some() && body.trim() == "entitled" {
+            effects.entitled_cookie = Some(entitlement_cookie(doc.attr(node, "data-smp-set")));
         }
     }
 
@@ -672,7 +632,7 @@ impl Browser {
 
     /// Click an element. Consent actions set their cookie and reload; the
     /// subscribe action navigates to its target.
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
+    // lint:allow(r9) — owned page/request state built during the visit; ROADMAP "Zero-copy DOM payloads" covers the DOM, not this state
     pub fn click(&mut self, page: &Page, target: ElementRef) -> Result<ClickOutcome, VisitError> {
         let frame = &page.frames[target.frame];
         let doc = &frame.doc;
@@ -765,7 +725,7 @@ impl Browser {
 
     /// Store a first-party cookie on `site` (registrable domain), as a
     /// page's own JavaScript would via `document.cookie`.
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
+    // lint:allow(r9) — owned page/request state built during the visit; ROADMAP "Zero-copy DOM payloads" covers the DOM, not this state
     pub fn set_site_cookie(&mut self, site: &str, name: &str, value: &str) {
         let Ok(origin) = Url::parse(&format!("https://{site}/")) else {
             // An unparsable site name cannot hold a cookie; drop it rather
@@ -780,7 +740,7 @@ impl Browser {
 
     /// Log in at an SMP account host. Returns true if the platform issued a
     /// session cookie.
-    // lint:allow(r9) — owned page/request state built during the visit; the per-visit arena (ROADMAP item 1) is the planned fix
+    // lint:allow(r9) — owned page/request state built during the visit; ROADMAP "Zero-copy DOM payloads" covers the DOM, not this state
     pub fn login_smp(&mut self, account_host: &str, user: &str, password: &str) -> bool {
         let url = match Url::parse(&format!("https://{account_host}/login")) {
             Ok(u) => u,
@@ -802,14 +762,135 @@ impl Browser {
     }
 }
 
-/// Collect elements matching `selector` in the light DOM *and* inside every
-/// shadow root of `doc` — scripts in shadow trees execute like any others.
-fn collect_with_shadow(doc: &webdom::Document, selector: &str) -> Vec<NodeId> {
-    let mut out = doc.select(doc.root(), selector).unwrap_or_default();
-    for host in doc.shadow_hosts() {
-        if let Some(sr) = doc.shadow_root(host) {
-            out.extend(doc.select(sr.root, selector).unwrap_or_default());
+/// What a load's frames did beyond their own documents.
+#[derive(Default)]
+struct LoadEffects {
+    /// A successful SMP entitlement probe's cookie (name, value).
+    entitled_cookie: Option<(String, String)>,
+    /// Each frame's first adblock detector, in frame order.
+    detectors: Vec<(usize, NodeId)>,
+}
+
+/// The cookie a successful entitlement probe sets: `data-smp-set`'s
+/// `NAME=VALUE`, or `cw_sub=1`.
+// lint:allow(r9) — runs only for a subscriber's entitled probe, once per load at most
+fn entitlement_cookie(spec: Option<&str>) -> (String, String) {
+    spec.and_then(|s| s.split_once('='))
+        .map(|(n, v)| (n.to_string(), v.to_string()))
+        .unwrap_or(("cw_sub".to_string(), "1".to_string()))
+}
+
+/// Post-load observations: scroll lock and adblock interstitial.
+// lint:allow(r9) — the interstitial is built only when a detector saw a blocked request
+fn finish_page(page: &mut Page, detectors: &[(usize, NodeId)]) {
+    let main = &page.frames[0].doc;
+    if let Some(body) = main.body() {
+        page.scroll_locked = main
+            .style(body)
+            .get("overflow")
+            .is_some_and(|v| v.eq_ignore_ascii_case("hidden"));
+    }
+    if !detectors.is_empty() && page.anything_blocked() {
+        let message = detectors
+            .iter()
+            .find_map(|&(frame, node)| page.frames[frame].doc.attr(node, "data-message"))
+            .unwrap_or("Please disable your ad blocker")
+            .to_string();
+        let main = &mut page.frames[0].doc;
+        if let Some(body) = main.body() {
+            let overlay = main.create_element("div");
+            main.set_attr(overlay, "id", "adblock-interstitial");
+            main.set_attr(overlay, "class", "adblock-wall");
+            main.set_attr(overlay, "style", "position:fixed;top:0;z-index:999999");
+            let p = main.create_element("p");
+            let text = main.create_text(&message);
+            main.append_child(p, text);
+            main.append_child(overlay, p);
+            main.append_child(body, overlay);
+        }
+        page.adblock_interstitial = true;
+    }
+}
+
+/// The fixed selectors a load evaluates, parsed once per process.
+struct LoadSelectors {
+    scripts: SelectorList,
+    passive: SelectorList,
+    iframes: SelectorList,
+    adblock: SelectorList,
+}
+
+fn load_selectors() -> &'static LoadSelectors {
+    static SELECTORS: OnceLock<LoadSelectors> = OnceLock::new();
+    SELECTORS.get_or_init(|| {
+        // The literals parse (`tests::load_selectors_parse`); were one not
+        // to, it would match nothing rather than abort the crawl.
+        let parse = |s| {
+            SelectorList::parse(s).unwrap_or(SelectorList {
+                selectors: Vec::new(),
+            })
+        };
+        LoadSelectors {
+            scripts: parse("script[src]"),
+            passive: parse("img[src], link[href]"),
+            iframes: parse("iframe[src]"),
+            adblock: parse("[data-detect-adblock]"),
+        }
+    })
+}
+
+/// One walk over a frame's light DOM *and* every shadow tree — scripts in
+/// shadow trees execute like any others — listing the elements a load
+/// acts on, each list in document order, light DOM first, then each
+/// shadow tree in host order.
+#[derive(Default)]
+struct FrameScan {
+    /// `script[src]`.
+    scripts: Vec<NodeId>,
+    /// `img[src], link[href]`.
+    passive: Vec<NodeId>,
+    /// `iframe[src]`.
+    iframes: Vec<NodeId>,
+    /// The first `[data-detect-adblock]`.
+    adblock: Option<NodeId>,
+}
+
+impl FrameScan {
+    fn scan(&mut self, doc: &Document) {
+        let selectors = load_selectors();
+        self.scripts.clear();
+        self.passive.clear();
+        self.iframes.clear();
+        self.adblock = None;
+        for scope in doc.scopes() {
+            for el in doc.descendant_elements(scope) {
+                if selectors.scripts.matches(doc, el) {
+                    self.scripts.push(el);
+                }
+                if selectors.passive.matches(doc, el) {
+                    self.passive.push(el);
+                }
+                if selectors.iframes.matches(doc, el) {
+                    self.iframes.push(el);
+                }
+                if self.adblock.is_none() && selectors.adblock.matches(doc, el) {
+                    self.adblock = Some(el);
+                }
+            }
         }
     }
-    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn load_selectors_parse() {
+        let s = load_selectors();
+        for list in [&s.scripts, &s.passive, &s.iframes, &s.adblock] {
+            assert!(!list.selectors.is_empty());
+        }
+        assert_eq!(s.passive.selectors.len(), 2);
+    }
 }

@@ -22,7 +22,9 @@
 //! alphabetic characters, normalises each character (digits to `#`,
 //! whitespace runs to one space, lowercase), keeps a three-character
 //! window and adds one row per trigram into eight running scores. It
-//! allocates nothing and does one table lookup per trigram.
+//! allocates nothing and does one table lookup per trigram. ASCII
+//! characters skip the Unicode property tables; the `equivalence`
+//! oracle's alphabet covers both sides of that boundary.
 //!
 //! **Bit-identity invariant.** Any change to the model or its layout must
 //! keep [`detect`]'s output bit for bit, `margin` included. Each
@@ -208,16 +210,36 @@ fn for_each_trigram(text: &str, mut f: impl FnMut(u64)) -> usize {
     };
     let mut last_space = true;
     for c in text.chars() {
-        alphabetic += usize::from(c.is_alphabetic());
-        let c = if c.is_numeric() { '#' } else { c };
-        if c.is_whitespace() {
-            if !last_space {
-                push(' ');
-                last_space = true;
+        // ASCII needs none of the Unicode tables: its only numerics are
+        // the digits, its whitespace is `\t`..=`\r` plus the space, and
+        // it lowercases to one ASCII character.
+        let normal = if c.is_ascii() {
+            alphabetic += usize::from(c.is_ascii_alphabetic());
+            match c {
+                ' ' | '\t'..='\r' => None,
+                '0'..='9' => Some('#'),
+                _ => Some(c),
             }
         } else {
-            c.to_lowercase().for_each(&mut push);
-            last_space = false;
+            alphabetic += usize::from(c.is_alphabetic());
+            let c = if c.is_numeric() { '#' } else { c };
+            (!c.is_whitespace()).then_some(c)
+        };
+        match normal {
+            None => {
+                if !last_space {
+                    push(' ');
+                    last_space = true;
+                }
+            }
+            Some(c) => {
+                if c.is_ascii() {
+                    push(c.to_ascii_lowercase());
+                } else {
+                    c.to_lowercase().for_each(&mut push);
+                }
+                last_space = false;
+            }
         }
     }
     alphabetic

@@ -152,11 +152,15 @@ fn assert_identical(text: &str) {
 /// Characters the property draws from: ASCII, digits, whitespace,
 /// punctuation, the euro sign, Germanic and Romance diacritics, characters
 /// whose lowercase is several characters (`İ`) or differs by position
-/// (`Σ`/`σ`/`ς`), the capital sharp s, a titlecase digraph, and CJK.
+/// (`Σ`/`σ`/`ς`), the capital sharp s, a titlecase digraph, CJK, and the
+/// edges of the detector's ASCII fast path: every ASCII whitespace and
+/// the control characters next to it, Unicode spaces (next line,
+/// no-break, thin, ideographic) and non-ASCII numerics.
 const ALPHABET: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789\
                         \t\n .,;:!?'\"-()/%&€\
                         äöüßÄÖÜåÅæÆøØéèêëàâçîïôûùÉÈÀÇñÑãõÃÕíóúÍÓÚ\
-                        İẞǅǄǆΣσςΑα中文連語日本";
+                        İẞǅǄǆΣσςΑα中文連語日本\
+                        \x0b\x0c\r\x1c\x1d\x1e\x1f\x7f\u{85}\u{a0}\u{2009}\u{3000}²½٣";
 
 fn corpora() -> Vec<&'static str> {
     Language::ALL.into_iter().map(Corpus::corpus).collect()

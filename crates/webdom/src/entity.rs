@@ -58,37 +58,30 @@ fn named_entity(name: &str) -> Option<char> {
 /// Handles `&name;`, `&#1234;`, and `&#x1F4A9;` forms. Malformed references
 /// (missing semicolon, unknown name, out-of-range codepoint) are left as-is.
 pub fn decode_entities(input: &str) -> String {
-    if !input.contains('&') {
-        return input.to_string();
-    }
     let mut out = String::with_capacity(input.len());
+    decode_entities_into(input, &mut out);
+    out
+}
+
+/// [`decode_entities`], appending to `out`.
+pub(crate) fn decode_entities_into(input: &str, out: &mut String) {
     let bytes = input.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] != b'&' {
-            // Copy one full UTF-8 character.
-            let ch_len = utf8_len(bytes[i]);
-            out.push_str(&input[i..i + ch_len]);
-            i += ch_len;
-            continue;
-        }
+        // Copy the run up to the next reference as one slice.
+        let Some(rel) = bytes[i..].iter().position(|&b| b == b'&') else {
+            out.push_str(&input[i..]);
+            return;
+        };
+        out.push_str(&input[i..i + rel]);
+        i += rel;
         // Find the terminating semicolon within a reasonable window.
         let window_end = (i + 32).min(bytes.len());
         let semi = bytes[i + 1..window_end].iter().position(|&b| b == b';');
-        match semi {
-            Some(rel) => {
-                let name = &input[i + 1..i + 1 + rel];
-                let decoded = decode_reference(name);
-                match decoded {
-                    Some(c) => {
-                        out.push(c);
-                        i += rel + 2; // skip '&' + name + ';'
-                    }
-                    None => {
-                        out.push('&');
-                        i += 1;
-                    }
-                }
+        match semi.and_then(|rel| Some((rel, decode_reference(&input[i + 1..i + 1 + rel])?))) {
+            Some((rel, c)) => {
+                out.push(c);
+                i += rel + 2; // skip '&' + name + ';'
             }
             None => {
                 out.push('&');
@@ -96,7 +89,6 @@ pub fn decode_entities(input: &str) -> String {
             }
         }
     }
-    out
 }
 
 fn decode_reference(name: &str) -> Option<char> {
@@ -112,19 +104,16 @@ fn decode_reference(name: &str) -> Option<char> {
     }
 }
 
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
 /// Encode the five characters that must be escaped in HTML text and
 /// attribute values.
 pub fn encode_entities(input: &str) -> String {
     let mut out = String::with_capacity(input.len());
+    encode_entities_into(input, &mut out);
+    out
+}
+
+/// [`encode_entities`], appending to `out`.
+pub(crate) fn encode_entities_into(input: &str, out: &mut String) {
     for c in input.chars() {
         match c {
             '&' => out.push_str("&amp;"),
@@ -135,7 +124,6 @@ pub fn encode_entities(input: &str) -> String {
             other => out.push(other),
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -16,9 +16,19 @@
 //! * visible-text extraction ([`Document::visible_text`]) — the
 //!   BeautifulSoup role in the original pipeline,
 //! * serialization that round-trips, including shadow roots
-//!   ([`Document::to_html`]),
-//! * subtree cloning with an id map ([`Document::clone_subtree_mapped`]) —
-//!   the primitive behind the shadow-DOM interaction workaround.
+//!   ([`Document::to_html`]).
+//!
+//! ## Payload layout
+//!
+//! A parsed document keeps its HTML as one `Arc<str>`. Text, comments and
+//! attribute names and values are `u32` [`Span`]s into it, and known tag
+//! names are interned atoms, so parsing copies a payload only when the
+//! source does not hold it verbatim: entity-decoded text and values,
+//! names written in uppercase, script-injected fragments and mutations go
+//! to one owned buffer per document. The tokenizer hands its tokens
+//! straight to the tree builder as byte ranges; no token list is built.
+//! Read payloads through the document ([`Document::tag`],
+//! [`Document::attr`], [`Document::attrs`], [`Document::text`]).
 //!
 //! ## Example
 //!
@@ -56,9 +66,8 @@ pub use selector::{
 };
 pub use style::{Style, OVERLAY_POSITIONS};
 pub use text::normalize_whitespace;
-pub use tokenizer::{tokenize, Token};
 pub use tree::{
     is_void_element, AncestorIter, ChildIter, DescendantIter, Document, ElementData, Node, NodeId,
-    NodeKind, ShadowMode, ShadowRootRef,
+    NodeKind, ShadowMode, ShadowRootRef, Span,
 };
 pub use xpath::{XPath, XPathError};

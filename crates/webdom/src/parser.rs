@@ -1,4 +1,4 @@
-//! Tree builder: token stream → [`Document`].
+//! Tree builder: tokenizer output → [`Document`].
 //!
 //! Implements a pragmatic subset of the WHATWG tree-construction algorithm:
 //! a stack of open elements, void-element handling, implicit `<html>`/`<body>`
@@ -7,20 +7,23 @@
 //! a `<template shadowrootmode="open|closed">` becomes a shadow root attached
 //! to its parent element, which is how the synthetic sites in this study ship
 //! shadow-DOM-embedded cookiewalls over plain HTML.
+//!
+//! The builder is the tokenizer's [`Sink`]: it receives each token as
+//! input ranges and stores them as spans of the document's source (see
+//! the `tree` module), copying only what needs decoding or lowercasing.
 
-use crate::tokenizer::{tokenize, Token};
-use crate::tree::{is_void_element, Document, NodeId, ShadowMode};
+use crate::entity::decode_entities;
+use crate::tokenizer::{tokenize_into, Range, RawAttr, Sink, Text};
+use crate::tree::{is_void_element, Atom, Document, NodeId, ShadowMode, Span, Tag};
+use std::sync::Arc;
 
 /// Parse an HTML string into a [`Document`].
 ///
 /// Never fails: malformed HTML degrades the way browsers degrade it.
 pub fn parse(html: &str) -> Document {
-    let tokens = tokenize(html);
-    let mut doc = Document::new();
-    let mut builder = TreeBuilder::new(&mut doc);
-    for token in tokens {
-        builder.process(token);
-    }
+    let mut doc = Document::with_source(Arc::from(html));
+    let mut builder = TreeBuilder::new(&mut doc, html);
+    tokenize_into(html, &mut builder);
     builder.finish();
     doc
 }
@@ -29,18 +32,30 @@ pub fn parse(html: &str) -> Document {
 /// resulting nodes under `parent` in an existing document.
 ///
 /// Used by the browser simulator for script-driven DOM injection
-/// (`element.innerHTML = …` equivalents).
+/// (`element.innerHTML = …` equivalents). The fragment's text is copied
+/// into the document's owned buffer, and its nodes borrow from that copy.
 pub fn parse_fragment_into(doc: &mut Document, parent: NodeId, html: &str) {
-    let tokens = tokenize(html);
-    let mut builder = TreeBuilder::fragment(doc, parent);
-    for token in tokens {
-        builder.process(token);
-    }
+    let base = doc.own(html).base();
+    let mut builder = TreeBuilder {
+        doc,
+        input: html,
+        base,
+        stack: vec![parent],
+        full_document: false,
+        shadow_templates: Vec::new(),
+        html_seen: true,
+        body_seen: true,
+        head_seen: true,
+    };
+    tokenize_into(html, &mut builder);
     builder.finish();
 }
 
 struct TreeBuilder<'a> {
     doc: &'a mut Document,
+    /// The text being tokenized, and where the document holds it.
+    input: &'a str,
+    base: u32,
     /// Stack of open elements; bottom is the insertion root.
     stack: Vec<NodeId>,
     /// True when building a full document (implicit html/body synthesis).
@@ -54,10 +69,12 @@ struct TreeBuilder<'a> {
 }
 
 impl<'a> TreeBuilder<'a> {
-    fn new(doc: &'a mut Document) -> Self {
+    fn new(doc: &'a mut Document, input: &'a str) -> Self {
         let root = doc.root();
         TreeBuilder {
             doc,
+            input,
+            base: 0,
             stack: vec![root],
             full_document: true,
             shadow_templates: Vec::new(),
@@ -67,20 +84,35 @@ impl<'a> TreeBuilder<'a> {
         }
     }
 
-    fn fragment(doc: &'a mut Document, parent: NodeId) -> Self {
-        TreeBuilder {
-            doc,
-            stack: vec![parent],
-            full_document: false,
-            shadow_templates: Vec::new(),
-            html_seen: true,
-            body_seen: true,
-            head_seen: true,
+    fn top(&self) -> NodeId {
+        *self.stack.last().expect("stack never empty")
+    }
+
+    fn span(&self, (start, end): Range) -> Span {
+        Span::at(self.base, start, end)
+    }
+
+    /// The document's copy of input bytes `run`, entity-decoded.
+    fn decoded(&mut self, (start, end): Range) -> Span {
+        let raw = &self.input[start..end];
+        if raw.contains('&') {
+            self.doc.own_decoded(raw)
+        } else {
+            self.span((start, end))
         }
     }
 
-    fn top(&self) -> NodeId {
-        *self.stack.last().expect("stack never empty")
+    fn add_attrs(&mut self, el: NodeId, attrs: &[RawAttr]) {
+        for attr in attrs {
+            let raw_name = &self.input[attr.name.0..attr.name.1];
+            let name = if raw_name.bytes().any(|b| b.is_ascii_uppercase()) {
+                self.doc.own_lowercase(raw_name)
+            } else {
+                self.span(attr.name)
+            };
+            let value = attr.value.map_or(Span::EMPTY, |v| self.decoded(v));
+            self.doc.put_attr(el, name, value);
+        }
     }
 
     /// Ensure implicit structure exists before inserting content in a full
@@ -90,7 +122,7 @@ impl<'a> TreeBuilder<'a> {
             return;
         }
         if !self.html_seen {
-            let html = self.doc.create_element("html");
+            let html = self.doc.push_element(Tag::Atom(Atom::Html));
             let root = self.doc.root();
             self.doc.append_child(root, html);
             self.stack.push(html);
@@ -111,7 +143,7 @@ impl<'a> TreeBuilder<'a> {
                 .iter()
                 .find(|&&id| self.doc.tag(id) == Some("html"))
                 .unwrap_or(&self.top());
-            let body = self.doc.create_element("body");
+            let body = self.doc.push_element(Tag::Atom(Atom::Body));
             self.doc.append_child(html_el, body);
             // Truncate the stack down to html, then push body.
             while self.stack.len() > 1 && self.doc.tag(self.top()) != Some("html") {
@@ -119,126 +151,6 @@ impl<'a> TreeBuilder<'a> {
             }
             self.stack.push(body);
             self.body_seen = true;
-        }
-    }
-
-    fn process(&mut self, token: Token) {
-        match token {
-            Token::Doctype(_) => {}
-            Token::Comment(text) => {
-                let node = self.doc.create_comment(&text);
-                let top = self.top();
-                self.doc.append_child(top, node);
-            }
-            Token::Text(text) => {
-                let at_top_level =
-                    self.top() == self.doc.root() || self.doc.tag(self.top()) == Some("html");
-                if at_top_level && text.chars().all(|c| c.is_whitespace()) {
-                    // Inter-element whitespace outside body: drop, like the
-                    // "in html"/"before body" insertion modes do.
-                    return;
-                }
-                // Only synthesize <body> when text appears at the top level;
-                // text inside <head>/<title> etc. stays where it is.
-                if at_top_level {
-                    self.ensure_body_context(false);
-                }
-                let node = self.doc.create_text(&text);
-                let top = self.top();
-                self.doc.append_child(top, node);
-            }
-            Token::StartTag {
-                name,
-                attrs,
-                self_closing,
-            } => self.start_tag(&name, attrs, self_closing),
-            Token::EndTag { name } => self.end_tag(&name),
-        }
-    }
-
-    fn start_tag(&mut self, name: &str, attrs: Vec<(String, String)>, self_closing: bool) {
-        match name {
-            "html" if self.full_document => {
-                if !self.html_seen {
-                    let html = self.doc.create_element("html");
-                    for (k, v) in &attrs {
-                        self.doc.set_attr(html, k, v);
-                    }
-                    let root = self.doc.root();
-                    self.doc.append_child(root, html);
-                    self.stack.push(html);
-                    self.html_seen = true;
-                }
-                return;
-            }
-            "head" if self.full_document => {
-                self.ensure_body_context(true);
-                if !self.head_seen {
-                    let head = self.doc.create_element("head");
-                    let top = self.top();
-                    self.doc.append_child(top, head);
-                    self.stack.push(head);
-                    self.head_seen = true;
-                }
-                return;
-            }
-            "body" if self.full_document => {
-                self.ensure_body_context(true);
-                if !self.body_seen {
-                    // Pop back to html.
-                    while self.stack.len() > 1 && self.doc.tag(self.top()) != Some("html") {
-                        self.stack.pop();
-                    }
-                    let body = self.doc.create_element("body");
-                    for (k, v) in &attrs {
-                        self.doc.set_attr(body, k, v);
-                    }
-                    let top = self.top();
-                    self.doc.append_child(top, body);
-                    self.stack.push(body);
-                    self.body_seen = true;
-                }
-                return;
-            }
-            _ => {}
-        }
-
-        let head_content = matches!(name, "meta" | "link" | "title" | "base");
-        self.ensure_body_context(head_content && !self.body_seen);
-
-        // Declarative shadow DOM: <template shadowrootmode=…> attaches a
-        // shadow root to the current insertion point's *parent-to-be*, i.e.
-        // the element currently on top of the stack.
-        if name == "template" {
-            let mode = attrs
-                .iter()
-                .find(|(k, _)| k == "shadowrootmode")
-                .and_then(|(_, v)| ShadowMode::parse(v));
-            if let Some(mode) = mode {
-                let host = self.top();
-                if self.doc.element(host).is_some() && self.doc.shadow_root(host).is_none() {
-                    let sr = self.doc.attach_shadow(host, mode);
-                    self.stack.push(sr);
-                    self.shadow_templates.push(sr);
-                    return;
-                }
-            }
-            // Fall through: ordinary template element.
-        }
-
-        // HTML auto-closing: certain elements implicitly end an open
-        // element of a conflicting kind (<p>text<p>more ⇒ two sibling
-        // paragraphs, <li>…<li> ⇒ sibling list items, …).
-        self.apply_auto_close(name);
-
-        let el = self.doc.create_element(name);
-        for (k, v) in &attrs {
-            self.doc.set_attr(el, k, v);
-        }
-        let top = self.top();
-        self.doc.append_child(top, el);
-        if !self_closing && !is_void_element(name) {
-            self.stack.push(el);
         }
     }
 
@@ -292,8 +204,135 @@ impl<'a> TreeBuilder<'a> {
         }
     }
 
-    fn end_tag(&mut self, name: &str) {
+    fn finish(&mut self) {
+        if self.full_document {
+            self.ensure_body_context(false);
+        }
+    }
+}
+
+impl Sink for TreeBuilder<'_> {
+    fn comment(&mut self, body: Range) {
+        let node = self.doc.push_comment(self.span(body));
+        let top = self.top();
+        self.doc.append_child(top, node);
+    }
+
+    fn text(&mut self, text: Text<'_>) {
+        let span = match text {
+            Text::Encoded(run) => self.decoded(run),
+            Text::Verbatim(run) => self.span(run),
+            Text::Joined(text) => self.doc.own(text),
+        };
+        let at_top_level =
+            self.top() == self.doc.root() || self.doc.tag(self.top()) == Some("html");
+        if at_top_level && self.doc.str(span).chars().all(char::is_whitespace) {
+            // Inter-element whitespace outside body: drop, like the
+            // "in html"/"before body" insertion modes do.
+            return;
+        }
+        // Only synthesize <body> when text appears at the top level;
+        // text inside <head>/<title> etc. stays where it is.
+        if at_top_level {
+            self.ensure_body_context(false);
+        }
+        let node = self.doc.push_text(span);
+        let top = self.top();
+        self.doc.append_child(top, node);
+    }
+
+    fn start_tag(&mut self, name: Range, attrs: &[RawAttr], self_closing: bool) {
+        let tag = self
+            .doc
+            .tag_of(&self.input[name.0..name.1], self.span(name));
+        // The special cases below all concern atoms; any other tag is an
+        // ordinary element.
+        let name = tag.known().unwrap_or("");
+        match name {
+            "html" if self.full_document => {
+                if !self.html_seen {
+                    let html = self.doc.push_element(tag);
+                    self.add_attrs(html, attrs);
+                    let root = self.doc.root();
+                    self.doc.append_child(root, html);
+                    self.stack.push(html);
+                    self.html_seen = true;
+                }
+                return;
+            }
+            "head" if self.full_document => {
+                self.ensure_body_context(true);
+                if !self.head_seen {
+                    let head = self.doc.push_element(tag);
+                    let top = self.top();
+                    self.doc.append_child(top, head);
+                    self.stack.push(head);
+                    self.head_seen = true;
+                }
+                return;
+            }
+            "body" if self.full_document => {
+                self.ensure_body_context(true);
+                if !self.body_seen {
+                    // Pop back to html.
+                    while self.stack.len() > 1 && self.doc.tag(self.top()) != Some("html") {
+                        self.stack.pop();
+                    }
+                    let body = self.doc.push_element(tag);
+                    self.add_attrs(body, attrs);
+                    let top = self.top();
+                    self.doc.append_child(top, body);
+                    self.stack.push(body);
+                    self.body_seen = true;
+                }
+                return;
+            }
+            _ => {}
+        }
+
+        let head_content = matches!(name, "meta" | "link" | "title" | "base");
+        self.ensure_body_context(head_content && !self.body_seen);
+
+        // Declarative shadow DOM: <template shadowrootmode=…> attaches a
+        // shadow root to the current insertion point's *parent-to-be*, i.e.
+        // the element currently on top of the stack.
         if name == "template" {
+            let mode = attrs
+                .iter()
+                .find(|a| self.input[a.name.0..a.name.1].eq_ignore_ascii_case("shadowrootmode"))
+                .and_then(|a| {
+                    let (start, end) = a.value.unwrap_or((0, 0));
+                    ShadowMode::parse(&decode_entities(&self.input[start..end]))
+                });
+            if let Some(mode) = mode {
+                let host = self.top();
+                if self.doc.element(host).is_some() && self.doc.shadow_root(host).is_none() {
+                    let sr = self.doc.attach_shadow(host, mode);
+                    self.stack.push(sr);
+                    self.shadow_templates.push(sr);
+                    return;
+                }
+            }
+            // Fall through: ordinary template element.
+        }
+
+        // HTML auto-closing: certain elements implicitly end an open
+        // element of a conflicting kind (<p>text<p>more ⇒ two sibling
+        // paragraphs, <li>…<li> ⇒ sibling list items, …).
+        self.apply_auto_close(name);
+
+        let el = self.doc.push_element(tag);
+        self.add_attrs(el, attrs);
+        let top = self.top();
+        self.doc.append_child(top, el);
+        if !self_closing && !is_void_element(name) {
+            self.stack.push(el);
+        }
+    }
+
+    fn end_tag(&mut self, name: Range) {
+        let name = &self.input[name.0..name.1];
+        if name.eq_ignore_ascii_case("template") {
             // Close a declarative shadow root if one is open.
             if let Some(sr) = self.shadow_templates.last().copied() {
                 if let Some(pos) = self.stack.iter().rposition(|&id| id == sr) {
@@ -303,7 +342,9 @@ impl<'a> TreeBuilder<'a> {
                 }
             }
         }
-        if self.full_document && (name == "html" || name == "body") {
+        if self.full_document
+            && (name.eq_ignore_ascii_case("html") || name.eq_ignore_ascii_case("body"))
+        {
             // Keep them open until finish(); trailing content still lands in
             // body, matching browser behaviour.
             return;
@@ -317,19 +358,17 @@ impl<'a> TreeBuilder<'a> {
             .unwrap_or(0);
         let matching = self.stack[boundary..]
             .iter()
-            .rposition(|&id| self.doc.tag(id) == Some(name))
+            .rposition(|&id| {
+                self.doc
+                    .tag(id)
+                    .is_some_and(|t| t.eq_ignore_ascii_case(name))
+            })
             .map(|rel| boundary + rel);
         if let Some(pos) = matching {
             self.stack.truncate(pos);
             if self.stack.is_empty() {
                 self.stack.push(self.doc.root());
             }
-        }
-    }
-
-    fn finish(&mut self) {
-        if self.full_document {
-            self.ensure_body_context(false);
         }
     }
 }
@@ -346,7 +385,7 @@ mod tests {
         let p = d.children(body).next().unwrap();
         assert_eq!(d.tag(p), Some("p"));
         let t = d.children(p).next().unwrap();
-        assert_eq!(d.node(t).as_text(), Some("hi"));
+        assert_eq!(d.text(t), Some("hi"));
     }
 
     #[test]
@@ -376,7 +415,7 @@ mod tests {
         let div = d.children(body).next().unwrap();
         let kids: Vec<_> = d.children(div).collect();
         assert_eq!(d.tag(kids[0]), Some("span"));
-        assert_eq!(d.node(kids[1]).as_text(), Some("d"));
+        assert_eq!(d.text(kids[1]), Some("d"));
     }
 
     #[test]
@@ -472,8 +511,36 @@ mod tests {
         let d = parse("hello <b>world</b>");
         let body = d.body().unwrap();
         let kids: Vec<_> = d.children(body).collect();
-        assert_eq!(d.node(kids[0]).as_text(), Some("hello "));
+        assert_eq!(d.text(kids[0]), Some("hello "));
         assert_eq!(d.tag(kids[1]), Some("b"));
+    }
+
+    #[test]
+    fn payloads_borrow_from_the_source_unless_decoded() {
+        let d = parse(r#"<P Title="a&amp;b" id=x>plain<i>&lt;tag&gt;</i></P>"#);
+        let p = d.get_element_by_id("x").unwrap();
+        assert_eq!(d.tag(p), Some("p"));
+        assert_eq!(
+            d.attrs(p).collect::<Vec<_>>(),
+            vec![("title", "a&b"), ("id", "x")]
+        );
+        let texts: Vec<_> = d.descendants(p).filter_map(|n| d.text(n)).collect();
+        assert_eq!(texts, vec!["plain", "<tag>"]);
+        // Only the lowercased name and the two decoded payloads were copied.
+        assert_eq!(d.owned_len(), "titlea&b<tag>".len());
+    }
+
+    #[test]
+    fn fragment_payloads_survive_later_growth() {
+        let mut d = parse("<div id=t></div>");
+        let t = d.get_element_by_id("t").unwrap();
+        parse_fragment_into(&mut d, t, "<b class=k>one &amp; two</b>");
+        for i in 0..100 {
+            d.create_text(&format!("filler {i}"));
+        }
+        let b = d.children(t).next().unwrap();
+        assert_eq!(d.attr(b, "class"), Some("k"));
+        assert_eq!(d.visible_text(b), "one & two");
     }
 
     #[test]

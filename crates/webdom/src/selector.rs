@@ -16,7 +16,7 @@
 //! same opacity real CSS selectors (and Selenium lookups, per the paper §3)
 //! exhibit.
 
-use crate::tree::{Document, ElementData, NodeId};
+use crate::tree::{Document, NodeId};
 use std::fmt;
 
 /// Error produced when a selector string cannot be parsed.
@@ -81,17 +81,19 @@ pub struct Compound {
 }
 
 impl Compound {
-    /// Does element `e` satisfy every constraint of this compound?
-    pub fn matches(&self, e: &ElementData) -> bool {
-        if let Some(tag) = &self.tag {
-            if e.tag != *tag {
-                return false;
-            }
+    /// Does element `id` of `doc` satisfy every constraint of this
+    /// compound?
+    pub fn matches(&self, doc: &Document, id: NodeId) -> bool {
+        let Some(tag) = doc.tag(id) else {
+            return false;
+        };
+        if self.tag.as_deref().is_some_and(|want| want != tag) {
+            return false;
         }
         self.simples.iter().all(|s| match s {
-            Simple::Id(id) => e.id() == Some(id.as_str()),
-            Simple::Class(c) => e.has_class(c),
-            Simple::Attr { name, op } => match e.attr(name) {
+            Simple::Id(want) => doc.attr(id, "id") == Some(want.as_str()),
+            Simple::Class(c) => doc.has_class(id, c),
+            Simple::Attr { name, op } => match doc.attr(id, name) {
                 None => false,
                 Some(v) => match op {
                     AttrOp::Exists => true,
@@ -146,14 +148,8 @@ impl Selector {
     /// Match this selector against element `id` (right-to-left with ancestor
     /// backtracking for descendant combinators).
     pub fn matches(&self, doc: &Document, id: NodeId) -> bool {
-        let Some(e) = doc.element(id) else {
-            return false;
-        };
         let last = self.parts.len() - 1;
-        if !self.parts[last].1.matches(e) {
-            return false;
-        }
-        self.match_ancestors(doc, id, last)
+        self.parts[last].1.matches(doc, id) && self.match_ancestors(doc, id, last)
     }
 
     fn match_ancestors(&self, doc: &Document, id: NodeId, part_idx: usize) -> bool {
@@ -167,20 +163,13 @@ impl Selector {
                 let Some(parent) = doc.node(id).parent else {
                     return false;
                 };
-                match doc.element(parent) {
-                    Some(pe) if target.matches(pe) => {
-                        self.match_ancestors(doc, parent, part_idx - 1)
-                    }
-                    _ => false,
-                }
+                target.matches(doc, parent) && self.match_ancestors(doc, parent, part_idx - 1)
             }
             Combinator::Descendant => {
                 let mut cursor = doc.node(id).parent;
                 while let Some(anc) = cursor {
-                    if let Some(ae) = doc.element(anc) {
-                        if target.matches(ae) && self.match_ancestors(doc, anc, part_idx - 1) {
-                            return true;
-                        }
+                    if target.matches(doc, anc) && self.match_ancestors(doc, anc, part_idx - 1) {
+                        return true;
                     }
                     cursor = doc.node(anc).parent;
                 }

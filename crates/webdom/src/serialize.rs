@@ -6,7 +6,7 @@
 //! generated page survives the generator → HTTP body → browser-parse journey
 //! with its shadow DOM intact.
 
-use crate::entity::encode_entities;
+use crate::entity::encode_entities_into;
 use crate::tree::{is_void_element, Document, NodeId, NodeKind};
 
 impl Document {
@@ -40,27 +40,28 @@ impl Document {
                     self.write_node(c, out);
                 }
             }
-            NodeKind::Text(t) => out.push_str(&encode_entities(t)),
+            NodeKind::Text(t) => encode_entities_into(self.str(*t), out),
             NodeKind::Comment(t) => {
                 out.push_str("<!--");
-                out.push_str(t);
+                out.push_str(self.str(*t));
                 out.push_str("-->");
             }
             NodeKind::Element(e) => {
+                let tag = self.tag(id).unwrap_or("");
                 out.push('<');
-                out.push_str(&e.tag);
-                for (k, v) in &e.attrs {
+                out.push_str(tag);
+                for (k, v) in self.attrs(id) {
                     out.push(' ');
                     out.push_str(k);
                     out.push_str("=\"");
-                    out.push_str(&encode_entities(v));
+                    encode_entities_into(v, out);
                     out.push('"');
                 }
                 out.push('>');
-                if is_void_element(&e.tag) {
+                if is_void_element(tag) {
                     return;
                 }
-                let raw = matches!(e.tag.as_str(), "script" | "style");
+                let raw = matches!(tag, "script" | "style");
                 // Declarative shadow root first, so the parser re-attaches it
                 // to this element.
                 if let Some(sref) = e.shadow_root {
@@ -76,7 +77,7 @@ impl Document {
                     if raw {
                         // Raw text elements: emit text verbatim (no entity
                         // encoding — entities are inactive there).
-                        if let NodeKind::Text(t) = &self.node(c).kind {
+                        if let Some(t) = self.text(c) {
                             out.push_str(t);
                             continue;
                         }
@@ -84,7 +85,7 @@ impl Document {
                     self.write_node(c, out);
                 }
                 out.push_str("</");
-                out.push_str(&e.tag);
+                out.push_str(tag);
                 out.push('>');
             }
         }

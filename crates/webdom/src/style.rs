@@ -5,54 +5,42 @@
 //! `getComputedStyle`. Our synthetic pages carry these as inline `style`
 //! attributes, so a small declaration parser is all that's needed.
 
-use std::collections::BTreeMap;
-
-/// Parsed inline style declarations (property → value, properties
-/// lowercased, values trimmed). `BTreeMap` keeps iteration deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Style {
-    decls: BTreeMap<String, String>,
+/// An inline style declaration list, read in place: each query scans the
+/// `style` attribute's text, so a style costs nothing to make.
+/// Properties compare ASCII case-insensitively, values come back trimmed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Style<'a> {
+    decls: &'a str,
 }
 
 /// CSS `position` values that take an element out of normal flow and pin it
 /// to the viewport — the strongest banner-overlay signal.
 pub const OVERLAY_POSITIONS: &[&str] = &["fixed", "sticky"];
 
-impl Style {
-    /// Parse a `style` attribute value like
+impl<'a> Style<'a> {
+    /// A style attribute value like
     /// `"position: fixed; z-index: 9999; display:none"`.
     ///
-    /// Malformed declarations (missing colon) are skipped; later duplicates
-    /// win, as in CSS.
-    // lint:allow(r9) — the DOM/AST owns its text, attributes, and error strings; ROADMAP item 1
-    pub fn parse(input: &str) -> Self {
-        let mut decls = BTreeMap::new();
-        for decl in input.split(';') {
-            let Some((prop, value)) = decl.split_once(':') else {
-                continue;
-            };
-            let prop = prop.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if !prop.is_empty() && !value.is_empty() {
-                decls.insert(prop, value);
-            }
-        }
-        Style { decls }
+    /// Malformed declarations (missing colon, empty property or value) are
+    /// skipped; later duplicates win, as in CSS.
+    pub fn parse(input: &'a str) -> Self {
+        Style { decls: input }
     }
 
     /// Value of `property` (lowercase), if declared.
-    pub fn get(&self, property: &str) -> Option<&str> {
-        self.decls.get(property).map(|s| s.as_str())
-    }
-
-    /// Number of declarations.
-    pub fn len(&self) -> usize {
-        self.decls.len()
-    }
-
-    /// True if no declarations were parsed.
-    pub fn is_empty(&self) -> bool {
-        self.decls.is_empty()
+    pub fn get(&self, property: &str) -> Option<&'a str> {
+        // The last declaration wins, so search from the end.
+        self.decls.split(';').rev().find_map(|decl| {
+            let (prop, value) = decl.split_once(':')?;
+            let (prop, value) = (prop.trim(), value.trim());
+            let named = !prop.is_empty()
+                && prop.len() == property.len()
+                && prop
+                    .bytes()
+                    .zip(property.bytes())
+                    .all(|(p, q)| p.to_ascii_lowercase() == q);
+            (named && !value.is_empty()).then_some(value)
+        })
     }
 
     /// `z-index` as an integer, if declared and numeric.
@@ -63,7 +51,7 @@ impl Style {
     /// True if the element is pinned to the viewport (fixed/sticky).
     pub fn is_overlay_positioned(&self) -> bool {
         self.get("position")
-            .is_some_and(|p| OVERLAY_POSITIONS.contains(&p.to_ascii_lowercase().as_str()))
+            .is_some_and(|p| OVERLAY_POSITIONS.iter().any(|o| p.eq_ignore_ascii_case(o)))
     }
 
     /// True if the element is hidden (`display:none` or
@@ -75,17 +63,12 @@ impl Style {
                 .get("visibility")
                 .is_some_and(|v| v.eq_ignore_ascii_case("hidden"))
     }
-
-    /// Iterate `(property, value)` pairs in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.decls.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
 }
 
 impl crate::tree::Document {
-    /// Parsed inline style of element `id` (empty if no `style` attribute).
-    pub fn style(&self, id: crate::tree::NodeId) -> Style {
-        self.attr(id, "style").map(Style::parse).unwrap_or_default()
+    /// Inline style of element `id` (empty if no `style` attribute).
+    pub fn style(&self, id: crate::tree::NodeId) -> Style<'_> {
+        Style::parse(self.attr(id, "style").unwrap_or(""))
     }
 }
 
@@ -100,20 +83,27 @@ mod tests {
         assert_eq!(s.get("position"), Some("fixed"));
         assert_eq!(s.z_index(), Some(9999));
         assert_eq!(s.get("color"), Some("red"));
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.get("margin"), None);
     }
 
     #[test]
     fn tolerates_malformed() {
         let s = Style::parse("nonsense; position:fixed;;; : ; x:");
-        assert_eq!(s.len(), 1);
         assert!(s.is_overlay_positioned());
+        assert_eq!(s.get("nonsense"), None);
+        assert_eq!(s.get("x"), None);
+        assert_eq!(s.get(""), None);
     }
 
     #[test]
     fn later_duplicates_win() {
         let s = Style::parse("display:block; display:none");
         assert!(s.is_hidden());
+        // An empty later value does not override.
+        assert_eq!(
+            Style::parse("Display:none; display:").get("display"),
+            Some("none")
+        );
     }
 
     #[test]
@@ -123,7 +113,7 @@ mod tests {
         assert!(!Style::parse("position:absolute").is_overlay_positioned());
         assert!(Style::parse("visibility:hidden").is_hidden());
         assert!(!Style::parse("visibility:visible").is_hidden());
-        assert!(Style::parse("").is_empty());
+        assert_eq!(Style::parse(""), Style::default());
     }
 
     #[test]
@@ -133,7 +123,7 @@ mod tests {
         assert!(d.style(b).is_overlay_positioned());
         assert_eq!(d.style(b).z_index(), Some(100000));
         let p = d.get_element_by_id("p").unwrap();
-        assert!(d.style(p).is_empty());
+        assert_eq!(d.style(p), Style::default());
     }
 
     #[test]

@@ -21,9 +21,9 @@ impl Document {
     /// banner text behind those boundaries must pierce first (as the
     /// paper's workaround does) and extract from the inner scope.
     pub fn visible_text(&self, id: NodeId) -> String {
-        let mut out = String::new();
+        let mut out = Normalizer::new(String::new());
         self.collect_text(id, &mut out);
-        normalize_whitespace(&out)
+        out.finish()
     }
 
     /// Raw concatenated text content of the subtree (no visibility rules,
@@ -31,39 +31,37 @@ impl Document {
     pub fn text_content(&self, id: NodeId) -> String {
         let mut out = String::new();
         for n in self.descendants(id) {
-            if let NodeKind::Text(t) = &self.node(n).kind {
+            if let Some(t) = self.text(n) {
                 out.push_str(t);
             }
         }
         out
     }
 
-    fn collect_text(&self, id: NodeId, out: &mut String) {
+    fn collect_text(&self, id: NodeId, out: &mut Normalizer) {
         match &self.node(id).kind {
-            NodeKind::Text(t) => out.push_str(t),
+            NodeKind::Text(_) => out.push_str(self.text(id).unwrap_or("")),
             NodeKind::Comment(_) => {}
-            NodeKind::Element(e) => {
-                if INVISIBLE_TAGS.contains(&e.tag.as_str())
-                    || e.attr("hidden").is_some()
+            NodeKind::Element(_) => {
+                if INVISIBLE_TAGS.contains(&self.tag(id).unwrap_or(""))
+                    || self.attr(id, "hidden").is_some()
                     || self.style(id).is_hidden()
                 {
                     // Invisible subtree still acts as a word boundary so
                     // surrounding text runs don't glue together.
-                    out.push(' ');
+                    out.push_str(" ");
                     return;
                 }
                 // Block-level boundaries become a space so "…</p><p>…" does
                 // not glue words together.
-                out.push(' ');
-                let children: Vec<NodeId> = self.children(id).collect();
-                for c in children {
+                out.push_str(" ");
+                for c in self.children(id) {
                     self.collect_text(c, out);
                 }
-                out.push(' ');
+                out.push_str(" ");
             }
             NodeKind::Document | NodeKind::ShadowRoot(_) => {
-                let children: Vec<NodeId> = self.children(id).collect();
-                for c in children {
+                for c in self.children(id) {
                     self.collect_text(c, out);
                 }
             }
@@ -71,25 +69,57 @@ impl Document {
     }
 }
 
-/// Collapse whitespace runs to single spaces and trim the ends.
-pub fn normalize_whitespace(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut in_ws = true; // leading whitespace is dropped
-    for c in s.chars() {
-        if c.is_whitespace() {
-            if !in_ws {
-                out.push(' ');
-                in_ws = true;
+/// Whitespace normalization applied while text is appended: the same
+/// result as normalizing the concatenation, without building it first.
+struct Normalizer {
+    out: String,
+    /// The last character written was a space, or nothing was written
+    /// (leading whitespace is dropped).
+    in_ws: bool,
+}
+
+impl Normalizer {
+    fn new(out: String) -> Self {
+        Normalizer { out, in_ws: true }
+    }
+
+    fn push_str(&mut self, s: &str) {
+        let mut rest = s;
+        while !rest.is_empty() {
+            // A run of non-whitespace, copied as one slice.
+            let word = rest.find(char::is_whitespace).unwrap_or(rest.len());
+            if word > 0 {
+                self.out.push_str(&rest[..word]);
+                self.in_ws = false;
+                rest = &rest[word..];
             }
-        } else {
-            out.push(c);
-            in_ws = false;
+            // A run of whitespace, written as at most one space.
+            let space = rest
+                .find(|c: char| !c.is_whitespace())
+                .unwrap_or(rest.len());
+            if space > 0 {
+                if !self.in_ws {
+                    self.out.push(' ');
+                    self.in_ws = true;
+                }
+                rest = &rest[space..];
+            }
         }
     }
-    while out.ends_with(' ') {
-        out.pop();
+
+    fn finish(mut self) -> String {
+        while self.out.ends_with(' ') {
+            self.out.pop();
+        }
+        self.out
     }
-    out
+}
+
+/// Collapse whitespace runs to single spaces and trim the ends.
+pub fn normalize_whitespace(s: &str) -> String {
+    let mut out = Normalizer::new(String::with_capacity(s.len()));
+    out.push_str(s);
+    out.finish()
 }
 
 #[cfg(test)]

@@ -4,6 +4,25 @@
 //! through [`NodeId`] indices. This mirrors how browser engines store DOM
 //! trees and keeps the borrow checker out of tree-walking code.
 //!
+//! ## Payload layout
+//!
+//! Payloads borrow from the HTML they were parsed from. A document keeps
+//! that source as one `Arc<str>`, and text, comments and attribute names
+//! and values are [`Span`]s: `u32` byte ranges into it. Tag names the
+//! parser knows are atoms, indices into a static name table; any other
+//! tag name is a span. Whatever the source does not hold verbatim goes to
+//! one append-only owned buffer per document, and a span with its top bit
+//! set points there. The owned buffer holds:
+//!
+//! - entity-decoded text and attribute values;
+//! - names the source spells in uppercase, lowercased;
+//! - script-injected fragments ([`crate::parse_fragment_into`]);
+//! - every mutation ([`Document::create_text`], [`Document::set_attr`], …).
+//!
+//! The attributes of all elements share one table, and each element holds
+//! the range of its own. Parsing a page therefore grows a few vectors; it
+//! does not allocate a string per node.
+//!
 //! Shadow roots are stored as ordinary subtrees inside the same arena whose
 //! root node has kind [`NodeKind::ShadowRoot`] and no parent in the light
 //! tree; the host element points at the shadow root through
@@ -11,8 +30,8 @@
 //! engine deliberately do *not* descend into shadow roots — exactly the
 //! opacity the paper's shadow-DOM workaround (§3) has to pierce.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node inside a [`Document`] arena.
 ///
@@ -33,6 +52,111 @@ impl NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "#{}", self.0)
+    }
+}
+
+/// A node payload's bytes: a range of its document's source, or of the
+/// document's owned buffer when the top bit of `start` is set. Read one
+/// through the [`Document`] that made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    start: u32,
+    len: u32,
+}
+
+/// The `start` bit that marks a span into the owned buffer.
+const OWNED: u32 = 1 << 31;
+
+impl Span {
+    /// The empty span (a boolean attribute's value).
+    pub(crate) const EMPTY: Span = Span { start: 0, len: 0 };
+
+    /// Bytes `start..end` of the text whose first byte is at `base`.
+    pub(crate) fn at(base: u32, start: usize, end: usize) -> Span {
+        Span {
+            start: base + start as u32,
+            len: (end - start) as u32,
+        }
+    }
+
+    /// Where this span starts, as a `base` for [`Span::at`].
+    pub(crate) fn base(self) -> u32 {
+        self.start
+    }
+}
+
+macro_rules! atoms {
+    ($($variant:ident = $name:literal,)*) => {
+        /// A tag name the parser knows, stored as a small integer.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Atom {
+            $($variant,)*
+        }
+
+        impl Atom {
+            fn as_str(self) -> &'static str {
+                match self {
+                    $(Atom::$variant => $name,)*
+                }
+            }
+
+            /// The atom of the lowercase tag name `name`, if it has one.
+            fn lookup(name: &str) -> Option<Atom> {
+                match name {
+                    $($name => Some(Atom::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+atoms! {
+    A = "a", Abbr = "abbr", Address = "address", Area = "area", Article = "article",
+    Aside = "aside", Audio = "audio", B = "b", Base = "base", Blockquote = "blockquote",
+    Body = "body", Br = "br", Button = "button", Canvas = "canvas", Caption = "caption",
+    Code = "code", Col = "col", Dd = "dd", Details = "details", Dialog = "dialog",
+    Div = "div", Dl = "dl", Dt = "dt", Em = "em", Embed = "embed", Fieldset = "fieldset",
+    Figure = "figure", Footer = "footer", Form = "form", H1 = "h1", H2 = "h2", H3 = "h3",
+    H4 = "h4", H5 = "h5", H6 = "h6", Head = "head", Header = "header", Hr = "hr",
+    Html = "html", I = "i", Iframe = "iframe", Img = "img", Input = "input",
+    Label = "label", Legend = "legend", Li = "li", Link = "link", Main = "main",
+    Meta = "meta", Nav = "nav", Noscript = "noscript", Ol = "ol", Option = "option",
+    P = "p", Param = "param", Pre = "pre", Script = "script", Section = "section",
+    Select = "select", Small = "small", Source = "source", Span = "span",
+    Strong = "strong", Style = "style", Summary = "summary", Svg = "svg",
+    Table = "table", Tbody = "tbody", Td = "td", Template = "template",
+    Textarea = "textarea", Th = "th", Thead = "thead", Title = "title", Tr = "tr",
+    Track = "track", U = "u", Ul = "ul", Video = "video", Wbr = "wbr",
+}
+
+/// The atom of tag name `name`, compared ASCII case-insensitively.
+fn atom_of(name: &str) -> Option<Atom> {
+    if !name.bytes().any(|b| b.is_ascii_uppercase()) {
+        return Atom::lookup(name);
+    }
+    // No known name is longer than this buffer.
+    let mut buf = [0u8; 16];
+    let lower = buf.get_mut(..name.len())?;
+    lower.copy_from_slice(name.as_bytes());
+    lower.make_ascii_lowercase();
+    Atom::lookup(std::str::from_utf8(lower).ok()?)
+}
+
+/// An element's lowercase tag name: an atom, or a span holding the name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tag {
+    Atom(Atom),
+    Other(Span),
+}
+
+impl Tag {
+    /// The name, if it is an atom's.
+    pub(crate) fn known(self) -> Option<&'static str> {
+        match self {
+            Tag::Atom(atom) => Some(atom.as_str()),
+            Tag::Other(_) => None,
+        }
     }
 }
 
@@ -63,24 +187,35 @@ impl ShadowMode {
 
     /// Parse from a `shadowrootmode` attribute value.
     pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "open" => Some(ShadowMode::Open),
-            "closed" => Some(ShadowMode::Closed),
-            _ => None,
+        let s = s.trim();
+        if s.eq_ignore_ascii_case("open") {
+            Some(ShadowMode::Open)
+        } else if s.eq_ignore_ascii_case("closed") {
+            Some(ShadowMode::Closed)
+        } else {
+            None
         }
     }
 }
 
-/// Payload of an element node.
+/// Payload of an element node. Its tag and attributes are read through
+/// the [`Document`]: [`Document::tag`], [`Document::attr`],
+/// [`Document::attrs`].
 #[derive(Debug, Clone)]
 pub struct ElementData {
-    /// Tag name, always lowercase (`div`, `iframe`, …).
-    pub tag: String,
-    /// Attributes in document order. Lookup helpers treat names
-    /// case-insensitively and return the first match, like browsers do.
-    pub attrs: Vec<(String, String)>,
+    tag: Tag,
+    /// This element's range of the document's attribute table.
+    attrs_start: u32,
+    attrs_len: u32,
     /// Shadow root attached to this element, if any.
     pub shadow_root: Option<ShadowRootRef>,
+}
+
+impl ElementData {
+    fn attr_range(&self) -> std::ops::Range<usize> {
+        let start = self.attrs_start as usize;
+        start..start + self.attrs_len as usize
+    }
 }
 
 /// Host element's reference to its shadow root subtree.
@@ -92,30 +227,11 @@ pub struct ShadowRootRef {
     pub mode: ShadowMode,
 }
 
-impl ElementData {
-    /// First value of attribute `name` (ASCII case-insensitive), if present.
-    pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// `id` attribute, if present.
-    pub fn id(&self) -> Option<&str> {
-        self.attr("id")
-    }
-
-    /// Whitespace-separated class list from the `class` attribute.
-    pub fn classes(&self) -> impl Iterator<Item = &str> {
-        self.attr("class").unwrap_or("").split_ascii_whitespace()
-    }
-
-    /// True if the class list contains `class_name` (case-sensitive, like
-    /// the DOM's `classList.contains`).
-    pub fn has_class(&self, class_name: &str) -> bool {
-        self.classes().any(|c| c == class_name)
-    }
+/// One attribute: lowercase name and value.
+#[derive(Debug, Clone, Copy)]
+struct Attr {
+    name: Span,
+    value: Span,
 }
 
 /// What a node is.
@@ -125,10 +241,10 @@ pub enum NodeKind {
     Document,
     /// An element with tag, attributes, and possibly a shadow root.
     Element(ElementData),
-    /// A text node (already entity-decoded).
-    Text(String),
+    /// A text node (already entity-decoded); see [`Document::text`].
+    Text(Span),
     /// A comment (`<!-- … -->`); ignored by text extraction.
-    Comment(String),
+    Comment(Span),
     /// Root of a shadow subtree. Its children are the shadow DOM contents.
     ShadowRoot(ShadowMode),
 }
@@ -169,14 +285,6 @@ impl Node {
             _ => None,
         }
     }
-
-    /// Text payload, if this node is a text node.
-    pub fn as_text(&self) -> Option<&str> {
-        match &self.kind {
-            NodeKind::Text(t) => Some(t.as_str()),
-            _ => None,
-        }
-    }
 }
 
 /// Void elements (never have children, no closing tag).
@@ -190,11 +298,17 @@ pub fn is_void_element(tag: &str) -> bool {
     VOID_ELEMENTS.contains(&tag)
 }
 
-/// A DOM document: flat node arena plus the root id.
+/// A DOM document: flat node arena plus the root id, the source its
+/// payloads borrow from, and the owned buffer for the rest.
 #[derive(Debug, Clone)]
 pub struct Document {
     nodes: Vec<Node>,
     root: NodeId,
+    source: Arc<str>,
+    owned: String,
+    attrs: Vec<Attr>,
+    /// Every element with a shadow root attached, in arena order.
+    shadow_hosts: Vec<NodeId>,
 }
 
 impl Default for Document {
@@ -206,9 +320,25 @@ impl Default for Document {
 impl Document {
     /// Create an empty document containing only the document root node.
     pub fn new() -> Self {
+        Self::with_source(Arc::from(""))
+    }
+
+    /// An empty document whose payloads will borrow from `source`.
+    ///
+    /// # Panics
+    /// Panics if `source` is 2 GiB or longer.
+    pub(crate) fn with_source(source: Arc<str>) -> Self {
+        assert!(
+            source.len() < OWNED as usize,
+            "documents of 2 GiB or more are not supported"
+        );
         Document {
             nodes: vec![Node::new(NodeKind::Document)],
             root: NodeId(0),
+            source,
+            owned: String::new(),
+            attrs: Vec::new(),
+            shadow_hosts: Vec::new(),
         }
     }
 
@@ -235,8 +365,7 @@ impl Document {
         &self.nodes[id.index()]
     }
 
-    /// Mutably borrow a node.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
+    fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.index()]
     }
 
@@ -245,14 +374,105 @@ impl Document {
         self.node(id).as_element()
     }
 
-    /// Tag name of `id`, if it is an element.
+    /// Tag name of `id` (lowercase), if it is an element.
     pub fn tag(&self, id: NodeId) -> Option<&str> {
-        self.element(id).map(|e| e.tag.as_str())
+        self.element(id).map(|e| match e.tag {
+            Tag::Atom(atom) => atom.as_str(),
+            Tag::Other(span) => self.str(span),
+        })
     }
 
-    /// Attribute `name` on element `id`.
+    /// Attributes of element `id` in document order, names lowercase
+    /// (empty for other nodes).
+    pub fn attrs(&self, id: NodeId) -> impl Iterator<Item = (&str, &str)> + '_ {
+        let range = self.element(id).map_or(0..0, ElementData::attr_range);
+        self.attrs[range]
+            .iter()
+            .map(|a| (self.str(a.name), self.str(a.value)))
+    }
+
+    /// First value of attribute `name` (ASCII case-insensitive) on element
+    /// `id`, like browsers do.
     pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
-        self.element(id).and_then(|e| e.attr(name))
+        let e = self.element(id)?;
+        self.attrs[e.attr_range()]
+            .iter()
+            .find(|a| {
+                a.name.len as usize == name.len() && self.str(a.name).eq_ignore_ascii_case(name)
+            })
+            .map(|a| self.str(a.value))
+    }
+
+    /// True if the class list of element `id` contains `class_name`
+    /// (case-sensitive, like the DOM's `classList.contains`).
+    pub fn has_class(&self, id: NodeId, class_name: &str) -> bool {
+        self.attr(id, "class")
+            .is_some_and(|c| c.split_ascii_whitespace().any(|c| c == class_name))
+    }
+
+    /// Payload of text node `id`, if it is one.
+    pub fn text(&self, id: NodeId) -> Option<&str> {
+        match self.node(id).kind {
+            NodeKind::Text(span) => Some(self.str(span)),
+            _ => None,
+        }
+    }
+
+    /// Bytes in the owned buffer (what parsing had to copy).
+    #[cfg(test)]
+    pub(crate) fn owned_len(&self) -> usize {
+        self.owned.len()
+    }
+
+    /// The bytes `span` covers.
+    pub(crate) fn str(&self, span: Span) -> &str {
+        let (text, start) = if span.start & OWNED == 0 {
+            (&*self.source, span.start)
+        } else {
+            (self.owned.as_str(), span.start & !OWNED)
+        };
+        &text[start as usize..(start + span.len) as usize]
+    }
+
+    /// Append what `write` pushes to the owned buffer and span it.
+    fn own_with(&mut self, write: impl FnOnce(&mut String)) -> Span {
+        let start = self.owned.len();
+        write(&mut self.owned);
+        assert!(
+            self.owned.len() < OWNED as usize,
+            "a document's owned text is limited to 2 GiB"
+        );
+        Span::at(OWNED, start, self.owned.len())
+    }
+
+    /// A copy of `text` in the owned buffer.
+    pub(crate) fn own(&mut self, text: &str) -> Span {
+        self.own_with(|owned| owned.push_str(text))
+    }
+
+    /// An ASCII-lowercased copy of `text` in the owned buffer.
+    pub(crate) fn own_lowercase(&mut self, text: &str) -> Span {
+        self.own_with(|owned| {
+            let start = owned.len();
+            owned.push_str(text);
+            owned[start..].make_ascii_lowercase();
+        })
+    }
+
+    /// The entity-decoded `raw` in the owned buffer.
+    pub(crate) fn own_decoded(&mut self, raw: &str) -> Span {
+        self.own_with(|owned| crate::entity::decode_entities_into(raw, owned))
+    }
+
+    /// The tag of name `name`, which `name_span` holds verbatim.
+    pub(crate) fn tag_of(&mut self, name: &str, name_span: Span) -> Tag {
+        match atom_of(name) {
+            Some(atom) => Tag::Atom(atom),
+            None if name.bytes().any(|b| b.is_ascii_uppercase()) => {
+                Tag::Other(self.own_lowercase(name))
+            }
+            None => Tag::Other(name_span),
+        }
     }
 
     // ---------------------------------------------------------------- build
@@ -263,44 +483,87 @@ impl Document {
         id
     }
 
-    /// Create a detached element node.
-    pub fn create_element(&mut self, tag: &str) -> NodeId {
+    /// Create a detached element node of tag `tag`.
+    pub(crate) fn push_element(&mut self, tag: Tag) -> NodeId {
+        let attrs_start = self.attrs.len() as u32;
         self.push(Node::new(NodeKind::Element(ElementData {
-            tag: tag.to_ascii_lowercase(),
-            attrs: Vec::new(),
+            tag,
+            attrs_start,
+            attrs_len: 0,
             shadow_root: None,
         })))
     }
 
+    /// Create a detached text node holding `span`.
+    pub(crate) fn push_text(&mut self, span: Span) -> NodeId {
+        self.push(Node::new(NodeKind::Text(span)))
+    }
+
+    /// Create a detached comment node holding `span`.
+    pub(crate) fn push_comment(&mut self, span: Span) -> NodeId {
+        self.push(Node::new(NodeKind::Comment(span)))
+    }
+
+    /// Set attribute `name` (a lowercase span) to `value` on element `id`,
+    /// replacing the value of an attribute already so named.
+    ///
+    /// # Panics
+    /// Panics if `id` is not an element.
+    pub(crate) fn put_attr(&mut self, id: NodeId, name: Span, value: Span) {
+        let NodeKind::Element(e) = &self.nodes[id.index()].kind else {
+            panic!("set_attr on non-element node: {:?}", self.node(id).kind);
+        };
+        let std::ops::Range { start, end } = e.attr_range();
+        let wanted = self.str(name);
+        if let Some(i) = (start..end).find(|&i| self.str(self.attrs[i].name) == wanted) {
+            self.attrs[i].value = value;
+            return;
+        }
+        // An element's attributes stay contiguous: move them to the end
+        // of the table unless they already are.
+        let start = if end == self.attrs.len() {
+            start
+        } else {
+            let moved = self.attrs.len();
+            self.attrs.extend_from_within(start..end);
+            moved
+        };
+        self.attrs.push(Attr { name, value });
+        if let NodeKind::Element(e) = &mut self.nodes[id.index()].kind {
+            e.attrs_start = start as u32;
+            e.attrs_len += 1;
+        }
+    }
+
+    /// Create a detached element node.
+    pub fn create_element(&mut self, tag: &str) -> NodeId {
+        let tag = match atom_of(tag) {
+            Some(atom) => Tag::Atom(atom),
+            None => Tag::Other(self.own_lowercase(tag)),
+        };
+        self.push_element(tag)
+    }
+
     /// Create a detached text node.
-    // lint:allow(r9) — the DOM/AST owns its text, attributes, and error strings; ROADMAP item 1
     pub fn create_text(&mut self, text: &str) -> NodeId {
-        self.push(Node::new(NodeKind::Text(text.to_string())))
+        let span = self.own(text);
+        self.push_text(span)
     }
 
     /// Create a detached comment node.
-    // lint:allow(r9) — the DOM/AST owns its text, attributes, and error strings; ROADMAP item 1
     pub fn create_comment(&mut self, text: &str) -> NodeId {
-        self.push(Node::new(NodeKind::Comment(text.to_string())))
+        let span = self.own(text);
+        self.push_comment(span)
     }
 
     /// Set (or replace) attribute `name` on element `id`.
     ///
     /// # Panics
     /// Panics if `id` is not an element.
-    // lint:allow(r9) — the DOM/AST owns its text, attributes, and error strings; ROADMAP item 1
     pub fn set_attr(&mut self, id: NodeId, name: &str, value: &str) {
-        let name_lc = name.to_ascii_lowercase();
-        match &mut self.node_mut(id).kind {
-            NodeKind::Element(e) => {
-                if let Some(slot) = e.attrs.iter_mut().find(|(k, _)| *k == name_lc) {
-                    slot.1 = value.to_string();
-                } else {
-                    e.attrs.push((name_lc, value.to_string()));
-                }
-            }
-            other => panic!("set_attr on non-element node: {other:?}"),
-        }
+        let name = self.own_lowercase(name);
+        let value = self.own(value);
+        self.put_attr(id, name, value);
     }
 
     /// Append `child` as the last child of `parent`, detaching it from any
@@ -366,6 +629,8 @@ impl Document {
             }
             other => panic!("attach_shadow on non-element node: {other:?}"),
         }
+        let at = self.shadow_hosts.partition_point(|&h| h < host);
+        self.shadow_hosts.insert(at, host);
         root
     }
 
@@ -423,14 +688,22 @@ impl Document {
     }
 
     /// All elements in the whole arena (light trees *and* shadow trees) that
-    /// have a shadow root attached. This is the "look for possible elements
-    /// within the main HTML DOM with the `shadow_root` property" step of the
-    /// paper's workaround.
-    pub fn shadow_hosts(&self) -> Vec<NodeId> {
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|&id| self.shadow_root(id).is_some())
-            .collect()
+    /// have a shadow root attached, in arena order. This is the "look for
+    /// possible elements within the main HTML DOM with the `shadow_root`
+    /// property" step of the paper's workaround.
+    pub fn shadow_hosts(&self) -> &[NodeId] {
+        &self.shadow_hosts
+    }
+
+    /// The document root followed by the root of every shadow tree, in
+    /// [`Document::shadow_hosts`] order: the scopes whose light subtrees
+    /// together hold every attached node.
+    pub fn scopes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::once(self.root).chain(
+            self.shadow_hosts
+                .iter()
+                .filter_map(|&host| self.shadow_root(host).map(|s| s.root)),
+        )
     }
 
     /// The `<body>` element, if the document has one.
@@ -454,9 +727,8 @@ impl Document {
 
     /// All elements with the given tag name in the light DOM.
     pub fn get_elements_by_tag(&self, tag: &str) -> Vec<NodeId> {
-        let tag = tag.to_ascii_lowercase();
         self.descendant_elements(self.root)
-            .filter(|&n| self.tag(n) == Some(tag.as_str()))
+            .filter(|&n| self.tag(n).is_some_and(|t| t.eq_ignore_ascii_case(tag)))
             .collect()
     }
 
@@ -468,56 +740,6 @@ impl Document {
     /// True if `maybe_ancestor` is an ancestor of `id` (strictly above it).
     pub fn is_ancestor(&self, maybe_ancestor: NodeId, id: NodeId) -> bool {
         self.ancestors(id).any(|a| a == maybe_ancestor)
-    }
-
-    // -------------------------------------------------------------- cloning
-
-    /// Deep-clone the subtree rooted at `src` and return the id of the
-    /// detached clone root.
-    ///
-    /// Shadow roots attached to cloned elements are cloned too. The returned
-    /// mapping from original to cloned ids lets callers locate, in the
-    /// original tree, an element they found in the clone — the exact reverse
-    /// lookup the paper's shadow-DOM workaround performs ("find the desired
-    /// button in the cloned DOM and then run the interaction function on the
-    /// corresponding element in the shadow DOM").
-    pub fn clone_subtree_mapped(&mut self, src: NodeId) -> (NodeId, HashMap<NodeId, NodeId>) {
-        let mut map = HashMap::new();
-        let clone = self.clone_rec(src, &mut map);
-        (clone, map)
-    }
-
-    /// Deep-clone the subtree at `src`, discarding the id mapping.
-    pub fn clone_subtree(&mut self, src: NodeId) -> NodeId {
-        self.clone_subtree_mapped(src).0
-    }
-
-    // lint:allow(r9) — the subtree clone is the pierce-shadow-roots workaround itself (§3); ROADMAP item 1
-    fn clone_rec(&mut self, src: NodeId, map: &mut HashMap<NodeId, NodeId>) -> NodeId {
-        let kind = self.node(src).kind.clone();
-        let new_kind = match kind {
-            NodeKind::Element(mut e) => {
-                // Clone the shadow subtree (if any) and point the cloned
-                // element at the cloned shadow root.
-                if let Some(sref) = e.shadow_root {
-                    let new_root = self.clone_rec(sref.root, map);
-                    e.shadow_root = Some(ShadowRootRef {
-                        root: new_root,
-                        mode: sref.mode,
-                    });
-                }
-                NodeKind::Element(e)
-            }
-            other => other,
-        };
-        let clone = self.push(Node::new(new_kind));
-        map.insert(src, clone);
-        let children: Vec<NodeId> = self.children(src).collect();
-        for child in children {
-            let child_clone = self.clone_rec(child, map);
-            self.append_child(clone, child_clone);
-        }
-        clone
     }
 }
 
@@ -622,15 +844,11 @@ mod tests {
         d.set_attr(e, "ID", "banner");
         d.set_attr(e, "class", "cmp overlay");
         assert_eq!(d.attr(e, "id"), Some("banner"));
-        assert!(d.element(e).unwrap().has_class("overlay"));
-        assert!(!d.element(e).unwrap().has_class("over"));
+        assert!(d.has_class(e, "overlay"));
+        assert!(!d.has_class(e, "over"));
         d.set_attr(e, "id", "other");
         assert_eq!(d.attr(e, "id"), Some("other"), "set_attr replaces");
-        assert_eq!(
-            d.element(e).unwrap().attrs.len(),
-            2,
-            "no duplicate attribute entries"
-        );
+        assert_eq!(d.attrs(e).count(), 2, "no duplicate attribute entries");
     }
 
     #[test]
@@ -697,36 +915,29 @@ mod tests {
     }
 
     #[test]
-    fn clone_subtree_maps_ids_and_clones_shadow() {
-        let (mut d, _, body, div) = small_doc();
-        d.set_attr(div, "id", "host");
-        let sr = d.attach_shadow(div, ShadowMode::Open);
-        let btn = d.create_element("button");
-        d.append_child(sr, btn);
-        let txt = d.create_text("Accept");
-        d.append_child(btn, txt);
+    fn set_attr_keeps_each_elements_attributes_contiguous() {
+        let mut d = Document::new();
+        let a = d.create_element("a");
+        let b = d.create_element("b");
+        d.set_attr(a, "href", "/x");
+        d.set_attr(b, "id", "b");
+        // `a`'s range is no longer at the end of the table: it moves.
+        d.set_attr(a, "CLASS", "btn");
+        d.set_attr(a, "href", "/y");
+        let attrs: Vec<_> = d.attrs(a).collect();
+        assert_eq!(attrs, vec![("href", "/y"), ("class", "btn")]);
+        assert_eq!(d.attrs(b).collect::<Vec<_>>(), vec![("id", "b")]);
+    }
 
-        let (clone, map) = d.clone_subtree_mapped(div);
-        assert_ne!(clone, div);
-        assert!(d.node(clone).parent.is_none(), "clone starts detached");
-        assert_eq!(d.attr(clone, "id"), Some("host"));
-        // Shadow subtree cloned, with distinct ids.
-        let cloned_sr = d.shadow_root(clone).unwrap();
-        assert_ne!(cloned_sr.root, sr);
-        let cloned_btn = d.children(cloned_sr.root).next().unwrap();
-        assert_ne!(cloned_btn, btn);
-        assert_eq!(map.get(&btn), Some(&cloned_btn));
-        // Original untouched.
-        assert_eq!(d.node(div).parent, Some(body));
-
-        // The reverse lookup the workaround needs: given the cloned button,
-        // find the original.
-        let original = map
-            .iter()
-            .find(|(_, &v)| v == cloned_btn)
-            .map(|(&k, _)| k)
-            .unwrap();
-        assert_eq!(original, btn);
+    #[test]
+    fn tags_are_atoms_or_lowercased_names() {
+        let mut d = Document::new();
+        let known = d.create_element("BUTTON");
+        let custom = d.create_element("My-Widget");
+        assert_eq!(d.tag(known), Some("button"));
+        assert_eq!(d.tag(custom), Some("my-widget"));
+        assert_eq!(atom_of("TextArea"), Some(Atom::Textarea));
+        assert_eq!(atom_of("a-very-long-custom-element-name"), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Like the selector engine, evaluation never crosses shadow-root or
 //! iframe boundaries — the opacity the §3 workaround exists to pierce.
 
-use crate::tree::{Document, NodeId, NodeKind};
+use crate::tree::{Document, NodeId};
 use std::fmt;
 
 /// XPath parse failure.
@@ -86,7 +86,7 @@ pub struct XPath {
 
 impl XPath {
     /// Compile an XPath string.
-    // lint:allow(r9) — the DOM/AST owns its text, attributes, and error strings; ROADMAP item 1
+    // lint:allow(r9) — a compiled XPath owns its names, values and error strings; ROADMAP "Zero-copy DOM payloads" covers the DOM, not query ASTs
     pub fn parse(input: &str) -> Result<XPath, XPathError> {
         let input = input.trim();
         if input.is_empty() {
@@ -160,9 +160,9 @@ impl XPath {
 
 impl Step {
     fn matches_test(&self, doc: &Document, node: NodeId) -> bool {
-        match (&self.test, doc.element(node)) {
+        match (&self.test, doc.tag(node)) {
             (NodeTest::Any, Some(_)) => true,
-            (NodeTest::Tag(t), Some(e)) => e.tag == *t,
+            (NodeTest::Tag(t), Some(tag)) => tag == t,
             _ => false,
         }
     }
@@ -183,15 +183,10 @@ fn eval_predicate(doc: &Document, node: NodeId, position: usize, p: &Predicate) 
 
 /// Concatenated direct text children (XPath's `text()` on this element).
 fn own_text(doc: &Document, node: NodeId) -> String {
-    doc.children(node)
-        .filter_map(|c| match &doc.node(c).kind {
-            NodeKind::Text(t) => Some(t.as_str()),
-            _ => None,
-        })
-        .collect()
+    doc.children(node).filter_map(|c| doc.text(c)).collect()
 }
 
-// lint:allow(r9) — the DOM/AST owns its text, attributes, and error strings; ROADMAP item 1
+// lint:allow(r9) — a compiled XPath owns its names, values and error strings; ROADMAP "Zero-copy DOM payloads" covers the DOM, not query ASTs
 fn parse_step(input: &str, mut pos: usize, axis: Axis) -> Result<(Step, usize), XPathError> {
     let bytes = input.as_bytes();
     // Node test.
@@ -231,7 +226,7 @@ fn parse_step(input: &str, mut pos: usize, axis: Axis) -> Result<(Step, usize), 
     ))
 }
 
-// lint:allow(r9) — the DOM/AST owns its text, attributes, and error strings; ROADMAP item 1
+// lint:allow(r9) — a compiled XPath owns its names, values and error strings; ROADMAP "Zero-copy DOM payloads" covers the DOM, not query ASTs
 fn parse_predicate(body: &str) -> Result<Predicate, XPathError> {
     if body.is_empty() {
         return Err(err("empty predicate"));
@@ -279,7 +274,7 @@ fn parse_predicate(body: &str) -> Result<Predicate, XPathError> {
     Err(err(format!("unsupported predicate {body:?}")))
 }
 
-// lint:allow(r9) — the DOM/AST owns its text, attributes, and error strings; ROADMAP item 1
+// lint:allow(r9) — a compiled XPath owns its names, values and error strings; ROADMAP "Zero-copy DOM payloads" covers the DOM, not query ASTs
 fn parse_quoted(s: &str) -> Result<String, XPathError> {
     let inner = s
         .strip_prefix('\'')

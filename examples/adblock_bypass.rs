@@ -36,8 +36,8 @@ fn main() {
         for _ in 0..5 {
             let mut blocked = Browser::new(net.clone(), Region::Germany)
                 .with_blocker(FilterEngine::ublock_with_annoyances());
-            if let Ok(mut page) = blocked.visit_domain(&site.domain) {
-                let a = tool.analyze_page(&site.domain, &mut page);
+            if let Ok(page) = blocked.visit_domain(&site.domain) {
+                let a = tool.analyze_page(&site.domain, &page);
                 wall_seen |= a.cookiewall_detected();
                 interstitial |= page.adblock_interstitial;
                 scroll_broken |= page.scroll_locked && !a.cookiewall_detected();

@@ -35,7 +35,7 @@ fn main() {
     );
 
     let mut browser = Browser::new(net, Region::Germany);
-    let mut page = browser.visit_domain(&site.domain).expect("site reachable");
+    let page = browser.visit_domain(&site.domain).expect("site reachable");
     println!(
         "loaded: {} frame(s), {} nodes in the main document",
         page.frames.len(),
@@ -54,7 +54,7 @@ fn main() {
     );
 
     // The BannerClick pipeline pierces it.
-    let banners = detect_banners(&mut page, &Default::default());
+    let banners = detect_banners(&page, &Default::default());
     let banner = banners.first().expect("wall detected via the workaround");
     println!("detected banner via {:?}", banner.embedding);
     println!("banner text: {}", banner.text);
@@ -95,7 +95,7 @@ fn main() {
     );
     println!(
         "wall still visible after accept: {}",
-        !detect_banners(&mut { after_page }, &Default::default()).is_empty()
+        !detect_banners(&after_page, &Default::default()).is_empty()
     );
 
     // Ground truth check — in the real study this was a manual screenshot

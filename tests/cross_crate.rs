@@ -101,8 +101,8 @@ fn rejecting_a_regular_banner_prevents_trackers() {
     let trackers = blocklist::TrackerDb::justdomains();
 
     let mut browser = Browser::new(net, Region::Germany);
-    let mut page = browser.visit_domain(&site.domain).unwrap();
-    let analysis = tool.analyze_page(&site.domain, &mut page);
+    let page = browser.visit_domain(&site.domain).unwrap();
+    let analysis = tool.analyze_page(&site.domain, &page);
     let banner = analysis.banner.as_ref().expect("banner detected");
     let after = bannerclick::click_reject(&mut browser, &page, banner)
         .unwrap()
@@ -113,10 +113,7 @@ fn rejecting_a_regular_banner_prevents_trackers() {
         .breakdown(&site.domain, |d| trackers.is_tracking_domain(d));
     assert_eq!(b.tracking, 0.0, "reject must prevent tracking cookies");
     // And the banner is gone.
-    let mut after = after;
-    assert!(!tool
-        .analyze_page(&site.domain, &mut after)
-        .banner_detected());
+    assert!(!tool.analyze_page(&site.domain, &after).banner_detected());
 }
 
 #[test]
