@@ -11,6 +11,8 @@
 //!    vantage-point currencies (EUR, USD, CHF, AUD, GBP, Rs, BRL, CNY,
 //!    ZAR), checked in price-pattern combinations by the `pricing` module.
 
+use std::sync::OnceLock;
+
 /// Multilingual consent vocabulary (lowercase substrings). A banner
 /// candidate is any element whose text contains at least one of these.
 pub const CONSENT_WORDS: &[&str] = &[
@@ -251,9 +253,102 @@ pub fn contains_any(text_lowercase: &str, words: &[&str]) -> bool {
     words.iter().any(|w| text_lowercase.contains(w))
 }
 
+/// A word list compiled for [`contains_any`] in one pass over the text:
+/// a bitmap of the words' leading byte pairs picks the positions worth
+/// comparing, instead of one full scan per word.
+pub(crate) struct WordSet {
+    /// The words of two bytes or more, keyed by their leading byte pair
+    /// and sorted by it.
+    by_pair: Vec<(u16, &'static [u8])>,
+    /// Bit `p` is set when some word starts with byte pair `p`.
+    pairs: Box<[u64; 1024]>,
+    /// Words shorter than a pair, searched one at a time.
+    short: Vec<&'static str>,
+}
+
+impl WordSet {
+    pub(crate) fn new(words: &[&'static str]) -> Self {
+        let mut set = WordSet {
+            by_pair: Vec::new(),
+            pairs: Box::new([0; 1024]),
+            short: Vec::new(),
+        };
+        for &word in words {
+            match word.as_bytes() {
+                [a, b, ..] => {
+                    let pair = u16::from_be_bytes([*a, *b]);
+                    set.pairs[usize::from(pair >> 6)] |= 1 << (pair & 63);
+                    set.by_pair.push((pair, word.as_bytes()));
+                }
+                _ => set.short.push(word),
+            }
+        }
+        set.by_pair.sort_unstable();
+        set
+    }
+
+    /// `contains_any(text_lowercase, words)`.
+    pub(crate) fn found_in(&self, text_lowercase: &str) -> bool {
+        let text = text_lowercase.as_bytes();
+        contains_any(text_lowercase, &self.short)
+            || text.windows(2).enumerate().any(|(at, w)| {
+                let pair = u16::from_be_bytes([w[0], w[1]]);
+                self.pairs[usize::from(pair >> 6)] & (1 << (pair & 63)) != 0 && {
+                    let from = self.by_pair.partition_point(|&(p, _)| p < pair);
+                    self.by_pair[from..]
+                        .iter()
+                        .take_while(|&&(p, _)| p == pair)
+                        .any(|(_, word)| text[at..].starts_with(word))
+                }
+            })
+    }
+}
+
+/// [`CONSENT_WORDS`], compiled once.
+pub(crate) fn consent_words() -> &'static WordSet {
+    static SET: OnceLock<WordSet> = OnceLock::new();
+    SET.get_or_init(|| WordSet::new(CONSENT_WORDS))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn word_set_agrees_with_contains_any() {
+        let words = ["cookie", "spårning", "é", "ab", "a"];
+        let set = WordSet::new(&words);
+        for text in [
+            "",
+            "a",
+            "b",
+            "ab",
+            "xab",
+            "cookies",
+            "cooki",
+            "xxcookie",
+            "spårning!",
+            "spår",
+            "café",
+            "bb",
+            "ba",
+        ] {
+            assert_eq!(set.found_in(text), contains_any(text, &words), "{text:?}");
+        }
+        let consent = consent_words();
+        for text in [
+            "wir verwenden cookies",
+            "artikel über brücken",
+            "la publicité",
+            "suiv",
+        ] {
+            assert_eq!(
+                consent.found_in(text),
+                contains_any(text, CONSENT_WORDS),
+                "{text:?}"
+            );
+        }
+    }
 
     #[test]
     fn consent_words_cover_all_generator_languages() {

@@ -20,7 +20,7 @@
 //!    original, and that shadow child yields nothing, exactly as in the
 //!    paper's procedure. Detection therefore never changes the page.
 
-use crate::corpus::{contains_any, CONSENT_WORDS};
+use crate::corpus::consent_words;
 use browser::{ElementRef, Page};
 use webdom::{Document, NodeId};
 
@@ -236,7 +236,7 @@ fn find_banner_root(
             continue;
         }
         let text = buffers.own_text(doc, candidate);
-        if text.is_empty() || !contains_any(text, CONSENT_WORDS) {
+        if text.is_empty() || !consent_words().found_in(text) {
             continue;
         }
         if let Some(root) = ascend_to_overlay(scope, candidate, buffers) {

@@ -244,7 +244,7 @@ impl Sink for TreeBuilder<'_> {
     fn start_tag(&mut self, name: Range, attrs: &[RawAttr], self_closing: bool) {
         let tag = self
             .doc
-            .tag_of(&self.input[name.0..name.1], self.span(name));
+            .intern_tag(&self.input[name.0..name.1], self.span(name));
         // The special cases below all concern atoms; any other tag is an
         // ordinary element.
         let name = tag.known().unwrap_or("");

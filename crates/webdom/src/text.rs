@@ -7,6 +7,7 @@
 //! content and comments, skip `display:none` subtrees, and normalize
 //! whitespace.
 
+use crate::style::Style;
 use crate::tree::{Document, NodeId, NodeKind};
 
 /// Tags whose text content is never user-visible.
@@ -42,10 +43,10 @@ impl Document {
         match &self.node(id).kind {
             NodeKind::Text(_) => out.push_str(self.text(id).unwrap_or("")),
             NodeKind::Comment(_) => {}
-            NodeKind::Element(_) => {
-                if INVISIBLE_TAGS.contains(&self.tag(id).unwrap_or(""))
-                    || self.attr(id, "hidden").is_some()
-                    || self.style(id).is_hidden()
+            NodeKind::Element(e) => {
+                if INVISIBLE_TAGS.contains(&self.tag_of(e))
+                    || self.attr_of(e, "hidden").is_some()
+                    || Style::parse(self.attr_of(e, "style").unwrap_or("")).is_hidden()
                 {
                     // Invisible subtree still acts as a word boundary so
                     // surrounding text runs don't glue together.

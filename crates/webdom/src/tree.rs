@@ -56,8 +56,9 @@ impl fmt::Display for NodeId {
 }
 
 /// A node payload's bytes: a range of its document's source, or of the
-/// document's owned buffer when the top bit of `start` is set. Read one
-/// through the [`Document`] that made it.
+/// document's owned buffer when the top bit of `start` is set. Only the
+/// document that made a span can read it ([`Document::text`],
+/// [`Document::attr`], …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     start: u32,
@@ -376,10 +377,15 @@ impl Document {
 
     /// Tag name of `id` (lowercase), if it is an element.
     pub fn tag(&self, id: NodeId) -> Option<&str> {
-        self.element(id).map(|e| match e.tag {
+        self.element(id).map(|e| self.tag_of(e))
+    }
+
+    /// Tag name of element `e` of this document.
+    pub(crate) fn tag_of(&self, e: &ElementData) -> &str {
+        match e.tag {
             Tag::Atom(atom) => atom.as_str(),
             Tag::Other(span) => self.str(span),
-        })
+        }
     }
 
     /// Attributes of element `id` in document order, names lowercase
@@ -394,7 +400,11 @@ impl Document {
     /// First value of attribute `name` (ASCII case-insensitive) on element
     /// `id`, like browsers do.
     pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
-        let e = self.element(id)?;
+        self.attr_of(self.element(id)?, name)
+    }
+
+    /// [`Document::attr`] of element `e` of this document.
+    pub(crate) fn attr_of(&self, e: &ElementData, name: &str) -> Option<&str> {
         self.attrs[e.attr_range()]
             .iter()
             .find(|a| {
@@ -465,7 +475,7 @@ impl Document {
     }
 
     /// The tag of name `name`, which `name_span` holds verbatim.
-    pub(crate) fn tag_of(&mut self, name: &str, name_span: Span) -> Tag {
+    pub(crate) fn intern_tag(&mut self, name: &str, name_span: Span) -> Tag {
         match atom_of(name) {
             Some(atom) => Tag::Atom(atom),
             None if name.bytes().any(|b| b.is_ascii_uppercase()) => {
