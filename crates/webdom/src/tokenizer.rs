@@ -12,7 +12,7 @@
 
 use crate::entity::decode_entities_into;
 
-/// Input bytes `.0...1`.
+/// Input bytes `start..end`, as `(start, end)`.
 pub(crate) type Range = (usize, usize);
 
 /// One attribute of a start tag, as input ranges.
