@@ -14,41 +14,53 @@
 //! cookiewall-study help
 //! ```
 //!
-//! Every command parses its flags against an explicit allow-list: an
-//! unrecognized `--flag` is a usage error, not a silent no-op.
+//! Every command is one entry of the `COMMANDS` table: its name, the
+//! valued flags that shape the study (`run --resume` rejects those, since
+//! the store records the study configuration), its other valued flags,
+//! its switches, how many positionals it takes, and its handler. `main`
+//! parses the arguments against the entry, so an unrecognized `--flag`, a
+//! missing value, a repeated flag or a stray positional is a usage error,
+//! never a silent no-op. Handlers read values through one typed accessor,
+//! `Flags::value_in`, and return `Result<(), String>`; `main` prints an `Err`
+//! as `error: …` and exits with status 1.
 
 use analysis::experiments::longitudinal;
 use analysis::persist::targets_hash;
-use analysis::{CheckpointPolicy, Study};
+use analysis::{CheckpointPolicy, FailureTaxonomy, Study};
 use bannerclick::BannerClick;
 use browser::Browser;
 use httpsim::{FaultConfig, Region};
 use serve::{chain_digest, format_digest, parse_script, Query, QueryService, RequestStream};
 use std::io::Write;
+use std::ops::RangeBounds;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use store::{DiskFaultConfig, FaultyBackend, FsBackend, StorageBackend, Store, StoreSnapshot};
 use webgen::PopulationConfig;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("crawl") => cmd_crawl(&args[1..]),
-        Some("detect") => cmd_detect(&args[1..]),
-        Some("walls") => cmd_walls(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("fsck") => cmd_fsck(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
+    let name = match args.first().map(String::as_str) {
         Some("help") | None => {
             print_help();
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        Some(other) => {
-            eprintln!("unknown command {other:?}\n");
-            print_help();
+        Some(name) => name,
+    };
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("unknown command {name:?}\n");
+        print_help();
+        return ExitCode::FAILURE;
+    };
+    match command
+        .parse_args(&args[1..])
+        .and_then(|flags| (command.run)(&flags))
+    {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("error: {message}");
             ExitCode::FAILURE
         }
     }
@@ -83,8 +95,9 @@ fn print_help() {
          \u{20}      and a per-class simulated-latency ledger. --script replaces the\n\
          \u{20}      seeded Zipf stream with a query script (one query per line)\n\
          \u{20}  cookiewall-study stats  <store> [--json PATH]\n\
-         \u{20}      Read-only store census: cells per region, sealed generation and\n\
-         \u{20}      segments, index coverage, quarantine count\n\
+         \u{20}      Store census: cells per region, sealed generation and segments,\n\
+         \u{20}      index coverage, quarantine count. Opening the store truncates a\n\
+         \u{20}      torn journal tail and orphan shard bytes, as every open does\n\
          \n\
          Vantage points: germany sweden us-east us-west brazil south-africa india australia\n\
          \n\
@@ -132,7 +145,159 @@ fn print_help() {
     );
 }
 
-/// Parsed command-line flags, validated against an explicit allow-list.
+/// One command of the CLI: the flags it accepts and the handler that runs
+/// it on the parsed flags. Flag lists are space-separated names.
+struct Command {
+    name: &'static str,
+    /// Valued flags that shape the study. The store records the study
+    /// configuration, so `--resume` rejects every one of them, naming the
+    /// first given in this order. Disk-fault flags model the disk, not the
+    /// study, and are not here.
+    study: &'static str,
+    /// The other valued flags (`--flag V` or `--flag=V`).
+    valued: &'static str,
+    switches: &'static str,
+    max_positionals: usize,
+    run: fn(&Flags) -> Result<(), String>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run",
+        study: "--scale --epoch --fault-rate --fault-permanent --fault-seed --max-retries --store",
+        valued: "--workers --json --resume --checkpoint-every --abort-after --disk-fault-seed \
+                 --disk-fault-rate",
+        switches: "--no-cache",
+        max_positionals: 0,
+        run: cmd_run,
+    },
+    Command {
+        name: "crawl",
+        study: "--scale --epoch --fault-rate --fault-permanent --fault-seed --max-retries",
+        valued: "--workers --region",
+        switches: "",
+        max_positionals: 0,
+        run: cmd_crawl,
+    },
+    Command {
+        name: "detect",
+        study: "--scale",
+        valued: "--region",
+        switches: "--adblock",
+        max_positionals: 1,
+        run: cmd_detect,
+    },
+    Command {
+        name: "walls",
+        study: "--scale --epoch",
+        valued: "",
+        switches: "",
+        max_positionals: 0,
+        run: cmd_walls,
+    },
+    Command {
+        name: "diff",
+        study: "",
+        valued: "--json",
+        switches: "",
+        max_positionals: 2,
+        run: cmd_diff,
+    },
+    Command {
+        name: "fsck",
+        study: "",
+        valued: "--json",
+        switches: "--dry-run",
+        max_positionals: 1,
+        run: cmd_fsck,
+    },
+    Command {
+        name: "serve",
+        study: "",
+        valued: "--script --requests --seed --readers --zipf --json",
+        switches: "",
+        max_positionals: 2,
+        run: cmd_serve,
+    },
+    Command {
+        name: "stats",
+        study: "",
+        valued: "--json",
+        switches: "",
+        max_positionals: 1,
+        run: cmd_stats,
+    },
+];
+
+/// Whether the space-separated flag list `list` names `flag`.
+fn lists(list: &str, flag: &str) -> bool {
+    list.split_whitespace().any(|f| f == flag)
+}
+
+impl Command {
+    /// Strict flag parser: every `--flag` must be one of this command's
+    /// valued flags (consumes the next argument, or `--flag=value`) or
+    /// switches; anything else is a usage error. At most
+    /// `max_positionals` bare arguments are accepted, repeating a valued
+    /// flag is rejected, and so is a study-shaping flag next to `--resume`.
+    fn parse_args(&self, args: &[String]) -> Result<Flags, String> {
+        let mut out = Flags::default();
+        let mut args = args.iter().peekable();
+        while let Some(arg) = args.next() {
+            let Some(rest) = arg.strip_prefix("--") else {
+                if out.positionals.len() >= self.max_positionals {
+                    return Err(format!("unexpected argument {arg:?}"));
+                }
+                out.positionals.push(arg.clone());
+                continue;
+            };
+            let (name, inline) = match rest.split_once('=') {
+                Some((n, v)) => (format!("--{n}"), Some(v.to_string())),
+                None => (arg.clone(), None),
+            };
+            if lists(self.study, &name) || lists(self.valued, &name) {
+                let value = match inline {
+                    Some(v) => v,
+                    None => args
+                        .next_if(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("{name} needs a value"))?
+                        .clone(),
+                };
+                if out.value(&name).is_some() {
+                    return Err(format!("{name} given more than once"));
+                }
+                out.values.push((name, value));
+            } else if lists(self.switches, &name) {
+                if inline.is_some() {
+                    return Err(format!("{name} does not take a value"));
+                }
+                if !out.has(&name) {
+                    out.switches.push(name);
+                }
+            } else {
+                return Err(format!(
+                    "unknown flag {name} for this command (see `cookiewall-study help`)"
+                ));
+            }
+        }
+        let study_flag = self
+            .study
+            .split_whitespace()
+            .find(|f| out.value(f).is_some());
+        if let (Some(_), Some(conflict)) = (out.value("--resume"), study_flag) {
+            return Err(format!(
+                "{conflict} conflicts with --resume: the store already records the \
+                 study configuration"
+            ));
+        }
+        Ok(out)
+    }
+}
+
+/// What `Flags::value_in` says a rate flag needs.
+const PROBABILITY: &str = "a probability in [0, 1]";
+
+/// Command-line flags, parsed against one command's table entry.
 #[derive(Debug, Default)]
 struct Flags {
     values: Vec<(String, String)>,
@@ -151,107 +316,25 @@ impl Flags {
     fn has(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
-}
 
-/// Strict flag parser: every `--flag` must appear in `valued` (consumes
-/// the next argument, or `--flag=value`) or in `switches`; anything else
-/// is a usage error. At most `max_positionals` bare arguments are
-/// accepted, and repeating a flag is rejected.
-fn parse_flags(
-    args: &[String],
-    valued: &[&str],
-    switches: &[&str],
-    max_positionals: usize,
-) -> Result<Flags, String> {
-    let mut out = Flags::default();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if let Some(rest) = arg.strip_prefix("--") {
-            let (name, inline) = match rest.split_once('=') {
-                Some((n, v)) => (format!("--{n}"), Some(v.to_string())),
-                None => (arg.clone(), None),
-            };
-            if valued.contains(&name.as_str()) {
-                let value = match inline {
-                    Some(v) => v,
-                    None => {
-                        let next = args
-                            .get(i + 1)
-                            .filter(|v| !v.starts_with("--"))
-                            .ok_or_else(|| format!("{name} needs a value"))?;
-                        i += 1;
-                        next.clone()
-                    }
-                };
-                if out.value(&name).is_some() {
-                    return Err(format!("{name} given more than once"));
-                }
-                out.values.push((name, value));
-            } else if switches.contains(&name.as_str()) {
-                if inline.is_some() {
-                    return Err(format!("{name} does not take a value"));
-                }
-                if !out.has(&name) {
-                    out.switches.push(name);
-                }
-            } else {
-                return Err(format!(
-                    "unknown flag {name} for this command (see `cookiewall-study help`)"
-                ));
-            }
-        } else {
-            if out.positionals.len() >= max_positionals {
-                return Err(format!("unexpected argument {arg:?}"));
-            }
-            out.positionals.push(arg.clone());
-        }
-        i += 1;
-    }
-    Ok(out)
-}
-
-/// Parse the chaos flags into an optional fault config. Absent flags mean
-/// no fault layer at all; `--fault-seed`/`--max-retries` alone keep rates
-/// at zero, which the study treats the same way.
-fn parse_fault_config(flags: &Flags) -> Result<Option<FaultConfig>, String> {
-    let seed = flags.value("--fault-seed");
-    let transient = flags.value("--fault-rate");
-    let permanent = flags.value("--fault-permanent");
-    if seed.is_none() && transient.is_none() && permanent.is_none() {
-        return Ok(None);
-    }
-    let mut config = match seed {
-        None => FaultConfig::new(0),
-        Some(raw) => FaultConfig::new(
-            raw.parse::<u64>()
-                .map_err(|_| format!("--fault-seed needs an integer, got {raw:?}"))?,
-        ),
-    };
-    if let Some(raw) = transient {
-        config.transient_rate = parse_rate(raw, "--fault-rate")?;
-    }
-    if let Some(raw) = permanent {
-        config.permanent_rate = parse_rate(raw, "--fault-permanent")?;
-    }
-    Ok(Some(config))
-}
-
-fn parse_rate(raw: &str, flag: &str) -> Result<f64, String> {
-    raw.parse::<f64>()
-        .ok()
-        .filter(|r| (0.0..=1.0).contains(r))
-        .ok_or_else(|| format!("{flag} needs a probability in [0, 1], got {raw:?}"))
-}
-
-/// Parse `--max-retries` into a retry-budget override.
-fn parse_max_retries(flags: &Flags) -> Result<Option<u32>, String> {
-    match flags.value("--max-retries") {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse::<u32>()
+    /// `name`'s value parsed as a `T` inside `range`, or `None` when the
+    /// flag is absent (callers supply the default). A value that does not
+    /// parse or falls outside `range` is the usage error "`name` needs
+    /// `what`, got `value`".
+    fn value_in<T: FromStr + PartialOrd>(
+        &self,
+        name: &str,
+        range: impl RangeBounds<T>,
+        what: &str,
+    ) -> Result<Option<T>, String> {
+        let Some(raw) = self.value(name) else {
+            return Ok(None);
+        };
+        raw.parse::<T>()
+            .ok()
+            .filter(|v| range.contains(v))
             .map(Some)
-            .map_err(|_| format!("--max-retries needs a non-negative integer, got {raw:?}")),
+            .ok_or_else(|| format!("{name} needs {what}, got {raw:?}"))
     }
 }
 
@@ -277,18 +360,6 @@ fn report_chaos(study: &Study) {
     );
 }
 
-/// Parse `--workers`, defaulting to `default` when absent.
-fn parse_workers(flags: &Flags, default: usize) -> Result<usize, String> {
-    match flags.value("--workers") {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("--workers needs a positive integer, got {raw:?}")),
-    }
-}
-
 fn scale_config(name: &str) -> Result<PopulationConfig, String> {
     match name {
         "small" => Ok(PopulationConfig::small()),
@@ -298,21 +369,91 @@ fn scale_config(name: &str) -> Result<PopulationConfig, String> {
     }
 }
 
-/// Parse `--scale` and `--epoch` into a population config plus the scale
-/// name (recorded in store metadata so `--resume` can rebuild the study).
-fn parse_population(flags: &Flags) -> Result<(PopulationConfig, String, u64), String> {
-    let scale = flags.value("--scale").unwrap_or("small");
-    let epoch = match flags.value("--epoch") {
-        None => 0,
-        Some(raw) => raw
-            .parse::<u64>()
-            .map_err(|_| format!("--epoch needs a non-negative integer, got {raw:?}"))?,
-    };
-    Ok((
-        scale_config(scale)?.with_epoch(epoch),
-        scale.to_string(),
-        epoch,
-    ))
+/// What shapes a study: the population (scale and epoch), the fault
+/// schedule and the retry budget. Every field is checked before the slow
+/// step, [`StudySpec::build`], generates the population.
+struct StudySpec {
+    config: PopulationConfig,
+    /// Scale name, recorded in store metadata so `--resume` can rebuild
+    /// the study.
+    scale: String,
+    epoch: u64,
+    fault: Option<FaultConfig>,
+    max_retries: Option<u32>,
+}
+
+impl StudySpec {
+    /// The study `run` (without `--resume`), `crawl`, `detect` and `walls`
+    /// build from their flags; a flag a command does not accept is absent
+    /// and keeps its default.
+    fn from_flags(flags: &Flags) -> Result<StudySpec, String> {
+        let scale = flags.value("--scale").unwrap_or("small");
+        let epoch = flags
+            .value_in::<u64>("--epoch", .., "a non-negative integer")?
+            .unwrap_or(0);
+        let config = scale_config(scale)?.with_epoch(epoch);
+        // Absent chaos flags mean no fault layer at all; `--fault-seed`
+        // alone keeps rates at zero, which the study treats the same way.
+        let seed = flags.value_in::<u64>("--fault-seed", .., "an integer")?;
+        let transient = flags.value_in::<f64>("--fault-rate", 0.0..=1.0, PROBABILITY)?;
+        let permanent = flags.value_in::<f64>("--fault-permanent", 0.0..=1.0, PROBABILITY)?;
+        let fault =
+            (seed.is_some() || transient.is_some() || permanent.is_some()).then(|| FaultConfig {
+                transient_rate: transient.unwrap_or(0.0),
+                permanent_rate: permanent.unwrap_or(0.0),
+                ..FaultConfig::new(seed.unwrap_or(0))
+            });
+        Ok(StudySpec {
+            config,
+            scale: scale.to_string(),
+            epoch,
+            fault,
+            max_retries: flags.value_in::<u32>("--max-retries", .., "a non-negative integer")?,
+        })
+    }
+
+    /// The study a store was created for, from its metadata.
+    fn from_store(store: &Store) -> Result<StudySpec, String> {
+        let scale = store
+            .meta_value("scale")
+            .ok_or("store has no scale metadata (not created by `run --store`?)")?;
+        let epoch = meta::<u64>(store, "epoch")?.unwrap_or(0);
+        let fault = match meta::<u64>(store, "fault_seed")? {
+            None => None,
+            Some(seed) => Some(FaultConfig {
+                transient_rate: meta(store, "fault_rate")?.unwrap_or(0.0),
+                permanent_rate: meta(store, "fault_permanent")?.unwrap_or(0.0),
+                ..FaultConfig::new(seed)
+            }),
+        };
+        Ok(StudySpec {
+            config: scale_config(scale)?.with_epoch(epoch),
+            scale: scale.to_string(),
+            epoch,
+            fault,
+            max_retries: meta(store, "max_retries")?,
+        })
+    }
+
+    /// Generate the population and install its servers.
+    fn build(&self) -> Study {
+        let mut study = Study::with_fault_config(self.config.clone(), self.fault);
+        if let Some(n) = self.max_retries {
+            study.retry.max_retries = n;
+        }
+        study
+    }
+}
+
+/// Store metadata value `key` parsed as a `T`, or `None` when absent.
+fn meta<T: FromStr>(store: &Store, key: &str) -> Result<Option<T>, String> {
+    store
+        .meta_value(key)
+        .map(|raw| {
+            raw.parse::<T>()
+                .map_err(|_| format!("store has invalid {key} metadata {raw:?}"))
+        })
+        .transpose()
 }
 
 fn parse_region(flags: &Flags) -> Result<Region, String> {
@@ -330,73 +471,39 @@ fn parse_region(flags: &Flags) -> Result<Region, String> {
     }
 }
 
-const RUN_VALUED: &[&str] = &[
-    "--scale",
-    "--workers",
-    "--json",
-    "--fault-rate",
-    "--fault-permanent",
-    "--fault-seed",
-    "--max-retries",
-    "--store",
-    "--resume",
-    "--checkpoint-every",
-    "--abort-after",
-    "--epoch",
-    "--disk-fault-seed",
-    "--disk-fault-rate",
-];
-
 /// Parse the disk-chaos flags. These are operator knobs describing the
 /// disk, not the study, so they are *not* resume conflicts — a store
 /// written by a healthy disk can be resumed on a flaky one.
 fn parse_disk_fault(flags: &Flags) -> Result<Option<DiskFaultConfig>, String> {
-    let seed = flags.value("--disk-fault-seed");
-    let rate = flags.value("--disk-fault-rate");
-    if seed.is_none() && rate.is_none() {
-        return Ok(None);
-    }
-    let mut config = DiskFaultConfig::noop();
-    if let Some(raw) = seed {
-        config.seed = raw
-            .parse::<u64>()
-            .map_err(|_| format!("--disk-fault-seed needs an integer, got {raw:?}"))?;
-    }
-    if let Some(raw) = rate {
-        config.rate = parse_rate(raw, "--disk-fault-rate")?;
-    }
-    Ok(Some(config))
+    let seed = flags.value_in::<u64>("--disk-fault-seed", .., "an integer")?;
+    let rate = flags.value_in::<f64>("--disk-fault-rate", 0.0..=1.0, PROBABILITY)?;
+    let noop = DiskFaultConfig::noop();
+    Ok((seed.is_some() || rate.is_some()).then(|| DiskFaultConfig {
+        seed: seed.unwrap_or(noop.seed),
+        rate: rate.unwrap_or(noop.rate),
+    }))
 }
 
-/// Flags that configure the study itself — forbidden with `--resume`,
-/// which reads the configuration back from the store instead.
-const RESUME_CONFLICTS: &[&str] = &[
-    "--scale",
-    "--epoch",
-    "--fault-rate",
-    "--fault-permanent",
-    "--fault-seed",
-    "--max-retries",
-    "--store",
-];
-
-fn cmd_run(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, RUN_VALUED, &["--no-cache"], 0) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
+fn cmd_run(flags: &Flags) -> Result<(), String> {
     let t0 = std::time::Instant::now();
+
+    // Every flag is checked before the store is touched or the population
+    // is built; `Command::parse_args` already rejected study flags next to
+    // --resume.
+    let disk_fault = parse_disk_fault(flags)?;
+    let resume_dir = flags.value("--resume");
+    let has_store = resume_dir.is_some() || flags.value("--store").is_some();
+    if disk_fault.is_some() && !has_store {
+        return Err("--disk-fault-seed/--disk-fault-rate need --store or --resume".to_string());
+    }
+    // With --resume every study flag is absent, so this is the default
+    // spec and goes unused: the store's recorded one replaces it.
+    let spec = StudySpec::from_flags(flags)?;
+    let workers = flags.value_in::<usize>("--workers", 1.., "a positive integer")?;
+    let policy = parse_policy(flags, has_store)?;
 
     // The disk the store runs on: the real filesystem, optionally wrapped
     // in the deterministic disk-fault layer.
-    let disk_fault = match parse_disk_fault(&flags) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    if disk_fault.is_some() && flags.value("--store").is_none() && flags.value("--resume").is_none()
-    {
-        return fail("--disk-fault-seed/--disk-fault-rate need --store or --resume");
-    }
     let faulty_disk = disk_fault.map(|cfg| Arc::new(FaultyBackend::new(Arc::new(FsBackend), cfg)));
     let backend: Arc<dyn StorageBackend> = match &faulty_disk {
         Some(f) => f.clone(),
@@ -405,18 +512,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
 
     // Assemble the study: either from flags, or — on resume — from the
     // configuration the store recorded when it was created.
-    let resume_dir = flags.value("--resume").map(String::from);
-    let (mut study, store) = if let Some(dir) = &resume_dir {
-        if let Some(conflict) = RESUME_CONFLICTS.iter().find(|f| flags.value(f).is_some()) {
-            return fail(&format!(
-                "{conflict} conflicts with --resume: the store already records the \
-                 study configuration"
-            ));
-        }
-        let store = match Store::open_with(Path::new(dir), backend.clone()) {
-            Ok(s) => s,
-            Err(e) => return fail(&format!("opening store {dir}: {e}")),
-        };
+    let (mut study, store) = if let Some(dir) = resume_dir {
+        let store = Store::open_with(Path::new(dir), backend.clone())
+            .map_err(|e| format!("opening store {dir}: {e}"))?;
         eprintln!("resuming from {dir} ({} cells restored)…", store.len());
         match store::quarantine_ledger(Path::new(dir), backend.as_ref()) {
             Ok(cells) if !cells.is_empty() => eprintln!(
@@ -427,53 +525,28 @@ fn cmd_run(args: &[String]) -> ExitCode {
             Ok(_) => {}
             Err(e) => eprintln!("quarantine: ledger unreadable ({e}); continuing"),
         }
-        match study_from_store(&store) {
-            Ok(study) => (study, Some(store)),
-            Err(e) => return fail(&e),
-        }
+        let spec = StudySpec::from_store(&store)?;
+        eprintln!(
+            "rebuilding the synthetic web (scale {}, epoch {})…",
+            spec.scale, spec.epoch
+        );
+        (spec.build(), Some(store))
     } else {
-        let (config, scale_name, epoch) = match parse_population(&flags) {
-            Ok(p) => p,
-            Err(e) => return fail(&e),
-        };
-        let fault = match parse_fault_config(&flags) {
-            Ok(f) => f,
-            Err(e) => return fail(&e),
-        };
         eprintln!("building the synthetic web…");
-        let mut study = Study::with_fault_config(config, fault);
-        match parse_max_retries(&flags) {
-            Ok(Some(n)) => study.retry.max_retries = n,
-            Ok(None) => {}
-            Err(e) => return fail(&e),
-        }
-        let store = match flags.value("--store") {
-            None => None,
-            Some(dir) => {
-                let meta = store_meta(&study, &scale_name, epoch);
-                match Store::create_with(Path::new(dir), Region::ALL.len(), &meta, backend.clone())
-                {
-                    Ok(s) => Some(s),
-                    Err(e) => {
-                        return fail(&format!(
-                            "creating store {dir}: {e} (use --resume for an existing store)"
-                        ))
-                    }
-                }
-            }
-        };
-        (study, store)
+        let study = spec.build();
+        let store = flags.value("--store").map(|dir| {
+            let meta = store_meta(&study, &spec.scale, spec.epoch);
+            Store::create_with(Path::new(dir), Region::ALL.len(), &meta, backend.clone()).map_err(
+                |e| format!("creating store {dir}: {e} (use --resume for an existing store)"),
+            )
+        });
+        (study, store.transpose()?)
     };
-    match parse_workers(&flags, study.workers) {
-        Ok(w) => study.workers = w,
-        Err(e) => return fail(&e),
+    if let Some(w) = workers {
+        study.workers = w;
     }
     study.cache = !flags.has("--no-cache");
 
-    let policy = match parse_policy(&flags, store.is_some()) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
     eprintln!(
         "  {} sites, {} targets, {} ground-truth walls ({:?})",
         study.population.sites().len(),
@@ -484,9 +557,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
     eprintln!("running every experiment…");
     let report = match &store {
         None => analysis::run_all(&study),
-        Some(store) => match analysis::run_all_persistent(&study, store, &policy) {
-            Err(e) => return fail(&e),
-            Ok(None) => {
+        Some(store) => match analysis::run_all_persistent(&study, store, &policy)? {
+            None => {
                 let dir = store.dir().display();
                 eprintln!(
                     "stopped after {} newly crawled cells; finished work is checkpointed.\n\
@@ -494,23 +566,18 @@ fn cmd_run(args: &[String]) -> ExitCode {
                     policy.abort_after.unwrap_or(0),
                 );
                 report_disk_chaos(&faulty_disk);
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
-            Ok(Some(report)) => report,
+            Some(report) => report,
         },
     };
     println!("{}", report.render());
     eprint!("{}", report.crawl_metrics.render());
     report_chaos(&study);
     report_disk_chaos(&faulty_disk);
-    if let Some(path) = flags.value("--json") {
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => eprintln!("JSON results written to {path}"),
-            Err(e) => return fail(&format!("writing {path}: {e}")),
-        }
-    }
+    write_json(flags, "results", || report.to_json())?;
     eprintln!("total: {:?}", t0.elapsed());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// One-line summary of injected disk chaos, mirroring [`report_chaos`].
@@ -552,167 +619,52 @@ fn store_meta(study: &Study, scale_name: &str, epoch: u64) -> Vec<(String, Strin
     meta
 }
 
-/// Rebuild the study a store was created for, from its metadata.
-fn study_from_store(store: &Store) -> Result<Study, String> {
-    let scale = store
-        .meta_value("scale")
-        .ok_or("store has no scale metadata (not created by `run --store`?)")?;
-    let epoch = match store.meta_value("epoch") {
-        None => 0,
-        Some(raw) => raw
-            .parse::<u64>()
-            .map_err(|_| format!("store has invalid epoch metadata {raw:?}"))?,
-    };
-    let config = scale_config(scale)?.with_epoch(epoch);
-    let fault = match store.meta_value("fault_seed") {
-        None => None,
-        Some(seed) => {
-            let mut f = FaultConfig::new(
-                seed.parse::<u64>()
-                    .map_err(|_| format!("store has invalid fault_seed metadata {seed:?}"))?,
-            );
-            if let Some(raw) = store.meta_value("fault_rate") {
-                f.transient_rate = raw
-                    .parse::<f64>()
-                    .map_err(|_| format!("store has invalid fault_rate metadata {raw:?}"))?;
-            }
-            if let Some(raw) = store.meta_value("fault_permanent") {
-                f.permanent_rate = raw
-                    .parse::<f64>()
-                    .map_err(|_| format!("store has invalid fault_permanent metadata {raw:?}"))?;
-            }
-            Some(f)
-        }
-    };
-    eprintln!("rebuilding the synthetic web (scale {scale}, epoch {epoch})…");
-    let mut study = Study::with_fault_config(config, fault);
-    if let Some(raw) = store.meta_value("max_retries") {
-        study.retry.max_retries = raw
-            .parse::<u32>()
-            .map_err(|_| format!("store has invalid max_retries metadata {raw:?}"))?;
-    }
-    Ok(study)
-}
-
 /// Parse `--checkpoint-every` / `--abort-after` into a checkpoint policy;
 /// both require a store to act on.
 fn parse_policy(flags: &Flags, has_store: bool) -> Result<CheckpointPolicy, String> {
-    let mut policy = CheckpointPolicy::default();
-    match flags.value("--checkpoint-every") {
-        None => {}
-        Some(_) if !has_store => {
-            return Err("--checkpoint-every needs --store or --resume".to_string())
-        }
-        Some(raw) => {
-            policy.every = raw.parse::<usize>().map_err(|_| {
-                format!("--checkpoint-every needs a non-negative integer, got {raw:?}")
-            })?;
+    for name in ["--checkpoint-every", "--abort-after"] {
+        if !has_store && flags.value(name).is_some() {
+            return Err(format!("{name} needs --store or --resume"));
         }
     }
-    match flags.value("--abort-after") {
-        None => {}
-        Some(_) if !has_store => return Err("--abort-after needs --store or --resume".to_string()),
-        Some(raw) => {
-            policy.abort_after =
-                Some(raw.parse::<usize>().map_err(|_| {
-                    format!("--abort-after needs a non-negative integer, got {raw:?}")
-                })?);
-        }
-    }
-    Ok(policy)
+    let default = CheckpointPolicy::default();
+    Ok(CheckpointPolicy {
+        every: flags
+            .value_in::<usize>("--checkpoint-every", .., "a non-negative integer")?
+            .unwrap_or(default.every),
+        abort_after: flags.value_in::<usize>("--abort-after", .., "a non-negative integer")?,
+    })
 }
 
-fn cmd_diff(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, &["--json"], &[], 2) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
+fn cmd_diff(flags: &Flags) -> Result<(), String> {
     let [a, b] = flags.positionals.as_slice() else {
-        return fail("diff needs two store directories: cookiewall-study diff <store-a> <store-b>");
+        return Err(
+            "diff needs two store directories: cookiewall-study diff <store-a> <store-b>".into(),
+        );
     };
-    let before = match Store::open(Path::new(a)) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("opening store {a}: {e}")),
-    };
-    let after = match Store::open(Path::new(b)) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("opening store {b}: {e}")),
-    };
-    let churn = match longitudinal::diff_stores(&before, &after) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
+    let before = Store::open(Path::new(a)).map_err(|e| format!("opening store {a}: {e}"))?;
+    let after = Store::open(Path::new(b)).map_err(|e| format!("opening store {b}: {e}"))?;
+    let churn = longitudinal::diff_stores(&before, &after)?;
     println!("{}", churn.render());
-    if let Some(path) = flags.value("--json") {
-        match std::fs::write(path, churn.to_json()) {
-            Ok(()) => eprintln!("JSON churn report written to {path}"),
-            Err(e) => return fail(&format!("writing {path}: {e}")),
-        }
-    }
-    ExitCode::SUCCESS
+    write_json(flags, "churn report", || churn.to_json())
 }
 
-fn cmd_fsck(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, &["--json"], &["--dry-run"], 1) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
+fn cmd_fsck(flags: &Flags) -> Result<(), String> {
     let Some(dir) = flags.positionals.first() else {
-        return fail("fsck needs a store directory: cookiewall-study fsck <store>");
+        return Err("fsck needs a store directory: cookiewall-study fsck <store>".into());
     };
-    let backend = FsBackend;
-    let report = match store::fsck(Path::new(dir), &backend, flags.has("--dry-run")) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("fsck {dir}: {e}")),
-    };
+    let report = store::fsck(Path::new(dir), &FsBackend, flags.has("--dry-run"))
+        .map_err(|e| format!("fsck {dir}: {e}"))?;
     print!("{}", report.render());
-    if let Some(path) = flags.value("--json") {
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => eprintln!("JSON fsck report written to {path}"),
-            Err(e) => return fail(&format!("writing {path}: {e}")),
-        }
-    }
-    ExitCode::SUCCESS
+    write_json(flags, "fsck report", || report.to_json())
 }
 
-const CRAWL_VALUED: &[&str] = &[
-    "--scale",
-    "--workers",
-    "--region",
-    "--fault-rate",
-    "--fault-permanent",
-    "--fault-seed",
-    "--max-retries",
-    "--epoch",
-];
-
-fn cmd_crawl(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, CRAWL_VALUED, &[], 0) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let (config, _, _) = match parse_population(&flags) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let region = match parse_region(&flags) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
-    let fault = match parse_fault_config(&flags) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let mut study = Study::with_fault_config(config, fault);
-    let workers = match parse_workers(&flags, study.workers) {
-        Ok(w) => w,
-        Err(e) => return fail(&e),
-    };
-    match parse_max_retries(&flags) {
-        Ok(Some(n)) => study.retry.max_retries = n,
-        Ok(None) => {}
-        Err(e) => return fail(&e),
-    }
+fn cmd_crawl(flags: &Flags) -> Result<(), String> {
+    let spec = StudySpec::from_flags(flags)?;
+    let region = parse_region(flags)?;
+    let workers = flags.value_in::<usize>("--workers", 1.., "a positive integer")?;
+    let study = spec.build();
+    let workers = workers.unwrap_or(study.workers);
     let targets = study.targets();
     eprintln!(
         "crawling {} targets from {}…",
@@ -727,12 +679,8 @@ fn cmd_crawl(args: &[String]) -> ExitCode {
         workers,
         &study.retry,
     );
-    let mut banners = 0;
     let mut out = std::io::stdout().lock();
     for r in &crawl.records {
-        if r.banner {
-            banners += 1;
-        }
         if r.cookiewall {
             let line = format!(
                 "{}\tembedding={:?}\tprice={}\tlang={}\tprovider={}",
@@ -745,47 +693,38 @@ fn cmd_crawl(args: &[String]) -> ExitCode {
                 r.provider.as_deref().unwrap_or("first-party"),
             );
             if writeln!(out, "{line}").is_err() {
-                return ExitCode::SUCCESS; // downstream pipe closed (e.g. head)
+                return Ok(()); // downstream pipe closed (e.g. head)
             }
         }
     }
     eprintln!(
         "{} cookiewalls, {} banners, {} reachable of {} targets ({} ms on {} workers)",
         crawl.wall_count(),
-        banners,
+        crawl.records.iter().filter(|r| r.banner).count(),
         crawl.records.iter().filter(|r| r.reachable).count(),
         targets.len(),
         crawl.metrics.wall_ms,
         workers
     );
+    let failures = FailureTaxonomy::from_crawls(std::slice::from_ref(&crawl));
     eprintln!(
         "{} failed ({} gave up after retries, {} rescued by retries), {} unresolved requests",
-        crawl.records.iter().filter(|r| r.failure.is_some()).count(),
-        crawl.records.iter().filter(|r| r.gave_up()).count(),
-        crawl.records.iter().filter(|r| r.retried_ok()).count(),
+        failures.total_failures,
+        failures.gave_up,
+        failures.retried_ok,
         study.net.stats().unresolved(),
     );
     report_chaos(&study);
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_detect(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, &["--scale", "--region"], &["--adblock"], 1) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
+fn cmd_detect(flags: &Flags) -> Result<(), String> {
     let Some(domain) = flags.positionals.first() else {
-        return fail("detect needs a domain argument");
+        return Err("detect needs a domain argument".into());
     };
-    let (config, _, _) = match parse_population(&flags) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let region = match parse_region(&flags) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
-    let study = Study::new(config);
+    let spec = StudySpec::from_flags(flags)?;
+    let region = parse_region(flags)?;
+    let study = spec.build();
     let mut browser = Browser::new(study.net.clone(), region);
     if flags.has("--adblock") {
         browser = browser.with_blocker(blocklist::FilterEngine::ublock_with_annoyances());
@@ -793,7 +732,7 @@ fn cmd_detect(args: &[String]) -> ExitCode {
     let tool = BannerClick::new();
     let analysis = tool.analyze(&mut browser, domain);
     if !analysis.reachable {
-        return fail(&format!(
+        return Err(format!(
             "{domain} is not reachable in this synthetic web \
             (use `walls` to list sites)"
         ));
@@ -840,19 +779,11 @@ fn cmd_detect(args: &[String]) -> ExitCode {
             "not a cookiewall"
         }
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_walls(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, &["--scale", "--epoch"], &[], 0) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let (config, _, _) = match parse_population(&flags) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let study = Study::new(config);
+fn cmd_walls(flags: &Flags) -> Result<(), String> {
+    let study = StudySpec::from_flags(flags)?.build();
     let mut out = std::io::stdout().lock();
     for site in study.population.ground_truth_walls() {
         let webgen::BannerKind::Cookiewall(cw) = &site.banner else {
@@ -867,53 +798,10 @@ fn cmd_walls(args: &[String]) -> ExitCode {
             cw.smp.map(|s| s.name()).unwrap_or("independent"),
         );
         if writeln!(out, "{line}").is_err() {
-            return ExitCode::SUCCESS; // downstream pipe closed (e.g. head)
+            return Ok(()); // downstream pipe closed (e.g. head)
         }
     }
-    ExitCode::SUCCESS
-}
-
-const SERVE_VALUED: &[&str] = &[
-    "--script",
-    "--requests",
-    "--seed",
-    "--readers",
-    "--zipf",
-    "--json",
-];
-
-/// Parse an optional unsigned-integer flag with a default.
-fn parse_count(flags: &Flags, name: &str, default: usize, min: usize) -> Result<usize, String> {
-    match flags.value(name) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= min)
-            .ok_or_else(|| format!("{name} needs an integer ≥ {min}, got {raw:?}")),
-    }
-}
-
-/// Parse `--seed` (any u64, default 0).
-fn parse_seed(flags: &Flags) -> Result<u64, String> {
-    match flags.value("--seed") {
-        None => Ok(0),
-        Some(raw) => raw
-            .parse::<u64>()
-            .map_err(|_| format!("--seed needs a non-negative integer, got {raw:?}")),
-    }
-}
-
-/// Parse `--zipf` (exponent ≥ 0, default 1.1).
-fn parse_zipf(flags: &Flags) -> Result<f64, String> {
-    match flags.value("--zipf") {
-        None => Ok(1.1),
-        Some(raw) => raw
-            .parse::<f64>()
-            .ok()
-            .filter(|z| z.is_finite() && *z >= 0.0)
-            .ok_or_else(|| format!("--zipf needs a non-negative exponent, got {raw:?}")),
-    }
+    Ok(())
 }
 
 /// Split a query script across reader lanes, round-robin by line index —
@@ -924,6 +812,15 @@ fn partition_script(queries: Vec<Query>, readers: usize) -> Vec<Vec<Query>> {
         lanes[i % readers.max(1)].push(q);
     }
     lanes
+}
+
+/// Write the report `json` builds to the `--json` path, if one was given.
+fn write_json(flags: &Flags, what: &str, json: impl FnOnce() -> String) -> Result<(), String> {
+    if let Some(path) = flags.value("--json") {
+        std::fs::write(path, json()).map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("JSON {what} written to {path}");
+    }
+    Ok(())
 }
 
 /// Minimal JSON string escaping for the hand-rolled reports.
@@ -939,44 +836,49 @@ fn json_escape(s: &str) -> String {
         .collect()
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, SERVE_VALUED, &[], 2) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
+/// `serve`'s request-stream flags with their defaults: readers, requests,
+/// seed and Zipf exponent. The last three shape the seeded stream that
+/// `--script` replaces, so giving one with `--script` is a usage error.
+fn stream_flags(flags: &Flags) -> Result<(usize, usize, u64, f64), String> {
+    let readers = flags.value_in::<usize>("--readers", 1.., "an integer ≥ 1")?;
+    let requests = flags.value_in::<usize>("--requests", .., "an integer ≥ 0")?;
+    let seed = flags.value_in::<u64>("--seed", .., "a non-negative integer")?;
+    let zipf = flags.value_in::<f64>("--zipf", 0.0..=f64::MAX, "a non-negative exponent")?;
+    if let (Some(_), Some(flag)) = (
+        flags.value("--script"),
+        ["--requests", "--seed", "--zipf"]
+            .into_iter()
+            .find(|f| flags.value(f).is_some()),
+    ) {
+        return Err(format!(
+            "{flag} has no effect with --script: the script replaces the seeded \
+             request stream"
+        ));
+    }
+    Ok((
+        readers.unwrap_or(3),
+        requests.unwrap_or(256),
+        seed.unwrap_or(0),
+        zipf.unwrap_or(1.1),
+    ))
+}
+
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let Some(dir_a) = flags.positionals.first() else {
-        return fail(
+        return Err(
             "serve needs a sealed store: cookiewall-study serve <store-a> [<store-b>] \
-             (run `run --store DIR` first, or `fsck` to repair the index)",
+             (run `run --store DIR` first, or `fsck` to repair the index)"
+                .into(),
         );
     };
-    let readers = match parse_count(&flags, "--readers", 3, 1) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
+    let (readers, requests, seed, zipf) = stream_flags(flags)?;
+    let open = |dir: &String| {
+        StoreSnapshot::open(Path::new(dir))
+            .map(Arc::new)
+            .map_err(|e| format!("opening snapshot {dir}: {e}"))
     };
-    let requests = match parse_count(&flags, "--requests", 256, 0) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
-    let seed = match parse_seed(&flags) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let zipf = match parse_zipf(&flags) {
-        Ok(z) => z,
-        Err(e) => return fail(&e),
-    };
-    let epoch_a = match StoreSnapshot::open(Path::new(dir_a)) {
-        Ok(s) => Arc::new(s),
-        Err(e) => return fail(&format!("opening snapshot {dir_a}: {e}")),
-    };
-    let epoch_b = match flags.positionals.get(1) {
-        None => None,
-        Some(dir) => match StoreSnapshot::open(Path::new(dir)) {
-            Ok(s) => Some(Arc::new(s)),
-            Err(e) => return fail(&format!("opening snapshot {dir}: {e}")),
-        },
-    };
+    let epoch_a = open(dir_a)?;
+    let epoch_b = flags.positionals.get(1).map(open).transpose()?;
 
     let service = QueryService::new(Arc::clone(&epoch_a), epoch_b.is_some());
     if let Some(b) = &epoch_b {
@@ -987,14 +889,10 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     // Zipf workload over the sealed domain universe.
     let lanes: Vec<Vec<Query>> = match flags.value("--script") {
         Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => return fail(&format!("reading script {path}: {e}")),
-            };
-            match parse_script(&text) {
-                Ok(queries) => partition_script(queries, readers),
-                Err(e) => return fail(&format!("script {path}: {e}")),
-            }
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("reading script {path}: {e}"))?;
+            let queries = parse_script(&text).map_err(|e| format!("script {path}: {e}"))?;
+            partition_script(queries, readers)
         }
         None => {
             let mut domains = Vec::new();
@@ -1026,7 +924,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             digest = chain_digest(digest, &response.text);
             responses += 1;
             if writeln!(out, "r{reader}\t{}", response.text).is_err() {
-                return ExitCode::SUCCESS; // downstream pipe closed (e.g. head)
+                return Ok(()); // downstream pipe closed (e.g. head)
             }
         }
     }
@@ -1039,7 +937,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             s.class, s.count, s.p50_micros, s.p99_micros
         );
     }
-    if let Some(path) = flags.value("--json") {
+    write_json(flags, "serve ledger", || {
         let classes: Vec<String> = ledger
             .summaries()
             .iter()
@@ -1050,7 +948,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 )
             })
             .collect();
-        let json = format!(
+        format!(
             "{{\"store_a\":\"{}\",\"store_b\":{},\"responses\":{},\"digest\":\"{}\",\
              \"clock_us\":{},\"classes\":[{}]}}\n",
             json_escape(dir_a),
@@ -1063,31 +961,16 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             format_digest(digest),
             service.clock().now_micros(),
             classes.join(",")
-        );
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("JSON serve ledger written to {path}"),
-            Err(e) => return fail(&format!("writing {path}: {e}")),
-        }
-    }
-    ExitCode::SUCCESS
+        )
+    })
 }
 
-fn cmd_stats(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, &["--json"], &[], 1) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
+fn cmd_stats(flags: &Flags) -> Result<(), String> {
     let Some(dir) = flags.positionals.first() else {
-        return fail("stats needs a store directory: cookiewall-study stats <store>");
+        return Err("stats needs a store directory: cookiewall-study stats <store>".into());
     };
-    let store = match Store::open(Path::new(dir)) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("opening store {dir}: {e}")),
-    };
-    let quarantined = match store::quarantine_ledger(Path::new(dir), &FsBackend) {
-        Ok(cells) => cells.len(),
-        Err(_) => 0,
-    };
+    let store = Store::open(Path::new(dir)).map_err(|e| format!("opening store {dir}: {e}"))?;
+    let quarantined = store::quarantine_ledger(Path::new(dir), &FsBackend).map(|c| c.len());
     // Per-region census over the live store (streaming, no buffering).
     let mut region_cells: Vec<(String, usize)> = Vec::new();
     for region in 0..store.regions() as u8 {
@@ -1096,211 +979,183 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         region_cells.push((analysis::query::region_label(region), n));
     }
     // The sealed view, if the store has ever been sealed and its index
-    // slots verify; a damaged index is reported, not fatal.
-    let snapshot = StoreSnapshot::open(Path::new(dir));
+    // slots verify: (generation, segments, sealed cells, coverage %). A
+    // damaged index is reported, not fatal.
+    let sealed = StoreSnapshot::open(Path::new(dir)).map(|snap| {
+        let mut segments = std::collections::BTreeSet::new();
+        for region in 0..snap.regions() as u8 {
+            snap.for_each_region_entry(region, &mut |domain, _| {
+                if let Some(segment) = snap.segment_of(region, domain) {
+                    segments.insert(segment);
+                }
+            });
+        }
+        let coverage = if store.is_empty() {
+            100.0
+        } else {
+            snap.len() as f64 * 100.0 / store.len() as f64
+        };
+        (snap.generation(), segments.len(), snap.len(), coverage)
+    });
     println!("store: {dir}");
     println!("cells: {}", store.len());
     for (label, n) in &region_cells {
         println!("  {label}: {n}");
     }
-    match &snapshot {
-        Ok(snap) => {
-            let mut segments = std::collections::BTreeSet::new();
-            for region in 0..snap.regions() as u8 {
-                snap.for_each_region_entry(region, &mut |domain, _| {
-                    if let Some(segment) = snap.segment_of(region, domain) {
-                        segments.insert(segment);
-                    }
-                });
-            }
-            let coverage = if store.is_empty() {
-                100.0
-            } else {
-                snap.len() as f64 * 100.0 / store.len() as f64
-            };
-            println!("sealed generation: {}", snap.generation());
-            println!("sealed segments: {}", segments.len());
+    match &sealed {
+        Ok((generation, segments, sealed_cells, coverage)) => {
+            println!("sealed generation: {generation}");
+            println!("sealed segments: {segments}");
             println!(
-                "index coverage: {:.1}% ({} of {} cells sealed)",
-                coverage,
-                snap.len(),
+                "index coverage: {coverage:.1}% ({sealed_cells} of {} cells sealed)",
                 store.len()
             );
         }
         Err(e) => println!("index: unreadable ({e})"),
     }
-    println!("quarantined cells: {quarantined}");
-    if let Some(path) = flags.value("--json") {
+    match &quarantined {
+        Ok(n) => println!("quarantined cells: {n}"),
+        Err(e) => println!("quarantined cells: unreadable ({e})"),
+    }
+    write_json(flags, "stats", || {
         let regions: Vec<String> = region_cells
             .iter()
             .map(|(label, n)| format!("{{\"region\":\"{}\",\"cells\":{n}}}", json_escape(label)))
             .collect();
-        let sealed = match &snapshot {
-            Ok(snap) => {
-                let mut segments = std::collections::BTreeSet::new();
-                for region in 0..snap.regions() as u8 {
-                    snap.for_each_region_entry(region, &mut |domain, _| {
-                        if let Some(segment) = snap.segment_of(region, domain) {
-                            segments.insert(segment);
-                        }
-                    });
-                }
-                let coverage = if store.is_empty() {
-                    100.0
-                } else {
-                    snap.len() as f64 * 100.0 / store.len() as f64
-                };
-                format!(
-                    "{{\"generation\":{},\"segments\":{},\"sealed_cells\":{},\
-                     \"coverage_percent\":{coverage:.1}}}",
-                    snap.generation(),
-                    segments.len(),
-                    snap.len()
-                )
-            }
+        let index = match &sealed {
+            Ok((generation, segments, sealed_cells, coverage)) => format!(
+                "{{\"generation\":{generation},\"segments\":{segments},\
+                 \"sealed_cells\":{sealed_cells},\"coverage_percent\":{coverage:.1}}}"
+            ),
             Err(e) => format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string())),
         };
-        let json = format!(
-            "{{\"store\":\"{}\",\"cells\":{},\"regions\":[{}],\"index\":{},\
-             \"quarantined\":{}}}\n",
+        let quarantined = match &quarantined {
+            Ok(n) => n.to_string(),
+            Err(e) => format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string())),
+        };
+        format!(
+            "{{\"store\":\"{}\",\"cells\":{},\"regions\":[{}],\"index\":{index},\
+             \"quarantined\":{quarantined}}}\n",
             json_escape(dir),
             store.len(),
             regions.join(","),
-            sealed,
-            quarantined
-        );
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("JSON stats written to {path}"),
-            Err(e) => return fail(&format!("writing {path}: {e}")),
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn fail(message: &str) -> ExitCode {
-    eprintln!("error: {message}");
-    ExitCode::FAILURE
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).unwrap()
+    }
+
+    /// Parse space-separated `args` against `name`'s table entry.
+    fn parse(name: &str, args: &str) -> Result<Flags, String> {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        command(name).parse_args(&args)
     }
 
     #[test]
     fn unknown_flags_are_usage_errors() {
-        let err =
-            parse_flags(&argv(&["--scael", "paper"]), RUN_VALUED, &["--no-cache"], 0).unwrap_err();
+        let err = parse("run", "--scael paper").unwrap_err();
         assert!(err.contains("unknown flag --scael"), "{err}");
-        let err = parse_flags(&argv(&["--no-cach"]), RUN_VALUED, &["--no-cache"], 0).unwrap_err();
+        let err = parse("run", "--no-cach").unwrap_err();
         assert!(err.contains("unknown flag --no-cach"), "{err}");
     }
 
     #[test]
     fn valued_flags_parse_space_and_equals_forms() {
-        let flags =
-            parse_flags(&argv(&["--scale", "paper"]), RUN_VALUED, &["--no-cache"], 0).unwrap();
+        let flags = parse("run", "--scale paper").unwrap();
         assert_eq!(flags.value("--scale"), Some("paper"));
-        let flags = parse_flags(&argv(&["--scale=tiny"]), RUN_VALUED, &["--no-cache"], 0).unwrap();
+        let flags = parse("run", "--scale=tiny").unwrap();
         assert_eq!(flags.value("--scale"), Some("tiny"));
     }
 
     #[test]
     fn missing_values_and_duplicates_are_rejected() {
-        let err = parse_flags(&argv(&["--scale"]), RUN_VALUED, &["--no-cache"], 0).unwrap_err();
+        let err = parse("run", "--scale").unwrap_err();
         assert!(err.contains("--scale needs a value"), "{err}");
-        let err = parse_flags(
-            &argv(&["--scale", "--no-cache"]),
-            RUN_VALUED,
-            &["--no-cache"],
-            0,
-        )
-        .unwrap_err();
+        let err = parse("run", "--scale --no-cache").unwrap_err();
         assert!(err.contains("--scale needs a value"), "{err}");
-        let err = parse_flags(
-            &argv(&["--scale", "tiny", "--scale", "paper"]),
-            RUN_VALUED,
-            &["--no-cache"],
-            0,
-        )
-        .unwrap_err();
+        let err = parse("run", "--scale tiny --scale paper").unwrap_err();
         assert!(err.contains("more than once"), "{err}");
     }
 
     #[test]
     fn switches_reject_values_and_positionals_are_bounded() {
-        let err =
-            parse_flags(&argv(&["--no-cache=1"]), RUN_VALUED, &["--no-cache"], 0).unwrap_err();
+        let err = parse("run", "--no-cache=1").unwrap_err();
         assert!(err.contains("does not take a value"), "{err}");
-        let err = parse_flags(&argv(&["stray"]), RUN_VALUED, &["--no-cache"], 0).unwrap_err();
+        let err = parse("run", "stray").unwrap_err();
         assert!(err.contains("unexpected argument"), "{err}");
-        let flags = parse_flags(&argv(&["a", "b"]), &["--json"], &[], 2).unwrap();
+        let flags = parse("diff", "a b").unwrap();
         assert_eq!(flags.positionals, vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]
     fn resume_conflicts_cover_every_study_shaping_flag() {
-        for conflict in RESUME_CONFLICTS {
+        let study =
+            "--scale --epoch --fault-rate --fault-permanent --fault-seed --max-retries --store";
+        assert_eq!(command("run").study, study);
+        for conflict in study.split_whitespace() {
+            let err = parse("run", &format!("--resume dir {conflict} 1")).unwrap_err();
             assert!(
-                RUN_VALUED.contains(conflict),
-                "{conflict} must be a run flag"
+                err.starts_with(&format!("{conflict} conflicts with --resume")),
+                "{err}"
             );
         }
     }
 
     #[test]
     fn disk_fault_flags_are_operator_knobs_compatible_with_resume() {
+        let run = command("run");
         for flag in ["--disk-fault-seed", "--disk-fault-rate"] {
-            assert!(RUN_VALUED.contains(&flag), "{flag} must be a run flag");
+            assert!(lists(run.valued, flag), "{flag} must be a run flag");
             assert!(
-                !RESUME_CONFLICTS.contains(&flag),
+                !lists(run.study, flag),
                 "{flag} models the disk, not the study — it must stay legal with --resume"
             );
         }
+        assert!(parse(
+            "run",
+            "--resume dir --disk-fault-seed 1 --disk-fault-rate 0.5"
+        )
+        .is_ok());
     }
 
     #[test]
     fn serve_flags_parse_with_defaults_and_validate() {
-        let flags = parse_flags(&argv(&["store-a", "store-b"]), SERVE_VALUED, &[], 2).unwrap();
-        assert_eq!(parse_count(&flags, "--readers", 3, 1).unwrap(), 3);
-        assert_eq!(parse_count(&flags, "--requests", 256, 0).unwrap(), 256);
-        assert_eq!(parse_seed(&flags).unwrap(), 0);
-        assert!((parse_zipf(&flags).unwrap() - 1.1).abs() < 1e-12);
+        let flags = parse("serve", "store-a store-b").unwrap();
+        assert_eq!(stream_flags(&flags).unwrap(), (3, 256, 0, 1.1));
+        let args = "store-a --readers 5 --requests=64 --seed 9 --zipf 0.0";
+        let flags = parse("serve", args).unwrap();
+        assert_eq!(stream_flags(&flags).unwrap(), (5, 64, 9, 0.0));
 
-        let flags = parse_flags(
-            &argv(&[
-                "store-a",
-                "--readers",
-                "5",
-                "--requests=64",
-                "--seed",
-                "9",
-                "--zipf",
-                "0.0",
-            ]),
-            SERVE_VALUED,
-            &[],
-            2,
-        )
-        .unwrap();
-        assert_eq!(parse_count(&flags, "--readers", 3, 1).unwrap(), 5);
-        assert_eq!(parse_count(&flags, "--requests", 256, 0).unwrap(), 64);
-        assert_eq!(parse_seed(&flags).unwrap(), 9);
-        assert_eq!(parse_zipf(&flags).unwrap(), 0.0);
-
-        let flags = parse_flags(&argv(&["a", "--readers", "0"]), SERVE_VALUED, &[], 2).unwrap();
-        let err = parse_count(&flags, "--readers", 3, 1).unwrap_err();
+        let flags = parse("serve", "a --readers 0").unwrap();
+        let err = stream_flags(&flags).unwrap_err();
         assert!(err.contains("--readers"), "{err}");
-        let flags = parse_flags(&argv(&["a", "--zipf", "-1"]), SERVE_VALUED, &[], 2).unwrap();
-        assert!(parse_zipf(&flags).is_err());
+        let flags = parse("serve", "a --zipf -1").unwrap();
+        assert!(stream_flags(&flags).is_err());
+        let flags = parse("serve", "a --zipf inf").unwrap();
+        assert!(stream_flags(&flags).is_err(), "the exponent must be finite");
 
-        let err = parse_flags(&argv(&["a", "b", "c"]), SERVE_VALUED, &[], 2).unwrap_err();
+        let err = parse("serve", "a b c").unwrap_err();
         assert!(err.contains("unexpected argument"), "{err}");
-        let err = parse_flags(&argv(&["a", "--dry-run"]), SERVE_VALUED, &[], 2).unwrap_err();
+        let err = parse("serve", "a --dry-run").unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
+    }
+
+    #[test]
+    fn serve_script_rejects_stream_flags() {
+        for flag in ["--requests", "--seed", "--zipf"] {
+            let flags = parse("serve", &format!("a --script s {flag} 1")).unwrap();
+            let err = cmd_serve(&flags).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} has no effect with --script")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1333,17 +1188,11 @@ mod tests {
     fn disk_fault_flags_parse_and_validate() {
         let none = parse_disk_fault(&Flags::default()).unwrap();
         assert!(none.is_none(), "no flags, no fault layer");
-        let flags = parse_flags(
-            &argv(&["--disk-fault-seed", "7", "--disk-fault-rate", "0.25"]),
-            RUN_VALUED,
-            &[],
-            0,
-        )
-        .unwrap();
+        let flags = parse("run", "--disk-fault-seed 7 --disk-fault-rate 0.25").unwrap();
         let config = parse_disk_fault(&flags).unwrap().unwrap();
         assert_eq!(config.seed, 7);
         assert!((config.rate - 0.25).abs() < 1e-12);
-        let flags = parse_flags(&argv(&["--disk-fault-rate", "1.5"]), RUN_VALUED, &[], 0).unwrap();
+        let flags = parse("run", "--disk-fault-rate 1.5").unwrap();
         let err = parse_disk_fault(&flags).unwrap_err();
         assert!(err.contains("probability"), "{err}");
     }

@@ -10,9 +10,13 @@
 //! flags given without a store. Every case fails before a population is
 //! built, so the whole list runs in well under a second.
 //!
+//! A second test checks that `stats` reports an unreadable quarantine
+//! ledger instead of counting it as empty.
+//!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test cli`.
 
 use std::process::Command;
+use store::Store;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cli_golden.txt");
 
@@ -90,6 +94,7 @@ const CASES: &[&str] = &[
     "serve store-a --readers 0",
     "serve store-a --requests -1",
     "serve store-a --seed x",
+    "serve store-a --script queries.txt --seed 1",
     "stats --bogus",
     "stats store-a --json",
     "stats store-a --json x.json --json y.json",
@@ -137,4 +142,36 @@ fn bad_invocations_match_golden() {
         rendered.lines().count(),
         "CLI golden case count drifted"
     );
+}
+
+#[test]
+fn stats_reports_an_unreadable_quarantine_ledger() {
+    let dir = std::env::temp_dir().join(format!("cookiewall-cli-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::create(&dir, 2, &[]).expect("create store");
+    store.put(0, "site.example", b"payload").expect("put");
+    store.checkpoint().expect("checkpoint");
+    drop(store);
+    // A directory where the ledger file belongs: reading it fails.
+    std::fs::create_dir(dir.join("quarantine")).expect("mkdir quarantine");
+    let json = dir.join("stats.json");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_cookiewall-study"))
+        .arg("stats")
+        .arg(&dir)
+        .arg("--json")
+        .arg(&json)
+        .output()
+        .expect("spawn cookiewall-study");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let json = std::fs::read_to_string(&json).expect("stats JSON written");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(output.status.success(), "stats failed: {output:?}");
+    assert!(stdout.contains("cells: 1\n"), "{stdout}");
+    assert!(
+        stdout.contains("quarantined cells: unreadable ("),
+        "an unreadable ledger must not read as zero: {stdout}"
+    );
+    assert!(json.contains("\"quarantined\":{\"error\":\""), "{json}");
 }
