@@ -7,6 +7,7 @@
 //! with its shadow DOM intact.
 
 use crate::entity::encode_entities_into;
+use crate::tokenizer::RAW_TEXT_TAGS;
 use crate::tree::{is_void_element, Document, NodeId, NodeKind};
 
 impl Document {
@@ -61,7 +62,7 @@ impl Document {
                 if is_void_element(tag) {
                     return;
                 }
-                let raw = matches!(tag, "script" | "style");
+                let raw = RAW_TEXT_TAGS.iter().any(|t| tag.eq_ignore_ascii_case(t));
                 // Declarative shadow root first, so the parser re-attaches it
                 // to this element.
                 if let Some(sref) = e.shadow_root {

@@ -12,6 +12,11 @@
 
 use crate::entity::decode_entities_into;
 
+/// Elements whose content is raw text: entity references stay encoded and
+/// markup is not recognized until the matching end tag. The serializer
+/// writes their text verbatim, so a parse → `to_html` round is a fixpoint.
+pub(crate) const RAW_TEXT_TAGS: [&str; 4] = ["script", "style", "textarea", "title"];
+
 /// Input bytes `start..end`, as `(start, end)`.
 pub(crate) type Range = (usize, usize);
 
@@ -257,7 +262,7 @@ impl Tokenizer<'_> {
         self.flush_text(sink);
         sink.start_tag(name, &self.attrs, self_closing);
         let name = &self.input[name.0..name.1];
-        let raw_text = ["script", "style", "textarea", "title"]
+        let raw_text = RAW_TEXT_TAGS
             .into_iter()
             .find(|t| name.eq_ignore_ascii_case(t));
         if let Some(tag) = raw_text.filter(|_| !self_closing) {
