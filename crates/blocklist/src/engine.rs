@@ -88,7 +88,7 @@ impl FilterEngine {
     /// Decide whether a request to `url`, initiated by a page on
     /// `initiator_host` (`None` for top-level navigations), should be
     /// blocked.
-    // lint:allow(r9) — the URL is rendered once per request (hoisted out of the per-filter loop); the cloned rule text is the block verdict itself — ROADMAP item 1
+    // lint:allow(r9) — the URL is rendered once per request (hoisted out of the per-filter loop); the cloned rule text is the block verdict itself
     pub fn decide(&self, url: &Url, initiator_host: Option<&str>) -> BlockDecision {
         // Rendered once here: every anchored/fragment pattern below reads
         // the same string, so the scan allocates per request, not per

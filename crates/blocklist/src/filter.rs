@@ -147,7 +147,7 @@ pub fn parse_line(line: &str) -> FilterLine {
 impl NetworkFilter {
     /// Does this filter match a request to `url` initiated by a page on
     /// `initiator_host` (`None` for top-level navigations)?
-    // lint:allow(r9) — compatibility wrapper: the engine's list scan calls matches_rendered, which allocates nothing (ROADMAP item 1)
+    // lint:allow(r9) — compatibility wrapper: the engine's list scan calls matches_rendered, which allocates nothing
     pub fn matches(&self, url: &Url, initiator_host: Option<&str>) -> bool {
         self.matches_rendered(url, &url.to_string(), initiator_host)
     }

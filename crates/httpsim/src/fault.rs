@@ -196,7 +196,7 @@ impl FaultPlan {
 
     /// Claim the next attempt ordinal for a cell (stateful: each
     /// navigation to the cell advances its counter by one).
-    // lint:allow(r9) — fault label allocated only on the faulted attempt; ROADMAP item 1
+    // lint:allow(r9) — fault label allocated only on the faulted attempt
     pub fn next_attempt(&self, region: Region, host: &str) -> u32 {
         let key = (region, Self::fault_domain(host).to_string());
         let mut attempts = self.attempts.lock();

@@ -40,7 +40,7 @@ pub struct Request {
 
 impl Request {
     /// A top-level GET navigation from `region` to `url`.
-    // lint:allow(r9) — request/response structs own their URL and body by design; ROADMAP item 1
+    // lint:allow(r9) — request/response structs own their URL and body by design; request construction is listed under ROADMAP "Zero-copy DOM payloads"
     pub fn navigation(url: Url, region: Region) -> Self {
         Request {
             method: Method::Get,
@@ -54,7 +54,7 @@ impl Request {
     }
 
     /// A subresource GET triggered by a page on `initiator_host`.
-    // lint:allow(r9) — request/response structs own their URL and body by design; ROADMAP item 1
+    // lint:allow(r9) — request/response structs own their URL and body by design; request construction is listed under ROADMAP "Zero-copy DOM payloads"
     pub fn subresource(url: Url, region: Region, initiator_host: &str) -> Self {
         Request {
             initiator_host: Some(initiator_host.to_string()),
@@ -114,7 +114,7 @@ pub struct Response {
 }
 
 impl Response {
-    // lint:allow(r9) — request/response structs own their URL and body by design; ROADMAP item 1
+    // lint:allow(r9) — request/response structs own their URL and body by design; request construction is listed under ROADMAP "Zero-copy DOM payloads"
     fn base(status: u16, content_type: &str, body: Bytes) -> Self {
         Response {
             status,

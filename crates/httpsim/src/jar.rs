@@ -90,7 +90,7 @@ impl CookieJar {
 
     /// The `Cookie:` header value for a request to `url`, or `None` if no
     /// cookies match.
-    // lint:allow(r9) — the Cookie header must be rendered per request; buffer reuse across requests is ROADMAP item 1
+    // lint:allow(r9) — the Cookie header must be rendered per request; buffer reuse across requests belongs to ROADMAP "Zero-copy DOM payloads"
     pub fn cookie_header(&self, url: &Url) -> Option<String> {
         let cookies = self.cookies_for(url);
         if cookies.is_empty() {

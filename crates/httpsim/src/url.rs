@@ -41,7 +41,7 @@ impl Url {
     /// Parse an absolute URL. A bare hostname like `example.de` is accepted
     /// and treated as `https://example.de/`, matching how crawl target lists
     /// are written.
-    // lint:allow(r9) — Url owns its components; zero-copy URL parsing is the ROADMAP item 1 headline item
+    // lint:allow(r9) — Url owns its components; zero-copy URL parsing belongs to ROADMAP "Zero-copy DOM payloads"
     pub fn parse(input: &str) -> Result<Self, UrlParseError> {
         let input = input.trim();
         if input.is_empty() {
@@ -145,7 +145,7 @@ impl Url {
     /// Resolve `reference` against this URL: absolute URLs pass through,
     /// `//host/x` is protocol-relative, `/x` is host-relative, anything else
     /// is path-relative.
-    // lint:allow(r9) — Url owns its components; zero-copy URL parsing is the ROADMAP item 1 headline item
+    // lint:allow(r9) — Url owns its components; zero-copy URL parsing belongs to ROADMAP "Zero-copy DOM payloads"
     pub fn join(&self, reference: &str) -> Result<Url, UrlParseError> {
         let reference = reference.trim();
         if reference.is_empty() {
@@ -215,7 +215,7 @@ impl std::str::FromStr for Url {
 }
 
 /// Resolve `.` and `..` segments and collapse `//` runs.
-// lint:allow(r9) — Url owns its components; zero-copy URL parsing is the ROADMAP item 1 headline item
+// lint:allow(r9) — Url owns its components; zero-copy URL parsing belongs to ROADMAP "Zero-copy DOM payloads"
 fn normalize_path(path: &str) -> String {
     let mut segments: Vec<&str> = Vec::new();
     for seg in path.split('/') {

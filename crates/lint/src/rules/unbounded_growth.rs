@@ -9,7 +9,7 @@
 //! growth calls (`push`/`insert`/`extend`/…) and shrink evidence
 //! (`remove`/`clear`/`drain`/`truncate`/`pop`/`retain`/… or a plain
 //! reassignment, which replaces the collection wholesale). A field that
-//! grows but never shrinks is memory the 1M-domain goal (ROADMAP item 2)
+//! grows but never shrinks is memory the parked 1M-domain goal (ROADMAP "Parked from earlier rounds")
 //! cannot afford: the 45k-site study fits in RAM, a production crawl
 //! does not.
 //!
@@ -224,7 +224,7 @@ impl Rule for UnboundedGrowth {
                     message: format!(
                         "`{}.{}` ({coll}) grows via `{grow_op}()` ({grow_path}:{grow_line}) but \
                          never shrinks anywhere in the workspace — unbounded memory on the \
-                         long-lived `{root}` graph breaks the 1M-domain goal (ROADMAP item 2)",
+                         long-lived `{root}` graph breaks the parked 1M-domain goal",
                         s.name, field.name
                     ),
                 });

@@ -153,7 +153,7 @@ impl QueryService {
 /// Per-class simulated latencies of every answered query.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyLedger {
-    // lint:allow(r10) — keyed by request class — a small closed set — so growth is bounded regardless of crawl size (tracked under ROADMAP item 2)
+    // lint:allow(r10) — keyed by request class — a small closed set — so growth is bounded regardless of crawl size
     samples: BTreeMap<&'static str, Vec<u64>>,
 }
 

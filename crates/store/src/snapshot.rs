@@ -187,7 +187,7 @@ impl StoreSnapshot {
     }
 
     /// Borrow a sealed payload.
-    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup; borrowed-key lookup is scoped into the ROADMAP item 1 arena work
+    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup
     pub fn get(&self, region: u8, domain: &str) -> Option<&[u8]> {
         let cell = self.entries.get(&(region, domain.to_string()))?;
         let shard = self.shards.get(region as usize)?;
@@ -195,7 +195,7 @@ impl StoreSnapshot {
     }
 
     /// Is this cell sealed?
-    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup; borrowed-key lookup is scoped into the ROADMAP item 1 arena work
+    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup
     pub fn contains(&self, region: u8, domain: &str) -> bool {
         self.entries.contains_key(&(region, domain.to_string()))
     }

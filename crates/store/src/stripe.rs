@@ -19,7 +19,7 @@ pub(crate) fn stripe_of(domain: &str) -> usize {
 pub(crate) struct Stripe {
     /// Every stored payload (flushed and buffered) whose domain hashes
     /// here, keyed by task.
-    // lint:allow(r10) — the in-memory key index IS the store's lookup structure; paging it out is the ROADMAP item 2 scaling work
+    // lint:allow(r10) — the in-memory key index IS the store's lookup structure; paging it out is parked million-domain work (ROADMAP "Parked from earlier rounds")
     pub index: BTreeMap<(u8, String), Vec<u8>>,
     /// Puts accepted since this stripe was last drained, in put order.
     pub fresh: Vec<(u8, String, Vec<u8>)>,
@@ -89,7 +89,7 @@ pub(crate) struct DiskState {
     pub retry_ledger: Vec<LedgerEntry>,
     /// Ledger entries whose journal records are durably synced, in
     /// journal order — the only cells a seal may index.
-    // lint:allow(r10) — the durable ledger is the on-disk history by design; compaction is scoped in ROADMAP item 2
+    // lint:allow(r10) — the durable ledger is the on-disk history by design; compaction is parked million-domain work (ROADMAP "Parked from earlier rounds")
     pub ledger: Vec<LedgerEntry>,
     /// A failed append may have left a partial tail on some file:
     /// truncate every file back to its durable length before appending

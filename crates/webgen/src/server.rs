@@ -336,7 +336,7 @@ fn render_main_page(site: &SiteSpec, req: &Request, visit: u64) -> Response {
 }
 
 /// Emit the consent UI (banner, wall, or decoy paywall) for a fresh visit.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
 fn render_consent_ui(body: &mut String, site: &SiteSpec) {
     let lang = site.language;
     let domain = &site.domain;
@@ -445,7 +445,7 @@ fn shadow_param(emb: Embedding) -> &'static str {
 
 /// Wrap a fragment according to its embedding: plain (main DOM) or behind a
 /// declarative shadow root.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
 fn wrap_embedding(emb: Embedding, host_id: &str, fragment: &str) -> String {
     match emb {
         Embedding::ShadowOpen => format!(
@@ -459,7 +459,7 @@ fn wrap_embedding(emb: Embedding, host_id: &str, fragment: &str) -> String {
 }
 
 /// The markup of a regular cookie banner.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
 fn banner_fragment(site: &SiteSpec, has_reject: bool, has_settings: bool) -> String {
     let lang = site.language;
     let mut s = format!(
@@ -486,7 +486,7 @@ fn banner_fragment(site: &SiteSpec, has_reject: bool, has_settings: bool) -> Str
 }
 
 /// The markup of a cookiewall (no reject — accept or pay).
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
 fn wall_fragment(site: &SiteSpec, cw: &crate::spec::CookiewallSpec) -> String {
     let lang = site.language;
     let text = content::wall_text(lang, &site.domain, &cw.price, cw.smp.map(Smp::name));
@@ -528,7 +528,7 @@ fn wall_fragment(site: &SiteSpec, cw: &crate::spec::CookiewallSpec) -> String {
 struct TrackerHandler;
 
 impl httpsim::Server for TrackerHandler {
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
     fn handle(&self, req: &Request) -> Response {
         let q = query_map(req);
         let site = q.get("site").cloned().unwrap_or_default();
@@ -562,7 +562,7 @@ impl httpsim::Server for TrackerHandler {
 struct BenignHandler;
 
 impl httpsim::Server for BenignHandler {
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
     fn handle(&self, req: &Request) -> Response {
         let q = query_map(req);
         let site = q.get("site").cloned().unwrap_or_default();
@@ -580,7 +580,7 @@ struct SmpCdnHandler {
 }
 
 impl httpsim::Server for SmpCdnHandler {
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
     fn handle(&self, req: &Request) -> Response {
         let q = query_map(req);
         let Some(site_domain) = q.get("site") else {
@@ -626,7 +626,7 @@ struct SmpAccountHandler {
 }
 
 impl httpsim::Server for SmpAccountHandler {
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
     fn handle(&self, req: &Request) -> Response {
         match req.url.path() {
             "/login" if req.method == Method::Post => {
@@ -667,7 +667,7 @@ struct CmpCdnHandler {
 }
 
 impl httpsim::Server for CmpCdnHandler {
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
     fn handle(&self, req: &Request) -> Response {
         let q = query_map(req);
         let Some(site_domain) = q.get("site") else {
@@ -706,7 +706,7 @@ impl httpsim::Server for CmpCdnHandler {
 
 /// Parse the query string into a map (simple `k=v&k=v`, no percent
 /// decoding — the generator never emits reserved characters).
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
 fn query_map(req: &Request) -> std::collections::HashMap<String, String> {
     req.url
         .query()

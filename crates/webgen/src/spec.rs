@@ -154,7 +154,7 @@ impl Cmp {
     }
 
     /// Deterministic provider choice for a site.
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
     pub fn for_domain(domain: &str) -> Cmp {
         let h = crate::names::stable_hash(&format!("cmp/{domain}"));
         Cmp::ALL[(h % 3) as usize]

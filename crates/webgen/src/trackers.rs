@@ -56,7 +56,7 @@ pub struct TrackerPlan {
 /// Plan which trackers a page visit embeds so that the total number of
 /// tracker-set cookies is exactly `total_cookies`, spread over a plausible
 /// number of distinct trackers. Deterministic in `(site, visit)`.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
 pub fn plan_trackers(site: &str, visit: u64, total_cookies: u32) -> Vec<TrackerPlan> {
     if total_cookies == 0 {
         return Vec::new();
@@ -100,7 +100,7 @@ pub fn plan_trackers(site: &str, visit: u64, total_cookies: u32) -> Vec<TrackerP
 }
 
 /// Plan the benign third parties for a visit: each sets exactly one cookie.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP item 1
+// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
 pub fn plan_benign(site: &str, visit: u64, total_cookies: u32) -> Vec<&'static str> {
     let mut rng = rng_for(&format!("benign/{site}"), visit);
     let offset = rng.random_range(0..BENIGN_THIRD_PARTIES.len());
