@@ -49,7 +49,7 @@ pub struct SiteCookieMeasurement {
 
 /// Measure one site: `REPETITIONS` independent fresh-profile visits with
 /// the requested interaction, averaged.
-// lint:allow(r9) — one owned domain String per site measurement, not per request; the rest is ROADMAP "Zero-copy DOM payloads"
+// lint:allow(r9) — one owned domain String per site measurement, not per request
 pub fn measure_site(
     net: &Network,
     region: Region,
@@ -86,7 +86,7 @@ pub fn measure_site(
 /// within [`VISIT_ATTEMPTS`] — or, in subscriber mode, when the SMP login
 /// itself was refused (account hosts are infrastructure and never faulted,
 /// so a login failure is permanent and not worth retrying).
-// lint:allow(r9) — Network is an Arc handle, so clone() is a refcount bump, not a buffer copy (work-list noise for ROADMAP "Zero-copy DOM payloads")
+// lint:allow(r9) — Network is an Arc handle, so clone() is a refcount bump, not a buffer copy
 fn visit_with_retries(
     net: &Network,
     region: Region,

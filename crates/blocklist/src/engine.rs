@@ -88,22 +88,18 @@ impl FilterEngine {
     /// Decide whether a request to `url`, initiated by a page on
     /// `initiator_host` (`None` for top-level navigations), should be
     /// blocked.
-    // lint:allow(r9) — the URL is rendered once per request (hoisted out of the per-filter loop); the cloned rule text is the block verdict itself
+    // lint:allow(r9) — the cloned rule text is the block verdict itself
     pub fn decide(&self, url: &Url, initiator_host: Option<&str>) -> BlockDecision {
-        // Rendered once here: every anchored/fragment pattern below reads
-        // the same string, so the scan allocates per request, not per
-        // filter.
-        let rendered = url.to_string();
         // Exceptions win outright.
         if self
             .exceptions
             .iter()
-            .any(|f| f.matches_rendered(url, &rendered, initiator_host))
+            .any(|f| f.matches(url, initiator_host))
         {
             return BlockDecision::Allowed;
         }
         for f in &self.blocking {
-            if f.matches_rendered(url, &rendered, initiator_host) {
+            if f.matches(url, initiator_host) {
                 return BlockDecision::Blocked(f.raw.clone());
             }
         }

@@ -146,21 +146,10 @@ pub fn parse_line(line: &str) -> FilterLine {
 
 impl NetworkFilter {
     /// Does this filter match a request to `url` initiated by a page on
-    /// `initiator_host` (`None` for top-level navigations)?
-    // lint:allow(r9) — compatibility wrapper: the engine's list scan calls matches_rendered, which allocates nothing
+    /// `initiator_host` (`None` for top-level navigations)? Patterns read
+    /// the URL's serialization in place.
     pub fn matches(&self, url: &Url, initiator_host: Option<&str>) -> bool {
-        self.matches_rendered(url, &url.to_string(), initiator_host)
-    }
-
-    /// Same as [`NetworkFilter::matches`] with the rendered URL supplied
-    /// by the caller, so a scan over a whole filter list renders the URL
-    /// once per request instead of once per filter.
-    pub fn matches_rendered(
-        &self,
-        url: &Url,
-        rendered: &str,
-        initiator_host: Option<&str>,
-    ) -> bool {
+        let rendered = url.as_str();
         if self.third_party_only {
             match initiator_host {
                 // Top-level loads are never third-party.

@@ -26,7 +26,7 @@
 use crate::page::{BlockedRequest, ElementRef, Frame, Page};
 use crate::storage::LocalStorage;
 use blocklist::{BlockDecision, FilterEngine};
-use httpsim::{Bytes, CookieJar, Method, Network, Region, Request, Response, TransportFault, Url};
+use httpsim::{CookieJar, Method, Network, Region, Request, Response, TransportFault, Url};
 use std::sync::OnceLock;
 use webdom::{parse, parse_fragment_into, Document, NodeId, SelectorList};
 
@@ -103,20 +103,20 @@ impl std::error::Error for FetchError {}
 /// while the origin server still observes the navigation request exactly
 /// as it would during a full visit.
 ///
-/// The document's own `Set-Cookie` headers ride along unparsed: only a
-/// load reads the jar, so [`Browser::load_fetched`] stores them, and a
-/// caller that stops after the fetch never pays for them.
+/// The document's own `Set-Cookie` headers ride along unparsed in the
+/// response: only a load reads the jar, so [`Browser::load_fetched`]
+/// stores them, and a caller that stops after the fetch never pays for
+/// them.
 #[derive(Debug, Clone)]
 pub struct FetchedDocument {
     url: Url,
-    final_url: Url,
-    status: u16,
-    /// The response body as received, shared with the response.
-    body: Bytes,
-    /// The lossy decoding of `body`, made on first read of a body that is
-    /// not valid UTF-8.
+    /// Where the document came from, when a redirect moved it off `url`.
+    redirected: Option<Url>,
+    /// The document's response: status, body and `Set-Cookie` lines.
+    response: Response,
+    /// The lossy decoding of the body, made on first read of a body that
+    /// is not valid UTF-8.
     lossy: OnceLock<String>,
-    set_cookies: Vec<String>,
 }
 
 impl FetchedDocument {
@@ -127,29 +127,30 @@ impl FetchedDocument {
 
     /// The URL the document was served from (after redirects).
     pub fn final_url(&self) -> &Url {
-        &self.final_url
+        self.redirected.as_ref().unwrap_or(&self.url)
     }
 
     /// The response status.
     pub fn status(&self) -> u16 {
-        self.status
+        self.response.status
     }
 
     /// The raw document text. Each call checks the bytes as UTF-8 (one
     /// pass, paid only by callers that want text, such as a load); a body
     /// that is not valid UTF-8 reads as its lossy decoding.
     pub fn body(&self) -> &str {
-        match std::str::from_utf8(&self.body) {
+        let body = &self.response.body;
+        match std::str::from_utf8(body) {
             Ok(text) => text,
             Err(_) => self
                 .lossy
-                .get_or_init(|| String::from_utf8_lossy(&self.body).into_owned()),
+                .get_or_init(|| String::from_utf8_lossy(body).into_owned()),
         }
     }
 
     /// The raw document bytes as received, without the UTF-8 check.
     pub fn body_bytes(&self) -> &[u8] {
-        &self.body
+        &self.response.body
     }
 }
 
@@ -175,6 +176,9 @@ pub struct Browser {
     storage: LocalStorage,
     blocker: Option<FilterEngine>,
     user_agent: String,
+    /// The `Cookie:` header of the request being sent, rendered by the
+    /// jar into this one buffer for every request.
+    cookie_header: String,
     /// Virtual-time budget per navigation before reporting a timeout.
     timeout_budget_ms: u64,
     /// Per-load request log, moved into the [`Page`] when the load ends.
@@ -185,7 +189,7 @@ pub struct Browser {
 
 impl Browser {
     /// A fresh profile at `region` on `net`.
-    // lint:allow(r9) — per-profile construction, once per visit attempt, not per request; ROADMAP "Zero-copy DOM payloads"
+    // lint:allow(r9) — per-profile construction: the user agent is copied once per profile, not per request
     pub fn new(net: Network, region: Region) -> Self {
         Browser {
             net,
@@ -194,6 +198,7 @@ impl Browser {
             storage: LocalStorage::new(),
             blocker: None,
             user_agent: httpsim::DEFAULT_USER_AGENT.to_string(),
+            cookie_header: String::new(),
             timeout_budget_ms: DEFAULT_TIMEOUT_BUDGET_MS,
             request_log: Vec::new(),
             scan: FrameScan::default(),
@@ -233,19 +238,9 @@ impl Browser {
         &self.jar
     }
 
-    /// Mutable jar access (tests, manual state setup).
-    pub fn jar_mut(&mut self) -> &mut CookieJar {
-        &mut self.jar
-    }
-
     /// The profile's per-origin localStorage.
     pub fn storage(&self) -> &LocalStorage {
         &self.storage
-    }
-
-    /// Mutable localStorage access.
-    pub fn storage_mut(&mut self) -> &mut LocalStorage {
-        &mut self.storage
     }
 
     /// Forget all cookies (fresh-profile semantics between measurements).
@@ -296,7 +291,7 @@ impl Browser {
     }
 
     /// Convenience: navigate to `https://{domain}/`.
-    // lint:allow(r9) — the to_string runs only on the unparsable-domain error path; ROADMAP "Zero-copy DOM payloads"
+    // lint:allow(r9) — the to_string runs only on the unparsable-domain error path
     pub fn visit_domain(&mut self, domain: &str) -> Result<Page, VisitError> {
         let url = Url::parse(domain).map_err(|_| VisitError::Unreachable(domain.to_string()))?;
         self.visit(&url)
@@ -314,22 +309,29 @@ impl Browser {
     /// Callers that decide the document is worth loading continue with
     /// [`Browser::load_fetched`]; callers that already know the outcome for
     /// these bytes (a shared-fetch cache) simply stop here.
-    // lint:allow(r9) — the host String is built only on error paths (lazy closure); the Url clone is the owned return
+    // lint:allow(r9) — the fetched document owns its start URL: one clone of the caller's
     pub fn fetch_document(&mut self, url: &Url) -> Result<FetchedDocument, VisitError> {
-        self.restore_consent_from_storage(url);
+        self.fetch_url(url.clone())
+    }
+
+    /// Convenience: phase-one fetch of `https://{domain}/`.
+    pub fn fetch_domain_document(&mut self, domain: &str) -> Result<FetchedDocument, VisitError> {
+        let url = Url::parse(domain).map_err(|_| VisitError::Unreachable(domain.to_string()))?;
+        self.fetch_url(url)
+    }
+
+    /// [`Browser::fetch_document`] of a URL the document will own.
+    // lint:allow(r9) — the host String is built only on error paths (lazy closure)
+    fn fetch_url(&mut self, url: Url) -> Result<FetchedDocument, VisitError> {
+        self.restore_consent_from_storage(&url);
         self.request_log.clear();
-        let (resp, final_url, latency_ms) = self.fetch_chain(url, None);
-        let Response {
-            status,
-            set_cookies,
-            body,
-            transport,
-            ..
-        } = resp;
+        let (response, redirected, latency_ms) = self.fetch_chain(&url, None);
+        let final_url = redirected.as_ref().unwrap_or(&url);
         // The host string is only needed to describe a failure; building
         // it lazily keeps the per-visit success path allocation-free.
         let host = || url.host().to_string();
-        let failure = match transport {
+        let status = response.status;
+        let failure = match response.transport {
             Some(TransportFault::ConnectionReset) => Some(FetchError::ConnectionReset(host())),
             Some(TransportFault::TruncatedBody) => Some(FetchError::Truncated(host())),
             None if latency_ms > self.timeout_budget_ms => Some(FetchError::Timeout {
@@ -341,23 +343,15 @@ impl Browser {
             None => None,
         };
         if let Some(err) = failure {
-            self.store_cookies(&set_cookies, &final_url);
+            self.store_cookies(&response, final_url);
             return Err(err);
         }
         Ok(FetchedDocument {
-            url: url.clone(),
-            final_url,
-            status,
-            body,
+            url,
+            redirected,
+            response,
             lossy: OnceLock::new(),
-            set_cookies,
         })
-    }
-
-    /// Convenience: phase-one fetch of `https://{domain}/`.
-    pub fn fetch_domain_document(&mut self, domain: &str) -> Result<FetchedDocument, VisitError> {
-        let url = Url::parse(domain).map_err(|_| VisitError::Unreachable(domain.to_string()))?;
-        self.fetch_document(&url)
     }
 
     /// Phase two of a visit: store the document's cookies, then parse it
@@ -378,23 +372,22 @@ impl Browser {
         self.load_fetched_inner(&fetched, allow_entitlement_reload)
     }
 
-    // lint:allow(r9) — the Page owns its URLs, frames and logs; its documents borrow their payloads (ROADMAP "Zero-copy DOM payloads")
+    // lint:allow(r9) — the Page owns its URLs: one clone each of the start URL, the final URL and the main frame's URL
     fn load_fetched_inner(
         &mut self,
         fetched: &FetchedDocument,
         allow_entitlement_reload: bool,
     ) -> Result<Page, VisitError> {
-        self.store_cookies(&fetched.set_cookies, &fetched.final_url);
+        let final_url = fetched.final_url();
+        self.store_cookies(&fetched.response, final_url);
         let doc = parse(fetched.body());
-        let final_url = fetched.final_url.clone();
-        let url = &fetched.url;
         let mut page = Page {
-            url: url.clone(),
+            url: fetched.url.clone(),
             final_url: final_url.clone(),
-            status: fetched.status,
+            status: fetched.status(),
             frames: vec![Frame {
                 doc,
-                url: final_url,
+                url: final_url.clone(),
                 parent: None,
             }],
             blocked: Vec::new(),
@@ -404,18 +397,20 @@ impl Browser {
             reloaded_for_subscription: false,
         };
 
+        // Every subresource of the load is initiated by the top-level
+        // page, whose host the fetched document keeps while the page is
+        // being mutated.
+        let top_host = final_url.host();
         let mut effects = LoadEffects::default();
-        self.process_frame(&mut page, 0, 0, &mut effects);
+        self.process_frame(&mut page, 0, 0, top_host, &mut effects);
 
         // Subscriber flow: a successful entitlement probe sets a
         // first-party cookie and reloads once.
         if let Some((name, value)) = effects.entitled_cookie {
             if allow_entitlement_reload {
-                let site = httpsim::registrable_domain(page.host())
-                    .unwrap_or(page.host())
-                    .to_string();
-                self.set_site_cookie(&site, &name, &value);
-                let mut reloaded = self.visit_inner(url, false)?;
+                let site = httpsim::registrable_domain(top_host).unwrap_or(top_host);
+                self.set_site_cookie(site, &name, &value);
+                let mut reloaded = self.visit_inner(&fetched.url, false)?;
                 reloaded.reloaded_for_subscription = true;
                 return Ok(reloaded);
             }
@@ -426,72 +421,92 @@ impl Browser {
         Ok(page)
     }
 
-    /// Fetch with manual redirect following so every hop's cookies land in
-    /// the jar (Network::dispatch_following would drop them). The third
-    /// return value is virtual transfer time accumulated across all hops,
-    /// checked against the timeout budget by navigation callers.
-    fn fetch_following(&mut self, url: &Url, initiator: Option<&str>) -> (Response, Url, u64) {
-        let (resp, final_url, elapsed_ms) = self.fetch_chain(url, initiator);
-        self.store_cookies(&resp.set_cookies, &final_url);
-        (resp, final_url, elapsed_ms)
+    /// Fetch with manual redirect following, storing every hop's cookies
+    /// and the final response's. Returns the final response and the URL it
+    /// came from when a redirect moved it off `url`.
+    fn fetch_following(&mut self, url: &Url, initiator: Option<&str>) -> (Response, Option<Url>) {
+        let (resp, redirected, _) = self.fetch_chain(url, initiator);
+        self.store_cookies(&resp, redirected.as_ref().unwrap_or(url));
+        (resp, redirected)
     }
 
     /// [`Browser::fetch_following`] without storing the returned response's
     /// own cookies: every earlier hop's are stored, the caller stores the
-    /// last ones (from the returned URL) when it needs them.
-    // lint:allow(r9) — each hop logs its URL; the request log is part of the Page
-    fn fetch_chain(&mut self, url: &Url, initiator: Option<&str>) -> (Response, Url, u64) {
-        let mut current = url.clone();
+    /// last ones (from the returned URL) when it needs them. Each hop is
+    /// logged, and each redirect followed is counted on the network. The
+    /// third value is the virtual transfer time accumulated across all
+    /// hops, which a navigation checks against the timeout budget.
+    // lint:allow(r9) — the request log owns each hop's URL: a redirect hop's moves in, the first and last are cloned because the caller owns the first and receives the last
+    fn fetch_chain(&mut self, url: &Url, initiator: Option<&str>) -> (Response, Option<Url>, u64) {
+        let mut redirected: Option<Url> = None;
         let mut elapsed_ms: u64 = 0;
         for _ in 0..httpsim::MAX_REDIRECTS {
-            let (resp, url) = self.fetch_once(current, initiator);
-            current = url;
+            let current = redirected.as_ref().unwrap_or(url);
+            let resp = self.send(current, initiator, None);
             elapsed_ms = elapsed_ms.saturating_add(resp.latency_ms);
-            self.request_log.push(crate::page::LoggedRequest {
-                url: current.to_string(),
-                status: resp.status,
-                initiator: initiator.map(str::to_string),
-                cookies_set: resp.set_cookies.len(),
-            });
-            if !resp.is_redirect() {
-                return (resp, current, elapsed_ms);
-            }
-            let next = current.join(resp.location.as_deref().unwrap_or("/"));
-            let Ok(next) = next else {
-                return (resp, current, elapsed_ms);
+            let next = match &resp.location {
+                Some(location) if resp.is_redirect() => current.join(location).ok(),
+                _ => None,
             };
-            self.store_cookies(&resp.set_cookies, &current);
-            current = next;
+            let Some(next) = next else {
+                self.log(current.clone(), &resp, initiator);
+                return (resp, redirected, elapsed_ms);
+            };
+            self.store_cookies(&resp, current);
+            self.net.record_redirect();
+            let hop = match redirected.replace(next) {
+                Some(hop) => hop,
+                None => url.clone(),
+            };
+            self.log(hop, &resp, initiator);
         }
-        (Response::not_found(), current, elapsed_ms)
+        (Response::not_found(), redirected, elapsed_ms)
     }
 
-    /// Parse and store `set_cookies`, received from `origin`, in the jar.
-    fn store_cookies(&mut self, set_cookies: &[String], origin: &Url) {
-        self.jar
-            .store_response_cookies(set_cookies.iter().map(String::as_str), origin);
+    /// Append one request to the load's log.
+    fn log(&mut self, url: Url, resp: &Response, initiator: Option<&str>) {
+        self.request_log.push(crate::page::LoggedRequest {
+            url,
+            status: resp.status,
+            subresource: initiator.is_some(),
+            cookies_set: resp.set_cookie_count(),
+        });
     }
 
-    /// One request, carrying the profile's user agent and cookies. The URL
-    /// moves into the request and is handed back with the response.
-    // lint:allow(r9) — the request owns its user agent, cookie header and initiator
-    fn fetch_once(&self, url: Url, initiator: Option<&str>) -> (Response, Url) {
-        let cookie_header = self.jar.cookie_header(&url);
+    /// Parse and store `resp`'s `Set-Cookie` lines, received from `origin`,
+    /// in the jar. Returns how many were accepted.
+    fn store_cookies(&mut self, resp: &Response, origin: &Url) -> usize {
+        self.jar.store_response_cookies(resp.set_cookies(), origin)
+    }
+
+    /// One request, carrying the profile's user agent and cookies: a GET,
+    /// or a POST of `form`. Nothing is allocated for it; the jar renders
+    /// the `Cookie` header into the profile's reused buffer.
+    fn send(
+        &mut self,
+        url: &Url,
+        initiator: Option<&str>,
+        form: Option<&[(&str, &str)]>,
+    ) -> Response {
+        self.jar.write_cookie_header(url, &mut self.cookie_header);
         let req = Request {
-            method: Method::Get,
+            method: if form.is_some() {
+                Method::Post
+            } else {
+                Method::Get
+            },
             url,
             region: self.region,
-            cookie_header,
-            user_agent: self.user_agent.clone(),
-            initiator_host: initiator.map(str::to_string),
-            body_params: Vec::new(),
+            cookie_header: (!self.cookie_header.is_empty()).then_some(self.cookie_header.as_str()),
+            user_agent: &self.user_agent,
+            initiator_host: initiator,
+            body_params: form.unwrap_or_default(),
         };
-        let resp = self.net.dispatch(&req);
-        (resp, req.url)
+        self.net.dispatch(&req)
     }
 
     /// Consult the blocker for a subresource; record and skip if blocked.
-    // lint:allow(r9) — owned page/request state built during the visit; ROADMAP "Zero-copy DOM payloads" covers the DOM, not this state
+    // lint:allow(r9) — runs only with a content blocker installed, and copies only a blocked URL
     fn blocked_by_extension(&self, page: &mut Page, url: &Url, initiator: &str) -> bool {
         if let Some(blocker) = &self.blocker {
             if let BlockDecision::Blocked(rule) = blocker.decide(url, Some(initiator)) {
@@ -513,15 +528,14 @@ impl Browser {
     /// created after the previous walk; the walk that finds none (or the
     /// one after the last round) also lists the passive subresources and
     /// iframes of the final document.
-    // lint:allow(r9) — the initiator host is owned because the page is mutated while it is in use
     fn process_frame(
         &mut self,
         page: &mut Page,
         frame_idx: usize,
         depth: usize,
+        top_host: &str,
         effects: &mut LoadEffects,
     ) {
-        let top_host = page.host().to_string();
         let mut scan = std::mem::take(&mut self.scan);
         let mut scanned = 0;
         for round in 0..=MAX_INJECT_ROUNDS {
@@ -534,7 +548,7 @@ impl Browser {
             let mut fresh = false;
             for &node in scan.scripts.iter().filter(|n| n.index() >= scanned) {
                 fresh = true;
-                self.process_script(page, frame_idx, node, &top_host, effects);
+                self.process_script(page, frame_idx, node, top_host, effects);
             }
             scanned = len;
             if !fresh {
@@ -559,10 +573,10 @@ impl Browser {
             if url == frame.url {
                 continue;
             }
-            if self.blocked_by_extension(page, &url, &top_host) {
+            if self.blocked_by_extension(page, &url, top_host) {
                 continue;
             }
-            let (_, _, _) = self.fetch_following(&url, Some(&top_host));
+            self.fetch_following(&url, Some(top_host));
         }
 
         // Iframes.
@@ -573,21 +587,21 @@ impl Browser {
                 let Some(Ok(url)) = src.map(|src| frame.url.join(src)) else {
                     continue;
                 };
-                if self.blocked_by_extension(page, &url, &top_host) {
+                if self.blocked_by_extension(page, &url, top_host) {
                     continue;
                 }
-                let (resp, final_url, _) = self.fetch_following(&url, Some(&top_host));
+                let (resp, redirected) = self.fetch_following(&url, Some(top_host));
                 if resp.status != 200 {
                     continue;
                 }
                 let doc = parse(&String::from_utf8_lossy(&resp.body));
                 page.frames.push(Frame {
                     doc,
-                    url: final_url,
+                    url: redirected.unwrap_or(url),
                     parent: Some((frame_idx, node)),
                 });
                 let new_idx = page.frames.len() - 1;
-                self.process_frame(page, new_idx, depth + 1, effects);
+                self.process_frame(page, new_idx, depth + 1, top_host, effects);
             }
         }
         self.scan = scan;
@@ -609,7 +623,7 @@ impl Browser {
         if self.blocked_by_extension(page, &url, top_host) {
             return;
         }
-        let (resp, _, _) = self.fetch_following(&url, Some(top_host));
+        let (resp, _) = self.fetch_following(&url, Some(top_host));
         if resp.status != 200 {
             return;
         }
@@ -632,7 +646,7 @@ impl Browser {
 
     /// Click an element. Consent actions set their cookie and reload; the
     /// subscribe action navigates to its target.
-    // lint:allow(r9) — owned page/request state built during the visit; ROADMAP "Zero-copy DOM payloads" covers the DOM, not this state
+    // lint:allow(r9) — a click runs once per consent interaction, after the load, and copies the attributes it acts on out of the page it reloads
     pub fn click(&mut self, page: &Page, target: ElementRef) -> Result<ClickOutcome, VisitError> {
         let frame = &page.frames[target.frame];
         let doc = &frame.doc;
@@ -710,7 +724,7 @@ impl Browser {
             let mut v = Vec::new();
             for key in ["cw_consent", "cw_sub"] {
                 if let Some(value) = self.storage.get(site, key) {
-                    let missing = !self.jar.cookies_for(url).iter().any(|c| c.name == key);
+                    let missing = !self.jar.cookies_for(url).any(|c| c.name() == key);
                     if missing {
                         v.push((key.to_string(), value.to_string()));
                     }
@@ -725,7 +739,7 @@ impl Browser {
 
     /// Store a first-party cookie on `site` (registrable domain), as a
     /// page's own JavaScript would via `document.cookie`.
-    // lint:allow(r9) — owned page/request state built during the visit; ROADMAP "Zero-copy DOM payloads" covers the DOM, not this state
+    // lint:allow(r9) — runs on consent clicks, entitlement reloads and consent restores, never on a plain visit
     pub fn set_site_cookie(&mut self, site: &str, name: &str, value: &str) {
         let Ok(origin) = Url::parse(&format!("https://{site}/")) else {
             // An unparsable site name cannot hold a cookie; drop it rather
@@ -739,26 +753,15 @@ impl Browser {
     // ------------------------------------------------------------- SMPs
 
     /// Log in at an SMP account host. Returns true if the platform issued a
-    /// session cookie.
-    // lint:allow(r9) — owned page/request state built during the visit; ROADMAP "Zero-copy DOM payloads" covers the DOM, not this state
+    /// session cookie — also when it replaces the one a previous login
+    /// stored.
+    // lint:allow(r9) — a login runs once per profile, before any visit
     pub fn login_smp(&mut self, account_host: &str, user: &str, password: &str) -> bool {
-        let url = match Url::parse(&format!("https://{account_host}/login")) {
-            Ok(u) => u,
-            Err(_) => return false,
+        let Ok(url) = Url::parse(&format!("https://{account_host}/login")) else {
+            return false;
         };
-        let mut req = Request::navigation(url.clone(), self.region);
-        req.method = Method::Post;
-        req.user_agent = self.user_agent.clone();
-        req.cookie_header = self.jar.cookie_header(&url);
-        req.body_params = vec![
-            ("user".to_string(), user.to_string()),
-            ("pass".to_string(), password.to_string()),
-        ];
-        let resp = self.net.dispatch(&req);
-        let before = self.jar.len();
-        self.jar
-            .store_response_cookies(resp.set_cookies.iter().map(String::as_str), &url);
-        self.jar.len() > before
+        let resp = self.send(&url, None, Some(&[("user", user), ("pass", password)]));
+        self.store_cookies(&resp, &url) > 0
     }
 }
 

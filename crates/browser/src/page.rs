@@ -20,16 +20,18 @@ pub struct Frame {
     pub parent: Option<(usize, NodeId)>,
 }
 
-/// One network request the page load issued (HAR-style log entry).
+/// One network request the page load issued (HAR-style log entry). A
+/// redirect chain logs one entry per hop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoggedRequest {
-    /// Final URL fetched (after redirects).
-    pub url: String,
+    /// The URL requested.
+    pub url: Url,
     /// Response status (0 = connection failure).
     pub status: u16,
-    /// Host of the page that initiated the fetch; `None` for the top-level
-    /// navigation.
-    pub initiator: Option<String>,
+    /// True when the page's own load issued the request, so its initiator
+    /// is the top-level page ([`Page::host`]); false for the navigation
+    /// and its redirect hops.
+    pub subresource: bool,
     /// `Set-Cookie` headers the response carried.
     pub cookies_set: usize,
 }
@@ -118,11 +120,9 @@ impl Page {
     /// Requests that went to a different site than the top-level page —
     /// the third-party traffic of this load.
     pub fn third_party_requests(&self) -> impl Iterator<Item = &LoggedRequest> {
-        let host = self.host().to_string();
-        self.requests.iter().filter(move |r| {
-            httpsim::Url::parse(&r.url)
-                .map(|u| !httpsim::same_site(u.host(), &host))
-                .unwrap_or(false)
-        })
+        let host = self.host();
+        self.requests
+            .iter()
+            .filter(move |r| !httpsim::same_site(r.url.host(), host))
     }
 }

@@ -22,7 +22,7 @@ impl LocalStorage {
     }
 
     /// `localStorage.setItem` for `origin`.
-    // lint:allow(r9) — owned page/request state built during the visit; ROADMAP "Zero-copy DOM payloads" covers the DOM, not this state
+    // lint:allow(r9) — localStorage owns its keys and values; only consent clicks write it, never a plain visit
     pub fn set(&mut self, origin: &str, key: &str, value: &str) {
         self.origins
             .entry(origin.to_ascii_lowercase())

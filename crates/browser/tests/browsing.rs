@@ -60,7 +60,7 @@ fn accept_click_on_main_dom_wall_loads_trackers() {
             assert!(b
                 .jar()
                 .iter()
-                .any(|c| c.name == CONSENT_COOKIE && c.value == "accepted"));
+                .any(|c| c.name() == CONSENT_COOKIE && c.value() == "accepted"));
             assert!(reloaded.select_all_frames("#cw-wall").is_empty());
             assert!(
                 count_tracking(&b) > before_tracking,
@@ -201,7 +201,7 @@ fn subscriber_flow_hides_wall_and_tracking() {
         "no wall for subscriber"
     );
     assert!(
-        b.jar().iter().any(|c| c.name == SUBSCRIPTION_COOKIE),
+        b.jar().iter().any(|c| c.name() == SUBSCRIPTION_COOKIE),
         "subscription cookie set"
     );
     assert_eq!(count_tracking(&b), 0, "no tracking cookies for subscribers");
@@ -263,7 +263,7 @@ fn count_tracking(b: &Browser) -> usize {
     let db = blocklist::TrackerDb::justdomains();
     b.jar()
         .iter()
-        .filter(|c| db.is_tracking_domain(&c.domain))
+        .filter(|c| db.is_tracking_domain(c.domain()))
         .count()
 }
 
@@ -288,7 +288,7 @@ fn consent_survives_browser_restart() {
     b.restart();
     assert!(b.jar().len() < cookies_before, "session cookies dropped");
     assert!(
-        b.jar().iter().any(|c| c.name == CONSENT_COOKIE),
+        b.jar().iter().any(|c| c.name() == CONSENT_COOKIE),
         "consent persists"
     );
     let after = b.visit(&url).unwrap();
@@ -316,10 +316,11 @@ fn request_log_records_third_parties() {
     };
     // The post-consent load hits trackers: the request log shows them.
     assert!(!after.requests.is_empty());
-    assert_eq!(
-        after.requests[0].initiator, None,
+    assert!(
+        !after.requests[0].subresource,
         "first entry is the navigation"
     );
+    assert!(after.requests[1..].iter().all(|r| r.subresource));
     let third_party = after.third_party_requests().count();
     assert!(third_party > 5, "trackers were fetched: {third_party}");
     let with_cookies = after.requests.iter().filter(|r| r.cookies_set > 0).count();
@@ -524,7 +525,7 @@ fn failed_fetches_keep_their_cookies() {
     ] {
         b.clear_cookies();
         assert!(b.fetch_domain_document(host).is_err(), "{host}");
-        let names: Vec<&str> = b.jar().iter().map(|c| c.name.as_str()).collect();
+        let names: Vec<&str> = b.jar().iter().map(|c| c.name()).collect();
         assert_eq!(names, [cookie], "{host}");
     }
 }
@@ -541,14 +542,15 @@ fn redirect_hop_cookie_reaches_the_next_hop() {
         if r.url.path() == "/" {
             Response::redirect("/land").with_cookie("hop=1")
         } else {
-            let sent = r.cookie_header.clone().unwrap_or_default();
+            let sent = r.cookie_header.unwrap_or_default();
             Response::html(format!("<p>sent: {sent}</p>")).with_cookie("doc=2")
         }
     });
     let mut b = Browser::new(net, Region::Germany);
     let fetched = b.fetch_domain_document("hop.example").unwrap();
     assert_eq!(fetched.body(), "<p>sent: hop=1</p>");
-    let names = |b: &Browser| -> Vec<String> { b.jar().iter().map(|c| c.name.clone()).collect() };
+    let names =
+        |b: &Browser| -> Vec<String> { b.jar().iter().map(|c| c.name().to_string()).collect() };
     assert_eq!(names(&b), ["hop"]);
     b.load_fetched(&fetched).unwrap();
     assert_eq!(names(&b), ["hop", "doc"]);
@@ -571,4 +573,108 @@ fn invalid_utf8_body_reads_lossily() {
     assert_eq!(fetched.body(), "<p>M\u{fffd}nchen</p>");
     let page = b.load_fetched(&fetched).unwrap();
     assert!(page.main_text().contains("M\u{fffd}nchen"));
+}
+
+/// Logging in again replaces the stored session cookie rather than adding
+/// one; that is still a successful login.
+#[test]
+fn repeated_smp_login_succeeds() {
+    let (_pop, net) = world();
+    let mut b = Browser::new(net, Region::Germany);
+    let host = Smp::Contentpass.account_host();
+    assert!(b.login_smp(host, "alice", "pw"));
+    let stored = b.jar().len();
+    assert!(b.login_smp(host, "alice", "pw"), "second login");
+    assert_eq!(b.jar().len(), stored, "the session cookie was replaced");
+    assert!(!b.login_smp(host, "", "pw"), "an empty user is refused");
+}
+
+/// The browser follows redirects itself: a relative `Location` resolves
+/// against the hop that sent it, each hop's cookies are stored under that
+/// hop's host before the next request, every hop is logged, and the
+/// network counts each redirect followed.
+#[test]
+fn browser_follows_and_counts_redirects() {
+    use httpsim::Response;
+
+    let net = Network::new();
+    net.register_fn("a.example", |_| {
+        Response::redirect("https://b.example/land").with_cookie("a=1")
+    });
+    net.register_fn("b.example", |r| {
+        if r.url.path() == "/land" {
+            Response::redirect("home").with_cookie("b=1")
+        } else {
+            let sent = r.cookie_header.unwrap_or_default();
+            Response::html(format!("<p>{} {sent}</p>", r.url.path())).with_cookie("doc=1")
+        }
+    });
+    let mut b = Browser::new(net.clone(), Region::Germany);
+    let fetched = b.fetch_domain_document("a.example").unwrap();
+    assert_eq!(fetched.url().as_str(), "https://a.example/");
+    assert_eq!(fetched.final_url().as_str(), "https://b.example/home");
+    assert_eq!(fetched.body(), "<p>/home b=1</p>");
+    assert_eq!(net.stats().requests(), 3);
+    assert_eq!(net.stats().redirects(), 2);
+    let stored = |b: &Browser| -> Vec<(String, String)> {
+        b.jar()
+            .iter()
+            .map(|c| (c.name().to_string(), c.domain().to_string()))
+            .collect()
+    };
+    let hop = |name: &str, domain: &str| (name.to_string(), domain.to_string());
+    assert_eq!(stored(&b), [hop("a", "a.example"), hop("b", "b.example")]);
+
+    let page = b.load_fetched(&fetched).unwrap();
+    assert_eq!(stored(&b)[2], hop("doc", "b.example"));
+    let logged: Vec<(&str, u16)> = page
+        .requests
+        .iter()
+        .map(|r| (r.url.as_str(), r.status))
+        .collect();
+    assert_eq!(
+        logged,
+        [
+            ("https://a.example/", 302),
+            ("https://b.example/land", 302),
+            ("https://b.example/home", 200),
+        ]
+    );
+}
+
+/// A redirect loop stops after `MAX_REDIRECTS` hops, each one counted.
+#[test]
+fn redirect_loop_stops_at_the_cap() {
+    use browser::FetchError;
+    use httpsim::{Response, MAX_REDIRECTS};
+
+    let net = Network::new();
+    net.register_fn("loop.example", |_| {
+        Response::redirect("https://loop.example/again")
+    });
+    let mut b = Browser::new(net.clone(), Region::Germany);
+    let err = b.fetch_domain_document("loop.example").unwrap_err();
+    assert_eq!(err, FetchError::HttpError(404));
+    assert_eq!(net.stats().requests(), MAX_REDIRECTS as u64);
+    assert_eq!(net.stats().redirects(), MAX_REDIRECTS as u64);
+}
+
+/// A tracker's cookie-sync bounce on an accepted page is a redirect the
+/// browser follows, so the network counts it: one per logged 302.
+#[test]
+fn tracker_sync_bounces_are_counted() {
+    let (pop, net) = world();
+    let mut b = Browser::new(net.clone(), Region::Germany);
+    let mut bounces = 0;
+    for site in pop.ground_truth_walls().into_iter().take(20) {
+        b.clear_cookies();
+        let registrable = httpsim::registrable_domain(&site.domain).unwrap_or(&site.domain);
+        b.set_site_cookie(registrable, CONSENT_COOKIE, "accepted");
+        let Ok(page) = b.visit(&Url::parse(&site.domain).unwrap()) else {
+            continue;
+        };
+        bounces += page.requests.iter().filter(|r| r.status == 302).count() as u64;
+    }
+    assert!(bounces > 0, "accepted walls load syncing trackers");
+    assert_eq!(net.stats().redirects(), bounces);
 }

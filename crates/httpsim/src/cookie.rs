@@ -36,20 +36,19 @@ impl SameSite {
 }
 
 /// A stored cookie.
+///
+/// Name, value, domain and path sit back to back in one string, with the
+/// offsets where each ends: storing a cookie is one allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cookie {
-    /// Cookie name (case-sensitive).
-    pub name: String,
-    /// Cookie value.
-    pub value: String,
-    /// Domain the cookie is scoped to (no leading dot). For host-only
-    /// cookies this is the exact request host.
-    pub domain: String,
+    /// `name`, `value`, `domain` and `path`, concatenated.
+    text: String,
+    name_end: u32,
+    value_end: u32,
+    domain_end: u32,
     /// True when no `Domain` attribute was given: the cookie only matches
     /// the exact host that set it.
     pub host_only: bool,
-    /// Path scope, defaulting to `/`.
-    pub path: String,
     /// Lifetime in seconds from creation, `None` for session cookies.
     /// (The simulator has no wall clock; expiry is relative to the visit
     /// sequence number.)
@@ -68,8 +67,8 @@ impl Cookie {
     /// Returns `None` for unparseable or rejected cookies (empty name,
     /// domain not matching the origin — the "domain attribute must
     /// domain-match the request host" rule that stops cross-site planting).
-    /// Attribute names match case-insensitively without allocating.
-    // lint:allow(r9) — the jar owns each cookie's name, value, domain and path: four Strings per stored cookie
+    /// Attribute names match case-insensitively without allocating; when an
+    /// attribute repeats, the last one wins.
     pub fn parse_set_cookie(header: &str, origin: &Url) -> Option<Cookie> {
         let mut parts = header.split(';');
         let nv = parts.next()?;
@@ -78,17 +77,13 @@ impl Cookie {
         if name.is_empty() {
             return None;
         }
-        let mut cookie = Cookie {
-            name: name.to_string(),
-            value: value.trim().trim_matches('"').to_string(),
-            domain: origin.host().to_string(),
-            host_only: true,
-            path: "/".to_string(),
-            max_age: None,
-            secure: false,
-            http_only: false,
-            same_site: SameSite::default(),
-        };
+        let value = value.trim().trim_matches('"');
+        let mut domain = None;
+        let mut path = "/";
+        let mut max_age = None;
+        let mut secure = false;
+        let mut http_only = false;
+        let mut same_site = SameSite::default();
         for attr in parts {
             let (k, v) = match attr.split_once('=') {
                 Some((k, v)) => (k.trim(), v.trim()),
@@ -96,46 +91,89 @@ impl Cookie {
             };
             let is = |name: &str| k.eq_ignore_ascii_case(name);
             if is("domain") {
-                let d = v.trim_start_matches('.').to_ascii_lowercase();
+                let d = v.trim_start_matches('.');
                 if d.is_empty() {
                     continue;
                 }
                 // Reject cookies for domains the origin doesn't live in.
-                if !crate::psl::domain_match(origin.host(), &d) {
+                if !crate::psl::domain_match(origin.host(), d) {
                     return None;
                 }
                 // Reject cookies scoped to a bare public suffix.
-                crate::psl::registrable_domain(&d)?;
-                cookie.domain = d;
-                cookie.host_only = false;
+                if d.bytes().any(|b| b.is_ascii_uppercase()) {
+                    crate::psl::registrable_domain(&d.to_ascii_lowercase())?;
+                } else {
+                    crate::psl::registrable_domain(d)?;
+                }
+                domain = Some(d);
             } else if is("path") {
-                // `/` is already the default; only another path allocates.
-                if v.starts_with('/') && v != cookie.path {
-                    cookie.path = v.to_string();
+                if v.starts_with('/') {
+                    path = v;
                 }
             } else if is("max-age") {
                 if let Ok(secs) = v.parse::<i64>() {
-                    cookie.max_age = Some(secs);
+                    max_age = Some(secs);
                 }
             } else if is("expires") {
                 // Simplified: any Expires makes the cookie persistent
                 // with a long lifetime; an epoch-ish date expires it.
                 if v.contains("1970") || v.contains("1969") {
-                    cookie.max_age = Some(0);
-                } else if cookie.max_age.is_none() {
-                    cookie.max_age = Some(86400 * 365);
+                    max_age = Some(0);
+                } else if max_age.is_none() {
+                    max_age = Some(86400 * 365);
                 }
             } else if is("secure") {
-                cookie.secure = true;
+                secure = true;
             } else if is("httponly") {
-                cookie.http_only = true;
+                http_only = true;
             } else if is("samesite") {
                 if let Some(ss) = SameSite::parse(v) {
-                    cookie.same_site = ss;
+                    same_site = ss;
                 }
             }
         }
-        Some(cookie)
+        let host_only = domain.is_none();
+        let domain = domain.unwrap_or(origin.host());
+        let mut text = String::with_capacity(name.len() + value.len() + domain.len() + path.len());
+        text.push_str(name);
+        let name_end = text.len() as u32;
+        text.push_str(value);
+        let value_end = text.len() as u32;
+        text.extend(domain.chars().map(|c| c.to_ascii_lowercase()));
+        let domain_end = text.len() as u32;
+        text.push_str(path);
+        Some(Cookie {
+            text,
+            name_end,
+            value_end,
+            domain_end,
+            host_only,
+            max_age,
+            secure,
+            http_only,
+            same_site,
+        })
+    }
+
+    /// Cookie name (case-sensitive).
+    pub fn name(&self) -> &str {
+        &self.text[..self.name_end as usize]
+    }
+
+    /// Cookie value.
+    pub fn value(&self) -> &str {
+        &self.text[self.name_end as usize..self.value_end as usize]
+    }
+
+    /// Domain the cookie is scoped to (lowercase, no leading dot). For
+    /// host-only cookies this is the exact request host.
+    pub fn domain(&self) -> &str {
+        &self.text[self.value_end as usize..self.domain_end as usize]
+    }
+
+    /// Path scope, defaulting to `/`.
+    pub fn path(&self) -> &str {
+        &self.text[self.domain_end as usize..]
     }
 
     /// True if this cookie is already expired at creation (`Max-Age<=0`).
@@ -145,12 +183,12 @@ impl Cookie {
 
     /// RFC 6265 path-match.
     pub fn path_matches(&self, request_path: &str) -> bool {
-        if self.path == request_path {
+        let path = self.path();
+        if path == request_path {
             return true;
         }
-        request_path.starts_with(&self.path)
-            && (self.path.ends_with('/')
-                || request_path.as_bytes().get(self.path.len()) == Some(&b'/'))
+        request_path.starts_with(path)
+            && (path.ends_with('/') || request_path.as_bytes().get(path.len()) == Some(&b'/'))
     }
 
     /// Should this cookie be sent on a request to `url`?
@@ -159,9 +197,9 @@ impl Cookie {
             return false;
         }
         let host_ok = if self.host_only {
-            url.host().eq_ignore_ascii_case(&self.domain)
+            url.host().eq_ignore_ascii_case(self.domain())
         } else {
-            crate::psl::domain_match(url.host(), &self.domain)
+            crate::psl::domain_match(url.host(), self.domain())
         };
         host_ok && self.path_matches(url.path())
     }
@@ -169,13 +207,19 @@ impl Cookie {
     /// Is this cookie first-party with respect to a page at `page_host`?
     /// (Same registrable domain.)
     pub fn is_first_party_for(&self, page_host: &str) -> bool {
-        same_site(&self.domain, page_host)
+        same_site(self.domain(), page_host)
     }
 }
 
 impl fmt::Display for Cookie {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}; Domain={}", self.name, self.value, self.domain)
+        write!(
+            f,
+            "{}={}; Domain={}",
+            self.name(),
+            self.value(),
+            self.domain()
+        )
     }
 }
 
@@ -209,11 +253,11 @@ mod tests {
     fn parses_basic_cookie() {
         let o = origin("https://www.zeit.de/index");
         let c = Cookie::parse_set_cookie("sid=abc123", &o).unwrap();
-        assert_eq!(c.name, "sid");
-        assert_eq!(c.value, "abc123");
-        assert_eq!(c.domain, "www.zeit.de");
+        assert_eq!(c.name(), "sid");
+        assert_eq!(c.value(), "abc123");
+        assert_eq!(c.domain(), "www.zeit.de");
         assert!(c.host_only);
-        assert_eq!(c.path, "/");
+        assert_eq!(c.path(), "/");
         assert!(!c.secure);
         assert_eq!(c.same_site, SameSite::Lax);
     }
@@ -226,10 +270,10 @@ mod tests {
             &o,
         )
         .unwrap();
-        assert_eq!(c.value, "x", "quotes stripped");
-        assert_eq!(c.domain, "example.de");
+        assert_eq!(c.value(), "x", "quotes stripped");
+        assert_eq!(c.domain(), "example.de");
         assert!(!c.host_only);
-        assert_eq!(c.path, "/a");
+        assert_eq!(c.path(), "/a");
         assert_eq!(c.max_age, Some(3600));
         assert!(c.secure && c.http_only);
         assert_eq!(c.same_site, SameSite::None);
@@ -243,26 +287,40 @@ mod tests {
             &o,
         )
         .unwrap();
-        let expected = Cookie {
-            name: "id".to_string(),
-            value: "7".to_string(),
-            domain: "example.de".to_string(),
-            host_only: false,
-            path: "/x".to_string(),
-            max_age: Some(5),
-            secure: false,
-            http_only: true,
-            same_site: SameSite::Lax,
+        let fields = |c: &Cookie| {
+            (
+                c.name().to_string(),
+                c.value().to_string(),
+                c.domain().to_string(),
+                c.path().to_string(),
+                c.host_only,
+                c.max_age,
+                c.secure,
+                c.http_only,
+                c.same_site,
+            )
         };
-        assert_eq!(c, expected);
+        let expected = (
+            "id".to_string(),
+            "7".to_string(),
+            "example.de".to_string(),
+            "/x".to_string(),
+            false,
+            Some(5),
+            false,
+            true,
+            SameSite::Lax,
+        );
+        assert_eq!(fields(&c), expected);
         let upper = Cookie::parse_set_cookie(
             "id=7; path=/x; max-age=5; HTTPONLY; SAMESITE=lax; DOMAIN=example.de",
             &o,
         )
         .unwrap();
-        assert_eq!(upper, expected);
+        assert_eq!(fields(&upper), expected);
+        assert_eq!(upper, c);
         let root = Cookie::parse_set_cookie("n=1; Path=/; SECURE; samesite=STRICT", &o).unwrap();
-        assert_eq!(root.path, "/");
+        assert_eq!(root.path(), "/");
         assert!(root.secure);
         assert_eq!(root.same_site, SameSite::Strict);
     }
@@ -280,7 +338,7 @@ mod tests {
     fn parent_domain_allowed() {
         let o = origin("https://sub.site.de/");
         let c = Cookie::parse_set_cookie("x=1; Domain=site.de", &o).unwrap();
-        assert_eq!(c.domain, "site.de");
+        assert_eq!(c.domain(), "site.de");
     }
 
     #[test]
@@ -294,7 +352,7 @@ mod tests {
     fn empty_value_ok() {
         let o = origin("https://a.de/");
         let c = Cookie::parse_set_cookie("flag=", &o).unwrap();
-        assert_eq!(c.value, "");
+        assert_eq!(c.value(), "");
     }
 
     #[test]

@@ -346,7 +346,7 @@ impl FaultyServer {
 }
 
 impl Server for FaultyServer {
-    fn handle(&self, req: &Request) -> Response {
+    fn handle(&self, req: &Request<'_>) -> Response {
         if req.initiator_host.is_none() {
             let host = req.url.host();
             let attempt = self.plan.next_attempt(req.region, host);
@@ -474,7 +474,7 @@ mod tests {
         use std::sync::atomic::AtomicU64;
         let hits = Arc::new(AtomicU64::new(0));
         let hits2 = Arc::clone(&hits);
-        let origin: Arc<dyn Server> = Arc::new(move |_req: &Request| {
+        let origin: Arc<dyn Server> = Arc::new(move |_req: &Request<'_>| {
             hits2.fetch_add(1, Ordering::Relaxed);
             Response::html("<p>origin</p>")
         });
@@ -485,7 +485,7 @@ mod tests {
         let window = plan.transient_window(region, url.host());
         assert!(window >= 1);
         for _ in 0..window {
-            let resp = server.handle(&Request::navigation(url.clone(), region));
+            let resp = server.handle(&Request::navigation(&url, region));
             let faulted = resp.status == 0
                 || resp.status >= 500
                 || resp.latency_ms > 0
@@ -497,16 +497,15 @@ mod tests {
                 "origin must not see faulted attempts"
             );
         }
-        let resp = server.handle(&Request::navigation(url.clone(), region));
+        let resp = server.handle(&Request::navigation(&url, region));
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body_text(), "<p>origin</p>");
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         // Subresources bypass the fault layer entirely.
-        let sub = server.handle(&Request::subresource(
-            url.clone(),
-            region,
-            "faulted.example",
-        ));
+        let sub = server.handle(&Request {
+            initiator_host: Some("faulted.example"),
+            ..Request::navigation(&url, region)
+        });
         assert_eq!(sub.status, 200);
     }
 }

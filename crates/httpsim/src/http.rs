@@ -8,6 +8,7 @@
 use crate::geo::Region;
 use crate::url::Url;
 use bytes::Bytes;
+use std::fmt::{self, Write as _};
 
 /// Request method; the crawl only ever issues GET and POST (login form).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,53 +19,46 @@ pub enum Method {
     Post,
 }
 
-/// An outbound HTTP request.
-#[derive(Debug, Clone)]
-pub struct Request {
+/// An outbound HTTP request. Every field borrows from the caller, so
+/// building one allocates nothing: the browser keeps its user agent and a
+/// reused `Cookie` header buffer, and the URL stays where it is.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
     /// Method.
     pub method: Method,
     /// Target URL.
-    pub url: Url,
+    pub url: &'a Url,
     /// Visitor's region (the vantage point making the request).
     pub region: Region,
     /// `Cookie:` header value, if the jar produced one.
-    pub cookie_header: Option<String>,
+    pub cookie_header: Option<&'a str>,
     /// User agent string. Sites with bot detection inspect this.
-    pub user_agent: String,
+    pub user_agent: &'a str,
     /// Host of the top-level page that triggered this fetch (None for the
     /// top-level navigation itself).
-    pub initiator_host: Option<String>,
+    pub initiator_host: Option<&'a str>,
     /// Form/body parameters for POST requests.
-    pub body_params: Vec<(String, String)>,
+    pub body_params: &'a [(&'a str, &'a str)],
 }
 
-impl Request {
-    /// A top-level GET navigation from `region` to `url`.
-    // lint:allow(r9) — request/response structs own their URL and body by design; request construction is listed under ROADMAP "Zero-copy DOM payloads"
-    pub fn navigation(url: Url, region: Region) -> Self {
+impl<'a> Request<'a> {
+    /// A top-level GET navigation from `region` to `url`, with the default
+    /// user agent and no cookies.
+    pub fn navigation(url: &'a Url, region: Region) -> Self {
         Request {
             method: Method::Get,
             url,
             region,
             cookie_header: None,
-            user_agent: DEFAULT_USER_AGENT.to_string(),
+            user_agent: DEFAULT_USER_AGENT,
             initiator_host: None,
-            body_params: Vec::new(),
-        }
-    }
-
-    /// A subresource GET triggered by a page on `initiator_host`.
-    // lint:allow(r9) — request/response structs own their URL and body by design; request construction is listed under ROADMAP "Zero-copy DOM payloads"
-    pub fn subresource(url: Url, region: Region, initiator_host: &str) -> Self {
-        Request {
-            initiator_host: Some(initiator_host.to_string()),
-            ..Request::navigation(url, region)
+            body_params: &[],
         }
     }
 
     /// Value of a cookie named `name` in the `Cookie` header, if present.
-    pub fn cookie(&self, name: &str) -> Option<&str> {
-        let header = self.cookie_header.as_deref()?;
+    pub fn cookie(&self, name: &str) -> Option<&'a str> {
+        let header = self.cookie_header?;
         header.split(';').find_map(|pair| {
             let (k, v) = pair.trim().split_once('=')?;
             (k == name).then_some(v)
@@ -74,6 +68,15 @@ impl Request {
     /// True if any cookie named `name` is present.
     pub fn has_cookie(&self, name: &str) -> bool {
         self.cookie(name).is_some()
+    }
+
+    /// Value of the query parameter `name` (`k=v&k=v`, no percent
+    /// decoding), if present.
+    pub fn query_param(&self, name: &str) -> Option<&'a str> {
+        self.url.query()?.split('&').find_map(|pair| {
+            let (k, v) = pair.split_once('=')?;
+            (k == name).then_some(v)
+        })
     }
 }
 
@@ -97,12 +100,14 @@ pub enum TransportFault {
 pub struct Response {
     /// Status code (200, 301, 404, …).
     pub status: u16,
-    /// `Set-Cookie` header values, one per cookie.
-    pub set_cookies: Vec<String>,
+    /// `Set-Cookie` header values, each ended by `\n`, in one buffer. A
+    /// header value cannot hold a line break, so the terminators are the
+    /// only spans the lines need.
+    set_cookies: String,
     /// `Location` header for redirects.
     pub location: Option<String>,
     /// Content type (`text/html`, `application/javascript`, …).
-    pub content_type: String,
+    pub content_type: &'static str,
     /// Response body.
     pub body: Bytes,
     /// Simulated transfer time in *virtual* milliseconds. Ordinary servers
@@ -114,20 +119,19 @@ pub struct Response {
 }
 
 impl Response {
-    // lint:allow(r9) — request/response structs own their URL and body by design; request construction is listed under ROADMAP "Zero-copy DOM payloads"
-    fn base(status: u16, content_type: &str, body: Bytes) -> Self {
+    fn base(status: u16, content_type: &'static str, body: Bytes) -> Self {
         Response {
             status,
-            set_cookies: Vec::new(),
+            set_cookies: String::new(),
             location: None,
-            content_type: content_type.to_string(),
+            content_type,
             body,
             latency_ms: 0,
             transport: None,
         }
     }
 
-    /// A 200 HTML page.
+    /// A 200 HTML page. A `&'static str` body is borrowed, not copied.
     pub fn html(body: impl Into<Bytes>) -> Self {
         Self::base(200, "text/html; charset=utf-8", body.into())
     }
@@ -165,9 +169,35 @@ impl Response {
     }
 
     /// Builder-style: add a `Set-Cookie` header.
-    pub fn with_cookie(mut self, set_cookie: impl Into<String>) -> Self {
-        self.set_cookies.push(set_cookie.into());
+    pub fn with_cookie(mut self, set_cookie: impl fmt::Display) -> Self {
+        self.add_cookie(set_cookie);
         self
+    }
+
+    /// Add a `Set-Cookie` header, rendered straight into the response's
+    /// one cookie buffer (pass `format_args!` to skip an intermediate
+    /// String). A line break in the value would split it in two, so a
+    /// server must not write one.
+    pub fn add_cookie(&mut self, set_cookie: impl fmt::Display) {
+        // Writing into a String cannot fail.
+        let _ = write!(self.set_cookies, "{set_cookie}");
+        self.set_cookies.push('\n');
+    }
+
+    /// Make room for `bytes` more bytes of `Set-Cookie` lines, so a server
+    /// that knows roughly what it will set grows the buffer once.
+    pub fn reserve_cookies(&mut self, bytes: usize) {
+        self.set_cookies.reserve(bytes);
+    }
+
+    /// The `Set-Cookie` header values, in the order they were added.
+    pub fn set_cookies(&self) -> std::str::SplitTerminator<'_, char> {
+        self.set_cookies.split_terminator('\n')
+    }
+
+    /// How many `Set-Cookie` headers the response carries.
+    pub fn set_cookie_count(&self) -> usize {
+        self.set_cookies.bytes().filter(|&b| b == b'\n').count()
     }
 
     /// True for 3xx with a Location header.
@@ -187,35 +217,52 @@ mod tests {
 
     #[test]
     fn request_cookie_lookup() {
-        let mut r = Request::navigation(Url::parse("https://a.de/").unwrap(), Region::Germany);
+        let url = Url::parse("https://a.de/").unwrap();
+        let mut r = Request::navigation(&url, Region::Germany);
         assert_eq!(r.cookie("x"), None);
-        r.cookie_header = Some("a=1; consent=accepted; b=2".to_string());
+        r.cookie_header = Some("a=1; consent=accepted; b=2");
         assert_eq!(r.cookie("consent"), Some("accepted"));
         assert_eq!(r.cookie("a"), Some("1"));
         assert!(!r.has_cookie("missing"));
     }
 
     #[test]
-    fn subresource_carries_initiator() {
-        let r = Request::subresource(
-            Url::parse("https://tracker.com/p.js").unwrap(),
-            Region::UsEast,
-            "news.de",
+    fn request_query_lookup() {
+        let url = Url::parse("https://t.com/t.js?n=4&site=a.de&flag&o=").unwrap();
+        let r = Request::navigation(&url, Region::Germany);
+        assert_eq!(r.query_param("site"), Some("a.de"));
+        assert_eq!(r.query_param("n"), Some("4"));
+        assert_eq!(r.query_param("o"), Some(""));
+        assert_eq!(r.query_param("flag"), None);
+        let bare = Url::parse("https://t.com/").unwrap();
+        assert_eq!(
+            Request::navigation(&bare, Region::Germany).query_param("site"),
+            None
         );
-        assert_eq!(r.initiator_host.as_deref(), Some("news.de"));
-        assert_eq!(r.method, Method::Get);
     }
 
     #[test]
     fn response_builders() {
         let r = Response::html("<p>x</p>")
             .with_cookie("sid=1")
-            .with_cookie("t=2");
+            .with_cookie(format_args!("t={}", 2));
         assert_eq!(r.status, 200);
-        assert_eq!(r.set_cookies.len(), 2);
+        assert_eq!(r.set_cookie_count(), 2);
+        assert_eq!(r.set_cookies().collect::<Vec<_>>(), ["sid=1", "t=2"]);
         assert_eq!(r.body_text(), "<p>x</p>");
         assert!(Response::redirect("/next").is_redirect());
         assert!(!Response::not_found().is_redirect());
         assert_eq!(Response::no_content().status, 204);
+        assert_eq!(Response::no_content().set_cookie_count(), 0);
+    }
+
+    #[test]
+    fn empty_cookie_lines_keep_their_place() {
+        let r = Response::no_content()
+            .with_cookie("")
+            .with_cookie("a=1\r")
+            .with_cookie("");
+        assert_eq!(r.set_cookie_count(), 3);
+        assert_eq!(r.set_cookies().collect::<Vec<_>>(), ["", "a=1\r", ""]);
     }
 }

@@ -56,7 +56,9 @@ impl CookieJar {
     /// stored one (the standard deletion idiom).
     pub fn store(&mut self, cookie: Cookie) {
         self.cookies.retain(|c| {
-            !(c.name == cookie.name && c.domain == cookie.domain && c.path == cookie.path)
+            !(c.name() == cookie.name()
+                && c.domain() == cookie.domain()
+                && c.path() == cookie.path())
         });
         if !cookie.is_immediately_expired() {
             self.cookies.push(cookie);
@@ -84,25 +86,24 @@ impl CookieJar {
     }
 
     /// Cookies that would be sent on a request to `url`, in storage order.
-    pub fn cookies_for(&self, url: &Url) -> Vec<&Cookie> {
-        self.cookies.iter().filter(|c| c.matches_url(url)).collect()
+    pub fn cookies_for<'a>(&'a self, url: &'a Url) -> impl Iterator<Item = &'a Cookie> + 'a {
+        self.cookies.iter().filter(move |c| c.matches_url(url))
     }
 
-    /// The `Cookie:` header value for a request to `url`, or `None` if no
-    /// cookies match.
-    // lint:allow(r9) — the Cookie header must be rendered per request; buffer reuse across requests belongs to ROADMAP "Zero-copy DOM payloads"
-    pub fn cookie_header(&self, url: &Url) -> Option<String> {
-        let cookies = self.cookies_for(url);
-        if cookies.is_empty() {
-            return None;
+    /// Render the `Cookie:` header value for a request to `url` into
+    /// `out`, replacing its contents: `name=value` pairs in storage order,
+    /// joined by `; `. `out` is left empty when no cookie matches. A
+    /// caller that keeps `out` across requests renders without allocating.
+    pub fn write_cookie_header(&self, url: &Url, out: &mut String) {
+        out.clear();
+        for c in self.cookies_for(url) {
+            if !out.is_empty() {
+                out.push_str("; ");
+            }
+            out.push_str(c.name());
+            out.push('=');
+            out.push_str(c.value());
         }
-        Some(
-            cookies
-                .iter()
-                .map(|c| format!("{}={}", c.name, c.value))
-                .collect::<Vec<_>>()
-                .join("; "),
-        )
     }
 
     /// Iterate all stored cookies.
@@ -115,7 +116,7 @@ impl CookieJar {
     /// to revoke a cookiewall acceptance (§5 of the paper).
     pub fn clear_site(&mut self, site_host: &str) {
         self.cookies
-            .retain(|c| !crate::psl::same_site(&c.domain, site_host));
+            .retain(|c| !crate::psl::same_site(c.domain(), site_host));
     }
 
     /// Remove everything.
@@ -144,7 +145,7 @@ impl CookieJar {
                 CookieParty::FirstParty => b.first_party += 1.0,
                 CookieParty::ThirdParty => b.third_party += 1.0,
             }
-            if is_tracker(&c.domain) {
+            if is_tracker(c.domain()) {
                 b.tracking += 1.0;
             }
         }
@@ -156,7 +157,7 @@ impl CookieJar {
     pub fn distinct_sites(&self) -> usize {
         self.cookies
             .iter()
-            .filter_map(|c| registrable_domain(&c.domain))
+            .filter_map(|c| registrable_domain(c.domain()))
             .collect::<HashSet<_>>()
             .len()
     }
@@ -176,12 +177,12 @@ mod tests {
         let o = u("https://www.site.de/");
         jar.store_response_cookies(["a=1", "b=2; Domain=site.de"], &o);
         assert_eq!(jar.len(), 2);
-        let got = jar.cookies_for(&u("https://www.site.de/page"));
-        assert_eq!(got.len(), 2);
+        assert_eq!(jar.cookies_for(&u("https://www.site.de/page")).count(), 2);
         // Host-only cookie not sent to sibling subdomain; domain cookie is.
-        let sibling = jar.cookies_for(&u("https://shop.site.de/"));
+        let shop = u("https://shop.site.de/");
+        let sibling: Vec<&Cookie> = jar.cookies_for(&shop).collect();
         assert_eq!(sibling.len(), 1);
-        assert_eq!(sibling[0].name, "b");
+        assert_eq!(sibling[0].name(), "b");
     }
 
     #[test]
@@ -191,7 +192,7 @@ mod tests {
         jar.store_response_cookies(["x=old"], &o);
         jar.store_response_cookies(["x=new"], &o);
         assert_eq!(jar.len(), 1);
-        assert_eq!(jar.cookies_for(&o)[0].value, "new");
+        assert_eq!(jar.cookies_for(&o).next().unwrap().value(), "new");
         // Same name, different path = different cookie.
         jar.store_response_cookies(["x=scoped; Path=/p"], &o);
         assert_eq!(jar.len(), 2);
@@ -212,8 +213,11 @@ mod tests {
         let mut jar = CookieJar::new();
         let o = u("https://a.de/");
         jar.store_response_cookies(["a=1", "b=2"], &o);
-        assert_eq!(jar.cookie_header(&o).unwrap(), "a=1; b=2");
-        assert_eq!(jar.cookie_header(&u("https://other.de/")), None);
+        let mut header = String::from("stale");
+        jar.write_cookie_header(&o, &mut header);
+        assert_eq!(header, "a=1; b=2");
+        jar.write_cookie_header(&u("https://other.de/"), &mut header);
+        assert_eq!(header, "");
     }
 
     #[test]
@@ -241,7 +245,7 @@ mod tests {
         jar.store_response_cookies(["c=3"], &u("https://other.de/"));
         jar.clear_site("wall.de");
         assert_eq!(jar.len(), 1);
-        assert_eq!(jar.iter().next().unwrap().name, "c");
+        assert_eq!(jar.iter().next().unwrap().name(), "c");
     }
 
     #[test]
@@ -252,7 +256,7 @@ mod tests {
         assert_eq!(jar.len(), 2);
         jar.expire_session_cookies();
         assert_eq!(jar.len(), 1);
-        assert_eq!(jar.iter().next().unwrap().name, "consent");
+        assert_eq!(jar.iter().next().unwrap().name(), "consent");
     }
 
     #[test]

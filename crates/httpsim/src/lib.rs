@@ -11,8 +11,9 @@
 //!   domain/path/secure matching and the party/tracking
 //!   [`CookieBreakdown`] reported in Figures 4 and 5,
 //! * the eight vantage-point [`Region`]s and their privacy regimes,
-//! * a [`Network`] of [`Server`] trait objects with redirect following —
-//!   the slot where `webgen` plugs in the synthetic web population,
+//! * a [`Network`] of [`Server`] trait objects answering borrowed
+//!   [`Request`]s — the slot where `webgen` plugs in the synthetic web
+//!   population,
 //! * a deterministic fault-injection layer ([`FaultPlan`],
 //!   [`FaultyServer`]) modelling the hostile real Web: connection resets,
 //!   transient 5xx, stalled and truncated transfers, dead origins.
@@ -32,11 +33,11 @@
 //! });
 //!
 //! let url = Url::parse("https://news.example.de/").unwrap();
-//! let resp = net.dispatch(&Request::navigation(url.clone(), Region::Germany));
+//! let resp = net.dispatch(&Request::navigation(&url, Region::Germany));
 //! assert!(resp.body_text().contains("banner"));
 //!
 //! let mut jar = CookieJar::new();
-//! jar.store_response_cookies(resp.set_cookies.iter().map(|s| s.as_str()), &url);
+//! jar.store_response_cookies(resp.set_cookies(), &url);
 //! assert_eq!(jar.len(), 1);
 //! ```
 

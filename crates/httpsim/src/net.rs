@@ -1,12 +1,12 @@
-//! The simulated network: a host → server registry with request dispatch,
-//! redirect following, and traffic metrics.
+//! The simulated network: a host → server registry with request dispatch
+//! and traffic metrics. Redirects are followed by the client (the browser
+//! stores each hop's cookies), which reports every hop it follows here.
 //!
 //! This is the stand-in for the live Internet the paper crawls. Servers are
 //! trait objects so `webgen` can plug an entire synthetic web population in,
 //! and tests can plug in single closures.
 
 use crate::http::{Request, Response};
-use crate::url::Url;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,14 +19,14 @@ use std::sync::Arc;
 /// reproducible; interior state for counters is fine.
 pub trait Server: Send + Sync {
     /// Produce the response for `req`.
-    fn handle(&self, req: &Request) -> Response;
+    fn handle(&self, req: &Request<'_>) -> Response;
 }
 
 impl<F> Server for F
 where
-    F: Fn(&Request) -> Response + Send + Sync,
+    F: Fn(&Request<'_>) -> Response + Send + Sync,
 {
-    fn handle(&self, req: &Request) -> Response {
+    fn handle(&self, req: &Request<'_>) -> Response {
         self(req)
     }
 }
@@ -38,7 +38,7 @@ pub struct NetworkStats {
     pub requests: AtomicU64,
     /// Requests that hit no registered host.
     pub unresolved: AtomicU64,
-    /// Redirect hops followed.
+    /// Redirect hops a client followed ([`Network::record_redirect`]).
     pub redirects: AtomicU64,
 }
 
@@ -95,7 +95,7 @@ impl Network {
     /// Convenience: register a closure server.
     pub fn register_fn<F>(&self, host: &str, f: F)
     where
-        F: Fn(&Request) -> Response + Send + Sync + 'static,
+        F: Fn(&Request<'_>) -> Response + Send + Sync + 'static,
     {
         self.register(host, Arc::new(f));
     }
@@ -137,7 +137,7 @@ impl Network {
     /// Unresolved hosts produce a 404-like failure response with status 0
     /// (connection error), which is how the crawler distinguishes "blocked
     /// or dead" from "served an error page".
-    pub fn dispatch(&self, req: &Request) -> Response {
+    pub fn dispatch(&self, req: &Request<'_>) -> Response {
         self.inner.stats.requests.fetch_add(1, Ordering::Relaxed);
         match self.lookup(req.url.host()) {
             Some(server) => server.handle(req),
@@ -148,23 +148,9 @@ impl Network {
         }
     }
 
-    /// Dispatch and follow up to [`MAX_REDIRECTS`] redirect hops. Returns
-    /// the final response and the URL it came from.
-    pub fn dispatch_following(&self, req: &Request) -> (Response, Url) {
-        let mut current = req.clone();
-        for _ in 0..MAX_REDIRECTS {
-            let resp = self.dispatch(&current);
-            if !resp.is_redirect() {
-                return (resp, current.url);
-            }
-            self.inner.stats.redirects.fetch_add(1, Ordering::Relaxed);
-            let loc = resp.location.as_deref().unwrap_or("/");
-            match current.url.join(loc) {
-                Ok(next) => current.url = next,
-                Err(_) => return (resp, current.url),
-            }
-        }
-        (Response::not_found(), current.url)
+    /// Count one redirect hop a client followed.
+    pub fn record_redirect(&self) {
+        self.inner.stats.redirects.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Traffic counters.
@@ -225,16 +211,18 @@ pub fn document_hash(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::geo::Region;
+    use crate::url::Url;
 
-    fn req(url: &str) -> Request {
-        Request::navigation(Url::parse(url).unwrap(), Region::Germany)
+    fn get(net: &Network, url: &str) -> Response {
+        let url = Url::parse(url).unwrap();
+        net.dispatch(&Request::navigation(&url, Region::Germany))
     }
 
     #[test]
     fn register_and_dispatch() {
         let net = Network::new();
         net.register_fn("site.de", |_| Response::html("<p>hi</p>"));
-        let r = net.dispatch(&req("https://site.de/"));
+        let r = get(&net, "https://site.de/");
         assert_eq!(r.status, 200);
         assert_eq!(r.body_text(), "<p>hi</p>");
     }
@@ -245,55 +233,20 @@ mod tests {
         net.register_fn("climate-data.org", |r| {
             Response::html(format!("host={}", r.url.host()))
         });
-        let r = net.dispatch(&req("https://pt.climate-data.org/x"));
+        let r = get(&net, "https://pt.climate-data.org/x");
         assert_eq!(r.body_text(), "host=pt.climate-data.org");
         // More specific registration wins.
         net.register_fn("pt.climate-data.org", |_| Response::html("specific"));
-        let r = net.dispatch(&req("https://pt.climate-data.org/x"));
+        let r = get(&net, "https://pt.climate-data.org/x");
         assert_eq!(r.body_text(), "specific");
     }
 
     #[test]
     fn unresolved_host_status_zero() {
         let net = Network::new();
-        let r = net.dispatch(&req("https://nothing.example/"));
+        let r = get(&net, "https://nothing.example/");
         assert_eq!(r.status, 0);
         assert_eq!(net.stats().unresolved(), 1);
-    }
-
-    #[test]
-    fn follows_redirects() {
-        let net = Network::new();
-        net.register_fn("a.de", |_| Response::redirect("https://b.de/land"));
-        net.register_fn("b.de", |r| Response::html(format!("path={}", r.url.path())));
-        let (resp, final_url) = net.dispatch_following(&req("https://a.de/"));
-        assert_eq!(resp.body_text(), "path=/land");
-        assert_eq!(final_url.to_string(), "https://b.de/land");
-        assert_eq!(net.stats().redirects(), 1);
-    }
-
-    #[test]
-    fn redirect_loop_bounded() {
-        let net = Network::new();
-        net.register_fn("loop.de", |_| Response::redirect("https://loop.de/again"));
-        let (resp, _) = net.dispatch_following(&req("https://loop.de/"));
-        assert_eq!(resp.status, 404);
-        assert!(net.stats().requests() <= MAX_REDIRECTS as u64 + 1);
-    }
-
-    #[test]
-    fn relative_redirect_resolved() {
-        let net = Network::new();
-        net.register_fn("rel.de", |r| {
-            if r.url.path() == "/" {
-                Response::redirect("/home")
-            } else {
-                Response::html("home")
-            }
-        });
-        let (resp, final_url) = net.dispatch_following(&req("https://rel.de/"));
-        assert_eq!(resp.body_text(), "home");
-        assert_eq!(final_url.path(), "/home");
     }
 
     #[test]
@@ -304,7 +257,7 @@ mod tests {
         let clone = net.clone();
         net.register_fn("shared.de", |_| Response::html("ok"));
         assert!(clone.resolves("shared.de"));
-        clone.dispatch(&req("https://shared.de/"));
+        get(&clone, "https://shared.de/");
         assert_eq!(net.stats().requests(), 1);
     }
 

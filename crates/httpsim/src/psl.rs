@@ -32,16 +32,14 @@ pub fn is_public_suffix(candidate: &str) -> bool {
 pub fn public_suffix(host: &str) -> &str {
     let host = host.trim_end_matches('.');
     // Try progressively shorter suffixes, longest (most labels) first.
-    let mut start_indices: Vec<usize> = vec![0];
-    for (i, b) in host.bytes().enumerate() {
-        if b == b'.' {
-            start_indices.push(i + 1);
-        }
-    }
-    for &start in &start_indices {
-        let cand = &host[start..];
+    let mut cand = host;
+    loop {
         if is_public_suffix(cand) {
             return cand;
+        }
+        match cand.find('.') {
+            Some(i) => cand = &cand[i + 1..],
+            None => break,
         }
     }
     // Default rule: the last label.
@@ -82,12 +80,15 @@ pub fn same_site(a: &str, b: &str) -> bool {
 /// the cookie `domain` attribute? True when identical, or when `host` ends
 /// with `.domain`.
 pub fn domain_match(host: &str, domain: &str) -> bool {
-    let host = host.to_ascii_lowercase();
-    let domain = domain.trim_start_matches('.').to_ascii_lowercase();
-    if host == domain {
-        return true;
+    let domain = domain.trim_start_matches('.');
+    match host.len().checked_sub(domain.len()) {
+        Some(0) => host.eq_ignore_ascii_case(domain),
+        Some(dot) => {
+            host.as_bytes()[dot - 1] == b'.'
+                && host.as_bytes()[dot..].eq_ignore_ascii_case(domain.as_bytes())
+        }
+        None => false,
     }
-    host.ends_with(&domain) && host.as_bytes()[host.len() - domain.len() - 1] == b'.'
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 //! `.to_string()`, `String::from(...)`, `format!(...)`, and a
 //! `Vec::new()` binding that is later `push`ed into (growing from empty
 //! on every visit). Findings aggregate per function — one entry per hot
-//! function listing every allocation site — so the report reads as the
-//! ranked work-list for the ROADMAP item "Zero-copy DOM payloads".
+//! function listing every allocation site — so the report reads as a
+//! ranked work-list of per-visit allocations.
 //!
 //! Documented over-approximations (DESIGN.md §10): method-call edges
 //! without a receiver-type hint resolve to every same-named method, so
@@ -160,7 +160,7 @@ impl Rule for HotPathAlloc {
                 col: 0,
                 message: format!(
                     "per-visit hot path `{}` ({} hop{} from root `{root}`) allocates {} time{}: \
-                     {} — arena-rewrite work-list (ROADMAP: Zero-copy DOM payloads)",
+                     {} — remove it, or suppress it with the reason it stays",
                     model.display(id),
                     hops,
                     if *hops == 1 { "" } else { "s" },

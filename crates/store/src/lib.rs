@@ -257,7 +257,9 @@ impl Store {
             meta: pairs,
             backend,
             checkpoint_every: AtomicUsize::new(DEFAULT_CHECKPOINT_EVERY),
-            stripes: (0..STRIPES).map(|_| Mutex::new(Stripe::new())).collect(),
+            stripes: (0..STRIPES)
+                .map(|_| Mutex::new(Stripe::new(regions)))
+                .collect(),
             pending: AtomicUsize::new(0),
             queue: Mutex::new(FlushQueue::new(vec![0; regions])),
             flush_pending: AtomicBool::new(false),
@@ -320,10 +322,10 @@ impl Store {
         }
 
         // Distribute the replayed index across the domain-hash stripes.
-        let mut stripes: Vec<Stripe> = (0..STRIPES).map(|_| Stripe::new()).collect();
+        let mut stripes: Vec<Stripe> = (0..STRIPES).map(|_| Stripe::new(regions)).collect();
         for ((region, domain), payload) in replay.index {
             let s = stripe_of(&domain);
-            stripes[s].index.insert((region, domain), payload);
+            stripes[s].index[region as usize].insert(domain, payload);
         }
 
         // Resume the seal sequence from the newest valid index slot, so
@@ -414,14 +416,13 @@ impl Store {
         }
         {
             let mut stripe = self.stripes[stripe_of(domain)].lock();
-            let key = (region, domain.to_string());
-            if stripe.index.contains_key(&key) {
+            if stripe.get(region, domain).is_some() {
                 return Ok(false);
             }
             stripe
                 .fresh
                 .push((region, domain.to_string(), payload.to_vec()));
-            stripe.index.insert(key, payload.to_vec());
+            stripe.index[region as usize].insert(domain.to_string(), payload.to_vec());
         }
         let pending = self.pending.fetch_add(1, Ordering::AcqRel) + 1;
         if pending >= self.checkpoint_every.load(Ordering::Relaxed).max(1) {
@@ -431,30 +432,26 @@ impl Store {
         Ok(true)
     }
 
-    /// Fetch a stored payload.
-    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup; borrowed-key lookup belongs to the per-visit allocation work (ROADMAP "Zero-copy DOM payloads")
+    /// Fetch a stored payload (a copy: the stripe lock is released before
+    /// returning).
     pub fn get(&self, region: u8, domain: &str) -> Option<Vec<u8>> {
         self.stripes[stripe_of(domain)]
             .lock()
-            .index
-            .get(&(region, domain.to_string()))
+            .get(region, domain)
             .cloned()
     }
 
     /// Is this task already stored?
-    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup; borrowed-key lookup belongs to the per-visit allocation work (ROADMAP "Zero-copy DOM payloads")
     pub fn contains(&self, region: u8, domain: &str) -> bool {
         self.stripes[stripe_of(domain)]
             .lock()
-            .index
-            .contains_key(&(region, domain.to_string()))
+            .get(region, domain)
+            .is_some()
     }
 
     /// Total stored task results across all regions.
     pub fn len(&self) -> usize {
-        (0..STRIPES)
-            .map(|i| self.stripes[i].lock().index.len())
-            .sum()
+        (0..STRIPES).map(|i| self.stripes[i].lock().len()).sum()
     }
 
     /// True when nothing is stored.
@@ -485,20 +482,15 @@ impl Store {
         let mut domains: Vec<String> = Vec::new();
         for i in 0..STRIPES {
             let stripe = self.stripes[i].lock();
-            domains.extend(
-                stripe
-                    .index
-                    .keys()
-                    .filter(|(r, _)| *r == region)
-                    .map(|(_, d)| d.clone()),
-            );
+            if let Some(map) = stripe.index.get(region as usize) {
+                domains.extend(map.keys().cloned());
+            }
         }
         domains.sort_unstable();
         for domain in domains {
-            let key = (region, domain);
-            let stripe = self.stripes[stripe_of(&key.1)].lock();
-            if let Some(payload) = stripe.index.get(&key) {
-                f(&key.1, payload);
+            let stripe = self.stripes[stripe_of(&domain)].lock();
+            if let Some(payload) = stripe.get(region, &domain) {
+                f(&domain, payload);
             }
         }
     }

@@ -43,7 +43,8 @@ pub struct StoreSnapshot {
     sealed_len: Vec<u64>,
     /// The sealed prefix of every region shard, read once at open.
     shards: Vec<Vec<u8>>,
-    entries: BTreeMap<(u8, String), Cell>,
+    /// Sealed cells, one domain-keyed map per region.
+    entries: Vec<BTreeMap<String, Cell>>,
     backend: Arc<dyn StorageBackend>,
 }
 
@@ -105,7 +106,7 @@ impl StoreSnapshot {
                     generation: 0,
                     sealed_len: vec![0; regions],
                     shards: vec![Vec::new(); regions],
-                    entries: BTreeMap::new(),
+                    entries: vec![BTreeMap::new(); regions],
                     backend,
                 });
             }
@@ -119,20 +120,18 @@ impl StoreSnapshot {
         for (r, shard) in shards.iter_mut().enumerate() {
             shard.truncate(file.sealed_len[r] as usize);
         }
-        let entries = file
-            .entries
-            .into_iter()
-            .map(|e| {
-                (
-                    (e.region, e.domain),
-                    Cell {
-                        segment: e.segment,
-                        offset: e.offset,
-                        len: e.len,
-                    },
-                )
-            })
-            .collect();
+        // `verifies` checked every entry's region against the shards.
+        let mut entries = vec![BTreeMap::new(); regions];
+        for e in file.entries {
+            if let Some(region) = entries.get_mut(e.region as usize) {
+                let cell = Cell {
+                    segment: e.segment,
+                    offset: e.offset,
+                    len: e.len,
+                };
+                region.insert(e.domain, cell);
+            }
+        }
         Ok(StoreSnapshot {
             dir: dir.to_path_buf(),
             regions,
@@ -181,38 +180,34 @@ impl StoreSnapshot {
 
     /// Generation that first sealed this cell at its current offset.
     pub fn segment_of(&self, region: u8, domain: &str) -> Option<u64> {
-        self.entries
-            .get(&(region, domain.to_string()))
-            .map(|cell| cell.segment)
+        self.cell(region, domain).map(|cell| cell.segment)
     }
 
     /// Borrow a sealed payload.
-    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup
     pub fn get(&self, region: u8, domain: &str) -> Option<&[u8]> {
-        let cell = self.entries.get(&(region, domain.to_string()))?;
+        let cell = self.cell(region, domain)?;
         let shard = self.shards.get(region as usize)?;
         shard.get(cell.offset as usize..cell.offset as usize + cell.len as usize)
     }
 
     /// Is this cell sealed?
-    // lint:allow(r9) — the (region, domain) tuple key forces an owned String per lookup
     pub fn contains(&self, region: u8, domain: &str) -> bool {
-        self.entries.contains_key(&(region, domain.to_string()))
+        self.cell(region, domain).is_some()
     }
 
     /// Total sealed cells across all regions.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().map(BTreeMap::len).sum()
     }
 
     /// True when the sealed view holds no cells.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.iter().all(BTreeMap::is_empty)
     }
 
     /// Sealed cells of one region.
     pub fn region_len(&self, region: u8) -> usize {
-        self.range(region).count()
+        self.entries.get(region as usize).map_or(0, BTreeMap::len)
     }
 
     /// Read back a note (see [`crate::Store::write_note`]). Notes are
@@ -230,10 +225,13 @@ impl StoreSnapshot {
     /// Visit every sealed `(domain, payload)` of one region in domain
     /// order, borrowing straight from the sealed shard bytes.
     pub fn for_each_region_entry(&self, region: u8, f: &mut dyn FnMut(&str, &[u8])) {
-        for ((_, domain), cell) in self.range(region) {
-            let Some(shard) = self.shards.get(region as usize) else {
-                continue;
-            };
+        let (Some(cells), Some(shard)) = (
+            self.entries.get(region as usize),
+            self.shards.get(region as usize),
+        ) else {
+            return;
+        };
+        for (domain, cell) in cells {
             if let Some(payload) =
                 shard.get(cell.offset as usize..cell.offset as usize + cell.len as usize)
             {
@@ -242,10 +240,8 @@ impl StoreSnapshot {
         }
     }
 
-    fn range(&self, region: u8) -> impl Iterator<Item = (&(u8, String), &Cell)> {
-        self.entries
-            .range((region, String::new())..)
-            .take_while(move |((r, _), _)| *r == region)
+    fn cell(&self, region: u8, domain: &str) -> Option<&Cell> {
+        self.entries.get(region as usize)?.get(domain)
     }
 }
 

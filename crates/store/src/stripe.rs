@@ -18,19 +18,30 @@ pub(crate) fn stripe_of(domain: &str) -> usize {
 /// One domain-hash stripe of the in-memory side.
 pub(crate) struct Stripe {
     /// Every stored payload (flushed and buffered) whose domain hashes
-    /// here, keyed by task.
+    /// here: one domain-keyed map per region, so a lookup borrows its
+    /// domain instead of building a `(region, domain)` key.
     // lint:allow(r10) — the in-memory key index IS the store's lookup structure; paging it out is parked million-domain work (ROADMAP "Parked from earlier rounds")
-    pub index: BTreeMap<(u8, String), Vec<u8>>,
+    pub index: Vec<BTreeMap<String, Vec<u8>>>,
     /// Puts accepted since this stripe was last drained, in put order.
     pub fresh: Vec<(u8, String, Vec<u8>)>,
 }
 
 impl Stripe {
-    pub(crate) fn new() -> Stripe {
+    pub(crate) fn new(regions: usize) -> Stripe {
         Stripe {
-            index: BTreeMap::new(),
+            index: (0..regions).map(|_| BTreeMap::new()).collect(),
             fresh: Vec::new(),
         }
+    }
+
+    /// The stored payload of `(region, domain)`.
+    pub(crate) fn get(&self, region: u8, domain: &str) -> Option<&Vec<u8>> {
+        self.index.get(region as usize)?.get(domain)
+    }
+
+    /// Stored payloads across every region.
+    pub(crate) fn len(&self) -> usize {
+        self.index.iter().map(BTreeMap::len).sum()
     }
 }
 

@@ -86,7 +86,7 @@ pub struct XPath {
 
 impl XPath {
     /// Compile an XPath string.
-    // lint:allow(r9) — a compiled XPath owns its names, values and error strings; ROADMAP "Zero-copy DOM payloads" covers the DOM, not query ASTs
+    // lint:allow(r9) — a compiled XPath owns its names, values and error strings: a query AST, not document payload
     pub fn parse(input: &str) -> Result<XPath, XPathError> {
         let input = input.trim();
         if input.is_empty() {
@@ -186,7 +186,7 @@ fn own_text(doc: &Document, node: NodeId) -> String {
     doc.children(node).filter_map(|c| doc.text(c)).collect()
 }
 
-// lint:allow(r9) — a compiled XPath owns its names, values and error strings; ROADMAP "Zero-copy DOM payloads" covers the DOM, not query ASTs
+// lint:allow(r9) — a compiled XPath owns its names, values and error strings: a query AST, not document payload
 fn parse_step(input: &str, mut pos: usize, axis: Axis) -> Result<(Step, usize), XPathError> {
     let bytes = input.as_bytes();
     // Node test.
@@ -226,7 +226,7 @@ fn parse_step(input: &str, mut pos: usize, axis: Axis) -> Result<(Step, usize), 
     ))
 }
 
-// lint:allow(r9) — a compiled XPath owns its names, values and error strings; ROADMAP "Zero-copy DOM payloads" covers the DOM, not query ASTs
+// lint:allow(r9) — a compiled XPath owns its names, values and error strings: a query AST, not document payload
 fn parse_predicate(body: &str) -> Result<Predicate, XPathError> {
     if body.is_empty() {
         return Err(err("empty predicate"));
@@ -274,7 +274,7 @@ fn parse_predicate(body: &str) -> Result<Predicate, XPathError> {
     Err(err(format!("unsupported predicate {body:?}")))
 }
 
-// lint:allow(r9) — a compiled XPath owns its names, values and error strings; ROADMAP "Zero-copy DOM payloads" covers the DOM, not query ASTs
+// lint:allow(r9) — a compiled XPath owns its names, values and error strings: a query AST, not document payload
 fn parse_quoted(s: &str) -> Result<String, XPathError> {
     let inner = s
         .strip_prefix('\'')

@@ -169,8 +169,13 @@ impl Population {
 
     /// Ground truth for `host` (exact domain or a subdomain of one).
     pub fn site(&self, host: &str) -> Option<&SiteSpec> {
-        let host = host.to_ascii_lowercase();
-        let mut candidate = host.as_str();
+        let lowered;
+        let mut candidate = if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            lowered = host.to_ascii_lowercase();
+            lowered.as_str()
+        } else {
+            host
+        };
         loop {
             if let Some(&i) = self.index.get(candidate) {
                 return Some(&self.sites[i]);

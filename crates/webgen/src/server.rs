@@ -16,6 +16,7 @@ use crate::spec::{BannerKind, Cmp, Embedding, Serving, SiteSpec, Smp};
 use crate::trackers::{plan_benign, plan_trackers};
 use httpsim::{Method, Network, Region, Request, Response};
 use rand::Rng;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -105,7 +106,7 @@ enum ConsentState {
     Subscribed,
 }
 
-fn consent_state(req: &Request) -> ConsentState {
+fn consent_state(req: &Request<'_>) -> ConsentState {
     if req.cookie(SUBSCRIPTION_COOKIE) == Some("1") {
         ConsentState::Subscribed
     } else {
@@ -120,7 +121,7 @@ fn consent_state(req: &Request) -> ConsentState {
 /// Does the UA look like an automation tool? Sites with bot detection hide
 /// their consent UI from such clients (§3's measurement limitation).
 fn looks_like_bot(user_agent: &str) -> bool {
-    let ua = user_agent.to_ascii_lowercase();
+    let ua = user_agent.as_bytes();
     [
         "bot",
         "crawler",
@@ -130,7 +131,10 @@ fn looks_like_bot(user_agent: &str) -> bool {
         "curl",
     ]
     .iter()
-    .any(|m| ua.contains(m))
+    .any(|m| {
+        ua.windows(m.len())
+            .any(|w| w.eq_ignore_ascii_case(m.as_bytes()))
+    })
 }
 
 /// Noise lanes: one independent stream per cookie quantity.
@@ -204,7 +208,7 @@ struct SiteHandler {
 }
 
 impl httpsim::Server for SiteHandler {
-    fn handle(&self, req: &Request) -> Response {
+    fn handle(&self, req: &Request<'_>) -> Response {
         let site = &self.shared.population.sites()[self.site_index];
         match req.url.path() {
             "/static/app.js" => Response::script("/* site application bundle */"),
@@ -223,13 +227,14 @@ impl httpsim::Server for SiteHandler {
     }
 }
 
-/// Render a site's main page for one request.
-// lint:allow(r9) — the simulated origin renders the page HTML and its Set-Cookie lines per request: they are the response payload itself
-fn render_main_page(site: &SiteSpec, req: &Request, visit: u64) -> Response {
+/// Render a site's main page for one request: the body is one String,
+/// and every Set-Cookie line is written into the response's one cookie
+/// buffer.
+fn render_main_page(site: &SiteSpec, req: &Request<'_>, visit: u64) -> Response {
     let state = consent_state(req);
     let lang = site.language;
     let domain = &site.domain;
-    let bot = site.bot_sensitive && looks_like_bot(&req.user_agent);
+    let bot = site.bot_sensitive && looks_like_bot(req.user_agent);
     let show_ui = !bot && state == ConsentState::Fresh && ui_visible(site, req.region);
 
     // Which cookie quantities apply in this state.
@@ -298,24 +303,24 @@ fn render_main_page(site: &SiteSpec, req: &Request, visit: u64) -> Response {
     if state == ConsentState::Accepted {
         let tracking = noisy(base.tracking, noise, TRACKING_LANE);
         for plan in plan_trackers(domain, visit, tracking) {
-            body.push_str(&format!(
-                "<script src=\"https://{}/t.js?n={}&o={}&site={}{}\"></script>",
-                plan.host,
-                plan.cookies,
-                plan.name_offset,
-                domain,
-                plan.sync_with
-                    .map(|s| format!("&sync={s}"))
-                    .unwrap_or_default(),
-            ));
+            let _ = write!(
+                body,
+                "<script src=\"https://{}/t.js?n={}&o={}&site={}",
+                plan.host, plan.cookies, plan.name_offset, domain,
+            );
+            if let Some(sync) = plan.sync_with {
+                let _ = write!(body, "&sync={sync}");
+            }
+            body.push_str("\"></script>");
         }
     }
     if matches!(state, ConsentState::Accepted | ConsentState::Subscribed) {
         let benign = noisy(base.benign_third_party, noise, BENIGN_LANE);
         for (i, host) in plan_benign(domain, visit, benign).into_iter().enumerate() {
-            body.push_str(&format!(
+            let _ = write!(
+                body,
                 "<script src=\"https://{host}/c.js?site={domain}&slot={i}\"></script>"
-            ));
+            );
         }
     }
 
@@ -326,17 +331,19 @@ fn render_main_page(site: &SiteSpec, req: &Request, visit: u64) -> Response {
     // First-party cookies.
     let first_party = noisy(base.first_party, noise, FIRST_PARTY_LANE);
     let mut resp = Response::html(body);
-    resp.set_cookies.reserve(first_party.max(1) as usize);
-    resp.set_cookies.push(format!("sid={visit}; Path=/"));
+    resp.reserve_cookies(first_party.max(1) as usize * COOKIE_LINE_BYTES);
+    resp.add_cookie(format_args!("sid={visit}; Path=/"));
     for i in 1..first_party {
-        resp.set_cookies
-            .push(format!("fp{i}=v{visit}; Path=/; Max-Age=31536000"));
+        resp.add_cookie(format_args!("fp{i}=v{visit}; Path=/; Max-Age=31536000"));
     }
     resp
 }
 
+/// Room reserved per first-party Set-Cookie line: `fp{i}=v{visit}` plus
+/// its attributes and the line end fit for any plausible visit count.
+const COOKIE_LINE_BYTES: usize = 48;
+
 /// Emit the consent UI (banner, wall, or decoy paywall) for a fresh visit.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
 fn render_consent_ui(body: &mut String, site: &SiteSpec) {
     let lang = site.language;
     let domain = &site.domain;
@@ -360,78 +367,80 @@ fn render_consent_ui(body: &mut String, site: &SiteSpec) {
             body.push_str(content::subscribe_label(lang));
             body.push_str("</a></div>");
         }
-        BannerKind::Banner(b) => {
-            let fragment = banner_fragment(site, b.has_reject, b.has_settings);
-            match (b.embedding, b.serving) {
-                (Embedding::Iframe, _) => {
-                    body.push_str(&format!(
-                        "<iframe id=\"cmp-frame\" title=\"consent\" \
-                         src=\"https://{}/banner?site={}\" \
-                         style=\"position:fixed;bottom:0;z-index:9999;width:100%;height:220px\">\
-                         </iframe>",
-                        Cmp::for_domain(domain).host(),
-                        domain
-                    ));
-                }
-                (emb, Serving::CmpScript) => {
-                    body.push_str(&format!(
-                        "<div id=\"cmp-mount\" data-cmp-shell></div>\
-                         <script src=\"https://{}/banner.js?site={}&shadow={}\" \
-                         data-cw-inject=\"cmp-mount\"></script>",
-                        Cmp::for_domain(domain).host(),
-                        domain,
-                        shadow_param(emb)
-                    ));
-                }
-                (emb, _) => body.push_str(&wrap_embedding(emb, "cmp-host", &fragment)),
+        BannerKind::Banner(b) => match (b.embedding, b.serving) {
+            (Embedding::Iframe, _) => {
+                let _ = write!(
+                    body,
+                    "<iframe id=\"cmp-frame\" title=\"consent\" \
+                     src=\"https://{}/banner?site={}\" \
+                     style=\"position:fixed;bottom:0;z-index:9999;width:100%;height:220px\">\
+                     </iframe>",
+                    Cmp::for_domain(domain).host(),
+                    domain
+                );
             }
-        }
-        BannerKind::Cookiewall(cw) => {
-            let fragment = wall_fragment(site, cw);
-            match (cw.embedding, cw.serving) {
-                (Embedding::Iframe, Serving::SmpCdn) => {
-                    let cdn = cw.smp.expect("SmpCdn serving implies an SMP").cdn_host();
-                    body.push_str(&format!(
-                        "<iframe id=\"cw-frame\" title=\"consent-or-pay\" \
-                         src=\"https://{cdn}/wall?site={domain}\" \
-                         style=\"position:fixed;top:0;z-index:100000;width:100%;height:100%\">\
-                         </iframe>"
-                    ));
-                }
-                (Embedding::Iframe, _) => {
-                    body.push_str(&format!(
-                        "<iframe id=\"cw-frame\" title=\"consent-or-pay\" \
-                         src=\"https://{}/wall?site={}\" \
-                         style=\"position:fixed;top:0;z-index:100000;width:100%;height:100%\">\
-                         </iframe>",
-                        Cmp::for_domain(domain).host(),
-                        domain
-                    ));
-                }
-                (emb, Serving::SmpCdn) => {
-                    let cdn = cw.smp.expect("SmpCdn serving implies an SMP").cdn_host();
-                    body.push_str(&format!(
-                        "<div id=\"cw-mount\" data-cmp-shell></div>\
-                         <script src=\"https://{cdn}/wall.js?site={domain}&shadow={}\" \
-                         data-cw-inject=\"cw-mount\"></script>",
-                        shadow_param(emb)
-                    ));
-                }
-                (emb, Serving::CmpScript) => {
-                    body.push_str(&format!(
-                        "<div id=\"cw-mount\" data-cmp-shell></div>\
-                         <script src=\"https://{}/wall.js?site={}&shadow={}\" \
-                         data-cw-inject=\"cw-mount\"></script>",
-                        Cmp::for_domain(domain).host(),
-                        domain,
-                        shadow_param(emb)
-                    ));
-                }
-                (emb, Serving::FirstParty) => {
-                    body.push_str(&wrap_embedding(emb, "cw-host", &fragment));
-                }
+            (emb, Serving::CmpScript) => {
+                let _ = write!(
+                    body,
+                    "<div id=\"cmp-mount\" data-cmp-shell></div>\
+                     <script src=\"https://{}/banner.js?site={}&shadow={}\" \
+                     data-cw-inject=\"cmp-mount\"></script>",
+                    Cmp::for_domain(domain).host(),
+                    domain,
+                    shadow_param(emb)
+                );
             }
-        }
+            (emb, _) => embed(body, emb, "cmp-host", |body| {
+                banner_fragment(body, site, b.has_reject, b.has_settings)
+            }),
+        },
+        BannerKind::Cookiewall(cw) => match (cw.embedding, cw.serving) {
+            (Embedding::Iframe, Serving::SmpCdn) => {
+                let cdn = cw.smp.expect("SmpCdn serving implies an SMP").cdn_host();
+                let _ = write!(
+                    body,
+                    "<iframe id=\"cw-frame\" title=\"consent-or-pay\" \
+                     src=\"https://{cdn}/wall?site={domain}\" \
+                     style=\"position:fixed;top:0;z-index:100000;width:100%;height:100%\">\
+                     </iframe>"
+                );
+            }
+            (Embedding::Iframe, _) => {
+                let _ = write!(
+                    body,
+                    "<iframe id=\"cw-frame\" title=\"consent-or-pay\" \
+                     src=\"https://{}/wall?site={}\" \
+                     style=\"position:fixed;top:0;z-index:100000;width:100%;height:100%\">\
+                     </iframe>",
+                    Cmp::for_domain(domain).host(),
+                    domain
+                );
+            }
+            (emb, Serving::SmpCdn) => {
+                let cdn = cw.smp.expect("SmpCdn serving implies an SMP").cdn_host();
+                let _ = write!(
+                    body,
+                    "<div id=\"cw-mount\" data-cmp-shell></div>\
+                     <script src=\"https://{cdn}/wall.js?site={domain}&shadow={}\" \
+                     data-cw-inject=\"cw-mount\"></script>",
+                    shadow_param(emb)
+                );
+            }
+            (emb, Serving::CmpScript) => {
+                let _ = write!(
+                    body,
+                    "<div id=\"cw-mount\" data-cmp-shell></div>\
+                     <script src=\"https://{}/wall.js?site={}&shadow={}\" \
+                     data-cw-inject=\"cw-mount\"></script>",
+                    Cmp::for_domain(domain).host(),
+                    domain,
+                    shadow_param(emb)
+                );
+            }
+            (emb, Serving::FirstParty) => {
+                embed(body, emb, "cw-host", |body| wall_fragment(body, site, cw))
+            }
+        },
     }
 }
 
@@ -443,26 +452,41 @@ fn shadow_param(emb: Embedding) -> &'static str {
     }
 }
 
-/// Wrap a fragment according to its embedding: plain (main DOM) or behind a
-/// declarative shadow root.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
-fn wrap_embedding(emb: Embedding, host_id: &str, fragment: &str) -> String {
-    match emb {
-        Embedding::ShadowOpen => format!(
-            "<div id=\"{host_id}\"><template shadowrootmode=\"open\">{fragment}</template></div>"
-        ),
-        Embedding::ShadowClosed => format!(
-            "<div id=\"{host_id}\"><template shadowrootmode=\"closed\">{fragment}</template></div>"
-        ),
-        _ => fragment.to_string(),
+/// The embedding a CDN script request's `shadow` parameter asks for:
+/// `open` or `closed` shadow roots, anything else plain markup.
+fn shadow_embedding(param: Option<&str>) -> Embedding {
+    match param {
+        Some("open") => Embedding::ShadowOpen,
+        Some("closed") => Embedding::ShadowClosed,
+        _ => Embedding::MainDom,
     }
 }
 
-/// The markup of a regular cookie banner.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
-fn banner_fragment(site: &SiteSpec, has_reject: bool, has_settings: bool) -> String {
+/// Write a fragment according to its embedding: plain (main DOM) or
+/// behind a declarative shadow root on a host element `host_id`.
+fn embed(body: &mut String, emb: Embedding, host_id: &str, fragment: impl FnOnce(&mut String)) {
+    let mode = match emb {
+        Embedding::ShadowOpen => Some("open"),
+        Embedding::ShadowClosed => Some("closed"),
+        _ => None,
+    };
+    if let Some(mode) = mode {
+        let _ = write!(
+            body,
+            "<div id=\"{host_id}\"><template shadowrootmode=\"{mode}\">"
+        );
+    }
+    fragment(body);
+    if mode.is_some() {
+        body.push_str("</template></div>");
+    }
+}
+
+/// Write the markup of a regular cookie banner.
+fn banner_fragment(body: &mut String, site: &SiteSpec, has_reject: bool, has_settings: bool) {
     let lang = site.language;
-    let mut s = format!(
+    let _ = write!(
+        body,
         "<div id=\"cmp-banner\" class=\"cmp-container cookie-consent\" \
          style=\"position:fixed;bottom:0;z-index:9999\"><p>{}</p>\
          <button class=\"cmp-accept\" data-cw-action=\"accept\">{}</button>",
@@ -470,57 +494,60 @@ fn banner_fragment(site: &SiteSpec, has_reject: bool, has_settings: bool) -> Str
         content::accept_label(lang),
     );
     if has_reject {
-        s.push_str(&format!(
+        let _ = write!(
+            body,
             "<button class=\"cmp-reject\" data-cw-action=\"reject\">{}</button>",
             content::reject_label(lang)
-        ));
+        );
     }
     if has_settings {
-        s.push_str(&format!(
+        let _ = write!(
+            body,
             "<a class=\"cmp-settings\" data-cw-action=\"settings\" href=\"/privacy\">{}</a>",
             content::settings_label(lang)
-        ));
+        );
     }
-    s.push_str("<a href=\"/privacy\">·</a></div>");
-    s
+    body.push_str("<a href=\"/privacy\">·</a></div>");
 }
 
-/// The markup of a cookiewall (no reject — accept or pay).
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
-fn wall_fragment(site: &SiteSpec, cw: &crate::spec::CookiewallSpec) -> String {
+/// Write the markup of a cookiewall (no reject — accept or pay).
+fn wall_fragment(body: &mut String, site: &SiteSpec, cw: &crate::spec::CookiewallSpec) {
     let lang = site.language;
     let text = content::wall_text(lang, &site.domain, &cw.price, cw.smp.map(Smp::name));
-    let subscribe_href = match cw.smp {
-        Some(smp) => format!(
-            "https://{}/subscribe?site={}",
-            smp.account_host(),
-            site.domain
-        ),
-        None => "/abo".to_string(),
-    };
-    let mut s = format!(
+    let _ = write!(
+        body,
         "<div id=\"cw-wall\" class=\"consent-wall purabo\" \
          style=\"position:fixed;top:0;z-index:100000\"><h2>{}</h2><p>{}</p>\
          <button class=\"cw-accept\" data-cw-action=\"accept\">{}</button>\
-         <a class=\"cw-subscribe\" data-cw-action=\"subscribe\" href=\"{}\">{}</a>",
+         <a class=\"cw-subscribe\" data-cw-action=\"subscribe\" href=\"",
         site.domain,
         text,
         content::accept_label(lang),
-        subscribe_href,
-        content::subscribe_label(lang),
     );
+    match cw.smp {
+        Some(smp) => {
+            let _ = write!(
+                body,
+                "https://{}/subscribe?site={}",
+                smp.account_host(),
+                site.domain
+            );
+        }
+        None => body.push_str("/abo"),
+    }
+    let _ = write!(body, "\">{}</a>", content::subscribe_label(lang));
     if let Some(smp) = cw.smp {
         // Entitlement probe: runs against the SMP account host where the
         // login session cookie lives. The browser reacts to the response.
-        s.push_str(&format!(
+        let _ = write!(
+            body,
             "<script src=\"https://{}/check.js?site={}\" data-smp-check=\"{}\"></script>",
             smp.account_host(),
             site.domain,
             smp.name()
-        ));
+        );
     }
-    s.push_str("</div>");
-    s
+    body.push_str("</div>");
 }
 
 // --------------------------------------------------------------- trackers
@@ -528,47 +555,62 @@ fn wall_fragment(site: &SiteSpec, cw: &crate::spec::CookiewallSpec) -> String {
 struct TrackerHandler;
 
 impl httpsim::Server for TrackerHandler {
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
-    fn handle(&self, req: &Request) -> Response {
-        let q = query_map(req);
-        let site = q.get("site").cloned().unwrap_or_default();
+    // lint:allow(r9) — the Location of a cookie-sync bounce is built only when the tracker syncs
+    fn handle(&self, req: &Request<'_>) -> Response {
+        let site = req.query_param("site").unwrap_or_default();
         if req.url.path() == "/s.gif" {
             // Cookie-sync endpoint: one distinctly named cookie.
-            return Response::no_content().with_cookie(format!(
+            return Response::no_content().with_cookie(format_args!(
                 "sync_{site}=1; Path=/; Max-Age=31536000; SameSite=None; Secure"
             ));
         }
-        let n: u32 = q.get("n").and_then(|v| v.parse().ok()).unwrap_or(1);
-        let o: u32 = q.get("o").and_then(|v| v.parse().ok()).unwrap_or(0);
-        let mut resp = Response::script("/* tracking tag */");
-        if let Some(sync) = q.get("sync") {
+        let n: u32 = req
+            .query_param("n")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(1);
+        let o: u32 = req
+            .query_param("o")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        let mut resp = match req.query_param("sync") {
             // Classic cookie syncing: bounce to the partner, which sets one
             // cookie under its own domain. The sync cookie name is distinct
             // from the partner's regular `uid_…` cookies so the jar's
             // (name, domain, path) replacement cannot silently merge them.
-            resp = Response::redirect(format!("https://{sync}/s.gif?site={site}"));
-        }
+            Some(sync) => Response::redirect(format!("https://{sync}/s.gif?site={site}")),
+            None => Response::script("/* tracking tag */"),
+        };
+        resp.reserve_cookies(n as usize * (site.len() + TRACKER_LINE_BYTES));
         for i in 0..n {
             let k = o + i;
-            resp.set_cookies.push(format!(
-                "uid_{site}_{k}=u{}; Path=/; Max-Age=31536000; SameSite=None; Secure",
-                crate::names::stable_hash(&format!("{}/{site}/{k}", req.url.host()))
+            // The stable hash of `{host}/{site}/{k}`, streamed.
+            let uid = StableHasher::new()
+                .write(req.url.host().as_bytes())
+                .write(b"/")
+                .write(site.as_bytes())
+                .write(b"/")
+                .write_decimal(u64::from(k))
+                .finish();
+            resp.add_cookie(format_args!(
+                "uid_{site}_{k}=u{uid}; Path=/; Max-Age=31536000; SameSite=None; Secure"
             ));
         }
         resp
     }
 }
 
+/// Room reserved per tracker Set-Cookie line beyond the site name: the
+/// cookie index, the 20-digit uid, the attributes and the line end.
+const TRACKER_LINE_BYTES: usize = 96;
+
 struct BenignHandler;
 
 impl httpsim::Server for BenignHandler {
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
-    fn handle(&self, req: &Request) -> Response {
-        let q = query_map(req);
-        let site = q.get("site").cloned().unwrap_or_default();
-        let slot = q.get("slot").cloned().unwrap_or_default();
+    fn handle(&self, req: &Request<'_>) -> Response {
+        let site = req.query_param("site").unwrap_or_default();
+        let slot = req.query_param("slot").unwrap_or_default();
         Response::script("/* cdn asset */")
-            .with_cookie(format!("pref_{site}_{slot}=1; Path=/; Max-Age=604800"))
+            .with_cookie(format_args!("pref_{site}_{slot}=1; Path=/; Max-Age=604800"))
     }
 }
 
@@ -580,10 +622,8 @@ struct SmpCdnHandler {
 }
 
 impl httpsim::Server for SmpCdnHandler {
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
-    fn handle(&self, req: &Request) -> Response {
-        let q = query_map(req);
-        let Some(site_domain) = q.get("site") else {
+    fn handle(&self, req: &Request<'_>) -> Response {
+        let Some(site_domain) = req.query_param("site") else {
             return Response::not_found();
         };
         let Some(site) = self.shared.population.site(site_domain) else {
@@ -592,54 +632,56 @@ impl httpsim::Server for SmpCdnHandler {
         let BannerKind::Cookiewall(cw) = &site.banner else {
             return Response::not_found();
         };
+        let mut body = String::with_capacity(FRAGMENT_BYTES);
         match req.url.path() {
             "/wall" => {
                 // Full document for iframe embedding.
-                let fragment = wall_fragment(site, cw);
-                Response::html(format!(
-                    "<html><head><title>{} consent</title></head><body>{fragment}</body></html>",
+                let _ = write!(
+                    body,
+                    "<html><head><title>{} consent</title></head><body>",
                     self.smp.name()
-                ))
+                );
+                wall_fragment(&mut body, site, cw);
+                body.push_str("</body></html>");
+                Response::html(body)
             }
             "/wall.js" => {
                 // Injectable fragment; shadow wrapping decided by query.
-                let fragment = wall_fragment(site, cw);
-                let wrapped = match q.get("shadow").map(String::as_str) {
-                    Some("open") => wrap_embedding(Embedding::ShadowOpen, "cw-inner", &fragment),
-                    Some("closed") => {
-                        wrap_embedding(Embedding::ShadowClosed, "cw-inner", &fragment)
-                    }
-                    _ => fragment,
-                };
-                Response {
-                    content_type: "application/javascript".to_string(),
-                    ..Response::html(wrapped)
-                }
+                let emb = shadow_embedding(req.query_param("shadow"));
+                embed(&mut body, emb, "cw-inner", |body| {
+                    wall_fragment(body, site, cw)
+                });
+                Response::script(body)
             }
             _ => Response::not_found(),
         }
     }
 }
 
+/// Initial capacity of a rendered banner or wall document.
+const FRAGMENT_BYTES: usize = 2048;
+
 struct SmpAccountHandler {
     smp: Smp,
 }
 
 impl httpsim::Server for SmpAccountHandler {
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
-    fn handle(&self, req: &Request) -> Response {
+    // lint:allow(r9) — the checkout page is rendered only for a subscribe navigation
+    fn handle(&self, req: &Request<'_>) -> Response {
         match req.url.path() {
             "/login" if req.method == Method::Post => {
                 let ok = req
                     .body_params
                     .iter()
-                    .any(|(k, v)| k == "user" && !v.is_empty());
+                    .any(|(k, v)| *k == "user" && !v.is_empty());
                 if ok {
-                    Response::html("<html><body>Welcome back</body></html>").with_cookie(format!(
-                        "{}=tok-{}; Path=/; Secure; HttpOnly; SameSite=None; Max-Age=2592000",
-                        self.smp.session_cookie(),
-                        crate::names::stable_hash(self.smp.name())
-                    ))
+                    Response::html("<html><body>Welcome back</body></html>").with_cookie(
+                        format_args!(
+                            "{}=tok-{}; Path=/; Secure; HttpOnly; SameSite=None; Max-Age=2592000",
+                            self.smp.session_cookie(),
+                            crate::names::stable_hash(self.smp.name())
+                        ),
+                    )
                 } else {
                     Response::html("<html><body>Login failed</body></html>")
                 }
@@ -667,56 +709,43 @@ struct CmpCdnHandler {
 }
 
 impl httpsim::Server for CmpCdnHandler {
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
-    fn handle(&self, req: &Request) -> Response {
-        let q = query_map(req);
-        let Some(site_domain) = q.get("site") else {
+    fn handle(&self, req: &Request<'_>) -> Response {
+        let Some(site_domain) = req.query_param("site") else {
             return Response::not_found();
         };
         let Some(site) = self.shared.population.site(site_domain) else {
             return Response::not_found();
         };
-        let shadow = q.get("shadow").map(String::as_str);
-        let wrap = |fragment: String| match shadow {
-            Some("open") => wrap_embedding(Embedding::ShadowOpen, "cmp-inner", &fragment),
-            Some("closed") => wrap_embedding(Embedding::ShadowClosed, "cmp-inner", &fragment),
-            _ => fragment,
-        };
+        let emb = shadow_embedding(req.query_param("shadow"));
+        let mut body = String::with_capacity(FRAGMENT_BYTES);
         match (req.url.path(), &site.banner) {
             ("/banner", BannerKind::Banner(b)) => {
-                let fragment = banner_fragment(site, b.has_reject, b.has_settings);
-                Response::html(format!("<html><body>{fragment}</body></html>"))
+                body.push_str("<html><body>");
+                banner_fragment(&mut body, site, b.has_reject, b.has_settings);
+                body.push_str("</body></html>");
+                Response::html(body)
             }
-            ("/banner.js", BannerKind::Banner(b)) => Response {
-                content_type: "application/javascript".to_string(),
-                ..Response::html(wrap(banner_fragment(site, b.has_reject, b.has_settings)))
-            },
+            ("/banner.js", BannerKind::Banner(b)) => {
+                embed(&mut body, emb, "cmp-inner", |body| {
+                    banner_fragment(body, site, b.has_reject, b.has_settings)
+                });
+                Response::script(body)
+            }
             ("/wall", BannerKind::Cookiewall(cw)) => {
-                let fragment = wall_fragment(site, cw);
-                Response::html(format!("<html><body>{fragment}</body></html>"))
+                body.push_str("<html><body>");
+                wall_fragment(&mut body, site, cw);
+                body.push_str("</body></html>");
+                Response::html(body)
             }
-            ("/wall.js", BannerKind::Cookiewall(cw)) => Response {
-                content_type: "application/javascript".to_string(),
-                ..Response::html(wrap(wall_fragment(site, cw)))
-            },
+            ("/wall.js", BannerKind::Cookiewall(cw)) => {
+                embed(&mut body, emb, "cw-inner", |body| {
+                    wall_fragment(body, site, cw)
+                });
+                Response::script(body)
+            }
             _ => Response::not_found(),
         }
     }
-}
-
-/// Parse the query string into a map (simple `k=v&k=v`, no percent
-/// decoding — the generator never emits reserved characters).
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
-fn query_map(req: &Request) -> std::collections::HashMap<String, String> {
-    req.url
-        .query()
-        .unwrap_or("")
-        .split('&')
-        .filter_map(|pair| {
-            let (k, v) = pair.split_once('=')?;
-            Some((k.to_string(), v.to_string()))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -733,7 +762,8 @@ mod tests {
     }
 
     fn get(net: &Network, url: &str, region: Region) -> Response {
-        net.dispatch(&Request::navigation(Url::parse(url).unwrap(), region))
+        let url = Url::parse(url).unwrap();
+        net.dispatch(&Request::navigation(&url, region))
     }
 
     #[test]
@@ -747,7 +777,7 @@ mod tests {
                 "{domain} page mentions itself"
             );
             assert!(
-                !resp.set_cookies.is_empty(),
+                resp.set_cookie_count() > 0,
                 "{domain} sets a session cookie"
             );
         }
@@ -765,8 +795,12 @@ mod tests {
             "wall UI present for fresh EU visit: {body}"
         );
         // With the consent cookie, trackers load and no wall shows.
-        let mut req = Request::navigation(Url::parse(&url).unwrap(), Region::Germany);
-        req.cookie_header = Some(format!("{CONSENT_COOKIE}=accepted"));
+        let url = Url::parse(&url).unwrap();
+        let header = format!("{CONSENT_COOKIE}=accepted");
+        let req = Request {
+            cookie_header: Some(&header),
+            ..Request::navigation(&url, Region::Germany)
+        };
         let accepted = net.dispatch(&req);
         let body = accepted.body_text();
         assert!(!body.contains("cw-wall") && !body.contains("cw-frame"));
@@ -799,8 +833,14 @@ mod tests {
             "https://doubleclick.net/t.js?n=4&site=zeitung.de",
             Region::Germany,
         );
-        assert_eq!(resp.set_cookies.len(), 4);
-        assert!(resp.set_cookies[0].starts_with("uid_zeitung.de_0="));
+        assert_eq!(resp.set_cookie_count(), 4);
+        let first = resp.set_cookies().next().unwrap();
+        // The uid is the stable hash of `{host}/{site}/{k}`.
+        let uid = crate::names::stable_hash("doubleclick.net/zeitung.de/0");
+        assert_eq!(
+            first,
+            format!("uid_zeitung.de_0=u{uid}; Path=/; Max-Age=31536000; SameSite=None; Secure")
+        );
     }
 
     #[test]
@@ -813,7 +853,7 @@ mod tests {
         );
         assert!(resp.is_redirect());
         assert!(resp.location.as_deref().unwrap().contains("criteo.com"));
-        assert!(!resp.set_cookies.is_empty());
+        assert_eq!(resp.set_cookie_count(), 3);
     }
 
     #[test]
@@ -828,26 +868,20 @@ mod tests {
         );
         assert_eq!(anon.body_text(), "anon");
         // Login.
-        let mut login = Request::navigation(
-            Url::parse(&format!("https://{account}/login")).unwrap(),
-            Region::Germany,
-        );
-        login.method = Method::Post;
-        login.body_params = vec![
-            ("user".into(), "alice".into()),
-            ("pass".into(), "pw".into()),
-        ];
+        let login_url = Url::parse(&format!("https://{account}/login")).unwrap();
+        let login = Request {
+            method: Method::Post,
+            body_params: &[("user", "alice"), ("pass", "pw")],
+            ..Request::navigation(&login_url, Region::Germany)
+        };
         let resp = net.dispatch(&login);
-        assert!(resp
-            .set_cookies
-            .iter()
-            .any(|c| c.starts_with("cp_session=tok-")));
+        assert!(resp.set_cookies().any(|c| c.starts_with("cp_session=tok-")));
         // Entitled check with the session cookie.
-        let mut check = Request::navigation(
-            Url::parse(&format!("https://{account}/check.js?site=x.de")).unwrap(),
-            Region::Germany,
-        );
-        check.cookie_header = Some("cp_session=tok-1".to_string());
+        let check_url = Url::parse(&format!("https://{account}/check.js?site=x.de")).unwrap();
+        let check = Request {
+            cookie_header: Some("cp_session=tok-1"),
+            ..Request::navigation(&check_url, Region::Germany)
+        };
         assert_eq!(net.dispatch(&check).body_text(), "entitled");
     }
 
@@ -880,8 +914,10 @@ mod tests {
             .find(|s| s.bot_sensitive && !matches!(s.banner, BannerKind::None));
         if let Some(site) = candidate {
             let url = Url::parse(&format!("https://{}/", site.domain)).unwrap();
-            let mut req = Request::navigation(url, Region::Germany);
-            req.user_agent = "SuperCrawler bot/1.0".to_string();
+            let req = Request {
+                user_agent: "SuperCrawler bot/1.0",
+                ..Request::navigation(&url, Region::Germany)
+            };
             let body = net.dispatch(&req).body_text();
             assert!(
                 !body.contains("cmp-banner")
@@ -927,12 +963,15 @@ mod tests {
             .into_iter()
             .find(|s| s.cookies.accepted.first_party >= 10)
             .expect("a wall with enough fp cookies");
-        let url = format!("https://{}/", wall.domain);
+        let url = Url::parse(&format!("https://{}/", wall.domain)).unwrap();
+        let header = format!("{CONSENT_COOKIE}=accepted");
         let mut counts = Vec::new();
         for _ in 0..5 {
-            let mut req = Request::navigation(Url::parse(&url).unwrap(), Region::Germany);
-            req.cookie_header = Some(format!("{CONSENT_COOKIE}=accepted"));
-            counts.push(net.dispatch(&req).set_cookies.len() as f64);
+            let req = Request {
+                cookie_header: Some(&header),
+                ..Request::navigation(&url, Region::Germany)
+            };
+            counts.push(net.dispatch(&req).set_cookie_count() as f64);
         }
         let base = wall.cookies.accepted.first_party as f64;
         for c in &counts {

@@ -153,10 +153,13 @@ impl Cmp {
         }
     }
 
-    /// Deterministic provider choice for a site.
-    // lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
+    /// Deterministic provider choice for a site: the stable hash of
+    /// `cmp/{domain}`, streamed.
     pub fn for_domain(domain: &str) -> Cmp {
-        let h = crate::names::stable_hash(&format!("cmp/{domain}"));
+        let h = crate::names::StableHasher::new()
+            .write(b"cmp/")
+            .write(domain.as_bytes())
+            .finish();
         Cmp::ALL[(h % 3) as usize]
     }
 }

@@ -9,7 +9,7 @@
 //!   cookies but are *not* on the tracker list; their cookies are
 //!   third-party yet non-tracking.
 
-use crate::names::rng_for;
+use crate::names::{rng_for_hash, StableHasher};
 use rand::Rng;
 
 /// Hosts that set third-party cookies but are not on the justdomains list.
@@ -56,15 +56,14 @@ pub struct TrackerPlan {
 /// Plan which trackers a page visit embeds so that the total number of
 /// tracker-set cookies is exactly `total_cookies`, spread over a plausible
 /// number of distinct trackers. Deterministic in `(site, visit)`.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
 pub fn plan_trackers(site: &str, visit: u64, total_cookies: u32) -> Vec<TrackerPlan> {
     if total_cookies == 0 {
         return Vec::new();
     }
     let pool = tracker_pool();
-    let mut rng = rng_for(&format!("trackers/{site}"), visit);
+    let mut rng = rng_for_hash(keyed_hash(b"trackers/", site), visit);
     // Each tracker sets 2–5 cookies; pick enough trackers to cover.
-    let mut plans: Vec<TrackerPlan> = Vec::new();
+    let mut plans: Vec<TrackerPlan> = Vec::with_capacity(total_cookies.div_ceil(2) as usize);
     let mut remaining = total_cookies;
     // Stable per-site tracker subset: rotate the pool by a site-derived
     // offset so different sites use different (but overlapping) trackers.
@@ -100,13 +99,20 @@ pub fn plan_trackers(site: &str, visit: u64, total_cookies: u32) -> Vec<TrackerP
 }
 
 /// Plan the benign third parties for a visit: each sets exactly one cookie.
-// lint:allow(r9) — the simulated origin renders page HTML per request — the String is the payload itself; buffer reuse is scoped in ROADMAP "Zero-copy DOM payloads"
 pub fn plan_benign(site: &str, visit: u64, total_cookies: u32) -> Vec<&'static str> {
-    let mut rng = rng_for(&format!("benign/{site}"), visit);
+    let mut rng = rng_for_hash(keyed_hash(b"benign/", site), visit);
     let offset = rng.random_range(0..BENIGN_THIRD_PARTIES.len());
     (0..total_cookies as usize)
         .map(|i| BENIGN_THIRD_PARTIES[(offset + i) % BENIGN_THIRD_PARTIES.len()])
         .collect()
+}
+
+/// The stable hash of `{prefix}{site}`, streamed rather than built.
+fn keyed_hash(prefix: &[u8], site: &str) -> u64 {
+    StableHasher::new()
+        .write(prefix)
+        .write(site.as_bytes())
+        .finish()
 }
 
 /// Total cookies a tracker plan will set (including sync-partner cookies).

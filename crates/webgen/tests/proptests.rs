@@ -91,7 +91,7 @@ fn every_tiny_site_page_is_parseable_and_self_consistent() {
     server::install(Arc::clone(&pop), &net);
     for domain in pop.merged_targets() {
         let url = Url::parse(&domain).unwrap();
-        let resp = net.dispatch(&Request::navigation(url, Region::Germany));
+        let resp = net.dispatch(&Request::navigation(&url, Region::Germany));
         assert_eq!(resp.status, 200, "{domain}");
         let doc = webdom::parse(&resp.body_text());
         // Serialization round-trips for every generated page.
@@ -131,10 +131,8 @@ fn dead_domains_are_unreachable_and_calibration_unaffected() {
     server::install(Arc::clone(&pop), &net);
     // Dead domains fail like lapsed registrations.
     let dead = pop.sites().iter().find(|s| pop.is_dead(&s.domain)).unwrap();
-    let resp = net.dispatch(&Request::navigation(
-        Url::parse(&dead.domain).unwrap(),
-        Region::Germany,
-    ));
+    let url = Url::parse(&dead.domain).unwrap();
+    let resp = net.dispatch(&Request::navigation(&url, Region::Germany));
     assert_eq!(resp.status, 0, "connection failure");
     // The calibrated populations (walls, decoys, banner sites) never die.
     for s in pop.ground_truth_walls() {

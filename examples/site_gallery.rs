@@ -47,7 +47,7 @@ fn main() {
 
     for (label, domain) in shown {
         let url = Url::parse(&domain).unwrap();
-        let resp = net.dispatch(&Request::navigation(url, Region::Germany));
+        let resp = net.dispatch(&Request::navigation(&url, Region::Germany));
         println!("══════════════════════════════════════════════════════════");
         println!("  {label}");
         println!("  https://{domain}/   ({} bytes)", resp.body.len());
