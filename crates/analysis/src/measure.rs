@@ -2,7 +2,7 @@
 //! with its consent UI, record the resulting first-party / third-party /
 //! tracking cookie counts, repeated five times and averaged.
 
-use bannerclick::BannerClick;
+use bannerclick::{click_accept, BannerClick};
 use blocklist::TrackerDb;
 use browser::Browser;
 use httpsim::{CookieBreakdown, Network, Region};
@@ -100,10 +100,21 @@ fn visit_with_retries(
             InteractionMode::Accept => {
                 // Even without a banner the visit itself counts (the site
                 // may set cookies unconditionally), so only reachability
-                // decides success.
-                let (analysis, _after) = tool.analyze_and_accept(&mut browser, domain);
-                if analysis.reachable {
+                // decides success. Only the banner is needed, so the visit
+                // is detected, not classified or priced.
+                let Ok(page) = browser.visit_domain(domain) else {
+                    continue;
+                };
+                let Some(banner) = tool.detect(&page) else {
                     return Some(browser);
+                };
+                match click_accept(&mut browser, &page, &banner) {
+                    Ok(_accepted) => return Some(browser),
+                    // The click stores the consent cookie before it
+                    // reloads, so a failed reload still leaves the
+                    // accepted jar: like a missing accept button, it does
+                    // not fail the repetition.
+                    Err(_reload_failed) => return Some(browser),
                 }
             }
             InteractionMode::Subscribed { account_host } => {

@@ -4,7 +4,7 @@
 
 use crate::classify::{classify_wall, CorpusMode, WallClassification};
 use crate::detect::{detect_banners, BannerFinding, DetectorOptions, ObservedEmbedding};
-use crate::interact::{click_accept, reject_button};
+use crate::interact::reject_button;
 use crate::pricing::PriceQuote;
 use browser::{Browser, Page, VisitError};
 use httpsim::Url;
@@ -66,25 +66,6 @@ impl BannerClick {
             provider,
             page_flags: PageFlags::of(page),
         }
-    }
-
-    /// Visit, analyze, then click accept if a banner was found. Returns the
-    /// analysis and the post-consent page (when the click worked).
-    pub fn analyze_and_accept(
-        &self,
-        browser: &mut Browser,
-        domain: &str,
-    ) -> (SiteAnalysis, Option<Page>) {
-        let page = match browser.visit_domain(domain) {
-            Ok(p) => p,
-            Err(err) => return (SiteAnalysis::unreachable(domain, err), None),
-        };
-        let analysis = self.analyze_page(domain, &page);
-        let after = match &analysis.banner {
-            Some(banner) => click_accept(browser, &page, banner).ok().flatten(),
-            None => None,
-        };
-        (analysis, after)
     }
 }
 

@@ -370,7 +370,9 @@ mod tests {
             period: Period::Month,
         };
         for lang in langid::Language::ALL {
-            let wall = webgen::wall_text(lang, "example.de", &price, None).to_lowercase();
+            let wall = webgen::wall_text(lang, "example.de", &price, None)
+                .to_string()
+                .to_lowercase();
             assert!(
                 contains_any(&wall, SUBSCRIPTION_WORDS),
                 "wall text for {lang:?} must contain a subscription word: {wall}"

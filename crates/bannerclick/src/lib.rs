@@ -16,8 +16,8 @@
 //! 5. locates and clicks accept/reject controls ([`click_accept`],
 //!    [`click_reject`]), also behind shadow roots.
 //!
-//! The one-stop entry point is [`BannerClick::analyze`] /
-//! [`BannerClick::analyze_and_accept`].
+//! The one-stop entry point is [`BannerClick::analyze`]; the cookie
+//! measurement accepts with [`BannerClick::detect`] and [`click_accept`].
 //!
 //! ## Example
 //!

@@ -2,7 +2,9 @@
 //! class must be found, regular banners must not be misclassified, and the
 //! decoy must reproduce the designed false positive.
 
-use bannerclick::{BannerClick, CorpusMode, DetectorOptions, ObservedEmbedding};
+use bannerclick::{
+    classify_wall, click_accept, BannerClick, CorpusMode, DetectorOptions, ObservedEmbedding,
+};
 use browser::Browser;
 use httpsim::{Network, Region};
 use std::sync::Arc;
@@ -192,9 +194,19 @@ fn accept_interaction_works_on_all_embeddings() {
             continue;
         }
         browser.clear_cookies();
-        let (analysis, after) = tool.analyze_and_accept(&mut browser, &site.domain);
-        assert!(analysis.cookiewall_detected(), "{}", site.domain);
-        let after = after.unwrap_or_else(|| panic!("accept click failed on {}", site.domain));
+        // The path the cookie measurement takes: visit, detect, click.
+        let page = browser.visit_domain(&site.domain).expect("wall answers");
+        let banner = tool
+            .detect(&page)
+            .unwrap_or_else(|| panic!("no banner on {}", site.domain));
+        assert!(
+            classify_wall(&banner.text, tool.corpus).is_cookiewall,
+            "{}",
+            site.domain
+        );
+        let after = click_accept(&mut browser, &page, &banner)
+            .expect("reload answers")
+            .unwrap_or_else(|| panic!("accept click failed on {}", site.domain));
         // Post-consent page shows no wall.
         let re = tool.analyze_page(&site.domain, &after);
         assert!(

@@ -7,6 +7,7 @@
 use crate::data;
 use crate::filter::{parse_line, CosmeticFilter, FilterLine, NetworkFilter};
 use httpsim::Url;
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Outcome of consulting the engine for one request.
@@ -142,10 +143,16 @@ impl TrackerDb {
         self.domains.is_empty()
     }
 
-    /// Is `host` (or its registrable domain) a listed tracker?
+    /// Is `host` (or its registrable domain) a listed tracker? A host
+    /// that is already lowercase, as every URL host and cookie domain is,
+    /// is looked up without a copy.
     pub fn is_tracking_domain(&self, host: &str) -> bool {
-        let host = host.to_ascii_lowercase();
-        if self.domains.contains(host.as_str()) {
+        let host: Cow<'_, str> = if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(host.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(host)
+        };
+        if self.domains.contains(&*host) {
             return true;
         }
         httpsim::registrable_domain(&host).is_some_and(|rd| self.domains.contains(rd))
@@ -258,6 +265,10 @@ mod tests {
         assert!(db.len() >= 50);
         assert!(db.is_tracking_domain("doubleclick.net"));
         assert!(db.is_tracking_domain("stats.g.doubleclick.net"));
+        assert!(
+            db.is_tracking_domain("Stats.G.DoubleClick.NET"),
+            "case-insensitive"
+        );
         assert!(!db.is_tracking_domain("doubleclick.net.example.org"));
         assert!(!db.is_tracking_domain("www.spiegel.de"));
         assert!(

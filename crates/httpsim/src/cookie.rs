@@ -5,7 +5,7 @@
 //! `Secure`, `HttpOnly`, `SameSite`), host-only semantics, and the party
 //! classification used throughout §4.3/§4.4 of the paper.
 
-use crate::psl::same_site;
+use crate::psl::registrable_domain;
 use crate::url::Url;
 use std::fmt;
 
@@ -38,7 +38,10 @@ impl SameSite {
 /// A stored cookie.
 ///
 /// Name, value, domain and path sit back to back in one string, with the
-/// offsets where each ends: storing a cookie is one allocation.
+/// offsets where each ends: storing a cookie is one allocation. The hash
+/// of the `(name, domain, path)` key, where the domain's registrable site
+/// starts and the site's hash are computed once, at parse time, so the
+/// jar compares keys and sites without rehashing or re-deriving either.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cookie {
     /// `name`, `value`, `domain` and `path`, concatenated.
@@ -46,6 +49,17 @@ pub struct Cookie {
     name_end: u32,
     value_end: u32,
     domain_end: u32,
+    /// Start of the domain's registrable domain within `text`; equal to
+    /// `domain_end` (an empty site) when the domain is itself a public
+    /// suffix or a single label, which has none. A stored domain is a URL
+    /// host or a tail of one, so it never ends in a dot and its site is a
+    /// suffix of it.
+    site_start: u32,
+    /// Hash of the site (of `""` when there is none), so the jar can skip
+    /// a cookie of another site without touching its text.
+    site_hash: u64,
+    /// Hash of the `(name, domain, path)` uniqueness key.
+    key: u64,
     /// True when no `Domain` attribute was given: the cookie only matches
     /// the exact host that set it.
     pub host_only: bool,
@@ -61,6 +75,20 @@ pub struct Cookie {
     pub same_site: SameSite,
 }
 
+/// Hash of a registrable domain, `""` standing for none: equal sites
+/// hash equal, so a differing hash rules a cookie out.
+pub(crate) fn site_hash(site: &str) -> u64 {
+    crate::net::document_hash(site.as_bytes())
+}
+
+/// Hash of a cookie's uniqueness key: its name and its domain-and-path
+/// (which sit back to back in the cookie's text), with the domain's
+/// length so the domain/path boundary counts too.
+fn key_hash(name: &str, domain_path: &str, domain_len: usize) -> u64 {
+    let h = crate::net::document_hash(name.as_bytes()).rotate_left(17) ^ domain_len as u64;
+    h ^ crate::net::document_hash(domain_path.as_bytes())
+}
+
 impl Cookie {
     /// Parse one `Set-Cookie` header value received from `origin`.
     ///
@@ -68,11 +96,13 @@ impl Cookie {
     /// domain not matching the origin — the "domain attribute must
     /// domain-match the request host" rule that stops cross-site planting).
     /// Attribute names match case-insensitively without allocating; when an
-    /// attribute repeats, the last one wins.
+    /// attribute repeats, the last one wins. Attributes are dispatched on
+    /// their name's length. The stored domain is the origin's host or the
+    /// tail of it that the `Domain` value matched, so it is already
+    /// lowercase and nothing is copied to check it.
     pub fn parse_set_cookie(header: &str, origin: &Url) -> Option<Cookie> {
         let mut parts = header.split(';');
-        let nv = parts.next()?;
-        let (name, value) = nv.split_once('=')?;
+        let (name, value) = parts.next()?.split_once('=')?;
         let name = name.trim();
         if name.is_empty() {
             return None;
@@ -90,63 +120,74 @@ impl Cookie {
                 None => (attr.trim(), ""),
             };
             let is = |name: &str| k.eq_ignore_ascii_case(name);
-            if is("domain") {
-                let d = v.trim_start_matches('.');
-                if d.is_empty() {
-                    continue;
+            match k.len() {
+                6 if is("domain") => {
+                    let d = v.trim_start_matches('.');
+                    if d.is_empty() {
+                        continue;
+                    }
+                    // Reject cookies for domains the origin doesn't live in.
+                    let host = origin.host();
+                    if !crate::psl::domain_match(host, d) {
+                        return None;
+                    }
+                    // A URL host is lowercase ASCII, so the tail of the
+                    // host that `d` domain-matched is `d` lowercased.
+                    let d = &host[host.len() - d.len()..];
+                    // Reject cookies scoped to a bare public suffix.
+                    let site = registrable_domain(d)?;
+                    domain = Some((d, site));
                 }
-                // Reject cookies for domains the origin doesn't live in.
-                if !crate::psl::domain_match(origin.host(), d) {
-                    return None;
+                4 if is("path") && v.starts_with('/') => path = v,
+                7 if is("max-age") => {
+                    if let Ok(secs) = v.parse::<i64>() {
+                        max_age = Some(secs);
+                    }
                 }
-                // Reject cookies scoped to a bare public suffix.
-                if d.bytes().any(|b| b.is_ascii_uppercase()) {
-                    crate::psl::registrable_domain(&d.to_ascii_lowercase())?;
-                } else {
-                    crate::psl::registrable_domain(d)?;
+                7 if is("expires") => {
+                    // Simplified: any Expires makes the cookie persistent
+                    // with a long lifetime; an epoch-ish date expires it.
+                    if v.contains("1970") || v.contains("1969") {
+                        max_age = Some(0);
+                    } else if max_age.is_none() {
+                        max_age = Some(86400 * 365);
+                    }
                 }
-                domain = Some(d);
-            } else if is("path") {
-                if v.starts_with('/') {
-                    path = v;
+                6 if is("secure") => secure = true,
+                8 if is("httponly") => http_only = true,
+                8 if is("samesite") => {
+                    if let Some(ss) = SameSite::parse(v) {
+                        same_site = ss;
+                    }
                 }
-            } else if is("max-age") {
-                if let Ok(secs) = v.parse::<i64>() {
-                    max_age = Some(secs);
-                }
-            } else if is("expires") {
-                // Simplified: any Expires makes the cookie persistent
-                // with a long lifetime; an epoch-ish date expires it.
-                if v.contains("1970") || v.contains("1969") {
-                    max_age = Some(0);
-                } else if max_age.is_none() {
-                    max_age = Some(86400 * 365);
-                }
-            } else if is("secure") {
-                secure = true;
-            } else if is("httponly") {
-                http_only = true;
-            } else if is("samesite") {
-                if let Some(ss) = SameSite::parse(v) {
-                    same_site = ss;
-                }
+                _ => {}
             }
         }
         let host_only = domain.is_none();
-        let domain = domain.unwrap_or(origin.host());
+        let (domain, site) = domain.unwrap_or_else(|| {
+            let host = origin.host();
+            (host, registrable_domain(host).unwrap_or(""))
+        });
         let mut text = String::with_capacity(name.len() + value.len() + domain.len() + path.len());
         text.push_str(name);
-        let name_end = text.len() as u32;
+        let name_end = text.len();
         text.push_str(value);
-        let value_end = text.len() as u32;
-        text.extend(domain.chars().map(|c| c.to_ascii_lowercase()));
-        let domain_end = text.len() as u32;
+        let value_end = text.len();
+        text.push_str(domain);
+        let domain_end = text.len();
         text.push_str(path);
         Some(Cookie {
+            key: key_hash(
+                &text[..name_end],
+                &text[value_end..],
+                domain_end - value_end,
+            ),
             text,
-            name_end,
-            value_end,
-            domain_end,
+            name_end: name_end as u32,
+            value_end: value_end as u32,
+            domain_end: domain_end as u32,
+            site_start: (domain_end - site.len()) as u32,
+            site_hash: site_hash(site),
             host_only,
             max_age,
             secure,
@@ -174,6 +215,47 @@ impl Cookie {
     /// Path scope, defaulting to `/`.
     pub fn path(&self) -> &str {
         &self.text[self.domain_end as usize..]
+    }
+
+    /// The registrable domain (eTLD+1) of [`Cookie::domain`], computed at
+    /// parse time; `None` when the domain is itself a public suffix or a
+    /// single label (only a host-only cookie can be).
+    pub fn site(&self) -> Option<&str> {
+        let site = self.site_or_empty();
+        (!site.is_empty()).then_some(site)
+    }
+
+    /// [`Cookie::site`], with `""` for none.
+    fn site_or_empty(&self) -> &str {
+        &self.text[self.site_start as usize..self.domain_end as usize]
+    }
+
+    /// Could this cookie match a URL whose host has the site hashing to
+    /// `hash` (see [`site_hash`])? False rules the cookie out; true still
+    /// leaves [`Cookie::matches_url`] to decide.
+    pub(crate) fn may_match_site(&self, hash: u64) -> bool {
+        self.site_hash == hash
+    }
+
+    /// Do the two cookies share the `(name, domain, path)` key? The
+    /// stored hashes settle almost every comparison.
+    pub(crate) fn same_key(&self, other: &Cookie) -> bool {
+        self.key == other.key
+            && self.name() == other.name()
+            && self.domain() == other.domain()
+            && self.path() == other.path()
+    }
+
+    /// `same_site(self.domain(), host)`, given `host_site`, the
+    /// registrable domain of `host`: the stored site stands in for the
+    /// cookie's side.
+    pub(crate) fn is_same_site(&self, host: &str, host_site: Option<&str>) -> bool {
+        match (self.site(), host_site) {
+            (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
+            // If either side is a bare suffix, fall back to exact host
+            // equality.
+            _ => self.domain().eq_ignore_ascii_case(host),
+        }
     }
 
     /// True if this cookie is already expired at creation (`Max-Age<=0`).
@@ -207,7 +289,7 @@ impl Cookie {
     /// Is this cookie first-party with respect to a page at `page_host`?
     /// (Same registrable domain.)
     pub fn is_first_party_for(&self, page_host: &str) -> bool {
-        same_site(self.domain(), page_host)
+        self.is_same_site(page_host, registrable_domain(page_host))
     }
 }
 
@@ -220,24 +302,6 @@ impl fmt::Display for Cookie {
             self.value(),
             self.domain()
         )
-    }
-}
-
-/// Party classification of a cookie relative to the visited page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CookieParty {
-    /// Same registrable domain as the page.
-    FirstParty,
-    /// Different registrable domain.
-    ThirdParty,
-}
-
-/// Classify `cookie` relative to a page hosted at `page_host`.
-pub fn classify_party(cookie: &Cookie, page_host: &str) -> CookieParty {
-    if cookie.is_first_party_for(page_host) {
-        CookieParty::FirstParty
-    } else {
-        CookieParty::ThirdParty
     }
 }
 
@@ -401,10 +465,8 @@ mod tests {
     fn party_classification() {
         let o = origin("https://cdn.tracker.com/pixel");
         let c = Cookie::parse_set_cookie("uid=7; Domain=tracker.com", &o).unwrap();
-        assert_eq!(classify_party(&c, "www.zeit.de"), CookieParty::ThirdParty);
-        assert_eq!(
-            classify_party(&c, "api.tracker.com"),
-            CookieParty::FirstParty
-        );
+        assert!(!c.is_first_party_for("www.zeit.de"));
+        assert!(c.is_first_party_for("api.tracker.com"));
+        assert!(c.is_first_party_for("API.Tracker.COM"));
     }
 }

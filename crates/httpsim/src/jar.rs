@@ -5,7 +5,7 @@
 //! produces the party/tracking breakdowns the paper's figures are built
 //! from.
 
-use crate::cookie::{classify_party, Cookie, CookieParty};
+use crate::cookie::{site_hash, Cookie};
 use crate::psl::registrable_domain;
 use crate::url::Url;
 use std::collections::HashSet;
@@ -53,13 +53,14 @@ impl CookieJar {
 
     /// Store a cookie, replacing any existing cookie with the same
     /// (name, domain, path) key. An immediately-expired cookie deletes the
-    /// stored one (the standard deletion idiom).
+    /// stored one (the standard deletion idiom). The jar holds at most one
+    /// cookie per key, so the one to replace is found by comparing stored
+    /// key hashes; it is removed and the new cookie appended, which keeps
+    /// the others in storage order.
     pub fn store(&mut self, cookie: Cookie) {
-        self.cookies.retain(|c| {
-            !(c.name() == cookie.name()
-                && c.domain() == cookie.domain()
-                && c.path() == cookie.path())
-        });
+        if let Some(i) = self.cookies.iter().position(|c| c.same_key(&cookie)) {
+            self.cookies.remove(i);
+        }
         if !cookie.is_immediately_expired() {
             self.cookies.push(cookie);
         }
@@ -86,8 +87,26 @@ impl CookieJar {
     }
 
     /// Cookies that would be sent on a request to `url`, in storage order.
+    ///
+    /// A cookie of another site is skipped on one compare of stored site
+    /// hashes, before [`Cookie::matches_url`] runs. That is sound: a cookie matches only
+    /// a host that equals or domain-matches its domain `d`, and `d` is a
+    /// URL host or a tail of one that is not a bare public suffix. Every
+    /// public suffix here has one or two labels and there are no wildcard
+    /// or exception rules, so a host ending in `.d` has the same last two
+    /// labels, the same public suffix and hence the same registrable
+    /// domain as `d` (and a host-only `d` without one is matched only by
+    /// itself).
     pub fn cookies_for<'a>(&'a self, url: &'a Url) -> impl Iterator<Item = &'a Cookie> + 'a {
-        self.cookies.iter().filter(move |c| c.matches_url(url))
+        // A fresh profile's empty jar skips the host's site lookup.
+        let site = if self.cookies.is_empty() {
+            0
+        } else {
+            site_hash(registrable_domain(url.host()).unwrap_or(""))
+        };
+        self.cookies
+            .iter()
+            .filter(move |c| c.may_match_site(site) && c.matches_url(url))
     }
 
     /// Render the `Cookie:` header value for a request to `url` into
@@ -115,8 +134,8 @@ impl CookieJar {
     /// the "delete your cookies for this website" step a user must perform
     /// to revoke a cookiewall acceptance (§5 of the paper).
     pub fn clear_site(&mut self, site_host: &str) {
-        self.cookies
-            .retain(|c| !crate::psl::same_site(c.domain(), site_host));
+        let site = registrable_domain(site_host);
+        self.cookies.retain(|c| !c.is_same_site(site_host, site));
     }
 
     /// Remove everything.
@@ -133,19 +152,33 @@ impl CookieJar {
 
     /// Break stored cookies down into first-party / third-party / tracking
     /// relative to a page at `page_host`, using `is_tracker` as the
-    /// blocklist oracle (domain → listed?).
+    /// blocklist oracle (domain → listed?). Party comes from each cookie's
+    /// stored site. The oracle is asked once per run of consecutive
+    /// cookies with the same domain — a tracker's cookies arrive together
+    /// — so it must answer the same for the same domain.
     pub fn breakdown(
         &self,
         page_host: &str,
         mut is_tracker: impl FnMut(&str) -> bool,
     ) -> CookieBreakdown {
+        let page_site = registrable_domain(page_host);
         let mut b = CookieBreakdown::default();
+        let mut run: Option<(&str, bool)> = None;
         for c in &self.cookies {
-            match classify_party(c, page_host) {
-                CookieParty::FirstParty => b.first_party += 1.0,
-                CookieParty::ThirdParty => b.third_party += 1.0,
+            if c.is_same_site(page_host, page_site) {
+                b.first_party += 1.0;
+            } else {
+                b.third_party += 1.0;
             }
-            if is_tracker(c.domain()) {
+            let tracking = match run {
+                Some((domain, tracking)) if domain == c.domain() => tracking,
+                _ => {
+                    let tracking = is_tracker(c.domain());
+                    run = Some((c.domain(), tracking));
+                    tracking
+                }
+            };
+            if tracking {
                 b.tracking += 1.0;
             }
         }
@@ -157,7 +190,7 @@ impl CookieJar {
     pub fn distinct_sites(&self) -> usize {
         self.cookies
             .iter()
-            .filter_map(|c| registrable_domain(c.domain()))
+            .filter_map(Cookie::site)
             .collect::<HashSet<_>>()
             .len()
     }

@@ -55,11 +55,11 @@ mod url;
 
 /// The shared, immutable buffer [`Response::body`] is made of.
 pub use bytes::Bytes;
-pub use cookie::{classify_party, Cookie, CookieParty, SameSite};
+pub use cookie::{Cookie, SameSite};
 pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultPlan, FaultyServer};
 pub use geo::{PrivacyRegime, Region};
 pub use http::{Method, Request, Response, TransportFault, DEFAULT_USER_AGENT};
 pub use jar::{CookieBreakdown, CookieJar};
 pub use net::{content_hash, document_hash, Network, NetworkStats, Server, MAX_REDIRECTS};
-pub use psl::{domain_match, is_public_suffix, public_suffix, registrable_domain, same_site};
+pub use psl::{domain_match, public_suffix, registrable_domain, same_site};
 pub use url::{Url, UrlParseError};

@@ -3,49 +3,52 @@
 //! First-party vs. third-party cookie attribution (§4.3 of the paper) hinges
 //! on comparing *registrable domains*: `ads.tracker.example.de` and
 //! `www.example.de` are the same party iff their eTLD+1 matches. We embed the
-//! slice of the Mozilla Public Suffix List relevant to this study: the
-//! generic TLDs, the country TLDs of every vantage point, and the
-//! second-level registries (`co.uk`, `com.au`, `com.br`, `co.za`, `co.in`,
-//! …) under them.
+//! slice of the Mozilla Public Suffix List relevant to this study: every
+//! TLD is a public suffix (the `*` default rule), and the second-level
+//! registries (`co.uk`, `com.au`, `com.br`, `co.za`, `co.in`, …) under the
+//! country TLDs of the vantage points are listed.
 
-/// Plain public suffixes (single- and multi-label).
-const SUFFIXES: &[&str] = &[
-    // Generic TLDs.
-    "com", "net", "org", "info", "biz", "io", "dev", "app", "club", "online", "site", "shop",
-    "news", "blog", "cloud", "xyz", "eu", // Vantage-point and neighbouring ccTLDs.
-    "de", "at", "ch", "se", "fr", "it", "nl", "es", "pt", "be", "dk", "fi", "no", "pl", "uk", "us",
-    "br", "za", "in", "au", "nz", "ca", "mx", "jp", "cn", // Second-level registries.
-    "co.uk", "org.uk", "ac.uk", "gov.uk", "me.uk", "com.au", "net.au", "org.au", "edu.au",
-    "gov.au", "com.br", "net.br", "org.br", "gov.br", "co.za", "org.za", "web.za", "net.za",
-    "co.in", "net.in", "org.in", "gen.in", "firm.in", "co.nz", "net.nz", "org.nz", "com.mx",
-    "org.mx", "co.jp", "ne.jp", "or.jp", "com.cn", "net.cn", "org.cn",
+/// Second-level registries (`co.uk`, `com.au`, …), by the TLD they sit
+/// under. No listed suffix has more than two labels, and these nine TLDs
+/// are the only ones with a listed second level, so a host's public
+/// suffix is decided by its last two labels alone.
+const SECOND_LEVEL: &[(&str, &[&str])] = &[
+    ("uk", &["co", "org", "ac", "gov", "me"]),
+    ("au", &["com", "net", "org", "edu", "gov"]),
+    ("br", &["com", "net", "org", "gov"]),
+    ("za", &["co", "org", "web", "net"]),
+    ("in", &["co", "net", "org", "gen", "firm"]),
+    ("nz", &["co", "net", "org"]),
+    ("mx", &["com", "org"]),
+    ("jp", &["co", "ne", "or"]),
+    ("cn", &["com", "net", "org"]),
 ];
 
-/// Is `candidate` (lowercased, no trailing dot) exactly a public suffix?
-pub fn is_public_suffix(candidate: &str) -> bool {
-    SUFFIXES.contains(&candidate)
+/// Is `label.tld` a listed second-level registry?
+fn is_second_level(label: &str, tld: &str) -> bool {
+    SECOND_LEVEL
+        .iter()
+        .find(|(t, _)| *t == tld)
+        .is_some_and(|(_, labels)| labels.contains(&label))
 }
 
 /// The public suffix of `host`: the longest suffix of its labels that is a
-/// known public suffix. Unknown TLDs fall back to the last label, per PSL
-/// convention (`*` default rule).
+/// public suffix. That is its last two labels when they are a listed
+/// second-level registry, and its last label otherwise (every TLD is a
+/// suffix, per the PSL's `*` default rule), so the lookup takes constant
+/// time.
 pub fn public_suffix(host: &str) -> &str {
     let host = host.trim_end_matches('.');
-    // Try progressively shorter suffixes, longest (most labels) first.
-    let mut cand = host;
-    loop {
-        if is_public_suffix(cand) {
-            return cand;
-        }
-        match cand.find('.') {
-            Some(i) => cand = &cand[i + 1..],
-            None => break,
-        }
-    }
-    // Default rule: the last label.
-    match host.rfind('.') {
-        Some(i) => &host[i + 1..],
-        None => host,
+    let Some(dot) = host.rfind('.') else {
+        return host;
+    };
+    let tld = &host[dot + 1..];
+    let head = &host[..dot];
+    let start = head.rfind('.').map_or(0, |i| i + 1);
+    if is_second_level(&head[start..], tld) {
+        &host[start..]
+    } else {
+        tld
     }
 }
 

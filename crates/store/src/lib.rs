@@ -325,7 +325,7 @@ impl Store {
         let mut stripes: Vec<Stripe> = (0..STRIPES).map(|_| Stripe::new(regions)).collect();
         for ((region, domain), payload) in replay.index {
             let s = stripe_of(&domain);
-            stripes[s].index[region as usize].insert(domain, payload);
+            stripes[s].index[region as usize].insert(domain.into(), payload.into());
         }
 
         // Resume the seal sequence from the newest valid index slot, so
@@ -419,10 +419,9 @@ impl Store {
             if stripe.get(region, domain).is_some() {
                 return Ok(false);
             }
-            stripe
-                .fresh
-                .push((region, domain.to_string(), payload.to_vec()));
-            stripe.index[region as usize].insert(domain.to_string(), payload.to_vec());
+            let (domain, payload): (Arc<str>, Arc<[u8]>) = (domain.into(), payload.into());
+            stripe.index[region as usize].insert(Arc::clone(&domain), Arc::clone(&payload));
+            stripe.fresh.push((region, domain, payload));
         }
         let pending = self.pending.fetch_add(1, Ordering::AcqRel) + 1;
         if pending >= self.checkpoint_every.load(Ordering::Relaxed).max(1) {
@@ -438,7 +437,7 @@ impl Store {
         self.stripes[stripe_of(domain)]
             .lock()
             .get(region, domain)
-            .cloned()
+            .map(<[u8]>::to_vec)
     }
 
     /// Is this task already stored?
@@ -479,7 +478,7 @@ impl Store {
     /// if the walk ran before or after the put. The callback must not
     /// call back into the same store.
     pub fn for_each_region_entry(&self, region: u8, f: &mut dyn FnMut(&str, &[u8])) {
-        let mut domains: Vec<String> = Vec::new();
+        let mut domains: Vec<Arc<str>> = Vec::new();
         for i in 0..STRIPES {
             let stripe = self.stripes[i].lock();
             if let Some(map) = stripe.index.get(region as usize) {
@@ -533,23 +532,24 @@ impl Store {
         // Last-wins over the ledger (a re-crawled cell shadows its
         // quarantined predecessor), then keep the previous segment for
         // cells whose offset is unchanged.
-        let mut cells: BTreeMap<(u8, String), (u64, u32, u64)> = BTreeMap::new();
+        let mut cells: BTreeMap<(u8, &str), (u64, u32, u64)> = BTreeMap::new();
         for entry in &ledger {
             cells.insert(
-                (entry.region, entry.domain.clone()),
+                (entry.region, &entry.domain),
                 (entry.offset, entry.len, entry.payload_hash),
             );
         }
         let entries: Vec<IndexEntry> = cells
             .into_iter()
             .map(|((region, domain), (offset, len, payload_hash))| {
-                let segment = match seal.segments.get(&(region, domain.clone())) {
+                let key = (region, domain.to_string());
+                let segment = match seal.segments.get(&key) {
                     Some(&(seg, sealed_offset)) if sealed_offset == offset => seg,
                     _ => generation,
                 };
                 IndexEntry {
                     region,
-                    domain,
+                    domain: key.1,
                     segment,
                     offset,
                     len,
@@ -588,7 +588,7 @@ impl Store {
     /// is buffered, staged, or queued for retry, returns without
     /// touching `io` at all.
     fn flush(&self, wait: bool) -> io::Result<()> {
-        let mut entries: Vec<(u8, String, Vec<u8>)> = Vec::new();
+        let mut entries: Vec<(u8, Arc<str>, Arc<[u8]>)> = Vec::new();
         for i in 0..STRIPES {
             let mut stripe = self.stripes[i].lock();
             entries.append(&mut stripe.fresh);
@@ -607,7 +607,7 @@ impl Store {
                 q.staged_journal.extend_from_slice(&record);
                 q.staged_ledger.push(LedgerEntry {
                     region: *region,
-                    domain: domain.clone(),
+                    domain: Arc::clone(domain),
                     offset,
                     len: payload.len() as u32,
                     payload_hash: content_hash(payload),

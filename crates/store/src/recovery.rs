@@ -198,7 +198,7 @@ pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> Replay {
                 high_water[r] = high_water[r].max(end);
                 ledger.push(LedgerEntry {
                     region: rec.region,
-                    domain: rec.domain.clone(),
+                    domain: rec.domain.as_str().into(),
                     offset: rec.offset,
                     len: rec.len,
                     payload_hash: rec.payload_hash,

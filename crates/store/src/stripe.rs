@@ -5,6 +5,7 @@
 
 use httpsim::content_hash;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Number of domain-hash stripes the in-memory buffers are split into.
 /// Concurrent `put`s on domains in different stripes share no mutex.
@@ -19,11 +20,12 @@ pub(crate) fn stripe_of(domain: &str) -> usize {
 pub(crate) struct Stripe {
     /// Every stored payload (flushed and buffered) whose domain hashes
     /// here: one domain-keyed map per region, so a lookup borrows its
-    /// domain instead of building a `(region, domain)` key.
+    /// domain instead of building a `(region, domain)` key. Domain and
+    /// payload are shared with [`Stripe::fresh`]: a put copies each once.
     // lint:allow(r10) — the in-memory key index IS the store's lookup structure; paging it out is parked million-domain work (ROADMAP "Parked from earlier rounds")
-    pub index: Vec<BTreeMap<String, Vec<u8>>>,
+    pub index: Vec<BTreeMap<Arc<str>, Arc<[u8]>>>,
     /// Puts accepted since this stripe was last drained, in put order.
-    pub fresh: Vec<(u8, String, Vec<u8>)>,
+    pub fresh: Vec<(u8, Arc<str>, Arc<[u8]>)>,
 }
 
 impl Stripe {
@@ -35,8 +37,8 @@ impl Stripe {
     }
 
     /// The stored payload of `(region, domain)`.
-    pub(crate) fn get(&self, region: u8, domain: &str) -> Option<&Vec<u8>> {
-        self.index.get(region as usize)?.get(domain)
+    pub(crate) fn get(&self, region: u8, domain: &str) -> Option<&[u8]> {
+        self.index.get(region as usize)?.get(domain).map(|p| &p[..])
     }
 
     /// Stored payloads across every region.
@@ -51,7 +53,8 @@ impl Stripe {
 #[derive(Debug, Clone)]
 pub(crate) struct LedgerEntry {
     pub region: u8,
-    pub domain: String,
+    /// Shared with the stripe index entry of the same put.
+    pub domain: Arc<str>,
     /// Offset of the payload within its region shard.
     pub offset: u64,
     pub len: u32,

@@ -8,6 +8,7 @@
 
 use crate::spec::{Currency, Period, PriceSpec};
 use langid::Language;
+use std::fmt;
 
 /// Body paragraphs per language. Sites cycle through these by a
 /// domain-derived offset, so different sites show different (but same-
@@ -160,21 +161,32 @@ pub fn subscribe_label(lang: Language) -> &'static str {
 ///
 /// German-style locales put the symbol after a comma-decimal amount
 /// (`2,99 €`), English-style locales prefix the symbol (`$3.49`), CHF is
-/// conventionally written as a prefix word (`CHF 2.50`).
-pub fn format_price(lang: Language, price: &PriceSpec) -> String {
-    let units = price.amount_cents / 100;
-    let cents = price.amount_cents % 100;
-    let symbol = price.currency.symbol();
-    let comma_locale = !matches!(lang, Language::English);
-    let amount = if comma_locale {
-        format!("{units},{cents:02}")
-    } else {
-        format!("{units}.{cents:02}")
-    };
-    match price.currency {
-        Currency::Chf => format!("CHF {amount}"),
-        Currency::Eur if comma_locale => format!("{amount} {symbol}"),
-        _ => format!("{symbol}{amount}"),
+/// conventionally written as a prefix word (`CHF 2.50`). The result
+/// writes itself through [`fmt::Display`], so a page renders it straight
+/// into its buffer.
+pub fn format_price(lang: Language, price: &PriceSpec) -> PriceText<'_> {
+    PriceText { lang, price }
+}
+
+/// A price in a language's notation; see [`format_price`].
+#[derive(Debug, Clone, Copy)]
+pub struct PriceText<'a> {
+    lang: Language,
+    price: &'a PriceSpec,
+}
+
+impl fmt::Display for PriceText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let units = self.price.amount_cents / 100;
+        let cents = self.price.amount_cents % 100;
+        let symbol = self.price.currency.symbol();
+        let comma_locale = !matches!(self.lang, Language::English);
+        let sep = if comma_locale { ',' } else { '.' };
+        match self.price.currency {
+            Currency::Chf => write!(f, "CHF {units}{sep}{cents:02}"),
+            Currency::Eur if comma_locale => write!(f, "{units}{sep}{cents:02} {symbol}"),
+            _ => write!(f, "{symbol}{units}{sep}{cents:02}"),
+        }
     }
 }
 
@@ -202,65 +214,96 @@ pub fn period_phrase(lang: Language, period: Period) -> &'static str {
 
 /// Copy for a cookiewall: the accept-or-pay pitch, including the price.
 /// Contains both halves of the §3 detection corpus — subscription words and
-/// a currency/price combination.
-pub fn wall_text(
+/// a currency/price combination. Like [`format_price`], the copy writes
+/// itself through [`fmt::Display`].
+pub fn wall_text<'a>(
     lang: Language,
-    site_name: &str,
-    price: &PriceSpec,
-    smp_name: Option<&str>,
-) -> String {
-    let price_str = format_price(lang, price);
-    let period = period_phrase(lang, price.period);
-    let via = smp_name.map(|n| (n, true));
-    match lang {
-        Language::German => {
-            let base = format!(
-                "Mit Werbung und Tracking weiterlesen — oder {site_name} werbefrei nutzen: \
-                 Das Pur-Abo kostet nur {price_str} {period} und ist jederzeit kündbar."
-            );
-            match via {
-                Some((n, _)) => format!(
-                    "{base} Als {n}-Abonnent erhalten Sie Zugriff auf alle Partnerseiten ohne personalisierte Werbung."
-                ),
-                None => base,
+    site_name: &'a str,
+    price: &'a PriceSpec,
+    smp_name: Option<&'a str>,
+) -> WallText<'a> {
+    WallText {
+        lang,
+        site_name,
+        price,
+        smp_name,
+    }
+}
+
+/// A cookiewall's copy; see [`wall_text`].
+#[derive(Debug, Clone, Copy)]
+pub struct WallText<'a> {
+    lang: Language,
+    site_name: &'a str,
+    price: &'a PriceSpec,
+    smp_name: Option<&'a str>,
+}
+
+impl fmt::Display for WallText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let site_name = self.site_name;
+        let price_str = format_price(self.lang, self.price);
+        let period = period_phrase(self.lang, self.price.period);
+        match self.lang {
+            Language::German => {
+                write!(
+                    f,
+                    "Mit Werbung und Tracking weiterlesen — oder {site_name} werbefrei nutzen: \
+                     Das Pur-Abo kostet nur {price_str} {period} und ist jederzeit kündbar."
+                )?;
+                match self.smp_name {
+                    Some(n) => write!(
+                        f,
+                        " Als {n}-Abonnent erhalten Sie Zugriff auf alle Partnerseiten ohne personalisierte Werbung."
+                    ),
+                    None => Ok(()),
+                }
             }
-        }
-        Language::English => {
-            let base = format!(
-                "Continue with advertising and tracking — or enjoy {site_name} ad-free: \
-                 subscribe for just {price_str} {period}, cancel anytime."
-            );
-            match via {
-                Some((n, _)) => format!(
-                    "{base} A {n} subscription covers every partner site without personalised ads."
-                ),
-                None => base,
+            Language::English => {
+                write!(
+                    f,
+                    "Continue with advertising and tracking — or enjoy {site_name} ad-free: \
+                     subscribe for just {price_str} {period}, cancel anytime."
+                )?;
+                match self.smp_name {
+                    Some(n) => write!(
+                        f,
+                        " A {n} subscription covers every partner site without personalised ads."
+                    ),
+                    None => Ok(()),
+                }
             }
+            Language::Italian => write!(
+                f,
+                "Continua con pubblicità e tracciamento — oppure leggi {site_name} senza pubblicità: \
+                 l'abbonamento costa solo {price_str} {period} ed è disdicibile in ogni momento."
+            ),
+            Language::Swedish => write!(
+                f,
+                "Fortsätt med annonser och spårning — eller läs {site_name} reklamfritt: \
+                 abonnemanget kostar bara {price_str} {period} och kan sägas upp när som helst."
+            ),
+            Language::French => write!(
+                f,
+                "Continuez avec publicité et suivi — ou lisez {site_name} sans publicité : \
+                 l'abonnement coûte seulement {price_str} {period}, résiliable à tout moment."
+            ),
+            Language::Portuguese => write!(
+                f,
+                "Continue com publicidade e rastreamento — ou leia {site_name} sem anúncios: \
+                 a assinatura custa apenas {price_str} {period} e pode ser cancelada a qualquer momento."
+            ),
+            Language::Spanish => write!(
+                f,
+                "Continúe con publicidad y seguimiento — o lea {site_name} sin anuncios: \
+                 la suscripción cuesta solo {price_str} {period} y puede cancelarse en cualquier momento."
+            ),
+            Language::Dutch => write!(
+                f,
+                "Ga verder met advertenties en tracking — of lees {site_name} reclamevrij: \
+                 het abonnement kost slechts {price_str} {period} en is maandelijks opzegbaar."
+            ),
         }
-        Language::Italian => format!(
-            "Continua con pubblicità e tracciamento — oppure leggi {site_name} senza pubblicità: \
-             l'abbonamento costa solo {price_str} {period} ed è disdicibile in ogni momento."
-        ),
-        Language::Swedish => format!(
-            "Fortsätt med annonser och spårning — eller läs {site_name} reklamfritt: \
-             abonnemanget kostar bara {price_str} {period} och kan sägas upp när som helst."
-        ),
-        Language::French => format!(
-            "Continuez avec publicité et suivi — ou lisez {site_name} sans publicité : \
-             l'abonnement coûte seulement {price_str} {period}, résiliable à tout moment."
-        ),
-        Language::Portuguese => format!(
-            "Continue com publicidade e rastreamento — ou leia {site_name} sem anúncios: \
-             a assinatura custa apenas {price_str} {period} e pode ser cancelada a qualquer momento."
-        ),
-        Language::Spanish => format!(
-            "Continúe con publicidad y seguimiento — o lea {site_name} sin anuncios: \
-             la suscripción cuesta solo {price_str} {period} y puede cancelarse en cualquier momento."
-        ),
-        Language::Dutch => format!(
-            "Ga verder met advertenties en tracking — of lees {site_name} reclamevrij: \
-             het abonnement kost slechts {price_str} {period} en is maandelijks opzegbaar."
-        ),
     }
 }
 
@@ -328,11 +371,11 @@ mod tests {
     #[test]
     fn price_formats() {
         assert_eq!(
-            format_price(Language::German, &eur(299, Period::Month)),
+            format_price(Language::German, &eur(299, Period::Month)).to_string(),
             "2,99 €"
         );
         assert_eq!(
-            format_price(Language::English, &eur(299, Period::Month)),
+            format_price(Language::English, &eur(299, Period::Month)).to_string(),
             "€2.99"
         );
         let usd = PriceSpec {
@@ -340,29 +383,29 @@ mod tests {
             currency: Currency::Usd,
             period: Period::Month,
         };
-        assert_eq!(format_price(Language::English, &usd), "$3.49");
+        assert_eq!(format_price(Language::English, &usd).to_string(), "$3.49");
         let chf = PriceSpec {
             amount_cents: 250,
             currency: Currency::Chf,
             period: Period::Month,
         };
-        assert_eq!(format_price(Language::German, &chf), "CHF 2,50");
+        assert_eq!(format_price(Language::German, &chf).to_string(), "CHF 2,50");
         let aud = PriceSpec {
             amount_cents: 499,
             currency: Currency::Aud,
             period: Period::Month,
         };
-        assert_eq!(format_price(Language::English, &aud), "A$4.99");
+        assert_eq!(format_price(Language::English, &aud).to_string(), "A$4.99");
     }
 
     #[test]
     fn wall_text_contains_corpus_signals() {
         let p = eur(299, Period::Month);
-        let t = wall_text(Language::German, "beispiel.de", &p, Some("contentpass"));
+        let t = wall_text(Language::German, "beispiel.de", &p, Some("contentpass")).to_string();
         assert!(t.contains("2,99 €"));
         assert!(t.to_lowercase().contains("abo"));
         assert!(t.contains("contentpass"));
-        let t = wall_text(Language::English, "example.com", &p, None);
+        let t = wall_text(Language::English, "example.com", &p, None).to_string();
         assert!(t.contains("ad-free"));
         assert!(t.contains("subscribe"));
     }

@@ -514,6 +514,7 @@ fn banner_fragment(body: &mut String, site: &SiteSpec, has_reject: bool, has_set
 fn wall_fragment(body: &mut String, site: &SiteSpec, cw: &crate::spec::CookiewallSpec) {
     let lang = site.language;
     let text = content::wall_text(lang, &site.domain, &cw.price, cw.smp.map(Smp::name));
+    // `text` writes itself into `body`: no intermediate String.
     let _ = write!(
         body,
         "<div id=\"cw-wall\" class=\"consent-wall purabo\" \

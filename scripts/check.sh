@@ -96,6 +96,11 @@ PROPTEST_CASES=4 cargo test -q -p analysis --test diskfault --release --offline
 # single-table detector against the original per-language tables.
 PROPTEST_CASES=20000 cargo test -q -p langid --test equivalence --release --offline
 
+# Cookie-layer oracles at full strength: the constant-time public-suffix
+# lookup, the Set-Cookie parser and the keyed cookie jar against the
+# linear scan, the original parser and the retain-based jar.
+PROPTEST_CASES=20000 cargo test -q -p httpsim --test equivalence --release --offline
+
 # Serve under live ingest: 3 readers × 1,000 Zipf(1.1) requests while a
 # second epoch is built, sealed and installed mid-stream; every one of
 # the 3,000 answers must be byte-identical to direct evaluation against

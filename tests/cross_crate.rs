@@ -155,8 +155,10 @@ fn revocation_requires_clearing_site_data() {
     let mut browser = Browser::new(net, Region::Germany);
 
     // Accept the wall.
-    let (analysis, after) = tool.analyze_and_accept(&mut browser, &partner);
-    assert!(analysis.cookiewall_detected());
+    let page = browser.visit_domain(&partner).unwrap();
+    assert!(tool.analyze_page(&partner, &page).cookiewall_detected());
+    let banner = tool.detect(&page).unwrap();
+    let after = bannerclick::click_accept(&mut browser, &page, &banner).unwrap();
     assert!(after.is_some());
 
     // Later, the user buys a subscription (logs in) — but the consent
