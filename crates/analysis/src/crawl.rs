@@ -42,10 +42,21 @@
 //! The ablation and bot-detection experiments re-crawl one region under
 //! several detector settings or user agents. `crawl_variants` runs all of
 //! them in one pass, cell by cell, under the same rule: every variant
-//! dispatches its own navigation, and only byte-identical documents share
-//! a loaded page (and, per detector setting, its detection).
+//! dispatches its own navigation, so origins, visit counters and fault
+//! plans see exactly the requests of one crawl per variant. What follows
+//! the navigation is shared. A full study keeps the sweep's cache for its
+//! variant passes, and each slot a miss filled also holds the
+//! [`DetectionSummary`] of that miss's one detection pass. A variant whose
+//! document the sweep analyzed reads its verdict off that summary: no
+//! subresource request, no load, no detection. Only the other documents
+//! (a bot-sensitive site's naive-UA page, cells restored from a store, any
+//! run without the cache) are loaded, once per cell and distinct
+//! document, and detected once per distinct detector setting.
 
-use bannerclick::{classify_wall, BannerClick, BannerFinding, DetectorOptions, ObservedEmbedding};
+use bannerclick::{
+    classify_wall, BannerClick, BannerFinding, DetectionSummary, DetectorOptions,
+    ObservedEmbedding, Verdict,
+};
 use browser::{Browser, FetchError, FetchedDocument, Page};
 use httpsim::{content_hash, document_hash, Network, Region};
 use serde::Serialize;
@@ -821,7 +832,16 @@ pub fn crawl_region_with(
     };
     // Without a store a sweep neither fails nor aborts, so the fallback is
     // never taken.
-    let (crawls, _) = sweep(net, &[region], targets, tool, &opts, None).unwrap_or_default();
+    let (crawls, _) = sweep(
+        net,
+        &[region],
+        targets,
+        tool,
+        &opts,
+        None,
+        &FetchCache::new(false),
+    )
+    .unwrap_or_default();
     crawls
         .into_iter()
         .flatten()
@@ -841,29 +861,28 @@ pub(crate) struct Variant<'a> {
     pub(crate) user_agent: Option<&'a str>,
 }
 
-/// What a variant pass observes of one cell under one variant: all the
-/// re-crawling experiments count. A failed cell is all `false`, as its
-/// failure record would be.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Verdict {
-    /// A banner of any kind was detected.
-    pub(crate) banner: bool,
-    /// The banner was classified as a cookiewall.
-    pub(crate) cookiewall: bool,
-}
-
 /// Crawl `targets` from `region` once per variant, in one pass: each cell
 /// runs every variant, in order, before the worker claims the next cell.
+/// A cell's [`Verdict`] is what all the re-crawling experiments count; a
+/// failed cell's is all `false`, as its failure record would be.
 ///
 /// Every variant dispatches its own navigation — on its own browser, under
 /// `opts.retry` and its own circuit breaker — so origins observe exactly
 /// the visits (and the fault plan the attempt ordinals) of one
-/// [`crawl_region_with`] per variant. With `opts.cache`, a variant whose
-/// fetched document hashes like the one the cell's page was loaded from
-/// reuses that page, and detection runs once per distinct
-/// [`DetectorOptions`] on it. Without it, nothing is shared. Language and
-/// provider are never computed, and no price is recorded: a verdict is
-/// only whether a banner was found and whether it classifies as a wall.
+/// [`crawl_region_with`] per variant. What a navigation fetched is then
+/// answered, cheapest first:
+///
+/// 1. from `analyzed`, the finished sweep's cache: a document whose slot
+///    holds a [`DetectionSummary`] gives the variant's verdict with no
+///    load and no detection, sound by the cache's own rule (a
+///    fresh-profile page is a function of its domain and document);
+/// 2. with `opts.cache`, from the cell's memo: a document that hashes
+///    like the one the cell's page was loaded from reuses that page, and
+///    detection runs once per distinct [`DetectorOptions`] on it;
+/// 3. by loading the page and detecting. Without `opts.cache` (and so
+///    without `analyzed`) nothing is shared.
+///
+/// Language and provider are never computed, and no price is recorded.
 ///
 /// Returns the verdicts indexed `[variant][cell]`, cells in target order.
 pub(crate) fn crawl_variants(
@@ -872,6 +891,7 @@ pub(crate) fn crawl_variants(
     targets: &[String],
     variants: &[Variant<'_>],
     opts: &CrawlOptions,
+    analyzed: Option<&FetchCache>,
 ) -> Vec<Vec<Verdict>> {
     let resilience: Vec<Resilience<'_>> = variants
         .iter()
@@ -910,7 +930,14 @@ pub(crate) fn crawl_variants(
                     &mut worker.counters,
                     |b| {
                         let fetched = b.fetch_domain_document(domain)?;
-                        memo.verdict(variant.tool, b, &fetched)
+                        let key = CacheKey::new(domain, &fetched);
+                        let derived = analyzed
+                            .and_then(|cache| cache.summary(key, domain))
+                            .and_then(|summary| summary.verdict(variant.tool));
+                        match derived {
+                            Some(verdict) => Ok(verdict),
+                            None => memo.verdict(variant.tool, b, &fetched, key.document),
+                        }
                     },
                 );
                 verdicts.push(match outcome {
@@ -959,16 +986,16 @@ impl CellMemo {
         self.findings.clear();
     }
 
-    /// `tool`'s verdict on `fetched`, loading the page only when the memo
-    /// holds none for this document, and detecting only under a detector
-    /// setting not yet run on it.
+    /// `tool`'s verdict on `fetched`, whose [`document_hash`] is `hash`,
+    /// loading the page only when the memo holds none for this document,
+    /// and detecting only under a detector setting not yet run on it.
     fn verdict(
         &mut self,
         tool: &BannerClick,
         browser: &mut Browser,
         fetched: &FetchedDocument,
+        hash: u64,
     ) -> Result<Verdict, FetchError> {
-        let hash = document_hash(fetched.body_bytes());
         let page = match self.page.take() {
             Some((memo_hash, page)) if memo_hash == hash => page,
             _ => {
@@ -1010,9 +1037,22 @@ pub fn crawl_all_regions_with(
     tool: &BannerClick,
     opts: &CrawlOptions,
 ) -> (Vec<VantageCrawl>, CrawlMetrics) {
+    crawl_all_regions_into(net, targets, tool, opts, &FetchCache::new(opts.cache))
+}
+
+/// [`crawl_all_regions_with`], leaving the analyzed documents in `cache`
+/// for the study's variant passes.
+pub(crate) fn crawl_all_regions_into(
+    net: &Network,
+    targets: &[String],
+    tool: &BannerClick,
+    opts: &CrawlOptions,
+    cache: &FetchCache,
+) -> (Vec<VantageCrawl>, CrawlMetrics) {
     // Without a store a sweep neither fails nor aborts, so neither default
     // is ever taken.
-    let (crawls, metrics) = sweep(net, &Region::ALL, targets, tool, opts, None).unwrap_or_default();
+    let (crawls, metrics) =
+        sweep(net, &Region::ALL, targets, tool, opts, None, cache).unwrap_or_default();
     (crawls.unwrap_or_default(), metrics)
 }
 
@@ -1072,6 +1112,7 @@ pub fn crawl_all_regions_persistent(
         tool,
         opts,
         Some((store, policy)),
+        &FetchCache::new(opts.cache),
     )
 }
 
@@ -1086,7 +1127,8 @@ struct SweepWorker {
 }
 
 /// Crawl `targets` from every region in `regions`, one lane per region,
-/// as one [`par_matrix`] pass.
+/// as one [`par_matrix`] pass, sharing analysis through `cache` (empty at
+/// the start) when it is enabled.
 ///
 /// With a store, a cell already stored is restored and replayed instead of
 /// crawled, every crawled cell is put, the sweep stops once
@@ -1097,20 +1139,20 @@ struct SweepWorker {
 /// Returns `None` for the crawls when the sweep aborted; the metrics count
 /// the cells completed either way, and carry no per-region entries for an
 /// aborted sweep.
-fn sweep(
+pub(crate) fn sweep(
     net: &Network,
     regions: &[Region],
     targets: &[String],
     tool: &BannerClick,
     opts: &CrawlOptions,
     store: Option<(&Store, &CheckpointPolicy)>,
+    cache: &FetchCache,
 ) -> std::io::Result<(Option<Vec<VantageCrawl>>, CrawlMetrics)> {
     let workers = opts.workers.max(1);
     let lanes = regions.len();
     // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
     let start = Instant::now();
-    let cache = FetchCache::new(opts.cache);
-    let cache_ref = cache.enabled.then_some(&cache);
+    let cache_ref = cache.analyzed();
     let res = Resilience::new(&opts.retry);
     let unresolved_before = net.stats().unresolved();
     let new_done = AtomicUsize::new(0);
@@ -1220,7 +1262,7 @@ fn sweep(
     let finished = crawls.as_deref().unwrap_or_default();
     let metrics = CrawlMetrics {
         workers,
-        cache_enabled: opts.cache,
+        cache_enabled: cache.enabled,
         tasks_completed: merged.tasks,
         cache_hits: cache.hits(),
         cache_misses: cache.misses(),
@@ -1267,7 +1309,7 @@ fn replay_restored(
             // A restored record fills a vacant or pending slot (waking
             // its waiters) and never waits.
             let key = CacheKey::new(domain, &fetched);
-            cache.stripe(key).fill(key, record);
+            cache.stripe(key).fill(key, record, None);
         }
         Ok(())
     });
@@ -1280,9 +1322,10 @@ fn replay_restored(
 /// Shared-fetch cache: `(domain hash, document hash)` → slot, split into
 /// [`STRIPES`] stripes by the domain hash. A slot is either pending (a
 /// worker is loading that document) or holds the finished record, which
-/// a hit checks against its own domain. The hit/miss tallies live inside
-/// each stripe — bumped under the stripe lock the probe already holds —
-/// and are summed only at read-out.
+/// a hit checks against its own domain, plus the [`DetectionSummary`] of
+/// the miss that analyzed it (a restored record has none). The hit/miss
+/// tallies live inside each stripe — bumped under the stripe lock the
+/// probe already holds — and are summed only at read-out.
 ///
 /// Misses are single-flight. The first worker to miss a key installs a
 /// pending slot and leads: it loads, analyzes, and fills the slot, or, if
@@ -1294,7 +1337,7 @@ fn replay_restored(
 /// A leader never waits while it leads, so every wait ends. Fault-free,
 /// misses therefore equal the number of distinct keys at any worker
 /// count.
-struct FetchCache {
+pub(crate) struct FetchCache {
     enabled: bool,
     stripes: Vec<CacheStripe>,
 }
@@ -1334,7 +1377,7 @@ struct StripeState {
 enum Slot {
     /// A leader is loading and analyzing the document.
     Pending,
-    Ready(CrawlRecord),
+    Ready(CrawlRecord, Option<DetectionSummary>),
 }
 
 /// What a settled cache probe decided for one cell.
@@ -1359,8 +1402,8 @@ struct Lead<'a> {
 }
 
 impl Lead<'_> {
-    fn fill(mut self, record: &CrawlRecord) {
-        self.stripe.fill(self.key, record);
+    fn fill(mut self, record: &CrawlRecord, summary: Option<DetectionSummary>) {
+        self.stripe.fill(self.key, record, summary);
         self.filled = true;
     }
 }
@@ -1384,11 +1427,11 @@ impl CacheStripe {
     ) -> Option<Claim<'a>> {
         match state.slots.get(&key) {
             Some(Slot::Pending) => None,
-            Some(Slot::Ready(record)) if record.domain == domain => {
+            Some(Slot::Ready(record, _)) if record.domain == domain => {
                 state.hits += 1;
                 Some(Claim::Hit(record.clone()))
             }
-            Some(Slot::Ready(_)) => {
+            Some(Slot::Ready(..)) => {
                 state.misses += 1;
                 Some(Claim::Bypass)
             }
@@ -1404,13 +1447,13 @@ impl CacheStripe {
         }
     }
 
-    /// Fill `key`'s slot with `record` unless it already holds one, and
-    /// wake the waiters.
-    fn fill(&self, key: CacheKey, record: &CrawlRecord) {
+    /// Fill `key`'s slot with `record` and its summary unless it already
+    /// holds a record, and wake the waiters.
+    fn fill(&self, key: CacheKey, record: &CrawlRecord, summary: Option<DetectionSummary>) {
         let mut state = self.state.lock();
         let slot = state.slots.entry(key).or_insert(Slot::Pending);
         if matches!(slot, Slot::Pending) {
-            *slot = Slot::Ready(record.clone());
+            *slot = Slot::Ready(record.clone(), summary);
         }
         drop(state);
         self.settled.notify_all();
@@ -1428,10 +1471,24 @@ impl CacheStripe {
 }
 
 impl FetchCache {
-    fn new(enabled: bool) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         FetchCache {
             enabled,
             stripes: (0..STRIPES).map(|_| CacheStripe::default()).collect(),
+        }
+    }
+
+    /// This cache, when it is enabled.
+    pub(crate) fn analyzed(&self) -> Option<&Self> {
+        self.enabled.then_some(self)
+    }
+
+    /// The summary a miss stored with `domain`'s record under `key`, once
+    /// that slot is filled.
+    fn summary(&self, key: CacheKey, domain: &str) -> Option<DetectionSummary> {
+        match self.stripe(key).state.lock().slots.get(&key) {
+            Some(Slot::Ready(record, summary)) if record.domain == domain => *summary,
+            _ => None,
         }
     }
 
@@ -1498,15 +1555,20 @@ fn try_analyze_domain(
     };
     // A failure or panic from here on drops `lead`, clearing its slot.
     let page = browser.load_fetched(&fetched)?;
-    let record = record_from_page(tool, domain, &page);
+    let (record, summary) = record_from_page(tool, domain, &page);
     if let Some(lead) = lead {
-        lead.fill(&record);
+        lead.fill(&record, summary);
     }
     Ok(record)
 }
 
-fn record_from_page(tool: &BannerClick, domain: &str, page: &browser::Page) -> CrawlRecord {
-    let analysis = tool.analyze_page(domain, page);
+/// The record of a loaded page, and the summary of its one detection.
+fn record_from_page(
+    tool: &BannerClick,
+    domain: &str,
+    page: &browser::Page,
+) -> (CrawlRecord, Option<DetectionSummary>) {
+    let (analysis, summary) = tool.analyze_summarized(domain, page);
     // Language identification over page prose plus banner copy —
     // the CLD3 step of §4.1.
     let mut text = page.main_text();
@@ -1515,18 +1577,19 @@ fn record_from_page(tool: &BannerClick, domain: &str, page: &browser::Page) -> C
         text.push_str(&b.text);
     }
     let language = langid::detect(&text).map(|d| d.language.code());
-    CrawlRecord {
+    let record = CrawlRecord {
         domain: domain.to_string(),
         reachable: true,
         banner: analysis.banner_detected(),
         cookiewall: analysis.cookiewall_detected(),
         embedding: analysis.embedding(),
         monthly_eur: analysis.price().map(|p| p.monthly_eur),
-        provider: analysis.provider.clone(),
+        provider: analysis.provider,
         language,
         attempts: 1,
         failure: None,
-    }
+    };
+    (record, summary)
 }
 
 fn failure_record(domain: &str, kind: FailureKind, attempts: u32) -> CrawlRecord {
@@ -1698,7 +1761,7 @@ mod tests {
                 panic!("a cleared slot is led by the next prober");
             };
             assert_eq!((cache.hits(), cache.misses()), (0, 2));
-            takeover.fill(&record);
+            takeover.fill(&record, None);
             let Claim::Hit(hit) = cache.claim(key, "a.de") else {
                 panic!("a filled slot is a hit");
             };
@@ -1725,7 +1788,7 @@ mod tests {
             };
             let waiter = scope.spawn(|| match cache.claim(key, "a.de") {
                 Claim::Lead(takeover) => {
-                    takeover.fill(&record);
+                    takeover.fill(&record, None);
                     true
                 }
                 _ => false,
@@ -1755,7 +1818,7 @@ mod tests {
         let Claim::Lead(lead) = cache.claim(key, "a.de") else {
             panic!("the first probe of a vacant key leads");
         };
-        cache.stripe(key).fill(key, &record);
+        cache.stripe(key).fill(key, &record, None);
         drop(lead);
         assert!(matches!(cache.claim(key, "a.de"), Claim::Hit(r) if r == record));
         assert!(matches!(cache.claim(key, "b.de"), Claim::Bypass));
@@ -1789,6 +1852,94 @@ mod tests {
             }));
             let payload = run.expect_err("the panic propagates");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"analysis bug"));
+        }
+    }
+
+    /// Requests a profile that navigates and never loads dispatches for
+    /// every `(variant, target)` cell from Germany.
+    fn navigation_requests(net: &Network, targets: &[String], variants: &[Variant<'_>]) -> u64 {
+        let before = net.stats().requests();
+        for variant in variants {
+            let vantage = Vantage {
+                net,
+                region: Region::Germany,
+                user_agent: variant.user_agent,
+            };
+            let mut browser = vantage.browser();
+            for domain in targets {
+                browser.clear_cookies();
+                let _ = browser.fetch_domain_document(domain);
+            }
+        }
+        net.stats().requests() - before
+    }
+
+    /// Over documents the sweep analyzed, the ablation's and the bot
+    /// detection's variant passes dispatch only their navigations: no
+    /// subresource request and so no load, since every page references
+    /// `/static/app.js`. Their verdicts are the loading passes'.
+    #[test]
+    fn variant_passes_over_analyzed_documents_only_navigate() {
+        let (pop, net) = install_tiny();
+        let targets = pop.merged_targets();
+        let tool = BannerClick::new();
+        let opts = CrawlOptions {
+            workers: 2,
+            cache: true,
+            ..CrawlOptions::default()
+        };
+        let cache = FetchCache::new(true);
+        crawl_all_regions_into(&net, &targets, &tool, &opts, &cache);
+
+        let configs = crate::experiments::ablation::configs();
+        let ablation: Vec<Variant<'_>> = configs
+            .iter()
+            .map(|(_, tool)| Variant {
+                tool,
+                user_agent: None,
+            })
+            .collect();
+        let bot = [
+            Variant {
+                tool: &tool,
+                user_agent: None,
+            },
+            Variant {
+                tool: &tool,
+                user_agent: Some(crate::experiments::botdetect::NAIVE_BOT_UA),
+            },
+        ];
+        // A bot-sensitive site serves the naive UA a page the sweep may
+        // never have seen.
+        let bot_targets: Vec<String> = targets
+            .iter()
+            .filter(|domain| pop.site(domain).is_some_and(|site| !site.bot_sensitive))
+            .cloned()
+            .collect();
+        assert!(
+            bot_targets.len() < targets.len(),
+            "tiny has bot-sensitive sites"
+        );
+        for (variants, targets) in [(&ablation[..], &targets), (&bot[..], &bot_targets)] {
+            let navigations = navigation_requests(&net, targets, variants);
+            let before = net.stats().requests();
+            let derived = crawl_variants(
+                &net,
+                Region::Germany,
+                targets,
+                variants,
+                &opts,
+                cache.analyzed(),
+            );
+            assert_eq!(net.stats().requests() - before, navigations);
+            let before = net.stats().requests();
+            let loaded = crawl_variants(&net, Region::Germany, targets, variants, &opts, None);
+            assert!(
+                net.stats().requests() - before > navigations,
+                "loads fetch subresources"
+            );
+            assert_eq!(derived, loaded);
+            assert!(derived[0].iter().any(|v| v.cookiewall), "walls are found");
         }
     }
 

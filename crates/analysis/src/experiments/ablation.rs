@@ -6,13 +6,19 @@
 //! recall.
 //!
 //! All five configurations run in one German variant pass
-//! ([`crate::crawl`]'s `crawl_variants`): every cell is navigated once per
-//! configuration, in table order, but the page is loaded once and each
-//! distinct detector setting runs once on it, with the study's worker
-//! count, cache mode and retry policy.
+//! ([`crate::crawl`]'s `crawl_variants`), with the study's worker count,
+//! cache mode and retry policy: every cell is navigated once per
+//! configuration, in table order. In a full study
+//! ([`crate::runner::run_all`]) the sweep has already detected every
+//! German document under the full pipeline, and each configuration's
+//! verdict is read off that detection's summary. Only a document the
+//! sweep did not analyze (a cell restored from a store, or any run
+//! without the cache) is loaded here, once per cell, with each distinct
+//! detector setting run once on it. This standalone [`compute`] has no
+//! sweep to read from, so it always loads.
 
 use crate::context::Study;
-use crate::crawl::{crawl_variants, Variant};
+use crate::crawl::{crawl_variants, FetchCache, Variant};
 use crate::render::TextTable;
 use bannerclick::{BannerClick, CorpusMode, DetectorOptions};
 use httpsim::Region;
@@ -40,7 +46,7 @@ pub struct Ablation {
 }
 
 /// Configurations exercised by the ablation.
-fn configs() -> Vec<(String, BannerClick)> {
+pub(crate) fn configs() -> Vec<(String, BannerClick)> {
     let full = DetectorOptions::default();
     vec![
         (
@@ -89,6 +95,12 @@ fn configs() -> Vec<(String, BannerClick)> {
 
 /// Run the ablation from the German vantage point (which sees every wall).
 pub fn compute(study: &Study) -> Ablation {
+    compute_with(study, None)
+}
+
+/// [`compute`], reading the verdicts on documents the sweep analyzed off
+/// `analyzed`, its cache.
+pub(crate) fn compute_with(study: &Study, analyzed: Option<&FetchCache>) -> Ablation {
     let targets = study.targets();
     let configs = configs();
     let variants: Vec<Variant<'_>> = configs
@@ -104,6 +116,7 @@ pub fn compute(study: &Study) -> Ablation {
         &targets,
         &variants,
         &study.crawl_options(),
+        analyzed,
     );
     let mut rows = Vec::new();
     let mut full_tp = 0usize;

@@ -6,14 +6,19 @@
 //! Both user agents run in one German variant pass ([`crate::crawl`]'s
 //! `crawl_variants`), stealthy first, with the study's tool, worker count,
 //! cache mode and retry policy. Each cell is navigated once per user
-//! agent; only the main document reads the user agent, so a site without
-//! bot detection serves both the same bytes and is loaded and detected
-//! once, while a bot-sensitive site's naive document hashes differently
-//! and is loaded afresh.
+//! agent. Only the main document reads the user agent, so a site without
+//! bot detection serves both the same bytes, while a bot-sensitive site's
+//! naive document hashes differently. In a full study
+//! ([`crate::runner::run_all`]) a document the sweep analyzed — every
+//! stealthy one, and every naive one that matches a document some vantage
+//! point received — takes its verdict from the summary of the sweep's
+//! detection. The rest are loaded and detected here, once per cell and
+//! distinct document; this standalone [`compute`] loads every cell.
 
 use crate::context::Study;
-use crate::crawl::{crawl_variants, Variant, Verdict};
+use crate::crawl::{crawl_variants, FetchCache, Variant};
 use crate::render::TextTable;
+use bannerclick::Verdict;
 use httpsim::Region;
 use serde::Serialize;
 
@@ -37,6 +42,12 @@ pub struct BotDetection {
 
 /// Crawl the target list from Germany with both user agents.
 pub fn compute(study: &Study) -> BotDetection {
+    compute_with(study, None)
+}
+
+/// [`compute`], reading the verdicts on documents the sweep analyzed off
+/// `analyzed`, its cache.
+pub(crate) fn compute_with(study: &Study, analyzed: Option<&FetchCache>) -> BotDetection {
     let targets = study.targets();
     let variants = [
         Variant {
@@ -55,6 +66,7 @@ pub fn compute(study: &Study) -> BotDetection {
         &targets,
         &variants,
         &study.crawl_options(),
+        analyzed,
     );
     let (stealth, naive) = (&verdicts[0], &verdicts[1]);
     let verified = |cells: &[Verdict]| {

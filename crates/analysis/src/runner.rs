@@ -3,14 +3,15 @@
 
 use crate::context::Study;
 use crate::crawl::{
-    crawl_all_regions_persistent, crawl_all_regions_with, CheckpointPolicy, CrawlMetrics,
-    FailureTaxonomy, VantageCrawl,
+    crawl_all_regions_into, crawl_all_regions_with, sweep, CheckpointPolicy, CrawlMetrics,
+    FailureTaxonomy, FetchCache, VantageCrawl,
 };
 use crate::experiments::{
     ablation, accuracy, banners, botdetect, bypass, darkpatterns, fig1, fig2, fig3, fig4, fig5,
     fig6, smp, table1,
 };
 use crate::measure::{measure_sites, InteractionMode};
+use httpsim::Region;
 use serde::Serialize;
 use store::Store;
 
@@ -74,10 +75,20 @@ pub fn run_crawls_with_metrics(study: &Study) -> (Vec<VantageCrawl>, CrawlMetric
 }
 
 /// Run every experiment. The crawls are shared: Table 1, accuracy,
-/// Figures 1–3 and 6, bypass, and the SMP report all reuse them.
+/// Figures 1–3 and 6, bypass, and the SMP report all reuse them. So is
+/// the sweep's cache: the ablation and bot-detection re-crawls still
+/// navigate every cell, but read the verdict on a document the sweep
+/// analyzed off its detection instead of loading the page again.
 pub fn run_all(study: &Study) -> StudyReport {
-    let (crawls, metrics) = run_crawls_with_metrics(study);
-    let mut report = run_all_with_crawls(study, &crawls);
+    let cache = FetchCache::new(study.cache);
+    let (crawls, metrics) = crawl_all_regions_into(
+        &study.net,
+        &study.targets(),
+        &study.tool,
+        &study.crawl_options(),
+        &cache,
+    );
+    let mut report = experiments(study, &crawls, cache.analyzed());
     report.crawl_metrics = metrics;
     report
 }
@@ -113,19 +124,24 @@ pub fn run_all_persistent(
         }
         _ => {}
     }
-    let (crawls, metrics) = crawl_all_regions_persistent(
+    let opts = study.crawl_options();
+    let cache = FetchCache::new(opts.cache);
+    let (crawls, metrics) = sweep(
         &study.net,
+        &Region::ALL,
         &targets,
         &study.tool,
-        &study.crawl_options(),
-        store,
-        policy,
+        &opts,
+        Some((store, policy)),
+        &cache,
     )
     .map_err(|e| format!("checkpoint flush after the crawl failed: {e}"))?;
     let Some(crawls) = crawls else {
         return Ok(None);
     };
-    let mut report = run_all_with_crawls(study, &crawls);
+    let mut report = experiments(study, &crawls, cache.analyzed());
+    // Nothing after the experiments reads the cache.
+    drop(cache);
     report.crawl_metrics = metrics;
     // The epoch summary is written only after the report is computed: its
     // measurement probe advances origin visit counters, and running it
@@ -181,8 +197,19 @@ fn epoch_summary(study: &Study, crawls: &[VantageCrawl]) -> String {
     out
 }
 
-/// Run every experiment against pre-computed crawls.
+/// Run every experiment against pre-computed crawls. Without the sweep's
+/// cache, the ablation and bot-detection re-crawls load every page.
 pub fn run_all_with_crawls(study: &Study, crawls: &[VantageCrawl]) -> StudyReport {
+    experiments(study, crawls, None)
+}
+
+/// Every experiment against `crawls`; the re-crawls read what the sweep
+/// analyzed off `analyzed`, its cache.
+fn experiments(
+    study: &Study,
+    crawls: &[VantageCrawl],
+    analyzed: Option<&FetchCache>,
+) -> StudyReport {
     let table1 = table1::compute(study, crawls);
     let accuracy = accuracy::compute(study, crawls);
     let embedding = smp::embedding_split(study, crawls);
@@ -195,9 +222,9 @@ pub fn run_all_with_crawls(study: &Study, crawls: &[VantageCrawl]) -> StudyRepor
     let bypass = bypass::compute(study, crawls);
     let smp_report = smp::compute(study, crawls);
     let banners = banners::compute(crawls);
-    let ablation = ablation::compute(study);
+    let ablation = ablation::compute_with(study, analyzed);
     let darkpatterns = darkpatterns::compute(study, crawls);
-    let botdetect = botdetect::compute(study);
+    let botdetect = botdetect::compute_with(study, analyzed);
     StudyReport {
         table1,
         accuracy,

@@ -1,16 +1,19 @@
 //! The German re-crawls of the ablation and bot-detection experiments run
 //! as one variant pass. These tests pin that pass against the separate
-//! crawls it replaces, and pin that every re-crawl honours the study's
-//! retry budget.
+//! crawls it replaces — standalone, and inside a full study in each state
+//! the sweep can leave its cache in — and pin that every re-crawl honours
+//! the study's retry budget.
 
 use analysis::crawl::{analyze_domain, crawl_region, CrawlRecord, RegionMetrics, VantageCrawl};
 use analysis::experiments::{ablation, botdetect};
-use analysis::{RetryPolicy, Study};
+use analysis::persist::targets_hash;
+use analysis::{run_all, run_all_persistent, CheckpointPolicy, RetryPolicy, Study, StudyReport};
 use bannerclick::{BannerClick, CorpusMode, DetectorOptions};
 use browser::Browser;
 use httpsim::{FaultConfig, FaultPlan, Network, Region};
 use std::collections::HashMap;
 use std::sync::Arc;
+use store::Store;
 use webgen::{Population, PopulationConfig};
 
 /// A transient-only fault plan: every cell it hits recovers within two
@@ -202,6 +205,110 @@ fn variant_pass_matches_separate_recrawls() {
                 assert!(a.injected().total() > 0, "the fault plan fired");
                 assert_eq!(a.injected(), b.injected(), "same faults, {setting}");
             }
+        }
+    }
+}
+
+type AblationRows = Vec<(String, usize, usize, usize)>;
+type BotCounts = (usize, usize, usize, usize, usize);
+
+fn report_rows(report: &StudyReport) -> (AblationRows, BotCounts) {
+    let ablation = report
+        .ablation
+        .rows
+        .iter()
+        .map(|r| {
+            (
+                r.config.clone(),
+                r.true_positives,
+                r.false_positives,
+                r.lost_vs_full,
+            )
+        })
+        .collect();
+    let bot = &report.botdetect;
+    (
+        ablation,
+        (
+            bot.walls_stealth,
+            bot.walls_naive,
+            bot.lost,
+            bot.banners_stealth,
+            bot.banners_naive,
+        ),
+    )
+}
+
+/// What the sweep leaves in its cache for a full study's re-crawls.
+#[derive(Debug, Clone, Copy)]
+enum CacheState {
+    /// Every document the sweep analyzed, with its detection summary.
+    Full,
+    /// Records restored from a store: slots without summaries.
+    Restored,
+    /// `--no-cache`: no slots at all.
+    Off,
+}
+
+/// A full study's re-crawl rows with the sweep's cache in `state`.
+fn full_study_rows(state: CacheState, fault: Option<FaultConfig>) -> (AblationRows, BotCounts) {
+    let mut study = fresh_small_study(2, fault);
+    let report = match state {
+        CacheState::Full => run_all(&study),
+        CacheState::Off => {
+            study.cache = false;
+            run_all(&study)
+        }
+        CacheState::Restored => {
+            let dir = std::env::temp_dir().join(format!(
+                "cookiewall-recrawls-{}-{}",
+                std::process::id(),
+                fault.is_some()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let meta = [(
+                "targets_hash".to_string(),
+                targets_hash(&study.targets()).to_string(),
+            )];
+            let policy = CheckpointPolicy::default();
+            let store = Store::create(&dir, Region::ALL.len(), &meta).expect("store creates");
+            run_all_persistent(&study, &store, &policy)
+                .expect("targets match")
+                .expect("not aborted");
+            drop(store);
+            // A fresh world over the filled store restores every cell.
+            let resumed = fresh_small_study(2, fault);
+            let store = Store::open(&dir).expect("store reopens");
+            let report = run_all_persistent(&resumed, &store, &policy)
+                .expect("targets match")
+                .expect("not aborted");
+            assert_eq!(
+                report.crawl_metrics.cache_misses, 0,
+                "every cell is restored, so no slot has a summary"
+            );
+            drop(store);
+            std::fs::remove_dir_all(&dir).expect("store removes");
+            report
+        }
+    };
+    report_rows(&report)
+}
+
+#[test]
+fn full_study_recrawls_match_separate_recrawls_in_every_cache_state() {
+    for fault in [None, Some(transient_faults())] {
+        let reference = fresh_small_study(2, fault);
+        let want = (
+            reference_ablation(&reference),
+            reference_botdetect(&reference),
+        );
+        for state in [CacheState::Full, CacheState::Restored, CacheState::Off] {
+            assert_eq!(
+                full_study_rows(state, fault),
+                want,
+                "{state:?}, faults={}",
+                fault.is_some()
+            );
         }
     }
 }

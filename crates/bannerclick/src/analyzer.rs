@@ -4,8 +4,8 @@
 
 use crate::classify::{classify_wall, CorpusMode, WallClassification};
 use crate::detect::{detect_banners, BannerFinding, DetectorOptions, ObservedEmbedding};
-use crate::interact::reject_button;
 use crate::pricing::PriceQuote;
+use crate::summary::DetectionSummary;
 use browser::{Browser, Page, VisitError};
 use httpsim::Url;
 use std::sync::OnceLock;
@@ -44,10 +44,37 @@ impl BannerClick {
     }
 
     /// Analyze an already loaded page.
-    // lint:allow(r9) — SiteAnalysis owns its domain/provider strings by design
     pub fn analyze_page(&self, domain: &str, page: &Page) -> SiteAnalysis {
+        self.analyze_detected(domain, page, self.detect(page))
+    }
+
+    /// [`BannerClick::analyze_page`] plus the [`DetectionSummary`] of its
+    /// one detection pass, from which [`DetectionSummary::verdict`]
+    /// answers other detector settings and corpus halves without
+    /// detecting again. The summary is `None` unless this detector
+    /// pierces shadow roots and descends iframes.
+    pub fn analyze_summarized(
+        &self,
+        domain: &str,
+        page: &Page,
+    ) -> (SiteAnalysis, Option<DetectionSummary>) {
+        let mut findings = detect_banners(page, &self.detector).into_iter();
+        let analysis = self.analyze_detected(domain, page, findings.next());
+        let summary = DetectionSummary::new(&self.detector, &analysis, findings.as_slice());
+        (analysis, summary)
+    }
+
+    /// Analyze a loaded page whose first finding under this detector is
+    /// `banner`.
+    // lint:allow(r9) — SiteAnalysis owns its domain/provider strings by design
+    fn analyze_detected(
+        &self,
+        domain: &str,
+        page: &Page,
+        banner: Option<BannerFinding>,
+    ) -> SiteAnalysis {
         let provider = observed_provider(page);
-        let Some(banner) = self.detect(page) else {
+        let Some(banner) = banner else {
             return SiteAnalysis {
                 domain: domain.to_string(),
                 reachable: true,
@@ -141,14 +168,6 @@ impl SiteAnalysis {
     /// Where the banner was embedded.
     pub fn embedding(&self) -> Option<ObservedEmbedding> {
         self.banner.as_ref().map(|b| b.embedding)
-    }
-
-    /// Is the detected UI missing a reject option (checked by the caller
-    /// via [`reject_button`])? Provided for convenience on pages.
-    pub fn lacks_reject(&self, page: &Page) -> bool {
-        self.banner
-            .as_ref()
-            .is_some_and(|b| reject_button(page, b).is_none())
     }
 }
 

@@ -18,6 +18,9 @@
 //!
 //! The one-stop entry point is [`BannerClick::analyze`]; the cookie
 //! measurement accepts with [`BannerClick::detect`] and [`click_accept`].
+//! [`BannerClick::analyze_summarized`] also keeps a [`DetectionSummary`],
+//! from which the ablation's detector settings and corpus halves read
+//! their [`Verdict`] without detecting again.
 //!
 //! ## Example
 //!
@@ -48,6 +51,7 @@ mod corpus;
 mod detect;
 mod interact;
 mod pricing;
+mod summary;
 
 pub use analyzer::{observed_provider, BannerClick, PageFlags, SiteAnalysis};
 pub use classify::{classify_wall, CorpusMode, WallClassification};
@@ -62,3 +66,4 @@ pub use interact::{
     ButtonFinding, ButtonRole,
 };
 pub use pricing::{extract_prices, subscription_price, PriceQuote};
+pub use summary::{DetectionSummary, Verdict};

@@ -524,9 +524,11 @@ impl Browser {
     /// effects), then iframes (recursively).
     ///
     /// Each script round walks the frame once ([`FrameScan`]). Injection
-    /// only ever adds nodes, so a script is fresh exactly when it was
-    /// created after the previous walk; the walk that finds none (or the
-    /// one after the last round) also lists the passive subresources and
+    /// only ever appends nodes, so a script is fresh exactly when it was
+    /// created after the previous walk, and a round whose scripts leave
+    /// the node count unchanged left the document unchanged: its walk
+    /// already lists what another would, with no fresh script, and ends
+    /// the rounds. The last walk also lists the passive subresources and
     /// iframes of the final document.
     fn process_frame(
         &mut self,
@@ -545,13 +547,11 @@ impl Browser {
             if round == MAX_INJECT_ROUNDS {
                 break;
             }
-            let mut fresh = false;
             for &node in scan.scripts.iter().filter(|n| n.index() >= scanned) {
-                fresh = true;
                 self.process_script(page, frame_idx, node, top_host, effects);
             }
             scanned = len;
-            if !fresh {
+            if page.frames[frame_idx].doc.len() == len {
                 break;
             }
         }

@@ -136,6 +136,42 @@ fn script_injected_wall_appears_after_load() {
     assert!(has_light_children || has_shadow, "injection happened");
 }
 
+/// Injection runs in rounds: a fragment may carry another injecting
+/// script, an image and an iframe. Each round runs the scripts the last
+/// one added, and the final document's passive subresources and iframes
+/// load; the round whose scripts inject nothing ends the rounds.
+#[test]
+fn injected_fragments_load_their_own_scripts_and_subresources() {
+    let net = Network::new();
+    net.register_fn("site.de", |req| match req.url.path() {
+        "/" => httpsim::Response::html(
+            r#"<html><body><div id="a"></div><script src="/one.js" data-cw-inject="a"></script><script src="/plain.js"></script></body></html>"#,
+        ),
+        "/one.js" => httpsim::Response::script(
+            r#"<div id="b"></div><script src="/two.js" data-cw-inject="b"></script><img src="/pixel.gif"><iframe src="https://cmp.example/frame"></iframe>"#,
+        ),
+        "/two.js" => httpsim::Response::script(r#"<p id="third">third round</p>"#),
+        _ => httpsim::Response::script(""),
+    });
+    net.register_fn("cmp.example", |_| httpsim::Response::html("<p>framed</p>"));
+    let mut b = Browser::new(net, Region::Germany);
+    let page = b.visit(&Url::parse("site.de").unwrap()).unwrap();
+    assert!(page.main().doc.get_element_by_id("third").is_some());
+    assert_eq!(page.frames.len(), 2, "the injected iframe loaded");
+    let paths: Vec<&str> = page.requests.iter().map(|r| r.url.path()).collect();
+    assert_eq!(
+        paths,
+        [
+            "/",
+            "/one.js",
+            "/plain.js",
+            "/two.js",
+            "/pixel.gif",
+            "/frame"
+        ]
+    );
+}
+
 #[test]
 fn blocker_suppresses_smp_wall() {
     let (pop, net) = world();

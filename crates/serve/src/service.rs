@@ -68,16 +68,6 @@ impl QueryService {
         *self.epoch_b.lock() = Some(epoch);
     }
 
-    /// The first (older) epoch.
-    pub fn first_epoch(&self) -> &Arc<StoreSnapshot> {
-        &self.epoch_a
-    }
-
-    /// The second epoch, if installed yet.
-    pub fn second_epoch(&self) -> Option<Arc<StoreSnapshot>> {
-        self.epoch_b.lock().clone()
-    }
-
     /// The simulated clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock

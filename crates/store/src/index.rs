@@ -32,6 +32,7 @@ use crate::backend::StorageBackend;
 use httpsim::content_hash;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Magic prefix of every index slot. Version `CWI1`.
 pub(crate) const INDEX_MAGIC: [u8; 4] = *b"CWI1";
@@ -59,7 +60,7 @@ pub(crate) fn slot_path(dir: &Path, slot: usize) -> PathBuf {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct IndexEntry {
     pub region: u8,
-    pub domain: String,
+    pub domain: Arc<str>,
     /// Generation that first sealed the cell at this offset.
     pub segment: u64,
     pub offset: u64,
@@ -155,7 +156,7 @@ pub(crate) fn parse_index(buf: &[u8], regions: usize) -> Option<IndexFile> {
         if content_hash(raw) != domain_hash {
             return None;
         }
-        let domain = String::from_utf8(raw.to_vec()).ok()?;
+        let domain: Arc<str> = std::str::from_utf8(raw).ok()?.into();
         let segment = cur.u64()?;
         if segment > generation {
             return None;

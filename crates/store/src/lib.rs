@@ -152,10 +152,11 @@ pub trait StoreRead {
 struct SealState {
     /// Generation the next seal will write.
     next_generation: u64,
-    /// `(region, domain) → (segment, offset)` as last sealed: a cell
-    /// keeps its segment as long as its offset is unchanged, so epoch
-    /// tooling can tell stable cells from rewritten ones.
-    segments: BTreeMap<(u8, String), (u64, u64)>,
+    /// The entries of the last sealed view, in `(region, domain)` order,
+    /// their domains shared with the ledger: a cell keeps its segment as
+    /// long as its offset is unchanged, so epoch tooling can tell stable
+    /// cells from rewritten ones.
+    sealed: Vec<IndexEntry>,
     /// `(ledger length, durable shard lengths)` at the last seal — when
     /// unchanged, sealing again skips the slot write entirely.
     fingerprint: Option<(usize, Vec<u64>)>,
@@ -266,7 +267,7 @@ impl Store {
             io: Mutex::new(DiskState::new(vec![0; regions], 0, Vec::new())),
             seal_state: Mutex::new(SealState {
                 next_generation: 1,
-                segments: BTreeMap::new(),
+                sealed: Vec::new(),
                 fingerprint: None,
             }),
         })
@@ -334,21 +335,17 @@ impl Store {
         // sequence past whatever is still valid.
         let slots = index::read_slots(dir, backend.as_ref(), regions)?;
         let best = slots
-            .iter()
+            .into_iter()
             .filter_map(|s| match s {
                 SlotState::Valid(file) => Some(file),
                 _ => None,
             })
             .max_by_key(|file| file.generation);
-        let segments = best
-            .map(|file| {
-                file.entries
-                    .iter()
-                    .map(|e| ((e.region, e.domain.clone()), (e.segment, e.offset)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let next_generation = best.map(|file| file.generation).unwrap_or(0) + 1;
+        let next_generation = best.as_ref().map_or(0, |file| file.generation) + 1;
+        let mut sealed = best.map(|file| file.entries).unwrap_or_default();
+        // Every writer emits entries in key order; sorting keeps the seal's
+        // merge from depending on it.
+        sealed.sort_unstable_by(|a, b| (a.region, &a.domain).cmp(&(b.region, &b.domain)));
 
         Ok(Store {
             dir: dir.to_path_buf(),
@@ -368,7 +365,7 @@ impl Store {
             )),
             seal_state: Mutex::new(SealState {
                 next_generation,
-                segments,
+                sealed,
                 fingerprint: None,
             }),
         })
@@ -531,25 +528,33 @@ impl Store {
         let generation = seal.next_generation;
         // Last-wins over the ledger (a re-crawled cell shadows its
         // quarantined predecessor), then keep the previous segment for
-        // cells whose offset is unchanged.
-        let mut cells: BTreeMap<(u8, &str), (u64, u32, u64)> = BTreeMap::new();
+        // cells whose offset is unchanged. Both the cells and the last
+        // sealed entries ascend by `(region, domain)`, so one merge pass
+        // pairs them, and every entry shares its domain with the ledger.
+        let mut cells: BTreeMap<(u8, &Arc<str>), (u64, u32, u64)> = BTreeMap::new();
         for entry in &ledger {
             cells.insert(
                 (entry.region, &entry.domain),
                 (entry.offset, entry.len, entry.payload_hash),
             );
         }
+        let mut previous = seal.sealed.iter().peekable();
         let entries: Vec<IndexEntry> = cells
             .into_iter()
             .map(|((region, domain), (offset, len, payload_hash))| {
-                let key = (region, domain.to_string());
-                let segment = match seal.segments.get(&key) {
-                    Some(&(seg, sealed_offset)) if sealed_offset == offset => seg,
+                while previous
+                    .next_if(|e| (e.region, &e.domain) < (region, domain))
+                    .is_some()
+                {}
+                let segment = match previous.peek() {
+                    Some(e) if (e.region, &e.domain, e.offset) == (region, domain, offset) => {
+                        e.segment
+                    }
                     _ => generation,
                 };
                 IndexEntry {
                     region,
-                    domain: key.1,
+                    domain: Arc::clone(domain),
                     segment,
                     offset,
                     len,
@@ -563,10 +568,7 @@ impl Store {
         self.backend.write_file(&path, &bytes)?;
         // lint:allow(blocking-under-lock) — `seal_state` exists solely to order slot writes
         self.backend.sync_file(&path)?;
-        seal.segments = entries
-            .into_iter()
-            .map(|e| ((e.region, e.domain), (e.segment, e.offset)))
-            .collect();
+        seal.sealed = entries;
         seal.next_generation += 1;
         seal.fingerprint = Some(fingerprint);
         Ok(generation)
@@ -859,6 +861,68 @@ mod tests {
         assert_eq!(
             entries.iter().map(|(d, _)| d.as_str()).collect::<Vec<_>>(),
             vec!["a.example", "c.example"]
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A cell keeps the generation that first sealed it across later
+    /// seals and a reopen, while cells added around it, in key order
+    /// before, between and after the sealed ones, take their own.
+    #[test]
+    fn sealed_cells_keep_their_first_segment() {
+        let dir = tempdir("segments");
+        let meta = vec![("scale".to_string(), "tiny".to_string())];
+        let put = |store: &Store, cells: &[(u8, &str)]| {
+            for &(region, domain) in cells {
+                assert!(store.put(region, domain, &payload(region, domain)).unwrap());
+            }
+        };
+        let store = Store::create(&dir, 2, &meta).unwrap();
+        put(
+            &store,
+            &[(0, "b.example"), (0, "d.example"), (1, "a.example")],
+        );
+        assert_eq!(store.seal().unwrap(), 1);
+        put(
+            &store,
+            &[
+                (0, "a.example"),
+                (0, "c.example"),
+                (0, "e.example"),
+                (1, "b.example"),
+            ],
+        );
+        assert_eq!(store.seal().unwrap(), 2);
+        drop(store);
+        let store = Store::open(&dir).unwrap();
+        put(&store, &[(1, "0.example")]);
+        assert_eq!(store.seal().unwrap(), 3);
+        let snapshot = store.snapshot().unwrap();
+        let segments: Vec<(u8, &str, Option<u64>)> = [
+            (0, "a.example"),
+            (0, "b.example"),
+            (0, "c.example"),
+            (0, "d.example"),
+            (0, "e.example"),
+            (1, "0.example"),
+            (1, "a.example"),
+            (1, "b.example"),
+        ]
+        .into_iter()
+        .map(|(region, domain)| (region, domain, snapshot.segment_of(region, domain)))
+        .collect();
+        assert_eq!(
+            segments,
+            vec![
+                (0, "a.example", Some(2)),
+                (0, "b.example", Some(1)),
+                (0, "c.example", Some(2)),
+                (0, "d.example", Some(1)),
+                (0, "e.example", Some(2)),
+                (1, "0.example", Some(3)),
+                (1, "a.example", Some(1)),
+                (1, "b.example", Some(2)),
+            ]
         );
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -563,32 +563,32 @@ pub fn fsck(dir: &Path, backend: &dyn StorageBackend, dry_run: bool) -> io::Resu
             .map(|file| {
                 file.entries
                     .iter()
-                    .map(|e| ((e.region, e.domain.as_str()), (e.segment, e.offset)))
+                    .map(|e| ((e.region, &*e.domain), (e.segment, e.offset)))
                     .collect()
             })
             .unwrap_or_default();
         let generation = best.map(|file| file.generation).unwrap_or(0) + 1;
-        let mut cells: BTreeMap<(u8, String), (u64, u32, u64)> = BTreeMap::new();
+        let mut cells: BTreeMap<(u8, &str), (u64, u32, u64)> = BTreeMap::new();
         for rec in scan
             .records
             .iter()
             .filter(|r| r.class == RecordClass::Valid)
         {
             cells.insert(
-                (rec.region, rec.domain.clone()),
+                (rec.region, &rec.domain),
                 (rec.offset, rec.len, rec.payload_hash),
             );
         }
         let entries: Vec<IndexEntry> = cells
             .into_iter()
             .map(|((region, domain), (offset, len, payload_hash))| {
-                let segment = match prior.get(&(region, domain.as_str())) {
+                let segment = match prior.get(&(region, domain)) {
                     Some(&(seg, prior_offset)) if prior_offset == offset => seg,
                     _ => generation,
                 };
                 IndexEntry {
                     region,
-                    domain,
+                    domain: domain.into(),
                     segment,
                     offset,
                     len,

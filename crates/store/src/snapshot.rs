@@ -44,7 +44,7 @@ pub struct StoreSnapshot {
     /// The sealed prefix of every region shard, read once at open.
     shards: Vec<Vec<u8>>,
     /// Sealed cells, one domain-keyed map per region.
-    entries: Vec<BTreeMap<String, Cell>>,
+    entries: Vec<BTreeMap<Arc<str>, Cell>>,
     backend: Arc<dyn StorageBackend>,
 }
 

@@ -560,12 +560,6 @@ impl Document {
         self.push_text(span)
     }
 
-    /// Create a detached comment node.
-    pub fn create_comment(&mut self, text: &str) -> NodeId {
-        let span = self.own(text);
-        self.push_comment(span)
-    }
-
     /// Set (or replace) attribute `name` on element `id`.
     ///
     /// # Panics

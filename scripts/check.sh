@@ -101,6 +101,12 @@ PROPTEST_CASES=20000 cargo test -q -p langid --test equivalence --release --offl
 # linear scan, the original parser and the retain-based jar.
 PROPTEST_CASES=20000 cargo test -q -p httpsim --test equivalence --release --offline
 
+# Detection-summary oracle at study scale (2,000 entries per list): the
+# verdict every ablation setting reads off a summary of the sweep's one
+# detection, against detecting afresh on each distinct German document
+# under the default and the naive bot user agent.
+cargo test -q -p analysis --test derivation --release --offline -- --ignored
+
 # Serve under live ingest: 3 readers × 1,000 Zipf(1.1) requests while a
 # second epoch is built, sealed and installed mid-stream; every one of
 # the 3,000 answers must be byte-identical to direct evaluation against
