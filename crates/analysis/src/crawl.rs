@@ -1368,7 +1368,6 @@ struct CacheStripe {
 
 #[derive(Default)]
 struct StripeState {
-    // lint:allow(r10) — bounded by the epoch's target list today; cache eviction is parked with the million-domain streaming crawl (ROADMAP, "Parked from earlier rounds")
     slots: HashMap<CacheKey, Slot>,
     hits: usize,
     misses: usize,

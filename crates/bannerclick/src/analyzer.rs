@@ -66,7 +66,6 @@ impl BannerClick {
 
     /// Analyze a loaded page whose first finding under this detector is
     /// `banner`.
-    // lint:allow(r9) — SiteAnalysis owns its domain/provider strings by design
     fn analyze_detected(
         &self,
         domain: &str,
@@ -136,7 +135,6 @@ pub struct SiteAnalysis {
 }
 
 impl SiteAnalysis {
-    // lint:allow(r9) — error-path constructor, runs once per unreachable site
     fn unreachable(domain: &str, _err: VisitError) -> Self {
         SiteAnalysis {
             domain: domain.to_string(),
@@ -197,7 +195,6 @@ pub fn observed_provider(page: &Page) -> Option<String> {
 
 /// The host serving element `node`'s source, if it is a third party's
 /// wall or banner.
-// lint:allow(r9) — the single to_string builds the owned return and runs only when a provider is found
 fn provider_host(page: &Page, node: NodeId) -> Option<String> {
     let main = &page.frames[0].doc;
     let src = main

@@ -27,7 +27,6 @@ pub struct PriceQuote {
 /// word currencies (`CHF 2.50`, `2 euro`), with `.` or `,` decimal
 /// separators. The billing period is taken from a month/year word within a
 /// short window after the amount, defaulting to monthly.
-// lint:allow(r9) — the quote list is the extraction result, built once per banner text
 pub fn extract_prices(text: &str) -> Vec<PriceQuote> {
     let lower = text.to_lowercase();
     let chars: Vec<char> = lower.chars().collect();

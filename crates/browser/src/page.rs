@@ -116,13 +116,4 @@ impl Page {
     pub fn anything_blocked(&self) -> bool {
         !self.blocked.is_empty()
     }
-
-    /// Requests that went to a different site than the top-level page —
-    /// the third-party traffic of this load.
-    pub fn third_party_requests(&self) -> impl Iterator<Item = &LoggedRequest> {
-        let host = self.host();
-        self.requests
-            .iter()
-            .filter(move |r| !httpsim::same_site(r.url.host(), host))
-    }
 }

@@ -357,8 +357,18 @@ fn request_log_records_third_parties() {
         "first entry is the navigation"
     );
     assert!(after.requests[1..].iter().all(|r| r.subresource));
-    let third_party = after.third_party_requests().count();
+    let third_party = after
+        .requests
+        .iter()
+        .filter(|r| !httpsim::same_site(r.url.host(), after.host()))
+        .count();
     assert!(third_party > 5, "trackers were fetched: {third_party}");
+    // The jar agrees: the trackers' cookies count as third-party.
+    let cookies = b.jar().breakdown(after.host(), |_| false);
+    assert!(
+        cookies.third_party > 5.0,
+        "third-party cookies: {cookies:?}"
+    );
     let with_cookies = after.requests.iter().filter(|r| r.cookies_set > 0).count();
     assert!(with_cookies > 3, "responses set cookies: {with_cookies}");
 }

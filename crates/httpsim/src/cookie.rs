@@ -6,7 +6,7 @@
 //! classification used throughout §4.3/§4.4 of the paper.
 
 use crate::psl::registrable_domain;
-use crate::url::Url;
+use crate::url::{trim, Url};
 use std::fmt;
 
 /// `SameSite` attribute values.
@@ -24,7 +24,7 @@ pub enum SameSite {
 
 impl SameSite {
     fn parse(v: &str) -> Option<Self> {
-        let v = v.trim();
+        let v = trim(v);
         [
             ("none", SameSite::None),
             ("lax", SameSite::Lax),
@@ -37,18 +37,19 @@ impl SameSite {
 
 /// A stored cookie.
 ///
-/// Name, value, domain and path sit back to back in one string, with the
-/// offsets where each ends: storing a cookie is one allocation. The hash
-/// of the `(name, domain, path)` key, where the domain's registrable site
-/// starts and the site's hash are computed once, at parse time, so the
-/// jar compares keys and sites without rehashing or re-deriving either.
+/// Name, domain, path and value sit back to back in one string, with the
+/// offsets where each ends: storing a cookie is one allocation, and the
+/// `(name, domain, path)` key is the string's first part. The key's hash,
+/// where the domain's registrable site starts and the site's hash are
+/// computed once, at parse time, so the jar compares keys and sites
+/// without rehashing or re-deriving either.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cookie {
-    /// `name`, `value`, `domain` and `path`, concatenated.
+    /// `name`, `domain`, `path` and `value`, concatenated.
     text: String,
     name_end: u32,
-    value_end: u32,
     domain_end: u32,
+    path_end: u32,
     /// Start of the domain's registrable domain within `text`; equal to
     /// `domain_end` (an empty site) when the domain is itself a public
     /// suffix or a single label, which has none. A stored domain is a URL
@@ -81,12 +82,176 @@ pub(crate) fn site_hash(site: &str) -> u64 {
     crate::net::document_hash(site.as_bytes())
 }
 
-/// Hash of a cookie's uniqueness key: its name and its domain-and-path
-/// (which sit back to back in the cookie's text), with the domain's
-/// length so the domain/path boundary counts too.
-fn key_hash(name: &str, domain_path: &str, domain_len: usize) -> u64 {
-    let h = crate::net::document_hash(name.as_bytes()).rotate_left(17) ^ domain_len as u64;
-    h ^ crate::net::document_hash(domain_path.as_bytes())
+/// Hash of a cookie's uniqueness key: its name, domain and path, which
+/// begin the cookie's text, with the name's and the domain's lengths so
+/// the boundaries count too.
+fn key_hash(key: &str, name_len: usize, domain_len: usize) -> u64 {
+    crate::net::document_hash(key.as_bytes()) ^ name_len as u64 ^ (domain_len as u64) << 32
+}
+
+/// What every `Set-Cookie` line of one response shares: the host it came
+/// from, that host's registrable domain and the site's hash. A response's
+/// lines are parsed against one `Origin`, so the public-suffix lookup and
+/// the site hash run once per response, not once per line.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Origin<'a> {
+    host: &'a str,
+    site: Option<&'a str>,
+    site_hash: u64,
+}
+
+impl<'a> Origin<'a> {
+    /// The origin facts of a response received from `url`.
+    pub(crate) fn new(url: &'a Url) -> Self {
+        let host = url.host();
+        let site = registrable_domain(host);
+        Origin {
+            host,
+            site,
+            site_hash: site_hash(site.unwrap_or("")),
+        }
+    }
+}
+
+/// The `;`-separated parts of a `Set-Cookie` line, each split at its
+/// first `=`: one pass over the bytes finds both. (Searching for the `;`
+/// and then the `=` with `str::find` was slower on these short parts.)
+struct Parts<'a> {
+    rest: Option<&'a str>,
+}
+
+impl<'a> Iterator for Parts<'a> {
+    /// The part before its first `=`, and what follows the `=`, if any.
+    type Item = (&'a str, Option<&'a str>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let s = self.rest?;
+        let mut eq = None;
+        let mut end = s.len();
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            match b {
+                b';' => {
+                    end = i;
+                    break;
+                }
+                b'=' if eq.is_none() => eq = Some(i),
+                _ => {}
+            }
+        }
+        self.rest = s.get(end + 1..);
+        Some(match eq {
+            Some(eq) => (&s[..eq], Some(&s[eq + 1..end])),
+            None => (&s[..end], None),
+        })
+    }
+}
+
+/// Split a `Set-Cookie` line into its trimmed name, its trimmed and
+/// unquoted value, and the attribute text after the first `;` (empty when
+/// there is none). `None` when the pair has no `=` or the name is empty.
+pub(crate) fn split_line(line: &str) -> Option<(&str, &str, &str)> {
+    let mut parts = Parts { rest: Some(line) };
+    let (name, value) = parts.next()?;
+    let name = trim(name);
+    let value = value?;
+    if name.is_empty() {
+        return None;
+    }
+    Some((
+        name,
+        trim(value).trim_matches('"'),
+        parts.rest.unwrap_or(""),
+    ))
+}
+
+/// The attributes of a `Set-Cookie` line, parsed against its origin.
+/// They depend on nothing else, so lines of one response with the same
+/// attribute text share one parse.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Attributes<'a> {
+    /// Length of the tail of the origin's host a `Domain` attribute
+    /// scoped the cookie to; `None` for a host-only cookie.
+    domain_len: Option<usize>,
+    path: &'a str,
+    max_age: Option<i64>,
+    secure: bool,
+    http_only: bool,
+    same_site: SameSite,
+}
+
+impl<'a> Attributes<'a> {
+    /// Parse `text`, the part of a line after its first `;`. `None` when
+    /// a `Domain` attribute rejects the cookie.
+    ///
+    /// Attributes are dispatched on their name's length; see
+    /// [`Cookie::parse_set_cookie`] for the rules. Every cookie's site is
+    /// the origin's: a
+    /// host-only cookie's domain is the origin's host, and a `Domain`
+    /// value that domain-matches the host is a tail of it at a label
+    /// boundary. Every public suffix has one or two labels and is decided
+    /// by the last two, so such a tail has the host's registrable domain
+    /// when it is at least as long as that domain, and none (a bare
+    /// suffix, rejected) when it is shorter or the host has none.
+    pub(crate) fn parse(text: &'a str, origin: &Origin<'_>) -> Option<Self> {
+        let mut attributes = Attributes {
+            domain_len: None,
+            path: "/",
+            max_age: None,
+            secure: false,
+            http_only: false,
+            same_site: SameSite::default(),
+        };
+        for (k, v) in (Parts { rest: Some(text) }) {
+            let k = trim(k);
+            let v = v.map_or("", trim);
+            let is = |name: &str| k.eq_ignore_ascii_case(name);
+            match k.len() {
+                6 if is("domain") => {
+                    let d = v.trim_start_matches('.');
+                    if d.is_empty() {
+                        continue;
+                    }
+                    // Reject cookies for domains the origin doesn't live in,
+                    // and cookies scoped to a bare public suffix. A URL host
+                    // is lowercase ASCII, so the tail of the host that `d`
+                    // domain-matched is `d` lowercased.
+                    if !crate::psl::domain_match(origin.host, d) {
+                        return None;
+                    }
+                    match origin.site {
+                        Some(site) if d.len() >= site.len() => {
+                            attributes.domain_len = Some(d.len())
+                        }
+                        _ => return None,
+                    }
+                }
+                4 if is("path") && v.starts_with('/') => attributes.path = v,
+                7 if is("max-age") => {
+                    if let Ok(secs) = v.parse::<i64>() {
+                        attributes.max_age = Some(secs);
+                    }
+                }
+                7 if is("expires") => {
+                    // Simplified: any Expires makes the cookie persistent
+                    // with a long lifetime; an epoch-ish date expires it.
+                    if v.contains("1970") || v.contains("1969") {
+                        attributes.max_age = Some(0);
+                    } else if attributes.max_age.is_none() {
+                        attributes.max_age = Some(86400 * 365);
+                    }
+                }
+                6 if is("secure") => attributes.secure = true,
+                8 if is("httponly") => attributes.http_only = true,
+                8 if is("samesite") => {
+                    if let Some(ss) = SameSite::parse(v) {
+                        attributes.same_site = ss;
+                    }
+                }
+                _ => {}
+            }
+        }
+        Some(attributes)
+    }
 }
 
 impl Cookie {
@@ -96,104 +261,52 @@ impl Cookie {
     /// domain not matching the origin — the "domain attribute must
     /// domain-match the request host" rule that stops cross-site planting).
     /// Attribute names match case-insensitively without allocating; when an
-    /// attribute repeats, the last one wins. Attributes are dispatched on
-    /// their name's length. The stored domain is the origin's host or the
-    /// tail of it that the `Domain` value matched, so it is already
-    /// lowercase and nothing is copied to check it.
+    /// attribute repeats, the last one wins. The stored domain is the
+    /// origin's host or the tail of it that the `Domain` value matched, so
+    /// it is already lowercase and nothing is copied to check it.
     pub fn parse_set_cookie(header: &str, origin: &Url) -> Option<Cookie> {
-        let mut parts = header.split(';');
-        let (name, value) = parts.next()?.split_once('=')?;
-        let name = name.trim();
-        if name.is_empty() {
-            return None;
-        }
-        let value = value.trim().trim_matches('"');
-        let mut domain = None;
-        let mut path = "/";
-        let mut max_age = None;
-        let mut secure = false;
-        let mut http_only = false;
-        let mut same_site = SameSite::default();
-        for attr in parts {
-            let (k, v) = match attr.split_once('=') {
-                Some((k, v)) => (k.trim(), v.trim()),
-                None => (attr.trim(), ""),
-            };
-            let is = |name: &str| k.eq_ignore_ascii_case(name);
-            match k.len() {
-                6 if is("domain") => {
-                    let d = v.trim_start_matches('.');
-                    if d.is_empty() {
-                        continue;
-                    }
-                    // Reject cookies for domains the origin doesn't live in.
-                    let host = origin.host();
-                    if !crate::psl::domain_match(host, d) {
-                        return None;
-                    }
-                    // A URL host is lowercase ASCII, so the tail of the
-                    // host that `d` domain-matched is `d` lowercased.
-                    let d = &host[host.len() - d.len()..];
-                    // Reject cookies scoped to a bare public suffix.
-                    let site = registrable_domain(d)?;
-                    domain = Some((d, site));
-                }
-                4 if is("path") && v.starts_with('/') => path = v,
-                7 if is("max-age") => {
-                    if let Ok(secs) = v.parse::<i64>() {
-                        max_age = Some(secs);
-                    }
-                }
-                7 if is("expires") => {
-                    // Simplified: any Expires makes the cookie persistent
-                    // with a long lifetime; an epoch-ish date expires it.
-                    if v.contains("1970") || v.contains("1969") {
-                        max_age = Some(0);
-                    } else if max_age.is_none() {
-                        max_age = Some(86400 * 365);
-                    }
-                }
-                6 if is("secure") => secure = true,
-                8 if is("httponly") => http_only = true,
-                8 if is("samesite") => {
-                    if let Some(ss) = SameSite::parse(v) {
-                        same_site = ss;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let host_only = domain.is_none();
-        let (domain, site) = domain.unwrap_or_else(|| {
-            let host = origin.host();
-            (host, registrable_domain(host).unwrap_or(""))
-        });
+        let origin = Origin::new(origin);
+        let (name, value, attributes) = split_line(header)?;
+        let attributes = Attributes::parse(attributes, &origin)?;
+        Some(Cookie::new(name, value, &attributes, &origin))
+    }
+
+    /// The cookie `name=value` with `attributes`, received from `origin`.
+    pub(crate) fn new(
+        name: &str,
+        value: &str,
+        attributes: &Attributes<'_>,
+        origin: &Origin<'_>,
+    ) -> Cookie {
+        let host_only = attributes.domain_len.is_none();
+        let domain = match attributes.domain_len {
+            Some(len) => &origin.host[origin.host.len() - len..],
+            None => origin.host,
+        };
+        let path = attributes.path;
+        let site = origin.site.unwrap_or("");
         let mut text = String::with_capacity(name.len() + value.len() + domain.len() + path.len());
         text.push_str(name);
         let name_end = text.len();
-        text.push_str(value);
-        let value_end = text.len();
         text.push_str(domain);
         let domain_end = text.len();
         text.push_str(path);
-        Some(Cookie {
-            key: key_hash(
-                &text[..name_end],
-                &text[value_end..],
-                domain_end - value_end,
-            ),
+        let path_end = text.len();
+        text.push_str(value);
+        Cookie {
+            key: key_hash(&text[..path_end], name_end, domain_end - name_end),
             text,
             name_end: name_end as u32,
-            value_end: value_end as u32,
             domain_end: domain_end as u32,
+            path_end: path_end as u32,
             site_start: (domain_end - site.len()) as u32,
-            site_hash: site_hash(site),
+            site_hash: origin.site_hash,
             host_only,
-            max_age,
-            secure,
-            http_only,
-            same_site,
-        })
+            max_age: attributes.max_age,
+            secure: attributes.secure,
+            http_only: attributes.http_only,
+            same_site: attributes.same_site,
+        }
     }
 
     /// Cookie name (case-sensitive).
@@ -203,18 +316,18 @@ impl Cookie {
 
     /// Cookie value.
     pub fn value(&self) -> &str {
-        &self.text[self.name_end as usize..self.value_end as usize]
+        &self.text[self.path_end as usize..]
     }
 
     /// Domain the cookie is scoped to (lowercase, no leading dot). For
     /// host-only cookies this is the exact request host.
     pub fn domain(&self) -> &str {
-        &self.text[self.value_end as usize..self.domain_end as usize]
+        &self.text[self.name_end as usize..self.domain_end as usize]
     }
 
     /// Path scope, defaulting to `/`.
     pub fn path(&self) -> &str {
-        &self.text[self.domain_end as usize..]
+        &self.text[self.domain_end as usize..self.path_end as usize]
     }
 
     /// The registrable domain (eTLD+1) of [`Cookie::domain`], computed at
@@ -237,13 +350,19 @@ impl Cookie {
         self.site_hash == hash
     }
 
+    /// Hash of the `(name, domain, path)` key: cookies that share the key
+    /// hash equal.
+    pub(crate) fn key_hash(&self) -> u64 {
+        self.key
+    }
+
     /// Do the two cookies share the `(name, domain, path)` key? The
-    /// stored hashes settle almost every comparison.
+    /// stored hashes settle almost every comparison. Two equal key texts
+    /// whose hashes are equal split equally too: the hash mixes the name's
+    /// length into its low half and the domain's into its high half.
     pub(crate) fn same_key(&self, other: &Cookie) -> bool {
         self.key == other.key
-            && self.name() == other.name()
-            && self.domain() == other.domain()
-            && self.path() == other.path()
+            && self.text[..self.path_end as usize] == other.text[..other.path_end as usize]
     }
 
     /// `same_site(self.domain(), host)`, given `host_site`, the

@@ -104,6 +104,8 @@ pub struct Response {
     /// header value cannot hold a line break, so the terminators are the
     /// only spans the lines need.
     set_cookies: String,
+    /// How many lines `set_cookies` holds.
+    set_cookie_count: u32,
     /// `Location` header for redirects.
     pub location: Option<String>,
     /// Content type (`text/html`, `application/javascript`, …).
@@ -123,6 +125,7 @@ impl Response {
         Response {
             status,
             set_cookies: String::new(),
+            set_cookie_count: 0,
             location: None,
             content_type,
             body,
@@ -174,14 +177,31 @@ impl Response {
         self
     }
 
+    /// Builder-style: add a `Set-Cookie` header written by `write` (see
+    /// [`Response::add_cookie_line`]).
+    pub fn with_cookie_line(mut self, write: impl FnOnce(&mut String)) -> Self {
+        self.add_cookie_line(write);
+        self
+    }
+
     /// Add a `Set-Cookie` header, rendered straight into the response's
     /// one cookie buffer (pass `format_args!` to skip an intermediate
     /// String). A line break in the value would split it in two, so a
     /// server must not write one.
     pub fn add_cookie(&mut self, set_cookie: impl fmt::Display) {
         // Writing into a String cannot fail.
-        let _ = write!(self.set_cookies, "{set_cookie}");
+        self.add_cookie_line(|line| {
+            let _ = write!(line, "{set_cookie}");
+        });
+    }
+
+    /// Add a `Set-Cookie` header that `write` appends to the response's
+    /// one cookie buffer, piece by piece, without going through
+    /// [`fmt`]. `write` must only append, and no line break.
+    pub fn add_cookie_line(&mut self, write: impl FnOnce(&mut String)) {
+        write(&mut self.set_cookies);
         self.set_cookies.push('\n');
+        self.set_cookie_count += 1;
     }
 
     /// Make room for `bytes` more bytes of `Set-Cookie` lines, so a server
@@ -197,7 +217,7 @@ impl Response {
 
     /// How many `Set-Cookie` headers the response carries.
     pub fn set_cookie_count(&self) -> usize {
-        self.set_cookies.bytes().filter(|&b| b == b'\n').count()
+        self.set_cookie_count as usize
     }
 
     /// True for 3xx with a Location header.
@@ -264,5 +284,16 @@ mod tests {
             .with_cookie("");
         assert_eq!(r.set_cookie_count(), 3);
         assert_eq!(r.set_cookies().collect::<Vec<_>>(), ["", "a=1\r", ""]);
+    }
+
+    #[test]
+    fn cookie_lines_written_in_pieces() {
+        let mut r = Response::no_content().with_cookie("a=1");
+        r.add_cookie_line(|line| {
+            line.push_str("b=");
+            line.push('2');
+        });
+        assert_eq!(r.set_cookie_count(), 2);
+        assert_eq!(r.set_cookies().collect::<Vec<_>>(), ["a=1", "b=2"]);
     }
 }

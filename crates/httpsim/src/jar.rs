@@ -5,7 +5,8 @@
 //! produces the party/tracking breakdowns the paper's figures are built
 //! from.
 
-use crate::cookie::{site_hash, Cookie};
+use crate::cookie::{site_hash, split_line, Attributes, Cookie, Origin};
+use crate::net::Prehashed;
 use crate::psl::registrable_domain;
 use crate::url::Url;
 use std::collections::HashSet;
@@ -14,6 +15,11 @@ use std::collections::HashSet;
 #[derive(Debug, Clone, Default)]
 pub struct CookieJar {
     cookies: Vec<Cookie>,
+    /// A superset of the stored cookies' key hashes: a key that is not in
+    /// it is not in the jar, so storing a new key skips the scan for the
+    /// cookie it would replace. Stale keys only cost a scan that finds
+    /// nothing; the set is rebuilt whenever cookies leave in bulk.
+    keys: HashSet<u64, Prehashed>,
 }
 
 /// Cookie counts broken down the way Figures 4 and 5 report them.
@@ -54,12 +60,15 @@ impl CookieJar {
     /// Store a cookie, replacing any existing cookie with the same
     /// (name, domain, path) key. An immediately-expired cookie deletes the
     /// stored one (the standard deletion idiom). The jar holds at most one
-    /// cookie per key, so the one to replace is found by comparing stored
-    /// key hashes; it is removed and the new cookie appended, which keeps
-    /// the others in storage order.
+    /// cookie per key. A key the key set has never seen is new; otherwise
+    /// the one to replace is found by comparing stored key hashes, removed,
+    /// and the new cookie appended, which keeps the others in storage
+    /// order.
     pub fn store(&mut self, cookie: Cookie) {
-        if let Some(i) = self.cookies.iter().position(|c| c.same_key(&cookie)) {
-            self.cookies.remove(i);
+        if !self.keys.insert(cookie.key_hash()) {
+            if let Some(i) = self.cookies.iter().position(|c| c.same_key(&cookie)) {
+                self.cookies.remove(i);
+            }
         }
         if !cookie.is_immediately_expired() {
             self.cookies.push(cookie);
@@ -67,15 +76,37 @@ impl CookieJar {
     }
 
     /// Parse and store every `Set-Cookie` header in `headers` received from
-    /// `origin`. Returns how many were accepted.
+    /// `origin`. Returns how many were accepted. The origin's registrable
+    /// domain and site hash are computed once for all the lines, and a
+    /// line whose attribute text equals the previous line's reuses its
+    /// parse (a server tends to set its cookies with the same attributes).
     pub fn store_response_cookies<'a>(
         &mut self,
         headers: impl IntoIterator<Item = &'a str>,
         origin: &Url,
     ) -> usize {
+        let mut headers = headers.into_iter().peekable();
+        // Most subresources set no cookie: they skip the origin facts.
+        if headers.peek().is_none() {
+            return 0;
+        }
+        let origin = Origin::new(origin);
+        let mut last: Option<(&str, Option<Attributes<'_>>)> = None;
         let mut accepted = 0;
         for h in headers {
-            if let Some(c) = Cookie::parse_set_cookie(h, origin) {
+            let Some((name, value, text)) = split_line(h) else {
+                continue;
+            };
+            let attributes = match last {
+                Some((last_text, attributes)) if last_text == text => attributes,
+                _ => {
+                    let attributes = Attributes::parse(text, &origin);
+                    last = Some((text, attributes));
+                    attributes
+                }
+            };
+            if let Some(attributes) = attributes {
+                let c = Cookie::new(name, value, &attributes, &origin);
                 let deleted = c.is_immediately_expired();
                 self.store(c);
                 if !deleted {
@@ -136,11 +167,19 @@ impl CookieJar {
     pub fn clear_site(&mut self, site_host: &str) {
         let site = registrable_domain(site_host);
         self.cookies.retain(|c| !c.is_same_site(site_host, site));
+        self.rebuild_keys();
     }
 
     /// Remove everything.
     pub fn clear(&mut self) {
         self.cookies.clear();
+        self.keys.clear();
+    }
+
+    /// Make the key set exactly the stored cookies' keys again.
+    fn rebuild_keys(&mut self) {
+        self.keys.clear();
+        self.keys.extend(self.cookies.iter().map(Cookie::key_hash));
     }
 
     /// Drop session cookies (those without `Max-Age`/`Expires`) — what a
@@ -148,6 +187,7 @@ impl CookieJar {
     /// cookiewall stores for a year, survive.
     pub fn expire_session_cookies(&mut self) {
         self.cookies.retain(|c| c.max_age.is_some());
+        self.rebuild_keys();
     }
 
     /// Break stored cookies down into first-party / third-party / tracking
@@ -183,16 +223,6 @@ impl CookieJar {
             }
         }
         b
-    }
-
-    /// Distinct registrable domains that set cookies — a quick proxy for
-    /// "how many parties touched this visit".
-    pub fn distinct_sites(&self) -> usize {
-        self.cookies
-            .iter()
-            .filter_map(Cookie::site)
-            .collect::<HashSet<_>>()
-            .len()
     }
 }
 
@@ -232,6 +262,15 @@ mod tests {
     }
 
     #[test]
+    fn keys_that_spell_the_same_text_stay_distinct() {
+        // `ax.` on `y.de` and `a` on `x.y.de` both spell `ax.y.de/`.
+        let mut jar = CookieJar::new();
+        let o = u("https://x.y.de/");
+        jar.store_response_cookies(["ax.=1; Domain=y.de", "a=2"], &o);
+        assert_eq!(jar.len(), 2);
+    }
+
+    #[test]
     fn deletion_via_expiry() {
         let mut jar = CookieJar::new();
         let o = u("https://a.de/");
@@ -267,7 +306,6 @@ mod tests {
         assert_eq!(b.third_party, 2.0);
         assert_eq!(b.tracking, 1.0);
         assert_eq!(b.total(), 3.0);
-        assert_eq!(jar.distinct_sites(), 3);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::http::{Request, Response};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -72,8 +73,37 @@ pub struct Network {
 
 #[derive(Default)]
 struct NetworkInner {
-    servers: Mutex<HashMap<String, Arc<dyn Server>>>,
+    servers: Mutex<HashMap<String, Arc<dyn Server>, Prehashed>>,
     stats: NetworkStats,
+}
+
+/// The `BuildHasher` of the crate's hash tables: a host is hashed with
+/// [`document_hash`], and a `u64` key that is already such a hash (a
+/// cookie's key) passes through.
+pub(crate) type Prehashed = BuildHasherDefault<PrehashedHasher>;
+
+/// See [`Prehashed`]. Every write folds into the state, so a key fed in
+/// several writes (a `str` is its bytes, then a `0xff` terminator) still
+/// hashes as a whole.
+#[derive(Debug, Default)]
+pub(crate) struct PrehashedHasher(u64);
+
+impl Hasher for PrehashedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_u64(document_hash(bytes));
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.rotate_left(29) ^ n;
+    }
 }
 
 impl Network {

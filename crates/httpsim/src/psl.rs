@@ -38,13 +38,13 @@ fn is_second_level(label: &str, tld: &str) -> bool {
 /// suffix, per the PSL's `*` default rule), so the lookup takes constant
 /// time.
 pub fn public_suffix(host: &str) -> &str {
-    let host = host.trim_end_matches('.');
-    let Some(dot) = host.rfind('.') else {
+    let host = trim_trailing_dots(host);
+    let Some(dot) = last_dot(host) else {
         return host;
     };
     let tld = &host[dot + 1..];
     let head = &host[..dot];
-    let start = head.rfind('.').map_or(0, |i| i + 1);
+    let start = last_dot(head).map_or(0, |i| i + 1);
     if is_second_level(&head[start..], tld) {
         &host[start..]
     } else {
@@ -56,15 +56,30 @@ pub fn public_suffix(host: &str) -> &str {
 /// label. Returns `None` if `host` *is* a public suffix (no registrable
 /// part), e.g. `de` or `co.uk`.
 pub fn registrable_domain(host: &str) -> Option<&str> {
-    let host = host.trim_end_matches('.');
+    let host = trim_trailing_dots(host);
     let suffix = public_suffix(host);
     if suffix.len() == host.len() {
         return None;
     }
     // Byte position where the suffix starts (host ends with ".{suffix}").
     let prefix = &host[..host.len() - suffix.len() - 1];
-    let label_start = prefix.rfind('.').map(|i| i + 1).unwrap_or(0);
+    let label_start = last_dot(prefix).map(|i| i + 1).unwrap_or(0);
     Some(&host[label_start..])
+}
+
+/// `host.trim_end_matches('.')`, by a byte loop: hosts are short, and
+/// this runs for every request.
+fn trim_trailing_dots(host: &str) -> &str {
+    let mut end = host.len();
+    while end > 0 && host.as_bytes()[end - 1] == b'.' {
+        end -= 1;
+    }
+    &host[..end]
+}
+
+/// `s.rfind('.')`, by a byte loop (see [`trim_trailing_dots`]).
+fn last_dot(s: &str) -> Option<usize> {
+    s.bytes().rposition(|b| b == b'.')
 }
 
 /// Do two hosts belong to the same site (same registrable domain)?

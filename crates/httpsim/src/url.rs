@@ -60,61 +60,83 @@ impl Url {
     /// and treated as `https://example.de/`, matching how crawl target lists
     /// are written.
     pub fn parse(input: &str) -> Result<Self, UrlParseError> {
-        let input = input.trim();
+        Url::parse_trimmed(trim(input))
+    }
+
+    /// [`Url::parse`] of input that is already trimmed. The scheme is
+    /// everything before the first `://`; the common `https://` and
+    /// `http://` prefixes are recognised without searching for it.
+    fn parse_trimmed(input: &str) -> Result<Self, UrlParseError> {
         if input.is_empty() {
             return Err(err("empty input"));
         }
-        match input.split_once("://") {
-            Some((scheme, rest)) => {
-                if scheme.eq_ignore_ascii_case("https") {
-                    Url::from_authority(true, rest)
-                } else if scheme.eq_ignore_ascii_case("http") {
-                    Url::from_authority(false, rest)
-                } else {
-                    Err(err_naming("unsupported scheme", scheme))
-                }
-            }
+        let bytes = input.as_bytes();
+        if bytes.len() >= 8 && bytes[..8].eq_ignore_ascii_case(b"https://") {
+            return Url::from_authority(true, &input[8..]);
+        }
+        if bytes.len() >= 7 && bytes[..7].eq_ignore_ascii_case(b"http://") {
+            return Url::from_authority(false, &input[7..]);
+        }
+        // Any other `://` names a scheme that is neither.
+        match input.find("://") {
+            Some(i) => Err(err_naming("unsupported scheme", &input[..i])),
             None if input.starts_with("//") => Err(err("malformed scheme separator")),
             None => Url::from_authority(true, input),
         }
     }
 
     /// Parse everything after `scheme://`: authority, path, query. The
-    /// fragment is dropped.
+    /// fragment is dropped. One pass over the authority finds the last
+    /// `@` and `:`, one over the host validates it, and the host is
+    /// lowercased in place once copied.
     fn from_authority(secure: bool, rest: &str) -> Result<Self, UrlParseError> {
-        let rest = rest.split('#').next().unwrap_or("");
-        let (authority_path, query) = match rest.split_once('?') {
-            Some((ap, q)) => (ap, Some(q)),
+        let rest = match rest.find('#') {
+            Some(i) => &rest[..i],
+            None => rest,
+        };
+        let (authority_path, query) = match rest.find('?') {
+            Some(i) => (&rest[..i], Some(&rest[i + 1..])),
             None => (rest, None),
         };
-        let (authority, path) = match authority_path.find('/') {
-            Some(i) => (&authority_path[..i], &authority_path[i..]),
-            None => (authority_path, "/"),
+        let bytes = authority_path.as_bytes();
+        // The authority ends at the first `/`; userinfo ends at its last
+        // `@`, and a port starts after its last `:`.
+        let mut authority_end = bytes.len();
+        let mut at = None;
+        let mut colon = None;
+        for (i, &b) in bytes.iter().enumerate() {
+            match b {
+                b'/' => {
+                    authority_end = i;
+                    break;
+                }
+                b'@' => at = Some(i),
+                b':' => colon = Some(i),
+                _ => {}
+            }
+        }
+        let path = if authority_end < bytes.len() {
+            &authority_path[authority_end..]
+        } else {
+            "/"
         };
-        // Drop userinfo if present.
-        let authority = authority.rsplit('@').next().unwrap_or(authority);
-        let (host, port) = match authority.rsplit_once(':') {
-            Some((h, p)) if p.chars().all(|c| c.is_ascii_digit()) && !p.is_empty() => {
-                let port: u32 = p.parse().map_err(|_| err("bad port"))?;
-                if port == 0 || port > 65535 {
+        let host_start = at.map_or(0, |i| i + 1);
+        let mut host_end = authority_end;
+        let mut port = None;
+        if let Some(colon) = colon.filter(|&c| c >= host_start) {
+            let p = &authority_path[colon + 1..authority_end];
+            if !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()) {
+                let p: u32 = p.parse().map_err(|_| err("bad port"))?;
+                if p == 0 || p > 65535 {
                     return Err(err("port out of range"));
                 }
-                (h, Some(port as u16))
+                port = Some(p as u16);
+                host_end = colon;
             }
-            _ => (authority, None),
-        };
-        let host = host.trim_end_matches('.');
+        }
+        let host = authority_path[host_start..host_end].trim_end_matches('.');
         if host.is_empty() {
             return Err(err("empty host"));
-        }
-        if !host
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '.')
-        {
-            return Err(err_naming("invalid host", host));
-        }
-        if host.split('.').any(|label| label.is_empty()) {
-            return Err(err_naming("empty label in host", host));
         }
 
         let scheme = if secure { "https://" } else { "http://" };
@@ -124,14 +146,30 @@ impl Url {
             scheme.len() + host.len() + 6 + 1 + path.len() + query.map_or(0, |q| 1 + q.len());
         let mut serialization = String::with_capacity(capacity);
         serialization.push_str(scheme);
-        serialization.extend(host.chars().map(|c| c.to_ascii_lowercase()));
+        let mut valid = true;
+        let mut empty_label = false;
+        // A leading dot starts with an empty label.
+        let mut previous = b'.';
+        for b in host.bytes() {
+            valid &= b.is_ascii_alphanumeric() || b == b'-' || b == b'.';
+            empty_label |= b == b'.' && previous == b'.';
+            previous = b;
+        }
+        if !valid {
+            return Err(err_naming("invalid host", host));
+        }
+        if empty_label {
+            return Err(err_naming("empty label in host", host));
+        }
+        serialization.push_str(host);
         let host_end = serialization.len();
+        serialization[scheme.len()..].make_ascii_lowercase();
         if let Some(port) = port {
             // Writing into a String cannot fail.
             let _ = write!(serialization, ":{port}");
         }
         let path_start = serialization.len();
-        push_normalized_path(&mut serialization, &[path]);
+        push_normalized_path(&mut serialization, path);
         Ok(Url::assemble(
             serialization,
             host_end,
@@ -211,23 +249,28 @@ impl Url {
     /// Resolve `reference` against this URL: absolute URLs pass through,
     /// `//host/x` is protocol-relative, `/x` is host-relative, `?q` keeps
     /// the path, an empty or fragment-only reference is this URL itself,
-    /// and anything else is path-relative.
+    /// and anything else is path-relative. A reference is absolute only
+    /// when it starts with `scheme://`, so a relative one may carry a
+    /// `://` in its query (`/r?u=https://a.de/`).
     // lint:allow(r9) — the clone is the resolved URL of an empty or fragment-only reference: one allocation, like every other join
     pub fn join(&self, reference: &str) -> Result<Url, UrlParseError> {
-        let reference = reference.trim();
-        if reference.contains("://") {
-            return Url::parse(reference);
+        let reference = trim(reference);
+        if has_scheme(reference) {
+            return Url::parse_trimmed(reference);
         }
         if let Some(rest) = reference.strip_prefix("//") {
             return Url::from_authority(self.is_secure(), rest);
         }
         // The fragment never reaches the server.
-        let reference = reference.split('#').next().unwrap_or("");
+        let reference = match reference.find('#') {
+            Some(i) => &reference[..i],
+            None => reference,
+        };
         if reference.is_empty() {
             return Ok(self.clone());
         }
-        let (ref_path, query) = match reference.split_once('?') {
-            Some((p, q)) => (p, Some(q)),
+        let (ref_path, query) = match reference.find('?') {
+            Some(i) => (&reference[..i], Some(&reference[i + 1..])),
             None => (reference, None),
         };
         let base_path = self.path();
@@ -237,14 +280,20 @@ impl Url {
         let mut serialization = String::with_capacity(capacity);
         serialization.push_str(origin);
         if ref_path.starts_with('/') {
-            push_normalized_path(&mut serialization, &[ref_path]);
+            push_normalized_path(&mut serialization, ref_path);
         } else if ref_path.is_empty() {
             serialization.push_str(base_path);
         } else {
             // Path-relative: replace the last segment. A path always
-            // starts with `/`.
+            // starts with `/`, and the directory of a normalized path is
+            // normalized, so only the reference's segments can need work.
             let dir = &base_path[..=base_path.rfind('/').unwrap_or(0)];
-            push_normalized_path(&mut serialization, &[dir, ref_path]);
+            if is_plain(ref_path) {
+                serialization.push_str(dir);
+                serialization.push_str(ref_path);
+            } else {
+                push_resolved_segments(&mut serialization, &[dir, ref_path]);
+            }
         }
         Ok(Url::assemble(
             serialization,
@@ -290,11 +339,77 @@ impl std::str::FromStr for Url {
     }
 }
 
+/// `s` without leading and trailing whitespace, exactly as [`str::trim`]
+/// returns it. ASCII whitespace is stripped byte by byte; only a
+/// non-ASCII byte at either end falls back to `str::trim`, which also
+/// knows Unicode whitespace.
+pub(crate) fn trim(s: &str) -> &str {
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    while start < bytes.len() && is_ascii_space(bytes[start]) {
+        start += 1;
+    }
+    let mut end = bytes.len();
+    while end > start && is_ascii_space(bytes[end - 1]) {
+        end -= 1;
+    }
+    let s = &s[start..end];
+    match (s.as_bytes().first(), s.as_bytes().last()) {
+        (Some(&first), Some(&last)) if first >= 0x80 || last >= 0x80 => s.trim(),
+        _ => s,
+    }
+}
+
+/// The ASCII characters [`char::is_whitespace`] accepts: tab, line feed,
+/// vertical tab, form feed, carriage return and space.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// Does `reference` start with `scheme://`, where the scheme is an ASCII
+/// letter followed by letters, digits, `+`, `-` or `.`?
+fn has_scheme(reference: &str) -> bool {
+    let bytes = reference.as_bytes();
+    if !bytes.first().is_some_and(u8::is_ascii_alphabetic) {
+        return false;
+    }
+    let scheme_len = bytes
+        .iter()
+        .position(|&b| !(b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.')))
+        .unwrap_or(bytes.len());
+    bytes[scheme_len..].starts_with(b"://")
+}
+
+/// Is a path (after its leading `/`) already normalized: no `.` or `..`
+/// segment, and no empty one but the last? Such a path resolves to
+/// itself.
+fn is_plain(segments: &str) -> bool {
+    let mut rest = segments;
+    while let Some(slash) = rest.find('/') {
+        if matches!(&rest[..slash], "" | "." | "..") {
+            return false;
+        }
+        rest = &rest[slash + 1..];
+    }
+    !matches!(rest, "." | "..")
+}
+
+/// Append `path`, which starts with `/`, to `out` with `.` and `..`
+/// segments resolved and `//` runs collapsed. A path that is already
+/// normalized is copied as it is.
+fn push_normalized_path(out: &mut String, path: &str) {
+    if is_plain(&path[1..]) {
+        out.push_str(path);
+    } else {
+        push_resolved_segments(out, &[path]);
+    }
+}
+
 /// Append the path made of `pieces` (concatenated; every piece but the
 /// first starts right after a `/`) to `out`, with `.` and `..` segments
 /// resolved and `//` runs collapsed. The result starts with `/` and keeps
 /// a trailing `/` when the input ends in a directory.
-fn push_normalized_path(out: &mut String, pieces: &[&str]) {
+fn push_resolved_segments(out: &mut String, pieces: &[&str]) {
     let start = out.len();
     out.push('/');
     for segment in pieces.iter().flat_map(|piece| piece.split('/')) {
@@ -408,6 +523,21 @@ mod tests {
         assert_eq!(
             base.join("?only=query").unwrap().to_string(),
             "https://site.de/a/b/page.html?only=query"
+        );
+        // A `://` in a relative reference's query does not make it
+        // absolute.
+        assert_eq!(
+            base.join("/r?u=https://a.de/").unwrap().to_string(),
+            "https://site.de/r?u=https://a.de/"
+        );
+        assert_eq!(
+            base.join("go?next=http://x.de").unwrap().to_string(),
+            "https://site.de/a/b/go?next=http://x.de"
+        );
+        assert!(base.join("ftp://x.de/").is_err());
+        assert_eq!(
+            base.join("HTTP://X.de").unwrap().to_string(),
+            "http://x.de/"
         );
     }
 

@@ -5,15 +5,19 @@
 //!
 //! * **file entries** — the post-suppression findings of the *local*
 //!   rules (see [`crate::rules::Rule::is_local`]) plus that file's
-//!   malformed-suppression findings, keyed on the file's content hash.
-//!   A file whose hash is unchanged skips its local analysis entirely.
+//!   malformed-suppression findings, and which of its `lint:allow`
+//!   directives silenced a local finding, keyed on the file's content
+//!   hash. A file whose hash is unchanged skips its local analysis
+//!   entirely.
 //! * **one global entry** — the post-suppression findings of every
 //!   cross-file rule (call graph, lock order, R9–R11), keyed on the
 //!   *workspace fingerprint*: the hash of every file's `(path, hash)`
 //!   pair plus `DESIGN.md`. The call graph makes these rules global, so
 //!   any change anywhere invalidates them — per-file keys are kept
 //!   anyway, both for the hit statistics and as the seam a finer
-//!   local/global rule split would reuse.
+//!   local/global rule split would reuse. The unused-suppression
+//!   findings need both phases' used directives, so they are computed
+//!   with the global rules and cached with their findings.
 //!
 //! Every entry is additionally keyed on [`ruleset_id`]: editing a rule's
 //! semantics bumps [`RULESET_VERSION`], and adding/renaming a rule
@@ -32,7 +36,7 @@ use std::path::Path;
 
 /// Bump when any rule's semantics change without its name changing —
 /// cached findings from older semantics must not survive.
-pub const RULESET_VERSION: u32 = 1;
+pub const RULESET_VERSION: u32 = 2;
 
 /// Cache file name inside the cache directory.
 const CACHE_FILE: &str = "cache.tsv";
@@ -86,6 +90,9 @@ pub struct FileEntry {
     pub findings: Vec<Finding>,
     /// Local findings silenced by valid `lint:allow` directives.
     pub suppressed: u32,
+    /// Indices (into the file's valid directives, in source order) of the
+    /// `lint:allow` directives that silenced a local finding, ascending.
+    pub used: Vec<u32>,
 }
 
 /// Cached cross-file result for one workspace fingerprint.
@@ -137,16 +144,24 @@ fn parse(text: &str, ruleset: &str) -> Option<Cache> {
     for line in lines {
         let fields: Vec<&str> = line.split('\t').collect();
         match fields.as_slice() {
-            ["file", path, hash, suppressed] => {
+            ["file", path, hash, suppressed, used] => {
                 if let Some((p, e)) = current.take() {
                     cache.files.insert(p, e);
                 }
+                let used = match *used {
+                    "-" => Vec::new(),
+                    used => used
+                        .split(',')
+                        .map(|i| i.parse().ok())
+                        .collect::<Option<_>>()?,
+                };
                 current = Some((
                     (*path).to_string(),
                     FileEntry {
                         hash: u64::from_str_radix(hash, 16).ok()?,
                         findings: Vec::new(),
                         suppressed: suppressed.parse().ok()?,
+                        used,
                     },
                 ));
             }
@@ -196,8 +211,14 @@ pub fn store(dir: &Path, ruleset: &str, cache: &Cache) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let mut out = format!("lint-cache {ruleset}\n");
     for (path, entry) in &cache.files {
+        let used: Vec<String> = entry.used.iter().map(u32::to_string).collect();
+        let used = if used.is_empty() {
+            "-".to_string()
+        } else {
+            used.join(",")
+        };
         out.push_str(&format!(
-            "file\t{path}\t{:016x}\t{}\n",
+            "file\t{path}\t{:016x}\t{}\t{used}\n",
             entry.hash, entry.suppressed
         ));
         for f in &entry.findings {
@@ -282,6 +303,7 @@ mod tests {
                     message: "tab\there, newline\nthere, slash\\done".to_string(),
                 }],
                 suppressed: 2,
+                used: vec![0, 3],
             },
         );
         cache.global = Some(GlobalEntry {
@@ -310,6 +332,7 @@ mod tests {
         let entry = &loaded.files["src/a.rs"];
         assert_eq!(entry.hash, 0xdead_beef);
         assert_eq!(entry.suppressed, 2);
+        assert_eq!(entry.used, [0, 3]);
         assert_eq!(entry.findings, cache.files["src/a.rs"].findings);
         let global = loaded.global.unwrap();
         assert_eq!(global.fingerprint, 42);
@@ -334,14 +357,14 @@ mod tests {
         let ruleset = ruleset_id();
         fs::write(
             dir.join(CACHE_FILE),
-            format!("lint-cache {ruleset}\nfile\tsrc/a.rs\tnothex\t0\n"),
+            format!("lint-cache {ruleset}\nfile\tsrc/a.rs\tnothex\t0\t-\n"),
         )
         .unwrap();
         assert!(load(&dir, &ruleset).files.is_empty());
         // An unknown rule name (retired rule) also degrades to cold.
         fs::write(
             dir.join(CACHE_FILE),
-            format!("lint-cache {ruleset}\nfile\tsrc/a.rs\t00000000000000ff\t0\nf\tno-such-rule\t1\t1\tm\n"),
+            format!("lint-cache {ruleset}\nfile\tsrc/a.rs\t00000000000000ff\t0\t-\nf\tno-such-rule\t1\t1\tm\n"),
         )
         .unwrap();
         assert!(load(&dir, &ruleset).files.is_empty());

@@ -1,5 +1,7 @@
 //! The linter driver: scan a workspace root, run every rule, apply
 //! suppressions and the grandfathering baseline, and render the report.
+//! A valid `lint:allow` that silences no finding of any rule it names is
+//! stale, and is reported as a failing `suppression` finding.
 //!
 //! The engine is production-shaped: the per-file phase (parse + local
 //! rules) fans out across `--jobs` worker threads, the global rules run
@@ -302,23 +304,36 @@ fn effective_jobs(requested: usize, items: usize) -> usize {
     jobs.clamp(1, items.max(1))
 }
 
+/// What the local phase leaves of one file: the findings no directive
+/// silenced (its malformed directives among them), how many were
+/// silenced, and which directives silenced them. This is the unit the
+/// per-file cache stores.
+struct Local {
+    findings: Vec<Finding>,
+    suppressed: u32,
+    /// Indices into the file's `suppressions`, ascending.
+    used: Vec<u32>,
+}
+
 /// Local analysis of one parsed file: every local rule, then that file's
-/// suppressions, then its malformed directives as findings. This is the
-/// unit the per-file cache stores.
-fn local_findings(file: &SourceFile) -> (Vec<Finding>, u32) {
+/// suppressions, then its malformed directives as findings.
+fn local_findings(file: &SourceFile) -> Local {
     let mut raw = Vec::new();
     for rule in RULES.iter().filter(|r| r.is_local()) {
         rule.check_file(file, &mut raw);
     }
     let mut suppressed = 0u32;
     let mut keep = Vec::new();
+    let mut used = Vec::new();
     for f in raw {
-        if suppressed_at(file, &f) {
+        if silence(file, &f, &mut used) {
             suppressed += 1;
         } else {
             keep.push(f);
         }
     }
+    used.sort_unstable();
+    used.dedup();
     for bad in &file.bad_suppressions {
         keep.push(Finding {
             rule: "suppression",
@@ -328,24 +343,54 @@ fn local_findings(file: &SourceFile) -> (Vec<Finding>, u32) {
             message: bad.message.clone(),
         });
     }
-    (keep, suppressed)
+    Local {
+        findings: keep,
+        suppressed,
+        used,
+    }
 }
 
-/// Does a valid `lint:allow` on the finding's line name its rule (by
-/// name or R-code)?
-fn suppressed_at(file: &SourceFile, f: &Finding) -> bool {
+/// Is the finding silenced by a valid `lint:allow` on its line that names
+/// its rule (by name or R-code)? Every such directive's index is pushed
+/// onto `used`.
+fn silence(file: &SourceFile, f: &Finding, used: &mut Vec<u32>) -> bool {
     let code = RULES
         .iter()
         .find(|r| r.name() == f.rule)
         .map(|r| r.code())
         .unwrap_or("");
-    file.suppressed(f.rule, f.line) || file.suppressed(code, f.line)
+    let before = used.len();
+    for (i, s) in file.suppressions.iter().enumerate() {
+        if s.covers(f.rule, f.line) || s.covers(code, f.line) {
+            used.push(i as u32);
+        }
+    }
+    used.len() > before
+}
+
+/// The `suppression` findings for the directives of `file` that neither
+/// phase used: each silences no finding of any rule it names, so it can
+/// only hide a future finding nobody has reviewed.
+fn unused_suppressions(file: &SourceFile, used: &[u32], out: &mut Vec<Finding>) {
+    for (i, s) in file.suppressions.iter().enumerate() {
+        if !used.contains(&(i as u32)) {
+            out.push(Finding {
+                rule: "suppression",
+                path: file.path.clone(),
+                line: s.lines.0,
+                col: 1, // synthetic: anchor at line start, col is 1-based
+                message: format!(
+                    "lint:allow({}) silences no finding of the rules it names — delete it",
+                    s.rules.join(", ")
+                ),
+            });
+        }
+    }
 }
 
 /// One file after the per-file phase: the parsed source plus its local
-/// findings and suppression count (`None` when the cache already holds
-/// them).
-type ParsedFile = (SourceFile, Option<(Vec<Finding>, u32)>);
+/// result (`None` when the cache already holds it).
+type ParsedFile = (SourceFile, Option<Local>);
 
 /// The cache-miss path: parse every file (cached local results are
 /// reused, missed ones recomputed in the same fan-out), build the
@@ -396,7 +441,7 @@ fn analyze(
     };
 
     let mut files = Vec::with_capacity(parsed.len());
-    let mut locals: Vec<(Vec<Finding>, u32)> = Vec::with_capacity(parsed.len());
+    let mut locals: Vec<Local> = Vec::with_capacity(parsed.len());
     for ((file, local), (path, _, _)) in parsed.into_iter().zip(inputs) {
         let entry = match local {
             Some(computed) => computed,
@@ -404,7 +449,11 @@ fn analyze(
                 let e = cached
                     .and_then(|c| c.files.get(path.as_str()))
                     .expect("hit flag implies a cache entry");
-                (e.findings.clone(), e.suppressed)
+                Local {
+                    findings: e.findings.clone(),
+                    suppressed: e.suppressed,
+                    used: e.used.clone(),
+                }
             }
         };
         files.push(file);
@@ -451,25 +500,34 @@ fn analyze(
         .expect("lint rule scope")
     };
 
+    // A directive counts as used when it silenced a finding in either
+    // phase: start from each file's local uses and add the global ones.
+    let mut used: Vec<Vec<u32>> = locals.iter().map(|l| l.used.clone()).collect();
     let mut global_suppressed = 0u32;
     let mut global_kept: Vec<Finding> = Vec::new();
     for f in per_rule.into_iter().flatten() {
-        if ws.file(&f.path).is_some_and(|file| suppressed_at(file, &f)) {
+        let index = ws.files.iter().position(|file| file.path == f.path);
+        let silenced = index.is_some_and(|i| silence(&ws.files[i], &f, &mut used[i]));
+        if silenced {
             global_suppressed += 1;
         } else {
             global_kept.push(f);
         }
     }
+    for (file, used) in ws.files.iter().zip(&used) {
+        unused_suppressions(file, used, &mut global_kept);
+    }
 
     if let Some(dir) = opts.cache_dir.as_deref() {
         let mut next = cache::Cache::default();
-        for ((path, _, hash), (findings, suppressed)) in inputs.iter().zip(&locals) {
+        for ((path, _, hash), local) in inputs.iter().zip(&locals) {
             next.files.insert(
                 path.clone(),
                 cache::FileEntry {
                     hash: *hash,
-                    findings: findings.clone(),
-                    suppressed: *suppressed,
+                    findings: local.findings.clone(),
+                    suppressed: local.suppressed,
+                    used: local.used.clone(),
                 },
             );
         }
@@ -483,9 +541,9 @@ fn analyze(
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut suppressed = global_suppressed as usize;
-    for (local, count) in locals {
-        findings.extend(local);
-        suppressed += count as usize;
+    for local in locals {
+        findings.extend(local.findings);
+        suppressed += local.suppressed as usize;
     }
     findings.extend(global_kept);
     Ok((findings, suppressed))
@@ -493,11 +551,7 @@ fn analyze(
 
 /// Parse one input and, when the cache has no current entry for it, run
 /// its local analysis in the same worker.
-fn parse_one(
-    input: &(String, String, u64),
-    hit: bool,
-    known: &[&str],
-) -> (SourceFile, Option<(Vec<Finding>, u32)>) {
+fn parse_one(input: &(String, String, u64), hit: bool, known: &[&str]) -> ParsedFile {
     let (rel, text, _) = input;
     let file = SourceFile::parse(rel.clone(), text, known);
     let local = if hit {

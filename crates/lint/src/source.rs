@@ -82,15 +82,15 @@ impl SourceFile {
             .iter()
             .any(|&(start, end)| (start..=end).contains(&idx))
     }
+}
 
-    /// Does a valid suppression for `rule` cover `line`? Rule names are
+impl Suppression {
+    /// Does the directive cover `line` and name `rule`? Rule names are
     /// matched case-insensitively so `lint:allow(r9)` and
     /// `lint:allow(R9)` are the same directive.
-    pub fn suppressed(&self, rule: &str, line: u32) -> bool {
-        self.suppressions.iter().any(|s| {
-            (s.lines.0..=s.lines.1).contains(&line)
-                && s.rules.iter().any(|r| r.eq_ignore_ascii_case(rule))
-        })
+    pub fn covers(&self, rule: &str, line: u32) -> bool {
+        (self.lines.0..=self.lines.1).contains(&line)
+            && self.rules.iter().any(|r| r.eq_ignore_ascii_case(rule))
     }
 }
 
@@ -400,10 +400,13 @@ mod tests {
         let src = "// lint:allow(determinism) — wall-clock metrics only\nlet t = now();";
         let f = parse(src);
         assert!(f.bad_suppressions.is_empty());
-        assert!(f.suppressed("determinism", 1));
-        assert!(f.suppressed("determinism", 2));
-        assert!(!f.suppressed("determinism", 3));
-        assert!(!f.suppressed("panic-hygiene", 2));
+        let [s] = &f.suppressions[..] else {
+            panic!("one directive")
+        };
+        assert!(s.covers("determinism", 1));
+        assert!(s.covers("DETERMINISM", 2));
+        assert!(!s.covers("determinism", 3));
+        assert!(!s.covers("panic-hygiene", 2));
     }
 
     #[test]
@@ -428,7 +431,10 @@ mod tests {
         let src = "stmt(); // lint:allow(determinism, panic-hygiene): intentional here\n";
         let f = parse(src);
         assert!(f.bad_suppressions.is_empty());
-        assert!(f.suppressed("determinism", 1));
-        assert!(f.suppressed("panic-hygiene", 1));
+        let [s] = &f.suppressions[..] else {
+            panic!("one directive")
+        };
+        assert!(s.covers("determinism", 1));
+        assert!(s.covers("panic-hygiene", 1));
     }
 }

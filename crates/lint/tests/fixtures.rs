@@ -156,6 +156,54 @@ fn reasonless_suppression_is_itself_a_finding() {
 }
 
 #[test]
+fn unused_suppression_is_itself_a_finding() {
+    fires_exactly_once("suppression-unused", "suppression");
+}
+
+#[test]
+fn a_file_cache_hit_keeps_its_directives_used() {
+    // `a.rs`'s directive silences a local finding. When only `b.rs`
+    // changes, `a.rs` hits the cache and skips its local phase: the
+    // directive must still count as used, from the cached entry. A stale
+    // directive added to `b.rs` is the one finding.
+    let dir = std::env::temp_dir().join(format!("lint-used-cache-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("src")).unwrap();
+    std::fs::write(
+        dir.join("src/a.rs"),
+        "pub fn t() -> std::time::Instant {\n    \
+         // lint:allow(determinism) — wall-clock metrics only\n    \
+         std::time::Instant::now()\n}\n",
+    )
+    .unwrap();
+    std::fs::write(dir.join("src/b.rs"), "pub fn f() {}\n").unwrap();
+    let opts = lint::Options {
+        jobs: 1,
+        cache_dir: Some(dir.join("cache")),
+    };
+    let cold = lint::run_with(&dir, None, &opts).unwrap();
+    assert!(cold.findings.is_empty(), "{}", cold.render());
+    assert_eq!(cold.suppressed, 1);
+
+    std::fs::write(
+        dir.join("src/b.rs"),
+        "// lint:allow(determinism) — nothing here reads the clock\npub fn f() {}\n",
+    )
+    .unwrap();
+    let warm = lint::run_with(&dir, None, &opts).unwrap();
+    let stats = warm.cache.expect("cache stats");
+    assert_eq!((stats.file_hits, stats.global_hit), (1, false));
+    let found: Vec<(&str, &str, u32)> = warm
+        .findings
+        .iter()
+        .map(|(f, _)| (f.rule, f.path.as_str(), f.line))
+        .collect();
+    assert_eq!(found, [("suppression", "src/b.rs", 1)], "{}", warm.render());
+    assert_eq!(warm.render(), lint::run(&dir, None).unwrap().render());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn clean_tree_reports_nothing_and_honors_the_suppression() {
     let report = run(&fixture("clean"), None).expect("clean tree scans");
     assert!(report.findings.is_empty(), "clean fixture must not fire");

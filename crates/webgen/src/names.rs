@@ -42,23 +42,35 @@ impl StableHasher {
     }
 
     /// Append `n` in decimal, exactly as `format!("{n}")` renders it.
-    pub(crate) fn write_decimal(self, mut n: u64) -> Self {
-        let mut digits = [0u8; 20];
-        let mut start = digits.len();
-        loop {
-            start -= 1;
-            digits[start] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
-        }
-        self.write(&digits[start..])
+    pub(crate) fn write_decimal(self, n: u64) -> Self {
+        self.write(decimal(n, &mut [0; 20]))
     }
 
     pub(crate) fn finish(self) -> u64 {
         self.0
     }
+}
+
+/// The digits of `n` in decimal, exactly as `format!("{n}")` renders
+/// them, written into the end of `buf`.
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    &buf[start..]
+}
+
+/// Append `n` to `out` in decimal, exactly as `write!(out, "{n}")` would,
+/// without going through `fmt`.
+pub(crate) fn push_decimal(out: &mut String, n: u64) {
+    // Decimal digits are ASCII, so they are always UTF-8.
+    out.push_str(std::str::from_utf8(decimal(n, &mut [0; 20])).unwrap_or_default());
 }
 
 /// A ChaCha8 RNG seeded from a string key (plus a numeric lane so one key

@@ -10,7 +10,7 @@
 //! the site's ground-truth spec.
 
 use crate::content;
-use crate::names::{rng_for_hash, StableHasher};
+use crate::names::{push_decimal, rng_for_hash, StableHasher};
 use crate::population::Population;
 use crate::spec::{BannerKind, Cmp, Embedding, Serving, SiteSpec, Smp};
 use crate::trackers::{plan_benign, plan_trackers};
@@ -303,13 +303,13 @@ fn render_main_page(site: &SiteSpec, req: &Request<'_>, visit: u64) -> Response 
     if state == ConsentState::Accepted {
         let tracking = noisy(base.tracking, noise, TRACKING_LANE);
         for plan in plan_trackers(domain, visit, tracking) {
-            let _ = write!(
-                body,
-                "<script src=\"https://{}/t.js?n={}&o={}&site={}",
-                plan.host, plan.cookies, plan.name_offset, domain,
-            );
+            body.extend(["<script src=\"https://", plan.host, "/t.js?n="]);
+            push_decimal(&mut body, plan.cookies.into());
+            body.push_str("&o=");
+            push_decimal(&mut body, plan.name_offset.into());
+            body.extend(["&site=", domain]);
             if let Some(sync) = plan.sync_with {
-                let _ = write!(body, "&sync={sync}");
+                body.extend(["&sync=", sync]);
             }
             body.push_str("\"></script>");
         }
@@ -317,10 +317,15 @@ fn render_main_page(site: &SiteSpec, req: &Request<'_>, visit: u64) -> Response 
     if matches!(state, ConsentState::Accepted | ConsentState::Subscribed) {
         let benign = noisy(base.benign_third_party, noise, BENIGN_LANE);
         for (i, host) in plan_benign(domain, visit, benign).into_iter().enumerate() {
-            let _ = write!(
-                body,
-                "<script src=\"https://{host}/c.js?site={domain}&slot={i}\"></script>"
-            );
+            body.extend([
+                "<script src=\"https://",
+                host,
+                "/c.js?site=",
+                domain,
+                "&slot=",
+            ]);
+            push_decimal(&mut body, i as u64);
+            body.push_str("\"></script>");
         }
     }
 
@@ -332,9 +337,19 @@ fn render_main_page(site: &SiteSpec, req: &Request<'_>, visit: u64) -> Response 
     let first_party = noisy(base.first_party, noise, FIRST_PARTY_LANE);
     let mut resp = Response::html(body);
     resp.reserve_cookies(first_party.max(1) as usize * COOKIE_LINE_BYTES);
-    resp.add_cookie(format_args!("sid={visit}; Path=/"));
+    resp.add_cookie_line(|line| {
+        line.push_str("sid=");
+        push_decimal(line, visit);
+        line.push_str("; Path=/");
+    });
     for i in 1..first_party {
-        resp.add_cookie(format_args!("fp{i}=v{visit}; Path=/; Max-Age=31536000"));
+        resp.add_cookie_line(|line| {
+            line.push_str("fp");
+            push_decimal(line, i.into());
+            line.push_str("=v");
+            push_decimal(line, visit);
+            line.push_str("; Path=/; Max-Age=31536000");
+        });
     }
     resp
 }
@@ -558,22 +573,21 @@ struct TrackerHandler;
 impl httpsim::Server for TrackerHandler {
     // lint:allow(r9) — the Location of a cookie-sync bounce is built only when the tracker syncs
     fn handle(&self, req: &Request<'_>) -> Response {
-        let site = req.query_param("site").unwrap_or_default();
+        let [site, n, o, sync] = query_params(req, ["site", "n", "o", "sync"]);
+        let site = site.unwrap_or_default();
         if req.url.path() == "/s.gif" {
             // Cookie-sync endpoint: one distinctly named cookie.
-            return Response::no_content().with_cookie(format_args!(
-                "sync_{site}=1; Path=/; Max-Age=31536000; SameSite=None; Secure"
-            ));
+            return Response::no_content().with_cookie_line(|line| {
+                line.extend([
+                    "sync_",
+                    site,
+                    "=1; Path=/; Max-Age=31536000; SameSite=None; Secure",
+                ])
+            });
         }
-        let n: u32 = req
-            .query_param("n")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let o: u32 = req
-            .query_param("o")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let mut resp = match req.query_param("sync") {
+        let n: u32 = n.and_then(|v| v.parse().ok()).unwrap_or(1);
+        let o: u32 = o.and_then(|v| v.parse().ok()).unwrap_or(0);
+        let mut resp = match sync {
             // Classic cookie syncing: bounce to the partner, which sets one
             // cookie under its own domain. The sync cookie name is distinct
             // from the partner's regular `uid_…` cookies so the jar's
@@ -582,22 +596,41 @@ impl httpsim::Server for TrackerHandler {
             None => Response::script("/* tracking tag */"),
         };
         resp.reserve_cookies(n as usize * (site.len() + TRACKER_LINE_BYTES));
+        // Each cookie's uid is the stable hash of `{host}/{site}/{k}`,
+        // streamed on from the hash of the shared `{host}/{site}/`.
+        let prefix = StableHasher::new()
+            .write(req.url.host().as_bytes())
+            .write(b"/")
+            .write(site.as_bytes())
+            .write(b"/");
         for i in 0..n {
             let k = o + i;
-            // The stable hash of `{host}/{site}/{k}`, streamed.
-            let uid = StableHasher::new()
-                .write(req.url.host().as_bytes())
-                .write(b"/")
-                .write(site.as_bytes())
-                .write(b"/")
-                .write_decimal(u64::from(k))
-                .finish();
-            resp.add_cookie(format_args!(
-                "uid_{site}_{k}=u{uid}; Path=/; Max-Age=31536000; SameSite=None; Secure"
-            ));
+            let uid = prefix.write_decimal(u64::from(k)).finish();
+            resp.add_cookie_line(|line| {
+                line.extend(["uid_", site, "_"]);
+                push_decimal(line, k.into());
+                line.push_str("=u");
+                push_decimal(line, uid);
+                line.push_str("; Path=/; Max-Age=31536000; SameSite=None; Secure");
+            });
         }
         resp
     }
+}
+
+/// The values of the query parameters `names`, found in one pass over
+/// the query: each is what [`Request::query_param`] returns for it (the
+/// first `name=value` pair wins).
+fn query_params<'a, const N: usize>(req: &Request<'a>, names: [&str; N]) -> [Option<&'a str>; N] {
+    let mut found = [None; N];
+    for pair in req.url.query().unwrap_or_default().split('&') {
+        if let Some((k, v)) = pair.split_once('=') {
+            if let Some(i) = names.iter().position(|name| *name == k) {
+                found[i].get_or_insert(v);
+            }
+        }
+    }
+    found
 }
 
 /// Room reserved per tracker Set-Cookie line beyond the site name: the
@@ -608,10 +641,11 @@ struct BenignHandler;
 
 impl httpsim::Server for BenignHandler {
     fn handle(&self, req: &Request<'_>) -> Response {
-        let site = req.query_param("site").unwrap_or_default();
-        let slot = req.query_param("slot").unwrap_or_default();
-        Response::script("/* cdn asset */")
-            .with_cookie(format_args!("pref_{site}_{slot}=1; Path=/; Max-Age=604800"))
+        let [site, slot] = query_params(req, ["site", "slot"]);
+        let (site, slot) = (site.unwrap_or_default(), slot.unwrap_or_default());
+        Response::script("/* cdn asset */").with_cookie_line(|line| {
+            line.extend(["pref_", site, "_", slot, "=1; Path=/; Max-Age=604800"])
+        })
     }
 }
 

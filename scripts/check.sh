@@ -21,7 +21,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 LINT=target/release/lint
 "$LINT" || { echo "check.sh: workspace lint failed" >&2; exit 1; }
 for fixture in r1 r2 r3 r4 r5 r5-index r6 r7 r7-backend r7-serve r8 \
-               r9-alloc r10-growth r11-swallow cfg-liveness suppression; do
+               r9-alloc r10-growth r11-swallow cfg-liveness suppression \
+               suppression-unused; do
     if "$LINT" --root "crates/lint/tests/fixtures/$fixture" >/dev/null; then
         echo "check.sh: lint fixture $fixture no longer trips its rule" >&2
         exit 1
