@@ -70,7 +70,6 @@ impl Query {
     /// Parse one script line. Blank lines and `#` comments yield
     /// `Ok(None)`. Regions are numeric shard indices or region labels
     /// (lowercased, spaces as dashes, e.g. `united-states`).
-    // lint:allow(r9) — query parsing is per-query on the serve path, reached only via the shared `parse` method name (callgraph over-approximation); not on the visit path
     pub fn parse(line: &str) -> Result<Option<Query>, String> {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -120,7 +119,6 @@ pub fn parse_script(text: &str) -> Result<Vec<Query>, String> {
     Ok(queries)
 }
 
-// lint:allow(r9) — serve-path parse error strings, reached via the shared `parse` name (callgraph over-approximation); not on the visit path
 fn parse_region_field(raw: Option<&str>, line: &str) -> Result<u8, String> {
     let raw = raw.ok_or_else(|| format!("missing region in query line {line:?}"))?;
     if let Ok(idx) = raw.parse::<u8>() {

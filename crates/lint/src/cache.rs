@@ -10,9 +10,11 @@
 //!   hash. A file whose hash is unchanged skips its local analysis
 //!   entirely.
 //! * **one global entry** — the post-suppression findings of every
-//!   cross-file rule (call graph, lock order, R9–R11), keyed on the
-//!   *workspace fingerprint*: the hash of every file's `(path, hash)`
-//!   pair plus `DESIGN.md`. The call graph makes these rules global, so
+//!   cross-file rule (call graph, lock order, R9–R12), keyed on the
+//!   *workspace fingerprint*: the hash of every input's `(path, hash)`
+//!   pair — the scanned files, the crate manifests that scope the call
+//!   graph, and the caller-only files R12 reads — plus `DESIGN.md`. The
+//!   call graph makes these rules global, so
 //!   any change anywhere invalidates them — per-file keys are kept
 //!   anyway, both for the hit statistics and as the seam a finer
 //!   local/global rule split would reuse. The unused-suppression
@@ -36,7 +38,7 @@ use std::path::Path;
 
 /// Bump when any rule's semantics change without its name changing —
 /// cached findings from older semantics must not survive.
-pub const RULESET_VERSION: u32 = 2;
+pub const RULESET_VERSION: u32 = 3;
 
 /// Cache file name inside the cache directory.
 const CACHE_FILE: &str = "cache.tsv";

@@ -3,18 +3,20 @@
 //! a receiver-type hint for method calls), and a generic fact-propagation
 //! fixpoint the interprocedural rules (R6–R8) share.
 //!
-//! Resolution is a deliberate over-approximation: a method call resolves
-//! to *every* known method of that name when the receiver type is not
-//! hinted, and a call that resolves to nothing is recorded as an
-//! [`Unknown`](CallTarget::Unknown) edge rather than dropped — rules stay
-//! sound-by-default by treating unknown edges per their own policy
-//! (documented in DESIGN.md §10).
+//! Resolution is scoped by crate: a call resolves only to functions of
+//! its own crate and the crates that crate depends on ([`Crates`]), plus
+//! impls of the traits it can see. Within that scope it over-approximates:
+//! a method call resolves to *every* visible method of that name when the
+//! receiver type is not hinted, and a call that resolves to nothing is
+//! recorded as an [`Unknown`](CallTarget::Unknown) edge rather than
+//! dropped — rules stay sound-by-default by treating unknown edges per
+//! their own policy (documented in DESIGN.md §10).
 
 use crate::cfg::Cfg;
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{self, FnDef, ParsedFile};
 use crate::source::SourceFile;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Index of a function in [`Model::fns`].
 pub type FnId = usize;
@@ -66,19 +68,146 @@ pub struct Model {
     pub cfgs: Vec<Cfg>,
     /// Per-file parse results (aliases), in file order.
     pub parsed: Vec<ParsedFile>,
+    /// Which functions the code of each file may call.
+    pub scope: Scope,
+}
+
+/// The workspace's crates, read from their manifests: crate `crates/<n>`
+/// is named `n` and the root package is named `""`. Each crate with a
+/// manifest sees itself and its transitive workspace dependencies. Code
+/// outside a crate with a manifest — every file of a tree without
+/// manifests — sees every crate, so such a tree resolves unscoped.
+#[derive(Debug, Default)]
+pub struct Crates {
+    /// Crate name → itself plus its transitive `[dependencies]` among
+    /// the workspace's crates.
+    sees: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl Crates {
+    /// Build from `(crate name, Cargo.toml text)` pairs. A root manifest
+    /// without `[package]` is a virtual manifest and names no crate.
+    pub fn new(manifests: &[(String, String)]) -> Crates {
+        let direct: BTreeMap<&str, Vec<&str>> = manifests
+            .iter()
+            .filter(|(name, text)| !name.is_empty() || text.contains("[package]"))
+            .map(|(name, text)| (name.as_str(), dependencies(text)))
+            .collect();
+        let mut sees = BTreeMap::new();
+        for &name in direct.keys() {
+            let mut seen = BTreeSet::from([name.to_string()]);
+            let mut stack = vec![name];
+            while let Some(c) = stack.pop() {
+                for &dep in &direct[c] {
+                    if direct.contains_key(dep) && seen.insert(dep.to_string()) {
+                        stack.push(dep);
+                    }
+                }
+            }
+            sees.insert(name.to_string(), seen);
+        }
+        Crates { sees }
+    }
+
+    /// The crate a workspace-relative path belongs to: `crates/<n>/src/…`
+    /// is `n`, the root `src/…` is `""`, anything else is in no crate.
+    pub fn crate_of(path: &str) -> Option<&str> {
+        match path.strip_prefix("crates/") {
+            Some(rest) => rest
+                .split_once('/')
+                .filter(|(_, tail)| tail.starts_with("src/"))
+                .map(|(name, _)| name),
+            None => path.starts_with("src/").then_some(""),
+        }
+    }
+
+    /// Is `name` a library crate under `crates/` with a manifest?
+    pub fn is_library(&self, name: Option<&str>) -> bool {
+        name.is_some_and(|n| !n.is_empty() && self.sees.contains_key(n))
+    }
+
+    /// May code in crate `from` name items of crate `to`?
+    pub fn sees(&self, from: Option<&str>, to: Option<&str>) -> bool {
+        match from.and_then(|f| self.sees.get(f)) {
+            Some(visible) => to.is_some_and(|t| visible.contains(t)),
+            None => true,
+        }
+    }
+}
+
+/// The dependency names in a manifest's `[dependencies]` table, one per
+/// `name.workspace = true` / `name = …` line.
+fn dependencies(manifest: &str) -> Vec<&str> {
+    let mut in_deps = false;
+    let mut out = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_deps = line == "[dependencies]";
+        } else if in_deps && !line.starts_with('#') {
+            if let Some(name) = line.split(['.', '=', ' ']).next().filter(|n| !n.is_empty()) {
+                out.push(name);
+            }
+        }
+    }
+    out
+}
+
+/// Call visibility: the crates of the files, and the crates defining each
+/// workspace trait.
+#[derive(Debug, Default)]
+pub struct Scope {
+    /// The crates and what each sees.
+    pub crates: Crates,
+    /// Crate of each scanned file, by file index.
+    file_crates: Vec<Option<String>>,
+    /// Trait name → crates defining a trait of that name.
+    trait_crates: BTreeMap<String, Vec<Option<String>>>,
+}
+
+impl Scope {
+    /// The crate of scanned file `file`.
+    pub fn crate_of(&self, file: usize) -> Option<&str> {
+        self.file_crates.get(file).and_then(Option::as_deref)
+    }
+
+    /// May code in file `from` call `callee`? Its crate must be visible
+    /// from `from`'s crate, unless `callee` implements a trait visible
+    /// there: a generic or a trait object hands the call to impls in
+    /// crates the caller never names. A trait outside the workspace (std
+    /// or vendored) is visible everywhere.
+    pub fn visible(&self, from: usize, callee: &FnDef) -> bool {
+        let from = self.crate_of(from);
+        self.crates.sees(from, self.crate_of(callee.file))
+            || callee.trait_impl.as_ref().is_some_and(|t| {
+                self.trait_crates
+                    .get(t)
+                    .is_none_or(|defs| defs.iter().any(|c| self.crates.sees(from, c.as_deref())))
+            })
+    }
 }
 
 impl Model {
-    /// Parse every file and build the resolved call graph.
-    pub fn build(files: &[SourceFile]) -> Model {
+    /// Parse every file and build the call graph, resolved within the
+    /// scope `crates` gives each file.
+    pub fn build(files: &[SourceFile], crates: Crates) -> Model {
         let parsed: Vec<ParsedFile> = files
             .iter()
             .enumerate()
             .map(|(i, f)| parser::parse_file(f, i))
             .collect();
         let mut fns: Vec<FnDef> = Vec::new();
-        for p in &parsed {
+        let mut scope = Scope {
+            crates,
+            ..Scope::default()
+        };
+        for (p, file) in parsed.iter().zip(files) {
             fns.extend(p.fns.iter().cloned());
+            let krate = Crates::crate_of(&file.path).map(str::to_string);
+            for t in &p.traits {
+                let defs = scope.trait_crates.entry(t.clone()).or_default();
+                defs.push(krate.clone());
+            }
+            scope.file_crates.push(krate);
         }
 
         // Name indexes for resolution.
@@ -108,7 +237,17 @@ impl Model {
                 })
             });
             for site in &mut sites {
-                site.target = resolve(site, f, aliases, &by_name, &by_owner_name);
+                site.target = match resolve(site, f, file, aliases, &by_name, &by_owner_name) {
+                    CallTarget::Resolved(mut ids) => {
+                        ids.retain(|&id| scope.visible(f.file, &fns[id]));
+                        if ids.is_empty() {
+                            CallTarget::Unknown
+                        } else {
+                            CallTarget::Resolved(ids)
+                        }
+                    }
+                    CallTarget::Unknown => CallTarget::Unknown,
+                };
             }
             calls.push(sites);
         }
@@ -124,18 +263,8 @@ impl Model {
             calls,
             cfgs,
             parsed,
+            scope,
         }
-    }
-
-    /// The function whose body contains token `idx` of file `file`
-    /// (innermost definition wins).
-    pub fn fn_at(&self, file: usize, idx: usize) -> Option<FnId> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.file == file && (f.body.0..f.body.1).contains(&idx))
-            .max_by_key(|(_, f)| f.body.0)
-            .map(|(id, _)| id)
     }
 
     /// Qualified display name (`Owner::name` / `name`) for reports.
@@ -168,6 +297,7 @@ impl Model {
 fn resolve(
     site: &CallSite,
     caller: &FnDef,
+    file: &SourceFile,
     aliases: &[(String, String)],
     by_name: &BTreeMap<&str, Vec<FnId>>,
     by_owner_name: &BTreeMap<(&str, &str), Vec<FnId>>,
@@ -180,34 +310,37 @@ fn resolve(
         .unwrap_or(&site.name);
 
     if site.method {
-        // Receiver-type hint: `self` → the impl owner; a parameter whose
-        // declared type names a known owner narrows to that owner. A
-        // call-chain receiver (`make().len()`) carries no chain at all
-        // and stays Unknown — over-approximating those to every `len`
-        // in the workspace drowns real findings in noise.
+        // Receiver-type hint: `self` → the impl owner; a `let x: T` or
+        // `let x = T::…` binding, or else a parameter, whose type names
+        // a known owner narrows to that owner. A call-chain receiver
+        // (`make().len()`) carries no chain at all and stays Unknown —
+        // over-approximating those to every `len` in the workspace
+        // drowns real findings in noise.
         let Some(first) = site.recv.first().map(String::as_str) else {
             return CallTarget::Unknown;
         };
+        let owns = |ty: &&String| by_owner_name.contains_key(&(ty.as_str(), name));
         let hint: Option<&str> = if first == "self" {
             caller.owner.as_deref()
         } else {
-            caller
-                .params
-                .iter()
-                .find(|p| p.name == first)
-                .and_then(|p| {
-                    p.type_idents
-                        .iter()
-                        .find(|ty| by_owner_name.contains_key(&(ty.as_str(), name)))
-                        .map(String::as_str)
-                })
+            let bound = binding_type(&file.tokens, caller.body.0, site.idx, first);
+            match bound {
+                Some(types) => types.into_iter().find(owns).map(String::as_str),
+                None => caller
+                    .params
+                    .iter()
+                    .find(|p| p.name == first)
+                    .and_then(|p| p.type_idents.iter().find(owns))
+                    .map(String::as_str),
+            }
         };
         if let Some(owner) = hint {
             if let Some(ids) = by_owner_name.get(&(owner, name)) {
                 return CallTarget::Resolved(ids.clone());
             }
         }
-        // Conservative over-approximation: every method of that name.
+        // Conservative over-approximation: every method of that name
+        // (the caller's scope narrows it to the visible ones).
         let mut ids: Vec<FnId> = Vec::new();
         for ((_, n), methods) in by_owner_name.iter() {
             if *n == name {
@@ -243,6 +376,50 @@ fn resolve(
         Some(ids) => CallTarget::Resolved(ids.clone()),
         None => CallTarget::Unknown,
     }
+}
+
+/// The type identifiers of the latest `let x: T = …` or `let x = T::…`
+/// binding of `name` in `body_start..idx` (`None` when there is none, so
+/// the caller falls back to the parameters): the ascribed type's
+/// identifiers, or the path segments before the constructor's name.
+fn binding_type<'t>(
+    tokens: &'t [Token],
+    body_start: usize,
+    idx: usize,
+    name: &str,
+) -> Option<Vec<&'t String>> {
+    let at = (body_start.max(1)..idx).rev().find(|&k| {
+        tokens[k].is_ident(name)
+            && (tokens[k - 1].is_ident("let")
+                || (k >= 2 && tokens[k - 1].is_ident("mut") && tokens[k - 2].is_ident("let")))
+    })?;
+    let rest = &tokens[at + 1..idx];
+    let mut types = Vec::new();
+    if rest.first()?.is_punct(':') {
+        let mut angle = 0i32;
+        for t in &rest[1..] {
+            if t.is_punct('<') {
+                angle += 1;
+            } else if t.is_punct('>') {
+                angle -= 1;
+            } else if angle <= 0 && (t.is_punct('=') || t.is_punct(';')) {
+                break;
+            } else if t.kind == TokenKind::Ident {
+                types.push(&t.text);
+            }
+        }
+    } else if rest.first()?.is_punct('=') {
+        // `Ident :: Ident :: … name` — every segment but the last.
+        let mut k = 1;
+        while rest.get(k).is_some_and(|t| t.kind == TokenKind::Ident)
+            && rest.get(k + 1).is_some_and(|t| t.is_punct(':'))
+            && rest.get(k + 2).is_some_and(|t| t.is_punct(':'))
+        {
+            types.push(&rest[k].text);
+            k += 3;
+        }
+    }
+    Some(types)
 }
 
 /// Extract call and method-call sites from a body token range.
@@ -513,7 +690,7 @@ mod tests {
 
     fn model(src: &str) -> (Model, Vec<SourceFile>) {
         let files = vec![SourceFile::parse("test.rs".to_string(), src, &[])];
-        (Model::build(&files), files)
+        (Model::build(&files, Crates::default()), files)
     }
 
     fn fn_id(m: &Model, name: &str) -> FnId {
@@ -562,6 +739,68 @@ mod tests {
             CallTarget::Resolved(ids) => assert_eq!(ids.len(), 2),
             other => panic!("expected over-approximated resolution, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn let_bindings_hint_the_receiver_type() {
+        let src = "struct A; struct B;\n\
+                   impl A { fn new() -> A { A } fn go(&self) {} }\n\
+                   impl B { fn go(&self) {} }\n\
+                   fn typed() { let x: A = make(); x.go(); }\n\
+                   fn built() { let mut x = A::new(); x.go(); }";
+        let (m, _) = model(src);
+        let a_go = m
+            .fns
+            .iter()
+            .position(|f| f.name == "go" && f.owner.as_deref() == Some("A"))
+            .unwrap();
+        for caller in ["typed", "built"] {
+            let site = m.calls[fn_id(&m, caller)]
+                .iter()
+                .find(|s| s.name == "go")
+                .unwrap();
+            assert_eq!(site.target, CallTarget::Resolved(vec![a_go]), "{caller}");
+        }
+    }
+
+    #[test]
+    fn crates_see_themselves_and_their_transitive_dependencies() {
+        let crates = Crates::new(&[
+            ("".into(), "[workspace]\nmembers = [\"crates/*\"]\n".into()),
+            (
+                "a".into(),
+                "[package]\n[dependencies]\nb.workspace = true\n".into(),
+            ),
+            (
+                "b".into(),
+                "[package]\n[dependencies]\nc = { workspace = true }\n".into(),
+            ),
+            (
+                "c".into(),
+                "[package]\n[dev-dependencies]\na.workspace = true\n".into(),
+            ),
+        ]);
+        assert!(crates.sees(Some("a"), Some("a")));
+        assert!(
+            crates.sees(Some("a"), Some("c")),
+            "dependencies are transitive"
+        );
+        assert!(!crates.sees(Some("b"), Some("a")));
+        assert!(
+            !crates.sees(Some("c"), Some("a")),
+            "dev-dependencies are test code"
+        );
+        assert!(
+            crates.sees(Some(""), Some("a")),
+            "a virtual root is unscoped"
+        );
+        assert!(
+            crates.sees(None, Some("b")),
+            "code outside a crate is unscoped"
+        );
+        assert_eq!(Crates::crate_of("crates/a/src/x/y.rs"), Some("a"));
+        assert_eq!(Crates::crate_of("src/main.rs"), Some(""));
+        assert_eq!(Crates::crate_of("crates/a/tests/t.rs"), None);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! and on any hit/miss mix.
 
 use crate::cache;
+use crate::callgraph::Crates;
 use crate::rules::{suppressible_names, Finding, Rule, Workspace, RULES};
 use crate::source::{self, SourceFile};
 use std::fs;
@@ -179,25 +180,57 @@ pub fn run(root: &Path, baseline: Option<&Path>) -> io::Result<Report> {
     run_with(root, baseline, &Options::default())
 }
 
+/// One input file: workspace-relative path, text, content hash.
+type Input = (String, String, u64);
+
+/// Everything one run reads.
+struct Inputs {
+    /// The scanned files every rule checks.
+    files: Vec<Input>,
+    /// Files read for call sites only (`examples/`, `perfbench/src`).
+    callers: Vec<Input>,
+    /// The root and `crates/*` manifests the call graph's scope reads.
+    manifests: Vec<Input>,
+    /// `DESIGN.md`, when present.
+    design: Option<String>,
+}
+
+fn read_inputs(root: &Path, paths: Vec<PathBuf>) -> io::Result<Vec<Input>> {
+    paths
+        .into_iter()
+        .map(|path| {
+            let text = fs::read_to_string(&path)?;
+            let hash = cache::fnv1a64(text.as_bytes());
+            Ok((source::relative_path(root, &path), text, hash))
+        })
+        .collect()
+}
+
 /// [`run`] with explicit parallelism and cache options.
 pub fn run_with(root: &Path, baseline: Option<&Path>, opts: &Options) -> io::Result<Report> {
     let known = suppressible_names();
-    let mut inputs: Vec<(String, String, u64)> = Vec::new();
-    for path in source::collect_files(root)? {
-        let text = fs::read_to_string(&path)?;
-        let hash = cache::fnv1a64(text.as_bytes());
-        inputs.push((source::relative_path(root, &path), text, hash));
-    }
-    let design = fs::read_to_string(root.join("DESIGN.md")).ok();
+    let inputs = Inputs {
+        files: read_inputs(root, source::collect_files(root)?)?,
+        callers: read_inputs(root, source::collect_caller_files(root)?)?,
+        manifests: read_inputs(root, source::collect_manifests(root))?,
+        design: fs::read_to_string(root.join("DESIGN.md")).ok(),
+    };
     let ruleset = cache::ruleset_id();
-    let keys: Vec<(&str, u64)> = inputs.iter().map(|(p, _, h)| (p.as_str(), *h)).collect();
-    let fingerprint = cache::workspace_fingerprint(&ruleset, design.as_deref(), &keys);
+    // Every input feeds the global rules: the call graph reads the
+    // manifests, and R12 the caller-only files.
+    let keys: Vec<(&str, u64)> = (inputs.files.iter())
+        .chain(&inputs.callers)
+        .chain(&inputs.manifests)
+        .map(|(p, _, h)| (p.as_str(), *h))
+        .collect();
+    let fingerprint = cache::workspace_fingerprint(&ruleset, inputs.design.as_deref(), &keys);
 
     let cached = opts
         .cache_dir
         .as_deref()
         .map(|dir| cache::load(dir, &ruleset));
     let hits: Vec<bool> = inputs
+        .files
         .iter()
         .map(|(p, _, h)| {
             cached
@@ -207,7 +240,7 @@ pub fn run_with(root: &Path, baseline: Option<&Path>, opts: &Options) -> io::Res
         .collect();
     let stats = cached.as_ref().map(|c| CacheStats {
         file_hits: hits.iter().filter(|h| **h).count(),
-        file_total: inputs.len(),
+        file_total: inputs.files.len(),
         global_hit: c
             .global
             .as_ref()
@@ -222,7 +255,7 @@ pub fn run_with(root: &Path, baseline: Option<&Path>, opts: &Options) -> io::Res
         let c = cached.as_ref().expect("full hit implies a loaded cache");
         let mut findings = Vec::new();
         let mut suppressed = 0usize;
-        for (path, _, _) in &inputs {
+        for (path, _, _) in &inputs.files {
             let entry = &c.files[path.as_str()];
             findings.extend(entry.findings.iter().cloned());
             suppressed += entry.suppressed as usize;
@@ -235,7 +268,6 @@ pub fn run_with(root: &Path, baseline: Option<&Path>, opts: &Options) -> io::Res
         analyze(
             &inputs,
             &hits,
-            design,
             &known,
             opts,
             cached.as_ref(),
@@ -286,7 +318,7 @@ pub fn run_with(root: &Path, baseline: Option<&Path>, opts: &Options) -> io::Res
     });
     Ok(Report {
         findings: out,
-        files_scanned: inputs.len(),
+        files_scanned: inputs.files.len(),
         suppressed,
         cache: stats,
     })
@@ -396,25 +428,22 @@ type ParsedFile = (SourceFile, Option<Local>);
 /// reused, missed ones recomputed in the same fan-out), build the
 /// interprocedural model, run the global rules one-per-thread, and
 /// rewrite the cache.
-#[allow(clippy::too_many_arguments)]
 fn analyze(
-    inputs: &[(String, String, u64)],
+    inputs: &Inputs,
     hits: &[bool],
-    design: Option<String>,
     known: &[&str],
     opts: &Options,
     cached: Option<&cache::Cache>,
     fingerprint: u64,
     ruleset: &str,
 ) -> io::Result<(Vec<Finding>, usize)> {
-    let jobs = effective_jobs(opts.jobs, inputs.len());
+    let jobs = effective_jobs(opts.jobs, inputs.files.len());
 
     // Per-file phase: parse, plus local analysis for files the cache
     // does not cover. Contiguous chunks reassemble in input order, so
     // the result is independent of the job count.
-    let chunk_len = inputs.len().div_ceil(jobs).max(1);
-    let work: Vec<(&(String, String, u64), bool)> =
-        inputs.iter().zip(hits.iter().copied()).collect();
+    let chunk_len = inputs.files.len().div_ceil(jobs).max(1);
+    let work: Vec<(&Input, bool)> = inputs.files.iter().zip(hits.iter().copied()).collect();
     let parsed: Vec<ParsedFile> = if jobs <= 1 {
         work.iter()
             .map(|(input, hit)| parse_one(input, *hit, known))
@@ -442,7 +471,7 @@ fn analyze(
 
     let mut files = Vec::with_capacity(parsed.len());
     let mut locals: Vec<Local> = Vec::with_capacity(parsed.len());
-    for ((file, local), (path, _, _)) in parsed.into_iter().zip(inputs) {
+    for ((file, local), (path, _, _)) in parsed.into_iter().zip(&inputs.files) {
         let entry = match local {
             Some(computed) => computed,
             None => {
@@ -460,10 +489,21 @@ fn analyze(
         locals.push(entry);
     }
 
-    let model = crate::callgraph::Model::build(&files);
+    let manifests: Vec<(String, String)> = (inputs.manifests.iter())
+        .map(|(path, text, _)| {
+            let name = path.strip_prefix("crates/").unwrap_or("");
+            let name = name.strip_suffix("/Cargo.toml").unwrap_or(name);
+            (name.to_string(), text.clone())
+        })
+        .collect();
+    let model = crate::callgraph::Model::build(&files, Crates::new(&manifests));
+    let callers = (inputs.callers.iter())
+        .map(|(path, text, _)| SourceFile::parse(path.clone(), text, known))
+        .collect();
     let ws = Workspace {
         files,
-        design,
+        callers,
+        design: inputs.design.clone(),
         model,
     };
 
@@ -520,7 +560,7 @@ fn analyze(
 
     if let Some(dir) = opts.cache_dir.as_deref() {
         let mut next = cache::Cache::default();
-        for ((path, _, hash), local) in inputs.iter().zip(&locals) {
+        for ((path, _, hash), local) in inputs.files.iter().zip(&locals) {
             next.files.insert(
                 path.clone(),
                 cache::FileEntry {
@@ -551,7 +591,7 @@ fn analyze(
 
 /// Parse one input and, when the cache has no current entry for it, run
 /// its local analysis in the same worker.
-fn parse_one(input: &(String, String, u64), hit: bool, known: &[&str]) -> ParsedFile {
+fn parse_one(input: &Input, hit: bool, known: &[&str]) -> ParsedFile {
     let (rel, text, _) = input;
     let file = SourceFile::parse(rel.clone(), text, known);
     let local = if hit {

@@ -387,12 +387,12 @@ fn temp_guard_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::Model;
+    use crate::callgraph::{Crates, Model};
     use crate::source::SourceFile;
 
     fn guards(src: &str) -> (Vec<Guard>, SourceFile) {
         let file = SourceFile::parse("test.rs".to_string(), src, &[]);
-        let model = Model::build(std::slice::from_ref(&file));
+        let model = Model::build(std::slice::from_ref(&file), Crates::default());
         let def = model.fns[0].clone();
         let cfg = model.cfgs[0].clone();
         let file = SourceFile::parse("test.rs".to_string(), src, &[]);

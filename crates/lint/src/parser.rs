@@ -33,6 +33,10 @@ pub struct FnDef {
     pub name: String,
     /// `impl` target type when the fn is a method/associated fn.
     pub owner: Option<String>,
+    /// The trait of an `impl Trait for Type` block the fn sits in.
+    pub trait_impl: Option<String>,
+    /// Declared plain `pub` (not `pub(crate)` or narrower).
+    pub is_pub: bool,
     /// Inline `mod` path within the file (outermost first).
     pub module: Vec<String>,
     /// Parameters in order, `self` included (as a typeless param).
@@ -69,6 +73,8 @@ pub struct ParsedFile {
     /// contributes `(b, b)` so resolution can tell imported names apart
     /// from unknown ones.
     pub aliases: Vec<(String, String)>,
+    /// Names of the traits the file defines.
+    pub traits: Vec<String>,
 }
 
 /// Parse the items of `file` (workspace file index `file_idx`).
@@ -76,11 +82,11 @@ pub fn parse_file(file: &SourceFile, file_idx: usize) -> ParsedFile {
     let mut out = ParsedFile::default();
     let tokens = &file.tokens;
     let mut module: Vec<(String, usize)> = Vec::new(); // (name, close idx)
-    let mut owners: Vec<(String, usize)> = Vec::new(); // (impl type, close idx)
+    let mut owners: Vec<Owner> = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
         module.retain(|&(_, close)| i <= close);
-        owners.retain(|&(_, close)| i <= close);
+        owners.retain(|&(_, _, close)| i <= close);
         let t = &tokens[i];
         if t.is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
             i = match_delim(tokens, i + 1) + 1;
@@ -101,10 +107,17 @@ pub fn parse_file(file: &SourceFile, file_idx: usize) -> ParsedFile {
             continue;
         }
         if t.is_ident("impl") {
-            if let Some((ty, open)) = impl_target(tokens, i) {
-                owners.push((ty, match_delim(tokens, open)));
+            if let Some((ty, trait_name, open)) = impl_target(tokens, i) {
+                owners.push((ty, trait_name, match_delim(tokens, open)));
                 i = open + 1;
                 continue;
+            }
+            i += 1;
+            continue;
+        }
+        if t.is_ident("trait") {
+            if let Some(name) = tokens.get(i + 1).filter(|t| t.kind == TokenKind::Ident) {
+                out.traits.push(name.text.clone());
             }
             i += 1;
             continue;
@@ -139,7 +152,7 @@ fn parse_fn(
     tokens: &[Token],
     at: usize,
     module: &[(String, usize)],
-    owners: &[(String, usize)],
+    owners: &[Owner],
 ) -> Option<(FnDef, usize)> {
     let name_tok = tokens.get(at + 1).filter(|t| t.kind == TokenKind::Ident)?;
     // Skip generics to the parameter list.
@@ -177,10 +190,13 @@ fn parse_fn(
     let returns_result = tokens[params_close + 1..body.0.min(tokens.len())]
         .iter()
         .any(|t| t.is_ident("Result"));
+    let owner = owners.last();
     let def = FnDef {
         file: file_idx,
         name: name_tok.text.clone(),
-        owner: owners.last().map(|(ty, _)| ty.clone()),
+        owner: owner.map(|(ty, _, _)| ty.clone()),
+        trait_impl: owner.and_then(|(_, tr, _)| tr.clone()),
+        is_pub: declared_pub(tokens, at),
         module: module.iter().map(|(m, _)| m.clone()).collect(),
         params,
         body,
@@ -189,6 +205,28 @@ fn parse_fn(
         returns_result,
     };
     Some((def, params_close + 1))
+}
+
+/// Is the `fn` at `tokens[at]` declared plain `pub`? Qualifiers between
+/// the visibility and `fn` (`const`, `async`, `unsafe`, `extern "C"`)
+/// are stepped over; `pub(crate)` and narrower end in `)`, so they are
+/// not plain `pub`.
+fn declared_pub(tokens: &[Token], at: usize) -> bool {
+    let mut k = at;
+    while k > 0 {
+        let t = &tokens[k - 1];
+        if t.is_ident("const")
+            || t.is_ident("async")
+            || t.is_ident("unsafe")
+            || t.is_ident("extern")
+            || t.kind == TokenKind::Literal
+        {
+            k -= 1;
+            continue;
+        }
+        return t.is_ident("pub");
+    }
+    false
 }
 
 /// Parse a parameter list between `start..end` (inside the parens).
@@ -231,37 +269,44 @@ fn parse_params(tokens: &[Token], start: usize, end: usize) -> Vec<Param> {
     params
 }
 
+/// An enclosing `impl` block: target type, implemented trait, and the
+/// index of its closing `}`.
+type Owner = (String, Option<String>, usize);
+
 /// `impl<...> Type {` / `impl<...> Trait for Type {` — the target type
-/// name and the index of the opening `{`.
-fn impl_target(tokens: &[Token], at: usize) -> Option<(String, usize)> {
+/// name, the trait's final path segment, and the index of the opening
+/// `{`.
+fn impl_target(tokens: &[Token], at: usize) -> Option<(String, Option<String>, usize)> {
     let mut j = at + 1;
     if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
         j = match_angle(tokens, j)? + 1;
     }
     let mut angle = 0i32;
-    let mut last_ident: Option<&Token> = None;
+    let mut before_for: Option<&Token> = None;
     let mut after_for: Option<&Token> = None;
     let mut seen_for = false;
+    let mut in_where = false;
     while let Some(t) = tokens.get(j) {
         if t.is_punct('<') {
             angle += 1;
         } else if t.is_punct('>') {
             angle = (angle - 1).max(0);
         } else if angle == 0 && t.is_punct('{') {
-            let ty = after_for.or(last_ident)?;
-            return Some((ty.text.clone(), j));
+            let ty = after_for.or(before_for)?;
+            let trait_name = before_for.filter(|_| seen_for);
+            return Some((ty.text.clone(), trait_name.map(|t| t.text.clone()), j));
         } else if angle == 0 && (t.is_punct(';') || t.is_ident("fn")) {
             return None; // gave up: not an inherent/trait impl block shape
-        } else if t.kind == TokenKind::Ident && angle == 0 {
-            if t.is_ident("for") {
+        } else if t.kind == TokenKind::Ident && angle == 0 && !in_where {
+            // A `where` clause names bounds, never the target.
+            if t.is_ident("where") {
+                in_where = true;
+            } else if t.is_ident("for") {
                 seen_for = true;
-                after_for = None;
-            } else if t.is_ident("where") {
-                // `where` clause: the target is already known.
             } else if seen_for {
                 after_for = Some(t);
             } else {
-                last_ident = Some(t);
+                before_for = Some(t);
             }
         }
         j += 1;

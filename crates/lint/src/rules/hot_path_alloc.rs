@@ -7,15 +7,16 @@
 //! parse entry points, and `pierce_shadow_roots` (the §3 shadow-DOM
 //! workaround). Inside those functions the rule flags the classic
 //! allocation idioms: `.clone()` / `.to_vec()` / `.to_owned()` /
-//! `.to_string()`, `String::from(...)`, `format!(...)`, and a
+//! `.to_string()` / `.concat()`, `String::from(...)`, `format!(...)`, and a
 //! `Vec::new()` binding that is later `push`ed into (growing from empty
 //! on every visit). Findings aggregate per function — one entry per hot
 //! function listing every allocation site — so the report reads as a
 //! ranked work-list of per-visit allocations.
 //!
 //! Documented over-approximations (DESIGN.md §10): method-call edges
-//! without a receiver-type hint resolve to every same-named method, so
-//! reachability can pull in cold same-named functions; allocation in a
+//! without a receiver-type hint resolve to every same-named method the
+//! caller's crate can see, so reachability can pull in cold same-named
+//! functions of its dependencies; allocation in a
 //! closure body counts against the defining function; and the rule
 //! cannot see whether a `clone` result actually escapes the visit.
 
@@ -34,7 +35,7 @@ const ROOTS: &[(Option<&str>, Option<&str>, &str)] = &[
 ];
 
 /// Zero-argument methods that allocate an owned copy.
-const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_owned", "to_string"];
+const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_owned", "to_string", "concat"];
 
 /// Crates never on the per-visit path: the analyzer analyzing it.
 const COLD_PATHS: &[&str] = &["crates/lint/"];

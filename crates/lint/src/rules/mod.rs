@@ -50,10 +50,13 @@ pub fn suppressible_names() -> Vec<&'static str> {
 pub struct Workspace {
     /// Scanned files in path order.
     pub files: Vec<SourceFile>,
+    /// Files read for call sites only (`examples/`, `perfbench/src`):
+    /// R12 counts their calls, and no rule checks them.
+    pub callers: Vec<SourceFile>,
     /// Contents of `DESIGN.md` at the workspace root, when present.
     pub design: Option<String>,
     /// The interprocedural model (call graph) over `files`, used by the
-    /// cross-function rules R6–R8.
+    /// cross-function rules R6–R12.
     pub model: Model,
 }
 

@@ -316,6 +316,34 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
+/// The `.rs` files read for their call sites only, which no rule checks:
+/// the root package's examples and the benchmark's sources.
+pub fn collect_caller_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut out = Vec::new();
+    for dir in ["examples", "perfbench/src"] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            walk(&dir, &mut out)?;
+        }
+    }
+    Ok(out)
+}
+
+/// The manifests that scope call resolution: the root `Cargo.toml` and
+/// every `crates/*/Cargo.toml`, in path order.
+pub fn collect_manifests(root: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path().join("Cargo.toml"))
+        .chain([root.join("Cargo.toml")])
+        .filter(|p| p.is_file())
+        .collect();
+    out.sort();
+    out
+}
+
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok())

@@ -100,6 +100,25 @@ fn r9_hot_path_allocation_fires_exactly_once() {
 }
 
 #[test]
+fn r9_does_not_reach_a_same_named_method_outside_the_dependencies() {
+    // `visit` depends on `dom`, not on `cli`: the unhinted `doc.render()`
+    // reaches `Dom::render` only, though `Cli::render` allocates too.
+    fires_exactly_once("r9-crates", "hot-path-allocation");
+    let report = run(&fixture("r9-crates"), None).unwrap();
+    assert!(report.findings[0].0.message.contains("`Dom::render`"));
+}
+
+#[test]
+fn r9_reaches_a_trait_impl_in_a_crate_that_is_not_a_dependency() {
+    // `net` cannot name `site`, but it sees the `Server` trait `site`
+    // implements: the impl stays reachable, the inherent `Page::handle`
+    // does not.
+    fires_exactly_once("r9-trait", "hot-path-allocation");
+    let report = run(&fixture("r9-trait"), None).unwrap();
+    assert!(report.findings[0].0.message.contains("`Site::handle`"));
+}
+
+#[test]
 fn r10_unbounded_growth_fires_exactly_once() {
     // The drained `seen` field must stay silent; only the grow-only
     // `history` field fires.
@@ -422,6 +441,42 @@ fn editing_a_file_invalidates_its_entry_and_the_global_entry() {
         "content change must miss the global entry"
     );
     assert_eq!(edited.failing(), 1, "the new violation must be reported");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn editing_a_manifest_or_a_caller_only_file_misses_the_global_entry() {
+    // The call graph reads the manifests and R12 the caller-only files:
+    // neither is a scanned file, but an edit to either must still miss
+    // the global entry (and only it).
+    let dir = std::env::temp_dir().join(format!("lint-cache-extra-inputs-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(dir.join("crates/a/src")).unwrap();
+    std::fs::create_dir_all(dir.join("examples")).unwrap();
+    std::fs::write(dir.join("crates/a/Cargo.toml"), "[package]\nname = \"a\"\n").unwrap();
+    std::fs::write(dir.join("crates/a/src/lib.rs"), "pub fn run() {}\n").unwrap();
+    std::fs::write(dir.join("examples/demo.rs"), "fn main() { a::run(); }\n").unwrap();
+    let opts = lint::Options {
+        jobs: 1,
+        cache_dir: Some(dir.join("cache")),
+    };
+    lint::run_with(&dir, None, &opts).expect("cold run");
+    for edited in ["crates/a/Cargo.toml", "examples/demo.rs"] {
+        let path = dir.join(edited);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, format!("{text}\n")).unwrap();
+        let stats = lint::run_with(&dir, None, &opts).unwrap().cache.unwrap();
+        assert_eq!(
+            stats.file_hits, stats.file_total,
+            "{edited}: no scanned file changed"
+        );
+        assert!(
+            !stats.global_hit,
+            "{edited}: the edit must miss the global entry"
+        );
+        let again = lint::run_with(&dir, None, &opts).unwrap().cache.unwrap();
+        assert!(again.global_hit, "{edited}: the rewritten entry must hit");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -7,5 +7,6 @@ pub fn measure_site(input: &str) -> usize {
 }
 
 fn render_title(input: &str) -> String {
-    input.to_string()
+    let title = [input, "!"].concat();
+    title.to_string()
 }

@@ -6,7 +6,7 @@
 //! property: deeply nested delimiters degrade to "no items", never to a
 //! stack overflow.
 
-use lint::callgraph::Model;
+use lint::callgraph::{Crates, Model};
 use lint::cfg::Cfg;
 use lint::dataflow::def_use;
 use lint::parser::parse_file;
@@ -30,13 +30,14 @@ fn full_pipeline(src: &str) {
     let file = SourceFile::parse("fuzz.rs".to_string(), src, &["determinism"]);
     let parsed = parse_file(&file, 0);
     let files = vec![file];
-    let model = Model::build(&files);
+    let model = Model::build(&files, Crates::default());
     for (id, def) in model.fns.iter().enumerate() {
         let _ = lint::locks::guards_in(&files[def.file], def, &model.cfgs[id]);
         let _ = model.calls[id].len();
     }
     let ws = Workspace {
         files,
+        callers: Vec::new(),
         design: None,
         model,
     };

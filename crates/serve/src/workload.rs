@@ -106,7 +106,6 @@ impl RequestStream {
 
     /// Request `i` of reader lane `reader` — a pure function of the
     /// stream's seed and the two indices.
-    // lint:allow(r9) — serve-side workload generator, reached only through callgraph over-approximation on shared method names; not on the visit path
     pub fn request(&self, reader: usize, i: usize) -> Query {
         let reader_label = format!("r{reader}");
         let i_label = format!("i{i}");
@@ -140,7 +139,6 @@ impl RequestStream {
         ((u * self.regions as f64) as u8).min(self.regions - 1)
     }
 
-    // lint:allow(r9) — serve-side workload generator, reached only through callgraph over-approximation on shared method names; not on the visit path
     fn pick_domain(&self, parts: &[&str; 2]) -> String {
         if self.domains.is_empty() {
             return "unknown.example".to_string();
