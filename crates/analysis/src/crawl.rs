@@ -190,22 +190,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Single-shot policy: no retries, no breaker.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            ..Self::default()
-        }
-    }
-
-    /// Default policy with an explicit retry budget.
-    pub fn with_max_retries(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            ..Self::default()
-        }
-    }
-
     /// Virtual backoff charged before retrying after `failures` failed
     /// attempts (1-based), exponential with a cap against shift overflow.
     pub fn backoff_ms(&self, failures: u32) -> u64 {
@@ -581,16 +565,6 @@ impl Default for CrawlOptions {
     }
 }
 
-impl CrawlOptions {
-    /// Default options with an explicit worker count.
-    pub fn with_workers(workers: usize) -> Self {
-        CrawlOptions {
-            workers,
-            ..Self::default()
-        }
-    }
-}
-
 /// One vantage point's crawl over the full target list.
 #[derive(Debug)]
 pub struct VantageCrawl {
@@ -801,22 +775,11 @@ pub(crate) fn par_matrix<S: Send, T: Send>(
 }
 
 /// Crawl `targets` from `region` with `workers` parallel browser profiles
-/// and the default [`RetryPolicy`].
+/// and the retry `policy`: a one-region sweep with the shared-fetch cache
+/// off.
 ///
 /// Each domain is visited with a fresh cookie state (profiles are reused
 /// across domains but cleared, like the paper's stateless crawl).
-pub fn crawl_region(
-    net: &Network,
-    region: Region,
-    targets: &[String],
-    tool: &BannerClick,
-    workers: usize,
-) -> VantageCrawl {
-    crawl_region_with(net, region, targets, tool, workers, &RetryPolicy::default())
-}
-
-/// [`crawl_region`] with an explicit retry policy: a one-region sweep with
-/// the shared-fetch cache off.
 pub fn crawl_region_with(
     net: &Network,
     region: Region,
@@ -1526,6 +1489,7 @@ impl FetchCache {
 
 /// Analyze a single domain into a crawl record (single attempt, failures
 /// folded into the record — the retrying path is [`crawl_region_with`]).
+// lint:allow(test-only-api) — oracle: `crawl_with_ua` in tests/recrawls.rs, the frozen reference crawl the derived re-crawls are checked against
 pub fn analyze_domain(tool: &BannerClick, browser: &mut Browser, domain: &str) -> CrawlRecord {
     match try_analyze_domain(tool, browser, domain, None) {
         Ok(record) => record,
@@ -1649,8 +1613,22 @@ mod tests {
         let (pop, net) = install_tiny();
         let targets: Vec<String> = pop.merged_targets().into_iter().take(60).collect();
         let tool = BannerClick::new();
-        let serial = crawl_region(&net, Region::Germany, &targets, &tool, 1);
-        let parallel = crawl_region(&net, Region::Germany, &targets, &tool, 4);
+        let serial = crawl_region_with(
+            &net,
+            Region::Germany,
+            &targets,
+            &tool,
+            1,
+            &RetryPolicy::default(),
+        );
+        let parallel = crawl_region_with(
+            &net,
+            Region::Germany,
+            &targets,
+            &tool,
+            4,
+            &RetryPolicy::default(),
+        );
         assert_eq!(serial.records.len(), parallel.records.len());
         for (a, b) in serial.records.iter().zip(&parallel.records) {
             assert_eq!(a.domain, b.domain);
@@ -1666,7 +1644,9 @@ mod tests {
         let tool = BannerClick::new();
         let serial: Vec<VantageCrawl> = Region::ALL
             .iter()
-            .map(|&region| crawl_region(&net, region, &targets, &tool, 1))
+            .map(|&region| {
+                crawl_region_with(&net, region, &targets, &tool, 1, &RetryPolicy::default())
+            })
             .collect();
         for cache in [true, false] {
             let opts = CrawlOptions {
@@ -1857,7 +1837,7 @@ mod tests {
     /// Requests a profile that navigates and never loads dispatches for
     /// every `(variant, target)` cell from Germany.
     fn navigation_requests(net: &Network, targets: &[String], variants: &[Variant<'_>]) -> u64 {
-        let before = net.stats().requests();
+        let before = net.stats().requests.load(Ordering::Relaxed);
         for variant in variants {
             let vantage = Vantage {
                 net,
@@ -1870,7 +1850,7 @@ mod tests {
                 let _ = browser.fetch_domain_document(domain);
             }
         }
-        net.stats().requests() - before
+        net.stats().requests.load(Ordering::Relaxed) - before
     }
 
     /// Over documents the sweep analyzed, the ablation's and the bot
@@ -1921,7 +1901,7 @@ mod tests {
         );
         for (variants, targets) in [(&ablation[..], &targets), (&bot[..], &bot_targets)] {
             let navigations = navigation_requests(&net, targets, variants);
-            let before = net.stats().requests();
+            let before = net.stats().requests.load(Ordering::Relaxed);
             let derived = crawl_variants(
                 &net,
                 Region::Germany,
@@ -1930,11 +1910,14 @@ mod tests {
                 &opts,
                 cache.analyzed(),
             );
-            assert_eq!(net.stats().requests() - before, navigations);
-            let before = net.stats().requests();
+            assert_eq!(
+                net.stats().requests.load(Ordering::Relaxed) - before,
+                navigations
+            );
+            let before = net.stats().requests.load(Ordering::Relaxed);
             let loaded = crawl_variants(&net, Region::Germany, targets, variants, &opts, None);
             assert!(
-                net.stats().requests() - before > navigations,
+                net.stats().requests.load(Ordering::Relaxed) - before > navigations,
                 "loads fetch subresources"
             );
             assert_eq!(derived, loaded);
@@ -1949,8 +1932,22 @@ mod tests {
         webgen::server::install(Arc::clone(&pop), &net);
         let targets = pop.merged_targets();
         let tool = BannerClick::new();
-        let de = crawl_region(&net, Region::Germany, &targets, &tool, 4);
-        let us = crawl_region(&net, Region::UsEast, &targets, &tool, 4);
+        let de = crawl_region_with(
+            &net,
+            Region::Germany,
+            &targets,
+            &tool,
+            4,
+            &RetryPolicy::default(),
+        );
+        let us = crawl_region_with(
+            &net,
+            Region::UsEast,
+            &targets,
+            &tool,
+            4,
+            &RetryPolicy::default(),
+        );
         assert!(
             de.wall_count() > us.wall_count(),
             "DE {} vs US {}",

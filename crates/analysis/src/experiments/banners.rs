@@ -55,11 +55,6 @@ pub fn compute(crawls: &[VantageCrawl]) -> BannerPrevalence {
 }
 
 impl BannerPrevalence {
-    /// Banner rate for a VP label, if present.
-    pub fn rate_of(&self, vp_label: &str) -> Option<f64> {
-        self.rows.iter().find(|r| r.vp == vp_label).map(|r| r.rate)
-    }
-
     /// Render the prevalence table.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(["VP", "Reachable", "Banners", "Rate", "Cookiewalls"]);

@@ -65,15 +65,6 @@ pub fn compute(study: &Study, crawls: &[VantageCrawl]) -> Fig1 {
 }
 
 impl Fig1 {
-    /// Share of a category by label.
-    pub fn share_of(&self, label: &str) -> f64 {
-        self.shares
-            .iter()
-            .find(|s| s.category == label)
-            .map(|s| s.share)
-            .unwrap_or(0.0)
-    }
-
     /// Render as a horizontal bar chart.
     pub fn render(&self) -> String {
         let items: Vec<(String, f64)> = self

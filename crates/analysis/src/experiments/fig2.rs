@@ -67,21 +67,6 @@ pub fn compute(study: &Study, crawls: &[VantageCrawl]) -> Fig2 {
 }
 
 impl Fig2 {
-    /// Mean price for one TLD, if any site uses it.
-    pub fn mean_price(&self, tld: &str) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .prices
-            .iter()
-            .filter(|(d, _)| d.rsplit('.').next() == Some(tld))
-            .map(|(_, p)| *p)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(crate::stats::mean(&vals))
-        }
-    }
-
     /// Render the ECDF and heatmap.
     pub fn render(&self) -> String {
         let values: Vec<f64> = self.prices.iter().map(|(_, p)| *p).collect();

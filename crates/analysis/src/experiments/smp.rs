@@ -59,11 +59,6 @@ pub fn compute(study: &Study, crawls: &[VantageCrawl]) -> SmpReport {
 }
 
 impl SmpReport {
-    /// Stats for one platform by name.
-    pub fn platform(&self, name: &str) -> Option<&SmpStats> {
-        self.platforms.iter().find(|p| p.name == name)
-    }
-
     /// Render the SMP table.
     pub fn render(&self) -> String {
         let mut t = TextTable::new([

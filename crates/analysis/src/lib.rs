@@ -38,9 +38,9 @@ pub mod stats;
 
 pub use context::Study;
 pub use crawl::{
-    analyze_domain, crawl_all_regions_persistent, crawl_all_regions_with, crawl_region,
-    crawl_region_with, CheckpointPolicy, CrawlMetrics, CrawlOptions, CrawlRecord, FailureKind,
-    FailureTaxonomy, RegionFailures, RegionMetrics, RetryPolicy, VantageCrawl, WorkerCounters,
+    analyze_domain, crawl_all_regions_persistent, crawl_all_regions_with, crawl_region_with,
+    CheckpointPolicy, CrawlMetrics, CrawlOptions, CrawlRecord, FailureKind, FailureTaxonomy,
+    RegionFailures, RegionMetrics, RetryPolicy, VantageCrawl, WorkerCounters,
 };
 pub use measure::{
     measure_site, measure_sites, InteractionMode, SiteCookieMeasurement, REPETITIONS,

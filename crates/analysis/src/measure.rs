@@ -248,8 +248,9 @@ mod tests {
         let (pop, net) = world();
         let tool = BannerClick::new();
         let domains: Vec<String> = pop
-            .regular_banner_sites()
-            .into_iter()
+            .sites()
+            .iter()
+            .filter(|s| matches!(&s.banner, BannerKind::Banner(_)) && !s.toplists.is_empty())
             .take(8)
             .map(|s| s.domain.clone())
             .collect();

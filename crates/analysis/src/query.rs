@@ -442,7 +442,7 @@ mod tests {
         let diffed = evaluate(&Query::EpochDiff, &b, Some(&a));
         assert!(diffed.text.contains("persisted=2"), "{}", diffed.text);
         // Snapshot answers must be byte-identical to live-store answers.
-        let snap = a.snapshot().unwrap();
+        let snap = store::StoreSnapshot::open(&dir_a).unwrap();
         for q in [
             Query::WallStatus {
                 region: 0,

@@ -203,13 +203,18 @@ fn crawl_handles_dead_domains() {
     let mut cfg = webgen::PopulationConfig::tiny();
     cfg.unreachable_per_mille = 150;
     let study = Study::new(cfg);
-    assert!(study.population.dead_count() > 0);
-    let crawls = vec![analysis::crawl_region(
+    assert!(study
+        .population
+        .sites()
+        .iter()
+        .any(|s| study.population.is_dead(&s.domain)));
+    let crawls = vec![analysis::crawl_region_with(
         &study.net,
         Region::Germany,
         &study.targets(),
         &study.tool,
         study.workers,
+        &analysis::RetryPolicy::default(),
     )];
     let dead_in_targets = study
         .targets()

@@ -183,14 +183,14 @@ proptest! {
 
         let expected_failed: usize = targets
             .iter()
-            .filter(|d| pop.is_dead(d) || plan.is_permanently_faulted(d))
+            .filter(|d| pop.is_dead(d) || plan.fault_for(httpsim::Region::ALL[0], d, u32::MAX).is_some())
             .count();
         for crawl in &chaos {
             let mut seen = std::collections::HashSet::new();
             for record in &crawl.records {
                 prop_assert!(seen.insert(record.domain.clone()), "duplicate: {}", record.domain);
                 let expected = pop.is_dead(&record.domain)
-                    || plan.is_permanently_faulted(&record.domain);
+                    || plan.fault_for(httpsim::Region::ALL[0], &record.domain, u32::MAX).is_some();
                 prop_assert_eq!(
                     record.failure.is_some(),
                     expected,

@@ -4,7 +4,9 @@
 //! the sweep can leave its cache in — and pin that every re-crawl honours
 //! the study's retry budget.
 
-use analysis::crawl::{analyze_domain, crawl_region, CrawlRecord, RegionMetrics, VantageCrawl};
+use analysis::crawl::{
+    analyze_domain, crawl_region_with, CrawlRecord, RegionMetrics, VantageCrawl,
+};
 use analysis::experiments::{ablation, botdetect};
 use analysis::persist::targets_hash;
 use analysis::{run_all, run_all_persistent, CheckpointPolicy, RetryPolicy, Study, StudyReport};
@@ -69,7 +71,14 @@ fn reference_ablation(study: &Study) -> Vec<(String, usize, usize, usize)> {
     let mut rows = Vec::new();
     let mut full_tp = 0;
     for (label, tool) in ablation_configs() {
-        let crawl = crawl_region(&study.net, Region::Germany, &targets, &tool, study.workers);
+        let crawl = crawl_region_with(
+            &study.net,
+            Region::Germany,
+            &targets,
+            &tool,
+            study.workers,
+            &RetryPolicy::default(),
+        );
         let tp = crawl
             .detected_walls()
             .filter(|r| study.verify_wall(&r.domain))
@@ -88,12 +97,13 @@ fn reference_ablation(study: &Study) -> Vec<(String, usize, usize, usize)> {
 /// `(walls stealth, walls naive, lost, banners stealth, banners naive)`.
 fn reference_botdetect(study: &Study) -> (usize, usize, usize, usize, usize) {
     let targets = study.targets();
-    let stealth = crawl_region(
+    let stealth = crawl_region_with(
         &study.net,
         Region::Germany,
         &targets,
         &study.tool,
         study.workers,
+        &RetryPolicy::default(),
     );
     let naive = crawl_with_ua(study, &targets, botdetect::NAIVE_BOT_UA);
     let verified = |crawl: &VantageCrawl| {
@@ -358,7 +368,10 @@ fn recrawls_honour_max_retries() {
     // fires, so every cell takes exactly one navigation per variant.
     let clean = recrawl_attempts(
         Arc::new(FaultPlan::new(FaultConfig::new(3))),
-        RetryPolicy::none(),
+        RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        },
     );
     // Every cell starts with a transient fault window. With retries off,
     // no re-crawl may spend a second attempt on any cell: the per-cell
@@ -367,7 +380,13 @@ fn recrawls_honour_max_retries() {
         transient_rate: 1.0,
         ..FaultConfig::new(3)
     }));
-    let faulted = recrawl_attempts(Arc::clone(&plan), RetryPolicy::none());
+    let faulted = recrawl_attempts(
+        Arc::clone(&plan),
+        RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        },
+    );
     assert!(plan.injected().total() > 0, "the fault plan fired");
     assert_eq!(faulted.len(), clean.len());
     let mut retried: Vec<&String> = clean

@@ -4,9 +4,14 @@
 
 use analysis::{crawl_all_regions_with, crawl_region_with, CrawlOptions, FailureKind, RetryPolicy};
 use bannerclick::BannerClick;
-use httpsim::{Network, Region, Response};
+use httpsim::{Network, Region, Request, Response};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+
+/// Register a closure origin for `host`.
+fn serve(net: &Network, host: &str, f: impl Fn(&Request<'_>) -> Response + Send + Sync + 'static) {
+    net.register(host, Arc::new(f));
+}
 
 const PAGE: &str = "<html><head><title>plain</title></head>\
                     <body><p>nothing to consent to here</p></body></html>";
@@ -15,7 +20,7 @@ const PAGE: &str = "<html><head><title>plain</title></head>\
 fn install_flaky(net: &Network, host: &str, failures: u32) -> Arc<AtomicU32> {
     let calls = Arc::new(AtomicU32::new(0));
     let counter = Arc::clone(&calls);
-    net.register_fn(host, move |_req| {
+    serve(net, host, move |_req| {
         if counter.fetch_add(1, Ordering::SeqCst) < failures {
             Response::connection_error()
         } else {
@@ -56,7 +61,10 @@ fn exhausted_retries_become_a_failure_record() {
     let tool = BannerClick::new();
     let targets = vec!["down.example".to_string()];
 
-    let policy = RetryPolicy::with_max_retries(2);
+    let policy = RetryPolicy {
+        max_retries: 2,
+        ..RetryPolicy::default()
+    };
     let crawl = crawl_region_with(&net, Region::Germany, &targets, &tool, 1, &policy);
     let record = &crawl.records[0];
     assert!(!record.reachable);
@@ -69,8 +77,8 @@ fn exhausted_retries_become_a_failure_record() {
 #[test]
 fn analysis_panics_become_failure_records() {
     let net = Network::new();
-    net.register_fn("panicky.example", |_req| panic!("handler exploded"));
-    net.register_fn("fine.example", |_req| Response::html(PAGE));
+    serve(&net, "panicky.example", |_req| panic!("handler exploded"));
+    serve(&net, "fine.example", |_req| Response::html(PAGE));
     let tool = BannerClick::new();
     let targets = vec!["panicky.example".to_string(), "fine.example".to_string()];
 
@@ -103,7 +111,7 @@ fn analysis_panics_become_failure_records() {
 #[test]
 fn circuit_breaker_caps_retry_spend_on_dead_hosts() {
     let net = Network::new();
-    net.register_fn("alive.example", |_req| Response::html(PAGE));
+    serve(&net, "alive.example", |_req| Response::html(PAGE));
     let tool = BannerClick::new();
     // "gone.example" is never registered: every navigation is unresolved.
     let targets = vec!["gone.example".to_string(), "alive.example".to_string()];
@@ -154,7 +162,10 @@ fn disabling_retries_disables_the_breaker() {
 
     let opts = CrawlOptions {
         workers: 1,
-        retry: RetryPolicy::none(),
+        retry: RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        },
         ..CrawlOptions::default()
     };
     let (crawls, metrics) = crawl_all_regions_with(&net, &targets, &tool, &opts);

@@ -142,8 +142,15 @@ fn cache_misses_are_independent_of_worker_count() {
         let net = httpsim::Network::new();
         webgen::server::install(Arc::clone(&pop), &net);
         let targets = pop.merged_targets();
-        let (_, metrics) =
-            crawl_all_regions_with(&net, &targets, &tool, &CrawlOptions::with_workers(workers));
+        let (_, metrics) = crawl_all_regions_with(
+            &net,
+            &targets,
+            &tool,
+            &CrawlOptions {
+                workers,
+                ..CrawlOptions::default()
+            },
+        );
         let cells = targets.len() * Region::ALL.len();
         assert_eq!(metrics.tasks_completed, cells);
         assert_eq!(

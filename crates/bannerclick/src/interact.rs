@@ -73,13 +73,6 @@ pub fn accept_button(page: &Page, banner: &BannerFinding) -> Option<ButtonFindin
         .find(|b| b.role == ButtonRole::Accept)
 }
 
-/// The banner's reject button, if present. Cookiewalls have none.
-pub fn reject_button(page: &Page, banner: &BannerFinding) -> Option<ButtonFinding> {
-    find_buttons(page, banner)
-        .into_iter()
-        .find(|b| b.role == ButtonRole::Reject)
-}
-
 /// Click the accept button of `banner`. Returns the post-consent page.
 pub fn click_accept(
     browser: &mut Browser,
@@ -95,21 +88,6 @@ pub fn click_accept(
     }
 }
 
-/// Click the reject button of `banner`, if any.
-pub fn click_reject(
-    browser: &mut Browser,
-    page: &Page,
-    banner: &BannerFinding,
-) -> Result<Option<Page>, VisitError> {
-    let Some(button) = reject_button(page, banner) else {
-        return Ok(None);
-    };
-    match browser.click(page, button.element)? {
-        ClickOutcome::Rejected(p) => Ok(Some(p)),
-        _ => Ok(None),
-    }
-}
-
 /// Clickable elements in the subtree at `root` (works inside shadow trees,
 /// since the subtree iterator is scope-based).
 fn clickable_descendants(doc: &Document, root: NodeId) -> Vec<NodeId> {
@@ -120,6 +98,21 @@ fn clickable_descendants(doc: &Document, root: NodeId) -> Vec<NodeId> {
                 || doc.attr(n, "data-cw-action").is_some()
         })
         .collect()
+}
+
+/// Label→role classification of a clickable element's visible text.
+fn classify_label(lower: &str) -> Option<ButtonRole> {
+    if contains_any(lower, SUBSCRIBE_ACTION_WORDS) {
+        Some(ButtonRole::Subscribe)
+    } else if contains_any(lower, SETTINGS_WORDS) {
+        Some(ButtonRole::Settings)
+    } else if contains_any(lower, REJECT_WORDS) {
+        Some(ButtonRole::Reject)
+    } else if contains_any(lower, ACCEPT_WORDS) || ACCEPT_EXACT_LABELS.contains(&lower.trim()) {
+        Some(ButtonRole::Accept)
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -162,7 +155,7 @@ mod tests {
         let buttons = find_buttons(&page, &banners[0]);
         assert_eq!(buttons.len(), 2, "the info link has no role: {buttons:?}");
         assert!(accept_button(&page, &banners[0]).is_some());
-        assert!(reject_button(&page, &banners[0]).is_some());
+        assert!(buttons.iter().any(|b| b.role == ButtonRole::Reject));
     }
 
     #[test]
@@ -179,7 +172,7 @@ mod tests {
         assert!(buttons.iter().any(|b| b.role == ButtonRole::Accept));
         assert!(buttons.iter().any(|b| b.role == ButtonRole::Subscribe));
         assert!(
-            reject_button(&page, &banners[0]).is_none(),
+            buttons.iter().all(|b| b.role != ButtonRole::Reject),
             "the defining cookiewall property: no reject"
         );
     }
@@ -244,107 +237,5 @@ mod tests {
         // shadow subtree, not in a detached clone.
         let doc = &page.frames[0].doc;
         assert_eq!(doc.tag(btn.element.node), Some("button"));
-    }
-}
-
-/// XPath-based button discovery — the locator style the original
-/// Selenium-based BannerClick uses. Functionally equivalent to
-/// [`find_buttons`]; exists to mirror the real tool's lookup path and to
-/// demonstrate that XPath, like CSS selectors, needs the shadow workaround
-/// (the banner root must already be a mapped shadow element).
-pub fn find_buttons_xpath(page: &Page, banner: &BannerFinding) -> Vec<ButtonFinding> {
-    let doc = &page.frames[banner.root.frame].doc;
-    let mut nodes: Vec<NodeId> = Vec::new();
-    for expr in [
-        "//button",
-        "//a",
-        "//input",
-        "//*[@role='button']",
-        "//*[@data-cw-action]",
-    ] {
-        if let Ok(xp) = webdom::XPath::parse(expr) {
-            nodes.extend(xp.select(doc, banner.root.node));
-        }
-    }
-    nodes.sort_unstable();
-    nodes.dedup();
-    let mut out = Vec::new();
-    for node in nodes {
-        let label = doc.visible_text(node);
-        let lower = label.to_lowercase();
-        if lower.is_empty() || lower.len() > 80 {
-            continue;
-        }
-        let role = classify_label(&lower);
-        if let Some(role) = role {
-            out.push(ButtonFinding {
-                element: ElementRef {
-                    frame: banner.root.frame,
-                    node,
-                },
-                role,
-                label,
-            });
-        }
-    }
-    out
-}
-
-/// Shared label→role classification used by both locator paths.
-fn classify_label(lower: &str) -> Option<ButtonRole> {
-    if contains_any(lower, SUBSCRIBE_ACTION_WORDS) {
-        Some(ButtonRole::Subscribe)
-    } else if contains_any(lower, SETTINGS_WORDS) {
-        Some(ButtonRole::Settings)
-    } else if contains_any(lower, REJECT_WORDS) {
-        Some(ButtonRole::Reject)
-    } else if contains_any(lower, ACCEPT_WORDS) || ACCEPT_EXACT_LABELS.contains(&lower.trim()) {
-        Some(ButtonRole::Accept)
-    } else {
-        None
-    }
-}
-
-#[cfg(test)]
-mod xpath_tests {
-    use super::*;
-    use crate::detect::{detect_banners, DetectorOptions};
-    use webdom::parse;
-
-    #[test]
-    fn xpath_and_selector_locators_agree() {
-        let html = r#"<div id="cw-wall" class="consent-wall" style="position:fixed">
-            <p>Cookies akzeptieren oder Pur-Abo für 2,99 € pro Monat.</p>
-            <button data-cw-action="accept">Akzeptieren und weiter</button>
-            <a data-cw-action="subscribe" href="/abo">Jetzt Abo abschließen</a>
-            <a data-cw-action="settings" href="/p">Einstellungen verwalten</a>
-           </div>"#;
-        let doc = parse(html);
-        let url = httpsim::Url::parse("https://test.de/").unwrap();
-        let page = Page {
-            url: url.clone(),
-            final_url: url.clone(),
-            status: 200,
-            frames: vec![browser::Frame {
-                doc,
-                url,
-                parent: None,
-            }],
-            blocked: vec![],
-            requests: vec![],
-            scroll_locked: false,
-            adblock_interstitial: false,
-            reloaded_for_subscription: false,
-        };
-        let banners = detect_banners(&page, &DetectorOptions::default());
-        let css = find_buttons(&page, &banners[0]);
-        let xpath = find_buttons_xpath(&page, &banners[0]);
-        assert_eq!(css.len(), xpath.len(), "css {css:?} vs xpath {xpath:?}");
-        let roles = |v: &[ButtonFinding]| {
-            let mut r: Vec<ButtonRole> = v.iter().map(|b| b.role).collect();
-            r.sort_by_key(|r| format!("{r:?}"));
-            r
-        };
-        assert_eq!(roles(&css), roles(&xpath));
     }
 }

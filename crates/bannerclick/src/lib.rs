@@ -13,8 +13,8 @@
 //!    ([`classify_wall`]),
 //! 4. extracts and normalizes the subscription offer to EUR/month
 //!    ([`subscription_price`]) — automating the §4.2 pricing analysis,
-//! 5. locates and clicks accept/reject controls ([`click_accept`],
-//!    [`click_reject`]), also behind shadow roots.
+//! 5. locates role-classified controls ([`find_buttons`]) and clicks
+//!    accept ([`click_accept`]), also behind shadow roots.
 //!
 //! The one-stop entry point is [`BannerClick::analyze`]; the cookie
 //! measurement accepts with [`BannerClick::detect`] and [`click_accept`].
@@ -61,9 +61,6 @@ pub use corpus::{
     YEAR_WORDS,
 };
 pub use detect::{detect_banners, BannerFinding, DetectorOptions, ObservedEmbedding};
-pub use interact::{
-    accept_button, click_accept, click_reject, find_buttons, find_buttons_xpath, reject_button,
-    ButtonFinding, ButtonRole,
-};
+pub use interact::{accept_button, click_accept, find_buttons, ButtonFinding, ButtonRole};
 pub use pricing::{extract_prices, subscription_price, PriceQuote};
 pub use summary::{DetectionSummary, Verdict};

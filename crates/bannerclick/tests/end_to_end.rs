@@ -66,7 +66,12 @@ fn regular_banners_are_not_walls() {
     let tool = BannerClick::new();
     let mut browser = Browser::new(net, Region::Germany);
     let mut checked = 0;
-    for site in pop.regular_banner_sites().into_iter().take(40) {
+    for site in pop
+        .sites()
+        .iter()
+        .filter(|s| matches!(&s.banner, BannerKind::Banner(_)) && !s.toplists.is_empty())
+        .take(40)
+    {
         browser.clear_cookies();
         let analysis = tool.analyze(&mut browser, &site.domain);
         assert!(
@@ -90,7 +95,11 @@ fn decoy_is_the_designed_false_positive() {
     let (pop, net) = world();
     let tool = BannerClick::new();
     let mut browser = Browser::new(net, Region::UsEast);
-    let decoy = pop.decoys()[0];
+    let decoy = pop
+        .sites()
+        .iter()
+        .find(|s| matches!(s.banner, BannerKind::DecoyPaywall))
+        .unwrap();
     let analysis = tool.analyze(&mut browser, &decoy.domain);
     assert!(
         analysis.cookiewall_detected(),

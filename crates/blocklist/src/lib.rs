@@ -18,12 +18,12 @@
 //! ## Example
 //!
 //! ```
-//! use blocklist::{FilterEngine, TrackerDb};
+//! use blocklist::{BlockDecision, FilterEngine, TrackerDb};
 //! use httpsim::Url;
 //!
 //! let engine = FilterEngine::ublock_with_annoyances();
 //! let wall_js = Url::parse("https://cdn.contentpass.net/wall.js").unwrap();
-//! assert!(engine.decide(&wall_js, Some("zeitung.de")).is_blocked());
+//! assert_ne!(engine.decide(&wall_js, Some("zeitung.de")), BlockDecision::Allowed);
 //!
 //! let trackers = TrackerDb::justdomains();
 //! assert!(trackers.is_tracking_domain("ads.criteo.com"));

@@ -1,6 +1,6 @@
 //! Property-based tests for the filter-list engine.
 
-use blocklist::{parse_line, FilterEngine, FilterLine, TrackerDb};
+use blocklist::{parse_line, BlockDecision, FilterEngine, FilterLine, TrackerDb};
 use httpsim::Url;
 use proptest::prelude::*;
 
@@ -41,7 +41,7 @@ proptest! {
         let mut engine = FilterEngine::new();
         engine.add_list(&format!("||{domain}^\n@@||{domain}^"));
         let url = Url::parse(&format!("https://{domain}/asset.js")).unwrap();
-        prop_assert!(!engine.decide(&url, Some("page.de")).is_blocked());
+        prop_assert_eq!(engine.decide(&url, Some("page.de")), BlockDecision::Allowed);
     }
 
     /// Fragment (wildcard) rules: a rule built from substrings of a URL

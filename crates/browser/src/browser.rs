@@ -26,7 +26,7 @@
 use crate::page::{BlockedRequest, ElementRef, Frame, Page};
 use crate::storage::LocalStorage;
 use blocklist::{BlockDecision, FilterEngine};
-use httpsim::{CookieJar, Method, Network, Region, Request, Response, TransportFault, Url};
+use httpsim::{Cookie, CookieJar, Method, Network, Region, Request, Response, TransportFault, Url};
 use std::sync::OnceLock;
 use webdom::{parse, parse_fragment_into, Document, NodeId, SelectorList};
 
@@ -120,11 +120,6 @@ pub struct FetchedDocument {
 }
 
 impl FetchedDocument {
-    /// The URL the navigation started from.
-    pub fn url(&self) -> &Url {
-        &self.url
-    }
-
     /// The URL the document was served from (after redirects).
     pub fn final_url(&self) -> &Url {
         self.redirected.as_ref().unwrap_or(&self.url)
@@ -179,8 +174,6 @@ pub struct Browser {
     /// The `Cookie:` header of the request being sent, rendered by the
     /// jar into this one buffer for every request.
     cookie_header: String,
-    /// Virtual-time budget per navigation before reporting a timeout.
-    timeout_budget_ms: u64,
     /// Per-load request log, moved into the [`Page`] when the load ends.
     request_log: Vec<crate::page::LoggedRequest>,
     /// The main frame's scan buffers, kept across loads.
@@ -199,7 +192,6 @@ impl Browser {
             blocker: None,
             user_agent: httpsim::DEFAULT_USER_AGENT.to_string(),
             cookie_header: String::new(),
-            timeout_budget_ms: DEFAULT_TIMEOUT_BUDGET_MS,
             request_log: Vec::new(),
             scan: FrameScan::default(),
         }
@@ -217,30 +209,9 @@ impl Browser {
         self
     }
 
-    /// Override the navigation timeout budget (virtual milliseconds).
-    pub fn with_timeout_budget(mut self, budget_ms: u64) -> Self {
-        self.timeout_budget_ms = budget_ms;
-        self
-    }
-
-    /// The navigation timeout budget, in virtual milliseconds.
-    pub fn timeout_budget_ms(&self) -> u64 {
-        self.timeout_budget_ms
-    }
-
-    /// The vantage-point region this profile browses from.
-    pub fn region(&self) -> Region {
-        self.region
-    }
-
     /// The profile's cookie jar.
     pub fn jar(&self) -> &CookieJar {
         &self.jar
-    }
-
-    /// The profile's per-origin localStorage.
-    pub fn storage(&self) -> &LocalStorage {
-        &self.storage
     }
 
     /// Forget all cookies (fresh-profile semantics between measurements).
@@ -257,16 +228,10 @@ impl Browser {
         self.storage.clear();
     }
 
-    /// Simulate a browser restart: session cookies vanish, persistent
-    /// cookies and localStorage survive. A cookiewall acceptance therefore
-    /// outlives restarts — part of why §5 finds revocation non-obvious.
-    pub fn restart(&mut self) {
-        self.jar.expire_session_cookies();
-    }
-
     /// Delete only the *cookies* of one site. Per §5 this is **not**
     /// sufficient to revoke a cookiewall acceptance: the wall script
     /// restores the consent cookie from localStorage on the next visit.
+    // lint:allow(test-only-api) — §5 revocation harness: tests/cross_crate.rs and browser/tests/browsing.rs replay the user's site-data deletion
     pub fn clear_site_cookies(&mut self, site_host: &str) {
         self.jar.clear_site(site_host);
     }
@@ -274,6 +239,7 @@ impl Browser {
     /// Delete one site's cookies *and* localStorage — the full §5
     /// revocation procedure. After this, the wall shows again (or the
     /// subscriber entitlement can finally take effect).
+    // lint:allow(test-only-api) — §5 revocation harness: tests/cross_crate.rs and browser/tests/browsing.rs replay the user's site-data deletion
     pub fn clear_site_data(&mut self, site_host: &str) {
         let site = httpsim::registrable_domain(site_host)
             .unwrap_or(site_host)
@@ -334,9 +300,9 @@ impl Browser {
         let failure = match response.transport {
             Some(TransportFault::ConnectionReset) => Some(FetchError::ConnectionReset(host())),
             Some(TransportFault::TruncatedBody) => Some(FetchError::Truncated(host())),
-            None if latency_ms > self.timeout_budget_ms => Some(FetchError::Timeout {
+            None if latency_ms > DEFAULT_TIMEOUT_BUDGET_MS => Some(FetchError::Timeout {
                 host: host(),
-                budget_ms: self.timeout_budget_ms,
+                budget_ms: DEFAULT_TIMEOUT_BUDGET_MS,
             }),
             None if status == 0 => Some(FetchError::Unreachable(host())),
             None if status >= 400 => Some(FetchError::HttpError(status)),
@@ -747,7 +713,9 @@ impl Browser {
             return;
         };
         let header = format!("{name}={value}; Domain={site}; Path=/; Max-Age=31536000");
-        self.jar.store_response_cookies([header.as_str()], &origin);
+        if let Some(cookie) = Cookie::parse_set_cookie(&header, &origin) {
+            self.jar.store(cookie);
+        }
     }
 
     // ------------------------------------------------------------- SMPs

@@ -56,14 +56,6 @@ impl LocalStorage {
         self.origins.clear();
     }
 
-    /// Number of keys stored for `origin`.
-    pub fn len_for(&self, origin: &str) -> usize {
-        self.origins
-            .get(&origin.to_ascii_lowercase())
-            .map(|m| m.len())
-            .unwrap_or(0)
-    }
-
     /// Total number of origins with any storage.
     pub fn origin_count(&self) -> usize {
         self.origins.len()
@@ -94,9 +86,8 @@ mod tests {
         s.set("a.de", "x", "1");
         s.set("a.de", "y", "2");
         s.set("b.de", "x", "3");
-        assert_eq!(s.len_for("a.de"), 2);
         s.clear_origin("a.de");
-        assert_eq!(s.len_for("a.de"), 0);
+        assert_eq!((s.get("a.de", "x"), s.get("a.de", "y")), (None, None));
         assert_eq!(s.get("b.de", "x"), Some("3"));
         assert_eq!(s.origin_count(), 1);
         s.clear();

@@ -1,12 +1,18 @@
 //! Integration tests: the browser against the synthetic web.
 
 use browser::{Browser, ClickOutcome};
-use httpsim::{Network, Region, Url};
+use httpsim::{Network, Region, Request, Response, Url};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use webgen::{
     server::{install, CONSENT_COOKIE, SUBSCRIPTION_COOKIE},
     BannerKind, Population, PopulationConfig, Serving, Smp, Visibility,
 };
+
+/// Register a closure origin for `host`.
+fn serve(net: &Network, host: &str, f: impl Fn(&Request<'_>) -> Response + Send + Sync + 'static) {
+    net.register(host, Arc::new(f));
+}
 
 fn world() -> (Arc<Population>, Network) {
     let pop = Arc::new(Population::generate(PopulationConfig::small()));
@@ -143,7 +149,7 @@ fn script_injected_wall_appears_after_load() {
 #[test]
 fn injected_fragments_load_their_own_scripts_and_subresources() {
     let net = Network::new();
-    net.register_fn("site.de", |req| match req.url.path() {
+    serve(&net, "site.de", |req| match req.url.path() {
         "/" => httpsim::Response::html(
             r#"<html><body><div id="a"></div><script src="/one.js" data-cw-inject="a"></script><script src="/plain.js"></script></body></html>"#,
         ),
@@ -153,7 +159,9 @@ fn injected_fragments_load_their_own_scripts_and_subresources() {
         "/two.js" => httpsim::Response::script(r#"<p id="third">third round</p>"#),
         _ => httpsim::Response::script(""),
     });
-    net.register_fn("cmp.example", |_| httpsim::Response::html("<p>framed</p>"));
+    serve(&net, "cmp.example", |_| {
+        httpsim::Response::html("<p>framed</p>")
+    });
     let mut b = Browser::new(net, Region::Germany);
     let page = b.visit(&Url::parse("site.de").unwrap()).unwrap();
     assert!(page.main().doc.get_element_by_id("third").is_some());
@@ -280,7 +288,13 @@ fn accept_then_clear_site_shows_wall_again() {
 #[test]
 fn decoy_paywall_shows_overlay() {
     let (pop, net) = world();
-    let decoy = pop.decoys()[0].domain.clone();
+    let decoy = pop
+        .sites()
+        .iter()
+        .find(|s| matches!(s.banner, BannerKind::DecoyPaywall))
+        .unwrap()
+        .domain
+        .clone();
     let mut b = Browser::new(net, Region::UsEast);
     let page = b.visit(&Url::parse(&decoy).unwrap()).unwrap();
     assert!(!page.select_all_frames("#premium-gate").is_empty());
@@ -301,37 +315,6 @@ fn count_tracking(b: &Browser) -> usize {
         .iter()
         .filter(|c| db.is_tracking_domain(c.domain()))
         .count()
-}
-
-#[test]
-fn consent_survives_browser_restart() {
-    let (pop, net) = world();
-    let domain = wall_with(&pop, |c| {
-        c.embedding == webgen::Embedding::MainDom
-            && c.serving == Serving::FirstParty
-            && c.visibility != Visibility::DeOnly
-    })
-    .unwrap();
-    let mut b = Browser::new(net, Region::Germany);
-    let url = Url::parse(&domain).unwrap();
-    let page = b.visit(&url).unwrap();
-    let btn = page.select_all_frames("#cw-wall button")[0];
-    let ClickOutcome::Accepted(_) = b.click(&page, btn).unwrap() else {
-        panic!("accept failed")
-    };
-    let cookies_before = b.jar().len();
-    // Restart: the session id is gone, the year-long consent cookie stays.
-    b.restart();
-    assert!(b.jar().len() < cookies_before, "session cookies dropped");
-    assert!(
-        b.jar().iter().any(|c| c.name() == CONSENT_COOKIE),
-        "consent persists"
-    );
-    let after = b.visit(&url).unwrap();
-    assert!(
-        after.select_all_frames("#cw-wall").is_empty(),
-        "no wall after restart — acceptance outlives the session"
-    );
 }
 
 #[test]
@@ -379,27 +362,27 @@ fn fetch_errors_are_typed() {
     use httpsim::{Response, TransportFault};
 
     let net = Network::new();
-    net.register_fn("reset.example", |_| {
+    serve(&net, "reset.example", |_| {
         let mut r = Response::connection_error();
         r.transport = Some(TransportFault::ConnectionReset);
         r
     });
-    net.register_fn("truncated.example", |_| {
+    serve(&net, "truncated.example", |_| {
         let mut r = Response::html("<html>half of the docum");
         r.transport = Some(TransportFault::TruncatedBody);
         r
     });
-    net.register_fn("slow.example", |_| {
+    serve(&net, "slow.example", |_| {
         let mut r = Response::html("<html>eventually</html>");
         r.latency_ms = 45_000;
         r
     });
-    net.register_fn("flaky.example", |_| {
+    serve(&net, "flaky.example", |_| {
         let mut r = Response::html("");
         r.status = 503;
         r
     });
-    net.register_fn("gone.example", |_| {
+    serve(&net, "gone.example", |_| {
         let mut r = Response::html("");
         r.status = 410;
         r
@@ -447,34 +430,37 @@ fn fetch_errors_are_typed() {
 }
 
 #[test]
-fn timeout_budget_is_configurable_and_spans_redirect_hops() {
-    use browser::FetchError;
+fn timeout_budget_spans_redirect_hops() {
+    use browser::{FetchError, DEFAULT_TIMEOUT_BUDGET_MS};
     use httpsim::Response;
 
     let net = Network::new();
-    // Two hops of 300 virtual ms each: fine under the default budget,
-    // fatal once the budget is tightened below their sum.
-    net.register_fn("hop.example", |r| {
+    // Each hop takes just over half the budget: one hop is fine, two
+    // redirect hops together exceed it.
+    let hop_ms = DEFAULT_TIMEOUT_BUDGET_MS / 2 + 1;
+    serve(&net, "hop.example", move |r| {
         let mut resp = if r.url.path() == "/" {
             Response::redirect("https://hop.example/land")
         } else {
             Response::html("<html>landed</html>")
         };
-        resp.latency_ms = 300;
+        resp.latency_ms = hop_ms;
+        resp
+    });
+    serve(&net, "one.example", move |_| {
+        let mut resp = Response::html("<html>direct</html>");
+        resp.latency_ms = hop_ms;
         resp
     });
 
-    let mut b = Browser::new(net.clone(), Region::Germany);
-    assert!(b.fetch_domain_document("hop.example").is_ok());
-
-    let mut b = Browser::new(net, Region::Germany).with_timeout_budget(500);
-    assert_eq!(b.timeout_budget_ms(), 500);
+    let mut b = Browser::new(net, Region::Germany);
+    assert!(b.fetch_domain_document("one.example").is_ok());
     let err = b.fetch_domain_document("hop.example").unwrap_err();
     assert_eq!(
         err,
         FetchError::Timeout {
             host: "hop.example".to_string(),
-            budget_ms: 500
+            budget_ms: DEFAULT_TIMEOUT_BUDGET_MS
         },
         "latency accumulates across redirect hops"
     );
@@ -525,7 +511,7 @@ fn two_phase_visit_matches_visit() {
 
     // A redirecting site, whose hop and document both set cookies.
     let net = Network::new();
-    net.register_fn("hop.example", |r| {
+    serve(&net, "hop.example", |r| {
         if r.url.path() == "/" {
             httpsim::Response::redirect("https://hop.example/land").with_cookie("hop=1; Path=/")
         } else {
@@ -559,9 +545,9 @@ fn failed_fetches_keep_their_cookies() {
             r
         }
     };
-    net.register_fn("gone.example", failing(404, 0));
-    net.register_fn("down.example", failing(503, 0));
-    net.register_fn("slow.example", failing(200, 45_000));
+    serve(&net, "gone.example", failing(404, 0));
+    serve(&net, "down.example", failing(503, 0));
+    serve(&net, "slow.example", failing(200, 45_000));
 
     let mut b = Browser::new(net, Region::Germany);
     for (host, cookie) in [
@@ -584,7 +570,7 @@ fn redirect_hop_cookie_reaches_the_next_hop() {
     use httpsim::Response;
 
     let net = Network::new();
-    net.register_fn("hop.example", |r| {
+    serve(&net, "hop.example", |r| {
         if r.url.path() == "/" {
             Response::redirect("/land").with_cookie("hop=1")
         } else {
@@ -609,7 +595,7 @@ fn invalid_utf8_body_reads_lossily() {
     use httpsim::{Bytes, Response};
 
     let net = Network::new();
-    net.register_fn("latin1.example", |_| {
+    serve(&net, "latin1.example", |_| {
         Response::html(Bytes::from_static(b"<p>M\xfcnchen</p>"))
     });
     let mut b = Browser::new(net, Region::Germany);
@@ -644,10 +630,10 @@ fn browser_follows_and_counts_redirects() {
     use httpsim::Response;
 
     let net = Network::new();
-    net.register_fn("a.example", |_| {
+    serve(&net, "a.example", |_| {
         Response::redirect("https://b.example/land").with_cookie("a=1")
     });
-    net.register_fn("b.example", |r| {
+    serve(&net, "b.example", |r| {
         if r.url.path() == "/land" {
             Response::redirect("home").with_cookie("b=1")
         } else {
@@ -657,11 +643,10 @@ fn browser_follows_and_counts_redirects() {
     });
     let mut b = Browser::new(net.clone(), Region::Germany);
     let fetched = b.fetch_domain_document("a.example").unwrap();
-    assert_eq!(fetched.url().as_str(), "https://a.example/");
     assert_eq!(fetched.final_url().as_str(), "https://b.example/home");
     assert_eq!(fetched.body(), "<p>/home b=1</p>");
-    assert_eq!(net.stats().requests(), 3);
-    assert_eq!(net.stats().redirects(), 2);
+    assert_eq!(net.stats().requests.load(Ordering::Relaxed), 3);
+    assert_eq!(net.stats().redirects.load(Ordering::Relaxed), 2);
     let stored = |b: &Browser| -> Vec<(String, String)> {
         b.jar()
             .iter()
@@ -695,14 +680,20 @@ fn redirect_loop_stops_at_the_cap() {
     use httpsim::{Response, MAX_REDIRECTS};
 
     let net = Network::new();
-    net.register_fn("loop.example", |_| {
+    serve(&net, "loop.example", |_| {
         Response::redirect("https://loop.example/again")
     });
     let mut b = Browser::new(net.clone(), Region::Germany);
     let err = b.fetch_domain_document("loop.example").unwrap_err();
     assert_eq!(err, FetchError::HttpError(404));
-    assert_eq!(net.stats().requests(), MAX_REDIRECTS as u64);
-    assert_eq!(net.stats().redirects(), MAX_REDIRECTS as u64);
+    assert_eq!(
+        net.stats().requests.load(Ordering::Relaxed),
+        MAX_REDIRECTS as u64
+    );
+    assert_eq!(
+        net.stats().redirects.load(Ordering::Relaxed),
+        MAX_REDIRECTS as u64
+    );
 }
 
 /// A tracker's cookie-sync bounce on an accepted page is a redirect the
@@ -722,5 +713,5 @@ fn tracker_sync_bounces_are_counted() {
         bounces += page.requests.iter().filter(|r| r.status == 302).count() as u64;
     }
     assert!(bounces > 0, "accepted walls load syncing trackers");
-    assert_eq!(net.stats().redirects(), bounces);
+    assert_eq!(net.stats().redirects.load(Ordering::Relaxed), bounces);
 }

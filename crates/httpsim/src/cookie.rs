@@ -404,12 +404,6 @@ impl Cookie {
         };
         host_ok && self.path_matches(url.path())
     }
-
-    /// Is this cookie first-party with respect to a page at `page_host`?
-    /// (Same registrable domain.)
-    pub fn is_first_party_for(&self, page_host: &str) -> bool {
-        self.is_same_site(page_host, registrable_domain(page_host))
-    }
 }
 
 impl fmt::Display for Cookie {
@@ -584,8 +578,9 @@ mod tests {
     fn party_classification() {
         let o = origin("https://cdn.tracker.com/pixel");
         let c = Cookie::parse_set_cookie("uid=7; Domain=tracker.com", &o).unwrap();
-        assert!(!c.is_first_party_for("www.zeit.de"));
-        assert!(c.is_first_party_for("api.tracker.com"));
-        assert!(c.is_first_party_for("API.Tracker.COM"));
+        let first_party = |host: &str| c.is_same_site(host, registrable_domain(host));
+        assert!(!first_party("www.zeit.de"));
+        assert!(first_party("api.tracker.com"));
+        assert!(first_party("API.Tracker.COM"));
     }
 }

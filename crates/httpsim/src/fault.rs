@@ -268,23 +268,6 @@ impl FaultPlan {
         }
     }
 
-    /// Is `host` permanently faulted (every attempt, every region)?
-    pub fn is_permanently_faulted(&self, host: &str) -> bool {
-        matches!(
-            self.cell_fault(Region::ALL[0], Self::fault_domain(host)),
-            Some(CellFault::Permanent(_))
-        )
-    }
-
-    /// Length of the transient fault window of a cell (0 = healthy or
-    /// permanently faulted — permanence is reported separately).
-    pub fn transient_window(&self, region: Region, host: &str) -> u32 {
-        match self.cell_fault(region, Self::fault_domain(host)) {
-            Some(CellFault::Transient { window, .. }) => window,
-            _ => 0,
-        }
-    }
-
     /// Build the response a faulted attempt observes, counting it. The
     /// origin server is *not* consulted: origin-side state must advance
     /// exactly as in a fault-free run (see the module invariant).
@@ -401,13 +384,20 @@ mod tests {
         }
     }
 
+    /// Attempts a transient fault lasts: the faulted prefix of attempts.
+    fn transient_window(plan: &FaultPlan, region: Region, host: &str) -> u32 {
+        (0..8)
+            .take_while(|&attempt| plan.fault_for(region, host, attempt).is_some())
+            .count() as u32
+    }
+
     #[test]
     fn transient_windows_close() {
         let plan = chaos(99, 1.0, 0.0);
         for region in Region::ALL {
             for i in 0..30 {
                 let host = format!("s{i}.de");
-                let window = plan.transient_window(region, &host);
+                let window = transient_window(&plan, region, &host);
                 assert!((1..=2).contains(&window), "{host}: window {window}");
                 for attempt in 0..window {
                     assert!(plan.fault_for(region, &host, attempt).is_some());
@@ -422,7 +412,6 @@ mod tests {
     #[test]
     fn permanent_faults_hold_for_every_region_and_attempt() {
         let plan = chaos(5, 0.0, 1.0);
-        assert!(plan.is_permanently_faulted("always-down.com"));
         let first = plan.fault_for(Region::Germany, "always-down.com", 0);
         assert!(first.is_some());
         for region in Region::ALL {
@@ -482,7 +471,7 @@ mod tests {
         let server = FaultyServer::new(origin, Arc::clone(&plan));
         let url = Url::parse("https://faulted.example/").unwrap();
         let region = Region::Germany;
-        let window = plan.transient_window(region, url.host());
+        let window = transient_window(&plan, region, url.host());
         assert!(window >= 1);
         for _ in 0..window {
             let resp = server.handle(&Request::navigation(&url, region));

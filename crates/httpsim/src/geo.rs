@@ -28,19 +28,6 @@ pub enum Region {
     Australia,
 }
 
-/// Data-protection regime relevant to cookie consent at the VP's location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PrivacyRegime {
-    /// EU General Data Protection Regulation: opt-in consent.
-    Gdpr,
-    /// California Consumer Privacy Act: opt-out.
-    Ccpa,
-    /// Brazilian Lei Geral de Proteção de Dados.
-    Lgpd,
-    /// No comprehensive regulation (or none relevant to cookie banners).
-    None,
-}
-
 impl Region {
     /// All eight regions in the paper's Table 1 order.
     pub const ALL: [Region; 8] = [
@@ -57,31 +44,6 @@ impl Region {
     /// Is this vantage point inside the EU (GDPR territory)?
     pub fn is_eu(self) -> bool {
         matches!(self, Region::Germany | Region::Sweden)
-    }
-
-    /// The privacy regime at this location.
-    pub fn regime(self) -> PrivacyRegime {
-        match self {
-            Region::Germany | Region::Sweden => PrivacyRegime::Gdpr,
-            Region::UsWest => PrivacyRegime::Ccpa,
-            Region::Brazil => PrivacyRegime::Lgpd,
-            Region::UsEast | Region::SouthAfrica | Region::India | Region::Australia => {
-                PrivacyRegime::None
-            }
-        }
-    }
-
-    /// ISO 3166-1 alpha-2 country code of the VP.
-    pub fn country_code(self) -> &'static str {
-        match self {
-            Region::Germany => "DE",
-            Region::Sweden => "SE",
-            Region::UsEast | Region::UsWest => "US",
-            Region::Brazil => "BR",
-            Region::SouthAfrica => "ZA",
-            Region::India => "IN",
-            Region::Australia => "AU",
-        }
     }
 
     /// The country-code TLD associated with the VP's country (Table 1's
@@ -154,10 +116,6 @@ mod tests {
             2,
             "exactly two EU vantage points"
         );
-        assert_eq!(Region::Germany.regime(), PrivacyRegime::Gdpr);
-        assert_eq!(Region::UsWest.regime(), PrivacyRegime::Ccpa);
-        assert_eq!(Region::UsEast.regime(), PrivacyRegime::None);
-        assert_eq!(Region::Brazil.regime(), PrivacyRegime::Lgpd);
     }
 
     #[test]
@@ -166,6 +124,5 @@ mod tests {
         assert_eq!(Region::Germany.main_language(), "de");
         assert_eq!(Region::Australia.main_language(), "en");
         assert_eq!(Region::Sweden.main_language(), "sv");
-        assert_eq!(Region::Brazil.country_code(), "BR");
     }
 }

@@ -65,11 +65,6 @@ impl<'a> Request<'a> {
         })
     }
 
-    /// True if any cookie named `name` is present.
-    pub fn has_cookie(&self, name: &str) -> bool {
-        self.cookie(name).is_some()
-    }
-
     /// Value of the query parameter `name` (`k=v&k=v`, no percent
     /// decoding), if present.
     pub fn query_param(&self, name: &str) -> Option<&'a str> {
@@ -243,7 +238,7 @@ mod tests {
         r.cookie_header = Some("a=1; consent=accepted; b=2");
         assert_eq!(r.cookie("consent"), Some("accepted"));
         assert_eq!(r.cookie("a"), Some("1"));
-        assert!(!r.has_cookie("missing"));
+        assert_eq!(r.cookie("missing"), None);
     }
 
     #[test]

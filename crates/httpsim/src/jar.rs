@@ -182,14 +182,6 @@ impl CookieJar {
         self.keys.extend(self.cookies.iter().map(Cookie::key_hash));
     }
 
-    /// Drop session cookies (those without `Max-Age`/`Expires`) — what a
-    /// browser restart does. Persistent cookies, like the consent cookie a
-    /// cookiewall stores for a year, survive.
-    pub fn expire_session_cookies(&mut self) {
-        self.cookies.retain(|c| c.max_age.is_some());
-        self.rebuild_keys();
-    }
-
     /// Break stored cookies down into first-party / third-party / tracking
     /// relative to a page at `page_host`, using `is_tracker` as the
     /// blocklist oracle (domain → listed?). Party comes from each cookie's
@@ -317,17 +309,6 @@ mod tests {
         jar.clear_site("wall.de");
         assert_eq!(jar.len(), 1);
         assert_eq!(jar.iter().next().unwrap().name(), "c");
-    }
-
-    #[test]
-    fn restart_drops_only_session_cookies() {
-        let mut jar = CookieJar::new();
-        let o = u("https://a.de/");
-        jar.store_response_cookies(["sid=1", "consent=yes; Max-Age=31536000"], &o);
-        assert_eq!(jar.len(), 2);
-        jar.expire_session_cookies();
-        assert_eq!(jar.len(), 1);
-        assert_eq!(jar.iter().next().unwrap().name(), "consent");
     }
 
     #[test]

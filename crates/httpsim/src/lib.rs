@@ -22,15 +22,16 @@
 //!
 //! ```
 //! use httpsim::{CookieJar, Network, Region, Request, Response, Url};
+//! use std::sync::Arc;
 //!
 //! let net = Network::new();
-//! net.register_fn("news.example.de", |req: &Request| {
+//! net.register("news.example.de", Arc::new(|req: &Request<'_>| {
 //!     if req.region.is_eu() {
 //!         Response::html("<div id=banner>Cookies?</div>").with_cookie("sid=1")
 //!     } else {
 //!         Response::html("<h1>News</h1>").with_cookie("sid=1")
 //!     }
-//! });
+//! }));
 //!
 //! let url = Url::parse("https://news.example.de/").unwrap();
 //! let resp = net.dispatch(&Request::navigation(&url, Region::Germany));
@@ -57,7 +58,7 @@ mod url;
 pub use bytes::Bytes;
 pub use cookie::{Cookie, SameSite};
 pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultPlan, FaultyServer};
-pub use geo::{PrivacyRegime, Region};
+pub use geo::Region;
 pub use http::{Method, Request, Response, TransportFault, DEFAULT_USER_AGENT};
 pub use jar::{CookieBreakdown, CookieJar};
 pub use net::{content_hash, document_hash, Network, NetworkStats, Server, MAX_REDIRECTS};

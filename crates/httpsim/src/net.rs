@@ -44,17 +44,9 @@ pub struct NetworkStats {
 }
 
 impl NetworkStats {
-    /// Requests dispatched so far.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
     /// Unresolved-host count so far.
     pub fn unresolved(&self) -> u64 {
         self.unresolved.load(Ordering::Relaxed)
-    }
-    /// Redirect hops so far.
-    pub fn redirects(&self) -> u64 {
-        self.redirects.load(Ordering::Relaxed)
     }
 }
 
@@ -120,24 +112,6 @@ impl Network {
             .servers
             .lock()
             .insert(host.to_ascii_lowercase(), server);
-    }
-
-    /// Convenience: register a closure server.
-    pub fn register_fn<F>(&self, host: &str, f: F)
-    where
-        F: Fn(&Request<'_>) -> Response + Send + Sync + 'static,
-    {
-        self.register(host, Arc::new(f));
-    }
-
-    /// Number of registered hosts.
-    pub fn host_count(&self) -> usize {
-        self.inner.servers.lock().len()
-    }
-
-    /// Is any server registered that would answer for `host`?
-    pub fn resolves(&self, host: &str) -> bool {
-        self.lookup(host).is_some()
     }
 
     fn lookup(&self, host: &str) -> Option<Arc<dyn Server>> {
@@ -243,6 +217,14 @@ mod tests {
     use crate::geo::Region;
     use crate::url::Url;
 
+    fn serve(
+        net: &Network,
+        host: &str,
+        f: impl Fn(&Request<'_>) -> Response + Send + Sync + 'static,
+    ) {
+        net.register(host, Arc::new(f));
+    }
+
     fn get(net: &Network, url: &str) -> Response {
         let url = Url::parse(url).unwrap();
         net.dispatch(&Request::navigation(&url, Region::Germany))
@@ -251,7 +233,7 @@ mod tests {
     #[test]
     fn register_and_dispatch() {
         let net = Network::new();
-        net.register_fn("site.de", |_| Response::html("<p>hi</p>"));
+        serve(&net, "site.de", |_| Response::html("<p>hi</p>"));
         let r = get(&net, "https://site.de/");
         assert_eq!(r.status, 200);
         assert_eq!(r.body_text(), "<p>hi</p>");
@@ -260,13 +242,13 @@ mod tests {
     #[test]
     fn subdomain_falls_back_to_parent() {
         let net = Network::new();
-        net.register_fn("climate-data.org", |r| {
+        serve(&net, "climate-data.org", |r| {
             Response::html(format!("host={}", r.url.host()))
         });
         let r = get(&net, "https://pt.climate-data.org/x");
         assert_eq!(r.body_text(), "host=pt.climate-data.org");
         // More specific registration wins.
-        net.register_fn("pt.climate-data.org", |_| Response::html("specific"));
+        serve(&net, "pt.climate-data.org", |_| Response::html("specific"));
         let r = get(&net, "https://pt.climate-data.org/x");
         assert_eq!(r.body_text(), "specific");
     }
@@ -285,10 +267,9 @@ mod tests {
         // must be a handle onto the same registry and counters, not a copy.
         let net = Network::new();
         let clone = net.clone();
-        net.register_fn("shared.de", |_| Response::html("ok"));
-        assert!(clone.resolves("shared.de"));
+        serve(&net, "shared.de", |_| Response::html("ok"));
         get(&clone, "https://shared.de/");
-        assert_eq!(net.stats().requests(), 1);
+        assert_eq!(net.stats().requests.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -51,8 +51,6 @@ pub struct Url {
     /// Start of `?query`, or the serialization's length when there is no
     /// query.
     query_start: u32,
-    /// Explicit port.
-    port: Option<u16>,
 }
 
 impl Url {
@@ -170,13 +168,7 @@ impl Url {
         }
         let path_start = serialization.len();
         push_normalized_path(&mut serialization, path);
-        Ok(Url::assemble(
-            serialization,
-            host_end,
-            path_start,
-            port,
-            query,
-        ))
+        Ok(Url::assemble(serialization, host_end, path_start, query))
     }
 
     /// Finish a URL whose serialization ends with its path: append the
@@ -185,7 +177,6 @@ impl Url {
         mut serialization: String,
         host_end: usize,
         path_start: usize,
-        port: Option<u16>,
         query: Option<&str>,
     ) -> Url {
         let query_start = serialization.len();
@@ -198,7 +189,6 @@ impl Url {
             host_end: host_end as u32,
             path_start: path_start as u32,
             query_start: query_start as u32,
-            port,
         }
     }
 
@@ -219,16 +209,6 @@ impl Url {
     /// Lowercased hostname.
     pub fn host(&self) -> &str {
         &self.serialization[self.scheme().len() + 3..self.host_end as usize]
-    }
-
-    /// Explicit port, if any.
-    pub fn port(&self) -> Option<u16> {
-        self.port
-    }
-
-    /// Effective port (explicit, or scheme default).
-    pub fn effective_port(&self) -> u16 {
-        self.port.unwrap_or(if self.is_secure() { 443 } else { 80 })
     }
 
     /// Path, always starting with `/`, dot-segments resolved.
@@ -299,24 +279,8 @@ impl Url {
             serialization,
             self.host_end as usize,
             self.path_start as usize,
-            self.port,
             query,
         ))
-    }
-
-    /// The origin URL (scheme + host + port, path `/`).
-    pub fn origin(&self) -> Url {
-        let origin = &self.serialization[..self.path_start as usize];
-        let mut serialization = String::with_capacity(origin.len() + 1);
-        serialization.push_str(origin);
-        serialization.push('/');
-        Url::assemble(
-            serialization,
-            self.host_end as usize,
-            self.path_start as usize,
-            self.port,
-            None,
-        )
     }
 }
 
@@ -445,7 +409,6 @@ mod tests {
         let u = Url::parse("https://www.spiegel.de:8443/politik/index.html?a=1#frag").unwrap();
         assert_eq!(u.scheme(), "https");
         assert_eq!(u.host(), "www.spiegel.de");
-        assert_eq!(u.port(), Some(8443));
         assert_eq!(u.path(), "/politik/index.html");
         assert_eq!(u.query(), Some("a=1"));
         assert_eq!(
@@ -459,13 +422,12 @@ mod tests {
         let u = Url::parse("heise.de").unwrap();
         assert_eq!(u.to_string(), "https://heise.de/");
         assert!(u.is_secure());
-        assert_eq!(u.effective_port(), 443);
     }
 
     #[test]
-    fn http_scheme_and_default_port() {
+    fn http_scheme() {
         let u = Url::parse("http://example.com").unwrap();
-        assert_eq!(u.effective_port(), 80);
+        assert_eq!(u.as_str(), "http://example.com/");
         assert!(!u.is_secure());
     }
 
@@ -555,7 +517,6 @@ mod tests {
         assert_eq!(u.as_str(), "http://shop.example.de:8080/b/?q=1&r=2");
         assert_eq!(u.scheme(), "http");
         assert_eq!(u.host(), "shop.example.de");
-        assert_eq!(u.port(), Some(8080));
         assert_eq!(u.path(), "/b/");
         assert_eq!(u.query(), Some("q=1&r=2"));
         let empty_query = Url::parse("https://a.de/x?").unwrap();
@@ -563,19 +524,13 @@ mod tests {
         assert_eq!(empty_query.path(), "/x");
         let joined = u.join("c?z").unwrap();
         assert_eq!(joined.host(), "shop.example.de");
-        assert_eq!(joined.port(), Some(8080));
+        assert_eq!(joined.as_str(), "http://shop.example.de:8080/b/c?z");
         assert_eq!(joined.path(), "/b/c");
         assert_eq!(joined.query(), Some("z"));
         assert_eq!(
             format!("{u:?}"),
             "Url(\"http://shop.example.de:8080/b/?q=1&r=2\")"
         );
-    }
-
-    #[test]
-    fn origin() {
-        let u = Url::parse("https://a.b.c:1234/x/y?q=1").unwrap();
-        assert_eq!(u.origin().to_string(), "https://a.b.c:1234/");
     }
 
     #[test]

@@ -222,16 +222,6 @@ mod oracle {
                 &self.serialization[self.scheme().len() + 3..self.host_end as usize]
             }
 
-            /// Explicit port, if any.
-            pub(crate) fn port(&self) -> Option<u16> {
-                self.port
-            }
-
-            /// Effective port (explicit, or scheme default).
-            pub(crate) fn effective_port(&self) -> u16 {
-                self.port.unwrap_or(if self.is_secure() { 443 } else { 80 })
-            }
-
             /// Path, always starting with `/`, dot-segments resolved.
             pub(crate) fn path(&self) -> &str {
                 &self.serialization[self.path_start as usize..self.query_start as usize]
@@ -295,21 +285,6 @@ mod oracle {
                     self.port,
                     query,
                 ))
-            }
-
-            /// The origin URL (scheme + host + port, path `/`).
-            pub(crate) fn origin(&self) -> Url {
-                let origin = &self.serialization[..self.path_start as usize];
-                let mut serialization = String::with_capacity(origin.len() + 1);
-                serialization.push_str(origin);
-                serialization.push('/');
-                Url::assemble(
-                    serialization,
-                    self.host_end as usize,
-                    self.path_start as usize,
-                    self.port,
-                    None,
-                )
             }
         }
 
@@ -708,10 +683,6 @@ mod oracle {
 
             pub(crate) fn clear(&mut self) {
                 self.cookies.clear();
-            }
-
-            pub(crate) fn expire_session_cookies(&mut self) {
-                self.cookies.retain(|c| c.max_age.is_some());
             }
 
             pub(crate) fn breakdown(
@@ -1134,8 +1105,8 @@ proptest! {
 
     /// The keyed jar with its site prefilter holds, sends and counts the
     /// same cookies as the retain-based jar, after any sequence of stores
-    /// (replacements and `Max-Age=0` deletions included), site clears,
-    /// restarts and full clears.
+    /// (replacements and `Max-Age=0` deletions included), site clears and
+    /// full clears.
     #[test]
     fn jar_matches_oracle(seed in any::<u64>()) {
         let mut g = Gen(seed);
@@ -1152,14 +1123,10 @@ proptest! {
                         old.store_response_cookies(lines, &origin)
                     );
                 }
-                80..=89 => {
+                80..=94 => {
                     let host = g.pick(ORIGIN_HOSTS);
                     new.clear_site(host);
                     old.clear_site(host);
-                }
-                90..=96 => {
-                    new.expire_session_cookies();
-                    old.expire_session_cookies();
                 }
                 _ => {
                     new.clear();
@@ -1313,21 +1280,8 @@ fn reference(g: &mut Gen) -> String {
     r
 }
 
-/// Every accessor of a parsed URL and its origin, or the error message.
-type UrlFields = Result<
-    (
-        String,
-        String,
-        String,
-        Option<u16>,
-        u16,
-        String,
-        Option<String>,
-        bool,
-        String,
-    ),
-    String,
->;
+/// Every accessor of a parsed URL, or the error message.
+type UrlFields = Result<(String, String, String, String, Option<String>, bool), String>;
 
 fn url_fields(u: Result<Url, httpsim::UrlParseError>) -> UrlFields {
     u.map(|u| {
@@ -1335,12 +1289,9 @@ fn url_fields(u: Result<Url, httpsim::UrlParseError>) -> UrlFields {
             u.as_str().to_string(),
             u.scheme().to_string(),
             u.host().to_string(),
-            u.port(),
-            u.effective_port(),
             u.path().to_string(),
             u.query().map(str::to_string),
             u.is_secure(),
-            u.origin().as_str().to_string(),
         )
     })
     .map_err(|e| e.message)
@@ -1352,12 +1303,9 @@ fn oracle_url_fields(u: Result<oracle::url::Url, oracle::url::UrlParseError>) ->
             u.as_str().to_string(),
             u.scheme().to_string(),
             u.host().to_string(),
-            u.port(),
-            u.effective_port(),
             u.path().to_string(),
             u.query().map(str::to_string),
             u.is_secure(),
-            u.origin().as_str().to_string(),
         )
     })
     .map_err(|e| e.message)

@@ -1,6 +1,6 @@
 //! Property-based tests for httpsim invariants.
 
-use httpsim::{domain_match, registrable_domain, same_site, Cookie, CookieJar, Region, Url};
+use httpsim::{domain_match, registrable_domain, same_site, Cookie, CookieJar, Url};
 use proptest::prelude::*;
 
 fn hostname() -> impl Strategy<Value = String> {
@@ -105,14 +105,4 @@ proptest! {
         prop_assert_eq!(jar.len(), 1);
         prop_assert_eq!(jar.cookies_for(&origin).next().unwrap().value().to_string(), v2);
     }
-}
-
-#[test]
-fn regions_cover_regimes() {
-    use httpsim::PrivacyRegime;
-    let regimes: Vec<PrivacyRegime> = Region::ALL.iter().map(|r| r.regime()).collect();
-    assert!(regimes.contains(&PrivacyRegime::Gdpr));
-    assert!(regimes.contains(&PrivacyRegime::Ccpa));
-    assert!(regimes.contains(&PrivacyRegime::Lgpd));
-    assert!(regimes.contains(&PrivacyRegime::None));
 }

@@ -139,14 +139,6 @@ pub struct Detection {
     pub trigrams: usize,
 }
 
-impl Detection {
-    /// Is this detection trustworthy? (Heuristic mirroring CLD3's
-    /// `is_reliable`: enough evidence and a clear margin.)
-    pub fn is_reliable(&self) -> bool {
-        self.trigrams >= 8 && self.margin > 0.02
-    }
-}
-
 /// Minimum alphabetic characters before detection is attempted.
 pub const MIN_INPUT_CHARS: usize = 8;
 
@@ -326,7 +318,10 @@ mod tests {
                 "misclassified {:?} as {:?} (margin {})",
                 expected, d.language, d.margin
             );
-            assert!(d.is_reliable(), "{expected:?} should be reliable");
+            assert!(
+                d.trigrams >= 8 && d.margin > 0.02,
+                "{expected:?} should have evidence and a clear margin"
+            );
         }
     }
 

@@ -41,13 +41,6 @@ impl BitSet {
         !had
     }
 
-    /// Clear bit `i`.
-    pub fn remove(&mut self, i: usize) {
-        if i < self.len {
-            self.words[i / 64] &= !(1u64 << (i % 64));
-        }
-    }
-
     /// Is bit `i` set?
     pub fn contains(&self, i: usize) -> bool {
         i < self.len && self.words[i / 64] & (1u64 << (i % 64)) != 0
@@ -190,11 +183,6 @@ impl DefUse {
 
     fn is_def_site(&self, idx: usize) -> bool {
         self.defs.iter().any(|d| d.name_idx == idx)
-    }
-
-    /// The def a use at token `idx` resolves to, if any.
-    pub fn binding_of(&self, idx: usize) -> Option<usize> {
-        self.uses.iter().position(|u| u.contains(&idx))
     }
 }
 

@@ -18,6 +18,7 @@
 //! | R9 `hot-path-allocation` | no avoidable allocation in functions reachable from the per-visit roots |
 //! | R10 `unbounded-growth` | collections on long-lived structs must shrink somewhere |
 //! | R11 `swallowed-io-errors` | IO `Result`s are handled or propagated, never discarded |
+//! | R12 `test-only-api` | every `pub fn` of a library crate has a production use, not only test callers |
 //!
 //! Each rule is suppressible inline with `// lint:allow(rule) — reason`
 //! (the reason is mandatory) and adoptable incrementally through a

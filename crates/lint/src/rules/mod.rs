@@ -13,13 +13,14 @@ pub mod panic_hygiene;
 pub mod persist_parity;
 pub mod seed_taint;
 pub mod swallowed_io;
+pub mod test_only_api;
 pub mod unbounded_growth;
 
 use crate::callgraph::Model;
 use crate::lexer::Token;
 use crate::source::SourceFile;
 
-/// The eleven invariant rules, in report order. `R1`–`R11` aliases match
+/// The twelve invariant rules, in report order. `R1`–`R12` aliases match
 /// the issue/DESIGN numbering; either name works in `lint:allow(...)`.
 pub const RULES: &[&dyn Rule] = &[
     &determinism::Determinism,
@@ -33,6 +34,7 @@ pub const RULES: &[&dyn Rule] = &[
     &hot_path_alloc::HotPathAlloc,
     &unbounded_growth::UnboundedGrowth,
     &swallowed_io::SwallowedIo,
+    &test_only_api::TestOnlyApi,
 ];
 
 /// Names accepted in `lint:allow(...)`: every rule name plus its R-code.

@@ -132,6 +132,18 @@ fn r11_swallowed_io_fires_exactly_once() {
 }
 
 #[test]
+fn r12_test_only_api_fires_exactly_once() {
+    // `peak` is called by a unit test and `tests/peak.rs` only; `total`
+    // is named as a value in `report`, which the example calls.
+    fires_exactly_once("r12-test-only", "test-only-api");
+    let report = run(&fixture("r12-test-only"), None).unwrap();
+    assert!(report.findings[0]
+        .0
+        .message
+        .contains("`pub fn Tally::peak`"));
+}
+
+#[test]
 fn cfg_liveness_scopes_r7_to_the_live_guard() {
     // Two guards, two waits: the early-dropped guard keeps its wait
     // silent, so block-scoped liveness reports exactly one finding — a
@@ -360,7 +372,7 @@ fn cli_exit_codes_map_outcomes() {
 }
 
 #[test]
-fn cli_lists_all_eleven_rules() {
+fn cli_lists_all_twelve_rules() {
     let out = cli(&["--list-rules"]);
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8(out.stdout).unwrap();
@@ -376,6 +388,7 @@ fn cli_lists_all_eleven_rules() {
         "hot-path-allocation",
         "unbounded-growth",
         "swallowed-io-errors",
+        "test-only-api",
     ] {
         assert!(text.contains(rule), "--list-rules must name {rule}");
     }

@@ -171,17 +171,6 @@ impl LatencyLedger {
         self.samples.entry(class).or_default().push(micros);
     }
 
-    /// Fold another ledger into this one (per-reader ledgers merge
-    /// class-wise; percentiles are computed over the union).
-    pub fn merge(&mut self, other: &LatencyLedger) {
-        for (class, samples) in &other.samples {
-            self.samples
-                .entry(class)
-                .or_default()
-                .extend_from_slice(samples);
-        }
-    }
-
     /// Total answers recorded across classes.
     pub fn total(&self) -> usize {
         self.samples.values().map(|v| v.len()).sum()
@@ -309,9 +298,7 @@ mod tests {
         }
         let s = &ledger.summaries()[0];
         assert_eq!((s.p50_micros, s.p99_micros), (30, 50));
-        let mut other = LatencyLedger::new();
-        other.record("diff", 7);
-        ledger.merge(&other);
+        ledger.record("diff", 7);
         assert_eq!(ledger.total(), 6);
     }
 }

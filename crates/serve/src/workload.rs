@@ -99,11 +99,6 @@ impl RequestStream {
         }
     }
 
-    /// How many distinct domains the stream draws from.
-    pub fn universe(&self) -> usize {
-        self.domains.len()
-    }
-
     /// Request `i` of reader lane `reader` — a pure function of the
     /// stream's seed and the two indices.
     pub fn request(&self, reader: usize, i: usize) -> Query {
@@ -229,7 +224,6 @@ mod tests {
     #[test]
     fn empty_universe_still_yields_queries() {
         let stream = RequestStream::new(1, Vec::new(), 1.1, 2, false);
-        assert_eq!(stream.universe(), 0);
         for i in 0..50 {
             let q = stream.request(0, i);
             if let Query::WallStatus { domain, .. } = q {

@@ -97,6 +97,7 @@ pub struct MemBackend {
 impl MemBackend {
     /// Simulate a power loss: every file reverts to its last-synced
     /// image; files never synced disappear entirely.
+    // lint:allow(test-only-api) — crash harness: store/tests/faults.rs and analysis/tests/diskfault.rs cut the power here
     pub fn crash(&self) {
         let mut files = self.files.lock();
         files.retain(|_, f| f.durable.is_some());
@@ -109,6 +110,7 @@ impl MemBackend {
 
     /// Bytes of `path` as a crash would reveal them (`None` = the file
     /// would not survive). Test helper for lying-fsync assertions.
+    // lint:allow(test-only-api) — crash harness: store/tests/faults.rs asserts lying-fsync and sync semantics on it
     pub fn durable_bytes(&self, path: &Path) -> Option<Vec<u8>> {
         self.files.lock().get(path).and_then(|f| f.durable.clone())
     }
@@ -276,13 +278,9 @@ impl FaultyBackend {
 
     /// Total bytes on the mutation clock — run a schedule once with no
     /// crash point to learn how many crash points it exposes.
+    // lint:allow(test-only-api) — crash harness: the every-byte crash sweeps in store/tests/faults.rs and analysis/tests/diskfault.rs size their loops on it
     pub fn mutated_bytes(&self) -> u64 {
         self.mutated.load(Ordering::Relaxed)
-    }
-
-    /// Has the crash point been hit?
-    pub fn crashed(&self) -> bool {
-        self.crashed.load(Ordering::Relaxed)
     }
 
     fn record(&self, event: String) {

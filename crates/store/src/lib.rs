@@ -172,9 +172,8 @@ struct SealState {
 pub struct Store {
     dir: PathBuf,
     regions: usize,
-    meta: Vec<(String, String)>,
-    /// `meta` as a map, built once at create/open so resume validation
-    /// does not linear-scan per lookup.
+    /// The meta pairs as a map, built once at create/open so resume
+    /// validation does not linear-scan per lookup.
     meta_map: BTreeMap<String, String>,
     /// Every byte of disk IO goes through here; [`FsBackend`] by default.
     backend: Arc<dyn StorageBackend>,
@@ -254,8 +253,7 @@ impl Store {
         Ok(Store {
             dir: dir.to_path_buf(),
             regions,
-            meta_map: pairs.iter().cloned().collect(),
-            meta: pairs,
+            meta_map: pairs.into_iter().collect(),
             backend,
             checkpoint_every: AtomicUsize::new(DEFAULT_CHECKPOINT_EVERY),
             stripes: (0..STRIPES)
@@ -350,8 +348,7 @@ impl Store {
         Ok(Store {
             dir: dir.to_path_buf(),
             regions,
-            meta_map: meta.iter().cloned().collect(),
-            meta,
+            meta_map: meta.into_iter().collect(),
             backend,
             checkpoint_every: AtomicUsize::new(DEFAULT_CHECKPOINT_EVERY),
             stripes: stripes.into_iter().map(Mutex::new).collect(),
@@ -379,11 +376,6 @@ impl Store {
     /// Number of region shards.
     pub fn regions(&self) -> usize {
         self.regions
-    }
-
-    /// All meta pairs, including the reserved `format`/`regions` entries.
-    pub fn meta(&self) -> &[(String, String)] {
-        &self.meta
     }
 
     /// Look up one meta value (map lookup — the map is built once at
@@ -453,17 +445,6 @@ impl Store {
     /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// All `(domain, payload)` entries of one region, in domain order.
-    /// Prefer [`Store::for_each_region_entry`] when the payloads are
-    /// consumed on the spot — it borrows instead of cloning the region.
-    pub fn region_entries(&self, region: u8) -> Vec<(String, Vec<u8>)> {
-        let mut entries: Vec<(String, Vec<u8>)> = Vec::new();
-        self.for_each_region_entry(region, &mut |domain, payload| {
-            entries.push((domain.to_string(), payload.to_vec()));
-        });
-        entries
     }
 
     /// Visit every `(domain, payload)` of one region in domain order,
@@ -572,12 +553,6 @@ impl Store {
         seal.next_generation += 1;
         seal.fingerprint = Some(fingerprint);
         Ok(generation)
-    }
-
-    /// Open the sealed view this store last wrote, reading only from
-    /// disk — the snapshot shares no lock with the writer.
-    pub fn snapshot(&self) -> io::Result<StoreSnapshot> {
-        StoreSnapshot::open_with(&self.dir, Arc::clone(&self.backend))
     }
 
     /// Drain every stripe's fresh puts in deterministic stripe order,
@@ -857,11 +832,9 @@ mod tests {
         assert_eq!(store.get(0, "a.example"), Some(payload(0, "a.example")));
         assert_eq!(store.get(3, "b.example"), Some(payload(3, "b.example")));
         assert!(!store.contains(1, "a.example"));
-        let entries = store.region_entries(0);
-        assert_eq!(
-            entries.iter().map(|(d, _)| d.as_str()).collect::<Vec<_>>(),
-            vec!["a.example", "c.example"]
-        );
+        let mut domains = Vec::new();
+        store.for_each_region_entry(0, &mut |domain, _| domains.push(domain.to_string()));
+        assert_eq!(domains, ["a.example", "c.example"]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -897,7 +870,7 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         put(&store, &[(1, "0.example")]);
         assert_eq!(store.seal().unwrap(), 3);
-        let snapshot = store.snapshot().unwrap();
+        let snapshot = StoreSnapshot::open(&dir).unwrap();
         let segments: Vec<(u8, &str, Option<u64>)> = [
             (0, "a.example"),
             (0, "b.example"),

@@ -37,10 +37,8 @@ struct Cell {
 pub struct StoreSnapshot {
     dir: PathBuf,
     regions: usize,
-    meta: Vec<(String, String)>,
     meta_map: BTreeMap<String, String>,
     generation: u64,
-    sealed_len: Vec<u64>,
     /// The sealed prefix of every region shard, read once at open.
     shards: Vec<Vec<u8>>,
     /// Sealed cells, one domain-keyed map per region.
@@ -101,10 +99,8 @@ impl StoreSnapshot {
                 return Ok(StoreSnapshot {
                     dir: dir.to_path_buf(),
                     regions,
-                    meta_map: meta.iter().cloned().collect(),
-                    meta,
+                    meta_map: meta.into_iter().collect(),
                     generation: 0,
-                    sealed_len: vec![0; regions],
                     shards: vec![Vec::new(); regions],
                     entries: vec![BTreeMap::new(); regions],
                     backend,
@@ -135,10 +131,8 @@ impl StoreSnapshot {
         Ok(StoreSnapshot {
             dir: dir.to_path_buf(),
             regions,
-            meta_map: meta.iter().cloned().collect(),
-            meta,
+            meta_map: meta.into_iter().collect(),
             generation: file.generation,
-            sealed_len: file.sealed_len,
             shards,
             entries,
             backend,
@@ -155,11 +149,6 @@ impl StoreSnapshot {
         self.regions
     }
 
-    /// All meta pairs, including the reserved `format`/`regions` entries.
-    pub fn meta(&self) -> &[(String, String)] {
-        &self.meta
-    }
-
     /// Look up one meta value.
     pub fn meta_value(&self, key: &str) -> Option<&str> {
         self.meta_map.get(key).map(|v| v.as_str())
@@ -168,14 +157,6 @@ impl StoreSnapshot {
     /// Generation of the sealed view (0 when never sealed).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Sealed byte length of one region shard.
-    pub fn sealed_len(&self, region: u8) -> u64 {
-        self.sealed_len
-            .get(region as usize)
-            .copied()
-            .unwrap_or_default()
     }
 
     /// Generation that first sealed this cell at its current offset.
@@ -203,11 +184,6 @@ impl StoreSnapshot {
     /// True when the sealed view holds no cells.
     pub fn is_empty(&self) -> bool {
         self.entries.iter().all(BTreeMap::is_empty)
-    }
-
-    /// Sealed cells of one region.
-    pub fn region_len(&self, region: u8) -> usize {
-        self.entries.get(region as usize).map_or(0, BTreeMap::len)
     }
 
     /// Read back a note (see [`crate::Store::write_note`]). Notes are

@@ -136,8 +136,13 @@ proptest! {
                 d
             );
         }
+        let region_domains = |r: u8| {
+            let mut domains = Vec::new();
+            reopened.for_each_region_entry(r, &mut |domain, _| domains.push(domain.to_string()));
+            domains
+        };
         for r in 0..REGIONS {
-            let entries = reopened.region_entries(r);
+            let entries = region_domains(r);
             let expected: Vec<&str> = {
                 let mut v: Vec<&str> = durable
                     .iter()
@@ -147,13 +152,13 @@ proptest! {
                 v.sort_unstable();
                 v
             };
-            let got: Vec<&str> = entries.iter().map(|(d, _)| d.as_str()).collect();
+            let got: Vec<&str> = entries.iter().map(String::as_str).collect();
             prop_assert_eq!(got, expected, "region {} entry set", r);
         }
         // Tasks that were put but never checkpointed before an abort may
         // legitimately be absent — but nothing outside ever_put may appear.
         for r in 0..REGIONS {
-            for (domain, _) in reopened.region_entries(r) {
+            for domain in region_domains(r) {
                 let d = DOMAINS.iter().position(|&x| x == domain).unwrap();
                 prop_assert!(ever_put.contains(&(r, d)), "phantom task ({}, {})", r, domain);
             }

@@ -117,7 +117,7 @@ proptest! {
                     sealed = durable.clone();
                 }
                 Op::Snapshot => {
-                    let snap = live.snapshot().unwrap();
+                    let snap = StoreSnapshot::open(live.dir()).unwrap();
                     check_snapshot(&snap, &live, &sealed)?;
                 }
                 Op::SealAndReopen => {
@@ -132,10 +132,10 @@ proptest! {
         // A final seal makes everything visible, across a reopen too.
         live.seal().unwrap();
         sealed = durable.clone();
-        check_snapshot(&live.snapshot().unwrap(), &live, &sealed)?;
+        check_snapshot(&StoreSnapshot::open(live.dir()).unwrap(), &live, &sealed)?;
         drop(live);
         let reopened = Store::open(&dir).unwrap();
-        check_snapshot(&reopened.snapshot().unwrap(), &reopened, &sealed)?;
+        check_snapshot(&StoreSnapshot::open(reopened.dir()).unwrap(), &reopened, &sealed)?;
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -147,7 +147,7 @@ fn never_sealed_store_yields_an_empty_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = Store::create(&dir, REGIONS as usize, &[]).unwrap();
     store.put(0, DOMAINS[0], b"unsealed").unwrap();
-    let snap = store.snapshot().unwrap();
+    let snap = StoreSnapshot::open(store.dir()).unwrap();
     assert!(snap.is_empty());
     assert_eq!(snap.generation(), 0);
     assert_eq!(
@@ -233,7 +233,8 @@ fn snapshots_mid_ingest_never_observe_a_torn_index() {
             scope.spawn(move || {
                 let mut last_generation = 0u64;
                 for _ in 0..40 {
-                    let snap = store.snapshot().expect("mid-ingest snapshot opens clean");
+                    let snap =
+                        StoreSnapshot::open(store.dir()).expect("mid-ingest snapshot opens clean");
                     assert!(
                         snap.generation() >= last_generation,
                         "generations never move backwards"
@@ -251,7 +252,7 @@ fn snapshots_mid_ingest_never_observe_a_torn_index() {
     });
 
     // After the ingest, the final snapshot holds the complete matrix.
-    let snap = store.snapshot().unwrap();
+    let snap = StoreSnapshot::open(store.dir()).unwrap();
     assert_eq!(snap.len(), REGIONS as usize * domains.len());
     std::fs::remove_dir_all(&dir).unwrap();
 }

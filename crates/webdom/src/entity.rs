@@ -105,14 +105,7 @@ fn decode_reference(name: &str) -> Option<char> {
 }
 
 /// Encode the five characters that must be escaped in HTML text and
-/// attribute values.
-pub fn encode_entities(input: &str) -> String {
-    let mut out = String::with_capacity(input.len());
-    encode_entities_into(input, &mut out);
-    out
-}
-
-/// [`encode_entities`], appending to `out`.
+/// attribute values, appending to `out`.
 pub(crate) fn encode_entities_into(input: &str, out: &mut String) {
     for c in input.chars() {
         match c {
@@ -129,6 +122,21 @@ pub(crate) fn encode_entities_into(input: &str, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn encode_entities(input: &str) -> String {
+        let mut out = String::new();
+        encode_entities_into(input, &mut out);
+        out
+    }
+
+    proptest! {
+        /// Entity encoding always decodes back to the original.
+        #[test]
+        fn entity_roundtrip(s in "\\PC{0,200}") {
+            prop_assert_eq!(decode_entities(&encode_entities(&s)), s);
+        }
+    }
 
     #[test]
     fn decodes_named() {

@@ -9,9 +9,8 @@
 //!   via declarative `<template shadowrootmode>` markup, deliberately opaque
 //!   to normal traversal and selectors (the limitation the paper's §3
 //!   workaround pierces),
-//! * a CSS selector subset ([`Document::select`]) and an XPath subset
-//!   ([`Document::xpath`]) — both deliberately blind to shadow roots,
-//!   exactly as §3 observes for real locators,
+//! * a CSS selector subset ([`Document::select`]) — deliberately blind to
+//!   shadow roots, exactly as §3 observes for real locators,
 //! * inline-style parsing for overlay heuristics ([`Style`]),
 //! * visible-text extraction ([`Document::visible_text`]) — the
 //!   BeautifulSoup role in the original pipeline,
@@ -57,17 +56,14 @@ mod style;
 mod text;
 mod tokenizer;
 mod tree;
-mod xpath;
 
-pub use entity::{decode_entities, encode_entities};
+pub use entity::decode_entities;
 pub use parser::{parse, parse_fragment_into};
 pub use selector::{
     AttrOp, Combinator, Compound, Selector, SelectorList, SelectorParseError, Simple,
 };
 pub use style::{Style, OVERLAY_POSITIONS};
-pub use text::normalize_whitespace;
 pub use tree::{
     is_void_element, AncestorIter, ChildIter, DescendantIter, Document, ElementData, Node, NodeId,
     NodeKind, ShadowMode, ShadowRootRef, Span,
 };
-pub use xpath::{XPath, XPathError};

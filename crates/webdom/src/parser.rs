@@ -393,7 +393,7 @@ mod tests {
         let d = parse("<p>naked</p>");
         let body = d.body().expect("implicit body synthesized");
         assert_eq!(d.children(body).count(), 1);
-        let html = d.html().expect("implicit html");
+        let html = d.select(d.root(), "html").unwrap()[0];
         assert!(d.is_ancestor(html, body));
     }
 
@@ -402,7 +402,7 @@ mod tests {
         let d = parse("<head><title>t</title></head><body><div>x</div></body>");
         let body = d.body().unwrap();
         assert_eq!(d.children(body).count(), 1);
-        let titles = d.get_elements_by_tag("title");
+        let titles = d.select(d.root(), "title").unwrap();
         assert_eq!(titles.len(), 1);
         assert!(!d.is_ancestor(body, titles[0]), "title not inside body");
     }
@@ -466,7 +466,7 @@ mod tests {
     #[test]
     fn plain_template_is_ordinary_element() {
         let d = parse("<div><template><span>x</span></template></div>");
-        let tmpl = d.get_elements_by_tag("template");
+        let tmpl = d.select(d.root(), "template").unwrap();
         assert_eq!(tmpl.len(), 1);
         assert_eq!(d.children(tmpl[0]).count(), 1);
     }
@@ -495,13 +495,13 @@ mod tests {
         parse_fragment_into(&mut d, target, "<span>a</span><span>b</span>");
         assert_eq!(d.children(target).count(), 2);
         // No implicit body inside a fragment.
-        assert_eq!(d.get_elements_by_tag("body").len(), 1);
+        assert_eq!(d.select(d.root(), "body").unwrap().len(), 1);
     }
 
     #[test]
     fn attributes_preserved() {
         let d = parse(r#"<iframe src="https://cmp.example/consent" width=400></iframe>"#);
-        let ifr = d.get_elements_by_tag("iframe")[0];
+        let ifr = d.select(d.root(), "iframe").unwrap()[0];
         assert_eq!(d.attr(ifr, "src"), Some("https://cmp.example/consent"));
         assert_eq!(d.attr(ifr, "width"), Some("400"));
     }
@@ -585,14 +585,14 @@ mod auto_close_tests {
     #[test]
     fn list_items_are_siblings() {
         let d = parse("<ul><li>a<li>b<li>c</ul>");
-        let ul = d.get_elements_by_tag("ul")[0];
+        let ul = d.select(d.root(), "ul").unwrap()[0];
         assert_eq!(d.children(ul).count(), 3);
     }
 
     #[test]
     fn table_cells_and_rows() {
         let d = parse("<table><tr><td>1<td>2<tr><td>3</table>");
-        let rows = d.get_elements_by_tag("tr");
+        let rows = d.select(d.root(), "tr").unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(d.children(rows[0]).count(), 2);
         assert_eq!(d.children(rows[1]).count(), 1);
@@ -601,8 +601,8 @@ mod auto_close_tests {
     #[test]
     fn inline_elements_do_not_close_p() {
         let d = parse("<p>a <b>bold</b> and <em>em</em> end</p>");
-        let p = d.get_elements_by_tag("p")[0];
+        let p = d.select(d.root(), "p").unwrap()[0];
         assert_eq!(d.visible_text(p), "a bold and em end");
-        assert_eq!(d.get_elements_by_tag("p").len(), 1);
+        assert_eq!(d.select(d.root(), "p").unwrap().len(), 1);
     }
 }

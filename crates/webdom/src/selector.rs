@@ -192,18 +192,6 @@ impl Document {
             .filter(|&id| list.matches(self, id))
             .collect())
     }
-
-    /// First match of `selector` under `scope`, like `querySelector`.
-    pub fn select_first(
-        &self,
-        scope: NodeId,
-        selector: &str,
-    ) -> Result<Option<NodeId>, SelectorParseError> {
-        let list = SelectorList::parse(selector)?;
-        Ok(self
-            .descendant_elements(scope)
-            .find(|&id| list.matches(self, id)))
-    }
 }
 
 struct Parser<'a> {
@@ -481,14 +469,14 @@ mod tests {
     #[test]
     fn select_first_in_document_order() {
         let d = doc();
-        let first = d.select_first(d.root(), "button").unwrap().unwrap();
+        let first = d.select(d.root(), "button").unwrap()[0];
         assert_eq!(d.attr(first, "data-role"), Some("accept"));
     }
 
     #[test]
     fn scoped_selection() {
         let d = doc();
-        let content = d.select_first(d.root(), ".content").unwrap().unwrap();
+        let content = d.select(d.root(), ".content").unwrap()[0];
         assert_eq!(d.select(content, "button").unwrap().len(), 1);
         assert_eq!(d.select(content, ".accept").unwrap().len(), 0);
     }

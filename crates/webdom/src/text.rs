@@ -27,18 +27,6 @@ impl Document {
         out.finish()
     }
 
-    /// Raw concatenated text content of the subtree (no visibility rules,
-    /// no whitespace normalization) — `textContent` semantics.
-    pub fn text_content(&self, id: NodeId) -> String {
-        let mut out = String::new();
-        for n in self.descendants(id) {
-            if let Some(t) = self.text(n) {
-                out.push_str(t);
-            }
-        }
-        out
-    }
-
     fn collect_text(&self, id: NodeId, out: &mut Normalizer) {
         match &self.node(id).kind {
             NodeKind::Text(_) => out.push_str(self.text(id).unwrap_or("")),
@@ -116,17 +104,30 @@ impl Normalizer {
     }
 }
 
-/// Collapse whitespace runs to single spaces and trim the ends.
-pub fn normalize_whitespace(s: &str) -> String {
-    let mut out = Normalizer::new(String::with_capacity(s.len()));
-    out.push_str(s);
-    out.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use proptest::prelude::*;
+
+    /// Collapse whitespace runs to single spaces and trim the ends.
+    fn normalize_whitespace(s: &str) -> String {
+        let mut out = Normalizer::new(String::new());
+        out.push_str(s);
+        out.finish()
+    }
+
+    proptest! {
+        /// Whitespace normalization is idempotent and never produces
+        /// doubled spaces or boundary whitespace.
+        #[test]
+        fn normalize_whitespace_idempotent(s in "\\PC{0,200}") {
+            let once = normalize_whitespace(&s);
+            prop_assert_eq!(&normalize_whitespace(&once), &once);
+            prop_assert!(!once.contains("  "));
+            prop_assert!(!once.starts_with(' ') && !once.ends_with(' '));
+        }
+    }
 
     #[test]
     fn extracts_and_normalizes() {
@@ -171,13 +172,6 @@ mod tests {
         let d = parse("<p>Nur 2,99 €</p><p>pro Monat</p>");
         let body = d.body().unwrap();
         assert_eq!(d.visible_text(body), "Nur 2,99 € pro Monat");
-    }
-
-    #[test]
-    fn text_content_is_raw() {
-        let d = parse("<div>a<script>s</script> b </div>");
-        let body = d.body().unwrap();
-        assert_eq!(d.text_content(body), "as b ");
     }
 
     #[test]

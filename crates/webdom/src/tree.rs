@@ -647,15 +647,6 @@ impl Document {
         self.element(id).and_then(|e| e.shadow_root)
     }
 
-    /// Shadow root of element `id` only if it is open — what page JavaScript
-    /// sees as `element.shadowRoot`.
-    pub fn open_shadow_root(&self, id: NodeId) -> Option<NodeId> {
-        match self.shadow_root(id) {
-            Some(r) if r.mode == ShadowMode::Open => Some(r.root),
-            _ => None,
-        }
-    }
-
     // ------------------------------------------------------------ traversal
 
     /// Iterate direct children of `id` in order.
@@ -716,29 +707,11 @@ impl Document {
             .find(|&id| self.tag(id) == Some("body"))
     }
 
-    /// The `<html>` element, if present.
-    pub fn html(&self) -> Option<NodeId> {
-        self.children(self.root)
-            .find(|&id| self.tag(id) == Some("html"))
-    }
-
     /// First element with the given `id` attribute, searching the light DOM
     /// from the document root (like `getElementById`).
     pub fn get_element_by_id(&self, html_id: &str) -> Option<NodeId> {
         self.descendant_elements(self.root)
             .find(|&n| self.attr(n, "id") == Some(html_id))
-    }
-
-    /// All elements with the given tag name in the light DOM.
-    pub fn get_elements_by_tag(&self, tag: &str) -> Vec<NodeId> {
-        self.descendant_elements(self.root)
-            .filter(|&n| self.tag(n).is_some_and(|t| t.eq_ignore_ascii_case(tag)))
-            .collect()
-    }
-
-    /// Depth of `id` below the document root (root itself is depth 0).
-    pub fn depth(&self, id: NodeId) -> usize {
-        self.ancestors(id).count()
     }
 
     /// True if `maybe_ancestor` is an ancestor of `id` (strictly above it).
@@ -835,7 +808,6 @@ mod tests {
         let desc: Vec<_> = d.descendants(d.root()).collect();
         assert_eq!(desc, vec![d.root(), html, body, div]);
         assert_eq!(d.body(), Some(body));
-        assert_eq!(d.depth(div), 3);
         assert!(d.is_ancestor(html, div));
         assert!(!d.is_ancestor(div, html));
     }
@@ -898,12 +870,9 @@ mod tests {
         let sref = d.shadow_root(div).unwrap();
         assert_eq!(sref.mode, ShadowMode::Closed);
         assert_eq!(d.children(sref.root).collect::<Vec<_>>(), vec![inner]);
-        // Closed root is invisible via the page-script accessor.
-        assert_eq!(d.open_shadow_root(div), None);
         let div2 = d.create_element("div");
         d.append_child(body, div2);
-        let sr2 = d.attach_shadow(div2, ShadowMode::Open);
-        assert_eq!(d.open_shadow_root(div2), Some(sr2));
+        d.attach_shadow(div2, ShadowMode::Open);
         // shadow_hosts finds both.
         let hosts = d.shadow_hosts();
         assert!(hosts.contains(&div) && hosts.contains(&div2));

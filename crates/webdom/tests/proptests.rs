@@ -8,7 +8,7 @@
 //! including shadow roots).
 
 use proptest::prelude::*;
-use webdom::{decode_entities, encode_entities, normalize_whitespace, parse, Document, ShadowMode};
+use webdom::{parse, Document, ShadowMode};
 
 /// Strategy: text without markup metacharacters (used for generated trees).
 fn plain_text() -> impl Strategy<Value = String> {
@@ -161,22 +161,6 @@ proptest! {
         let body2 = d2.body().expect("body survives");
         let squash = |s: String| s.chars().filter(|c| !c.is_whitespace()).collect::<String>();
         prop_assert_eq!(squash(d.visible_text(body)), squash(d2.visible_text(body2)));
-    }
-
-    /// Entity encoding always decodes back to the original.
-    #[test]
-    fn entity_roundtrip(s in "\\PC{0,200}") {
-        prop_assert_eq!(decode_entities(&encode_entities(&s)), s);
-    }
-
-    /// Whitespace normalization is idempotent and never produces doubled
-    /// spaces or boundary whitespace.
-    #[test]
-    fn normalize_whitespace_idempotent(s in "\\PC{0,200}") {
-        let once = normalize_whitespace(&s);
-        prop_assert_eq!(&normalize_whitespace(&once), &once);
-        prop_assert!(!once.contains("  "));
-        prop_assert!(!once.starts_with(' ') && !once.ends_with(' '));
     }
 
     /// Selector parsing never panics on arbitrary input.

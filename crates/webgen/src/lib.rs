@@ -47,6 +47,4 @@ pub use spec::{
     BannerKind, BannerSpec, Cmp, CookieCounts, CookieProfile, CookiewallSpec, Country, Currency,
     Embedding, Period, PriceSpec, RankBucket, Serving, SiteSpec, Smp, ToplistEntry, Visibility,
 };
-pub use trackers::{
-    plan_benign, plan_trackers, planned_cookie_total, TrackerPlan, BENIGN_THIRD_PARTIES,
-};
+pub use trackers::{plan_benign, plan_trackers, TrackerPlan, BENIGN_THIRD_PARTIES};

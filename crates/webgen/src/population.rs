@@ -152,11 +152,6 @@ impl Population {
         Builder::new(config).build()
     }
 
-    /// Population at full paper scale.
-    pub fn paper() -> Self {
-        Self::generate(PopulationConfig::paper())
-    }
-
     /// The config this population was generated from.
     pub fn config(&self) -> &PopulationConfig {
         &self.config
@@ -214,15 +209,6 @@ impl Population {
             .collect()
     }
 
-    /// Ground truth: the decoy paywalls (sources of detector false
-    /// positives).
-    pub fn decoys(&self) -> Vec<&SiteSpec> {
-        self.sites
-            .iter()
-            .filter(|s| matches!(s.banner, BannerKind::DecoyPaywall))
-            .collect()
-    }
-
     /// All partner domains of `smp` — in-list walls plus off-list partners
     /// (the paper's contentpass claims 219 total with 76 in-list).
     pub fn smp_partners(&self, smp: Smp) -> &[String] {
@@ -239,20 +225,6 @@ impl Population {
     /// so visits fail with a connection error.
     pub fn is_dead(&self, domain: &str) -> bool {
         self.dead_domains.contains(domain)
-    }
-
-    /// Number of dead (unreachable) domains.
-    pub fn dead_count(&self) -> usize {
-        self.dead_domains.len()
-    }
-
-    /// Sites with a regular cookie banner that has an accept button —
-    /// the comparison population of Figure 4.
-    pub fn regular_banner_sites(&self) -> Vec<&SiteSpec> {
-        self.sites
-            .iter()
-            .filter(|s| matches!(&s.banner, BannerKind::Banner(_)) && !s.toplists.is_empty())
-            .collect()
     }
 }
 
@@ -932,7 +904,13 @@ mod tests {
             assert_eq!(list.len(), 80);
         }
         assert!(!p.ground_truth_walls().is_empty());
-        assert_eq!(p.decoys().len(), 1);
+        assert_eq!(
+            p.sites()
+                .iter()
+                .filter(|s| matches!(s.banner, BannerKind::DecoyPaywall))
+                .count(),
+            1
+        );
         // Every toplist domain resolves to a spec.
         for d in p.merged_targets() {
             assert!(p.site(&d).is_some(), "{d} has no spec");
@@ -1098,7 +1076,7 @@ mod tests {
     #[test]
     fn paper_scale_epoch_drift_is_nonzero() {
         use std::collections::BTreeSet;
-        let e0 = Population::paper();
+        let e0 = Population::generate(PopulationConfig::paper());
         let e1 = Population::generate(PopulationConfig::paper().with_epoch(1));
         assert_eq!(e0.merged_targets(), e1.merged_targets());
         let walls = |p: &Population| -> BTreeSet<String> {
@@ -1131,10 +1109,16 @@ mod tests {
     #[test]
     fn paper_scale_union_is_45222() {
         // The expensive flagship invariant — generation only, no crawling.
-        let p = Population::paper();
+        let p = Population::generate(PopulationConfig::paper());
         assert_eq!(p.merged_targets().len(), 45_222);
         assert_eq!(p.ground_truth_walls().len(), 280);
-        assert_eq!(p.decoys().len(), 5);
+        assert_eq!(
+            p.sites()
+                .iter()
+                .filter(|s| matches!(s.banner, BannerKind::DecoyPaywall))
+                .count(),
+            5
+        );
         assert_eq!(p.smp_partners(Smp::Contentpass).len(), 219);
         assert_eq!(p.smp_partners(Smp::Freechoice).len(), 167);
         for c in Country::ALL {

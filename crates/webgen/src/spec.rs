@@ -397,22 +397,9 @@ pub struct SiteSpec {
 }
 
 impl SiteSpec {
-    /// The site's TLD (last label of the domain).
-    pub fn tld(&self) -> &str {
-        self.domain.rsplit('.').next().unwrap_or("")
-    }
-
     /// Is the site on `country`'s toplist (any bucket)?
     pub fn on_toplist(&self, country: Country) -> bool {
         self.toplists.iter().any(|t| t.country == country)
-    }
-
-    /// The site's bucket on `country`'s toplist, if listed.
-    pub fn bucket(&self, country: Country) -> Option<RankBucket> {
-        self.toplists
-            .iter()
-            .find(|t| t.country == country)
-            .map(|t| t.bucket)
     }
 
     /// Ground truth: does this site show its cookiewall to a visitor from
@@ -544,10 +531,10 @@ mod tests {
             bot_sensitive: false,
         };
         assert!(s.on_toplist(Country::De));
-        assert_eq!(s.bucket(Country::De), Some(RankBucket::Top1k));
-        assert_eq!(s.bucket(Country::Se), Some(RankBucket::Top10k));
+        let bucket = |c: Country| s.toplists.iter().find(|t| t.country == c).map(|t| t.bucket);
+        assert_eq!(bucket(Country::De), Some(RankBucket::Top1k));
+        assert_eq!(bucket(Country::Se), Some(RankBucket::Top10k));
         assert!(!s.on_toplist(Country::Au));
-        assert_eq!(s.tld(), "de");
         assert!(!s.banner.is_cookiewall());
     }
 

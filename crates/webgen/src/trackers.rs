@@ -115,17 +115,17 @@ fn keyed_hash(prefix: &[u8], site: &str) -> u64 {
         .finish()
 }
 
-/// Total cookies a tracker plan will set (including sync-partner cookies).
-pub fn planned_cookie_total(plans: &[TrackerPlan]) -> u32 {
-    plans
-        .iter()
-        .map(|p| p.cookies + u32::from(p.sync_with.is_some()))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cookies `plans` set, sync-partner cookies included.
+    fn cookie_total(plans: &[TrackerPlan]) -> u32 {
+        plans
+            .iter()
+            .map(|p| p.cookies + u32::from(p.sync_with.is_some()))
+            .sum()
+    }
 
     #[test]
     fn pools_disjoint() {
@@ -140,7 +140,7 @@ mod tests {
     fn plan_hits_exact_total() {
         for total in [1u32, 3, 10, 43, 70, 120] {
             let plans = plan_trackers("zeitung.de", 0, total);
-            assert_eq!(planned_cookie_total(&plans), total, "total {total}");
+            assert_eq!(cookie_total(&plans), total, "total {total}");
         }
         assert!(plan_trackers("zeitung.de", 0, 0).is_empty());
     }

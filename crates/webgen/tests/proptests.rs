@@ -4,8 +4,8 @@ use httpsim::{Network, Region, Request, Url};
 use proptest::prelude::*;
 use std::sync::Arc;
 use webgen::{
-    domain_name, format_price, plan_trackers, planned_cookie_total, server, stable_hash,
-    stable_shuffle, Currency, Period, Population, PopulationConfig, PriceSpec,
+    domain_name, format_price, plan_trackers, server, stable_hash, stable_shuffle, Currency,
+    Period, Population, PopulationConfig, PriceSpec,
 };
 
 proptest! {
@@ -43,7 +43,8 @@ proptest! {
     #[test]
     fn tracker_plan_budget_exact(site in "[a-z]{3,10}", visit in 0u64..20, total in 0u32..180) {
         let plans = plan_trackers(&format!("{site}.de"), visit, total);
-        prop_assert_eq!(planned_cookie_total(&plans), total);
+        let planned: u32 = plans.iter().map(|p| p.cookies + u32::from(p.sync_with.is_some())).sum();
+        prop_assert_eq!(planned, total);
         // Every host is a listed tracker (so every planned cookie counts as
         // tracking under the justdomains classifier).
         let db = blocklist::TrackerDb::justdomains();
@@ -126,7 +127,10 @@ fn dead_domains_are_unreachable_and_calibration_unaffected() {
     let mut cfg = PopulationConfig::tiny();
     cfg.unreachable_per_mille = 100; // 10% of banner-less filler sites die
     let pop = Arc::new(Population::generate(cfg.clone()));
-    assert!(pop.dead_count() > 0, "some sites must be dead");
+    assert!(
+        pop.sites().iter().any(|s| pop.is_dead(&s.domain)),
+        "some sites must be dead"
+    );
     let net = Network::new();
     server::install(Arc::clone(&pop), &net);
     // Dead domains fail like lapsed registrations.
@@ -138,7 +142,11 @@ fn dead_domains_are_unreachable_and_calibration_unaffected() {
     for s in pop.ground_truth_walls() {
         assert!(!pop.is_dead(&s.domain), "{}", s.domain);
     }
-    for s in pop.decoys() {
+    for s in pop
+        .sites()
+        .iter()
+        .filter(|s| matches!(s.banner, webgen::BannerKind::DecoyPaywall))
+    {
         assert!(!pop.is_dead(&s.domain));
     }
     // And the paper-scale config keeps everything reachable (the 45,222

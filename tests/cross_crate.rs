@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use bannerclick::{BannerClick, CorpusMode, DetectorOptions};
-use browser::Browser;
+use browser::{Browser, ClickOutcome};
 use httpsim::{Network, Region, Url};
 use webgen::{BannerKind, Population, PopulationConfig, Visibility};
 
@@ -46,7 +46,13 @@ fn climate_data_footnote_case() {
 #[test]
 fn corpus_ablation_changes_precision_recall_tradeoff() {
     let (pop, net) = world();
-    let decoy = pop.decoys()[0].domain.clone();
+    let decoy = pop
+        .sites()
+        .iter()
+        .find(|s| matches!(s.banner, BannerKind::DecoyPaywall))
+        .unwrap()
+        .domain
+        .clone();
     let walls: Vec<String> = pop
         .ground_truth_walls()
         .iter()
@@ -93,8 +99,9 @@ fn corpus_ablation_changes_precision_recall_tradeoff() {
 fn rejecting_a_regular_banner_prevents_trackers() {
     let (pop, net) = world();
     let site = pop
-        .regular_banner_sites()
-        .into_iter()
+        .sites()
+        .iter()
+        .filter(|s| matches!(&s.banner, BannerKind::Banner(_)) && !s.toplists.is_empty())
         .find(|s| matches!(&s.banner, BannerKind::Banner(b) if b.has_reject && !b.eu_only))
         .expect("a banner with reject");
     let tool = BannerClick::new();
@@ -104,9 +111,13 @@ fn rejecting_a_regular_banner_prevents_trackers() {
     let page = browser.visit_domain(&site.domain).unwrap();
     let analysis = tool.analyze_page(&site.domain, &page);
     let banner = analysis.banner.as_ref().expect("banner detected");
-    let after = bannerclick::click_reject(&mut browser, &page, banner)
-        .unwrap()
-        .expect("reject clicked");
+    let button = bannerclick::find_buttons(&page, banner)
+        .into_iter()
+        .find(|b| b.role == bannerclick::ButtonRole::Reject)
+        .expect("reject button");
+    let ClickOutcome::Rejected(after) = browser.click(&page, button.element).unwrap() else {
+        panic!("clicking the reject button must reject");
+    };
     // No tracking cookies after rejecting.
     let b = browser
         .jar()

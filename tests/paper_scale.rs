@@ -73,7 +73,11 @@ fn paper_scale_headline_numbers() {
     assert_eq!(report.embedding.main_dom, 72);
 
     // Figure 1: news and media above one fourth.
-    assert!(report.fig1.share_of("News and Media") > 0.25);
+    assert!(report
+        .fig1
+        .shares
+        .iter()
+        .any(|s| s.category == "News and Media" && s.share > 0.25));
 
     // Figure 2: ~80% ≤ 3€, ~90% ≤ 4€, 3€ mode, expensive tail ≥ 9€.
     assert!((report.fig2.at_most_3 - 0.80).abs() < 0.06);
@@ -81,7 +85,15 @@ fn paper_scale_headline_numbers() {
     assert!((report.fig2.median - 2.99).abs() < 0.1);
     assert!(report.fig2.at_least_9 > 0.01);
     // Italian TLD cheaper than German.
-    assert!(report.fig2.mean_price("it").unwrap() < report.fig2.mean_price("de").unwrap());
+    let mean_price = |tld: &str| {
+        let prices: Vec<f64> = (report.fig2.prices.iter())
+            .filter(|(domain, _)| domain.rsplit('.').next() == Some(tld))
+            .map(|(_, price)| *price)
+            .collect();
+        assert!(!prices.is_empty(), "no .{tld} wall has a price");
+        prices.iter().sum::<f64>() / prices.len() as f64
+    };
+    assert!(mean_price("it") < mean_price("de"));
 
     // Figure 3: no obvious relationship.
     assert!(report.fig3.eta_squared.unwrap() < 0.15);
@@ -150,8 +162,20 @@ fn paper_scale_headline_numbers() {
     );
 
     // Banner prevalence (§4.1 context): EU ≫ non-EU.
-    let de_rate = report.banners.rate_of("Germany").unwrap();
-    let in_rate = report.banners.rate_of("India").unwrap();
+    let de_rate = report
+        .banners
+        .rows
+        .iter()
+        .find(|r| r.vp == "Germany")
+        .unwrap()
+        .rate;
+    let in_rate = report
+        .banners
+        .rows
+        .iter()
+        .find(|r| r.vp == "India")
+        .unwrap()
+        .rate;
     assert!(
         de_rate > 0.35 && in_rate < 0.30,
         "DE {de_rate} vs IN {in_rate}"
@@ -171,11 +195,21 @@ fn paper_scale_headline_numbers() {
     assert_eq!(report.darkpatterns.walls.with_subscribe, 280);
 
     // §4.4: contentpass 219 claimed / 76 in-list; freechoice 167 / 62.
-    let cp = report.smp.platform("contentpass").unwrap();
+    let cp = report
+        .smp
+        .platforms
+        .iter()
+        .find(|p| p.name == "contentpass")
+        .unwrap();
     assert_eq!(cp.claimed_partners, 219);
     assert_eq!(cp.in_toplist, 76);
     assert_eq!(cp.attributed_by_crawl, 76);
-    let fc = report.smp.platform("freechoice").unwrap();
+    let fc = report
+        .smp
+        .platforms
+        .iter()
+        .find(|p| p.name == "freechoice")
+        .unwrap();
     assert_eq!(fc.claimed_partners, 167);
     assert_eq!(fc.in_toplist, 62);
 }

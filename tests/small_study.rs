@@ -128,16 +128,38 @@ fn full_small_scale_study_reproduces_paper_shapes() {
 
     // ---- §4.4: both SMPs present; claimed > in-toplist; crawl attribution
     // matches the toplist intersection.
-    let cp = report.smp.platform("contentpass").unwrap();
-    let fc = report.smp.platform("freechoice").unwrap();
+    let cp = report
+        .smp
+        .platforms
+        .iter()
+        .find(|p| p.name == "contentpass")
+        .unwrap();
+    let fc = report
+        .smp
+        .platforms
+        .iter()
+        .find(|p| p.name == "freechoice")
+        .unwrap();
     assert!(cp.claimed_partners > cp.in_toplist);
     assert!(fc.claimed_partners > fc.in_toplist);
     assert_eq!(cp.attributed_by_crawl, cp.in_toplist);
     assert!((cp.monthly_eur - 2.99).abs() < 1e-9);
 
     // ---- Banner prevalence: EU sees more consent UIs than non-EU.
-    let de_rate = report.banners.rate_of("Germany").unwrap();
-    let in_rate = report.banners.rate_of("India").unwrap();
+    let de_rate = report
+        .banners
+        .rows
+        .iter()
+        .find(|r| r.vp == "Germany")
+        .unwrap()
+        .rate;
+    let in_rate = report
+        .banners
+        .rows
+        .iter()
+        .find(|r| r.vp == "India")
+        .unwrap()
+        .rate;
     assert!(
         de_rate > in_rate,
         "banner rate DE {de_rate} vs IN {in_rate}"
