@@ -127,7 +127,6 @@ fn reference_botdetect(study: &Study) -> (usize, usize, usize, usize, usize) {
 /// of its own, before it moved onto the variant pass: one attempt per
 /// cell, no retries. Kept as written then, only the paths adjusted.
 fn crawl_with_ua(study: &Study, targets: &[String], user_agent: &str) -> VantageCrawl {
-    use crossbeam::thread;
     use std::sync::atomic::{AtomicUsize, Ordering};
     let tool = BannerClick {
         detector: study.tool.detector.clone(),
@@ -138,9 +137,9 @@ fn crawl_with_ua(study: &Study, targets: &[String], user_agent: &str) -> Vantage
         .iter()
         .map(|_| parking_lot::Mutex::new(None))
         .collect();
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..study.workers.max(1) {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let mut browser = Browser::new(study.net.clone(), Region::Germany)
                     .with_user_agent(user_agent.to_string());
                 loop {
@@ -154,8 +153,7 @@ fn crawl_with_ua(study: &Study, targets: &[String], user_agent: &str) -> Vantage
                 }
             });
         }
-    })
-    .expect("bot-crawl workers");
+    });
     let records: Vec<CrawlRecord> = slots
         .into_iter()
         .map(|s| s.into_inner().expect("crawled"))

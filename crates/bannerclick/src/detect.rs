@@ -337,8 +337,7 @@ mod tests {
                 url,
                 parent: None,
             }],
-            blocked: vec![],
-            requests: vec![],
+            blocked: 0,
             scroll_locked: false,
             adblock_interstitial: false,
             reloaded_for_subscription: false,
@@ -492,8 +491,7 @@ mod tests {
                     parent: Some((0, iframe_el)),
                 },
             ],
-            blocked: vec![],
-            requests: vec![],
+            blocked: 0,
             scroll_locked: false,
             adblock_interstitial: false,
             reloaded_for_subscription: false,

@@ -133,8 +133,7 @@ mod tests {
                 url,
                 parent: None,
             }],
-            blocked: vec![],
-            requests: vec![],
+            blocked: 0,
             scroll_locked: false,
             adblock_interstitial: false,
             reloaded_for_subscription: false,

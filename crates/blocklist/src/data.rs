@@ -156,7 +156,7 @@ mod tests {
             match parse_line(line) {
                 FilterLine::Network(_) => network += 1,
                 FilterLine::Ignored => {}
-                FilterLine::Cosmetic(c) => panic!("unexpected cosmetic rule {c:?}"),
+                FilterLine::Cosmetic => panic!("unexpected cosmetic rule {line:?}"),
             }
         }
         assert_eq!(network, JUSTDOMAINS.len() + 3);
@@ -175,7 +175,7 @@ mod tests {
                         exceptions += 1;
                     }
                 }
-                FilterLine::Cosmetic(_) => cosmetic += 1,
+                FilterLine::Cosmetic => cosmetic += 1,
                 FilterLine::Ignored => {}
             }
         }

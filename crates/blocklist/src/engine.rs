@@ -15,8 +15,8 @@ use std::collections::HashSet;
 pub enum BlockDecision {
     /// Request may proceed.
     Allowed,
-    /// Request must be cancelled; carries the rule text that fired.
-    Blocked(String),
+    /// Request must be cancelled.
+    Blocked,
 }
 
 /// A compiled set of filter lists.
@@ -64,7 +64,7 @@ impl FilterEngine {
                     }
                     added += 1;
                 }
-                FilterLine::Cosmetic(_) | FilterLine::Ignored => {}
+                FilterLine::Cosmetic | FilterLine::Ignored => {}
             }
         }
         added
@@ -73,7 +73,6 @@ impl FilterEngine {
     /// Decide whether a request to `url`, initiated by a page on
     /// `initiator_host` (`None` for top-level navigations), should be
     /// blocked.
-    // lint:allow(r9) — the cloned rule text is the block verdict itself
     pub fn decide(&self, url: &Url, initiator_host: Option<&str>) -> BlockDecision {
         // Exceptions win outright.
         if self
@@ -83,10 +82,8 @@ impl FilterEngine {
         {
             return BlockDecision::Allowed;
         }
-        for f in &self.blocking {
-            if f.matches(url, initiator_host) {
-                return BlockDecision::Blocked(f.raw.clone());
-            }
+        if self.blocking.iter().any(|f| f.matches(url, initiator_host)) {
+            return BlockDecision::Blocked;
         }
         BlockDecision::Allowed
     }

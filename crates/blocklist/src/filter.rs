@@ -26,8 +26,6 @@ pub struct NetworkFilter {
     /// `$third-party`: match only when the request is cross-site w.r.t.
     /// the initiating page.
     pub third_party_only: bool,
-    /// Original rule text (for reporting which rule fired).
-    pub raw: String,
 }
 
 /// The matching strategy of a network filter.
@@ -41,22 +39,14 @@ pub enum Pattern {
     Fragments(Vec<String>),
 }
 
-/// A parsed cosmetic (element-hiding) filter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CosmeticFilter {
-    /// Hosts the rule applies to (empty = all sites).
-    pub domains: Vec<String>,
-    /// CSS selector to hide.
-    pub selector: String,
-}
-
 /// One line of a filter list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FilterLine {
     /// A network (request-blocking) rule.
     Network(NetworkFilter),
-    /// A cosmetic (element-hiding) rule.
-    Cosmetic(CosmeticFilter),
+    /// A cosmetic (element-hiding) rule, `[domains]##selector`. The
+    /// simulated browser hides no elements, so its parts are not kept.
+    Cosmetic,
     /// Comment or empty line.
     Ignored,
 }
@@ -68,24 +58,14 @@ pub fn parse_line(line: &str) -> FilterLine {
         return FilterLine::Ignored;
     }
     // Cosmetic rules: [domains]##selector
-    if let Some(idx) = line.find("##") {
-        let (domains, selector) = line.split_at(idx);
-        let selector = &selector[2..];
-        if selector.is_empty() {
-            return FilterLine::Ignored;
-        }
-        let domains: Vec<String> = domains
-            .split(',')
-            .map(|d| d.trim().to_ascii_lowercase())
-            .filter(|d| !d.is_empty())
-            .collect();
-        return FilterLine::Cosmetic(CosmeticFilter {
-            domains,
-            selector: selector.to_string(),
-        });
+    if let Some((_, selector)) = line.split_once("##") {
+        return if selector.is_empty() {
+            FilterLine::Ignored
+        } else {
+            FilterLine::Cosmetic
+        };
     }
     // Network rules.
-    let raw = line.to_string();
     let (exception, rest) = match line.strip_prefix("@@") {
         Some(r) => (true, r),
         None => (false, line),
@@ -140,7 +120,6 @@ pub fn parse_line(line: &str) -> FilterLine {
         pattern,
         exception,
         third_party_only,
-        raw,
     })
 }
 
@@ -264,18 +243,12 @@ mod tests {
 
     #[test]
     fn cosmetic_rules() {
-        let c = match parse_line("##.cookiewall-overlay") {
-            FilterLine::Cosmetic(c) => c,
-            other => panic!("{other:?}"),
-        };
-        assert!(c.domains.is_empty());
-
-        let scoped = match parse_line("zeitung.de,magazin.de##.cmp-box") {
-            FilterLine::Cosmetic(c) => c,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(scoped.domains, ["zeitung.de", "magazin.de"]);
-        assert_eq!(scoped.selector, ".cmp-box");
+        assert_eq!(parse_line("##.cookiewall-overlay"), FilterLine::Cosmetic);
+        assert_eq!(
+            parse_line("zeitung.de,magazin.de##.cmp-box"),
+            FilterLine::Cosmetic
+        );
+        assert_eq!(parse_line("zeitung.de##"), FilterLine::Ignored);
     }
 
     #[test]

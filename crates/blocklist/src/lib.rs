@@ -37,4 +37,4 @@ mod engine;
 mod filter;
 
 pub use engine::{BlockDecision, FilterEngine, TrackerDb};
-pub use filter::{parse_line, CosmeticFilter, FilterLine, NetworkFilter, Pattern};
+pub use filter::{parse_line, FilterLine, NetworkFilter, Pattern};

@@ -23,7 +23,7 @@
 //!   blocked during the load, the site's detector fires and the browser
 //!   injects a blocking interstitial.
 
-use crate::page::{BlockedRequest, ElementRef, Frame, Page};
+use crate::page::{ElementRef, Frame, Page};
 use crate::storage::LocalStorage;
 use blocklist::{BlockDecision, FilterEngine};
 use httpsim::{Cookie, CookieJar, Method, Network, Region, Request, Response, TransportFault, Url};
@@ -174,8 +174,6 @@ pub struct Browser {
     /// The `Cookie:` header of the request being sent, rendered by the
     /// jar into this one buffer for every request.
     cookie_header: String,
-    /// Per-load request log, moved into the [`Page`] when the load ends.
-    request_log: Vec<crate::page::LoggedRequest>,
     /// The main frame's scan buffers, kept across loads.
     scan: FrameScan,
 }
@@ -192,7 +190,6 @@ impl Browser {
             blocker: None,
             user_agent: httpsim::DEFAULT_USER_AGENT.to_string(),
             cookie_header: String::new(),
-            request_log: Vec::new(),
             scan: FrameScan::default(),
         }
     }
@@ -257,7 +254,6 @@ impl Browser {
     }
 
     /// Convenience: navigate to `https://{domain}/`.
-    // lint:allow(r9) — the to_string runs only on the unparsable-domain error path
     pub fn visit_domain(&mut self, domain: &str) -> Result<Page, VisitError> {
         let url = Url::parse(domain).map_err(|_| VisitError::Unreachable(domain.to_string()))?;
         self.visit(&url)
@@ -287,30 +283,26 @@ impl Browser {
     }
 
     /// [`Browser::fetch_document`] of a URL the document will own.
-    // lint:allow(r9) — the host String is built only on error paths (lazy closure)
     fn fetch_url(&mut self, url: Url) -> Result<FetchedDocument, VisitError> {
         self.restore_consent_from_storage(&url);
-        self.request_log.clear();
         let (response, redirected, latency_ms) = self.fetch_chain(&url, None);
-        let final_url = redirected.as_ref().unwrap_or(&url);
-        // The host string is only needed to describe a failure; building
-        // it lazily keeps the per-visit success path allocation-free.
-        let host = || url.host().to_string();
         let status = response.status;
-        let failure = match response.transport {
-            Some(TransportFault::ConnectionReset) => Some(FetchError::ConnectionReset(host())),
-            Some(TransportFault::TruncatedBody) => Some(FetchError::Truncated(host())),
-            None if latency_ms > DEFAULT_TIMEOUT_BUDGET_MS => Some(FetchError::Timeout {
-                host: host(),
-                budget_ms: DEFAULT_TIMEOUT_BUDGET_MS,
-            }),
-            None if status == 0 => Some(FetchError::Unreachable(host())),
-            None if status >= 400 => Some(FetchError::HttpError(status)),
-            None => None,
-        };
-        if let Some(err) = failure {
-            self.store_cookies(&response, final_url);
-            return Err(err);
+        let timed_out = latency_ms > DEFAULT_TIMEOUT_BUDGET_MS;
+        if response.transport.is_some() || timed_out || status == 0 || status >= 400 {
+            // The error is built only on this path, and its host string
+            // only for the errors that name it.
+            self.store_cookies(&response, redirected.as_ref().unwrap_or(&url));
+            let host = || url.host().to_string();
+            return Err(match response.transport {
+                Some(TransportFault::ConnectionReset) => FetchError::ConnectionReset(host()),
+                Some(TransportFault::TruncatedBody) => FetchError::Truncated(host()),
+                None if timed_out => FetchError::Timeout {
+                    host: host(),
+                    budget_ms: DEFAULT_TIMEOUT_BUDGET_MS,
+                },
+                None if status == 0 => FetchError::Unreachable(host()),
+                None => FetchError::HttpError(status),
+            });
         }
         Ok(FetchedDocument {
             url,
@@ -356,8 +348,7 @@ impl Browser {
                 url: final_url.clone(),
                 parent: None,
             }],
-            blocked: Vec::new(),
-            requests: Vec::new(),
+            blocked: 0,
             scroll_locked: false,
             adblock_interstitial: false,
             reloaded_for_subscription: false,
@@ -383,7 +374,6 @@ impl Browser {
         }
 
         finish_page(&mut page, &effects.detectors);
-        page.requests = std::mem::take(&mut self.request_log);
         Ok(page)
     }
 
@@ -398,11 +388,10 @@ impl Browser {
 
     /// [`Browser::fetch_following`] without storing the returned response's
     /// own cookies: every earlier hop's are stored, the caller stores the
-    /// last ones (from the returned URL) when it needs them. Each hop is
-    /// logged, and each redirect followed is counted on the network. The
-    /// third value is the virtual transfer time accumulated across all
-    /// hops, which a navigation checks against the timeout budget.
-    // lint:allow(r9) — the request log owns each hop's URL: a redirect hop's moves in, the first and last are cloned because the caller owns the first and receives the last
+    /// last ones (from the returned URL) when it needs them. Each redirect
+    /// followed is counted on the network. The third value is the virtual
+    /// transfer time accumulated across all hops, which a navigation
+    /// checks against the timeout budget.
     fn fetch_chain(&mut self, url: &Url, initiator: Option<&str>) -> (Response, Option<Url>, u64) {
         let mut redirected: Option<Url> = None;
         let mut elapsed_ms: u64 = 0;
@@ -415,28 +404,13 @@ impl Browser {
                 _ => None,
             };
             let Some(next) = next else {
-                self.log(current.clone(), &resp, initiator);
                 return (resp, redirected, elapsed_ms);
             };
             self.store_cookies(&resp, current);
             self.net.record_redirect();
-            let hop = match redirected.replace(next) {
-                Some(hop) => hop,
-                None => url.clone(),
-            };
-            self.log(hop, &resp, initiator);
+            redirected = Some(next);
         }
         (Response::not_found(), redirected, elapsed_ms)
-    }
-
-    /// Append one request to the load's log.
-    fn log(&mut self, url: Url, resp: &Response, initiator: Option<&str>) {
-        self.request_log.push(crate::page::LoggedRequest {
-            url,
-            status: resp.status,
-            subresource: initiator.is_some(),
-            cookies_set: resp.set_cookie_count(),
-        });
     }
 
     /// Parse and store `resp`'s `Set-Cookie` lines, received from `origin`,
@@ -471,19 +445,12 @@ impl Browser {
         self.net.dispatch(&req)
     }
 
-    /// Consult the blocker for a subresource; record and skip if blocked.
-    // lint:allow(r9) — runs only with a content blocker installed, and copies only a blocked URL
+    /// Consult the blocker for a subresource; count and skip if blocked.
     fn blocked_by_extension(&self, page: &mut Page, url: &Url, initiator: &str) -> bool {
-        if let Some(blocker) = &self.blocker {
-            if let BlockDecision::Blocked(rule) = blocker.decide(url, Some(initiator)) {
-                page.blocked.push(BlockedRequest {
-                    url: url.to_string(),
-                    rule,
-                });
-                return true;
-            }
-        }
-        false
+        let blocked = (self.blocker.as_ref())
+            .is_some_and(|b| b.decide(url, Some(initiator)) == BlockDecision::Blocked);
+        page.blocked += usize::from(blocked);
+        blocked
     }
 
     /// Load a frame's subresources: scripts (with injection and entitlement

@@ -40,5 +40,5 @@ mod storage;
 pub use crate::browser::{
     Browser, ClickOutcome, FetchError, FetchedDocument, VisitError, DEFAULT_TIMEOUT_BUDGET_MS,
 };
-pub use page::{BlockedRequest, ElementRef, Frame, LoggedRequest, Page};
+pub use page::{ElementRef, Frame, Page};
 pub use storage::LocalStorage;

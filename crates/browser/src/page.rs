@@ -1,8 +1,8 @@
 //! Loaded pages: frame trees plus load metadata.
 //!
 //! A [`Page`] is what one navigation produced: the main document, every
-//! successfully loaded iframe as an additional [`Frame`], which requests the
-//! content blocker cancelled, and the two §4.5 post-load observations
+//! successfully loaded iframe as an additional [`Frame`], how many requests
+//! the content blocker cancelled, and the two §4.5 post-load observations
 //! (scroll lock, adblock interstitial).
 
 use httpsim::Url;
@@ -18,31 +18,6 @@ pub struct Frame {
     /// For subframes: (parent frame index, `<iframe>` element in the parent
     /// document). `None` for the main frame.
     pub parent: Option<(usize, NodeId)>,
-}
-
-/// One network request the page load issued (HAR-style log entry). A
-/// redirect chain logs one entry per hop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoggedRequest {
-    /// The URL requested.
-    pub url: Url,
-    /// Response status (0 = connection failure).
-    pub status: u16,
-    /// True when the page's own load issued the request, so its initiator
-    /// is the top-level page ([`Page::host`]); false for the navigation
-    /// and its redirect hops.
-    pub subresource: bool,
-    /// `Set-Cookie` headers the response carried.
-    pub cookies_set: usize,
-}
-
-/// A request the content blocker cancelled during the load.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockedRequest {
-    /// The URL that was about to be fetched.
-    pub url: String,
-    /// The filter rule that fired.
-    pub rule: String,
 }
 
 /// An element address that is stable across the frame tree: frame index
@@ -66,10 +41,8 @@ pub struct Page {
     pub status: u16,
     /// Frame tree; index 0 is the main frame.
     pub frames: Vec<Frame>,
-    /// Requests the content blocker cancelled.
-    pub blocked: Vec<BlockedRequest>,
-    /// Every request the load issued, in order (HAR-style).
-    pub requests: Vec<LoggedRequest>,
+    /// How many requests the content blocker cancelled.
+    pub blocked: usize,
     /// Main-frame `<body>` is pinned (`overflow:hidden`) — the promipool
     /// symptom when a wall is blocked but its scroll lock is not.
     pub scroll_locked: bool,
@@ -78,6 +51,7 @@ pub struct Page {
     pub adblock_interstitial: bool,
     /// The load was transparently repeated after a successful SMP
     /// entitlement check (subscriber flow, §4.4).
+    // lint:allow(test-only-api) — §4.4 subscriber harness: tests/cross_crate.rs and browser/tests/browsing.rs assert the entitlement reload happened
     pub reloaded_for_subscription: bool,
 }
 
@@ -114,6 +88,6 @@ impl Page {
 
     /// True if any load in any frame was blocked.
     pub fn anything_blocked(&self) -> bool {
-        !self.blocked.is_empty()
+        self.blocked > 0
     }
 }

@@ -3,10 +3,10 @@
 use browser::{Browser, ClickOutcome};
 use httpsim::{Network, Region, Request, Response, Url};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use webgen::{
     server::{install, CONSENT_COOKIE, SUBSCRIPTION_COOKIE},
-    BannerKind, Population, PopulationConfig, Serving, Smp, Visibility,
+    BannerKind, Cmp, Population, PopulationConfig, Serving, Smp, Visibility,
 };
 
 /// Register a closure origin for `host`.
@@ -19,6 +19,64 @@ fn world() -> (Arc<Population>, Network) {
     let net = Network::new();
     install(Arc::clone(&pop), &net);
     (pop, net)
+}
+
+/// One request a recording network forwarded, with its response.
+#[derive(Debug)]
+struct Seen {
+    url: String,
+    status: u16,
+    /// The page's own load issued it: it names the top-level page as its
+    /// initiator. The navigation and its redirect hops name none.
+    subresource: bool,
+    /// `Set-Cookie` headers the response carried.
+    cookies_set: usize,
+}
+
+type Log = Arc<Mutex<Vec<Seen>>>;
+
+/// A network that forwards every request for `hosts` to `inner` and
+/// records it. It registers one origin per top-level domain of `hosts`,
+/// which the parent-domain lookup reaches from every host under it.
+fn recording<'a>(inner: Network, hosts: impl IntoIterator<Item = &'a str>) -> (Network, Log) {
+    let net = Network::new();
+    let log = Log::default();
+    let mut tlds: Vec<&str> = hosts
+        .into_iter()
+        .filter_map(|h| h.rsplit('.').next())
+        .collect();
+    tlds.sort_unstable();
+    tlds.dedup();
+    for tld in tlds {
+        let (inner, log) = (inner.clone(), Arc::clone(&log));
+        serve(&net, tld, move |req| {
+            let resp = inner.dispatch(req);
+            log.lock().unwrap().push(Seen {
+                url: req.url.to_string(),
+                status: resp.status,
+                subresource: req.initiator_host.is_some(),
+                cookies_set: resp.set_cookies().count(),
+            });
+            resp
+        });
+    }
+    (net, log)
+}
+
+/// [`world`] behind a [`recording`] network that covers every host the
+/// population serves: its sites, the tracker and benign third parties,
+/// and the SMP and CMP hosts.
+fn recorded_world() -> (Arc<Population>, Network, Log) {
+    let (pop, inner) = world();
+    let smps = [Smp::Contentpass, Smp::Freechoice];
+    let hosts = (pop.sites().iter().map(|s| s.domain.as_str()))
+        .chain(blocklist::data::JUSTDOMAINS.iter().copied())
+        .chain(webgen::BENIGN_THIRD_PARTIES.iter().copied())
+        .chain(Cmp::ALL.iter().map(|c| c.host()))
+        .chain(smps.iter().flat_map(|s| [s.cdn_host(), s.account_host()]))
+        .collect::<Vec<_>>();
+    let (net, log) = recording(inner, hosts);
+    (pop, net, log)
 }
 
 fn wall_with(pop: &Population, pred: impl Fn(&webgen::CookiewallSpec) -> bool) -> Option<String> {
@@ -148,8 +206,8 @@ fn script_injected_wall_appears_after_load() {
 /// load; the round whose scripts inject nothing ends the rounds.
 #[test]
 fn injected_fragments_load_their_own_scripts_and_subresources() {
-    let net = Network::new();
-    serve(&net, "site.de", |req| match req.url.path() {
+    let origins = Network::new();
+    serve(&origins, "site.de", |req| match req.url.path() {
         "/" => httpsim::Response::html(
             r#"<html><body><div id="a"></div><script src="/one.js" data-cw-inject="a"></script><script src="/plain.js"></script></body></html>"#,
         ),
@@ -159,14 +217,17 @@ fn injected_fragments_load_their_own_scripts_and_subresources() {
         "/two.js" => httpsim::Response::script(r#"<p id="third">third round</p>"#),
         _ => httpsim::Response::script(""),
     });
-    serve(&net, "cmp.example", |_| {
+    serve(&origins, "cmp.example", |_| {
         httpsim::Response::html("<p>framed</p>")
     });
+    let (net, log) = recording(origins, ["site.de", "cmp.example"]);
     let mut b = Browser::new(net, Region::Germany);
     let page = b.visit(&Url::parse("site.de").unwrap()).unwrap();
     assert!(page.main().doc.get_element_by_id("third").is_some());
     assert_eq!(page.frames.len(), 2, "the injected iframe loaded");
-    let paths: Vec<&str> = page.requests.iter().map(|r| r.url.path()).collect();
+    let paths: Vec<String> = (log.lock().unwrap().iter())
+        .map(|r| Url::parse(&r.url).unwrap().path().to_string())
+        .collect();
     assert_eq!(
         paths,
         [
@@ -318,32 +379,31 @@ fn count_tracking(b: &Browser) -> usize {
 }
 
 #[test]
-fn request_log_records_third_parties() {
-    let (pop, net) = world();
+fn accepted_reload_fetches_third_parties() {
+    let (pop, net, log) = recorded_world();
     let domain = wall_with(&pop, |c| {
         c.embedding == webgen::Embedding::MainDom
             && c.serving == Serving::FirstParty
             && c.visibility != Visibility::DeOnly
     })
     .unwrap();
-    let mut b = Browser::new(net, Region::Germany);
+    let mut b = Browser::new(net.clone(), Region::Germany);
     let url = Url::parse(&domain).unwrap();
     let page = b.visit(&url).unwrap();
     let btn = page.select_all_frames("#cw-wall button")[0];
+    let before = log.lock().unwrap().len();
     let ClickOutcome::Accepted(after) = b.click(&page, btn).unwrap() else {
         panic!("accept failed")
     };
-    // The post-consent load hits trackers: the request log shows them.
-    assert!(!after.requests.is_empty());
-    assert!(
-        !after.requests[0].subresource,
-        "first entry is the navigation"
-    );
-    assert!(after.requests[1..].iter().all(|r| r.subresource));
-    let third_party = after
-        .requests
+    // The post-consent load hits trackers: the recorded requests show them.
+    let log = log.lock().unwrap();
+    let requests = &log[before..];
+    assert!(!requests.is_empty());
+    assert!(!requests[0].subresource, "first request is the navigation");
+    assert!(requests[1..].iter().all(|r| r.subresource));
+    let third_party = requests
         .iter()
-        .filter(|r| !httpsim::same_site(r.url.host(), after.host()))
+        .filter(|r| !httpsim::same_site(Url::parse(&r.url).unwrap().host(), after.host()))
         .count();
     assert!(third_party > 5, "trackers were fetched: {third_party}");
     // The jar agrees: the trackers' cookies count as third-party.
@@ -352,8 +412,13 @@ fn request_log_records_third_parties() {
         cookies.third_party > 5.0,
         "third-party cookies: {cookies:?}"
     );
-    let with_cookies = after.requests.iter().filter(|r| r.cookies_set > 0).count();
+    let with_cookies = requests.iter().filter(|r| r.cookies_set > 0).count();
     assert!(with_cookies > 3, "responses set cookies: {with_cookies}");
+    assert_eq!(
+        net.stats().unresolved(),
+        0,
+        "the recording covers every host"
+    );
 }
 
 #[test]
@@ -623,17 +688,17 @@ fn repeated_smp_login_succeeds() {
 
 /// The browser follows redirects itself: a relative `Location` resolves
 /// against the hop that sent it, each hop's cookies are stored under that
-/// hop's host before the next request, every hop is logged, and the
-/// network counts each redirect followed.
+/// hop's host before the next request, every hop is requested in turn,
+/// and the network counts each redirect followed.
 #[test]
 fn browser_follows_and_counts_redirects() {
     use httpsim::Response;
 
-    let net = Network::new();
-    serve(&net, "a.example", |_| {
+    let origins = Network::new();
+    serve(&origins, "a.example", |_| {
         Response::redirect("https://b.example/land").with_cookie("a=1")
     });
-    serve(&net, "b.example", |r| {
+    serve(&origins, "b.example", |r| {
         if r.url.path() == "/land" {
             Response::redirect("home").with_cookie("b=1")
         } else {
@@ -641,6 +706,7 @@ fn browser_follows_and_counts_redirects() {
             Response::html(format!("<p>{} {sent}</p>", r.url.path())).with_cookie("doc=1")
         }
     });
+    let (net, log) = recording(origins, ["a.example", "b.example"]);
     let mut b = Browser::new(net.clone(), Region::Germany);
     let fetched = b.fetch_domain_document("a.example").unwrap();
     assert_eq!(fetched.final_url().as_str(), "https://b.example/home");
@@ -658,11 +724,9 @@ fn browser_follows_and_counts_redirects() {
 
     let page = b.load_fetched(&fetched).unwrap();
     assert_eq!(stored(&b)[2], hop("doc", "b.example"));
-    let logged: Vec<(&str, u16)> = page
-        .requests
-        .iter()
-        .map(|r| (r.url.as_str(), r.status))
-        .collect();
+    assert_eq!(page.status, 200);
+    let log = log.lock().unwrap();
+    let logged: Vec<(&str, u16)> = log.iter().map(|r| (r.url.as_str(), r.status)).collect();
     assert_eq!(
         logged,
         [
@@ -697,21 +761,20 @@ fn redirect_loop_stops_at_the_cap() {
 }
 
 /// A tracker's cookie-sync bounce on an accepted page is a redirect the
-/// browser follows, so the network counts it: one per logged 302.
+/// browser follows, so the network counts it: one per recorded 302.
 #[test]
 fn tracker_sync_bounces_are_counted() {
-    let (pop, net) = world();
+    let (pop, net, log) = recorded_world();
     let mut b = Browser::new(net.clone(), Region::Germany);
-    let mut bounces = 0;
     for site in pop.ground_truth_walls().into_iter().take(20) {
         b.clear_cookies();
         let registrable = httpsim::registrable_domain(&site.domain).unwrap_or(&site.domain);
         b.set_site_cookie(registrable, CONSENT_COOKIE, "accepted");
-        let Ok(page) = b.visit(&Url::parse(&site.domain).unwrap()) else {
-            continue;
-        };
-        bounces += page.requests.iter().filter(|r| r.status == 302).count() as u64;
+        let _ = b.visit(&Url::parse(&site.domain).unwrap());
     }
+    let bounces = (log.lock().unwrap().iter())
+        .filter(|r| r.status == 302)
+        .count() as u64;
     assert!(bounces > 0, "accepted walls load syncing trackers");
     assert_eq!(net.stats().redirects.load(Ordering::Relaxed), bounces);
 }

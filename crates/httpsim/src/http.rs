@@ -99,12 +99,8 @@ pub struct Response {
     /// header value cannot hold a line break, so the terminators are the
     /// only spans the lines need.
     set_cookies: String,
-    /// How many lines `set_cookies` holds.
-    set_cookie_count: u32,
     /// `Location` header for redirects.
     pub location: Option<String>,
-    /// Content type (`text/html`, `application/javascript`, …).
-    pub content_type: &'static str,
     /// Response body.
     pub body: Bytes,
     /// Simulated transfer time in *virtual* milliseconds. Ordinary servers
@@ -116,13 +112,11 @@ pub struct Response {
 }
 
 impl Response {
-    fn base(status: u16, content_type: &'static str, body: Bytes) -> Self {
+    fn base(status: u16, body: Bytes) -> Self {
         Response {
             status,
             set_cookies: String::new(),
-            set_cookie_count: 0,
             location: None,
-            content_type,
             body,
             latency_ms: 0,
             transport: None,
@@ -131,24 +125,23 @@ impl Response {
 
     /// A 200 HTML page. A `&'static str` body is borrowed, not copied.
     pub fn html(body: impl Into<Bytes>) -> Self {
-        Self::base(200, "text/html; charset=utf-8", body.into())
+        Self::base(200, body.into())
     }
 
     /// A 200 JavaScript resource.
     pub fn script(body: impl Into<Bytes>) -> Self {
-        Self::base(200, "application/javascript", body.into())
+        Self::base(200, body.into())
     }
 
     /// An empty 204 (tracking pixels, beacons).
     pub fn no_content() -> Self {
-        Self::base(204, "text/plain", Bytes::new())
+        Self::base(204, Bytes::new())
     }
 
     /// A 404.
     pub fn not_found() -> Self {
         Self::base(
             404,
-            "text/html",
             Bytes::from_static(b"<html><body><h1>404</h1></body></html>"),
         )
     }
@@ -156,12 +149,12 @@ impl Response {
     /// The status-0 pseudo-response for a connection-level failure (no
     /// server reachable, or the fault layer reset the connection).
     pub fn connection_error() -> Self {
-        Self::base(0, "", Bytes::new())
+        Self::base(0, Bytes::new())
     }
 
     /// A 302 redirect to `location`.
     pub fn redirect(location: impl Into<String>) -> Self {
-        let mut resp = Self::base(302, "text/html", Bytes::new());
+        let mut resp = Self::base(302, Bytes::new());
         resp.location = Some(location.into());
         resp
     }
@@ -196,7 +189,6 @@ impl Response {
     pub fn add_cookie_line(&mut self, write: impl FnOnce(&mut String)) {
         write(&mut self.set_cookies);
         self.set_cookies.push('\n');
-        self.set_cookie_count += 1;
     }
 
     /// Make room for `bytes` more bytes of `Set-Cookie` lines, so a server
@@ -208,11 +200,6 @@ impl Response {
     /// The `Set-Cookie` header values, in the order they were added.
     pub fn set_cookies(&self) -> std::str::SplitTerminator<'_, char> {
         self.set_cookies.split_terminator('\n')
-    }
-
-    /// How many `Set-Cookie` headers the response carries.
-    pub fn set_cookie_count(&self) -> usize {
-        self.set_cookie_count as usize
     }
 
     /// True for 3xx with a Location header.
@@ -262,13 +249,13 @@ mod tests {
             .with_cookie("sid=1")
             .with_cookie(format_args!("t={}", 2));
         assert_eq!(r.status, 200);
-        assert_eq!(r.set_cookie_count(), 2);
+        assert_eq!(r.set_cookies().count(), 2);
         assert_eq!(r.set_cookies().collect::<Vec<_>>(), ["sid=1", "t=2"]);
         assert_eq!(r.body_text(), "<p>x</p>");
         assert!(Response::redirect("/next").is_redirect());
         assert!(!Response::not_found().is_redirect());
         assert_eq!(Response::no_content().status, 204);
-        assert_eq!(Response::no_content().set_cookie_count(), 0);
+        assert_eq!(Response::no_content().set_cookies().count(), 0);
     }
 
     #[test]
@@ -277,7 +264,7 @@ mod tests {
             .with_cookie("")
             .with_cookie("a=1\r")
             .with_cookie("");
-        assert_eq!(r.set_cookie_count(), 3);
+        assert_eq!(r.set_cookies().count(), 3);
         assert_eq!(r.set_cookies().collect::<Vec<_>>(), ["", "a=1\r", ""]);
     }
 
@@ -288,7 +275,7 @@ mod tests {
             line.push_str("b=");
             line.push('2');
         });
-        assert_eq!(r.set_cookie_count(), 2);
+        assert_eq!(r.set_cookies().count(), 2);
         assert_eq!(r.set_cookies().collect::<Vec<_>>(), ["a=1", "b=2"]);
     }
 }

@@ -28,7 +28,6 @@ fn err(message: impl Into<String>) -> UrlParseError {
 }
 
 /// An error naming the offending part, lowercased.
-// lint:allow(r9) — builds an error message: only input that fails to parse reaches it
 fn err_naming(what: &str, part: &str) -> UrlParseError {
     err(format!("{what} {:?}", part.to_ascii_lowercase()))
 }

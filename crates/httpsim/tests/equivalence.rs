@@ -63,7 +63,6 @@ mod oracle {
         }
 
         /// An error naming the offending part, lowercased.
-        // lint:allow(r9) — builds an error message: only input that fails to parse reaches it
         fn err_naming(what: &str, part: &str) -> UrlParseError {
             err(format!("{what} {:?}", part.to_ascii_lowercase()))
         }
@@ -241,7 +240,6 @@ mod oracle {
             /// `//host/x` is protocol-relative, `/x` is host-relative, `?q` keeps
             /// the path, an empty or fragment-only reference is this URL itself,
             /// and anything else is path-relative.
-            // lint:allow(r9) — the clone is the resolved URL of an empty or fragment-only reference: one allocation, like every other join
             pub(crate) fn join(&self, reference: &str) -> Result<Url, UrlParseError> {
                 let reference = reference.trim();
                 if reference.contains("://") {

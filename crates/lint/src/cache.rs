@@ -7,8 +7,9 @@
 //!   rules (see [`crate::rules::Rule::is_local`]) plus that file's
 //!   malformed-suppression findings, and which of its `lint:allow`
 //!   directives silenced a local finding, keyed on the file's content
-//!   hash. A file whose hash is unchanged skips its local analysis
-//!   entirely.
+//!   hash and on whether a `#[cfg(test)] mod` of another file made it
+//!   test code throughout. A file whose hash is unchanged skips its local
+//!   analysis entirely unless that test status changed.
 //! * **one global entry** — the post-suppression findings of every
 //!   cross-file rule (call graph, lock order, R9–R12), keyed on the
 //!   *workspace fingerprint*: the hash of every input's `(path, hash)`
@@ -38,7 +39,7 @@ use std::path::Path;
 
 /// Bump when any rule's semantics change without its name changing —
 /// cached findings from older semantics must not survive.
-pub const RULESET_VERSION: u32 = 3;
+pub const RULESET_VERSION: u32 = 4;
 
 /// Cache file name inside the cache directory.
 const CACHE_FILE: &str = "cache.tsv";
@@ -88,6 +89,9 @@ pub fn workspace_fingerprint(ruleset: &str, design: Option<&str>, files: &[(&str
 pub struct FileEntry {
     /// Content hash of the file the entry was computed from.
     pub hash: u64,
+    /// The file was test code throughout when the entry was computed
+    /// ([`crate::source::SourceFile::is_test_file`]).
+    pub test_file: bool,
     /// Post-suppression findings whose `path` is this file.
     pub findings: Vec<Finding>,
     /// Local findings silenced by valid `lint:allow` directives.
@@ -146,7 +150,7 @@ fn parse(text: &str, ruleset: &str) -> Option<Cache> {
     for line in lines {
         let fields: Vec<&str> = line.split('\t').collect();
         match fields.as_slice() {
-            ["file", path, hash, suppressed, used] => {
+            ["file", path, hash, suppressed, used, test_file] => {
                 if let Some((p, e)) = current.take() {
                     cache.files.insert(p, e);
                 }
@@ -161,6 +165,11 @@ fn parse(text: &str, ruleset: &str) -> Option<Cache> {
                     (*path).to_string(),
                     FileEntry {
                         hash: u64::from_str_radix(hash, 16).ok()?,
+                        test_file: match *test_file {
+                            "test" => true,
+                            "-" => false,
+                            _ => return None,
+                        },
                         findings: Vec::new(),
                         suppressed: suppressed.parse().ok()?,
                         used,
@@ -220,8 +229,10 @@ pub fn store(dir: &Path, ruleset: &str, cache: &Cache) -> io::Result<()> {
             used.join(",")
         };
         out.push_str(&format!(
-            "file\t{path}\t{:016x}\t{}\t{used}\n",
-            entry.hash, entry.suppressed
+            "file\t{path}\t{:016x}\t{}\t{used}\t{}\n",
+            entry.hash,
+            entry.suppressed,
+            if entry.test_file { "test" } else { "-" }
         ));
         for f in &entry.findings {
             out.push_str(&format!(
@@ -297,6 +308,7 @@ mod tests {
             "src/a.rs".to_string(),
             FileEntry {
                 hash: 0xdead_beef,
+                test_file: true,
                 findings: vec![Finding {
                     rule: crate::rules::RULES[0].name(),
                     path: "src/a.rs".to_string(),
@@ -333,6 +345,7 @@ mod tests {
         assert_eq!(loaded.files.len(), 1);
         let entry = &loaded.files["src/a.rs"];
         assert_eq!(entry.hash, 0xdead_beef);
+        assert!(entry.test_file);
         assert_eq!(entry.suppressed, 2);
         assert_eq!(entry.used, [0, 3]);
         assert_eq!(entry.findings, cache.files["src/a.rs"].findings);
@@ -359,14 +372,14 @@ mod tests {
         let ruleset = ruleset_id();
         fs::write(
             dir.join(CACHE_FILE),
-            format!("lint-cache {ruleset}\nfile\tsrc/a.rs\tnothex\t0\t-\n"),
+            format!("lint-cache {ruleset}\nfile\tsrc/a.rs\tnothex\t0\t-\t-\n"),
         )
         .unwrap();
         assert!(load(&dir, &ruleset).files.is_empty());
         // An unknown rule name (retired rule) also degrades to cold.
         fs::write(
             dir.join(CACHE_FILE),
-            format!("lint-cache {ruleset}\nfile\tsrc/a.rs\t00000000000000ff\t0\t-\nf\tno-such-rule\t1\t1\tm\n"),
+            format!("lint-cache {ruleset}\nfile\tsrc/a.rs\t00000000000000ff\t0\t-\t-\nf\tno-such-rule\t1\t1\tm\n"),
         )
         .unwrap();
         assert!(load(&dir, &ruleset).files.is_empty());

@@ -66,8 +66,6 @@ pub struct Model {
     /// Per-function control-flow graph (indexed by [`FnId`]), shared by
     /// every dataflow-backed rule so each body is lowered exactly once.
     pub cfgs: Vec<Cfg>,
-    /// Per-file parse results (aliases), in file order.
-    pub parsed: Vec<ParsedFile>,
     /// Which functions the code of each file may call.
     pub scope: Scope,
 }
@@ -262,7 +260,6 @@ impl Model {
             fns,
             calls,
             cfgs,
-            parsed,
             scope,
         }
     }

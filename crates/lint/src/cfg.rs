@@ -17,8 +17,8 @@
 //! Block ranges tile the body left to right: every token belongs to at
 //! most one block, a construct's closing `}` belongs to the *following*
 //! block (join/else), and blocks that no path can reach (code after a
-//! diverging `if`/`match`, a `loop` without `break`) are listed in
-//! [`Cfg::unreachable`] — "every block is reachable or reported".
+//! diverging `if`/`match`, a `loop` without `break`) have no path from
+//! [`Cfg::ENTRY`] ([`Cfg::reachable_from`]).
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{match_delim, MAX_DELIM_DEPTH};
@@ -52,23 +52,22 @@ pub struct Closure {
 /// The control-flow graph of one function body.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    /// All blocks; `blocks[entry]` starts the body, `blocks[exit]` is the
-    /// synthetic exit every `return`/`?`/fallthrough edge targets.
+    /// All blocks; `blocks[Cfg::ENTRY]` starts the body,
+    /// `blocks[Cfg::EXIT]` is the synthetic exit every
+    /// `return`/`?`/fallthrough edge targets.
     pub blocks: Vec<Block>,
-    /// Entry block id (always 0).
-    pub entry: BlockId,
-    /// Synthetic exit block id (always 1, empty range).
-    pub exit: BlockId,
     /// Nested closure CFGs in source order.
     pub closures: Vec<Closure>,
-    /// Blocks (other than the exit) unreachable from the entry — code no
-    /// path executes. Reported instead of silently dropped.
-    pub unreachable: Vec<BlockId>,
     /// The body token range the graph covers.
     pub body: (usize, usize),
 }
 
 impl Cfg {
+    /// The entry block's id.
+    pub const ENTRY: BlockId = 0;
+    /// The synthetic exit block's id (its range is empty).
+    pub const EXIT: BlockId = 1;
+
     /// Build the CFG for the body token range `body` (exclusive of the
     /// fn's braces, as in [`crate::parser::FnDef::body`]). Total work is
     /// linear in the range; malformed input degrades to coarser blocks.
@@ -99,22 +98,19 @@ impl Cfg {
             depth: 0,
             closure_depth,
         };
-        if let Some(fall) = b.lower(start, end, 0) {
-            b.edge(fall, 1);
+        if let Some(fall) = b.lower(start, end, Cfg::ENTRY) {
+            b.edge(fall, Cfg::EXIT);
         }
         let mut cfg = Cfg {
             blocks: b.blocks,
-            entry: 0,
-            exit: 1,
             closures: b.closures,
-            unreachable: Vec::new(),
             body: (start, end),
         };
         cfg.finalize();
         cfg
     }
 
-    /// Fill `preds`, compute `unreachable`.
+    /// Fill `preds`.
     fn finalize(&mut self) {
         for id in 0..self.blocks.len() {
             let succs = self.blocks[id].succs.clone();
@@ -124,10 +120,6 @@ impl Cfg {
                 }
             }
         }
-        let reach = self.reachable_from(self.entry);
-        self.unreachable = (0..self.blocks.len())
-            .filter(|&id| id != self.exit && !reach[id])
-            .collect();
     }
 
     /// The block whose range contains token `idx`, if any (the synthetic
@@ -276,7 +268,7 @@ impl<'t> Builder<'t> {
                 // Early return on `Err`/`None`: edge to the exit, then a
                 // fresh fallthrough block on the `Ok` path.
                 self.extend(cur, i + 1);
-                self.edge(cur, 1);
+                self.edge(cur, Cfg::EXIT);
                 let nxt = self.new_block(i + 1);
                 self.edge(cur, nxt);
                 cur = nxt;
@@ -481,9 +473,9 @@ impl<'t> Builder<'t> {
     /// the statement — the caller starts a fresh (unreachable) block.
     fn lower_jump(&mut self, i: usize, end: usize, cur: BlockId) -> usize {
         let target = match self.tokens[i].text.as_str() {
-            "return" => 1,
-            "break" => self.loops.last().map(|l| l.break_to).unwrap_or(1),
-            _ => self.loops.last().map(|l| l.continue_to).unwrap_or(1),
+            "return" => Cfg::EXIT,
+            "break" => self.loops.last().map_or(Cfg::EXIT, |l| l.break_to),
+            _ => self.loops.last().map_or(Cfg::EXIT, |l| l.continue_to),
         };
         // Consume the value expression (e.g. `return Err(e);`) as
         // straight line: it runs before the jump. Control flow *inside*
@@ -738,8 +730,8 @@ mod tests {
     #[test]
     fn straight_line_is_one_block() {
         let (cfg, _) = cfg_of("fn f() { a(); b(); c(); }");
-        assert_eq!(cfg.blocks[cfg.entry].succs, vec![cfg.exit]);
-        assert!(cfg.unreachable.is_empty());
+        assert_eq!(cfg.blocks[Cfg::ENTRY].succs, vec![Cfg::EXIT]);
+        assert!(cfg.reachable_from(Cfg::ENTRY).iter().all(|&r| r));
     }
 
     #[test]
@@ -753,7 +745,7 @@ mod tests {
         // the condition reaches both arms.
         assert!(reaches(&cfg, &file, "c", "t"));
         assert!(reaches(&cfg, &file, "c", "e"));
-        assert!(cfg.unreachable.is_empty());
+        assert!(cfg.reachable_from(Cfg::ENTRY).iter().all(|&r| r));
     }
 
     #[test]
@@ -796,8 +788,8 @@ mod tests {
         let (cfg2, file2) = cfg_of("fn g() { return; dead(); }");
         let dead = block_of_ident(&cfg2, &file2, "dead");
         assert!(
-            cfg2.unreachable.contains(&dead),
-            "code after return must be reported unreachable"
+            !cfg2.reachable_from(Cfg::ENTRY)[dead],
+            "code after return must be unreachable"
         );
     }
 
@@ -805,7 +797,7 @@ mod tests {
     fn both_arms_diverging_make_the_tail_unreachable() {
         let (cfg, file) = cfg_of("fn f() { if c() { return; } else { return; } dead(); }");
         let dead = block_of_ident(&cfg, &file, "dead");
-        assert!(cfg.unreachable.contains(&dead));
+        assert!(!cfg.reachable_from(Cfg::ENTRY)[dead]);
     }
 
     #[test]
@@ -818,10 +810,7 @@ mod tests {
         let (cfg2, file2) = cfg_of("fn g() { loop { step(); } after(); }");
         assert!(!reaches(&cfg2, &file2, "step", "after"));
         let after = block_of_ident(&cfg2, &file2, "after");
-        assert!(cfg2
-            .unreachable
-            .iter()
-            .any(|&b| b == after || cfg2.reachable_from(b)[after]));
+        assert!(!cfg2.reachable_from(Cfg::ENTRY)[after]);
     }
 
     #[test]
@@ -852,7 +841,7 @@ mod tests {
         let step = block_of_ident(&cfg, &file, "step");
         // the `?` block must have the exit among its successors.
         assert!(
-            cfg.blocks[step].succs.contains(&cfg.exit),
+            cfg.blocks[step].succs.contains(&Cfg::EXIT),
             "`?` must edge to the exit"
         );
         assert!(reaches(&cfg, &file, "step", "after"));
@@ -903,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn preds_mirror_succs_and_unreachable_is_exact() {
+    fn preds_mirror_succs() {
         let (cfg, _) = cfg_of("fn f() { if a() { return; } else { return; } dead(); }");
         for (id, b) in cfg.blocks.iter().enumerate() {
             for &s in &b.succs {
@@ -912,11 +901,6 @@ mod tests {
             for &p in &b.preds {
                 assert!(cfg.blocks[p].succs.contains(&id));
             }
-        }
-        let reach = cfg.reachable_from(cfg.entry);
-        for (id, reachable) in reach.iter().enumerate() {
-            let listed = cfg.unreachable.contains(&id);
-            assert_eq!(listed, id != cfg.exit && !reachable, "block {id}");
         }
     }
 

@@ -132,8 +132,6 @@ pub struct Def {
     pub line: u32,
     /// 1-based column of the binding identifier.
     pub col: u32,
-    /// Introduced by `let` (as opposed to a reassignment)?
-    pub is_let: bool,
 }
 
 /// Def-use chains for one function body.
@@ -271,7 +269,6 @@ fn collect_defs(tokens: &[Token], start: usize, end: usize) -> Vec<Def> {
                     rhs,
                     line: tokens[*b].line,
                     col: tokens[*b].col,
-                    is_let: true,
                 });
             }
             i = rhs.0.max(i + 1);
@@ -297,7 +294,6 @@ fn collect_defs(tokens: &[Token], start: usize, end: usize) -> Vec<Def> {
                 rhs,
                 line: t.line,
                 col: t.col,
-                is_let: false,
             });
             i = rhs.0.max(i + 1);
             continue;
@@ -412,8 +408,7 @@ mod tests {
     #[test]
     fn let_bindings_collect_their_uses() {
         let (du, _, _) = analyze("fn f() { let x = make(); sink(x); x.consume(); }");
-        let (i, d) = def_named(&du, "x");
-        assert!(d.is_let);
+        let (i, _) = def_named(&du, "x");
         assert_eq!(du.uses[i].len(), 2, "sink(x) and x.consume()");
     }
 
@@ -440,8 +435,8 @@ mod tests {
     #[test]
     fn destructuring_binds_every_lowercase_ident() {
         let (du, _, _) = analyze("fn f() { let (a, Some(b)) = pair(); go(a); go(b); }");
-        assert!(def_named(&du, "a").1.is_let);
-        assert!(def_named(&du, "b").1.is_let);
+        def_named(&du, "a");
+        def_named(&du, "b");
         assert!(!du.defs.iter().any(|d| d.name == "Some"));
     }
 
@@ -485,7 +480,7 @@ mod tests {
         let re = du
             .defs
             .iter()
-            .position(|d| !d.is_let && d.name == "x")
+            .rposition(|d| d.name == "x")
             .expect("reassignment def");
         // `send(x)` is textually before `x = io()` but reads it on the
         // next iteration: is_read must say true.
@@ -538,16 +533,16 @@ mod tests {
         let cfg = Cfg::build(&file.tokens, parsed.fns[0].body);
         let n = cfg.blocks.len();
         let mut gen: Vec<BitSet> = (0..n).map(|_| BitSet::new(1)).collect();
-        gen[cfg.entry].insert(0);
+        gen[Cfg::ENTRY].insert(0);
         let kill: Vec<BitSet> = (0..n).map(|_| BitSet::new(1)).collect();
         let (ins, outs) = forward(&cfg, 1, &gen, &kill);
         // The fact born in the entry must flow into every reachable block.
-        let reach = cfg.reachable_from(cfg.entry);
+        let reach = cfg.reachable_from(Cfg::ENTRY);
         for b in 0..n {
-            if reach[b] && b != cfg.entry {
+            if reach[b] && b != Cfg::ENTRY {
                 assert!(ins[b].contains(0), "block {b} must see the fact");
             }
         }
-        assert!(outs[cfg.entry].contains(0));
+        assert!(outs[Cfg::ENTRY].contains(0));
     }
 }

@@ -420,13 +420,10 @@ fn unused_suppressions(file: &SourceFile, used: &[u32], out: &mut Vec<Finding>) 
     }
 }
 
-/// One file after the per-file phase: the parsed source plus its local
-/// result (`None` when the cache already holds it).
-type ParsedFile = (SourceFile, Option<Local>);
-
-/// The cache-miss path: parse every file (cached local results are
-/// reused, missed ones recomputed in the same fan-out), build the
-/// interprocedural model, run the global rules one-per-thread, and
+/// The cache-miss path: parse every file, mark the files a
+/// `#[cfg(test)] mod` includes as test code, run the local rules on every
+/// file the cache does not cover (cached local results are reused), build
+/// the interprocedural model, run the global rules one-per-thread, and
 /// rewrite the cache.
 fn analyze(
     inputs: &Inputs,
@@ -439,55 +436,31 @@ fn analyze(
 ) -> io::Result<(Vec<Finding>, usize)> {
     let jobs = effective_jobs(opts.jobs, inputs.files.len());
 
-    // Per-file phase: parse, plus local analysis for files the cache
-    // does not cover. Contiguous chunks reassemble in input order, so
-    // the result is independent of the job count.
-    let chunk_len = inputs.files.len().div_ceil(jobs).max(1);
-    let work: Vec<(&Input, bool)> = inputs.files.iter().zip(hits.iter().copied()).collect();
-    let parsed: Vec<ParsedFile> = if jobs <= 1 {
-        work.iter()
-            .map(|(input, hit)| parse_one(input, *hit, known))
-            .collect()
-    } else {
-        let chunks: Vec<Vec<ParsedFile>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .chunks(chunk_len)
-                .map(|c| {
-                    s.spawn(move |_| {
-                        c.iter()
-                            .map(|(input, hit)| parse_one(input, *hit, known))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lint parse worker panicked"))
-                .collect()
+    // Per-file phase: parse, then local analysis. Test status is a fact
+    // about the declaring file, so it is settled between the two, and a
+    // cached local result counts only when it was computed with the
+    // file's current test status.
+    let mut files = fan_out(jobs, &inputs.files, |(rel, text, _)| {
+        SourceFile::parse(rel.clone(), text, known)
+    });
+    source::mark_test_modules(&mut files);
+    let work: Vec<(&SourceFile, Option<&cache::FileEntry>)> = (files.iter().zip(&inputs.files))
+        .zip(hits)
+        .map(|((file, (path, _, _)), &hit)| {
+            let entry = (cached.filter(|_| hit))
+                .and_then(|c| c.files.get(path.as_str()))
+                .filter(|e| e.test_file == file.is_test_file());
+            (file, entry)
         })
-        .expect("lint parse scope");
-        chunks.into_iter().flatten().collect()
-    };
-
-    let mut files = Vec::with_capacity(parsed.len());
-    let mut locals: Vec<Local> = Vec::with_capacity(parsed.len());
-    for ((file, local), (path, _, _)) in parsed.into_iter().zip(&inputs.files) {
-        let entry = match local {
-            Some(computed) => computed,
-            None => {
-                let e = cached
-                    .and_then(|c| c.files.get(path.as_str()))
-                    .expect("hit flag implies a cache entry");
-                Local {
-                    findings: e.findings.clone(),
-                    suppressed: e.suppressed,
-                    used: e.used.clone(),
-                }
-            }
-        };
-        files.push(file);
-        locals.push(entry);
-    }
+        .collect();
+    let locals: Vec<Local> = fan_out(jobs, &work, |(file, entry)| match entry {
+        Some(e) => Local {
+            findings: e.findings.clone(),
+            suppressed: e.suppressed,
+            used: e.used.clone(),
+        },
+        None => local_findings(file),
+    });
 
     let manifests: Vec<(String, String)> = (inputs.manifests.iter())
         .map(|(path, text, _)| {
@@ -510,35 +483,12 @@ fn analyze(
     // Global rules: one thread each (they have very different costs, so
     // rule-granular scheduling is enough), reassembled in registry order.
     let globals: Vec<&&dyn Rule> = RULES.iter().filter(|r| !r.is_local()).collect();
-    let per_rule: Vec<Vec<Finding>> = if jobs <= 1 {
-        globals
-            .iter()
-            .map(|rule| {
-                let mut v = Vec::new();
-                rule.check(&ws, &mut v);
-                v
-            })
-            .collect()
-    } else {
-        let ws_ref = &ws;
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = globals
-                .iter()
-                .map(|rule| {
-                    s.spawn(move |_| {
-                        let mut v = Vec::new();
-                        rule.check(ws_ref, &mut v);
-                        v
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lint rule worker panicked"))
-                .collect()
-        })
-        .expect("lint rule scope")
-    };
+    let rule_jobs = if jobs <= 1 { 1 } else { globals.len() };
+    let per_rule: Vec<Vec<Finding>> = fan_out(rule_jobs, &globals, |rule| {
+        let mut v = Vec::new();
+        rule.check(&ws, &mut v);
+        v
+    });
 
     // A directive counts as used when it silenced a finding in either
     // phase: start from each file's local uses and add the global ones.
@@ -560,11 +510,12 @@ fn analyze(
 
     if let Some(dir) = opts.cache_dir.as_deref() {
         let mut next = cache::Cache::default();
-        for ((path, _, hash), local) in inputs.files.iter().zip(&locals) {
+        for (((path, _, hash), local), file) in inputs.files.iter().zip(&locals).zip(&ws.files) {
             next.files.insert(
                 path.clone(),
                 cache::FileEntry {
                     hash: *hash,
+                    test_file: file.is_test_file(),
                     findings: local.findings.clone(),
                     suppressed: local.suppressed,
                     used: local.used.clone(),
@@ -589,17 +540,23 @@ fn analyze(
     Ok((findings, suppressed))
 }
 
-/// Parse one input and, when the cache has no current entry for it, run
-/// its local analysis in the same worker.
-fn parse_one(input: &Input, hit: bool, known: &[&str]) -> ParsedFile {
-    let (rel, text, _) = input;
-    let file = SourceFile::parse(rel.clone(), text, known);
-    let local = if hit {
-        None
-    } else {
-        Some(local_findings(&file))
-    };
-    (file, local)
+/// `f` over `items` on up to `jobs` scoped threads, in contiguous chunks
+/// that reassemble in input order, so the result is the same at every
+/// job count.
+fn fan_out<T: Sync, R: Send>(jobs: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    if jobs <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let chunk_len = items.len().div_ceil(jobs).max(1);
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (items.chunks(chunk_len))
+            .map(|chunk| s.spawn(move || chunk.iter().map(f).collect::<Vec<_>>()))
+            .collect();
+        (handles.into_iter())
+            .flat_map(|h| h.join().expect("lint worker panicked"))
+            .collect()
+    })
 }
 
 /// Rewrite the baseline to grandfather every currently-failing rule

@@ -1,6 +1,7 @@
 //! A tolerant mini-parser over the token stream for the item shapes the
 //! rules care about: `#[derive(Serialize)]` structs/enums (their fields,
-//! serde attributes, and field-type identifiers) and named `fn` bodies.
+//! serde attributes, and field-type identifiers), `pub` structs (their
+//! fields' visibility), and named `fn` bodies.
 //!
 //! It is deliberately not a Rust parser — it brace-matches and pattern
 //! matches just enough structure, and silently skips anything it does not
@@ -37,6 +38,61 @@ pub struct Field {
     pub serde_skip: bool,
     /// Identifier tokens appearing in the field's type.
     pub type_idents: Vec<String>,
+    /// Declared plain `pub` (not `pub(crate)` or narrower).
+    pub is_pub: bool,
+}
+
+/// A plain-`pub` struct with named fields.
+#[derive(Debug)]
+pub struct PubStruct {
+    /// Type name.
+    pub name: String,
+    /// Token index of the `pub` that opens the item.
+    pub at: usize,
+    /// The named fields.
+    pub fields: Vec<Field>,
+}
+
+/// Collect every plain-`pub` struct with a brace body in `file`.
+pub fn pub_structs(file: &SourceFile) -> Vec<PubStruct> {
+    let tokens = &file.tokens;
+    let mut out = Vec::new();
+    for (at, w) in tokens.windows(3).enumerate() {
+        if !(w[0].is_ident("pub") && w[1].is_ident("struct") && w[2].kind == TokenKind::Ident) {
+            continue;
+        }
+        let (open, close) = item_body(tokens, at + 3);
+        if tokens.get(open).is_some_and(|t| t.is_punct('{')) {
+            out.push(PubStruct {
+                name: w[2].text.clone(),
+                at,
+                fields: parse_fields(tokens, open + 1, close),
+            });
+        }
+    }
+    out
+}
+
+/// The body of the struct or enum whose generics start at `from`: the
+/// first top-level `{` or `(` and its matching delimiter, or `(k, k)` at
+/// the `;` (or end of input) that ends a unit struct.
+fn item_body(tokens: &[Token], from: usize) -> (usize, usize) {
+    let mut angle = 0i32;
+    let mut k = from;
+    while k < tokens.len() {
+        let t = &tokens[k];
+        if t.is_punct('<') {
+            angle += 1;
+        } else if t.is_punct('>') {
+            angle -= 1;
+        } else if angle <= 0 && t.is_punct(';') {
+            break;
+        } else if angle <= 0 && (t.is_punct('{') || t.is_punct('(')) {
+            return (k, match_delim(tokens, k));
+        }
+        k += 1;
+    }
+    (k, k)
 }
 
 /// Collect every `#[derive(…Serialize…)]` struct/enum in `file`.
@@ -86,27 +142,8 @@ pub fn serialize_items(file: &SourceFile) -> Vec<SerializeItem> {
         let Some(name_tok) = tokens.get(j + 1).filter(|t| t.kind == TokenKind::Ident) else {
             continue;
         };
-        // Find the body: first top-level `{` or `(`; a `;` first means a
-        // unit struct.
-        let mut k = j + 2;
-        let mut angle = 0i32;
-        let mut body = None;
-        while k < tokens.len() {
-            let t = &tokens[k];
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                angle -= 1;
-            } else if angle <= 0 && t.is_punct(';') {
-                break;
-            } else if angle <= 0 && (t.is_punct('{') || t.is_punct('(')) {
-                let close = match_delim(tokens, k);
-                body = Some((k + 1, close));
-                break;
-            }
-            k += 1;
-        }
-        let (body_start, body_end) = body.unwrap_or((k, k));
+        let (open, body_end) = item_body(tokens, j + 2);
+        let body_start = if open < body_end { open + 1 } else { open };
         let fields = if is_struct {
             parse_fields(tokens, body_start, body_end)
         } else {
@@ -148,10 +185,13 @@ fn parse_fields(tokens: &[Token], start: usize, end: usize) -> Vec<Field> {
             i = attr_end + 1;
         }
         // Visibility.
+        let mut is_pub = false;
         if i < end && tokens[i].is_ident("pub") {
             i += 1;
+            is_pub = true;
             if i < end && tokens[i].is_punct('(') {
                 i = match_delim(tokens, i) + 1;
+                is_pub = false;
             }
         }
         // name : Type ,
@@ -184,6 +224,7 @@ fn parse_fields(tokens: &[Token], start: usize, end: usize) -> Vec<Field> {
             line,
             serde_skip,
             type_idents,
+            is_pub,
         });
         i = j + 1;
     }
@@ -232,6 +273,7 @@ fn parse_enum_fields(tokens: &[Token], start: usize, end: usize) -> Vec<Field> {
             line,
             serde_skip: false,
             type_idents,
+            is_pub: false,
         });
     }
     fields

@@ -1,6 +1,6 @@
 //! A tolerant recursive-descent *item* parser over the token stream: it
 //! recovers `fn` definitions (with their `impl` owner, parameters, and
-//! body token range), inline `mod` nesting, and `use` aliases — the
+//! body token range), trait names, and `use` aliases — the
 //! structure the interprocedural rules (R6–R8) build their call graph
 //! from.
 //!
@@ -37,8 +37,6 @@ pub struct FnDef {
     pub trait_impl: Option<String>,
     /// Declared plain `pub` (not `pub(crate)` or narrower).
     pub is_pub: bool,
-    /// Inline `mod` path within the file (outermost first).
-    pub module: Vec<String>,
     /// Parameters in order, `self` included (as a typeless param).
     pub params: Vec<Param>,
     /// Token-index range of the body, exclusive of the braces; `(i, i)`
@@ -81,29 +79,13 @@ pub struct ParsedFile {
 pub fn parse_file(file: &SourceFile, file_idx: usize) -> ParsedFile {
     let mut out = ParsedFile::default();
     let tokens = &file.tokens;
-    let mut module: Vec<(String, usize)> = Vec::new(); // (name, close idx)
     let mut owners: Vec<Owner> = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
-        module.retain(|&(_, close)| i <= close);
         owners.retain(|&(_, _, close)| i <= close);
         let t = &tokens[i];
         if t.is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
             i = match_delim(tokens, i + 1) + 1;
-            continue;
-        }
-        if t.is_ident("mod") {
-            if let (Some(name), Some(open)) = (
-                tokens.get(i + 1).filter(|t| t.kind == TokenKind::Ident),
-                tokens.get(i + 2),
-            ) {
-                if open.is_punct('{') {
-                    module.push((name.text.clone(), match_delim(tokens, i + 2)));
-                    i += 3;
-                    continue;
-                }
-            }
-            i += 1;
             continue;
         }
         if t.is_ident("impl") {
@@ -127,7 +109,7 @@ pub fn parse_file(file: &SourceFile, file_idx: usize) -> ParsedFile {
             continue;
         }
         if t.is_ident("fn") {
-            if let Some((def, next)) = parse_fn(file, file_idx, tokens, i, &module, &owners) {
+            if let Some((def, next)) = parse_fn(file, file_idx, tokens, i, &owners) {
                 let after_body = def.body.1.max(i);
                 out.fns.push(def);
                 // Keep scanning *inside* the body too: nested fns and
@@ -151,7 +133,6 @@ fn parse_fn(
     file_idx: usize,
     tokens: &[Token],
     at: usize,
-    module: &[(String, usize)],
     owners: &[Owner],
 ) -> Option<(FnDef, usize)> {
     let name_tok = tokens.get(at + 1).filter(|t| t.kind == TokenKind::Ident)?;
@@ -197,7 +178,6 @@ fn parse_fn(
         owner: owner.map(|(ty, _, _)| ty.clone()),
         trait_impl: owner.and_then(|(_, tr, _)| tr.clone()),
         is_pub: declared_pub(tokens, at),
-        module: module.iter().map(|(m, _)| m.clone()).collect(),
         params,
         body,
         line: tokens[at].line,
@@ -492,18 +472,16 @@ mod tests {
     }
 
     #[test]
-    fn inline_mod_path_and_test_regions_are_tracked() {
+    fn fns_in_inline_mods_and_test_regions_are_found() {
         let src = "mod inner { fn here() { a(); } }\n\
                    #[cfg(test)]\nmod tests { fn t() { b(); } }\n\
                    fn after() {}";
         let parsed = parse(src);
         let here = parsed.fns.iter().find(|f| f.name == "here").unwrap();
-        assert_eq!(here.module, ["inner"]);
         assert!(!here.is_test);
         let t = parsed.fns.iter().find(|f| f.name == "t").unwrap();
         assert!(t.is_test);
-        let after = parsed.fns.iter().find(|f| f.name == "after").unwrap();
-        assert!(after.module.is_empty());
+        assert!(parsed.fns.iter().any(|f| f.name == "after"));
     }
 
     #[test]

@@ -13,26 +13,106 @@
 //! function listing every allocation site — so the report reads as a
 //! ranked work-list of per-visit allocations.
 //!
-//! Documented over-approximations (DESIGN.md §10): method-call edges
-//! without a receiver-type hint resolve to every same-named method the
-//! caller's crate can see, so reachability can pull in cold same-named
-//! functions of its dependencies; allocation in a
-//! closure body counts against the defining function; and the rule
-//! cannot see whether a `clone` result actually escapes the visit.
+//! What the rule leaves out, and why that is sound (DESIGN.md §10):
+//!
+//! * a root is one definition, named by crate-qualified path the way the
+//!   resolver tells functions apart (crate, owning type, name), so a
+//!   same-named function elsewhere — `SelectorList::parse` beside the
+//!   free `webdom::parse` — is hot only if a hot call resolves to it;
+//! * an error path is cold: a closure passed to an error combinator
+//!   (`map_err`, `ok_or_else`, `unwrap_or_else`, `or_else`), the
+//!   argument of an `Err(..)`, and a branch or arm whose last statement
+//!   is `return Err(..)` run only when a step fails, so their
+//!   allocations are not counted and their calls add no hot edge. A
+//!   function they call is still hot when a hot call also reaches it.
+//!
+//! Documented over-approximations: method-call edges without a
+//! receiver-type hint resolve to every same-named method the caller's
+//! crate can see; allocation in a closure outside an error combinator
+//! counts against the defining function; and the rule cannot see whether
+//! a `clone` result actually escapes the visit.
 
-use crate::callgraph::{CallTarget, FnId};
+use crate::callgraph::{CallSite, CallTarget, FnId, Model};
+use crate::lexer::Token;
+use crate::parser::{match_delim, FnDef};
 use crate::rules::{Finding, Rule, Workspace};
 use std::collections::BTreeMap;
 
-/// Per-visit roots as `(path fragment, owner, name)` filters; `None`
-/// matches anything.
-const ROOTS: &[(Option<&str>, Option<&str>, &str)] = &[
-    (None, None, "measure_site"),
-    (None, Some("Browser"), "fetch_document"),
-    (Some("webdom"), None, "parse"),
-    (Some("webdom"), None, "parse_fragment_into"),
-    (None, None, "pierce_shadow_roots"),
+/// Per-visit roots by crate-qualified path, as the call graph tells
+/// functions apart: `crate::name` is the crate's free function `name`,
+/// `crate::Type::name` the associated function of `Type`. The crate `*`
+/// is any crate: `measure_site`, the study's unit of work, is a root
+/// wherever it is defined.
+const ROOTS: &[&str] = &[
+    "*::measure_site",
+    "browser::Browser::fetch_document",
+    "webdom::parse",
+    "webdom::parse_fragment_into",
+    "bannerclick::pierce_shadow_roots",
 ];
+
+/// Is function `id` one of the [`ROOTS`]?
+fn is_root(model: &Model, id: FnId) -> bool {
+    let def = &model.fns[id];
+    let krate = model.scope.crate_of(def.file);
+    ROOTS.iter().any(|root| {
+        let (c, owner, name) = match root.split("::").collect::<Vec<_>>()[..] {
+            [c, name] => (c, None, name),
+            [c, owner, name] => (c, Some(owner), name),
+            _ => return false,
+        };
+        (c == "*" || krate == Some(c)) && def.owner.as_deref() == owner && def.name == name
+    })
+}
+
+/// Combinators whose closure argument runs only on the error path.
+const COLD_COMBINATORS: &[&str] = &["map_err", "ok_or_else", "unwrap_or_else", "or_else"];
+
+/// Token ranges of `def`'s body that run only on an error path: the
+/// argument of a [`COLD_COMBINATORS`] call or of an `Err(..)`
+/// constructor, and a block (a branch or a match arm, not the body
+/// itself) whose last statement is `return Err(..)`.
+fn cold_ranges(tokens: &[Token], def: &FnDef, sites: &[CallSite]) -> Vec<(usize, usize)> {
+    let mut out: Vec<(usize, usize)> = (sites.iter())
+        .filter(|s| {
+            if s.method {
+                COLD_COMBINATORS.contains(&s.name.as_str())
+            } else {
+                s.name == "Err" && s.qualifier.is_empty()
+            }
+        })
+        .map(|s| s.args)
+        .collect();
+    let (start, end) = (def.body.0, def.body.1.min(tokens.len()));
+    for k in start..end.saturating_sub(2) {
+        if !(tokens[k].is_ident("return")
+            && tokens[k + 1].is_ident("Err")
+            && tokens[k + 2].is_punct('('))
+        {
+            continue;
+        }
+        // The `return` ends its block when at most a `;` separates it
+        // from a `}` — one inside the body, not the body's own.
+        let mut close = match_delim(tokens, k + 2) + 1;
+        if tokens.get(close).is_some_and(|t| t.is_punct(';')) {
+            close += 1;
+        }
+        if close >= end || !tokens[close].is_punct('}') {
+            continue;
+        }
+        let mut depth = 0i32;
+        let open = (start..k).rev().find(|&j| {
+            if tokens[j].is_punct('}') {
+                depth += 1;
+            } else if tokens[j].is_punct('{') {
+                depth -= 1;
+            }
+            depth < 0
+        });
+        out.extend(open.map(|open| (open, close)));
+    }
+    out
+}
 
 /// Zero-argument methods that allocate an owned copy.
 const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_owned", "to_string", "concat"];
@@ -63,13 +143,7 @@ impl Rule for HotPathAlloc {
         let mut via: BTreeMap<FnId, (String, usize)> = BTreeMap::new();
         let mut queue: Vec<FnId> = Vec::new();
         for (id, def) in model.fns.iter().enumerate() {
-            let path = &ws.files[def.file].path;
-            let is_root = ROOTS.iter().any(|(frag, owner, name)| {
-                frag.is_none_or(|f| path.contains(f))
-                    && owner.is_none_or(|o| def.owner.as_deref() == Some(o))
-                    && def.name == *name
-            });
-            if is_root && !def.is_test {
+            if is_root(model, id) && !def.is_test {
                 via.insert(id, (model.display(id), 0));
                 queue.push(id);
             }
@@ -79,7 +153,12 @@ impl Rule for HotPathAlloc {
             let id = queue[head];
             head += 1;
             let (root, hops) = via[&id].clone();
+            let def = &model.fns[id];
+            let cold = cold_ranges(&ws.files[def.file].tokens, def, &model.calls[id]);
             for site in &model.calls[id] {
+                if in_ranges(&cold, site.idx) {
+                    continue; // an error path adds no hot edge
+                }
                 let CallTarget::Resolved(callees) = &site.target else {
                     continue;
                 };
@@ -101,8 +180,12 @@ impl Rule for HotPathAlloc {
             if COLD_PATHS.iter().any(|p| file.path.starts_with(p)) {
                 continue;
             }
+            let cold = cold_ranges(&file.tokens, def, &model.calls[id]);
             let mut sites: Vec<(u32, String)> = Vec::new();
             for site in &model.calls[id] {
+                if in_ranges(&cold, site.idx) {
+                    continue; // an error path's allocation is not per-visit
+                }
                 if site.method
                     && site.args.0 == site.args.1
                     && ALLOC_METHODS.contains(&site.name.as_str())
@@ -141,6 +224,7 @@ impl Rule for HotPathAlloc {
             let end = def.body.1.min(tokens.len());
             for k in def.body.0..end {
                 if tokens[k].is_ident("format")
+                    && !in_ranges(&cold, k)
                     && tokens.get(k + 1).is_some_and(|t| t.is_punct('!'))
                 {
                     sites.push((tokens[k].line, "`format!`".to_string()));
@@ -172,4 +256,11 @@ impl Rule for HotPathAlloc {
             });
         }
     }
+}
+
+/// Is token `idx` inside one of the half-open token `ranges`?
+fn in_ranges(ranges: &[(usize, usize)], idx: usize) -> bool {
+    ranges
+        .iter()
+        .any(|&(open, close)| open <= idx && idx < close)
 }

@@ -131,81 +131,84 @@ impl Rule for LockOrder {
                 .or_default()
                 .push(acquired.as_str());
         }
-        let mut reported: BTreeSet<Vec<String>> = BTreeSet::new();
-        for start in adjacency.keys().copied().collect::<Vec<_>>() {
-            let mut stack = vec![start];
-            find_cycles(
-                start,
-                start,
-                &adjacency,
-                &mut stack,
-                &mut reported,
-                &edges,
-                out,
-                self.name(),
-            );
+        let mut search = CycleSearch {
+            start: "",
+            adjacency: &adjacency,
+            edges: &edges,
+            rule: self.name(),
+            reported: BTreeSet::new(),
+            out,
+        };
+        for &start in adjacency.keys() {
+            search.start = start;
+            search.find(start, &mut vec![start]);
         }
     }
 }
 
-/// Depth-first enumeration of simple cycles through `start`; every cycle
-/// whose canonical (sorted) lock set is new becomes one finding.
-#[allow(clippy::too_many_arguments)]
-fn find_cycles<'a>(
+/// The inputs a cycle search holds fixed across its depth-first walk.
+struct CycleSearch<'a, 'o> {
+    /// The lock every cycle of this walk starts and ends at.
     start: &'a str,
-    at: &'a str,
-    adjacency: &BTreeMap<&'a str, Vec<&'a str>>,
-    stack: &mut Vec<&'a str>,
-    reported: &mut BTreeSet<Vec<String>>,
-    edges: &BTreeMap<(String, String), EdgeInfo>,
-    out: &mut Vec<Finding>,
+    adjacency: &'a BTreeMap<&'a str, Vec<&'a str>>,
+    edges: &'a BTreeMap<(String, String), EdgeInfo>,
     rule: &'static str,
-) {
-    if stack.len() > 16 {
-        return; // cycles longer than any plausible lock chain
-    }
-    let Some(nexts) = adjacency.get(at) else {
-        return;
-    };
-    for &next in nexts {
-        if next == start {
-            let mut canon: Vec<String> = stack.iter().map(|s| s.to_string()).collect();
-            canon.sort();
-            if !reported.insert(canon) {
-                continue;
-            }
-            // Assemble the cycle's witness: every edge, in order.
-            let mut cycle_edges = Vec::new();
-            for w in 0..stack.len() {
-                let held = stack[w].to_string();
-                let acquired = stack.get(w + 1).copied().unwrap_or(start).to_string();
-                if let Some(info) = edges.get(&(held, acquired)) {
-                    cycle_edges.push(info);
+    /// Canonical (sorted) lock sets already reported.
+    reported: BTreeSet<Vec<String>>,
+    out: &'o mut Vec<Finding>,
+}
+
+impl<'a> CycleSearch<'a, '_> {
+    /// Depth-first enumeration of simple cycles through `start`; every
+    /// cycle whose canonical (sorted) lock set is new becomes one finding.
+    fn find(&mut self, at: &'a str, stack: &mut Vec<&'a str>) {
+        let start = self.start;
+        if stack.len() > 16 {
+            return; // cycles longer than any plausible lock chain
+        }
+        let Some(nexts) = self.adjacency.get(at) else {
+            return;
+        };
+        for &next in nexts {
+            if next == start {
+                let mut canon: Vec<String> = stack.iter().map(|s| s.to_string()).collect();
+                canon.sort();
+                if !self.reported.insert(canon) {
+                    continue;
                 }
+                // Assemble the cycle's witness: every edge, in order.
+                let mut cycle_edges = Vec::new();
+                for w in 0..stack.len() {
+                    let held = stack[w].to_string();
+                    let acquired = stack.get(w + 1).copied().unwrap_or(start).to_string();
+                    if let Some(info) = self.edges.get(&(held, acquired)) {
+                        cycle_edges.push(info);
+                    }
+                }
+                let Some(first) = cycle_edges.first() else {
+                    continue;
+                };
+                let order: Vec<&str> = stack.iter().copied().chain([start]).collect();
+                let witness: Vec<String> = cycle_edges
+                    .iter()
+                    .map(|e| format!("[{}]", e.witness))
+                    .collect();
+                self.out.push(Finding {
+                    rule: self.rule,
+                    path: first.path.clone(),
+                    line: first.line,
+                    col: first.col,
+                    message: format!(
+                        "lock-order cycle `{}`: opposite acquisition orders can deadlock — {}",
+                        order.join("` → `"),
+                        witness.join(" and ")
+                    ),
+                });
+            } else if !stack.contains(&next) {
+                stack.push(next);
+                self.find(next, stack);
+                stack.pop();
             }
-            let Some(first) = cycle_edges.first() else {
-                continue;
-            };
-            let order: Vec<&str> = stack.iter().copied().chain([start]).collect();
-            let witness: Vec<String> = cycle_edges
-                .iter()
-                .map(|e| format!("[{}]", e.witness))
-                .collect();
-            out.push(Finding {
-                rule,
-                path: first.path.clone(),
-                line: first.line,
-                col: first.col,
-                message: format!(
-                    "lock-order cycle `{}`: opposite acquisition orders can deadlock — {}",
-                    order.join("` → `"),
-                    witness.join(" and ")
-                ),
-            });
-        } else if !stack.contains(&next) {
-            stack.push(next);
-            find_cycles(start, next, adjacency, stack, reported, edges, out, rule);
-            stack.pop();
         }
     }
 }

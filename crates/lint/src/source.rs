@@ -2,7 +2,8 @@
 //! facts every rule needs — the token stream, the `#[cfg(test)]` regions,
 //! and the `lint:allow` suppression directives.
 
-use crate::lexer::{self, Comment, Lexed, Token};
+use crate::lexer::{self, Comment, Lexed, Token, TokenKind};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -30,6 +31,9 @@ pub struct SourceFile {
     pub bad_suppressions: Vec<BadSuppression>,
     /// Token-index ranges covered by `#[cfg(test)]` / `#[test]` items.
     test_regions: Vec<(usize, usize)>,
+    /// The whole file is test code: a `#[cfg(test)] mod x;` includes it
+    /// ([`mark_test_modules`]).
+    test_file: bool,
 }
 
 /// A well-formed `// lint:allow(rule, …) — reason` directive.
@@ -73,14 +77,69 @@ impl SourceFile {
             suppressions,
             bad_suppressions,
             test_regions,
+            test_file: false,
         }
     }
 
-    /// Is the token at `idx` inside a `#[cfg(test)]` item?
+    /// Is the token at `idx` inside a `#[cfg(test)]` item, or the whole
+    /// file test code?
     pub fn in_test_region(&self, idx: usize) -> bool {
-        self.test_regions
-            .iter()
-            .any(|&(start, end)| (start..=end).contains(&idx))
+        self.test_file
+            || self
+                .test_regions
+                .iter()
+                .any(|&(start, end)| (start..=end).contains(&idx))
+    }
+
+    /// Is the whole file test code ([`mark_test_modules`])?
+    pub fn is_test_file(&self) -> bool {
+        self.test_file
+    }
+
+    /// The paths of the files this file's test-code `mod x;` declarations
+    /// include: `x.rs` or `x/mod.rs` in the directory of this module's
+    /// children (the file's own directory for `lib.rs`, `main.rs` and
+    /// `mod.rs`, else a directory named after the file).
+    fn test_module_paths(&self) -> Vec<String> {
+        let (dir, name) = self.path.rsplit_once('/').unwrap_or(("", &self.path));
+        let dir = match name.strip_suffix(".rs") {
+            Some("lib" | "main" | "mod") | None => format!("{dir}/"),
+            Some(stem) => format!("{dir}/{stem}/"),
+        };
+        let tokens = &self.tokens;
+        let mut out = Vec::new();
+        for (k, w) in tokens.windows(3).enumerate() {
+            if w[0].is_ident("mod")
+                && w[1].kind == TokenKind::Ident
+                && w[2].is_punct(';')
+                && self.in_test_region(k)
+            {
+                out.push(format!("{dir}{}.rs", w[1].text));
+                out.push(format!("{dir}{}/mod.rs", w[1].text));
+            }
+        }
+        out
+    }
+}
+
+/// Mark each file that a test-code `mod x;` declaration includes as test
+/// code throughout — a `#[cfg(test)] mod samples;` makes all of
+/// `samples.rs` test code — and so on through the modules such a file
+/// declares in turn.
+pub fn mark_test_modules(files: &mut [SourceFile]) {
+    let index: BTreeMap<String, usize> = (files.iter().enumerate())
+        .map(|(i, f)| (f.path.clone(), i))
+        .collect();
+    let mut queue: Vec<usize> = (0..files.len()).collect();
+    while let Some(i) = queue.pop() {
+        for path in files[i].test_module_paths() {
+            if let Some(&child) = index.get(&path) {
+                if !files[child].test_file {
+                    files[child].test_file = true;
+                    queue.push(child);
+                }
+            }
+        }
     }
 }
 
@@ -421,6 +480,22 @@ mod tests {
         let f = parse(src);
         let a = f.tokens.iter().position(|t| t.is_ident("a")).unwrap();
         assert!(f.in_test_region(a));
+    }
+
+    #[test]
+    fn a_cfg_test_mod_declaration_makes_its_file_test_code() {
+        let file = |path: &str, src: &str| SourceFile::parse(path.to_string(), src, &[]);
+        let mut files = vec![
+            file("src/lib.rs", "mod live;\n#[cfg(test)]\nmod samples;"),
+            file("src/live.rs", "fn a() {}"),
+            file("src/samples.rs", "fn b() {}\nmod nested;"),
+            file("src/samples/nested/mod.rs", "fn c() {}"),
+        ];
+        mark_test_modules(&mut files);
+        let test: Vec<bool> = files.iter().map(SourceFile::is_test_file).collect();
+        assert_eq!(test, [false, false, true, true]);
+        assert!(files[2].in_test_region(0));
+        assert!(!files[1].in_test_region(0));
     }
 
     #[test]

@@ -119,6 +119,32 @@ fn r9_reaches_a_trait_impl_in_a_crate_that_is_not_a_dependency() {
 }
 
 #[test]
+fn r9_error_paths_are_cold() {
+    // The helpers reached only through `map_err`, `Err(..)` and a branch
+    // that returns `Err(..)` allocate too, but only `render` is hot.
+    fires_exactly_once("r9-cold", "hot-path-allocation");
+    let report = run(&fixture("r9-cold"), None).unwrap();
+    assert!(report.findings[0].0.message.contains("`render`"));
+}
+
+#[test]
+fn r9_roots_are_named_by_path() {
+    // `webdom::parse` is a root; `Thing::parse` in the same crate is not.
+    fires_exactly_once("r9-roots", "hot-path-allocation");
+    let report = run(&fixture("r9-roots"), None).unwrap();
+    assert!(report.findings[0].0.message.contains("from root `parse`"));
+}
+
+#[test]
+fn a_cfg_test_module_file_is_test_code() {
+    // `samples.rs`, included by `#[cfg(test)] mod samples;`, reads the
+    // clock silently; its production sibling `clock.rs` fires.
+    fires_exactly_once("r1-test-module", "determinism");
+    let report = run(&fixture("r1-test-module"), None).unwrap();
+    assert_eq!(report.findings[0].0.path, "src/clock.rs");
+}
+
+#[test]
 fn r10_unbounded_growth_fires_exactly_once() {
     // The drained `seen` field must stay silent; only the grow-only
     // `history` field fires.
@@ -141,6 +167,15 @@ fn r12_test_only_api_fires_exactly_once() {
         .0
         .message
         .contains("`pub fn Tally::peak`"));
+}
+
+#[test]
+fn r12_unread_field_fires_exactly_once() {
+    // `total` is read through `.total`, `peak` by a pattern, `Summary`'s
+    // field by its `Serialize` derive; `label` only by a unit test.
+    fires_exactly_once("r12-field", "test-only-api");
+    let report = run(&fixture("r12-field"), None).unwrap();
+    assert!(report.findings[0].0.message.contains("`Tally::label`"));
 }
 
 #[test]

@@ -5,8 +5,7 @@ use crate::clock::{cost_micros, SimClock};
 use analysis::query::{self, Query};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, PoisonError};
 use store::StoreSnapshot;
 
 /// One served answer.
@@ -30,10 +29,12 @@ pub struct Response {
 /// Answering never holds a lock across evaluation: the epoch slot is a
 /// `Mutex<Option<Arc<StoreSnapshot>>>` that is locked only long enough
 /// to clone the `Arc`, so a reader mid-scan never blocks the installer
-/// or other readers.
+/// or other readers. A diff reader that arrives before the install
+/// sleeps on `installed`, which the install notifies.
 pub struct QueryService {
     epoch_a: Arc<StoreSnapshot>,
     epoch_b: Mutex<Option<Arc<StoreSnapshot>>>,
+    installed: Condvar,
     /// Whether a second epoch is expected to arrive: diffs wait for it
     /// when true, and degrade to a deterministic error line when false.
     expect_second: bool,
@@ -49,6 +50,7 @@ impl QueryService {
         QueryService {
             epoch_a,
             epoch_b: Mutex::new(None),
+            installed: Condvar::new(),
             expect_second,
             clock: SimClock::new(),
             ledger: Mutex::new(LatencyLedger::new()),
@@ -62,10 +64,12 @@ impl QueryService {
         service
     }
 
-    /// Install (or replace) the second epoch. Readers pick it up on
-    /// their next query; a reader mid-answer keeps the view it cloned.
+    /// Install (or replace) the second epoch and wake every diff reader
+    /// waiting for it. Readers pick it up on their next query; a reader
+    /// mid-answer keeps the view it cloned.
     pub fn install_second_epoch(&self, epoch: Arc<StoreSnapshot>) {
         *self.epoch_b.lock() = Some(epoch);
+        self.installed.notify_all();
     }
 
     /// The simulated clock.
@@ -122,21 +126,19 @@ impl QueryService {
     }
 
     /// Wait for the ingest to install the second epoch (when one is
-    /// expected). The lock is released around the sleep, so waiting
-    /// diff readers never block the installer.
+    /// expected). The wait releases the slot's lock, so waiting diff
+    /// readers never block the installer, and the install's notify
+    /// wakes them: no reader polls.
     fn wait_for_second_epoch(&self) -> Option<Arc<StoreSnapshot>> {
-        loop {
-            {
-                let slot = self.epoch_b.lock();
-                if let Some(snapshot) = slot.as_ref() {
-                    return Some(Arc::clone(snapshot));
-                }
-            }
-            if !self.expect_second {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let slot = self.epoch_b.lock();
+        let slot = if self.expect_second {
+            (self.installed)
+                .wait_while(slot, |slot| slot.is_none())
+                .unwrap_or_else(PoisonError::into_inner)
+        } else {
+            slot
+        };
+        slot.clone()
     }
 }
 
@@ -288,6 +290,43 @@ mod tests {
         assert!(status.text.contains("outcome=wall"), "{}", status.text);
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    /// A diff reader started before the install answers from the second
+    /// epoch: it blocks on the condvar until the install wakes it.
+    #[test]
+    fn a_waiting_diff_reader_gets_the_second_epoch_once_installed() {
+        let dir_a = tempdir("wait-a");
+        let dir_b = tempdir("wait-b");
+        let a = sealed_snapshot(&dir_a, 1);
+        let b = sealed_snapshot(&dir_b, 3);
+        let service = QueryService::new(Arc::clone(&a), true);
+        let expected =
+            QueryService::with_epochs(Arc::clone(&a), Arc::clone(&b)).answer(&Query::EpochDiff);
+        let diffed = std::thread::scope(|s| {
+            let reader = s.spawn(|| service.answer(&Query::EpochDiff));
+            // Whether the reader already waits or has not yet looked when
+            // the install lands, it answers from the second epoch: no
+            // timing decides the outcome.
+            service.install_second_epoch(Arc::clone(&b));
+            reader.join().expect("diff reader")
+        });
+        assert!(diffed.from_second_epoch);
+        assert_eq!(diffed.text, expected.text);
+        std::fs::remove_dir_all(&dir_a).unwrap();
+        std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    /// With no second epoch expected, a diff answers at once: the test
+    /// thread would hang here if it waited.
+    #[test]
+    fn an_unexpected_second_epoch_answers_unavailable_without_blocking() {
+        let dir = tempdir("unexpected");
+        let service = QueryService::new(sealed_snapshot(&dir, 2), false);
+        let answered = service.answer(&Query::EpochDiff);
+        assert_eq!(answered.text, "diff error=second-epoch-unavailable");
+        assert!(!answered.from_second_epoch);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -812,7 +812,7 @@ mod tests {
                 "{domain} page mentions itself"
             );
             assert!(
-                resp.set_cookie_count() > 0,
+                resp.set_cookies().next().is_some(),
                 "{domain} sets a session cookie"
             );
         }
@@ -868,7 +868,7 @@ mod tests {
             "https://doubleclick.net/t.js?n=4&site=zeitung.de",
             Region::Germany,
         );
-        assert_eq!(resp.set_cookie_count(), 4);
+        assert_eq!(resp.set_cookies().count(), 4);
         let first = resp.set_cookies().next().unwrap();
         // The uid is the stable hash of `{host}/{site}/{k}`.
         let uid = crate::names::stable_hash("doubleclick.net/zeitung.de/0");
@@ -888,7 +888,7 @@ mod tests {
         );
         assert!(resp.is_redirect());
         assert!(resp.location.as_deref().unwrap().contains("criteo.com"));
-        assert_eq!(resp.set_cookie_count(), 3);
+        assert_eq!(resp.set_cookies().count(), 3);
     }
 
     #[test]
@@ -1006,7 +1006,7 @@ mod tests {
                 cookie_header: Some(&header),
                 ..Request::navigation(&url, Region::Germany)
             };
-            counts.push(net.dispatch(&req).set_cookie_count() as f64);
+            counts.push(net.dispatch(&req).set_cookies().count() as f64);
         }
         let base = wall.cookies.accepted.first_party as f64;
         for c in &counts {
