@@ -45,7 +45,4 @@ pub use crawl::{
 pub use measure::{
     measure_site, measure_sites, InteractionMode, SiteCookieMeasurement, REPETITIONS,
 };
-pub use runner::{
-    run_all, run_all_persistent, run_all_with_crawls, run_crawls, run_crawls_with_metrics,
-    StudyReport,
-};
+pub use runner::{run_all, run_all_persistent, StudyReport};

@@ -3,8 +3,8 @@
 
 use crate::context::Study;
 use crate::crawl::{
-    crawl_all_regions_into, crawl_all_regions_with, sweep, CheckpointPolicy, CrawlMetrics,
-    FailureTaxonomy, FetchCache, VantageCrawl,
+    crawl_all_regions_into, sweep, CheckpointPolicy, CrawlMetrics, FailureTaxonomy, FetchCache,
+    VantageCrawl,
 };
 use crate::experiments::{
     ablation, accuracy, banners, botdetect, bypass, darkpatterns, fig1, fig2, fig3, fig4, fig5,
@@ -61,17 +61,6 @@ pub struct StudyReport {
     #[serde(skip)]
     // lint:allow(persist-parity) — machine-dependent diagnostics, intentionally absent from both the report and the journal
     pub crawl_metrics: CrawlMetrics,
-}
-
-/// Run the crawl phase only (Table 1's eight-vantage-point sweep).
-pub fn run_crawls(study: &Study) -> Vec<VantageCrawl> {
-    run_crawls_with_metrics(study).0
-}
-
-/// Run the crawl phase and report what the scheduler observed.
-pub fn run_crawls_with_metrics(study: &Study) -> (Vec<VantageCrawl>, CrawlMetrics) {
-    let targets = study.targets();
-    crawl_all_regions_with(&study.net, &targets, &study.tool, &study.crawl_options())
 }
 
 /// Run every experiment. The crawls are shared: Table 1, accuracy,
@@ -195,12 +184,6 @@ fn epoch_summary(study: &Study, crawls: &[VantageCrawl]) -> String {
         ));
     }
     out
-}
-
-/// Run every experiment against pre-computed crawls. Without the sweep's
-/// cache, the ablation and bot-detection re-crawls load every page.
-pub fn run_all_with_crawls(study: &Study, crawls: &[VantageCrawl]) -> StudyReport {
-    experiments(study, crawls, None)
 }
 
 /// Every experiment against `crawls`; the re-crawls read what the sweep

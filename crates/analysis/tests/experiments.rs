@@ -4,7 +4,7 @@
 use analysis::experiments::{
     accuracy, banners, bypass, darkpatterns, fig1, fig2, fig3, fig4, fig5, fig6, smp, table1,
 };
-use analysis::{run_crawls, Study, VantageCrawl};
+use analysis::{crawl_all_regions_with, Study, VantageCrawl};
 use httpsim::Region;
 use std::sync::OnceLock;
 
@@ -12,7 +12,12 @@ fn world() -> &'static (Study, Vec<VantageCrawl>) {
     static W: OnceLock<(Study, Vec<VantageCrawl>)> = OnceLock::new();
     W.get_or_init(|| {
         let study = Study::small();
-        let crawls = run_crawls(&study);
+        let (crawls, _) = crawl_all_regions_with(
+            &study.net,
+            &study.targets(),
+            &study.tool,
+            &study.crawl_options(),
+        );
         (study, crawls)
     })
 }

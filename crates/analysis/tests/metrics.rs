@@ -5,7 +5,8 @@
 //! so worker join order can never change the reported `CrawlMetrics`.
 
 use analysis::{
-    run_crawls_with_metrics, CrawlMetrics, FailureKind, RetryPolicy, Study, WorkerCounters,
+    crawl_all_regions_with, CrawlMetrics, FailureKind, RetryPolicy, Study, VantageCrawl,
+    WorkerCounters,
 };
 use httpsim::Region;
 use webgen::PopulationConfig;
@@ -22,6 +23,16 @@ fn fixture_study(workers: usize) -> Study {
     study
 }
 
+/// The study's eight-region crawl and what the scheduler observed.
+fn crawl(study: &Study) -> (Vec<VantageCrawl>, CrawlMetrics) {
+    crawl_all_regions_with(
+        &study.net,
+        &study.targets(),
+        &study.tool,
+        &study.crawl_options(),
+    )
+}
+
 /// At workers = 1 the schedule is deterministic and the merge degenerates
 /// to the lone worker's counters, so every merged total can be recounted
 /// independently from the records — exactly what the old shared atomics
@@ -30,7 +41,7 @@ fn fixture_study(workers: usize) -> Study {
 fn merged_totals_match_record_ground_truth_serially() {
     let study = fixture_study(1);
     let policy = study.retry.clone();
-    let (crawls, metrics) = run_crawls_with_metrics(&study);
+    let (crawls, metrics) = crawl(&study);
     let n_tasks = Region::ALL.len() * study.targets().len();
     let records: Vec<_> = crawls.iter().flat_map(|c| &c.records).collect();
 
@@ -92,8 +103,8 @@ fn merged_totals_match_record_ground_truth_serially() {
 /// the totals that are schedule-independent must match the serial run.
 #[test]
 fn merged_totals_are_schedule_independent() {
-    let (serial_crawls, serial) = run_crawls_with_metrics(&fixture_study(1));
-    let (parallel_crawls, parallel) = run_crawls_with_metrics(&fixture_study(4));
+    let (serial_crawls, serial) = crawl(&fixture_study(1));
+    let (parallel_crawls, parallel) = crawl(&fixture_study(4));
     assert_eq!(serial.tasks_completed, parallel.tasks_completed);
     assert_eq!(
         serial.cache_hits + serial.cache_misses,
@@ -103,7 +114,7 @@ fn merged_totals_are_schedule_independent() {
     assert_eq!(serial.panics, parallel.panics);
     // The failure taxonomy is derived from records, which the stress suite
     // pins byte-identical — recount it here from both runs' records.
-    let count = |crawls: &[analysis::VantageCrawl]| {
+    let count = |crawls: &[VantageCrawl]| {
         crawls
             .iter()
             .flat_map(|c| &c.records)

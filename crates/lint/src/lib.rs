@@ -21,14 +21,13 @@
 //! | R12 `test-only-api` | every `pub fn` of a library crate has a production use, not only test callers |
 //!
 //! Each rule is suppressible inline with `// lint:allow(rule) — reason`
-//! (the reason is mandatory) and adoptable incrementally through a
-//! checked-in `lint.baseline` of grandfathered findings that can only
-//! ratchet down. See DESIGN.md §10 for the policy.
+//! (the reason is mandatory); a directive that silences nothing is itself
+//! a finding. [`run`] is one serial pass over the tree. See DESIGN.md §10
+//! for the policy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
@@ -40,7 +39,5 @@ pub mod parser;
 pub mod rules;
 pub mod source;
 
-pub use engine::{
-    run, run_with, update_baseline, CacheStats, Options, Report, Status, BASELINE_FILE,
-};
+pub use engine::{run, Report};
 pub use rules::{Finding, Rule, Workspace, RULES};

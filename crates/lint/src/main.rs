@@ -3,30 +3,21 @@
 //! ```text
 //! cargo run -p lint --                      # lint this workspace
 //! cargo run -p lint -- --root DIR           # lint another tree (fixtures)
-//! cargo run -p lint -- --update-baseline    # grandfather current findings
 //! cargo run -p lint -- --list-rules         # what the rules enforce
 //! cargo run -p lint -- --format json        # machine-readable findings
-//! cargo run -p lint -- --jobs 8             # per-file fan-out (0 = auto)
-//! cargo run -p lint -- --cache              # incremental cache in
-//!                                           #   <root>/target/lint-cache
-//! cargo run -p lint -- --cache-dir DIR      # incremental cache in DIR
 //! ```
 //!
-//! With the cache on, hit/miss statistics go to stderr (`lint: cache:
-//! 107/107 files hit, global hit`) so scripts can assert warm runs.
 //! Exit status: 0 clean, 1 findings, 2 usage/IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str =
+    "usage: cargo run -p lint -- [--root DIR] [--format text|json] [--list-rules] [--help]";
+
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut update = false;
     let mut json = false;
-    let mut jobs = 0usize;
-    let mut cache = false;
-    let mut cache_dir: Option<PathBuf> = None;
     // lint:allow(determinism) — CLI flag parsing at the binary entry point
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -35,24 +26,6 @@ fn main() -> ExitCode {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root needs a directory"),
             },
-            "--baseline" => match args.next() {
-                Some(file) => baseline = Some(PathBuf::from(file)),
-                None => return usage("--baseline needs a file"),
-            },
-            "--jobs" => match args.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => jobs = n,
-                Some(Err(_)) => return usage("--jobs needs a number (0 = auto)"),
-                None => return usage("--jobs needs a number (0 = auto)"),
-            },
-            "--cache" => cache = true,
-            "--cache-dir" => match args.next() {
-                Some(dir) => {
-                    cache = true;
-                    cache_dir = Some(PathBuf::from(dir));
-                }
-                None => return usage("--cache-dir needs a directory"),
-            },
-            "--update-baseline" => update = true,
             "--format" => match args.next().as_deref() {
                 Some("json") => json = true,
                 Some("text") => json = false,
@@ -65,46 +38,23 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--help" | "-h" => return usage(""),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
             other => return usage(&format!("unknown flag `{other}`")),
         }
     }
     let root = root.unwrap_or_else(find_workspace_root);
 
-    if update {
-        return match lint::update_baseline(&root, baseline.as_deref()) {
-            Ok(0) => {
-                println!("lint: workspace clean, baseline removed");
-                ExitCode::SUCCESS
-            }
-            Ok(n) => {
-                println!("lint: baselined {n} findings");
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(&format!("updating baseline: {e}")),
-        };
-    }
-
-    let opts = lint::Options {
-        jobs,
-        cache_dir: cache.then(|| cache_dir.unwrap_or_else(|| root.join("target/lint-cache"))),
-    };
-    match lint::run_with(&root, baseline.as_deref(), &opts) {
+    match lint::run(&root) {
         Ok(report) => {
-            if let Some(stats) = &report.cache {
-                eprintln!(
-                    "lint: cache: {}/{} files hit, global {}",
-                    stats.file_hits,
-                    stats.file_total,
-                    if stats.global_hit { "hit" } else { "miss" }
-                );
-            }
             if json {
                 println!("{}", report.render_json());
             } else {
                 print!("{}", report.render());
             }
-            if report.failing() == 0 {
+            if report.findings.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
@@ -125,14 +75,8 @@ fn find_workspace_root() -> PathBuf {
 }
 
 fn usage(error: &str) -> ExitCode {
-    if !error.is_empty() {
-        eprintln!("lint: {error}");
-    }
-    eprintln!(
-        "usage: cargo run -p lint -- [--root DIR] [--baseline FILE] \
-         [--update-baseline] [--list-rules] [--format text|json] \
-         [--jobs N] [--cache] [--cache-dir DIR]"
-    );
+    eprintln!("lint: {error}");
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 

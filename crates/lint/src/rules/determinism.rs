@@ -5,7 +5,6 @@
 //! `src/main.rs` (flags and exit paths) and `#[cfg(test)]` code.
 
 use super::{match_path, Finding, Rule, Workspace};
-use crate::source::SourceFile;
 
 /// `std::env` accessors that leak ambient process state into a run.
 const ENV_READS: &[&str] = &[
@@ -35,56 +34,48 @@ impl Rule for Determinism {
         "R1"
     }
 
-    fn is_local(&self) -> bool {
-        true
-    }
-
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.path == "src/main.rs" {
-            return;
-        }
-        let tokens = &file.tokens;
-        let mut i = 0;
-        while i < tokens.len() {
-            if file.in_test_region(i) {
-                i += 1;
-                continue;
-            }
-            let hit: Option<(usize, String)> =
-                if let Some(n) = match_path(tokens, i, &["SystemTime", "now"]) {
-                    Some((n, "SystemTime::now".to_string()))
-                } else if let Some(n) = match_path(tokens, i, &["Instant", "now"]) {
-                    Some((n, "Instant::now".to_string()))
-                } else if tokens[i].is_ident("thread_rng") {
-                    Some((1, "thread_rng".to_string()))
-                } else if let Some((n, f)) = env_read(tokens, i) {
-                    Some((n, f))
-                } else {
-                    None
-                };
-            match hit {
-                Some((n, what)) => {
-                    out.push(Finding {
-                        rule: self.name(),
-                        path: file.path.clone(),
-                        line: tokens[i].line,
-                        col: tokens[i].col,
-                        message: format!(
-                            "call to `{what}` — wall-clock, ambient RNG, and process-environment \
-                             reads are banned outside `src/main.rs` and `#[cfg(test)]` code \
-                             (use the seeded/virtual equivalents)"
-                        ),
-                    });
-                    i += n;
-                }
-                None => i += 1,
-            }
-        }
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         for file in &ws.files {
-            self.check_file(file, out);
+            if file.path == "src/main.rs" {
+                continue;
+            }
+            let tokens = &file.tokens;
+            let mut i = 0;
+            while i < tokens.len() {
+                if file.in_test_region(i) {
+                    i += 1;
+                    continue;
+                }
+                let hit: Option<(usize, String)> =
+                    if let Some(n) = match_path(tokens, i, &["SystemTime", "now"]) {
+                        Some((n, "SystemTime::now".to_string()))
+                    } else if let Some(n) = match_path(tokens, i, &["Instant", "now"]) {
+                        Some((n, "Instant::now".to_string()))
+                    } else if tokens[i].is_ident("thread_rng") {
+                        Some((1, "thread_rng".to_string()))
+                    } else if let Some((n, f)) = env_read(tokens, i) {
+                        Some((n, f))
+                    } else {
+                        None
+                    };
+                match hit {
+                    Some((n, what)) => {
+                        out.push(Finding {
+                            rule: self.name(),
+                            path: file.path.clone(),
+                            line: tokens[i].line,
+                            col: tokens[i].col,
+                            message: format!(
+                                "call to `{what}` — wall-clock, ambient RNG, and process-environment \
+                                 reads are banned outside `src/main.rs` and `#[cfg(test)]` code \
+                                 (use the seeded/virtual equivalents)"
+                            ),
+                        });
+                        i += n;
+                    }
+                    None => i += 1,
+                }
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The rule engine: rule trait, the registry, and the workspace view the
 //! rules run over. Each rule enforces one repo invariant (see DESIGN.md
-//! §10) and reports [`Finding`]s; suppression and baseline handling live
-//! in [`crate::engine`], so rules always report what they see.
+//! §10) and reports [`Finding`]s; suppression handling lives in
+//! [`crate::engine`], so rules always report what they see.
 
 pub mod blocking_under_lock;
 pub mod determinism;
@@ -72,8 +72,8 @@ impl Workspace {
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name ([`Rule::name`], or `suppression` / `baseline` for the
-    /// engine's own findings).
+    /// Rule name ([`Rule::name`], or `suppression` for the engine's own
+    /// findings).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -86,22 +86,12 @@ pub struct Finding {
 }
 
 /// A named, suppressible invariant check.
-pub trait Rule: Sync {
+pub trait Rule {
     /// Stable rule name used in reports and `lint:allow(...)`.
     fn name(&self) -> &'static str;
     /// The issue/DESIGN shorthand (`R1`…`R5`), also accepted in
     /// `lint:allow(...)`.
     fn code(&self) -> &'static str;
-    /// True when findings are a pure function of one file's content (no
-    /// call graph, no cross-file state). Local rules run per file through
-    /// [`Rule::check_file`], which is what lets the incremental cache key
-    /// their results on a single file's content hash (`crate::cache`).
-    fn is_local(&self) -> bool {
-        false
-    }
-    /// Scan one file. Only local rules implement this; the default does
-    /// nothing so global rules can ignore it.
-    fn check_file(&self, _file: &SourceFile, _out: &mut Vec<Finding>) {}
     /// Scan the workspace, appending findings.
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>);
 }

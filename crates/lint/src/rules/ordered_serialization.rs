@@ -6,7 +6,6 @@
 
 use super::{Finding, Rule, Workspace};
 use crate::items::serialize_items;
-use crate::source::SourceFile;
 
 /// R2: no hash-ordered containers in serialized types.
 pub struct OrderedSerialization;
@@ -20,47 +19,39 @@ impl Rule for OrderedSerialization {
         "R2"
     }
 
-    fn is_local(&self) -> bool {
-        true
-    }
-
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        for item in serialize_items(file) {
-            for field in &item.fields {
-                let Some(bad) = field
-                    .type_idents
-                    .iter()
-                    .find(|t| *t == "HashMap" || *t == "HashSet")
-                else {
-                    continue;
-                };
-                let ordered = if bad == "HashMap" {
-                    "BTreeMap"
-                } else {
-                    "BTreeSet"
-                };
-                let place = if field.name.is_empty() {
-                    format!("a variant of `Serialize` enum `{}`", item.name)
-                } else {
-                    format!("field `{}` of `Serialize` type `{}`", field.name, item.name)
-                };
-                out.push(Finding {
-                    rule: self.name(),
-                    path: file.path.clone(),
-                    line: field.line,
-                    col: 0,
-                    message: format!(
-                        "{place} uses `{bad}` — serialized collections must iterate \
-                         deterministically; use `{ordered}`"
-                    ),
-                });
-            }
-        }
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         for file in &ws.files {
-            self.check_file(file, out);
+            for item in serialize_items(file) {
+                for field in &item.fields {
+                    let Some(bad) = field
+                        .type_idents
+                        .iter()
+                        .find(|t| *t == "HashMap" || *t == "HashSet")
+                    else {
+                        continue;
+                    };
+                    let ordered = if bad == "HashMap" {
+                        "BTreeMap"
+                    } else {
+                        "BTreeSet"
+                    };
+                    let place = if field.name.is_empty() {
+                        format!("a variant of `Serialize` enum `{}`", item.name)
+                    } else {
+                        format!("field `{}` of `Serialize` type `{}`", field.name, item.name)
+                    };
+                    out.push(Finding {
+                        rule: self.name(),
+                        path: file.path.clone(),
+                        line: field.line,
+                        col: 0,
+                        message: format!(
+                            "{place} uses `{bad}` — serialized collections must iterate \
+                             deterministically; use `{ordered}`"
+                        ),
+                    });
+                }
+            }
         }
     }
 }

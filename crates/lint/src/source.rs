@@ -91,11 +91,6 @@ impl SourceFile {
                 .any(|&(start, end)| (start..=end).contains(&idx))
     }
 
-    /// Is the whole file test code ([`mark_test_modules`])?
-    pub fn is_test_file(&self) -> bool {
-        self.test_file
-    }
-
     /// The paths of the files this file's test-code `mod x;` declarations
     /// include: `x.rs` or `x/mod.rs` in the directory of this module's
     /// children (the file's own directory for `lib.rs`, `main.rs` and
@@ -492,10 +487,8 @@ mod tests {
             file("src/samples/nested/mod.rs", "fn c() {}"),
         ];
         mark_test_modules(&mut files);
-        let test: Vec<bool> = files.iter().map(SourceFile::is_test_file).collect();
+        let test: Vec<bool> = files.iter().map(|f| f.in_test_region(0)).collect();
         assert_eq!(test, [false, false, true, true]);
-        assert!(files[2].in_test_region(0));
-        assert!(!files[1].in_test_region(0));
     }
 
     #[test]

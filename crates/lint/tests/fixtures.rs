@@ -1,9 +1,9 @@
 //! Integration tests over the fixture trees under `tests/fixtures/`: each
 //! rule-class fixture makes its rule fire exactly once, the clean tree
-//! reports nothing, the baselined tree grandfathers its violation, and
-//! the CLI maps outcomes to exit codes (0 clean, 1 findings, 2 usage).
+//! reports nothing, and the CLI maps outcomes to exit codes (0 clean, 1
+//! findings, 2 usage).
 
-use lint::{run, Status};
+use lint::run;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -13,21 +13,17 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Run the linter over a fixture tree and return `(rule, status)` pairs.
-fn findings(name: &str) -> Vec<(String, Status)> {
-    let report = run(&fixture(name), None).expect("fixture tree scans");
-    report
-        .findings
-        .iter()
-        .map(|(f, s)| (f.rule.to_string(), *s))
-        .collect()
+/// Run the linter over a fixture tree and return the rules that fired.
+fn findings(name: &str) -> Vec<String> {
+    let report = run(&fixture(name)).expect("fixture tree scans");
+    report.findings.iter().map(|f| f.rule.to_string()).collect()
 }
 
 fn fires_exactly_once(tree: &str, rule: &str) {
     let found = findings(tree);
     assert_eq!(
         found,
-        vec![(rule.to_string(), Status::Failing)],
+        vec![rule.to_string()],
         "fixture `{tree}` must trip `{rule}` exactly once"
     );
 }
@@ -104,8 +100,8 @@ fn r9_does_not_reach_a_same_named_method_outside_the_dependencies() {
     // `visit` depends on `dom`, not on `cli`: the unhinted `doc.render()`
     // reaches `Dom::render` only, though `Cli::render` allocates too.
     fires_exactly_once("r9-crates", "hot-path-allocation");
-    let report = run(&fixture("r9-crates"), None).unwrap();
-    assert!(report.findings[0].0.message.contains("`Dom::render`"));
+    let report = run(&fixture("r9-crates")).unwrap();
+    assert!(report.findings[0].message.contains("`Dom::render`"));
 }
 
 #[test]
@@ -114,8 +110,8 @@ fn r9_reaches_a_trait_impl_in_a_crate_that_is_not_a_dependency() {
     // implements: the impl stays reachable, the inherent `Page::handle`
     // does not.
     fires_exactly_once("r9-trait", "hot-path-allocation");
-    let report = run(&fixture("r9-trait"), None).unwrap();
-    assert!(report.findings[0].0.message.contains("`Site::handle`"));
+    let report = run(&fixture("r9-trait")).unwrap();
+    assert!(report.findings[0].message.contains("`Site::handle`"));
 }
 
 #[test]
@@ -123,16 +119,16 @@ fn r9_error_paths_are_cold() {
     // The helpers reached only through `map_err`, `Err(..)` and a branch
     // that returns `Err(..)` allocate too, but only `render` is hot.
     fires_exactly_once("r9-cold", "hot-path-allocation");
-    let report = run(&fixture("r9-cold"), None).unwrap();
-    assert!(report.findings[0].0.message.contains("`render`"));
+    let report = run(&fixture("r9-cold")).unwrap();
+    assert!(report.findings[0].message.contains("`render`"));
 }
 
 #[test]
 fn r9_roots_are_named_by_path() {
     // `webdom::parse` is a root; `Thing::parse` in the same crate is not.
     fires_exactly_once("r9-roots", "hot-path-allocation");
-    let report = run(&fixture("r9-roots"), None).unwrap();
-    assert!(report.findings[0].0.message.contains("from root `parse`"));
+    let report = run(&fixture("r9-roots")).unwrap();
+    assert!(report.findings[0].message.contains("from root `parse`"));
 }
 
 #[test]
@@ -140,8 +136,8 @@ fn a_cfg_test_module_file_is_test_code() {
     // `samples.rs`, included by `#[cfg(test)] mod samples;`, reads the
     // clock silently; its production sibling `clock.rs` fires.
     fires_exactly_once("r1-test-module", "determinism");
-    let report = run(&fixture("r1-test-module"), None).unwrap();
-    assert_eq!(report.findings[0].0.path, "src/clock.rs");
+    let report = run(&fixture("r1-test-module")).unwrap();
+    assert_eq!(report.findings[0].path, "src/clock.rs");
 }
 
 #[test]
@@ -162,11 +158,8 @@ fn r12_test_only_api_fires_exactly_once() {
     // `peak` is called by a unit test and `tests/peak.rs` only; `total`
     // is named as a value in `report`, which the example calls.
     fires_exactly_once("r12-test-only", "test-only-api");
-    let report = run(&fixture("r12-test-only"), None).unwrap();
-    assert!(report.findings[0]
-        .0
-        .message
-        .contains("`pub fn Tally::peak`"));
+    let report = run(&fixture("r12-test-only")).unwrap();
+    assert!(report.findings[0].message.contains("`pub fn Tally::peak`"));
 }
 
 #[test]
@@ -174,8 +167,8 @@ fn r12_unread_field_fires_exactly_once() {
     // `total` is read through `.total`, `peak` by a pattern, `Summary`'s
     // field by its `Serialize` derive; `label` only by a unit test.
     fires_exactly_once("r12-field", "test-only-api");
-    let report = run(&fixture("r12-field"), None).unwrap();
-    assert!(report.findings[0].0.message.contains("`Tally::label`"));
+    let report = run(&fixture("r12-field")).unwrap();
+    assert!(report.findings[0].message.contains("`Tally::label`"));
 }
 
 #[test]
@@ -183,14 +176,14 @@ fn cfg_liveness_scopes_r7_to_the_live_guard() {
     // Two guards, two waits: the early-dropped guard keeps its wait
     // silent, so block-scoped liveness reports exactly one finding — a
     // span-until-end-of-scope approximation would report two.
-    let report = run(&fixture("cfg-liveness"), None).expect("tree scans");
-    let lines: Vec<u32> = report.findings.iter().map(|(f, _)| f.line).collect();
+    let report = run(&fixture("cfg-liveness")).expect("tree scans");
+    let lines: Vec<u32> = report.findings.iter().map(|f| f.line).collect();
     assert_eq!(
         lines,
         vec![25],
         "only the wait under the still-live guard may fire"
     );
-    assert_eq!(report.findings[0].0.rule, "blocking-under-lock");
+    assert_eq!(report.findings[0].rule, "blocking-under-lock");
 }
 
 #[test]
@@ -198,9 +191,9 @@ fn r6_witness_chain_spans_every_function_in_the_cycle() {
     // The inversion in the r6 fixture crosses four functions; the single
     // finding must carry the complete multi-function witness chain with
     // a file:line span for each edge endpoint.
-    let report = run(&fixture("r6"), None).expect("r6 tree scans");
+    let report = run(&fixture("r6")).expect("r6 tree scans");
     assert_eq!(report.findings.len(), 1);
-    let message = &report.findings[0].0.message;
+    let message = &report.findings[0].message;
     for piece in [
         "`S::a` held in `S::forward` (src/lib.rs:13)",
         "via `tail()` (src/lib.rs:14)",
@@ -227,129 +220,22 @@ fn unused_suppression_is_itself_a_finding() {
 }
 
 #[test]
-fn a_file_cache_hit_keeps_its_directives_used() {
-    // `a.rs`'s directive silences a local finding. When only `b.rs`
-    // changes, `a.rs` hits the cache and skips its local phase: the
-    // directive must still count as used, from the cached entry. A stale
-    // directive added to `b.rs` is the one finding.
-    let dir = std::env::temp_dir().join(format!("lint-used-cache-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("src")).unwrap();
-    std::fs::write(
-        dir.join("src/a.rs"),
-        "pub fn t() -> std::time::Instant {\n    \
-         // lint:allow(determinism) — wall-clock metrics only\n    \
-         std::time::Instant::now()\n}\n",
-    )
-    .unwrap();
-    std::fs::write(dir.join("src/b.rs"), "pub fn f() {}\n").unwrap();
-    let opts = lint::Options {
-        jobs: 1,
-        cache_dir: Some(dir.join("cache")),
-    };
-    let cold = lint::run_with(&dir, None, &opts).unwrap();
-    assert!(cold.findings.is_empty(), "{}", cold.render());
-    assert_eq!(cold.suppressed, 1);
-
-    std::fs::write(
-        dir.join("src/b.rs"),
-        "// lint:allow(determinism) — nothing here reads the clock\npub fn f() {}\n",
-    )
-    .unwrap();
-    let warm = lint::run_with(&dir, None, &opts).unwrap();
-    let stats = warm.cache.expect("cache stats");
-    assert_eq!((stats.file_hits, stats.global_hit), (1, false));
-    let found: Vec<(&str, &str, u32)> = warm
-        .findings
-        .iter()
-        .map(|(f, _)| (f.rule, f.path.as_str(), f.line))
-        .collect();
-    assert_eq!(found, [("suppression", "src/b.rs", 1)], "{}", warm.render());
-    assert_eq!(warm.render(), lint::run(&dir, None).unwrap().render());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn clean_tree_reports_nothing_and_honors_the_suppression() {
-    let report = run(&fixture("clean"), None).expect("clean tree scans");
+    let report = run(&fixture("clean")).expect("clean tree scans");
     assert!(report.findings.is_empty(), "clean fixture must not fire");
     assert_eq!(report.suppressed, 1, "the reasoned lint:allow must count");
 }
 
 #[test]
-fn baselined_violation_is_grandfathered_not_failing() {
-    let found = findings("baselined");
-    assert_eq!(found, vec![("determinism".into(), Status::Grandfathered)]);
-    let report = run(&fixture("baselined"), None).unwrap();
-    assert_eq!(report.failing(), 0);
-    assert_eq!(report.grandfathered(), 1);
-}
-
-#[test]
-fn stale_baseline_entry_fails_the_run() {
-    // A baseline naming a finding that no longer exists must itself fail:
-    // the baseline only ratchets down.
-    let dir = std::env::temp_dir().join("lint-stale-baseline-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let stale = dir.join("stale.baseline");
-    let real = std::fs::read_to_string(fixture("baselined").join("lint.baseline")).unwrap();
-    std::fs::write(
-        &stale,
-        format!("{real}panic-hygiene\tsrc/gone.rs\told message\n"),
-    )
-    .unwrap();
-    let report = run(&fixture("baselined"), Some(&stale)).unwrap();
-    let rules: Vec<&str> = report.findings.iter().map(|(f, _)| f.rule).collect();
-    assert!(rules.contains(&"baseline"), "stale entry must be flagged");
-    assert_eq!(report.failing(), 1);
-}
-
-#[test]
-fn workspace_self_lint_is_clean() {
-    // The repo itself must pass its own gate — same invariant check.sh
-    // enforces, kept here so `cargo test` alone catches a regression.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = run(&root, None).expect("workspace scans");
-    let failing: Vec<String> = report
-        .findings
-        .iter()
-        .filter(|(_, s)| *s == Status::Failing)
-        .map(|(f, _)| format!("{}:{}: [{}] {}", f.path, f.line, f.rule, f.message))
-        .collect();
-    assert!(
-        failing.is_empty(),
-        "workspace lint failures:\n{}",
-        failing.join("\n")
-    );
-}
-
-#[test]
-fn workspace_baseline_stays_empty_and_suppressions_name_live_rules() {
-    // The workspace adopted the linter with a clean slate: the baseline
-    // file must not exist (or carry no entries), so every new finding
-    // fails immediately instead of being quietly grandfathered.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let baseline = root.join(lint::BASELINE_FILE);
-    if baseline.exists() {
-        let text = std::fs::read_to_string(&baseline).unwrap();
-        let entries: Vec<&str> = text
-            .lines()
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .collect();
-        assert!(
-            entries.is_empty(),
-            "workspace baseline must stay empty, found entries:\n{}",
-            entries.join("\n")
-        );
-    }
-
+fn workspace_suppressions_name_live_rules() {
     // Every inline suppression in the workspace must name a rule that
     // still exists — a directive naming a retired rule is reported by
-    // the engine as a `suppression` finding, which the (clean) self-lint
-    // above would catch; pin the mechanism itself here.
-    let report = run(&root, None).expect("workspace scans");
+    // the engine as a `suppression` finding, which the clean self-lint
+    // in `tests/workspace.rs` would catch; pin the mechanism itself here.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let report = run(&root).expect("workspace scans");
     assert!(
-        !report.findings.iter().any(|(f, _)| f.rule == "suppression"),
+        !report.findings.iter().any(|f| f.rule == "suppression"),
         "no workspace suppression may be malformed or name an unknown rule"
     );
     assert!(
@@ -369,12 +255,12 @@ fn stale_rule_suppression_becomes_a_finding() {
         "// lint:allow(retired-rule) — rule no longer exists\npub fn f() {}\n",
     )
     .unwrap();
-    let report = run(&dir, None).expect("temp tree scans");
+    let report = run(&dir).expect("temp tree scans");
     let suppression_findings: Vec<&str> = report
         .findings
         .iter()
-        .filter(|(f, _)| f.rule == "suppression")
-        .map(|(f, _)| f.message.as_str())
+        .filter(|f| f.rule == "suppression")
+        .map(|f| f.message.as_str())
         .collect();
     assert_eq!(suppression_findings.len(), 1);
     assert!(
@@ -402,8 +288,23 @@ fn cli_exit_codes_map_outcomes() {
     let clean = cli(&["--root", fixture("clean").to_str().unwrap()]);
     assert_eq!(clean.status.code(), Some(0), "clean tree must exit 0");
 
-    let usage = cli(&["--no-such-flag"]);
-    assert_eq!(usage.status.code(), Some(2), "unknown flag must exit 2");
+    // The last five are the removed cache, thread and baseline flags.
+    for flag in [
+        "--no-such-flag",
+        "--cache",
+        "--cache-dir",
+        "--jobs",
+        "--baseline",
+        "--update-baseline",
+    ] {
+        let usage = cli(&[flag]);
+        assert_eq!(usage.status.code(), Some(2), "`{flag}` must exit 2");
+    }
+
+    let help = cli(&["--help"]);
+    assert_eq!(help.status.code(), Some(0), "--help must exit 0");
+    let text = String::from_utf8(help.stdout).unwrap();
+    assert!(text.starts_with("usage: "), "usage goes to stdout:\n{text}");
 }
 
 #[test]
@@ -429,134 +330,6 @@ fn cli_lists_all_twelve_rules() {
     }
 }
 
-// -------------------------------------------------- cache & parallelism
-
-#[test]
-fn warm_cache_run_is_a_full_hit_with_identical_findings() {
-    let dir = std::env::temp_dir().join("lint-cache-hit-test");
-    std::fs::remove_dir_all(&dir).ok();
-    let opts = lint::Options {
-        jobs: 0,
-        cache_dir: Some(dir.clone()),
-    };
-    let cold = lint::run_with(&fixture("r6"), None, &opts).expect("cold run");
-    let cold_stats = cold.cache.expect("cache enabled");
-    assert_eq!(cold_stats.file_hits, 0, "first run must be cold");
-    assert!(!cold_stats.global_hit);
-
-    let warm = lint::run_with(&fixture("r6"), None, &opts).expect("warm run");
-    let warm_stats = warm.cache.expect("cache enabled");
-    assert_eq!(warm_stats.file_hits, warm_stats.file_total);
-    assert!(warm_stats.global_hit, "unchanged tree must hit globally");
-    assert_eq!(
-        cold.render(),
-        warm.render(),
-        "warm findings must be byte-identical to cold"
-    );
-    assert_eq!(cold.render_json(), warm.render_json());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn editing_a_file_invalidates_its_entry_and_the_global_entry() {
-    let dir = std::env::temp_dir().join("lint-cache-invalidate-test");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(dir.join("src")).unwrap();
-    let a = dir.join("src/lib.rs");
-    let b = dir.join("src/other.rs");
-    std::fs::write(&a, "pub fn ok() {}\n").unwrap();
-    std::fs::write(&b, "pub fn also_ok() {}\n").unwrap();
-    let cache_dir = dir.join("cache");
-    let opts = lint::Options {
-        jobs: 1,
-        cache_dir: Some(cache_dir),
-    };
-    lint::run_with(&dir, None, &opts).expect("cold run");
-
-    // Introduce a violation into one file: that file misses, the other
-    // still hits, the global entry misses, and the finding appears.
-    std::fs::write(
-        &a,
-        "pub fn t() -> u128 { now() }\nfn now() -> u128 { thread_rng() }\n",
-    )
-    .unwrap();
-    let edited = lint::run_with(&dir, None, &opts).expect("edited run");
-    let stats = edited.cache.expect("cache enabled");
-    assert_eq!(stats.file_total, 2);
-    assert_eq!(stats.file_hits, 1, "the untouched file must still hit");
-    assert!(
-        !stats.global_hit,
-        "content change must miss the global entry"
-    );
-    assert_eq!(edited.failing(), 1, "the new violation must be reported");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn editing_a_manifest_or_a_caller_only_file_misses_the_global_entry() {
-    // The call graph reads the manifests and R12 the caller-only files:
-    // neither is a scanned file, but an edit to either must still miss
-    // the global entry (and only it).
-    let dir = std::env::temp_dir().join(format!("lint-cache-extra-inputs-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(dir.join("crates/a/src")).unwrap();
-    std::fs::create_dir_all(dir.join("examples")).unwrap();
-    std::fs::write(dir.join("crates/a/Cargo.toml"), "[package]\nname = \"a\"\n").unwrap();
-    std::fs::write(dir.join("crates/a/src/lib.rs"), "pub fn run() {}\n").unwrap();
-    std::fs::write(dir.join("examples/demo.rs"), "fn main() { a::run(); }\n").unwrap();
-    let opts = lint::Options {
-        jobs: 1,
-        cache_dir: Some(dir.join("cache")),
-    };
-    lint::run_with(&dir, None, &opts).expect("cold run");
-    for edited in ["crates/a/Cargo.toml", "examples/demo.rs"] {
-        let path = dir.join(edited);
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, format!("{text}\n")).unwrap();
-        let stats = lint::run_with(&dir, None, &opts).unwrap().cache.unwrap();
-        assert_eq!(
-            stats.file_hits, stats.file_total,
-            "{edited}: no scanned file changed"
-        );
-        assert!(
-            !stats.global_hit,
-            "{edited}: the edit must miss the global entry"
-        );
-        let again = lint::run_with(&dir, None, &opts).unwrap().cache.unwrap();
-        assert!(again.global_hit, "{edited}: the rewritten entry must hit");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn job_count_never_changes_the_report() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let one = lint::run_with(
-        &root,
-        None,
-        &lint::Options {
-            jobs: 1,
-            cache_dir: None,
-        },
-    )
-    .expect("jobs=1 run");
-    let eight = lint::run_with(
-        &root,
-        None,
-        &lint::Options {
-            jobs: 8,
-            cache_dir: None,
-        },
-    )
-    .expect("jobs=8 run");
-    assert_eq!(
-        one.render(),
-        eight.render(),
-        "findings must be byte-identical at every job count"
-    );
-    assert_eq!(one.render_json(), eight.render_json());
-}
-
 #[test]
 fn cli_json_format_emits_stable_schema_and_same_exit_codes() {
     let violation = cli(&[
@@ -573,11 +346,17 @@ fn cli_json_format_emits_stable_schema_and_same_exit_codes() {
         "\"path\": \"src/lib.rs\"",
         "\"line\": 13",
         "\"span\": {\"col\": 24}",
-        "\"status\": \"failing\"",
-        "\"summary\": {\"failing\": 1, \"grandfathered\": 0, \"suppressed\": 0, \"files_scanned\": 1}",
+        "\"summary\": {\"failing\": 1, \"suppressed\": 0, \"files_scanned\": 1}",
     ] {
-        assert!(text.contains(key), "json output must contain `{key}`:\n{text}");
+        assert!(
+            text.contains(key),
+            "json output must contain `{key}`:\n{text}"
+        );
     }
+    assert!(
+        !text.contains("\"status\""),
+        "findings carry no status:\n{text}"
+    );
 
     let clean = cli(&[
         "--root",

@@ -10,7 +10,7 @@ const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_report.
 #[test]
 fn rendered_report_matches_golden_snapshot() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden");
-    let report = lint::run(&root, None).expect("golden fixture scans");
+    let report = lint::run(&root).expect("golden fixture scans");
     let rendered = report.render();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(FIXTURE, &rendered).expect("write fixture");

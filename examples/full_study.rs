@@ -10,14 +10,10 @@ fn main() {
     eprintln!("  population ready in {:?}", t0.elapsed());
 
     let t1 = std::time::Instant::now();
-    eprintln!("crawling from 8 vantage points…");
-    let crawls = analysis::run_crawls(&study);
-    eprintln!("  crawls done in {:?}", t1.elapsed());
-
-    let t2 = std::time::Instant::now();
-    eprintln!("running every experiment…");
-    let report = analysis::run_all_with_crawls(&study, &crawls);
-    eprintln!("  experiments done in {:?}", t2.elapsed());
+    eprintln!("crawling from 8 vantage points and running every experiment…");
+    let report = analysis::run_all(&study);
+    eprintln!("  crawls done in {} ms", report.crawl_metrics.wall_ms);
+    eprintln!("  crawls and experiments done in {:?}", t1.elapsed());
 
     println!("{}", report.render());
     if let Err(e) = std::fs::write("full_study_results.json", report.to_json()) {
