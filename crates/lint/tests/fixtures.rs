@@ -227,6 +227,24 @@ fn clean_tree_reports_nothing_and_honors_the_suppression() {
 }
 
 #[test]
+fn workspace_self_lint_is_clean() {
+    // The repo itself must pass its own gate — same invariant check.sh
+    // enforces, kept here so `cargo test` alone catches a regression.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let report = run(&root).expect("workspace scans");
+    let failing: Vec<String> = report
+        .findings
+        .iter()
+        .map(|f| format!("{}:{}: [{}] {}", f.path, f.line, f.rule, f.message))
+        .collect();
+    assert!(
+        failing.is_empty(),
+        "workspace lint failures:\n{}",
+        failing.join("\n")
+    );
+}
+
+#[test]
 fn workspace_suppressions_name_live_rules() {
     // Every inline suppression in the workspace must name a rule that
     // still exists — a directive naming a retired rule is reported by
@@ -288,7 +306,6 @@ fn cli_exit_codes_map_outcomes() {
     let clean = cli(&["--root", fixture("clean").to_str().unwrap()]);
     assert_eq!(clean.status.code(), Some(0), "clean tree must exit 0");
 
-    // The last five are the removed cache, thread and baseline flags.
     for flag in [
         "--no-such-flag",
         "--cache",

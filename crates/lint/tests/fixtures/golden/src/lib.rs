@@ -1,5 +1,5 @@
-//! Golden fixture: one failing rule finding, one grandfathered finding,
-//! one malformed suppression — pins every branch of the report format.
+//! Golden fixture: two failing rule findings and one malformed
+//! suppression — pins the finding and summary lines of the report format.
 
 use serde::Serialize;
 use std::collections::HashMap;
