@@ -58,7 +58,7 @@ use bannerclick::{
     ObservedEmbedding, Verdict,
 };
 use browser::{Browser, FetchError, FetchedDocument, Page};
-use httpsim::{content_hash, document_hash, Network, Region};
+use httpsim::{document_hash, Network, Region};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -197,18 +197,11 @@ impl RetryPolicy {
     }
 }
 
-/// Stripes for the domain-hash sharded shared state (fetch cache and
-/// breaker give-up map): two workers on domains in different stripes
-/// never contend on a common mutex.
+/// Stripes of the domain-hash sharded fetch cache: two workers on
+/// domains in different stripes never contend on a common mutex.
 const STRIPES: usize = 16;
 
-/// Which stripe a domain's (or host's) shared state lives in.
-fn stripe_of(domain: &str) -> usize {
-    (content_hash(domain.as_bytes()) % STRIPES as u64) as usize
-}
-
-/// Per-host failure memory shared by all workers of a sweep, sharded by
-/// host hash so concurrent give-ups on unrelated hosts never serialize.
+/// Per-host failure memory shared by all workers of a sweep.
 ///
 /// The breaker only opens on *unresolved-host* exhaustion: name resolution
 /// in the simulated network is region-independent, so one region proving a
@@ -219,28 +212,21 @@ fn stripe_of(domain: &str) -> usize {
 struct CircuitBreaker {
     /// Give-ups needed to open; 0 disables the breaker entirely.
     threshold: u32,
-    /// Give-up counts, keyed by registrable host within the host's stripe.
-    giveups: Vec<parking_lot::Mutex<HashMap<String, u32>>>,
+    /// Give-up counts, keyed by registrable host.
+    giveups: parking_lot::Mutex<HashMap<String, u32>>,
 }
 
 impl CircuitBreaker {
     fn new(threshold: u32) -> Self {
         CircuitBreaker {
             threshold,
-            giveups: (0..STRIPES)
-                .map(|_| parking_lot::Mutex::new(HashMap::new()))
-                .collect(),
+            giveups: parking_lot::Mutex::new(HashMap::new()),
         }
     }
 
     fn is_open(&self, host_key: &str) -> bool {
         self.threshold > 0
-            && self.giveups[stripe_of(host_key)]
-                .lock()
-                .get(host_key)
-                .copied()
-                .unwrap_or(0)
-                >= self.threshold
+            && self.giveups.lock().get(host_key).copied().unwrap_or(0) >= self.threshold
     }
 
     /// Record one unresolved-host give-up; true when this give-up is the
@@ -250,7 +236,7 @@ impl CircuitBreaker {
         if self.threshold == 0 {
             return false;
         }
-        let mut giveups = self.giveups[stripe_of(host_key)].lock();
+        let mut giveups = self.giveups.lock();
         let count = giveups.entry(host_key.to_string()).or_insert(0);
         *count += 1;
         *count == self.threshold

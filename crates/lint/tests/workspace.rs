@@ -1,7 +1,7 @@
-//! Workspace self-analysis regression: the sharded lock topology (striped
-//! fetch cache, sharded store buffers, pipelined checkpoint) must keep the
-//! whole workspace clean under the in-repo analyzer — in particular the
-//! R6 may-hold-while-acquiring graph must stay cycle-free.
+//! Workspace self-analysis regression: the lock topology (striped fetch
+//! cache, the store's buffer, io and seal locks) must keep the whole
+//! workspace clean under the in-repo analyzer — in particular the R6
+//! may-hold-while-acquiring graph must stay cycle-free.
 
 use lint::run;
 use std::path::{Path, PathBuf};

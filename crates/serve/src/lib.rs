@@ -6,7 +6,7 @@
 //! background ingest seals, the next — and answers concurrent read
 //! queries (per-domain wall status, per-region prevalence, price
 //! percentiles, epoch-over-epoch diffs) without ever touching the
-//! writer's stripe/queue/io locks.
+//! writer's buffer or io locks.
 //!
 //! The crate follows the same determinism discipline as `httpsim`'s
 //! [`FaultPlan`](httpsim::FaultPlan): every decision — which query class

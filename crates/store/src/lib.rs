@@ -42,19 +42,15 @@
 //! byte-level crash points) for the crash-point fuzzer and the CLI's
 //! `--disk-fault-*` flags.
 //!
-//! ## Sharded write path
+//! ## Write path
 //!
-//! The in-memory side is split into [`STRIPES`] stripes keyed by
-//! `fnv1a(domain) % STRIPES`: concurrent `put`s on domains that hash to
-//! different stripes never contend on a common mutex, so a 64-worker
-//! sweep does not serialize on one `Mutex<Inner>`. Each stripe owns the
-//! index slice for its domains plus the list of puts accepted since the
-//! last flush. Flushing drains the stripes in deterministic stripe order
-//! (then arrival order within a stripe), allocates shard offsets and
-//! encodes journal records under a single small `queue` mutex, and hands
-//! the bytes to the disk side — so for any fixed sequence of stripe
-//! states the journal bytes are a pure function of that sequence, and
-//! per-region shard offsets stay monotone in journal order.
+//! The in-memory side is one `Buffer` behind one mutex: the per-region
+//! domain index plus the puts accepted since the last flush, in put
+//! order. A flush takes those puts, gives each the shard offset after
+//! every byte already durable or queued for retry, encodes their journal
+//! records, and appends — so the journal lands in put order, its bytes
+//! are a pure function of the flushed sequence, and per-region shard
+//! offsets stay monotone in journal order.
 //!
 //! ## Durability model
 //!
@@ -68,13 +64,12 @@
 //! a reopened store holds precisely the checkpointed puts, no more, no
 //! fewer, no duplicates.
 //!
-//! Checkpointing is pipelined: an auto-checkpoint triggered by `put`
-//! stages its bytes and only *tries* to take the disk-writer lock. If
-//! another thread is already appending, the staged bytes are left for
-//! that writer (which re-drains the queue before releasing the lock) and
-//! the putting worker returns immediately — writers never wait on disk.
-//! An explicit [`Store::checkpoint`] still blocks until everything
-//! staged is durable, which is what its callers rely on.
+//! An auto-checkpoint triggered by `put` only *tries* to take the
+//! disk-writer lock. If another thread is already appending, the puts
+//! stay buffered for the next flush and the putting worker returns
+//! immediately — writers never wait on disk. An explicit
+//! [`Store::checkpoint`] blocks until everything buffered is durable,
+//! which is what its callers rely on.
 //!
 //! A flush that fails midway (disk full, permission error) does not lose
 //! the buffered tail either: the unwritten bytes stay queued on the disk
@@ -90,7 +85,7 @@
 //! durable prefix of every shard and describes it in a double-buffered,
 //! FNV-checksummed index file (the `CWI1` contract, see the `index` module).
 //! [`StoreSnapshot`] opens that sealed view straight from disk — it
-//! never takes the writer's stripe/queue/io locks, so an always-on query
+//! never takes the writer's buffer or io locks, so an always-on query
 //! service reads at full speed while a new epoch ingests. The
 //! [`StoreRead`] trait is the common read surface of the live store and
 //! the snapshot.
@@ -103,23 +98,22 @@ mod index;
 mod journal;
 mod recovery;
 mod snapshot;
-mod stripe;
+mod state;
 
 pub use backend::{DiskFaultConfig, FaultyBackend, FsBackend, MemBackend, StorageBackend};
 pub use recovery::{fsck, quarantine_ledger, FsckReport, QuarantinedCell};
 pub use snapshot::StoreSnapshot;
-pub use stripe::STRIPES;
 
 use httpsim::content_hash;
 use index::{encode_index, slot_path, IndexEntry, SlotState, INDEX_SLOTS};
 use journal::{encode_record, shard_path, JOURNAL_FILE, META_FILE, SHARD_DIR};
 use parking_lot::Mutex;
+use state::{Buffer, DiskState, LedgerEntry};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use stripe::{stripe_of, DiskState, FlushQueue, LedgerEntry, Stripe};
 
 /// Default auto-checkpoint cadence (puts between flushes).
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 64;
@@ -164,11 +158,11 @@ struct SealState {
 
 /// The persistent crawl store. Thread-safe: workers `put` concurrently.
 ///
-/// Lock order (see DESIGN.md §8): a stripe mutex is never held while
-/// taking `queue`, `queue` is never held while taking `io`, and the
-/// reverse orders never occur — the may-hold-while-acquiring graph is
-/// `io → queue` plus `seal_state → io` (a seal briefly reads the disk
-/// watermarks), which stays acyclic.
+/// Lock order (see DESIGN.md §8): `buffer` is never held while taking
+/// another lock; a flush takes `buffer` briefly under `io`, and a seal
+/// reads the disk watermarks under `seal_state` — the
+/// may-hold-while-acquiring graph is `io → buffer` plus
+/// `seal_state → io`, which stays acyclic.
 pub struct Store {
     dir: PathBuf,
     regions: usize,
@@ -178,30 +172,13 @@ pub struct Store {
     /// Every byte of disk IO goes through here; [`FsBackend`] by default.
     backend: Arc<dyn StorageBackend>,
     checkpoint_every: AtomicUsize,
-    /// In-memory side, sharded by `stripe_of` so `put`/`get` on
-    /// different domains never serialize on a common mutex.
-    stripes: Vec<Mutex<Stripe>>,
-    /// Puts accepted since a flush was last triggered (across stripes);
-    /// drives the auto-checkpoint cadence without a shared buffer lock.
-    pending: AtomicUsize,
-    /// Offset allocator and staging area between the stripes and the
-    /// disk side: flushes drain stripes in stripe order, then assign
-    /// shard offsets and encode journal records under this one small
-    /// mutex, so journal bytes are a pure function of the drained
-    /// sequence and per-region offsets stay monotone in journal order.
-    queue: Mutex<FlushQueue>,
-    /// True while any bytes sit staged in `queue` or queued for retry in
-    /// [`DiskState`] — lets a checkpoint with nothing buffered return
-    /// without touching `io`. Set under the `queue` lock when staging;
-    /// cleared under the `queue` lock only after the writer confirms
-    /// both sides empty, so staged bytes can never be stranded behind a
-    /// checkpoint that thinks it has nothing to do.
-    flush_pending: AtomicBool,
+    /// The in-memory side: the index every read answers from, plus the
+    /// puts not yet taken by a flush.
+    buffer: Mutex<Buffer>,
     /// Disk-side flush state. Single on purpose: one appender at a time
     /// keeps file appends in the same order as their journal offsets.
     /// Writers never *wait* here — an auto-checkpoint only `try_lock`s,
-    /// leaving its staged bytes to the in-flight writer, which re-drains
-    /// the queue before releasing the lock.
+    /// leaving its puts buffered for the next flush.
     io: Mutex<DiskState>,
     /// Seal-side state: one sealer at a time writes index slots, so slot
     /// generations stay monotone and the double-buffer invariant (the
@@ -256,12 +233,7 @@ impl Store {
             meta_map: pairs.into_iter().collect(),
             backend,
             checkpoint_every: AtomicUsize::new(DEFAULT_CHECKPOINT_EVERY),
-            stripes: (0..STRIPES)
-                .map(|_| Mutex::new(Stripe::new(regions)))
-                .collect(),
-            pending: AtomicUsize::new(0),
-            queue: Mutex::new(FlushQueue::new(vec![0; regions])),
-            flush_pending: AtomicBool::new(false),
+            buffer: Mutex::new(Buffer::new(vec![BTreeMap::new(); regions])),
             io: Mutex::new(DiskState::new(vec![0; regions], 0, Vec::new())),
             seal_state: Mutex::new(SealState {
                 next_generation: 1,
@@ -320,13 +292,6 @@ impl Store {
             }
         }
 
-        // Distribute the replayed index across the domain-hash stripes.
-        let mut stripes: Vec<Stripe> = (0..STRIPES).map(|_| Stripe::new(regions)).collect();
-        for ((region, domain), payload) in replay.index {
-            let s = stripe_of(&domain);
-            stripes[s].index[region as usize].insert(domain.into(), payload.into());
-        }
-
         // Resume the seal sequence from the newest valid index slot, so
         // new seals keep strictly newer generations than what readers
         // may already hold. Damaged or missing slots just restart the
@@ -351,10 +316,7 @@ impl Store {
             meta_map: meta.into_iter().collect(),
             backend,
             checkpoint_every: AtomicUsize::new(DEFAULT_CHECKPOINT_EVERY),
-            stripes: stripes.into_iter().map(Mutex::new).collect(),
-            pending: AtomicUsize::new(0),
-            queue: Mutex::new(FlushQueue::new(replay.high_water.clone())),
-            flush_pending: AtomicBool::new(false),
+            buffer: Mutex::new(Buffer::new(replay.index)),
             io: Mutex::new(DiskState::new(
                 replay.high_water,
                 replay.keep_len,
@@ -392,10 +354,10 @@ impl Store {
 
     /// Store one completed task result. Returns `Ok(false)` without
     /// writing anything when the key is already present (exactly-once:
-    /// a result is never duplicated or overwritten). Only the domain's
-    /// own stripe is locked, so concurrent puts on different domains
-    /// never serialize; when the auto-checkpoint cadence is reached the
-    /// flush is pipelined and does not wait on an in-flight disk write.
+    /// a result is never duplicated or overwritten). When the
+    /// auto-checkpoint cadence is reached the put flushes — unless
+    /// another thread is mid-append, in which case the puts stay
+    /// buffered for the next flush and this one returns without waiting.
     pub fn put(&self, region: u8, domain: &str, payload: &[u8]) -> io::Result<bool> {
         if (region as usize) >= self.regions {
             return Err(invalid("region index out of range"));
@@ -403,43 +365,38 @@ impl Store {
         if domain.len() > u16::MAX as usize {
             return Err(invalid("domain too long for a journal record"));
         }
-        {
-            let mut stripe = self.stripes[stripe_of(domain)].lock();
-            if stripe.get(region, domain).is_some() {
+        let due = {
+            let mut buffer = self.buffer.lock();
+            if buffer.get(region, domain).is_some() {
                 return Ok(false);
             }
             let (domain, payload): (Arc<str>, Arc<[u8]>) = (domain.into(), payload.into());
-            stripe.index[region as usize].insert(Arc::clone(&domain), Arc::clone(&payload));
-            stripe.fresh.push((region, domain, payload));
-        }
-        let pending = self.pending.fetch_add(1, Ordering::AcqRel) + 1;
-        if pending >= self.checkpoint_every.load(Ordering::Relaxed).max(1) {
-            self.pending.store(0, Ordering::Release);
-            self.flush(false)?;
+            buffer.index[region as usize].insert(Arc::clone(&domain), Arc::clone(&payload));
+            buffer.fresh.push((region, domain, payload));
+            buffer.fresh.len() >= self.checkpoint_every.load(Ordering::Relaxed).max(1)
+        };
+        if due {
+            if let Some(mut disk) = self.io.try_lock() {
+                self.write_out(&mut disk)?;
+            }
         }
         Ok(true)
     }
 
-    /// Fetch a stored payload (a copy: the stripe lock is released before
+    /// Fetch a stored payload (a copy: the buffer lock is released before
     /// returning).
     pub fn get(&self, region: u8, domain: &str) -> Option<Vec<u8>> {
-        self.stripes[stripe_of(domain)]
-            .lock()
-            .get(region, domain)
-            .map(<[u8]>::to_vec)
+        self.buffer.lock().get(region, domain).map(<[u8]>::to_vec)
     }
 
     /// Is this task already stored?
     pub fn contains(&self, region: u8, domain: &str) -> bool {
-        self.stripes[stripe_of(domain)]
-            .lock()
-            .get(region, domain)
-            .is_some()
+        self.buffer.lock().get(region, domain).is_some()
     }
 
     /// Total stored task results across all regions.
     pub fn len(&self) -> usize {
-        (0..STRIPES).map(|i| self.stripes[i].lock().len()).sum()
+        self.buffer.lock().len()
     }
 
     /// True when nothing is stored.
@@ -449,26 +406,14 @@ impl Store {
 
     /// Visit every `(domain, payload)` of one region in domain order,
     /// borrowing each payload instead of cloning the whole region into a
-    /// `Vec`. Domains are collected first (one stripe lock at a time),
-    /// then each payload is borrowed under its own stripe's lock — no
-    /// two stripe locks are ever held together, and a cell put
-    /// concurrently with the walk is either visited or not, exactly as
-    /// if the walk ran before or after the put. The callback must not
-    /// call back into the same store.
+    /// `Vec`. The walk holds the buffer lock, so a cell put concurrently
+    /// is either visited or not, exactly as if the walk ran before or
+    /// after the put. The callback must not call back into the same
+    /// store.
     pub fn for_each_region_entry(&self, region: u8, f: &mut dyn FnMut(&str, &[u8])) {
-        let mut domains: Vec<Arc<str>> = Vec::new();
-        for i in 0..STRIPES {
-            let stripe = self.stripes[i].lock();
-            if let Some(map) = stripe.index.get(region as usize) {
-                domains.extend(map.keys().cloned());
-            }
-        }
-        domains.sort_unstable();
-        for domain in domains {
-            let stripe = self.stripes[stripe_of(&domain)].lock();
-            if let Some(payload) = stripe.get(region, &domain) {
-                f(&domain, payload);
-            }
+        let buffer = self.buffer.lock();
+        for (domain, payload) in buffer.index.get(region as usize).into_iter().flatten() {
+            f(domain, payload);
         }
     }
 
@@ -492,8 +437,11 @@ impl Store {
     /// sealed views always live in different slots and a torn slot
     /// write can only damage the older one.
     pub fn seal(&self) -> io::Result<u64> {
-        self.pending.store(0, Ordering::Release);
-        self.flush(true)?;
+        {
+            let mut disk = self.io.lock();
+            // lint:allow(blocking-under-lock) — `io` exists solely to order these appends
+            self.write_out(&mut disk)?;
+        }
         let mut seal = self.seal_state.lock();
         // Briefly read the durable state under `io`; `seal_state → io`
         // is the only new lock-order edge and nothing blocks while both
@@ -508,27 +456,28 @@ impl Store {
         }
         let generation = seal.next_generation;
         // Last-wins over the ledger (a re-crawled cell shadows its
-        // quarantined predecessor), then keep the previous segment for
-        // cells whose offset is unchanged. Both the cells and the last
-        // sealed entries ascend by `(region, domain)`, so one merge pass
-        // pairs them, and every entry shares its domain with the ledger.
-        let mut cells: BTreeMap<(u8, &Arc<str>), (u64, u32, u64)> = BTreeMap::new();
-        for entry in &ledger {
-            cells.insert(
-                (entry.region, &entry.domain),
-                (entry.offset, entry.len, entry.payload_hash),
-            );
-        }
+        // quarantined predecessor): a stable sort of the reversed ledger
+        // puts each cell's newest entry first, and dedup keeps it. (The
+        // ledger arrives nearly in key order, and a `BTreeMap` built in
+        // key order leaves its nodes about half full.) Then keep the
+        // previous segment for cells whose offset is unchanged. Both the
+        // cells and the last sealed entries ascend by `(region, domain)`,
+        // so one merge pass pairs them, and every entry shares its domain
+        // with the ledger.
+        let mut cells: Vec<&LedgerEntry> = ledger.iter().rev().collect();
+        cells.sort_by(|a, b| (a.region, &a.domain).cmp(&(b.region, &b.domain)));
+        cells.dedup_by(|a, b| (a.region, &a.domain) == (b.region, &b.domain));
         let mut previous = seal.sealed.iter().peekable();
         let entries: Vec<IndexEntry> = cells
             .into_iter()
-            .map(|((region, domain), (offset, len, payload_hash))| {
+            .map(|cell| {
+                let (region, domain) = (cell.region, &cell.domain);
                 while previous
                     .next_if(|e| (e.region, &e.domain) < (region, domain))
                     .is_some()
                 {}
                 let segment = match previous.peek() {
-                    Some(e) if (e.region, &e.domain, e.offset) == (region, domain, offset) => {
+                    Some(e) if (e.region, &e.domain, e.offset) == (region, domain, cell.offset) => {
                         e.segment
                     }
                     _ => generation,
@@ -537,9 +486,9 @@ impl Store {
                     region,
                     domain: Arc::clone(domain),
                     segment,
-                    offset,
-                    len,
-                    payload_hash,
+                    offset: cell.offset,
+                    len: cell.len,
+                    payload_hash: cell.payload_hash,
                 }
             })
             .collect();
@@ -555,90 +504,35 @@ impl Store {
         Ok(generation)
     }
 
-    /// Drain every stripe's fresh puts in deterministic stripe order,
-    /// stage them (offset allocation + journal encoding) under `queue`,
-    /// and hand them to the disk writer. With `wait` the caller blocks
-    /// until the staged bytes are durable; without it the disk lock is
-    /// only tried — when another thread is mid-append the staged bytes
-    /// are left for that writer, which re-drains the queue before
-    /// releasing `io`, and this thread returns immediately. When nothing
-    /// is buffered, staged, or queued for retry, returns without
-    /// touching `io` at all.
-    fn flush(&self, wait: bool) -> io::Result<()> {
-        let mut entries: Vec<(u8, Arc<str>, Arc<[u8]>)> = Vec::new();
-        for i in 0..STRIPES {
-            let mut stripe = self.stripes[i].lock();
-            entries.append(&mut stripe.fresh);
-        }
-        if entries.is_empty() && !self.flush_pending.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        if !entries.is_empty() {
-            let mut q = self.queue.lock();
-            for (region, domain, payload) in &entries {
-                let r = *region as usize;
-                let offset = q.shard_len[r];
-                q.staged_shards[r].extend_from_slice(payload);
-                q.shard_len[r] += payload.len() as u64;
-                let record = encode_record(*region, domain, offset, payload);
-                q.staged_journal.extend_from_slice(&record);
-                q.staged_ledger.push(LedgerEntry {
-                    region: *region,
-                    domain: Arc::clone(domain),
-                    offset,
-                    len: payload.len() as u32,
-                    payload_hash: content_hash(payload),
-                });
-            }
-            // Set while still holding `queue` so the writer's
-            // confirm-empty check can never miss these bytes.
-            self.flush_pending.store(true, Ordering::Release);
-        }
-        if wait {
-            let mut disk = self.io.lock();
-            // lint:allow(blocking-under-lock) — `io` exists solely to order these appends
-            self.write_out(&mut disk)
-        } else {
-            match self.io.try_lock() {
-                Some(mut disk) => self.write_out(&mut disk),
-                // An in-flight writer holds `io`; it re-drains the queue
-                // before releasing, so our staged bytes are its problem.
-                None => Ok(()),
-            }
-        }
-    }
-
-    /// The disk writer, run with `io` held: move staged bytes into the
-    /// retry queue, append them (repairing any partial tail a previous
-    /// failed append left behind), and repeat until a pass finds the
-    /// staging queue empty — picking up anything other threads staged
-    /// while we were appending. On error the unwritten bytes stay queued
-    /// for the next attempt, so shard offsets already encoded into
-    /// journal records remain valid across the failure.
+    /// The disk writer, run with `io` held: take the buffered puts,
+    /// give each the shard offset after everything durable or queued,
+    /// encode its journal record after anything a failed flush left
+    /// queued, and append (repairing any partial tail a previous failed
+    /// append left behind). On error the unwritten bytes stay queued for
+    /// the next attempt, so shard offsets already encoded into journal
+    /// records remain valid across the failure.
     fn write_out(&self, disk: &mut DiskState) -> io::Result<()> {
-        loop {
-            {
-                let mut q = self.queue.lock();
-                for (r, buf) in q.staged_shards.iter_mut().enumerate() {
-                    disk.retry_shards[r].append(buf);
-                }
-                disk.retry_journal.append(&mut q.staged_journal);
-                disk.retry_ledger.append(&mut q.staged_ledger);
-            }
-            let queued =
-                !disk.retry_journal.is_empty() || disk.retry_shards.iter().any(|b| !b.is_empty());
-            if queued || disk.dirty {
-                self.drain(disk)?;
-            }
-            let q = self.queue.lock();
-            if q.staged_journal.is_empty() && q.staged_shards.iter().all(|b| b.is_empty()) {
-                // Cleared under `queue`: a concurrent flush that stages
-                // after this check will set the flag again itself.
-                self.flush_pending.store(false, Ordering::Release);
-                return Ok(());
-            }
-            // More bytes were staged while we were appending — go again.
+        let fresh = std::mem::take(&mut self.buffer.lock().fresh);
+        for (region, domain, payload) in fresh {
+            let r = region as usize;
+            let offset = disk.durable_shard[r] + disk.retry_shards[r].len() as u64;
+            disk.retry_shards[r].extend_from_slice(&payload);
+            let record = encode_record(region, &domain, offset, &payload);
+            disk.retry_journal.extend_from_slice(&record);
+            disk.retry_ledger.push(LedgerEntry {
+                region,
+                domain,
+                offset,
+                len: payload.len() as u32,
+                payload_hash: content_hash(&payload),
+            });
         }
+        let queued =
+            !disk.retry_journal.is_empty() || disk.retry_shards.iter().any(|b| !b.is_empty());
+        if queued || disk.dirty {
+            self.drain(disk)?;
+        }
+        Ok(())
     }
 
     /// Append-and-sync the queued bytes through the backend, advancing
@@ -900,6 +794,32 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A journal holding two valid records for one cell replays the
+    /// later one, and the seal indexes that same record.
+    #[test]
+    fn seal_indexes_the_last_record_of_a_cell() {
+        let dir = tempdir("lastwins");
+        let store = Store::create(&dir, 1, &[]).unwrap();
+        store.put(0, "a.example", b"old").unwrap();
+        store.put(0, "b.example", b"b").unwrap();
+        store.checkpoint().unwrap();
+        drop(store);
+        let shard_len = fs::metadata(shard_path(&dir, 0)).unwrap().len();
+        FsBackend.append_file(&shard_path(&dir, 0), b"new").unwrap();
+        let record = encode_record(0, "a.example", shard_len, b"new");
+        FsBackend
+            .append_file(&dir.join(JOURNAL_FILE), &record)
+            .unwrap();
+
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.get(0, "a.example"), Some(b"new".to_vec()));
+        store.seal().unwrap();
+        let snapshot = StoreSnapshot::open(&dir).unwrap();
+        assert_eq!(snapshot.payload(0, "a.example"), Some(b"new".to_vec()));
+        assert_eq!(snapshot.payload(0, "b.example"), Some(b"b".to_vec()));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn duplicate_put_is_rejected() {
         let dir = tempdir("dup");
@@ -942,6 +862,27 @@ mod tests {
         drop(store);
         let store = Store::open(&dir).unwrap();
         assert!(store.contains(0, "a.example"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A cadence flush that finds another thread mid-append leaves its
+    /// puts buffered instead of waiting; the next checkpoint makes them
+    /// durable.
+    #[test]
+    fn put_defers_its_flush_while_io_is_held() {
+        let dir = tempdir("deferred");
+        let store = Store::create(&dir, 1, &[]).unwrap();
+        store.set_checkpoint_every(0);
+        {
+            let _writer = store.io.lock();
+            assert!(store.put(0, "a.example", b"a").unwrap());
+            assert!(!dir.join(JOURNAL_FILE).exists());
+            assert!(!shard_path(&dir, 0).exists());
+        }
+        store.checkpoint().unwrap();
+        drop(store);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.get(0, "a.example"), Some(b"a".to_vec()));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1033,18 +974,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Flush order is stripe order (then put order within a stripe), not
-    /// put order: the domains sorted by their on-disk position.
-    fn flush_order(domains: &[&str]) -> Vec<String> {
-        let mut ordered: Vec<(usize, usize, String)> = domains
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (stripe_of(d), i, d.to_string()))
-            .collect();
-        ordered.sort();
-        ordered.into_iter().map(|(_, _, d)| d).collect()
-    }
-
     #[test]
     fn corrupt_shard_byte_drops_only_that_cell() {
         let dir = tempdir("corrupt");
@@ -1059,26 +988,25 @@ mod tests {
         // Flip a byte inside the payload flushed second: with tolerant
         // replay only that cell is dropped — the clean record *after* it
         // survives (pre-PR-7 recovery threw away the whole tail).
-        let order = flush_order(&domains);
         let shard = shard_path(&dir, 0);
         let mut bytes = fs::read(&shard).unwrap();
-        let first_len = payload(0, &order[0]).len();
+        let first_len = payload(0, domains[0]).len();
         bytes[first_len + 2] ^= 0xFF;
         fs::write(&shard, &bytes).unwrap();
 
         let store = Store::open(&dir).unwrap();
-        assert!(store.contains(0, &order[0]), "clean prefix survives");
-        assert!(!store.contains(0, &order[1]), "corrupt record dropped");
-        assert!(store.contains(0, &order[2]), "clean suffix survives too");
-        assert_eq!(store.get(0, &order[2]), Some(payload(0, &order[2])));
+        assert!(store.contains(0, domains[0]), "clean prefix survives");
+        assert!(!store.contains(0, domains[1]), "corrupt record dropped");
+        assert!(store.contains(0, domains[2]), "clean suffix survives too");
+        assert_eq!(store.get(0, domains[2]), Some(payload(0, domains[2])));
         // The dropped cell is storable again; after a re-put the store
         // reopens at full size with the fresh payload winning.
-        assert!(store.put(0, &order[1], &payload(0, &order[1])).unwrap());
+        assert!(store.put(0, domains[1], &payload(0, domains[1])).unwrap());
         store.checkpoint().unwrap();
         drop(store);
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.len(), 3);
-        assert_eq!(store.get(0, &order[1]), Some(payload(0, &order[1])));
+        assert_eq!(store.get(0, domains[1]), Some(payload(0, domains[1])));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1163,18 +1091,17 @@ mod tests {
 
         // Flip one byte inside the *second* journal record: its record
         // hash fails, the scanner resyncs on the third record's magic.
-        let order = flush_order(&domains);
         let journal = dir.join(JOURNAL_FILE);
         let mut bytes = fs::read(&journal).unwrap();
         let rec_len = |d: &str| journal::RECORD_OVERHEAD + d.len();
-        let second_start = rec_len(&order[0]);
+        let second_start = rec_len(domains[0]);
         bytes[second_start + 8] ^= 0x01;
         fs::write(&journal, &bytes).unwrap();
 
         let store = Store::open(&dir).unwrap();
-        assert!(store.contains(0, &order[0]));
-        assert!(!store.contains(0, &order[1]), "rotted record dropped");
-        assert!(store.contains(0, &order[2]), "resynced past the rot");
+        assert!(store.contains(0, domains[0]));
+        assert!(!store.contains(0, domains[1]), "rotted record dropped");
+        assert!(store.contains(0, domains[2]), "resynced past the rot");
         fs::remove_dir_all(&dir).unwrap();
     }
 

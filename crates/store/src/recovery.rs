@@ -29,11 +29,12 @@
 use crate::backend::StorageBackend;
 use crate::index::{encode_index, slot_path, IndexEntry, INDEX_SLOTS};
 use crate::journal::{parse_record, shard_path, JOURNAL_FILE, MAGIC, QUARANTINE_FILE};
-use crate::stripe::LedgerEntry;
+use crate::state::LedgerEntry;
 use httpsim::content_hash;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// How a scanned record relates to the bytes on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,7 +162,9 @@ pub(crate) fn scan_journal(journal: &[u8], shards: &[Vec<u8>]) -> Scan {
 /// logical shard lengths new appends must start from, and the damage
 /// counts the open-time warning reports.
 pub(crate) struct Replay {
-    pub index: BTreeMap<(u8, String), Vec<u8>>,
+    /// The surviving payloads, one domain-keyed map per region, in the
+    /// form the store's buffer holds them.
+    pub index: Vec<BTreeMap<Arc<str>, Arc<[u8]>>>,
     /// Per-region logical length: the max extent of every record whose
     /// bytes exist on disk (valid *and* corrupt — corrupt extents are
     /// kept so already-journaled offsets stay aligned until `fsck`
@@ -182,7 +185,7 @@ pub(crate) struct Replay {
 /// shadows its quarantined predecessor), bad records skipped.
 pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> Replay {
     let scan = scan_journal(journal, shards);
-    let mut index = BTreeMap::new();
+    let mut index = vec![BTreeMap::new(); shards.len()];
     let mut high_water = vec![0u64; shards.len()];
     let mut ledger = Vec::new();
     for rec in &scan.records {
@@ -193,12 +196,13 @@ pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> Replay {
         let end = rec.offset.saturating_add(rec.len as u64);
         match rec.class {
             RecordClass::Valid => {
-                let payload = shards[r][rec.offset as usize..end as usize].to_vec();
-                index.insert((rec.region, rec.domain.clone()), payload);
+                let domain: Arc<str> = rec.domain.as_str().into();
+                let payload = &shards[r][rec.offset as usize..end as usize];
+                index[r].insert(Arc::clone(&domain), payload.into());
                 high_water[r] = high_water[r].max(end);
                 ledger.push(LedgerEntry {
                     region: rec.region,
-                    domain: rec.domain.as_str().into(),
+                    domain,
                     offset: rec.offset,
                     len: rec.len,
                     payload_hash: rec.payload_hash,

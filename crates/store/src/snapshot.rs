@@ -2,8 +2,8 @@
 //!
 //! A snapshot opens the view a [`crate::Store::seal`] froze: it reads
 //! the store config, both index slots, and the sealed prefix of every
-//! shard straight from disk — it never takes the writer's stripe, queue
-//! or io locks, so any number of readers run at full speed while a new
+//! shard straight from disk — it never takes the writer's buffer or io
+//! locks, so any number of readers run at full speed while a new
 //! epoch ingests into the same directory.
 //!
 //! Slot selection is defensive end to end. Both slots are parsed; a

@@ -1,37 +1,27 @@
-//! The store's in-memory state machine: domain-hash stripes, the flush
-//! staging queue, and the disk-side retry state. Pure data — every byte
-//! of IO these structures feed is performed by `Store` through its
-//! [`crate::StorageBackend`].
+//! The store's in-memory state machine: the put buffer and the
+//! disk-side retry state. Pure data — every byte of IO these structures
+//! feed is performed by `Store` through its [`crate::StorageBackend`].
 
-use httpsim::content_hash;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Number of domain-hash stripes the in-memory buffers are split into.
-/// Concurrent `put`s on domains in different stripes share no mutex.
-pub const STRIPES: usize = 16;
-
-/// Which stripe a domain's buffers live in: `fnv1a(domain) % STRIPES`.
-pub(crate) fn stripe_of(domain: &str) -> usize {
-    (content_hash(domain.as_bytes()) % STRIPES as u64) as usize
-}
-
-/// One domain-hash stripe of the in-memory side.
-pub(crate) struct Stripe {
-    /// Every stored payload (flushed and buffered) whose domain hashes
-    /// here: one domain-keyed map per region, so a lookup borrows its
-    /// domain instead of building a `(region, domain)` key. Domain and
-    /// payload are shared with [`Stripe::fresh`]: a put copies each once.
+/// The in-memory side, guarded by `Store::buffer`.
+pub(crate) struct Buffer {
+    /// Every stored payload (flushed and buffered): one domain-keyed map
+    /// per region, so a lookup borrows its domain instead of building a
+    /// `(region, domain)` key and a region walk is already in domain
+    /// order. Domain and payload are shared with [`Buffer::fresh`]: a put
+    /// copies each once.
     // lint:allow(r10) — the in-memory key index IS the store's lookup structure; paging it out is parked million-domain work (ROADMAP "Parked from earlier rounds")
     pub index: Vec<BTreeMap<Arc<str>, Arc<[u8]>>>,
-    /// Puts accepted since this stripe was last drained, in put order.
+    /// Puts accepted since the last flush took them, in put order.
     pub fresh: Vec<(u8, Arc<str>, Arc<[u8]>)>,
 }
 
-impl Stripe {
-    pub(crate) fn new(regions: usize) -> Stripe {
-        Stripe {
-            index: (0..regions).map(|_| BTreeMap::new()).collect(),
+impl Buffer {
+    pub(crate) fn new(index: Vec<BTreeMap<Arc<str>, Arc<[u8]>>>) -> Buffer {
+        Buffer {
+            index,
             fresh: Vec::new(),
         }
     }
@@ -49,41 +39,17 @@ impl Stripe {
 
 /// One flushed cell's durable location, tracked so a later seal can
 /// index it without re-reading the journal. Entries ride the same
-/// staged → retry → durable pipeline as the bytes they describe.
+/// retry → durable pipeline as the bytes they describe.
 #[derive(Debug, Clone)]
 pub(crate) struct LedgerEntry {
     pub region: u8,
-    /// Shared with the stripe index entry of the same put.
+    /// Shared with the buffer index entry of the same put.
     pub domain: Arc<str>,
     /// Offset of the payload within its region shard.
     pub offset: u64,
     pub len: u32,
     /// `content_hash` of the payload bytes.
     pub payload_hash: u64,
-}
-
-/// Staged flush state, guarded by `Store::queue`.
-pub(crate) struct FlushQueue {
-    /// Logical length of each region shard (durable + staged).
-    pub shard_len: Vec<u64>,
-    /// Staged payload bytes per region, not yet handed to the disk side.
-    pub staged_shards: Vec<Vec<u8>>,
-    /// Staged journal records, same discipline.
-    pub staged_journal: Vec<u8>,
-    /// One ledger entry per staged journal record, in stage order.
-    pub staged_ledger: Vec<LedgerEntry>,
-}
-
-impl FlushQueue {
-    pub(crate) fn new(shard_len: Vec<u64>) -> FlushQueue {
-        let regions = shard_len.len();
-        FlushQueue {
-            shard_len,
-            staged_shards: vec![Vec::new(); regions],
-            staged_journal: Vec::new(),
-            staged_ledger: Vec::new(),
-        }
-    }
 }
 
 /// What is durably on disk and what a failed flush left queued, guarded
@@ -93,8 +59,8 @@ pub(crate) struct DiskState {
     pub durable_shard: Vec<u64>,
     /// Bytes of the journal known durably appended.
     pub durable_journal: u64,
-    /// Shard bytes not yet durable: what the current flush moved out of
-    /// the stripes, plus anything an earlier failed flush left behind —
+    /// Shard bytes not yet durable: what the current flush took from the
+    /// buffer, after anything an earlier failed flush left behind —
     /// always retried in original put order so offsets stay contiguous.
     pub retry_shards: Vec<Vec<u8>>,
     /// Journal records not yet durable (same retry discipline).

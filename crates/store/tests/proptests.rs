@@ -2,17 +2,14 @@
 //! (drop without flushing) and reopens on a small `(region × domain)`
 //! matrix, journal replay is exactly-once — a reopened store holds every
 //! task that was checkpointed, none that was not, each exactly once with
-//! its original payload. The domain list spans many of the sharded
-//! store's domain-hash stripes, so the scripted interleavings exercise
-//! cross-stripe staging, and the torture tests below hammer concurrent
-//! `put`s against the pipelined checkpoint path.
+//! its original payload. The torture tests below hammer concurrent `put`s
+//! against cadence flushes that may find another writer mid-append.
 
-use httpsim::content_hash;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use store::{Store, STRIPES};
+use store::Store;
 
 const REGIONS: u8 = 3;
 const DOMAINS: [&str; 12] = [
@@ -29,21 +26,6 @@ const DOMAINS: [&str; 12] = [
     "lambda.example",
     "mu.example",
 ];
-
-/// The fixture must genuinely cross stripes, or every test above would
-/// silently degenerate to single-stripe coverage.
-#[test]
-fn fixture_domains_span_multiple_stripes() {
-    let stripes: BTreeSet<u64> = DOMAINS
-        .iter()
-        .map(|d| content_hash(d.as_bytes()) % STRIPES as u64)
-        .collect();
-    assert!(
-        stripes.len() >= 4,
-        "fixture domains hash to only {} distinct stripes",
-        stripes.len()
-    );
-}
 
 /// One scripted step against the store.
 #[derive(Debug, Clone, Copy)]
@@ -168,7 +150,7 @@ proptest! {
 }
 
 /// Every thread races to put every `(region, domain)` cell while the
-/// small auto-checkpoint cadence keeps pipelined flushes in flight:
+/// small auto-checkpoint cadence keeps flushes in flight:
 /// exactly one racer must win each cell, and the journal must replay the
 /// complete matrix after a clean shutdown.
 #[test]

@@ -2,7 +2,8 @@
 # Full local gate: formatting, release build, lint-clean clippy, the
 # invariant linter (plus its fixture self-test), the whole test suite,
 # the release-mode batteries, the perfbench counts gate, and end-to-end
-# resume/fsck/diff/serve/stats smoke tests through the CLI binary.
+# resume/fsck/diff/serve/stats smoke tests through the CLI binary, and a
+# check that the committed paper-scale results are what the study prints.
 # Everything runs offline — external dependencies are vendored under
 # vendor/, so no registry access is needed (or attempted).
 set -euo pipefail
@@ -66,8 +67,9 @@ diff BENCH_counts.json "$SMOKE/counts.json" \
     || { echo "check.sh: deterministic counts differ from BENCH_counts.json" >&2; exit 1; }
 
 # High-concurrency smoke: the stress battery in release mode hammers the
-# sharded lock topology at 1/4/64 workers (fault on and off, plus a
-# 64-worker abort+resume) and requires byte-identical reports throughout.
+# striped fetch cache and the store's buffer and io locks at 1/4/64
+# workers (fault on and off, plus a 64-worker abort+resume) and requires
+# byte-identical reports throughout.
 cargo test -q -p analysis --test stress --release --offline
 
 # Crash-point fuzzer at a reduced case count: kill the disk at fuzzed
@@ -145,9 +147,19 @@ grep -q '"coverage_percent":100.0' "$SMOKE/stats.json" \
 grep -q '"quarantined"' "$SMOKE/stats.json" \
     || { echo "check.sh: stats JSON lost its schema" >&2; exit 1; }
 
+# Results freshness: the paper-scale study is deterministic, so the
+# committed full_study_results.json must be exactly what the example
+# writes today (it writes into its working directory).
+cargo build -q --release --offline --example full_study
+STUDY="$PWD/target/release/examples/full_study"
+mkdir "$SMOKE/study"
+(cd "$SMOKE/study" && "$STUDY" >/dev/null 2>&1)
+cmp full_study_results.json "$SMOKE/study/full_study_results.json" \
+    || { echo "check.sh: full_study_results.json is stale; re-run the full_study example" >&2; exit 1; }
+
 # Unknown flags must be rejected, not silently ignored.
 if "$BIN" run --scael tiny >/dev/null 2>&1; then
     echo "check.sh: unknown flag was silently accepted" >&2; exit 1
 fi
 
-echo "check.sh: fmt + build + clippy + rustdoc + lint + tests + stress + fuzzer + counts gate + resume/fsck/diff/serve/stats smoke all green"
+echo "check.sh: fmt + build + clippy + rustdoc + lint + tests + stress + fuzzer + counts gate + resume/fsck/diff/serve/stats smoke + study results all green"
