@@ -41,7 +41,6 @@ pub struct AblationRow {
 #[derive(Debug, Clone, Serialize)]
 pub struct Ablation {
     /// One row per configuration, full pipeline first.
-    // lint:allow(r10) — report rows are bounded by the study's site population; a streaming report is parked million-domain work (ROADMAP "Parked from earlier rounds")
     pub rows: Vec<AblationRow>,
 }
 

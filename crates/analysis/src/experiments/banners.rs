@@ -26,7 +26,6 @@ pub struct BannerRow {
 #[derive(Debug, Clone, Serialize)]
 pub struct BannerPrevalence {
     /// Per-VP rows.
-    // lint:allow(r10) — report rows are bounded by the study's site population; a streaming report is parked million-domain work (ROADMAP "Parked from earlier rounds")
     pub rows: Vec<BannerRow>,
 }
 

@@ -31,7 +31,6 @@ pub struct BypassRecord {
 #[derive(Debug, Clone, Serialize)]
 pub struct Bypass {
     /// Per-site outcomes.
-    // lint:allow(r10) — report rows are bounded by the study's site population; the streaming report parked in ROADMAP "Parked from earlier rounds" aggregates incrementally
     pub records: Vec<BypassRecord>,
     /// Walls tested.
     pub total: usize,

@@ -15,7 +15,6 @@ pub const PRICE_EDGES: [f64; 10] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0,
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig2 {
     /// (domain, EUR/month) for every verified wall with an extracted price.
-    // lint:allow(r10) — report rows are bounded by the study's site population; a streaming report is parked million-domain work (ROADMAP "Parked from earlier rounds")
     pub prices: Vec<(String, f64)>,
     /// Fraction of walls at ≤ 3 EUR.
     pub at_most_3: f64,

@@ -19,7 +19,6 @@ pub struct CategoryPrices {
     /// Mean monthly EUR price (the red cross in the paper's figure).
     pub mean_price: f64,
     /// All prices in the category.
-    // lint:allow(r10) — report rows are bounded by the study's site population; a streaming report is parked million-domain work (ROADMAP "Parked from earlier rounds")
     pub prices: Vec<f64>,
 }
 

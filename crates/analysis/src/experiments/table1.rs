@@ -27,7 +27,6 @@ pub struct Table1Row {
 #[derive(Debug, Clone, Serialize)]
 pub struct Table1 {
     /// Per-VP rows, in the paper's order.
-    // lint:allow(r10) — report rows are bounded by the study's site population; a streaming report is parked million-domain work (ROADMAP "Parked from earlier rounds")
     pub rows: Vec<Table1Row>,
     /// Unique verified cookiewall sites across all VPs.
     pub unique_walls: usize,

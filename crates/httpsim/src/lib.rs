@@ -61,6 +61,8 @@ pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultPlan, FaultyServer};
 pub use geo::Region;
 pub use http::{Method, Request, Response, TransportFault, DEFAULT_USER_AGENT};
 pub use jar::{CookieBreakdown, CookieJar};
-pub use net::{content_hash, document_hash, Network, NetworkStats, Server, MAX_REDIRECTS};
+pub use net::{
+    content_hash, content_hash_extend, document_hash, Network, NetworkStats, Server, MAX_REDIRECTS,
+};
 pub use psl::{domain_match, public_suffix, registrable_domain, same_site};
 pub use url::{Url, UrlParseError};

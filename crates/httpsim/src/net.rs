@@ -169,7 +169,15 @@ impl Network {
 /// vantage points that received byte-identical documents hash equal, so
 /// downstream parse/analysis work can be shared between them.
 pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    content_hash_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Carry a [`content_hash`] over more bytes: the hash of `a` extended
+/// by `b` is the hash of `a` followed by `b`, so a checksum can be
+/// computed piece by piece over bytes that are never held at once
+/// (`content_hash(&[])` is the starting state).
+#[inline]
+pub fn content_hash_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -334,5 +342,9 @@ mod tests {
         assert_eq!(content_hash(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(content_hash(b"<html>"), content_hash(b"<html>"));
         assert_ne!(content_hash(b"<html>"), content_hash(b"<htmk>"));
+        assert_eq!(
+            content_hash_extend(content_hash(b"<ht"), b"ml>"),
+            content_hash(b"<html>")
+        );
     }
 }

@@ -5,14 +5,15 @@
 //! `recv_timeout`, `JoinHandle::join`, the browser fetch entry points
 //! (`fetch_document`, `fetch_domain_document`, `load_fetched`),
 //! store/journal disk writes (`write_all`, `sync_all`, `fs::write`,
-//! `fs::read`, `read_to_string`), and every `StorageBackend` IO method
-//! (`read_file`, `write_file`, `append_file`, `truncate_file`,
-//! `sync_file`) — a backend may be the real disk no matter what is
-//! plugged in during tests. Blocking-ness propagates up the call
-//! graph through resolved edges; a guard whose live range covers a
-//! blocking call — directly or transitively — serializes every other
-//! holder of that lock behind the wait, which is how a 45k-site sweep
-//! hangs. Lock acquisitions themselves are R6's domain and are not roots.
+//! `fs::read`, `fs::rename`, `read_to_string`), and every
+//! `StorageBackend` IO method (`read_file`, `write_file`, `append_file`,
+//! `truncate_file`, `sync_file`, `rename`) — a backend may be the real
+//! disk no matter what is plugged in during tests. Blocking-ness
+//! propagates up the call graph through resolved edges; a guard whose
+//! live range covers a blocking call — directly or transitively —
+//! serializes every other holder of that lock behind the wait, which is
+//! how a 45k-site sweep hangs. Lock acquisitions themselves are R6's
+//! domain and are not roots.
 
 use crate::callgraph::{witness_chain, CallSite, CallTarget, Origin};
 use crate::locks;
@@ -40,6 +41,7 @@ pub(crate) const BLOCKING_METHODS: &[&str] = &[
     "append_file",
     "truncate_file",
     "sync_file",
+    "rename",
     // Snapshot IO: sealing writes and syncs an index slot, and opening a
     // snapshot re-reads every shard from disk — none of that may happen
     // while a guard serializes other holders behind it.
@@ -49,7 +51,13 @@ pub(crate) const BLOCKING_METHODS: &[&str] = &[
 ];
 
 /// Free `fs::…` calls that hit the disk.
-pub(crate) const BLOCKING_FS: &[&str] = &["write", "read", "read_to_string", "create_dir_all"];
+pub(crate) const BLOCKING_FS: &[&str] = &[
+    "write",
+    "read",
+    "read_to_string",
+    "create_dir_all",
+    "rename",
+];
 
 /// Is this call site a blocking root? `join` only counts with an empty
 /// argument list — `JoinHandle::join(self)` takes none, while the

@@ -2,10 +2,11 @@
 //! shrink somewhere.
 //!
 //! Long-lived structs are those reachable — through field types, workspace
-//! wide — from the process-lifetime roots `Store`, `QueryService`,
-//! `FetchCache`, and `StudyReport`. For every collection-typed field of
-//! such a struct (`Vec`, `VecDeque`, `HashMap`, `BTreeMap`, `HashSet`,
-//! `BTreeSet`, `BinaryHeap`) the rule scans the whole workspace for
+//! wide — from the process-lifetime roots `Store`, `QueryService` and
+//! `FetchCache` (a `StudyReport` is a value built once per run, not a
+//! root). For every collection-typed field of such a struct (`Vec`,
+//! `VecDeque`, `HashMap`, `BTreeMap`, `HashSet`, `BTreeSet`,
+//! `BinaryHeap`) the rule scans the whole workspace for
 //! growth calls (`push`/`insert`/`extend`/…) and shrink evidence
 //! (`remove`/`clear`/`drain`/`truncate`/`pop`/`retain`/… or a plain
 //! reassignment, which replaces the collection wholesale). A field that
@@ -26,7 +27,7 @@ use crate::rules::{Finding, Rule, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Structs that live for the whole process (reachability roots).
-const ROOT_STRUCTS: &[&str] = &["Store", "QueryService", "FetchCache", "StudyReport"];
+const ROOT_STRUCTS: &[&str] = &["Store", "QueryService", "FetchCache"];
 
 /// Field types that can grow without bound.
 const GROWABLE: &[&str] = &[
@@ -222,9 +223,11 @@ impl Rule for UnboundedGrowth {
                     line: field.line,
                     col: field.col,
                     message: format!(
-                        "`{}.{}` ({coll}) grows via `{grow_op}()` ({grow_path}:{grow_line}) but \
-                         never shrinks anywhere in the workspace — unbounded memory on the \
-                         long-lived `{root}` graph breaks the parked 1M-domain goal",
+                        "`{0}.{1}` ({coll}) grows via `{grow_op}()` but never shrinks anywhere \
+                         in the workspace — unbounded memory on the long-lived `{root}` graph \
+                         breaks the parked 1M-domain goal (growth site matched by field and \
+                         method name, not type: the first `.{1}.{grow_op}(` is at \
+                         {grow_path}:{grow_line})",
                         s.name, field.name
                     ),
                 });

@@ -7,8 +7,9 @@
 //!   (and keeping the hot path free of real fsync stalls).
 //! * [`MemBackend`] — an in-memory filesystem that models the page-cache /
 //!   platter split: writes land in a cached image, `sync_file` copies it
-//!   to the durable image, and [`MemBackend::crash`] throws away whatever
-//!   was never synced. This is what makes *lying fsyncs* observable.
+//!   to the durable image, `rename` moves both, and [`MemBackend::crash`]
+//!   throws away whatever was never synced. This is what makes *lying
+//!   fsyncs* (and a rename of a file never synced) observable.
 //! * [`FaultyBackend`] — wraps any backend and injects disk faults as a
 //!   pure hash of `(fault-seed, path, operation-index)`, in the style of
 //!   `httpsim::fault`: torn writes, short reads, ENOSPC, lying fsyncs,
@@ -41,6 +42,12 @@ pub trait StorageBackend: Send + Sync {
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
     /// Does a file exist at `path`?
     fn file_exists(&self, path: &Path) -> bool;
+    /// Atomically replace `to` with `from`: a reader of `to` sees its old
+    /// bytes or `from`'s, never a mix. Only the bytes `from` had synced
+    /// are guaranteed to survive a crash after the rename.
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        std::fs::rename(from, to)
+    }
 }
 
 /// The real filesystem.
@@ -77,6 +84,10 @@ impl StorageBackend for FsBackend {
 
     fn file_exists(&self, path: &Path) -> bool {
         path.exists()
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        std::fs::rename(from, to)
     }
 }
 
@@ -173,6 +184,16 @@ impl StorageBackend for MemBackend {
     fn file_exists(&self, path: &Path) -> bool {
         self.files.lock().contains_key(path)
     }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        // Both images move: the target's durable image becomes the
+        // source's, so renaming a file that was never synced publishes
+        // bytes a crash takes away again.
+        let mut files = self.files.lock();
+        let file = files.remove(from).ok_or_else(|| Self::not_found(from))?;
+        files.insert(to.to_path_buf(), file);
+        Ok(())
+    }
 }
 
 /// Configuration for deterministic disk-fault injection.
@@ -234,8 +255,8 @@ pub struct FaultyBackend {
     /// hash so every decision is replayable.
     ops: AtomicU64,
     /// Cumulative bytes of *mutating* operations, the clock the crash
-    /// point is measured on (appends/writes count their length, truncate
-    /// and sync count 1) — so a crash can land mid-append, torn.
+    /// point is measured on (appends/writes count their length, truncate,
+    /// sync and rename count 1) — so a crash can land mid-append, torn.
     mutated: AtomicU64,
     /// Crash once the mutation clock reaches this byte index.
     crash_at: Option<u64>,
@@ -464,5 +485,19 @@ impl StorageBackend for FaultyBackend {
 
     fn file_exists(&self, path: &Path) -> bool {
         self.inner.file_exists(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.dead()?;
+        if let Err(_done) = self.advance(1) {
+            self.record(format!("crash path={} during=rename", to.display()));
+            return Err(injected("disk crashed mid-rename (simulated)".to_string()));
+        }
+        if self.decide("rename", to).is_some() {
+            // A failed rename changes nothing: the old target stays.
+            self.record(format!("rename-fail path={}", to.display()));
+            return Err(injected("injected rename failure".to_string()));
+        }
+        self.inner.rename(from, to)
     }
 }

@@ -4,8 +4,12 @@
 //! single self-checking index file so readers can open the store without
 //! touching the writer's locks. The file is double-buffered across two
 //! slots (`index-0.cwi` / `index-1.cwi`): the writer alternates slots by
-//! generation parity, so a torn write can only damage the slot being
-//! replaced and readers always fall back to the previous sealed view.
+//! generation parity, so the newest two sealed views live in different
+//! files. A slot is never written in place: [`write_slot`] streams it
+//! into `index.tmp`, syncs that, and renames it over the slot, so a
+//! reader sees a slot's old bytes or its new ones, never a torn mix. A
+//! crash before the rename leaves the old slot and a stray temp file,
+//! which no reader opens and the next slot write replaces.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -29,7 +33,7 @@
 //! at before trusting the slot.
 
 use crate::backend::StorageBackend;
-use httpsim::content_hash;
+use httpsim::{content_hash, content_hash_extend};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -51,9 +55,18 @@ pub(crate) const INDEX_ENTRY_OVERHEAD: usize = 1 + 2 + 8 + 8 + 8 + 4 + 8;
 /// Format version written into every slot.
 pub(crate) const INDEX_VERSION: u8 = 1;
 
+/// Bytes a slot write hands the backend at a time: the most of a slot
+/// that is ever held in memory.
+const SLOT_PIECE: usize = 64 * 1024;
+
 /// Path of one index slot file under the store directory.
 pub(crate) fn slot_path(dir: &Path, slot: usize) -> PathBuf {
     dir.join(format!("{INDEX_FILE}-{slot}.cwi"))
+}
+
+/// Path of the temp file a slot is written to before its rename.
+fn temp_path(dir: &Path) -> PathBuf {
+    dir.join(format!("{INDEX_FILE}.tmp"))
 }
 
 /// One sealed cell: where its payload lives in the frozen shard prefix.
@@ -78,34 +91,106 @@ pub(crate) struct IndexFile {
     pub entries: Vec<IndexEntry>,
 }
 
-/// Encode a sealed view into slot-file bytes. Entries must already be
-/// sorted by `(region, domain)`; the encoder trusts the caller because
-/// the seal path builds them from a `BTreeMap`.
-pub(crate) fn encode_index(generation: u64, sealed_len: &[u64], entries: &[IndexEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        4 + 1 + 8 + 1 + 8 * sealed_len.len() + 8 + entries.len() * (INDEX_ENTRY_OVERHEAD + 24) + 8,
-    );
-    buf.extend_from_slice(&INDEX_MAGIC);
-    buf.push(INDEX_VERSION);
-    buf.extend_from_slice(&generation.to_le_bytes());
-    buf.push(sealed_len.len() as u8);
+/// Stream a sealed view into `sink`, `piece` bytes at a time (the last
+/// piece may be shorter). Entries must come sorted by `(region, domain)`;
+/// the encoder trusts its callers: the seal sorts its ledger positions
+/// and fsck walks a `BTreeMap`. The trailing checksum is `content_hash`
+/// carried across the pieces, so it equals the hash of every byte
+/// before it although those bytes are never held at once.
+pub(crate) fn encode_index(
+    generation: u64,
+    sealed_len: &[u64],
+    entries: impl ExactSizeIterator<Item = IndexEntry>,
+    piece: usize,
+    sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut out = Pieces {
+        buf: Vec::with_capacity(piece),
+        piece,
+        hash: content_hash(&[]),
+        sink,
+    };
+    out.put(&INDEX_MAGIC)?;
+    out.put(&[INDEX_VERSION])?;
+    out.put(&generation.to_le_bytes())?;
+    out.put(&[sealed_len.len() as u8])?;
     for len in sealed_len {
-        buf.extend_from_slice(&len.to_le_bytes());
+        out.put(&len.to_le_bytes())?;
     }
-    buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    out.put(&(entries.len() as u64).to_le_bytes())?;
     for entry in entries {
-        buf.push(entry.region);
-        buf.extend_from_slice(&(entry.domain.len() as u16).to_le_bytes());
-        buf.extend_from_slice(entry.domain.as_bytes());
-        buf.extend_from_slice(&content_hash(entry.domain.as_bytes()).to_le_bytes());
-        buf.extend_from_slice(&entry.segment.to_le_bytes());
-        buf.extend_from_slice(&entry.offset.to_le_bytes());
-        buf.extend_from_slice(&entry.len.to_le_bytes());
-        buf.extend_from_slice(&entry.payload_hash.to_le_bytes());
+        out.put(&[entry.region])?;
+        out.put(&(entry.domain.len() as u16).to_le_bytes())?;
+        out.put(entry.domain.as_bytes())?;
+        out.put(&content_hash(entry.domain.as_bytes()).to_le_bytes())?;
+        out.put(&entry.segment.to_le_bytes())?;
+        out.put(&entry.offset.to_le_bytes())?;
+        out.put(&entry.len.to_le_bytes())?;
+        out.put(&entry.payload_hash.to_le_bytes())?;
     }
-    let checksum = content_hash(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
+    out.finish()
+}
+
+/// The encoder's output buffer: fills up to one piece, hands it to the
+/// sink and carries the checksum over it.
+struct Pieces<'s> {
+    buf: Vec<u8>,
+    piece: usize,
+    /// `content_hash` of every byte already handed to the sink.
+    hash: u64,
+    sink: &'s mut dyn FnMut(&[u8]) -> io::Result<()>,
+}
+
+impl Pieces<'_> {
+    fn put(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            let take = (self.piece - self.buf.len()).min(bytes.len());
+            let (head, rest) = bytes.split_at(take);
+            self.buf.extend_from_slice(head);
+            bytes = rest;
+            if self.buf.len() == self.piece {
+                self.hash = content_hash_extend(self.hash, &self.buf);
+                (self.sink)(&self.buf)?;
+                self.buf.clear();
+            }
+        }
+        Ok(())
+    }
+
+    /// Append the checksum and hand over the last, partial piece.
+    fn finish(mut self) -> io::Result<()> {
+        let checksum = content_hash_extend(self.hash, &self.buf);
+        self.put(&checksum.to_le_bytes())?;
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        (self.sink)(&self.buf)
+    }
+}
+
+/// Publish one slot: stream it into the temp file, sync that, and
+/// rename it over `index-{slot}.cwi`. The rename is the commit point: a
+/// failure or crash before it leaves the slot's previous bytes in place.
+pub(crate) fn write_slot(
+    dir: &Path,
+    backend: &dyn StorageBackend,
+    slot: usize,
+    generation: u64,
+    sealed_len: &[u64],
+    entries: impl ExactSizeIterator<Item = IndexEntry>,
+) -> io::Result<()> {
+    let temp = temp_path(dir);
+    // The first piece replaces whatever an interrupted write left there.
+    let mut first = true;
+    encode_index(generation, sealed_len, entries, SLOT_PIECE, &mut |piece| {
+        if std::mem::take(&mut first) {
+            backend.write_file(&temp, piece)
+        } else {
+            backend.append_file(&temp, piece)
+        }
+    })?;
+    backend.sync_file(&temp)?;
+    backend.rename(&temp, &slot_path(dir, slot))
 }
 
 /// Decode and validate one slot file. Returns `None` on any structural
@@ -190,7 +275,7 @@ pub(crate) fn parse_index(buf: &[u8], regions: usize) -> Option<IndexFile> {
 pub(crate) enum SlotState {
     /// No file on disk — the store was never sealed into this slot.
     Missing,
-    /// A file exists but fails validation (torn write, bit rot).
+    /// A file exists but fails validation (bit rot, a lost sync).
     Invalid,
     /// A structurally valid sealed view.
     Valid(IndexFile),
@@ -252,9 +337,69 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The one-shot encoder the streamed [`encode_index`] replaced, kept as
+/// the oracle its output must match byte for byte.
+#[cfg(test)]
+pub(crate) fn encode_index_oneshot(
+    generation: u64,
+    sealed_len: &[u64],
+    entries: &[IndexEntry],
+) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&INDEX_MAGIC);
+    buf.push(INDEX_VERSION);
+    buf.extend_from_slice(&generation.to_le_bytes());
+    buf.push(sealed_len.len() as u8);
+    for len in sealed_len {
+        buf.extend_from_slice(&len.to_le_bytes());
+    }
+    buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    for entry in entries {
+        buf.push(entry.region);
+        buf.extend_from_slice(&(entry.domain.len() as u16).to_le_bytes());
+        buf.extend_from_slice(entry.domain.as_bytes());
+        buf.extend_from_slice(&content_hash(entry.domain.as_bytes()).to_le_bytes());
+        buf.extend_from_slice(&entry.segment.to_le_bytes());
+        buf.extend_from_slice(&entry.offset.to_le_bytes());
+        buf.extend_from_slice(&entry.len.to_le_bytes());
+        buf.extend_from_slice(&entry.payload_hash.to_le_bytes());
+    }
+    let checksum = content_hash(&buf);
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf
+}
+
+/// Run the streamed encoder with `piece`-byte pieces and collect them.
+#[cfg(test)]
+pub(crate) fn encode_index_pieces(
+    generation: u64,
+    sealed_len: &[u64],
+    entries: &[IndexEntry],
+    piece: usize,
+) -> Vec<Vec<u8>> {
+    let mut pieces = Vec::new();
+    let mut sink = |bytes: &[u8]| {
+        pieces.push(bytes.to_vec());
+        Ok(())
+    };
+    encode_index(
+        generation,
+        sealed_len,
+        entries.iter().cloned(),
+        piece,
+        &mut sink,
+    )
+    .expect("an in-memory sink never fails");
+    pieces
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(generation: u64, sealed_len: &[u64], entries: &[IndexEntry]) -> Vec<u8> {
+        encode_index_pieces(generation, sealed_len, entries, SLOT_PIECE).concat()
+    }
 
     fn sample() -> (u64, Vec<u64>, Vec<IndexEntry>) {
         let entries = vec![
@@ -281,7 +426,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_every_field() {
         let (generation, sealed, entries) = sample();
-        let bytes = encode_index(generation, &sealed, &entries);
+        let bytes = encode(generation, &sealed, &entries);
         let parsed = parse_index(&bytes, sealed.len()).expect("valid slot");
         assert_eq!(parsed.generation, generation);
         assert_eq!(parsed.sealed_len, sealed);
@@ -291,7 +436,7 @@ mod tests {
     #[test]
     fn every_flipped_bit_is_rejected() {
         let (generation, sealed, entries) = sample();
-        let bytes = encode_index(generation, &sealed, &entries);
+        let bytes = encode(generation, &sealed, &entries);
         for byte in 0..bytes.len() {
             for bit in 0..8 {
                 let mut damaged = bytes.clone();
@@ -307,7 +452,7 @@ mod tests {
     #[test]
     fn truncation_and_region_mismatch_are_rejected() {
         let (generation, sealed, entries) = sample();
-        let bytes = encode_index(generation, &sealed, &entries);
+        let bytes = encode(generation, &sealed, &entries);
         for cut in 0..bytes.len() {
             assert!(parse_index(&bytes[..cut], sealed.len()).is_none());
         }
@@ -318,15 +463,51 @@ mod tests {
     fn out_of_bounds_extent_is_rejected() {
         let (generation, sealed, mut entries) = sample();
         entries[1].len = 64;
-        let bytes = encode_index(generation, &sealed, &entries);
+        let bytes = encode(generation, &sealed, &entries);
         assert!(parse_index(&bytes, sealed.len()).is_none());
     }
 
     #[test]
     fn empty_index_roundtrips() {
-        let bytes = encode_index(1, &[0, 0, 0], &[]);
+        let bytes = encode(1, &[0, 0, 0], &[]);
         let parsed = parse_index(&bytes, 3).expect("valid slot");
         assert_eq!(parsed.generation, 1);
         assert!(parsed.entries.is_empty());
+    }
+
+    /// Every piece size cuts the same bytes: full pieces of exactly
+    /// `piece` bytes, one shorter last piece, and a checksum carried
+    /// across the cuts.
+    #[test]
+    fn streamed_slot_matches_the_oneshot_encoder_at_every_piece_size() {
+        let (generation, sealed, entries) = sample();
+        let oracle = encode_index_oneshot(generation, &sealed, &entries);
+        for piece in 1..=oracle.len() + 1 {
+            let pieces = encode_index_pieces(generation, &sealed, &entries, piece);
+            let (last, full) = pieces.split_last().expect("a slot is never empty");
+            assert!(full.iter().all(|p| p.len() == piece), "piece {piece}");
+            assert!(!last.is_empty() && last.len() <= piece, "piece {piece}");
+            assert_eq!(pieces.concat(), oracle, "piece {piece}");
+        }
+    }
+
+    /// A slot is published only by the rename: until then the slot keeps
+    /// its old bytes, and a crash before the rename leaves them there.
+    #[test]
+    fn write_slot_publishes_by_rename() {
+        let mem = crate::MemBackend::default();
+        let dir = Path::new("/mem/store");
+        let (generation, sealed, entries) = sample();
+        let slot = slot_path(dir, 0);
+        mem.write_file(&slot, b"old").unwrap();
+        mem.sync_file(&slot).unwrap();
+        write_slot(dir, &mem, 0, generation, &sealed, entries.iter().cloned()).unwrap();
+        let oracle = encode_index_oneshot(generation, &sealed, &entries);
+        assert_eq!(mem.read_file(&slot).unwrap(), oracle);
+        assert_eq!(mem.durable_bytes(&slot), Some(oracle));
+        assert!(
+            !mem.file_exists(&temp_path(dir)),
+            "the temp file was renamed"
+        );
     }
 }

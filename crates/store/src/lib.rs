@@ -13,6 +13,8 @@
 //! <dir>/shards/shard-N.bin raw payload bytes for region index N
 //! <dir>/index-S.cwi        double-buffered sealed-view index slots
 //!                          (see [`index`] — the `CWI1` contract)
+//! <dir>/index.tmp          a slot being written, renamed over its slot
+//!                          once synced
 //! <dir>/note-<name>        free-form text attachments (epoch summaries)
 //! <dir>/quarantine         fsck's sidecar of damaged cells (see below)
 //! ```
@@ -84,11 +86,14 @@
 //! [`Store::seal`] (run by every [`Store::checkpoint`]) freezes the
 //! durable prefix of every shard and describes it in a double-buffered,
 //! FNV-checksummed index file (the `CWI1` contract, see the `index` module).
-//! [`StoreSnapshot`] opens that sealed view straight from disk — it
-//! never takes the writer's buffer or io locks, so an always-on query
-//! service reads at full speed while a new epoch ingests. The
-//! [`StoreRead`] trait is the common read surface of the live store and
-//! the snapshot.
+//! The seal reads the durable ledger in place and streams the slot into
+//! a temp file in fixed pieces, then syncs it and renames it over the
+//! slot, so it never holds a copy of the ledger or of the slot, and a
+//! reader only ever sees a whole slot. [`StoreSnapshot`] opens that
+//! sealed view straight from disk — it never takes the writer's buffer
+//! or io locks, so an always-on query service reads at full speed while
+//! a new epoch ingests. The [`StoreRead`] trait is the common read
+//! surface of the live store and the snapshot.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,6 +102,8 @@ mod backend;
 mod index;
 mod journal;
 mod recovery;
+#[cfg(test)]
+mod slot_oracle;
 mod snapshot;
 mod state;
 
@@ -105,7 +112,7 @@ pub use recovery::{fsck, quarantine_ledger, FsckReport, QuarantinedCell};
 pub use snapshot::StoreSnapshot;
 
 use httpsim::content_hash;
-use index::{encode_index, slot_path, IndexEntry, SlotState, INDEX_SLOTS};
+use index::{write_slot, IndexEntry, SlotState, INDEX_SLOTS};
 use journal::{encode_record, shard_path, JOURNAL_FILE, META_FILE, SHARD_DIR};
 use parking_lot::Mutex;
 use state::{Buffer, DiskState, LedgerEntry};
@@ -146,11 +153,6 @@ pub trait StoreRead {
 struct SealState {
     /// Generation the next seal will write.
     next_generation: u64,
-    /// The entries of the last sealed view, in `(region, domain)` order,
-    /// their domains shared with the ledger: a cell keeps its segment as
-    /// long as its offset is unchanged, so epoch tooling can tell stable
-    /// cells from rewritten ones.
-    sealed: Vec<IndexEntry>,
     /// `(ledger length, durable shard lengths)` at the last seal — when
     /// unchanged, sealing again skips the slot write entirely.
     fingerprint: Option<(usize, Vec<u64>)>,
@@ -160,9 +162,10 @@ struct SealState {
 ///
 /// Lock order (see DESIGN.md §8): `buffer` is never held while taking
 /// another lock; a flush takes `buffer` briefly under `io`, and a seal
-/// reads the disk watermarks under `seal_state` — the
-/// may-hold-while-acquiring graph is `io → buffer` plus
-/// `seal_state → io`, which stays acyclic.
+/// holds `seal_state` and then `io` from its flush to its slot's rename
+/// — the may-hold-while-acquiring graph is `io → buffer` plus
+/// `seal_state → io`, which stays acyclic. A put never waits on the
+/// seal: its auto-flush only `try_lock`s `io` and defers.
 pub struct Store {
     dir: PathBuf,
     regions: usize,
@@ -237,7 +240,6 @@ impl Store {
             io: Mutex::new(DiskState::new(vec![0; regions], 0, Vec::new())),
             seal_state: Mutex::new(SealState {
                 next_generation: 1,
-                sealed: Vec::new(),
                 fingerprint: None,
             }),
         })
@@ -305,10 +307,14 @@ impl Store {
             })
             .max_by_key(|file| file.generation);
         let next_generation = best.as_ref().map_or(0, |file| file.generation) + 1;
-        let mut sealed = best.map(|file| file.entries).unwrap_or_default();
-        // Every writer emits entries in key order; sorting keeps the seal's
-        // merge from depending on it.
-        sealed.sort_unstable_by(|a, b| (a.region, &a.domain).cmp(&(b.region, &b.domain)));
+        let mut ledger = replay.ledger;
+        if let Some(mut file) = best {
+            // Every writer emits entries in key order; sorting keeps the
+            // merge from depending on it.
+            file.entries
+                .sort_unstable_by(|a, b| (a.region, &a.domain).cmp(&(b.region, &b.domain)));
+            stamp_segments(&mut ledger, &file.entries)?;
+        }
 
         Ok(Store {
             dir: dir.to_path_buf(),
@@ -317,14 +323,9 @@ impl Store {
             backend,
             checkpoint_every: AtomicUsize::new(DEFAULT_CHECKPOINT_EVERY),
             buffer: Mutex::new(Buffer::new(replay.index)),
-            io: Mutex::new(DiskState::new(
-                replay.high_water,
-                replay.keep_len,
-                replay.ledger,
-            )),
+            io: Mutex::new(DiskState::new(replay.high_water, replay.keep_len, ledger)),
             seal_state: Mutex::new(SealState {
                 next_generation,
-                sealed,
                 fingerprint: None,
             }),
         })
@@ -434,73 +435,62 @@ impl Store {
     /// generation. Sealing an unchanged store skips the slot write and
     /// returns the previous generation. One sealer runs at a time; the
     /// slot written alternates with the generation, so the newest two
-    /// sealed views always live in different slots and a torn slot
-    /// write can only damage the older one.
+    /// sealed views always live in different slots, and each slot is
+    /// replaced by a rename, so no reader ever sees a torn one.
     pub fn seal(&self) -> io::Result<u64> {
-        {
-            let mut disk = self.io.lock();
-            // lint:allow(blocking-under-lock) — `io` exists solely to order these appends
-            self.write_out(&mut disk)?;
-        }
         let mut seal = self.seal_state.lock();
-        // Briefly read the durable state under `io`; `seal_state → io`
-        // is the only new lock-order edge and nothing blocks while both
-        // are held.
-        let (ledger, sealed_len) = {
-            let disk = self.io.lock();
-            (disk.ledger.clone(), disk.durable_shard.clone())
-        };
-        let fingerprint = (ledger.len(), sealed_len.clone());
-        if seal.fingerprint.as_ref() == Some(&fingerprint) {
+        // `io` stays held from the flush to the rename, so the ledger is
+        // read in place. No put waits on it: a cadence flush only
+        // `try_lock`s `io` and leaves its puts buffered.
+        let mut disk = self.io.lock();
+        // lint:allow(blocking-under-lock) — `seal_state` and `io` exist to order these appends and slot writes; puts only `try_lock` `io`
+        self.write_out(&mut disk)?;
+        let disk = &mut *disk;
+        if seal
+            .fingerprint
+            .as_ref()
+            .is_some_and(|(len, shards)| *len == disk.ledger.len() && *shards == disk.durable_shard)
+        {
             return Ok(seal.next_generation - 1);
         }
         let generation = seal.next_generation;
-        // Last-wins over the ledger (a re-crawled cell shadows its
-        // quarantined predecessor): a stable sort of the reversed ledger
-        // puts each cell's newest entry first, and dedup keeps it. (The
-        // ledger arrives nearly in key order, and a `BTreeMap` built in
-        // key order leaves its nodes about half full.) Then keep the
-        // previous segment for cells whose offset is unchanged. Both the
-        // cells and the last sealed entries ascend by `(region, domain)`,
-        // so one merge pass pairs them, and every entry shares its domain
-        // with the ledger.
-        let mut cells: Vec<&LedgerEntry> = ledger.iter().rev().collect();
-        cells.sort_by(|a, b| (a.region, &a.domain).cmp(&(b.region, &b.domain)));
-        cells.dedup_by(|a, b| (a.region, &a.domain) == (b.region, &b.domain));
-        let mut previous = seal.sealed.iter().peekable();
-        let entries: Vec<IndexEntry> = cells
-            .into_iter()
-            .map(|cell| {
-                let (region, domain) = (cell.region, &cell.domain);
-                while previous
-                    .next_if(|e| (e.region, &e.domain) < (region, domain))
-                    .is_some()
-                {}
-                let segment = match previous.peek() {
-                    Some(e) if (e.region, &e.domain, e.offset) == (region, domain, cell.offset) => {
-                        e.segment
-                    }
-                    _ => generation,
-                };
-                IndexEntry {
-                    region,
-                    domain: Arc::clone(domain),
-                    segment,
-                    offset: cell.offset,
-                    len: cell.len,
-                    payload_hash: cell.payload_hash,
-                }
-            })
-            .collect();
-        let bytes = encode_index(generation, &sealed_len, &entries);
-        let path = slot_path(&self.dir, (generation % INDEX_SLOTS as u64) as usize);
-        // lint:allow(blocking-under-lock) — `seal_state` exists solely to order slot writes
-        self.backend.write_file(&path, &bytes)?;
-        // lint:allow(blocking-under-lock) — `seal_state` exists solely to order slot writes
-        self.backend.sync_file(&path)?;
-        seal.sealed = entries;
+        let cells = last_wins(&disk.ledger)?;
+        let ledger = &disk.ledger;
+        let entries = cells.iter().map(|&i| {
+            let cell = &ledger[i as usize];
+            IndexEntry {
+                region: cell.region,
+                domain: Arc::clone(&cell.domain),
+                segment: if cell.segment == 0 {
+                    generation
+                } else {
+                    cell.segment
+                },
+                offset: cell.offset,
+                len: cell.len,
+                payload_hash: cell.payload_hash,
+            }
+        });
+        let slot = (generation % INDEX_SLOTS as u64) as usize;
+        // lint:allow(blocking-under-lock) — `seal_state` and `io` exist to order these appends and slot writes; puts only `try_lock` `io`
+        write_slot(
+            &self.dir,
+            self.backend.as_ref(),
+            slot,
+            generation,
+            &disk.durable_shard,
+            entries,
+        )?;
+        // Only a published slot names its generation: stamp the entries
+        // it indexed for the first time.
+        for &i in &cells {
+            let cell = &mut disk.ledger[i as usize];
+            if cell.segment == 0 {
+                cell.segment = generation;
+            }
+        }
         seal.next_generation += 1;
-        seal.fingerprint = Some(fingerprint);
+        seal.fingerprint = Some((disk.ledger.len(), disk.durable_shard.clone()));
         Ok(generation)
     }
 
@@ -525,6 +515,7 @@ impl Store {
                 offset,
                 len: payload.len() as u32,
                 payload_hash: content_hash(&payload),
+                segment: 0,
             });
         }
         let queued =
@@ -625,6 +616,44 @@ impl StoreRead for Store {
     fn for_each_region_entry(&self, region: u8, f: &mut dyn FnMut(&str, &[u8])) {
         Store::for_each_region_entry(self, region, f)
     }
+}
+
+/// Ledger positions of each cell's last entry, in `(region, domain)`
+/// order. Last wins because a re-crawled cell shadows its quarantined
+/// predecessor: a stable sort of the reversed positions puts each
+/// cell's newest entry first, and dedup keeps it.
+fn last_wins(ledger: &[LedgerEntry]) -> io::Result<Vec<u32>> {
+    let len = u32::try_from(ledger.len()).map_err(|_| invalid("ledger too long to seal"))?;
+    let key = |i: &u32| {
+        let cell = &ledger[*i as usize];
+        (cell.region, &*cell.domain)
+    };
+    let mut cells: Vec<u32> = (0..len).rev().collect();
+    cells.sort_by(|a, b| key(a).cmp(&key(b)));
+    cells.dedup_by(|a, b| key(a) == key(b));
+    Ok(cells)
+}
+
+/// Give each cell's last ledger entry the segment `sealed` (a slot's
+/// entries, in `(region, domain)` order) recorded for it, when the slot
+/// names that same entry: offsets are unique within a shard, so the
+/// same offset is the same entry. Both sides ascend by key, so one
+/// merge pass pairs them.
+fn stamp_segments(ledger: &mut [LedgerEntry], sealed: &[IndexEntry]) -> io::Result<()> {
+    let mut sealed = sealed.iter().peekable();
+    for i in last_wins(ledger)? {
+        let cell = &mut ledger[i as usize];
+        while sealed
+            .next_if(|e| (e.region, &*e.domain) < (cell.region, &*cell.domain))
+            .is_some()
+        {}
+        if let Some(e) = sealed.peek() {
+            if (e.region, &*e.domain, e.offset) == (cell.region, &*cell.domain, cell.offset) {
+                cell.segment = e.segment;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Validated path of a note attachment under a store directory. Shared
@@ -733,8 +762,9 @@ mod tests {
     }
 
     /// A cell keeps the generation that first sealed it across later
-    /// seals and a reopen, while cells added around it, in key order
-    /// before, between and after the sealed ones, take their own.
+    /// seals and reopens, while cells added around it, in key order
+    /// before, between and after the sealed ones, take their own, and a
+    /// cell re-put after a reopen takes the generation that seals it.
     #[test]
     fn sealed_cells_keep_their_first_segment() {
         let dir = tempdir("segments");
@@ -764,8 +794,7 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         put(&store, &[(1, "0.example")]);
         assert_eq!(store.seal().unwrap(), 3);
-        let snapshot = StoreSnapshot::open(&dir).unwrap();
-        let segments: Vec<(u8, &str, Option<u64>)> = [
+        let cells = [
             (0, "a.example"),
             (0, "b.example"),
             (0, "c.example"),
@@ -774,23 +803,25 @@ mod tests {
             (1, "0.example"),
             (1, "a.example"),
             (1, "b.example"),
-        ]
-        .into_iter()
-        .map(|(region, domain)| (region, domain, snapshot.segment_of(region, domain)))
-        .collect();
-        assert_eq!(
-            segments,
-            vec![
-                (0, "a.example", Some(2)),
-                (0, "b.example", Some(1)),
-                (0, "c.example", Some(2)),
-                (0, "d.example", Some(1)),
-                (0, "e.example", Some(2)),
-                (1, "0.example", Some(3)),
-                (1, "a.example", Some(1)),
-                (1, "b.example", Some(2)),
-            ]
-        );
+        ];
+        let segments = || {
+            let snapshot = StoreSnapshot::open(&dir).unwrap();
+            cells.map(|(region, domain)| snapshot.segment_of(region, domain).unwrap_or(0))
+        };
+        assert_eq!(segments(), [2, 1, 2, 1, 2, 3, 1, 2]);
+
+        // Re-put (0, b.example) as a re-crawl does after a quarantine: a
+        // second journal record for the cell, at a new offset.
+        drop(store);
+        let shard_len = fs::metadata(shard_path(&dir, 0)).unwrap().len();
+        FsBackend.append_file(&shard_path(&dir, 0), b"new").unwrap();
+        let record = encode_record(0, "b.example", shard_len, b"new");
+        FsBackend
+            .append_file(&dir.join(JOURNAL_FILE), &record)
+            .unwrap();
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.seal().unwrap(), 4);
+        assert_eq!(segments(), [2, 4, 2, 1, 2, 3, 1, 2]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

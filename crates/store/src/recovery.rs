@@ -27,7 +27,7 @@
 //! index.
 
 use crate::backend::StorageBackend;
-use crate::index::{encode_index, slot_path, IndexEntry, INDEX_SLOTS};
+use crate::index::{write_slot, IndexEntry, INDEX_SLOTS};
 use crate::journal::{parse_record, shard_path, JOURNAL_FILE, MAGIC, QUARANTINE_FILE};
 use crate::state::LedgerEntry;
 use httpsim::content_hash;
@@ -206,6 +206,7 @@ pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> Replay {
                     offset: rec.offset,
                     len: rec.len,
                     payload_hash: rec.payload_hash,
+                    segment: 0,
                 });
             }
             // Corrupt extents exist on disk; keep them under the water
@@ -583,28 +584,23 @@ pub fn fsck(dir: &Path, backend: &dyn StorageBackend, dry_run: bool) -> io::Resu
                 (rec.offset, rec.len, rec.payload_hash),
             );
         }
-        let entries: Vec<IndexEntry> = cells
-            .into_iter()
-            .map(|((region, domain), (offset, len, payload_hash))| {
-                let segment = match prior.get(&(region, domain)) {
-                    Some(&(seg, prior_offset)) if prior_offset == offset => seg,
-                    _ => generation,
-                };
-                IndexEntry {
-                    region,
-                    domain: domain.into(),
-                    segment,
-                    offset,
-                    len,
-                    payload_hash,
-                }
-            })
-            .collect();
-        let bytes = encode_index(generation, &valid_water, &entries);
-        for s in 0..INDEX_SLOTS {
-            let path = slot_path(dir, s);
-            backend.write_file(&path, &bytes)?;
-            backend.sync_file(&path)?;
+        let entry = |(&(region, domain), &(offset, len, payload_hash))| {
+            let segment = match prior.get(&(region, domain)) {
+                Some(&(seg, prior_offset)) if prior_offset == offset => seg,
+                _ => generation,
+            };
+            IndexEntry {
+                region,
+                domain: domain.into(),
+                segment,
+                offset,
+                len,
+                payload_hash,
+            }
+        };
+        for slot in 0..INDEX_SLOTS {
+            let view = cells.iter().map(entry);
+            write_slot(dir, backend, slot, generation, &valid_water, view)?;
         }
         report.index_slots_rewritten = INDEX_SLOTS;
     }

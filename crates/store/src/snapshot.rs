@@ -55,20 +55,9 @@ impl StoreSnapshot {
     /// [`StoreSnapshot::open`] on an explicit storage backend.
     pub fn open_with(dir: &Path, backend: Arc<dyn StorageBackend>) -> io::Result<StoreSnapshot> {
         let (meta, regions) = read_store_config(dir, backend.as_ref())?;
-        let mut slots = read_slots(dir, backend.as_ref(), regions)?;
-        // An invalid slot is usually not damage but a seal mid-overwrite
-        // (slot writes are not atomic): re-read until the write settles
-        // before trusting the classification, so a concurrent reader
-        // neither errors out on a half-written first seal nor falls back
-        // past a generation it already served. Genuinely damaged slots
-        // stay invalid and take the fallback path after the patience
-        // runs out.
-        let mut patience = 64;
-        while patience > 0 && slots.iter().any(|s| matches!(s, SlotState::Invalid)) {
-            std::thread::yield_now();
-            slots = read_slots(dir, backend.as_ref(), regions)?;
-            patience -= 1;
-        }
+        // A seal replaces a slot by renaming a synced temp file over it,
+        // so an invalid slot is damage, never a write in progress.
+        let slots = read_slots(dir, backend.as_ref(), regions)?;
         let never_sealed = slots.iter().all(|s| matches!(s, SlotState::Missing));
 
         // Shard bytes are read once, before candidate verification, so

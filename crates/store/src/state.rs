@@ -50,6 +50,10 @@ pub(crate) struct LedgerEntry {
     pub len: u32,
     /// `content_hash` of the payload bytes.
     pub payload_hash: u64,
+    /// Generation of the first seal that indexed this entry, 0 until one
+    /// has: a cell keeps its segment while its last entry is unchanged,
+    /// so epoch tooling can tell stable cells from rewritten ones.
+    pub segment: u64,
 }
 
 /// What is durably on disk and what a failed flush left queued, guarded

@@ -11,6 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use store::{
     fsck, quarantine_ledger, DiskFaultConfig, FaultyBackend, MemBackend, StorageBackend, Store,
+    StoreSnapshot,
 };
 
 fn mem_dir() -> PathBuf {
@@ -43,29 +44,38 @@ fn cells() -> Vec<(u8, String, Vec<u8>)> {
         .collect()
 }
 
-/// Run the schedule, checkpointing every third put. Returns which cells
-/// were covered by a checkpoint that *reported success* before the first
-/// error stopped the run.
-fn run_schedule(store: &Store, cells: &[(u8, String, Vec<u8>)]) -> Vec<bool> {
-    store.set_checkpoint_every(usize::MAX); // only explicit checkpoints
-    let mut acked = vec![false; cells.len()];
+/// What a schedule run got acknowledged before its first error.
+struct Acked {
+    /// Which cells a seal that *reported success* covered.
+    cells: Vec<bool>,
+    /// Generation of the last seal that reported success (0: none did).
+    generation: u64,
+}
+
+/// Run the schedule, sealing every third put and once at the end.
+fn run_schedule(store: &Store, cells: &[(u8, String, Vec<u8>)]) -> Acked {
+    store.set_checkpoint_every(usize::MAX); // only explicit seals
+    let mut acked = Acked {
+        cells: vec![false; cells.len()],
+        generation: 0,
+    };
     let mut done = 0;
+    let mut seal = |done: usize| {
+        if let Ok(generation) = store.seal() {
+            acked.cells[..done].fill(true);
+            acked.generation = generation;
+        }
+    };
     for (i, (region, domain, payload)) in cells.iter().enumerate() {
         if store.put(*region, domain, payload).is_err() {
             break;
         }
         done = i + 1;
-        if i % 3 == 2 && store.checkpoint().is_ok() {
-            for slot in &mut acked[..done] {
-                *slot = true;
-            }
+        if i % 3 == 2 {
+            seal(done);
         }
     }
-    if store.checkpoint().is_ok() {
-        for slot in &mut acked[..done] {
-            *slot = true;
-        }
-    }
+    seal(done);
     acked
 }
 
@@ -130,6 +140,11 @@ impl StorageBackend for Recorder {
 
     fn file_exists(&self, path: &Path) -> bool {
         self.mem.file_exists(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.note(to);
+        self.mem.rename(from, to)
     }
 }
 
@@ -338,16 +353,23 @@ fn noop_fault_layer_leaves_every_file_identical() {
     Store::create_with(&dir, 2, &[], faulty.clone()).unwrap();
     let faulty_acked = run_schedule(&Store::open_with(&dir, faulty.clone()).unwrap(), &cells);
 
-    assert!(bare_acked.iter().all(|&a| a), "bare run acks every cell");
-    assert!(faulty_acked.iter().all(|&a| a), "noop run acks every cell");
+    assert!(
+        bare_acked.cells.iter().all(|&a| a),
+        "bare run acks every cell"
+    );
+    assert!(
+        faulty_acked.cells.iter().all(|&a| a),
+        "noop run acks every cell"
+    );
     assert!(faulty.trace().is_empty(), "rate 0 injects no fault");
     let files = bare.written();
     assert!(!files.is_empty(), "the schedule must write files");
     assert_eq!(files, disk.written(), "both runs write the same files");
     for path in &files {
+        // `.ok()`: a slot's temp file is written, then renamed away.
         assert_eq!(
-            bare.mem.read_file(path).unwrap(),
-            disk.mem.read_file(path).unwrap(),
+            bare.mem.read_file(path).ok(),
+            disk.mem.read_file(path).ok(),
             "cached bytes of {} differ",
             path.display()
         );
@@ -360,10 +382,13 @@ fn noop_fault_layer_leaves_every_file_identical() {
     }
 }
 
-/// The tentpole invariant, store-level: crash after every single mutated
-/// byte of the schedule; each crash state must fsck into a store whose
-/// payloads are exact, whose acked checkpoints survived, and which
-/// returns to the full set after re-putting the missing cells.
+/// The store-level crash invariant: crash after every single mutated
+/// byte of the schedule — inside a slot's temp write, its sync and its
+/// rename included. Each crash state must still serve the last seal
+/// that reported success (a crash between a slot's sync and its rename
+/// leaves the previous generation), then fsck into a store whose
+/// payloads are exact, whose acked seals survived, and which returns to
+/// the full set after re-putting the missing cells.
 #[test]
 fn every_crash_point_recovers_to_an_exact_store() {
     let dir = mem_dir();
@@ -377,11 +402,15 @@ fn every_crash_point_recovers_to_an_exact_store() {
     {
         let store = Store::open_with(&dir, probe.clone()).unwrap();
         let acked = run_schedule(&store, &cells);
-        assert!(acked.iter().all(|&a| a), "fault-free run acks everything");
+        assert!(
+            acked.cells.iter().all(|&a| a),
+            "fault-free run acks everything"
+        );
     }
     let total = probe.mutated_bytes();
     assert!(total > 0, "schedule must exercise the mutation clock");
 
+    let mut slot_crashes = BTreeSet::new();
     for crash_at in 1..=total {
         let mem = Arc::new(MemBackend::default());
         Store::create_with(&dir, 2, &[], mem.clone()).unwrap();
@@ -394,26 +423,42 @@ fn every_crash_point_recovers_to_an_exact_store() {
             let store = Store::open_with(&dir, faulty.clone()).unwrap();
             run_schedule(&store, &cells)
         };
-        assert!(
-            faulty
-                .trace()
-                .iter()
-                .any(|event| event.starts_with("crash ")),
-            "crash point {crash_at}/{total} must fire"
-        );
+        let trace = faulty.trace();
+        let crash = trace
+            .iter()
+            .find(|event| event.starts_with("crash "))
+            .unwrap_or_else(|| panic!("crash point {crash_at}/{total} must fire"));
+        for (needle, kind) in [
+            ("index.tmp during=write", "temp write"),
+            ("index.tmp during=append", "temp write"),
+            ("index.tmp during=sync", "temp sync"),
+            ("during=rename", "rename"),
+        ] {
+            if crash.contains(needle) {
+                slot_crashes.insert(kind);
+            }
+        }
 
-        // Power loss: unsynced bytes vanish; then scrub and reopen.
+        // Power loss: unsynced bytes vanish. The newest slot on disk is
+        // the last seal that reported success, whole.
         mem.crash();
+        let snapshot = StoreSnapshot::open_with(&dir, mem.clone())
+            .unwrap_or_else(|e| panic!("snapshot after crash at {crash_at}: {e}"));
+        assert_eq!(
+            snapshot.generation(),
+            acked.generation,
+            "crash at {crash_at} ({crash}) must leave the last acked seal served"
+        );
         fsck(&dir, mem.as_ref(), false)
             .unwrap_or_else(|e| panic!("fsck after crash at {crash_at}: {e}"));
         let store = Store::open_with(&dir, mem.clone())
             .unwrap_or_else(|e| panic!("reopen after crash at {crash_at}: {e}"));
         assert_payloads_exact(&store, &cells);
         for (i, (region, domain, _)) in cells.iter().enumerate() {
-            if acked[i] {
+            if acked.cells[i] {
                 assert!(
                     store.contains(*region, domain),
-                    "cell {domain} was acked by a checkpoint before the crash \
+                    "cell {domain} was acked by a seal before the crash \
                      at {crash_at} but did not survive"
                 );
             }
@@ -435,6 +480,11 @@ fn every_crash_point_recovers_to_an_exact_store() {
         );
         assert_payloads_exact(&store, &cells);
     }
+    assert_eq!(
+        slot_crashes.into_iter().collect::<Vec<_>>(),
+        ["rename", "temp sync", "temp write"],
+        "the sweep crashes inside every step of a slot write"
+    );
 }
 
 /// Random disk chaos (no crash): whatever mix of torn writes, bit rot,

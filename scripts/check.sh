@@ -86,6 +86,11 @@ PROPTEST_CASES=20000 cargo test -q -p langid --test equivalence --release --offl
 # linear scan, the original parser and the retain-based jar.
 PROPTEST_CASES=20000 cargo test -q -p httpsim --test equivalence --release --offline
 
+# Sealed-slot oracle at full strength: every slot the streamed seal
+# writes over random ledgers (re-puts, aborts, reopens), and the same
+# cells streamed in random small pieces, against the one-shot encoder.
+PROPTEST_CASES=20000 cargo test -q -p store --lib --release --offline slot_oracle
+
 # Detection-summary oracle at study scale (2,000 entries per list): the
 # verdict every ablation setting reads off a summary of the sweep's one
 # detection, against detecting afresh on each distinct German document
