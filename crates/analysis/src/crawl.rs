@@ -12,7 +12,9 @@
 //! matrix is drained. That pool, `par_matrix`, is the only one in the
 //! crate: a one-region crawl ([`crawl_region_with`]), the persistent sweep
 //! ([`crawl_all_regions_persistent`]), the variant pass, and the cookie and
-//! bypass measurements all run on it.
+//! bypass measurements all run on it. It stores results under one lock
+//! per lane, and each lane of records comes back in the buffer it was
+//! written to.
 //!
 //! ## The shared-fetch cache
 //!
@@ -23,19 +25,21 @@
 //! function of that document. Two vantage points that receive
 //! byte-identical documents would do byte-identical analysis work. The
 //! scheduler therefore keys a cache on the domain's and the document's
-//! [`document_hash`], and a hit must also match the stored record's
-//! domain. The navigation request is always dispatched (so origin servers
-//! observe every vantage point's visit and per-site counters advance
-//! exactly as in an uncached crawl), but the subresource loading, DOM
-//! parse, and BannerClick analysis run only once per distinct document:
-//! misses are single-flight, so a worker that reaches a document another
-//! worker is still analyzing waits for that record instead of redoing
-//! the work. A hit costs its navigation, one hash of the body, and one
-//! probe; the document's own `Set-Cookie` headers are never parsed, since
-//! only a load reads the jar. Regions that get geo-gated content (a wall
-//! hidden from a non-EU visitor) hash to a different key and are analyzed
-//! separately, so region-dependent observations are never shared by
-//! construction.
+//! [`document_hash`], and a hit must also match the domain the slot was
+//! analyzed for. The navigation request is always dispatched (so origin
+//! servers observe every vantage point's visit and per-site counters
+//! advance exactly as in an uncached crawl), but the subresource loading,
+//! DOM parse, and BannerClick analysis run only once per distinct
+//! document: misses are single-flight, so a worker that reaches a
+//! document another worker is still analyzing waits for that analysis
+//! instead of redoing the work. A hit costs its navigation, one hash of
+//! the body, and one probe; the document's own `Set-Cookie` headers are
+//! never parsed, since only a load reads the jar. A slot keeps a compact
+//! analyzed cell, not a record, and a hit's record allocates only its
+//! domain: the provider is shared. Regions that get geo-gated content (a
+//! wall hidden from a non-EU visitor) hash to a different key and are
+//! analyzed separately, so region-dependent observations are never shared
+//! by construction.
 //!
 //! ## Variant passes
 //!
@@ -59,11 +63,12 @@ use bannerclick::{
 };
 use browser::{Browser, FetchError, FetchedDocument, Page};
 use httpsim::{document_hash, Network, Region};
+use langid::Language;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
 use store::Store;
 
@@ -83,16 +88,20 @@ pub struct CrawlRecord {
     pub embedding: Option<ObservedEmbedding>,
     /// Extracted subscription price, EUR/month.
     pub monthly_eur: Option<f64>,
-    /// Observed consent-infrastructure host (SMP/CMP CDN).
-    pub provider: Option<String>,
+    /// Observed consent-infrastructure host (SMP/CMP CDN). Shared with
+    /// the [`bannerclick::SiteAnalysis`] it came from: every record of one
+    /// analyzed document, cache hits included, holds the same allocation.
+    pub provider: Option<Arc<str>>,
     /// Detected page language (ISO 639-1), from page + banner text.
     pub language: Option<&'static str>,
     /// Navigation attempts spent on this record (1 = first try succeeded;
-    /// 0 = skipped by an open circuit breaker). Excluded from serialized
-    /// reports: under concurrency the breaker may or may not fire first,
-    /// so this is diagnostic, not part of the measurement.
+    /// 0 = skipped by an open circuit breaker). It never exceeds one more
+    /// than [`MAX_RETRIES`], so it fits; the store codec still writes it
+    /// as 4 bytes. Excluded from serialized reports: under concurrency the
+    /// breaker may or may not fire first, so this is diagnostic, not part
+    /// of the measurement.
     #[serde(skip)]
-    pub attempts: u32,
+    pub attempts: u16,
     /// Why the crawl gave up, when it did. Excluded from the serialized
     /// record (the report-level [`FailureTaxonomy`] aggregates it) so the
     /// per-record JSON stays identical to a fault-free crawl.
@@ -170,7 +179,8 @@ impl FailureKind {
 pub struct RetryPolicy {
     /// Additional attempts after the first (0 disables retries *and* the
     /// circuit breaker — single-shot crawls match the pre-resilience
-    /// behaviour exactly).
+    /// behaviour exactly). A budget above [`MAX_RETRIES`] retries only
+    /// that often.
     pub max_retries: u32,
     /// Backoff before retry `n` is `base_backoff_ms << (n-1)` virtual ms.
     pub base_backoff_ms: u64,
@@ -192,10 +202,14 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Virtual backoff charged before retrying after `failures` failed
     /// attempts (1-based), exponential with a cap against shift overflow.
-    pub fn backoff_ms(&self, failures: u32) -> u64 {
+    pub fn backoff_ms(&self, failures: u16) -> u64 {
         self.base_backoff_ms << failures.saturating_sub(1).min(10)
     }
 }
+
+/// The largest retry budget that takes effect: a record's
+/// [`CrawlRecord::attempts`] then never exceeds `u16::MAX`.
+pub const MAX_RETRIES: u32 = u16::MAX as u32 - 1;
 
 /// Stripes of the domain-hash sharded fetch cache: two workers on
 /// domains in different stripes never contend on a common mutex.
@@ -637,13 +651,14 @@ fn with_retries<T>(
     domain: &str,
     counters: &mut WorkerCounters,
     mut attempt: impl FnMut(&mut Browser) -> Result<T, FetchError>,
-) -> Result<(T, u32), (FailureKind, u32)> {
+) -> Result<(T, u16), (FailureKind, u16)> {
     let host_key = httpsim::registrable_domain(domain).unwrap_or(domain);
     if res.breaker.is_open(host_key) {
         counters.breaker_skips += 1;
         return Err((FailureKind::Unreachable, 0));
     }
-    let mut attempts: u32 = 0;
+    let budget = res.policy.max_retries.min(MAX_RETRIES);
+    let mut attempts: u16 = 0;
     loop {
         attempts += 1;
         let browser = browser_slot.get_or_insert_with(|| vantage.browser());
@@ -656,7 +671,7 @@ fn with_retries<T>(
             }
             Ok(Ok(value)) => return Ok((value, attempts)),
             Ok(Err(err)) => {
-                if err.is_transient() && attempts <= res.policy.max_retries {
+                if err.is_transient() && u32::from(attempts) <= budget {
                     counters.retries += 1;
                     counters.backoff_virtual_ms += res.policy.backoff_ms(attempts);
                     continue;
@@ -704,6 +719,13 @@ fn crawl_one(
 /// drained, steals from the following lanes round-robin. The calling
 /// thread is worker 0, so a one-worker pass spawns no thread.
 ///
+/// Results go into one `Vec<Option<T>>` per lane behind one lock per
+/// lane, not a lock per cell: a worker holds it only to store a finished
+/// cell, and two workers meet on it only while both work that lane. For a
+/// `T` with a niche, such as [`CrawlRecord`], `Option<T>` is no larger
+/// than `T`, so each lane comes back as a `Vec<T>` collected in place, in
+/// the buffer it was written to, and the matrix is never held twice.
+///
 /// A task that returns `None` stops its worker: that cell, and every cell
 /// no worker goes on to claim, stays empty, and the matrix comes back
 /// `None`. A task that panics is not caught here. The other workers drain
@@ -718,8 +740,8 @@ pub(crate) fn par_matrix<S: Send, T: Send>(
     task: impl Fn(&mut S, usize, usize) -> Option<T> + Sync,
 ) -> (Option<Vec<Vec<T>>>, Vec<S>) {
     let cursors: Vec<AtomicUsize> = (0..lanes).map(|_| AtomicUsize::new(0)).collect();
-    let slots: Vec<Vec<parking_lot::Mutex<Option<T>>>> = (0..lanes)
-        .map(|_| (0..n).map(|_| parking_lot::Mutex::new(None)).collect())
+    let slots: Vec<parking_lot::Mutex<Vec<Option<T>>>> = (0..lanes)
+        .map(|_| parking_lot::Mutex::new(std::iter::repeat_with(|| None).take(n).collect()))
         .collect();
     let claim = |home: usize| {
         (0..lanes).map(|k| (home + k) % lanes).find_map(|lane| {
@@ -734,7 +756,7 @@ pub(crate) fn par_matrix<S: Send, T: Send>(
             let Some(out) = task(&mut state, lane, i) else {
                 break;
             };
-            *slots[lane][i].lock() = Some(out);
+            slots[lane].lock()[i] = Some(out);
         }
         state
     };
@@ -747,15 +769,9 @@ pub(crate) fn par_matrix<S: Send, T: Send>(
         }
         states
     });
-    // Each lane is collected in place, into its own slot buffer, so the
-    // matrix is never held twice.
     let cells = slots
         .into_iter()
-        .map(|lane| {
-            lane.into_iter()
-                .map(parking_lot::Mutex::into_inner)
-                .collect()
-        })
+        .map(|lane| lane.into_inner().into_iter().collect())
         .collect();
     (cells, states)
 }
@@ -1258,7 +1274,9 @@ fn replay_restored(
             // A restored record fills a vacant or pending slot (waking
             // its waiters) and never waits.
             let key = CacheKey::new(domain, &fetched);
-            cache.stripe(key).fill(key, record, None);
+            cache
+                .stripe(key)
+                .fill(key, domain, Analyzed::restored(record));
         }
         Ok(())
     });
@@ -1270,11 +1288,13 @@ fn replay_restored(
 
 /// Shared-fetch cache: `(domain hash, document hash)` → slot, split into
 /// [`STRIPES`] stripes by the domain hash. A slot is either pending (a
-/// worker is loading that document) or holds the finished record, which
-/// a hit checks against its own domain, plus the [`DetectionSummary`] of
-/// the miss that analyzed it (a restored record has none). The hit/miss
-/// tallies live inside each stripe — bumped under the stripe lock the
-/// probe already holds — and are summed only at read-out.
+/// worker is loading that document) or ready: it holds the analyzed
+/// domain, which a hit checks against its own so a hash collision never
+/// shares a record, and an [`Analyzed`] cell, not a [`CrawlRecord`]. A
+/// hit builds its record from that cell with its own domain, so the
+/// domain is all it allocates. The hit/miss tallies live inside each
+/// stripe — bumped under the stripe lock the probe already holds — and
+/// are summed only at read-out.
 ///
 /// Misses are single-flight. The first worker to miss a key installs a
 /// pending slot and leads: it loads, analyzes, and fills the slot, or, if
@@ -1325,7 +1345,75 @@ struct StripeState {
 enum Slot {
     /// A leader is loading and analyzing the document.
     Pending,
-    Ready(CrawlRecord, Option<DetectionSummary>),
+    /// The domain that was analyzed, and what its analysis found.
+    Ready(Box<str>, Analyzed),
+}
+
+/// What a cache slot keeps of an analyzed document: the observations a
+/// hit's record copies, and the [`DetectionSummary`] of the miss's one
+/// detection (a restored record has none). The provider is shared and the
+/// language is one byte, so a record built from it allocates only its
+/// domain.
+struct Analyzed {
+    banner: bool,
+    cookiewall: bool,
+    embedding: Option<ObservedEmbedding>,
+    language: Option<Language>,
+    monthly_eur: Option<f64>,
+    provider: Option<Arc<str>>,
+    summary: Option<DetectionSummary>,
+}
+
+impl Analyzed {
+    /// What one detection pass finds on `domain`'s loaded page.
+    fn of_page(tool: &BannerClick, domain: &str, page: &Page) -> Analyzed {
+        let (analysis, summary) = tool.analyze_summarized(domain, page);
+        // Language identification over page prose plus banner copy —
+        // the CLD3 step of §4.1.
+        let mut text = page.main_text();
+        if let Some(b) = &analysis.banner {
+            text.push(' ');
+            text.push_str(&b.text);
+        }
+        Analyzed {
+            banner: analysis.banner_detected(),
+            cookiewall: analysis.cookiewall_detected(),
+            embedding: analysis.embedding(),
+            language: langid::detect(&text).map(|d| d.language),
+            monthly_eur: analysis.price().map(|p| p.monthly_eur),
+            provider: analysis.provider,
+            summary,
+        }
+    }
+
+    /// The observations of a reachable record restored from a store.
+    fn restored(record: &CrawlRecord) -> Analyzed {
+        Analyzed {
+            banner: record.banner,
+            cookiewall: record.cookiewall,
+            embedding: record.embedding,
+            language: record.language.and_then(Language::from_code),
+            monthly_eur: record.monthly_eur,
+            provider: record.provider.clone(),
+            summary: None,
+        }
+    }
+
+    /// The record of `domain`'s cell, reached on the first attempt.
+    fn record(&self, domain: &str) -> CrawlRecord {
+        CrawlRecord {
+            domain: domain.to_string(),
+            reachable: true,
+            banner: self.banner,
+            cookiewall: self.cookiewall,
+            embedding: self.embedding,
+            monthly_eur: self.monthly_eur,
+            provider: self.provider.clone(),
+            language: self.language.map(Language::code),
+            attempts: 1,
+            failure: None,
+        }
+    }
 }
 
 /// What a settled cache probe decided for one cell.
@@ -1340,7 +1428,7 @@ enum Claim<'a> {
 }
 
 /// A miss's leadership of its pending slot. [`Lead::fill`] publishes the
-/// record; dropping it unfilled — a failed attempt, or an unwind through
+/// analysis; dropping it unfilled — a failed attempt, or an unwind through
 /// the retry loop's `catch_unwind` — clears the slot for a waiter to take
 /// over. Both wake the stripe's waiters.
 struct Lead<'a> {
@@ -1350,8 +1438,8 @@ struct Lead<'a> {
 }
 
 impl Lead<'_> {
-    fn fill(mut self, record: &CrawlRecord, summary: Option<DetectionSummary>) {
-        self.stripe.fill(self.key, record, summary);
+    fn fill(mut self, domain: &str, cell: Analyzed) {
+        self.stripe.fill(self.key, domain, cell);
         self.filled = true;
     }
 }
@@ -1375,9 +1463,9 @@ impl CacheStripe {
     ) -> Option<Claim<'a>> {
         match state.slots.get(&key) {
             Some(Slot::Pending) => None,
-            Some(Slot::Ready(record, _)) if record.domain == domain => {
+            Some(Slot::Ready(analyzed, cell)) if **analyzed == *domain => {
                 state.hits += 1;
-                Some(Claim::Hit(record.clone()))
+                Some(Claim::Hit(cell.record(domain)))
             }
             Some(Slot::Ready(..)) => {
                 state.misses += 1;
@@ -1395,13 +1483,13 @@ impl CacheStripe {
         }
     }
 
-    /// Fill `key`'s slot with `record` and its summary unless it already
-    /// holds a record, and wake the waiters.
-    fn fill(&self, key: CacheKey, record: &CrawlRecord, summary: Option<DetectionSummary>) {
+    /// Fill `key`'s slot with `domain`'s analyzed `cell` unless it is
+    /// already ready, and wake the waiters.
+    fn fill(&self, key: CacheKey, domain: &str, cell: Analyzed) {
         let mut state = self.state.lock();
         let slot = state.slots.entry(key).or_insert(Slot::Pending);
         if matches!(slot, Slot::Pending) {
-            *slot = Slot::Ready(record.clone(), summary);
+            *slot = Slot::Ready(domain.into(), cell);
         }
         drop(state);
         self.settled.notify_all();
@@ -1431,11 +1519,11 @@ impl FetchCache {
         self.enabled.then_some(self)
     }
 
-    /// The summary a miss stored with `domain`'s record under `key`, once
-    /// that slot is filled.
+    /// The summary a miss stored with `domain`'s analysis under `key`,
+    /// once that slot is filled.
     fn summary(&self, key: CacheKey, domain: &str) -> Option<DetectionSummary> {
         match self.stripe(key).state.lock().slots.get(&key) {
-            Some(Slot::Ready(record, summary)) if record.domain == domain => *summary,
+            Some(Slot::Ready(analyzed, cell)) if **analyzed == *domain => cell.summary,
             _ => None,
         }
     }
@@ -1489,7 +1577,7 @@ pub fn analyze_domain(tool: &BannerClick, browser: &mut Browser, domain: &str) -
 /// The main document is always fetched, so the origin sees the navigation.
 /// With a cache, the analysis of byte-identical content is then reused —
 /// or awaited from the worker already computing it — and only a miss
-/// completes the load and publishes its record.
+/// completes the load and publishes its analysis.
 fn try_analyze_domain(
     tool: &BannerClick,
     browser: &mut Browser,
@@ -1504,44 +1592,15 @@ fn try_analyze_domain(
     };
     // A failure or panic from here on drops `lead`, clearing its slot.
     let page = browser.load_fetched(&fetched)?;
-    let (record, summary) = record_from_page(tool, domain, &page);
+    let cell = Analyzed::of_page(tool, domain, &page);
+    let record = cell.record(domain);
     if let Some(lead) = lead {
-        lead.fill(&record, summary);
+        lead.fill(domain, cell);
     }
     Ok(record)
 }
 
-/// The record of a loaded page, and the summary of its one detection.
-fn record_from_page(
-    tool: &BannerClick,
-    domain: &str,
-    page: &browser::Page,
-) -> (CrawlRecord, Option<DetectionSummary>) {
-    let (analysis, summary) = tool.analyze_summarized(domain, page);
-    // Language identification over page prose plus banner copy —
-    // the CLD3 step of §4.1.
-    let mut text = page.main_text();
-    if let Some(b) = &analysis.banner {
-        text.push(' ');
-        text.push_str(&b.text);
-    }
-    let language = langid::detect(&text).map(|d| d.language.code());
-    let record = CrawlRecord {
-        domain: domain.to_string(),
-        reachable: true,
-        banner: analysis.banner_detected(),
-        cookiewall: analysis.cookiewall_detected(),
-        embedding: analysis.embedding(),
-        monthly_eur: analysis.price().map(|p| p.monthly_eur),
-        provider: analysis.provider,
-        language,
-        attempts: 1,
-        failure: None,
-    };
-    (record, summary)
-}
-
-fn failure_record(domain: &str, kind: FailureKind, attempts: u32) -> CrawlRecord {
+fn failure_record(domain: &str, kind: FailureKind, attempts: u16) -> CrawlRecord {
     CrawlRecord {
         domain: domain.to_string(),
         reachable: false,
@@ -1693,10 +1752,15 @@ mod tests {
         assert!(metrics.render().contains("crawl scheduler"));
     }
 
-    fn cached_record(domain: &str) -> CrawlRecord {
-        CrawlRecord {
+    fn cached_cell() -> Analyzed {
+        Analyzed {
             banner: true,
-            ..failure_record(domain, FailureKind::Panic, 1)
+            cookiewall: false,
+            embedding: None,
+            language: Some(Language::German),
+            monthly_eur: None,
+            provider: Some(Arc::from("cmp.example")),
+            summary: None,
         }
     }
 
@@ -1706,7 +1770,7 @@ mod tests {
     /// after the failure.
     #[test]
     fn failed_leader_hands_the_key_to_a_waiter_in_either_order() {
-        let record = cached_record("a.de");
+        let record = cached_cell().record("a.de");
         for waiter_arrives_first in [true, false] {
             let cache = FetchCache::new(true);
             let key = CacheKey {
@@ -1726,7 +1790,7 @@ mod tests {
                 panic!("a cleared slot is led by the next prober");
             };
             assert_eq!((cache.hits(), cache.misses()), (0, 2));
-            takeover.fill(&record, None);
+            takeover.fill("a.de", cached_cell());
             let Claim::Hit(hit) = cache.claim(key, "a.de") else {
                 panic!("a filled slot is a hit");
             };
@@ -1741,7 +1805,6 @@ mod tests {
     /// the same way.
     #[test]
     fn leader_unwind_wakes_a_waiter_to_lead() {
-        let record = cached_record("a.de");
         let cache = FetchCache::new(true);
         let key = CacheKey {
             domain: document_hash(b"a.de"),
@@ -1753,7 +1816,7 @@ mod tests {
             };
             let waiter = scope.spawn(|| match cache.claim(key, "a.de") {
                 Claim::Lead(takeover) => {
-                    takeover.fill(&record, None);
+                    takeover.fill("a.de", cached_cell());
                     true
                 }
                 _ => false,
@@ -1774,7 +1837,7 @@ mod tests {
     /// key holding another domain's record is a miss that bypasses it.
     #[test]
     fn restored_fill_settles_a_pending_slot_and_collisions_bypass() {
-        let record = cached_record("a.de");
+        let record = cached_cell().record("a.de");
         let cache = FetchCache::new(true);
         let key = CacheKey {
             domain: document_hash(b"a.de"),
@@ -1783,7 +1846,9 @@ mod tests {
         let Claim::Lead(lead) = cache.claim(key, "a.de") else {
             panic!("the first probe of a vacant key leads");
         };
-        cache.stripe(key).fill(key, &record, None);
+        cache
+            .stripe(key)
+            .fill(key, "a.de", Analyzed::restored(&record));
         drop(lead);
         assert!(matches!(cache.claim(key, "a.de"), Claim::Hit(r) if r == record));
         assert!(matches!(cache.claim(key, "b.de"), Claim::Bypass));
@@ -1818,6 +1883,92 @@ mod tests {
             let payload = run.expect_err("the panic propagates");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"analysis bug"));
         }
+    }
+
+    /// A task that stops mid-lane leaves its cell and every cell no worker
+    /// claims after it empty, so the matrix comes back `None`; the workers'
+    /// states still come back.
+    #[test]
+    fn a_task_that_stops_mid_lane_empties_the_matrix() {
+        for workers in [1, 2] {
+            let (cells, states) = par_matrix(
+                workers,
+                2,
+                16,
+                |home| home,
+                |_, lane, i| (lane != 1 || i != 5).then_some(i),
+            );
+            assert!(cells.is_none(), "{workers} workers");
+            assert_eq!(states.len(), workers);
+        }
+    }
+
+    /// The matrix is the same at 1, 2 and 4 workers over 3 lanes: at 2
+    /// workers the third lane has no home worker and both steal from it,
+    /// and at 4 workers two workers share lane 0 from the start.
+    #[test]
+    fn par_matrix_is_independent_of_the_worker_count() {
+        let want: Vec<Vec<usize>> = (0..3)
+            .map(|lane| (0..200).map(|i| lane * 1000 + i).collect())
+            .collect();
+        for workers in [1, 2, 4] {
+            let (cells, states) = par_matrix(
+                workers,
+                3,
+                200,
+                |_| 0usize,
+                |done, lane, i| {
+                    *done += 1;
+                    Some(lane * 1000 + i)
+                },
+            );
+            assert_eq!(cells.as_ref(), Some(&want), "{workers} workers");
+            assert_eq!(states.iter().sum::<usize>(), 600, "{workers} workers");
+        }
+    }
+
+    /// A record is at most 80 bytes, and a matrix slot no larger.
+    #[test]
+    fn a_record_is_at_most_80_bytes() {
+        assert!(std::mem::size_of::<CrawlRecord>() <= 80);
+        assert_eq!(
+            std::mem::size_of::<Option<CrawlRecord>>(),
+            std::mem::size_of::<CrawlRecord>()
+        );
+    }
+
+    /// A hit's record is the leader's, field for field, and shares the
+    /// leader's provider allocation.
+    #[test]
+    fn a_hit_copies_the_leaders_record_and_shares_its_provider() {
+        let (pop, net) = install_tiny();
+        let tool = BannerClick::new();
+        let cache = FetchCache::new(true);
+        let vantage = Vantage {
+            net: &net,
+            region: Region::Germany,
+            user_agent: None,
+        };
+        let visit = |domain: &str| {
+            try_analyze_domain(&tool, &mut vantage.browser(), domain, Some(&cache))
+                .expect("a fault-free fetch")
+        };
+        let (leader, hit) = pop
+            .merged_targets()
+            .iter()
+            .find_map(|domain| {
+                let leader = visit(domain);
+                let hit = visit(domain);
+                leader.provider.is_some().then_some((leader, hit))
+            })
+            .expect("tiny has a site with a provider");
+        // Field for field: `PartialEq` covers the serde-skipped fields too.
+        assert_eq!(hit, leader);
+        let (Some(a), Some(b)) = (&leader.provider, &hit.provider) else {
+            unreachable!("both records have a provider");
+        };
+        assert!(Arc::ptr_eq(a, b), "the hit shares the leader's provider");
+        assert_eq!(cache.hits(), cache.misses());
     }
 
     /// Requests a profile that navigates and never loads dispatches for

@@ -18,7 +18,7 @@
 //! monthly_eur: u8 tag + f64 bits when tag == 1
 //! provider:    u8 tag + (u16 length + UTF-8 bytes) when tag == 1
 //! language:    u8 tag + (u8 length + ISO 639-1 code) when tag == 1
-//! attempts:    u32
+//! attempts:    u32  (a `u16` in the record, widened on write)
 //! failure:     u8   0 none, 1..=7 one of [`FailureKind`]
 //! ```
 
@@ -26,6 +26,7 @@ use crate::crawl::{CrawlRecord, FailureKind};
 use bannerclick::ObservedEmbedding;
 use httpsim::content_hash;
 use langid::Language;
+use std::sync::Arc;
 
 /// Codec version written into every payload; bumped on layout changes so
 /// `open`-ed stores from an incompatible build fail loudly instead of
@@ -80,7 +81,7 @@ pub fn encode_record(record: &CrawlRecord) -> Vec<u8> {
             out.extend_from_slice(code.as_bytes());
         }
     }
-    out.extend_from_slice(&record.attempts.to_le_bytes());
+    out.extend_from_slice(&u32::from(record.attempts).to_le_bytes());
     out.push(match record.failure {
         None => 0,
         Some(FailureKind::Unreachable) => 1,
@@ -107,7 +108,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<CrawlRecord, String> {
             "unsupported record codec version {version} (expected {CODEC_VERSION})"
         ));
     }
-    let domain = cur.str16()?;
+    let domain = cur.str16()?.to_string();
     let flags = cur.u8()?;
     if flags & !0b111 != 0 {
         return Err(format!("unknown flag bits 0x{flags:02x}"));
@@ -126,7 +127,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<CrawlRecord, String> {
     };
     let provider = match cur.u8()? {
         0 => None,
-        1 => Some(cur.str16()?),
+        1 => Some(Arc::from(cur.str16()?)),
         n => return Err(format!("unknown provider tag {n}")),
     };
     let language = match cur.u8()? {
@@ -134,13 +135,15 @@ pub fn decode_record(bytes: &[u8]) -> Result<CrawlRecord, String> {
         1 => {
             let len = cur.u8()? as usize;
             let code = cur.str_exact(len)?;
-            let lang = Language::from_code(&code)
+            let lang = Language::from_code(code)
                 .ok_or_else(|| format!("unknown language code {code:?}"))?;
             Some(lang.code())
         }
         n => return Err(format!("unknown language tag {n}")),
     };
     let attempts = u32::from_le_bytes(cur.array()?);
+    let attempts =
+        u16::try_from(attempts).map_err(|_| format!("attempts {attempts} out of range"))?;
     let failure = match cur.u8()? {
         0 => None,
         1 => Some(FailureKind::Unreachable),
@@ -183,7 +186,7 @@ struct Cursor<'a> {
     pos: usize,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
     fn u8(&mut self) -> Result<u8, String> {
         let b = *self
             .bytes
@@ -203,7 +206,7 @@ impl Cursor<'_> {
         Ok(slice.try_into().expect("slice length checked"))
     }
 
-    fn str_exact(&mut self, len: usize) -> Result<String, String> {
+    fn str_exact(&mut self, len: usize) -> Result<&'a str, String> {
         let end = self
             .pos
             .checked_add(len)
@@ -213,10 +216,10 @@ impl Cursor<'_> {
             .get(self.pos..end)
             .ok_or_else(|| "truncated record".to_string())?;
         self.pos = end;
-        String::from_utf8(slice.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
+        std::str::from_utf8(slice).map_err(|_| "non-UTF-8 string".to_string())
     }
 
-    fn str16(&mut self) -> Result<String, String> {
+    fn str16(&mut self) -> Result<&'a str, String> {
         let len = u16::from_le_bytes(self.array()?) as usize;
         self.str_exact(len)
     }
@@ -234,7 +237,7 @@ mod tests {
             cookiewall: true,
             embedding: Some(ObservedEmbedding::Iframe),
             monthly_eur: Some(3.49),
-            provider: Some("cmp.consentgrid.example".to_string()),
+            provider: Some(Arc::from("cmp.consentgrid.example")),
             language: Some(Language::German.code()),
             attempts: 2,
             failure: None,
@@ -246,6 +249,28 @@ mod tests {
         let rec = sample();
         let decoded = decode_record(&encode_record(&rec)).unwrap();
         assert_eq!(decoded, rec);
+    }
+
+    /// The codec's bytes for a record with a provider, a price and a
+    /// retried attempt count, written out by hand from the layout above.
+    #[test]
+    fn encoding_is_pinned() {
+        let mut want = vec![1, 12, 0];
+        want.extend_from_slice(b"news.example");
+        want.extend_from_slice(&[7, 2, 1, 0xec, 0x51, 0xb8, 0x1e, 0x85, 0xeb, 0x0b, 0x40]);
+        want.extend_from_slice(&[1, 23, 0]);
+        want.extend_from_slice(b"cmp.consentgrid.example");
+        want.extend_from_slice(&[1, 2, b'd', b'e', 2, 0, 0, 0, 0]);
+        assert_eq!(encode_record(&sample()), want);
+    }
+
+    #[test]
+    fn attempts_beyond_u16_are_rejected() {
+        let mut bytes = encode_record(&sample());
+        let at = bytes.len() - 5;
+        bytes[at..at + 4].copy_from_slice(&65_536u32.to_le_bytes());
+        let err = decode_record(&bytes).unwrap_err();
+        assert!(err.contains("attempts"), "{err}");
     }
 
     #[test]
@@ -284,7 +309,7 @@ mod tests {
                 },
                 provider: None,
                 language: None,
-                attempts: i as u32,
+                attempts: i as u16,
                 failure,
             };
             let decoded = decode_record(&encode_record(&rec)).unwrap();

@@ -349,7 +349,7 @@ mod tests {
             cookiewall: wall,
             embedding: None,
             monthly_eur: eur,
-            provider: wall.then(|| "consent.example".to_string()),
+            provider: wall.then(|| "consent.example".into()),
             language: Some("de"),
             attempts: 1,
             failure: None,

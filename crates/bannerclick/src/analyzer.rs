@@ -8,7 +8,7 @@ use crate::pricing::PriceQuote;
 use crate::summary::DetectionSummary;
 use browser::{Browser, Page, VisitError};
 use httpsim::Url;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use webdom::{NodeId, SelectorList};
 
 /// Detector + classifier configuration.
@@ -128,8 +128,9 @@ pub struct SiteAnalysis {
     /// Cookiewall classification of the banner text.
     pub classification: Option<WallClassification>,
     /// Observed third-party consent infrastructure host (SMP CDN, CMP
-    /// host), from iframe/script sources.
-    pub provider: Option<String>,
+    /// host), from iframe/script sources. Shared, so every record of
+    /// this document holds the one allocation.
+    pub provider: Option<Arc<str>>,
     /// §4.5 page observations.
     pub page_flags: PageFlags,
 }
@@ -173,7 +174,7 @@ impl SiteAnalysis {
 /// banner/wall from iframe and script sources — the signal §4.4 uses to
 /// attribute walls to SMPs. Iframes are searched before scripts, each in
 /// document order, over the main frame's light DOM, in one walk.
-pub fn observed_provider(page: &Page) -> Option<String> {
+pub fn observed_provider(page: &Page) -> Option<Arc<str>> {
     static SELECTORS: OnceLock<[SelectorList; 2]> = OnceLock::new();
     let [iframes, scripts] = SELECTORS.get_or_init(|| {
         ["iframe[src]", "script[src]"]
@@ -195,7 +196,7 @@ pub fn observed_provider(page: &Page) -> Option<String> {
 
 /// The host serving element `node`'s source, if it is a third party's
 /// wall or banner.
-fn provider_host(page: &Page, node: NodeId) -> Option<String> {
+fn provider_host(page: &Page, node: NodeId) -> Option<Arc<str>> {
     let main = &page.frames[0].doc;
     let src = main
         .attr(node, "src")
@@ -208,5 +209,5 @@ fn provider_host(page: &Page, node: NodeId) -> Option<String> {
     let url = Url::parse(src).ok()?;
     let third_party = !httpsim::same_site(url.host(), page.host());
     (third_party && (url.path().contains("wall") || url.path().contains("banner")))
-        .then(|| url.host().to_string())
+        .then(|| Arc::from(url.host()))
 }

@@ -1,7 +1,9 @@
 //! The workspace call graph: call-site extraction from function bodies,
 //! path-based resolution (final path segment + `use`-alias tracking, with
-//! a receiver-type hint for method calls), and a generic fact-propagation
-//! fixpoint the interprocedural rules (R6–R8) share.
+//! a receiver-type hint for method calls, and a path's last qualifier
+//! taken as an owner type or else a module of the caller's crate), and a
+//! generic fact-propagation fixpoint the interprocedural rules (R6–R8)
+//! share.
 //!
 //! Resolution is scoped by crate: a call resolves only to functions of
 //! its own crate and the crates that crate depends on ([`Crates`]), plus
@@ -209,13 +211,18 @@ impl Model {
         }
 
         // Name indexes for resolution.
-        let mut by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
-        let mut by_owner_name: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new();
+        let mut names = Names::default();
         for (id, f) in fns.iter().enumerate() {
-            by_name.entry(&f.name).or_default().push(id);
-            if let Some(owner) = &f.owner {
-                by_owner_name.entry((owner, &f.name)).or_default().push(id);
-            }
+            names.by_name.entry(&f.name).or_default().push(id);
+            let ids = match &f.owner {
+                Some(owner) => names.by_owner_name.entry((owner, &f.name)).or_default(),
+                None => {
+                    let path = files[f.file].path.as_str();
+                    let key = (Crates::crate_of(path), module_of(path), f.name.as_str());
+                    names.by_module_name.entry(key).or_default()
+                }
+            };
+            ids.push(id);
         }
 
         let mut calls = Vec::with_capacity(fns.len());
@@ -235,7 +242,7 @@ impl Model {
                 })
             });
             for site in &mut sites {
-                site.target = match resolve(site, f, file, aliases, &by_name, &by_owner_name) {
+                site.target = match resolve(site, f, file, aliases, &names) {
                     CallTarget::Resolved(mut ids) => {
                         ids.retain(|&id| scope.visible(f.file, &fns[id]));
                         if ids.is_empty() {
@@ -290,15 +297,43 @@ impl Model {
     }
 }
 
+/// The workspace's functions by name, for resolution.
+#[derive(Default)]
+struct Names<'a> {
+    /// Every function, by name.
+    by_name: BTreeMap<&'a str, Vec<FnId>>,
+    /// Associated functions and methods, by `(owner type, name)`.
+    by_owner_name: BTreeMap<(&'a str, &'a str), Vec<FnId>>,
+    /// Free functions, by `(crate, module, name)` ([`module_of`] their
+    /// file).
+    by_module_name: BTreeMap<(Option<&'a str>, &'a str, &'a str), Vec<FnId>>,
+}
+
+/// The module a workspace file holds, as a path call names it: the file
+/// stem, the directory of a `mod.rs`, and `crate` for a crate root.
+/// Inline `mod m { … }` blocks are not told apart from their file.
+fn module_of(path: &str) -> &str {
+    let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+    match file {
+        "lib.rs" | "main.rs" => "crate",
+        "mod.rs" => dir.rsplit('/').next().unwrap_or(dir),
+        _ => file.strip_suffix(".rs").unwrap_or(file),
+    }
+}
+
 /// Resolve one call site against the workspace indexes.
 fn resolve(
     site: &CallSite,
     caller: &FnDef,
     file: &SourceFile,
     aliases: &[(String, String)],
-    by_name: &BTreeMap<&str, Vec<FnId>>,
-    by_owner_name: &BTreeMap<(&str, &str), Vec<FnId>>,
+    names: &Names<'_>,
 ) -> CallTarget {
+    let Names {
+        by_name,
+        by_owner_name,
+        by_module_name,
+    } = names;
     // `use x as y` — calls through the alias resolve to the original.
     let name = aliases
         .iter()
@@ -352,16 +387,22 @@ fn resolve(
     }
 
     // `Type::assoc(...)` — the last qualifier segment names the owner
-    // (`Self` meaning the enclosing impl type). A qualified call whose
-    // owner is not a workspace type targets std/vendored code: Unknown,
-    // never the same-named fns of unrelated workspace types.
+    // (`Self` meaning the enclosing impl type). Failing that,
+    // `module::f(...)` (`crate::f(...)` for the crate root) names a free
+    // fn of that module in the caller's crate. Any other qualified call
+    // targets std, vendored or another crate's code: Unknown, never the
+    // same-named fns of unrelated workspace types.
     if let Some(owner) = site.qualifier.last() {
         let owner = if owner == "Self" {
             caller.owner.as_deref().unwrap_or(owner)
         } else {
             owner
         };
-        return match by_owner_name.get(&(owner, name)) {
+        let module = (Crates::crate_of(&file.path), owner, name);
+        return match by_owner_name
+            .get(&(owner, name))
+            .or_else(|| by_module_name.get(&module))
+        {
             Some(ids) => CallTarget::Resolved(ids.clone()),
             None => CallTarget::Unknown,
         };
@@ -807,6 +848,44 @@ mod tests {
         let a = fn_id(&m, "a");
         let real = fn_id(&m, "real");
         assert_eq!(m.calls[a][0].target, CallTarget::Resolved(vec![real]));
+    }
+
+    #[test]
+    fn module_paths_resolve_to_free_fns_of_the_callers_crate() {
+        let files = vec![
+            SourceFile::parse(
+                "crates/a/src/lib.rs".to_string(),
+                "fn root() {}
+fn top() { index::write(); crate::root(); other::write(); }",
+                &[],
+            ),
+            SourceFile::parse("crates/a/src/index.rs".to_string(), "fn write() {}", &[]),
+            SourceFile::parse("crates/b/src/index.rs".to_string(), "fn write() {}", &[]),
+            SourceFile::parse(
+                "crates/a/src/other/mod.rs".to_string(),
+                "fn write() {}",
+                &[],
+            ),
+        ];
+        let m = Model::build(&files, Crates::default());
+        let id = |path: &str, name: &str| {
+            m.fns
+                .iter()
+                .position(|f| files[f.file].path == path && f.name == name)
+                .unwrap()
+        };
+        let targets: Vec<&CallTarget> = m.calls[id("crates/a/src/lib.rs", "top")]
+            .iter()
+            .map(|s| &s.target)
+            .collect();
+        assert_eq!(
+            targets,
+            [
+                &CallTarget::Resolved(vec![id("crates/a/src/index.rs", "write")]),
+                &CallTarget::Resolved(vec![id("crates/a/src/lib.rs", "root")]),
+                &CallTarget::Resolved(vec![id("crates/a/src/other/mod.rs", "write")]),
+            ]
+        );
     }
 
     #[test]

@@ -72,6 +72,13 @@ fn r7_blocking_under_lock_fires_exactly_once() {
 }
 
 #[test]
+fn r7_module_path_call_under_lock_fires_exactly_once() {
+    // `m::blocking()` resolves to the free fn of the crate's `m` module,
+    // so the `write_all` it reaches counts as blocking under the guard.
+    fires_exactly_once("r7-module-path", "blocking-under-lock");
+}
+
+#[test]
 fn r7_backend_io_under_lock_fires_exactly_once() {
     // StorageBackend IO methods are blocking roots too: a guard held
     // across `sync_file` must fire no matter which backend is plugged in.

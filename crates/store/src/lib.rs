@@ -112,7 +112,7 @@ pub use recovery::{fsck, quarantine_ledger, FsckReport, QuarantinedCell};
 pub use snapshot::StoreSnapshot;
 
 use httpsim::content_hash;
-use index::{write_slot, IndexEntry, SlotState, INDEX_SLOTS};
+use index::{IndexEntry, SlotState, INDEX_SLOTS};
 use journal::{encode_record, shard_path, JOURNAL_FILE, META_FILE, SHARD_DIR};
 use parking_lot::Mutex;
 use state::{Buffer, DiskState, LedgerEntry};
@@ -473,7 +473,7 @@ impl Store {
         });
         let slot = (generation % INDEX_SLOTS as u64) as usize;
         // lint:allow(blocking-under-lock) — `seal_state` and `io` exist to order these appends and slot writes; puts only `try_lock` `io`
-        write_slot(
+        index::write_slot(
             &self.dir,
             self.backend.as_ref(),
             slot,

@@ -309,19 +309,45 @@ impl fmt::Display for WallText<'_> {
 
 /// Copy for the decoy hard paywall (a *false positive* trap): mentions a
 /// subscription price **and** the word "cookies" in passing, but offers no
-/// accept-tracking alternative — it is a paywall, not a cookiewall.
-pub fn decoy_paywall_text(lang: Language, site_name: &str, price: &PriceSpec) -> String {
-    let price_str = format_price(lang, price);
-    let period = period_phrase(lang, price.period);
-    match lang {
-        Language::German => format!(
-            "Dieser Artikel ist Teil von {site_name} Plus. Lesen Sie alle Premium-Artikel \
-             für {price_str} {period}. Hinweis: Diese Website verwendet technisch notwendige Cookies."
-        ),
-        _ => format!(
-            "This article is part of {site_name} Plus. Read all premium stories for \
-             {price_str} {period}. Note: this website uses technically necessary cookies."
-        ),
+/// accept-tracking alternative — it is a paywall, not a cookiewall. Like
+/// [`wall_text`], the copy writes itself through [`fmt::Display`].
+pub fn decoy_paywall_text<'a>(
+    lang: Language,
+    site_name: &'a str,
+    price: &'a PriceSpec,
+) -> DecoyText<'a> {
+    DecoyText {
+        lang,
+        site_name,
+        price,
+    }
+}
+
+/// A decoy paywall's copy; see [`decoy_paywall_text`].
+#[derive(Debug, Clone, Copy)]
+pub struct DecoyText<'a> {
+    lang: Language,
+    site_name: &'a str,
+    price: &'a PriceSpec,
+}
+
+impl fmt::Display for DecoyText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let site_name = self.site_name;
+        let price_str = format_price(self.lang, self.price);
+        let period = period_phrase(self.lang, self.price.period);
+        match self.lang {
+            Language::German => write!(
+                f,
+                "Dieser Artikel ist Teil von {site_name} Plus. Lesen Sie alle Premium-Artikel \
+                 für {price_str} {period}. Hinweis: Diese Website verwendet technisch notwendige Cookies."
+            ),
+            _ => write!(
+                f,
+                "This article is part of {site_name} Plus. Read all premium stories for \
+                 {price_str} {period}. Note: this website uses technically necessary cookies."
+            ),
+        }
     }
 }
 
@@ -421,7 +447,8 @@ mod tests {
 
     #[test]
     fn decoy_has_price_and_cookie_word() {
-        let t = decoy_paywall_text(Language::German, "blatt.de", &eur(499, Period::Month));
+        let price = eur(499, Period::Month);
+        let t = decoy_paywall_text(Language::German, "blatt.de", &price).to_string();
         assert!(t.contains("4,99 €"));
         assert!(t.to_lowercase().contains("cookies"));
     }

@@ -36,7 +36,8 @@ mod trackers;
 
 pub use content::{
     accept_label, adblock_message, banner_text, body_sentences, decoy_paywall_text, format_price,
-    period_phrase, reject_label, settings_label, subscribe_label, wall_text, PriceText, WallText,
+    period_phrase, reject_label, settings_label, subscribe_label, wall_text, DecoyText, PriceText,
+    WallText,
 };
 pub use names::{domain_name, rng_for, stable_hash, stable_shuffle};
 pub use population::{Population, PopulationConfig, Toplist};

@@ -377,7 +377,11 @@ fn render_consent_ui(body: &mut String, site: &SiteSpec) {
                 currency: crate::spec::Currency::Eur,
                 period: crate::spec::Period::Month,
             };
-            body.push_str(&content::decoy_paywall_text(lang, domain, &price));
+            let _ = write!(
+                body,
+                "{}",
+                content::decoy_paywall_text(lang, domain, &price)
+            );
             body.push_str("</p><a href=\"/subscribe\" class=\"paywall-cta\">");
             body.push_str(content::subscribe_label(lang));
             body.push_str("</a></div>");

@@ -24,6 +24,7 @@
 //! `Flags::value_in`, and return `Result<(), String>`; `main` prints an `Err`
 //! as `error: …` and exits with status 1.
 
+use analysis::crawl::MAX_RETRIES;
 use analysis::experiments::longitudinal;
 use analysis::persist::targets_hash;
 use analysis::{CheckpointPolicy, FailureTaxonomy, Study};
@@ -126,7 +127,8 @@ fn print_help() {
          \u{20}  --fault-permanent F  probability a domain is dead for the whole run; default 0\n\
          \u{20}  --fault-seed N       seed for the deterministic fault schedule; default 0\n\
          \u{20}  --max-retries N      retry budget per navigation (exponential backoff in\n\
-         \u{20}                       virtual time, per-host circuit breaker); default 3\n\
+         \u{20}                       virtual time, per-host circuit breaker); default 3,\n\
+         \u{20}                       at most 65534\n\
          \n\
          Faults are deterministic: same seed, same rates, same injected chaos. With\n\
          only transient faults and retries enabled, the report is byte-identical to\n\
@@ -403,12 +405,16 @@ impl StudySpec {
                 permanent_rate: permanent.unwrap_or(0.0),
                 ..FaultConfig::new(seed.unwrap_or(0))
             });
+        let max_retries = flags.value_in::<u32>("--max-retries", .., "a non-negative integer")?;
+        if let Some(n) = max_retries.filter(|&n| n > MAX_RETRIES) {
+            return Err(format!("--max-retries is at most {MAX_RETRIES}, got {n}"));
+        }
         Ok(StudySpec {
             config,
             scale: scale.to_string(),
             epoch,
             fault,
-            max_retries: flags.value_in::<u32>("--max-retries", .., "a non-negative integer")?,
+            max_retries,
         })
     }
 
@@ -426,12 +432,19 @@ impl StudySpec {
                 ..FaultConfig::new(seed)
             }),
         };
+        // A budget the CLI refuses is refused here too, not truncated.
+        let max_retries = meta::<u32>(store, "max_retries")?;
+        if let Some(n) = max_retries.filter(|&n| n > MAX_RETRIES) {
+            return Err(format!(
+                "store has max_retries metadata {n}, above the largest retry budget {MAX_RETRIES}"
+            ));
+        }
         Ok(StudySpec {
             config: scale_config(scale)?.with_epoch(epoch),
             scale: scale.to_string(),
             epoch,
             fault,
-            max_retries: meta(store, "max_retries")?,
+            max_retries,
         })
     }
 

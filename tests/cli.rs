@@ -10,8 +10,9 @@
 //! flags given without a store. Every case fails before a population is
 //! built, so the whole list runs in well under a second.
 //!
-//! A second test checks that `stats` reports an unreadable quarantine
-//! ledger instead of counting it as empty.
+//! Two more tests check that `stats` reports an unreadable quarantine
+//! ledger instead of counting it as empty, and that `run --resume` refuses
+//! a store whose retry budget is above the bound instead of truncating it.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test cli`.
 
@@ -36,6 +37,7 @@ const CASES: &[&str] = &[
     "run --fault-permanent 2",
     "run --fault-seed x",
     "run --max-retries -1",
+    "run --max-retries 65535",
     "run --resume missing-store --scale tiny",
     "run --resume missing-store --epoch 1",
     "run --resume missing-store --fault-rate 0.1",
@@ -174,4 +176,32 @@ fn stats_reports_an_unreadable_quarantine_ledger() {
         "an unreadable ledger must not read as zero: {stdout}"
     );
     assert!(json.contains("\"quarantined\":{\"error\":\""), "{json}");
+}
+
+#[test]
+fn resume_rejects_a_stored_retry_budget_above_the_bound() {
+    let dir = std::env::temp_dir().join(format!("cookiewall-cli-retries-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let meta = [
+        ("scale".to_string(), "tiny".to_string()),
+        ("max_retries".to_string(), "65535".to_string()),
+    ];
+    drop(Store::create(&dir, 8, &meta).expect("create store"));
+
+    let output = Command::new(env!("CARGO_BIN_EXE_cookiewall-study"))
+        .arg("run")
+        .arg("--resume")
+        .arg(&dir)
+        .output()
+        .expect("spawn cookiewall-study");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(
+            "error: store has max_retries metadata 65535, above the largest retry budget 65534"
+        ),
+        "{stderr}"
+    );
 }
