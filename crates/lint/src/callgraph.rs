@@ -1,7 +1,8 @@
 //! The workspace call graph: call-site extraction from function bodies,
 //! path-based resolution (final path segment + `use`-alias tracking, with
 //! a receiver-type hint for method calls, and a path's last qualifier
-//! taken as an owner type or else a module of the caller's crate), and a
+//! taken as an owner type or else a module of the caller's crate, or of
+//! the dependency crate a path's first qualifier names), and a
 //! generic fact-propagation fixpoint the interprocedural rules (R6–R8)
 //! share.
 //!
@@ -218,7 +219,10 @@ impl Model {
                 Some(owner) => names.by_owner_name.entry((owner, &f.name)).or_default(),
                 None => {
                     let path = files[f.file].path.as_str();
-                    let key = (Crates::crate_of(path), module_of(path), f.name.as_str());
+                    let krate = Crates::crate_of(path);
+                    let key = (krate, f.name.as_str());
+                    names.by_crate_name.entry(key).or_default().push(id);
+                    let key = (krate, module_of(path), f.name.as_str());
                     names.by_module_name.entry(key).or_default()
                 }
             };
@@ -242,7 +246,7 @@ impl Model {
                 })
             });
             for site in &mut sites {
-                site.target = match resolve(site, f, file, aliases, &names) {
+                site.target = match resolve(site, f, file, aliases, &names, &scope.crates) {
                     CallTarget::Resolved(mut ids) => {
                         ids.retain(|&id| scope.visible(f.file, &fns[id]));
                         if ids.is_empty() {
@@ -307,6 +311,9 @@ struct Names<'a> {
     /// Free functions, by `(crate, module, name)` ([`module_of`] their
     /// file).
     by_module_name: BTreeMap<(Option<&'a str>, &'a str, &'a str), Vec<FnId>>,
+    /// Free functions, by `(crate, name)`: what a crate-root path may
+    /// name through a `pub use` re-export.
+    by_crate_name: BTreeMap<(Option<&'a str>, &'a str), Vec<FnId>>,
 }
 
 /// The module a workspace file holds, as a path call names it: the file
@@ -328,11 +335,13 @@ fn resolve(
     file: &SourceFile,
     aliases: &[(String, String)],
     names: &Names<'_>,
+    crates: &Crates,
 ) -> CallTarget {
     let Names {
         by_name,
         by_owner_name,
         by_module_name,
+        by_crate_name,
     } = names;
     // `use x as y` — calls through the alias resolve to the original.
     let name = aliases
@@ -389,8 +398,12 @@ fn resolve(
     // `Type::assoc(...)` — the last qualifier segment names the owner
     // (`Self` meaning the enclosing impl type). Failing that,
     // `module::f(...)` (`crate::f(...)` for the crate root) names a free
-    // fn of that module in the caller's crate. Any other qualified call
-    // targets std, vendored or another crate's code: Unknown, never the
+    // fn of that module in the caller's crate. A path whose first
+    // qualifier names a workspace library the caller's crate depends on
+    // names that crate instead: `krate::m::f(...)` its module `m`, and
+    // `krate::f(...)` its root or, failing that, every free fn `f` of the
+    // crate, one of which a root `pub use` re-exports. Any other
+    // qualified call targets std or vendored code: Unknown, never the
     // same-named fns of unrelated workspace types.
     if let Some(owner) = site.qualifier.last() {
         let owner = if owner == "Self" {
@@ -398,11 +411,21 @@ fn resolve(
         } else {
             owner
         };
-        let module = (Crates::crate_of(&file.path), owner, name);
+        let caller_crate = Crates::crate_of(&file.path);
+        let dependency = site.qualifier.first().map(String::as_str).filter(|&krate| {
+            Some(krate) != caller_crate
+                && crates.is_library(Some(krate))
+                && crates.sees(caller_crate, Some(krate))
+        });
+        let in_module = |krate, module| by_module_name.get(&(krate, module, name));
         return match by_owner_name
             .get(&(owner, name))
-            .or_else(|| by_module_name.get(&module))
-        {
+            .or_else(|| match dependency {
+                Some(krate) if site.qualifier.len() == 1 => in_module(Some(krate), "crate")
+                    .or_else(|| by_crate_name.get(&(Some(krate), name))),
+                Some(krate) => in_module(Some(krate), owner),
+                None => in_module(caller_crate, owner),
+            }) {
             Some(ids) => CallTarget::Resolved(ids.clone()),
             None => CallTarget::Unknown,
         };
@@ -884,6 +907,50 @@ fn top() { index::write(); crate::root(); other::write(); }",
                 &CallTarget::Resolved(vec![id("crates/a/src/index.rs", "write")]),
                 &CallTarget::Resolved(vec![id("crates/a/src/lib.rs", "root")]),
                 &CallTarget::Resolved(vec![id("crates/a/src/other/mod.rs", "write")]),
+            ]
+        );
+    }
+
+    #[test]
+    fn crate_paths_resolve_into_the_named_dependency() {
+        let files = vec![
+            SourceFile::parse(
+                "crates/a/src/lib.rs".to_string(),
+                "fn top() { b::root(); b::io::write(); c::root(); b::missing(); b::write(); }",
+                &[],
+            ),
+            SourceFile::parse("crates/b/src/lib.rs".to_string(), "fn root() {}", &[]),
+            SourceFile::parse("crates/b/src/io.rs".to_string(), "fn write() {}", &[]),
+            SourceFile::parse("crates/c/src/lib.rs".to_string(), "fn root() {}", &[]),
+        ];
+        let crates = Crates::new(&[
+            (
+                "a".into(),
+                "[package]\n[dependencies]\nb.workspace = true\n".into(),
+            ),
+            ("b".into(), "[package]\n".into()),
+            ("c".into(), "[package]\n".into()),
+        ]);
+        let m = Model::build(&files, crates);
+        let id = |path: &str, name: &str| {
+            m.fns
+                .iter()
+                .position(|f| files[f.file].path == path && f.name == name)
+                .unwrap()
+        };
+        let targets: Vec<&CallTarget> = m.calls[id("crates/a/src/lib.rs", "top")]
+            .iter()
+            .map(|s| &s.target)
+            .collect();
+        assert_eq!(
+            targets,
+            [
+                &CallTarget::Resolved(vec![id("crates/b/src/lib.rs", "root")]),
+                &CallTarget::Resolved(vec![id("crates/b/src/io.rs", "write")]),
+                &CallTarget::Unknown, // `a` does not depend on `c`
+                &CallTarget::Unknown,
+                // Not at `b`'s root: the `io` fn a `pub use` may re-export.
+                &CallTarget::Resolved(vec![id("crates/b/src/io.rs", "write")]),
             ]
         );
     }

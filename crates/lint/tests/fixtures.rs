@@ -79,6 +79,17 @@ fn r7_module_path_call_under_lock_fires_exactly_once() {
 }
 
 #[test]
+fn r7_crate_path_call_under_lock_fires_exactly_once() {
+    // `b::blocking()` resolves to the root fn of the `b` crate `a`
+    // depends on, so the `write_all` it reaches counts as blocking under
+    // the guard; `b::io::flush()` resolves to `b`'s `io` module and
+    // does not block.
+    fires_exactly_once("r7-cross-crate", "blocking-under-lock");
+    let report = run(&fixture("r7-cross-crate")).unwrap();
+    assert!(report.findings[0].message.contains("`blocking`"));
+}
+
+#[test]
 fn r7_backend_io_under_lock_fires_exactly_once() {
     // StorageBackend IO methods are blocking roots too: a guard held
     // across `sync_file` must fire no matter which backend is plugged in.

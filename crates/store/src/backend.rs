@@ -4,7 +4,10 @@
 //! * [`FsBackend`] — the real filesystem, exactly the IO the store always
 //!   did. Its `sync_file` is a no-op: the simulator's disk model treats a
 //!   completed `write_all` as durable, matching the pre-backend behavior
-//!   (and keeping the hot path free of real fsync stalls).
+//!   (and keeping the hot path free of real fsync stalls). Its ranged
+//!   reads keep each thread's last file handle open, so a resumed sweep
+//!   reading back every restored cell does not reopen the shard per
+//!   cell.
 //! * [`MemBackend`] — an in-memory filesystem that models the page-cache /
 //!   platter split: writes land in a cached image, `sync_file` copies it
 //!   to the durable image, `rename` moves both, and [`MemBackend::crash`]
@@ -17,9 +20,12 @@
 //!   seed, same fault trace — pinned by test.
 
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,6 +36,13 @@ use std::sync::Arc;
 pub trait StorageBackend: Send + Sync {
     /// Read a whole file. `NotFound` when it does not exist.
     fn read_file(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Read exactly `len` bytes of a file starting at `offset`. A range
+    /// that reaches past the file's end is an `UnexpectedEof` error,
+    /// never a shorter result. The default reads the whole file.
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        let bytes = self.read_file(path)?;
+        Ok(bytes[checked_range(bytes.len(), path, offset, len)?].to_vec())
+    }
     /// Create or replace a whole file.
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Append to a file, creating it when missing.
@@ -50,20 +63,71 @@ pub trait StorageBackend: Send + Sync {
     }
 }
 
+/// The index range of `len` bytes at `offset` in a file of `size`
+/// bytes, or the `UnexpectedEof` error of a range past its end.
+fn checked_range(size: usize, path: &Path, offset: u64, len: usize) -> io::Result<Range<usize>> {
+    let start = usize::try_from(offset).ok();
+    match start.and_then(|start| Some(start..start.checked_add(len)?)) {
+        Some(range) if range.end <= size => Ok(range),
+        _ => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "{len} bytes at {offset} run past the end of {} ({size} bytes)",
+                path.display()
+            ),
+        )),
+    }
+}
+
 /// The real filesystem.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FsBackend;
+
+/// Bumped by every [`FsBackend`] call that may create or replace a file,
+/// so a cached read handle never outlives the file it was opened on.
+static FS_WRITES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The file this thread's last [`FsBackend::read_range`] opened, with
+    /// its path and the [`FS_WRITES`] count it was opened at.
+    static LAST_READ: RefCell<Option<(u64, PathBuf, File)>> = const { RefCell::new(None) };
+}
+
+impl FsBackend {
+    fn wrote() {
+        FS_WRITES.fetch_add(1, Ordering::AcqRel);
+    }
+}
 
 impl StorageBackend for FsBackend {
     fn read_file(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::fs::read(path)
     }
 
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        let mut bytes = vec![0; len];
+        LAST_READ.with_borrow_mut(|last| {
+            let writes = FS_WRITES.load(Ordering::Acquire);
+            let file = match last {
+                Some((at, open, file)) if *at == writes && open == path => file,
+                _ => {
+                    &mut last
+                        .insert((writes, path.to_path_buf(), File::open(path)?))
+                        .2
+                }
+            };
+            file.read_exact_at(&mut bytes, offset)
+        })?;
+        Ok(bytes)
+    }
+
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        FsBackend::wrote();
         std::fs::write(path, bytes)
     }
 
     fn append_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        FsBackend::wrote();
         let mut file = OpenOptions::new().create(true).append(true).open(path)?;
         file.write_all(bytes)
     }
@@ -87,6 +151,7 @@ impl StorageBackend for FsBackend {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        FsBackend::wrote();
         std::fs::rename(from, to)
     }
 }
@@ -141,6 +206,16 @@ impl StorageBackend for MemBackend {
             .get(path)
             .map(|f| f.cached.clone())
             .ok_or_else(|| Self::not_found(path))
+    }
+
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        match self.files.lock().get(path) {
+            Some(file) => {
+                let range = checked_range(file.cached.len(), path, offset, len)?;
+                Ok(file.cached[range].to_vec())
+            }
+            None => Err(Self::not_found(path)),
+        }
     }
 
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -368,6 +443,25 @@ impl StorageBackend for FaultyBackend {
             }
             _ => Ok(bytes),
         }
+    }
+
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        self.dead()?;
+        // One decision per call, as for a whole-file read: a short read
+        // keeps a prefix of the range, which the store's length and hash
+        // checks reject.
+        let fault = self.decide("read", path);
+        let mut bytes = self.inner.read_range(path, offset, len)?;
+        if let Some(h) = fault.filter(|_| !bytes.is_empty()) {
+            let keep = (h % bytes.len() as u64) as usize;
+            self.record(format!(
+                "short-read path={} offset={offset} kept={keep}/{}",
+                path.display(),
+                bytes.len()
+            ));
+            bytes.truncate(keep);
+        }
+        Ok(bytes)
     }
 
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {

@@ -46,13 +46,30 @@
 //!
 //! ## Write path
 //!
-//! The in-memory side is one `Buffer` behind one mutex: the per-region
-//! domain index plus the puts accepted since the last flush, in put
-//! order. A flush takes those puts, gives each the shard offset after
-//! every byte already durable or queued for retry, encodes their journal
-//! records, and appends — so the journal lands in put order, its bytes
-//! are a pure function of the flushed sequence, and per-region shard
-//! offsets stay monotone in journal order.
+//! The in-memory side is one `Buffer` behind one mutex, and it holds
+//! keys, not payloads: the per-region domain index maps each stored cell
+//! to its `u32` ledger position, and the puts accepted since the last
+//! flush keep their payloads, in put order, until a flush takes them. A
+//! flush takes those puts and advances the buffer's `flushed` watermark,
+//! gives each the shard offset after every byte already durable or
+//! queued for retry, encodes their journal records, and appends — so the
+//! journal lands in put order, its bytes are a pure function of the
+//! flushed sequence, and per-region shard offsets stay monotone in
+//! journal order. Positions below the watermark index the durable ledger
+//! followed by the entries a failed flush left queued; that order holds
+//! because a failed flush retries in put order.
+//!
+//! ## Read path
+//!
+//! [`Store::get`] reads a payload back from wherever its bytes are. It
+//! copies the cell's position out under the buffer lock (or the payload
+//! itself, while no flush has taken it) and releases the lock. Under the
+//! io lock it finds the ledger entry, and slices the queued retry bytes
+//! when the extent is not yet durable. A durable extent is read after the
+//! io lock is released, with [`StorageBackend::read_range`], and handed
+//! out only if it hashes to the entry's payload hash; otherwise `get`
+//! returns `None` and the caller recomputes the cell. A read never holds
+//! two locks, and no backend call runs under a lock.
 //!
 //! ## Durability model
 //!
@@ -115,7 +132,7 @@ use httpsim::content_hash;
 use index::{IndexEntry, SlotState, INDEX_SLOTS};
 use journal::{encode_record, shard_path, JOURNAL_FILE, META_FILE, SHARD_DIR};
 use parking_lot::Mutex;
-use state::{Buffer, DiskState, LedgerEntry};
+use state::{Buffer, DiskState, Extent, LedgerEntry, Located};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -142,9 +159,8 @@ pub trait StoreRead {
     /// Fetch one stored payload (cloned), or `None` when absent.
     fn payload(&self, region: u8, domain: &str) -> Option<Vec<u8>>;
 
-    /// Visit every `(domain, payload)` of one region in domain order
-    /// without materializing the region into a vector. The callback
-    /// must not call back into the same store.
+    /// Visit every `(domain, payload)` of one region in domain order.
+    /// The callback runs with no lock of the store held.
     fn for_each_region_entry(&self, region: u8, f: &mut dyn FnMut(&str, &[u8]));
 }
 
@@ -164,8 +180,10 @@ struct SealState {
 /// another lock; a flush takes `buffer` briefly under `io`, and a seal
 /// holds `seal_state` and then `io` from its flush to its slot's rename
 /// — the may-hold-while-acquiring graph is `io → buffer` plus
-/// `seal_state → io`, which stays acyclic. A put never waits on the
-/// seal: its auto-flush only `try_lock`s `io` and defers.
+/// `seal_state → io`, which stays acyclic. A read takes `buffer`, then
+/// `io`, one at a time, and reads the disk with neither held. A put
+/// never waits on the seal: its auto-flush only `try_lock`s `io` and
+/// defers.
 pub struct Store {
     dir: PathBuf,
     regions: usize,
@@ -175,8 +193,8 @@ pub struct Store {
     /// Every byte of disk IO goes through here; [`FsBackend`] by default.
     backend: Arc<dyn StorageBackend>,
     checkpoint_every: AtomicUsize,
-    /// The in-memory side: the index every read answers from, plus the
-    /// puts not yet taken by a flush.
+    /// The in-memory side: every cell's ledger position, plus the puts
+    /// not yet taken by a flush.
     buffer: Mutex<Buffer>,
     /// Disk-side flush state. Single on purpose: one appender at a time
     /// keeps file appends in the same order as their journal offsets.
@@ -236,7 +254,7 @@ impl Store {
             meta_map: pairs.into_iter().collect(),
             backend,
             checkpoint_every: AtomicUsize::new(DEFAULT_CHECKPOINT_EVERY),
-            buffer: Mutex::new(Buffer::new(vec![BTreeMap::new(); regions])),
+            buffer: Mutex::new(Buffer::new(vec![BTreeMap::new(); regions], 0)),
             io: Mutex::new(DiskState::new(vec![0; regions], 0, Vec::new())),
             seal_state: Mutex::new(SealState {
                 next_generation: 1,
@@ -258,7 +276,7 @@ impl Store {
     pub fn open_with(dir: &Path, backend: Arc<dyn StorageBackend>) -> io::Result<Store> {
         let (meta, regions) = read_store_config(dir, backend.as_ref())?;
         let (journal, shards) = recovery::read_journal_and_shards(dir, backend.as_ref(), regions)?;
-        let replay = recovery::replay(&journal, &shards);
+        let replay = recovery::replay(&journal, &shards)?;
 
         // One structured line so operators see partial recovery happened
         // (the journal replay itself is silent about what it skips).
@@ -322,7 +340,7 @@ impl Store {
             meta_map: meta.into_iter().collect(),
             backend,
             checkpoint_every: AtomicUsize::new(DEFAULT_CHECKPOINT_EVERY),
-            buffer: Mutex::new(Buffer::new(replay.index)),
+            buffer: Mutex::new(Buffer::new(replay.index, ledger.len())),
             io: Mutex::new(DiskState::new(replay.high_water, replay.keep_len, ledger)),
             seal_state: Mutex::new(SealState {
                 next_generation,
@@ -368,12 +386,14 @@ impl Store {
         }
         let due = {
             let mut buffer = self.buffer.lock();
-            if buffer.get(region, domain).is_some() {
+            if buffer.position(region, domain).is_some() {
                 return Ok(false);
             }
-            let (domain, payload): (Arc<str>, Arc<[u8]>) = (domain.into(), payload.into());
-            buffer.index[region as usize].insert(Arc::clone(&domain), Arc::clone(&payload));
-            buffer.fresh.push((region, domain, payload));
+            let position = u32::try_from(buffer.flushed + buffer.fresh.len())
+                .map_err(|_| invalid("store full: a ledger position must fit in a u32"))?;
+            let domain: Arc<str> = domain.into();
+            buffer.index[region as usize].insert(Arc::clone(&domain), position);
+            buffer.fresh.push((region, domain, payload.into()));
             buffer.fresh.len() >= self.checkpoint_every.load(Ordering::Relaxed).max(1)
         };
         if due {
@@ -384,15 +404,44 @@ impl Store {
         Ok(true)
     }
 
-    /// Fetch a stored payload (a copy: the buffer lock is released before
-    /// returning).
+    /// Fetch a stored payload: a copy of the buffered or queued bytes,
+    /// or the durable extent read back from its shard. A durable extent
+    /// that no longer hashes to its ledger entry reads as `None`, so the
+    /// caller recomputes the cell. Holds one lock at a time and reads
+    /// the shard with none held (see the module docs on the read path).
     pub fn get(&self, region: u8, domain: &str) -> Option<Vec<u8>> {
-        self.buffer.lock().get(region, domain).map(<[u8]>::to_vec)
+        let position = {
+            let buffer = self.buffer.lock();
+            let position = buffer.position(region, domain)?;
+            if let Some(payload) = buffer.unflushed(position) {
+                return Some(payload);
+            }
+            position
+        };
+        let located = {
+            let disk = self.io.lock();
+            disk.locate(position)?
+        };
+        match located {
+            Located::Copied(bytes) => Some(bytes),
+            Located::Durable(extent) => self.read_extent(region, extent),
+        }
+    }
+
+    /// Read a durable extent back from its region shard, `None` unless
+    /// the bytes are exactly the payload its ledger entry hashed.
+    fn read_extent(&self, region: u8, extent: Extent) -> Option<Vec<u8>> {
+        let path = shard_path(&self.dir, region);
+        let bytes = self
+            .backend
+            .read_range(&path, extent.offset, extent.len as usize)
+            .ok()?;
+        extent.holds(&bytes).then_some(bytes)
     }
 
     /// Is this task already stored?
     pub fn contains(&self, region: u8, domain: &str) -> bool {
-        self.buffer.lock().get(region, domain).is_some()
+        self.buffer.lock().position(region, domain).is_some()
     }
 
     /// Total stored task results across all regions.
@@ -405,16 +454,52 @@ impl Store {
         self.len() == 0
     }
 
-    /// Visit every `(domain, payload)` of one region in domain order,
-    /// borrowing each payload instead of cloning the whole region into a
-    /// `Vec`. The walk holds the buffer lock, so a cell put concurrently
-    /// is either visited or not, exactly as if the walk ran before or
-    /// after the put. The callback must not call back into the same
-    /// store.
+    /// Visit every `(domain, payload)` of one region in domain order. The
+    /// walk copies the region's positions under the buffer lock, so a
+    /// cell put concurrently is either visited or not, exactly as if the
+    /// walk ran before or after the put. It then locates them under the
+    /// io lock and, with no lock held, reads the region's shard once and
+    /// hands out only extents that hash to their ledger entries. The
+    /// callback runs with no lock held.
     pub fn for_each_region_entry(&self, region: u8, f: &mut dyn FnMut(&str, &[u8])) {
-        let buffer = self.buffer.lock();
-        for (domain, payload) in buffer.index.get(region as usize).into_iter().flatten() {
-            f(domain, payload);
+        let cells = {
+            let buffer = self.buffer.lock();
+            buffer.region_cells(region)
+        };
+        let cells: Vec<(Arc<str>, Located)> = {
+            let disk = self.io.lock();
+            cells
+                .into_iter()
+                .filter_map(|(domain, position, unflushed)| {
+                    let located = match unflushed {
+                        Some(bytes) => Located::Copied(bytes),
+                        None => disk.locate(position)?,
+                    };
+                    Some((domain, located))
+                })
+                .collect()
+        };
+        let end = cells
+            .iter()
+            .filter_map(|(_, located)| match located {
+                Located::Durable(extent) => Some(extent.offset + extent.len as u64),
+                Located::Copied(_) => None,
+            })
+            .max();
+        let path = shard_path(&self.dir, region);
+        let shard = end.and_then(|end| self.backend.read_range(&path, 0, end as usize).ok());
+        for (domain, located) in &cells {
+            let payload = match located {
+                Located::Copied(bytes) => Some(&bytes[..]),
+                Located::Durable(extent) => shard.as_deref().and_then(|shard| {
+                    let start = extent.offset as usize;
+                    let bytes = shard.get(start..start + extent.len as usize)?;
+                    extent.holds(bytes).then_some(bytes)
+                }),
+            };
+            if let Some(payload) = payload {
+                f(domain, payload);
+            }
         }
     }
 
@@ -502,7 +587,14 @@ impl Store {
     /// the next attempt, so shard offsets already encoded into journal
     /// records remain valid across the failure.
     fn write_out(&self, disk: &mut DiskState) -> io::Result<()> {
-        let fresh = std::mem::take(&mut self.buffer.lock().fresh);
+        // The taken puts' positions now index `retry_ledger`, filled below
+        // before `io` is released, so a reader that finds them flushed
+        // finds them on the disk side.
+        let fresh = {
+            let mut buffer = self.buffer.lock();
+            buffer.flushed += buffer.fresh.len();
+            std::mem::take(&mut buffer.fresh)
+        };
         for (region, domain, payload) in fresh {
             let r = region as usize;
             let offset = disk.durable_shard[r] + disk.retry_shards[r].len() as u64;
@@ -848,6 +940,67 @@ mod tests {
         let snapshot = StoreSnapshot::open(&dir).unwrap();
         assert_eq!(snapshot.payload(0, "a.example"), Some(b"new".to_vec()));
         assert_eq!(snapshot.payload(0, "b.example"), Some(b"b".to_vec()));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A put no flush has taken yet reads back from the buffer, and the
+    /// same bytes read back from the shard once a checkpoint lands them.
+    #[test]
+    fn get_reads_an_unflushed_put_then_its_durable_extent() {
+        let dir = tempdir("unflushed");
+        let store = Store::create(&dir, 2, &[]).unwrap();
+        store.set_checkpoint_every(usize::MAX);
+        store.put(1, "a.example", &payload(1, "a.example")).unwrap();
+        assert!(!shard_path(&dir, 1).exists(), "nothing flushed yet");
+        assert_eq!(store.get(1, "a.example"), Some(payload(1, "a.example")));
+        assert_eq!(store.get(0, "a.example"), None);
+        assert_eq!(store.get(9, "a.example"), None, "no such region");
+        store.checkpoint().unwrap();
+        store.put(1, "b.example", &payload(1, "b.example")).unwrap();
+        for domain in ["a.example", "b.example"] {
+            assert_eq!(store.get(1, domain), Some(payload(1, domain)));
+        }
+        let mut walked = Vec::new();
+        store.for_each_region_entry(1, &mut |domain, bytes| {
+            walked.push((domain.to_string(), bytes.to_vec()))
+        });
+        let want: Vec<(String, Vec<u8>)> = ["a.example", "b.example"]
+            .map(|d| (d.to_string(), payload(1, d)))
+            .into();
+        assert_eq!(walked, want, "durable and buffered cells, in domain order");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A bit flipped in a durable extent after the checkpoint makes `get`
+    /// return `None`, never other bytes, and the region walk skip that
+    /// cell; the cells around it still read back exactly.
+    #[test]
+    fn a_rotted_durable_extent_reads_as_absent() {
+        let dir = tempdir("rotread");
+        let store = Store::create(&dir, 1, &[]).unwrap();
+        let domains = ["a.example", "b.example", "c.example"];
+        for d in domains {
+            store.put(0, d, &payload(0, d)).unwrap();
+        }
+        store.checkpoint().unwrap();
+        assert_eq!(store.get(0, domains[1]), Some(payload(0, domains[1])));
+
+        let shard = shard_path(&dir, 0);
+        let mut bytes = fs::read(&shard).unwrap();
+        bytes[payload(0, domains[0]).len() + 3] ^= 0x10;
+        fs::write(&shard, &bytes).unwrap();
+
+        assert_eq!(store.get(0, domains[1]), None);
+        assert!(store.contains(0, domains[1]), "the key is still stored");
+        for d in [domains[0], domains[2]] {
+            assert_eq!(store.get(0, d), Some(payload(0, d)));
+        }
+        let mut walked = Vec::new();
+        store.for_each_region_entry(0, &mut |domain, bytes| {
+            assert_eq!(bytes, payload(0, domain));
+            walked.push(domain.to_string());
+        });
+        assert_eq!(walked, [domains[0], domains[2]]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -162,9 +162,10 @@ pub(crate) fn scan_journal(journal: &[u8], shards: &[Vec<u8>]) -> Scan {
 /// logical shard lengths new appends must start from, and the damage
 /// counts the open-time warning reports.
 pub(crate) struct Replay {
-    /// The surviving payloads, one domain-keyed map per region, in the
-    /// form the store's buffer holds them.
-    pub index: Vec<BTreeMap<Arc<str>, Arc<[u8]>>>,
+    /// Each surviving cell's position in [`Replay::ledger`], one
+    /// domain-keyed map per region, in the form the store's buffer holds
+    /// them. No payload is copied: the bytes stay in the shards.
+    pub index: Vec<BTreeMap<Arc<str>, u32>>,
     /// Per-region logical length: the max extent of every record whose
     /// bytes exist on disk (valid *and* corrupt — corrupt extents are
     /// kept so already-journaled offsets stay aligned until `fsck`
@@ -182,8 +183,9 @@ pub(crate) struct Replay {
 }
 
 /// Tolerant replay: last-wins over valid records (a re-crawled cell
-/// shadows its quarantined predecessor), bad records skipped.
-pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> Replay {
+/// shadows its quarantined predecessor), bad records skipped. Fails only
+/// when the valid records outnumber the `u32` ledger positions.
+pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> io::Result<Replay> {
     let scan = scan_journal(journal, shards);
     let mut index = vec![BTreeMap::new(); shards.len()];
     let mut high_water = vec![0u64; shards.len()];
@@ -196,9 +198,10 @@ pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> Replay {
         let end = rec.offset.saturating_add(rec.len as u64);
         match rec.class {
             RecordClass::Valid => {
+                let position = u32::try_from(ledger.len())
+                    .map_err(|_| crate::invalid("journal too long: ledger positions are u32"))?;
                 let domain: Arc<str> = rec.domain.as_str().into();
-                let payload = &shards[r][rec.offset as usize..end as usize];
-                index[r].insert(Arc::clone(&domain), payload.into());
+                index[r].insert(Arc::clone(&domain), position);
                 high_water[r] = high_water[r].max(end);
                 ledger.push(LedgerEntry {
                     region: rec.region,
@@ -216,7 +219,7 @@ pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> Replay {
             RecordClass::Torn => {}
         }
     }
-    Replay {
+    Ok(Replay {
         index,
         high_water,
         ledger,
@@ -225,7 +228,7 @@ pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> Replay {
         corrupt_cells: scan.count(RecordClass::Corrupt),
         gap_bytes: scan.gaps.iter().map(|(_, n)| n).sum(),
         torn_tail: scan.torn_tail,
-    }
+    })
 }
 
 /// One cell `fsck` moved to the quarantine sidecar.

@@ -2,14 +2,19 @@
 //! (drop without flushing) and reopens on a small `(region × domain)`
 //! matrix, journal replay is exactly-once — a reopened store holds every
 //! task that was checkpointed, none that was not, each exactly once with
-//! its original payload. The torture tests below hammer concurrent `put`s
-//! against cadence flushes that may find another writer mid-append.
+//! its original payload. A second property reads every cell back after
+//! every step — through failed flushes, aborts, reopens and fsck
+//! quarantines — and compares it with a model. The torture tests below
+//! hammer concurrent `put`s against cadence flushes that may find another
+//! writer mid-append.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use store::Store;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use store::{fsck, MemBackend, StorageBackend, Store};
 
 const REGIONS: u8 = 3;
 const DOMAINS: [&str; 12] = [
@@ -146,6 +151,149 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// One scripted step of the read-back property.
+#[derive(Debug, Clone, Copy)]
+enum ReadOp {
+    Put(u8, usize),
+    Checkpoint,
+    /// A checkpoint whose appends fail with ENOSPC: nothing lands, every
+    /// payload stays queued.
+    FailedCheckpoint,
+    /// Drop without flushing, reopen.
+    AbortAndReopen,
+    /// Checkpoint, drop, reopen.
+    CheckpointAndReopen,
+    /// Checkpoint, drop, flip a byte of the cell's durable payload, fsck
+    /// (which quarantines it) and reopen.
+    Quarantine(u8, usize),
+}
+
+fn read_op_strategy() -> impl Strategy<Value = ReadOp> {
+    (0u32..12, 0u8..REGIONS, 0usize..DOMAINS.len()).prop_map(|(kind, r, d)| match kind {
+        0..5 => ReadOp::Put(r, d),
+        5 | 6 => ReadOp::Checkpoint,
+        7 => ReadOp::FailedCheckpoint,
+        8 => ReadOp::AbortAndReopen,
+        9 => ReadOp::CheckpointAndReopen,
+        _ => ReadOp::Quarantine(r, d),
+    })
+}
+
+/// An in-memory disk whose appends fail with ENOSPC while armed.
+#[derive(Default)]
+struct Flaky {
+    mem: MemBackend,
+    full: AtomicBool,
+}
+
+impl StorageBackend for Flaky {
+    fn read_file(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.mem.read_file(path)
+    }
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        self.mem.read_range(path, offset, len)
+    }
+    fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.mem.write_file(path, bytes)
+    }
+    fn append_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        if self.full.load(Ordering::Relaxed) {
+            return Err(io::Error::other("no space left on device (test)"));
+        }
+        self.mem.append_file(path, bytes)
+    }
+    fn truncate_file(&self, path: &Path, len: u64) -> io::Result<()> {
+        self.mem.truncate_file(path, len)
+    }
+    fn sync_file(&self, path: &Path) -> io::Result<()> {
+        self.mem.sync_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.mem.create_dir_all(path)
+    }
+    fn file_exists(&self, path: &Path) -> bool {
+        self.mem.file_exists(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.mem.rename(from, to)
+    }
+}
+
+proptest! {
+    fn every_get_matches_the_model(ops in prop::collection::vec(read_op_strategy(), 1..40)) {
+        let dir = PathBuf::from("/mem/store");
+        let disk = Arc::new(Flaky::default());
+        let open = || Store::open_with(&dir, disk.clone()).unwrap();
+        let mut live = Store::create_with(&dir, REGIONS as usize, &[], disk.clone()).unwrap();
+        live.set_checkpoint_every(usize::MAX);
+        // What `get` must return now, and what survives an abort.
+        let mut model: BTreeMap<(u8, usize), Vec<u8>> = BTreeMap::new();
+        let mut durable = model.clone();
+        let mut takes = 0;
+        for op in ops {
+            match op {
+                ReadOp::Put(r, d) => {
+                    takes += 1;
+                    let payload = format!("<{} in {r}, take {takes}>", DOMAINS[d]).into_bytes();
+                    let fresh = !model.contains_key(&(r, d));
+                    prop_assert_eq!(live.put(r, DOMAINS[d], &payload).unwrap(), fresh);
+                    model.entry((r, d)).or_insert(payload);
+                }
+                ReadOp::Checkpoint => {
+                    live.checkpoint().unwrap();
+                    durable = model.clone();
+                }
+                ReadOp::FailedCheckpoint => {
+                    disk.full.store(true, Ordering::Relaxed);
+                    let failed = live.checkpoint().is_err();
+                    disk.full.store(false, Ordering::Relaxed);
+                    prop_assert_eq!(failed, model != durable, "only a flush with work fails");
+                }
+                ReadOp::AbortAndReopen => {
+                    drop(live);
+                    live = open();
+                    model = durable.clone();
+                }
+                ReadOp::CheckpointAndReopen => {
+                    live.checkpoint().unwrap();
+                    drop(live);
+                    live = open();
+                    durable = model.clone();
+                }
+                ReadOp::Quarantine(r, d) => {
+                    live.checkpoint().unwrap();
+                    drop(live);
+                    if let Some(payload) = model.remove(&(r, d)) {
+                        let shard = dir.join("shards").join(format!("shard-{r}.bin"));
+                        let mut bytes = disk.read_file(&shard).unwrap();
+                        let at = bytes
+                            .windows(payload.len())
+                            .rposition(|w| w == payload)
+                            .unwrap();
+                        bytes[at + 1] ^= 0x20;
+                        disk.write_file(&shard, &bytes).unwrap();
+                        let report = fsck(&dir, disk.as_ref(), false).unwrap();
+                        prop_assert_eq!(report.quarantined.len(), 1);
+                    }
+                    live = open();
+                    durable = model.clone();
+                }
+            }
+            live.set_checkpoint_every(usize::MAX);
+            for r in 0..REGIONS {
+                for (d, domain) in DOMAINS.iter().enumerate() {
+                    prop_assert_eq!(
+                        live.get(r, domain),
+                        model.get(&(r, d)).cloned(),
+                        "({}, {}) after {:?}", r, domain, op
+                    );
+                }
+            }
+            prop_assert_eq!(live.len(), model.len());
+        }
     }
 }
 

@@ -21,7 +21,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # the gate itself has rotted and the run fails.
 LINT=target/release/lint
 "$LINT" || { echo "check.sh: workspace lint failed" >&2; exit 1; }
-for fixture in r1 r1-test-module r2 r3 r4 r5 r5-index r6 r7 r7-backend r7-module-path r7-serve r8 \
+for fixture in r1 r1-test-module r2 r3 r4 r5 r5-index r6 r7 r7-backend r7-cross-crate r7-module-path \
+               r7-serve r8 \
                r9-alloc r9-cold r9-crates r9-roots r9-trait r10-growth r11-swallow \
                r12-test-only r12-field cfg-liveness suppression suppression-unused; do
     if "$LINT" --root "crates/lint/tests/fixtures/$fixture" >/dev/null; then
