@@ -57,6 +57,14 @@
 //! run without the cache) are loaded, once per cell and distinct
 //! document, and detected once per distinct detector setting.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use bannerclick::{
     classify_wall, BannerClick, BannerFinding, DetectionSummary, DetectorOptions,
     ObservedEmbedding, Verdict,
@@ -1115,7 +1123,7 @@ pub(crate) fn sweep(
 ) -> std::io::Result<(Option<Vec<VantageCrawl>>, CrawlMetrics)> {
     let workers = opts.workers.max(1);
     let lanes = regions.len();
-    // lint:allow(determinism) — wall-clock here feeds CrawlMetrics only, which is serde-skipped and never serialized into reports
+    #[allow(clippy::disallowed_methods, reason = "feeds CrawlMetrics only")]
     let start = Instant::now();
     let cache_ref = cache.analyzed();
     let res = Resilience::new(&opts.retry);
@@ -1141,7 +1149,7 @@ pub(crate) fn sweep(
             if aborted.load(Ordering::Relaxed) {
                 return None;
             }
-            // lint:allow(determinism) — per-task wall time is diagnostic-only metrics, excluded from serialized output
+            #[allow(clippy::disallowed_methods, reason = "per-task timing is diagnostic")]
             let task_start = Instant::now();
             let domain = &targets[i];
             let vantage = Vantage {

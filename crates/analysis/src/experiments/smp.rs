@@ -5,7 +5,7 @@ use crate::context::Study;
 use crate::crawl::VantageCrawl;
 use crate::render::TextTable;
 use serde::Serialize;
-use webgen::{Country, Smp};
+use webgen::Smp;
 
 /// One SMP's figures.
 #[derive(Debug, Clone, Serialize)]
@@ -104,7 +104,6 @@ pub fn embedding_split(study: &Study, crawls: &[VantageCrawl]) -> EmbeddingSplit
     };
     let de = crawls.iter().find(|c| c.region == httpsim::Region::Germany);
     let Some(de) = de else { return split };
-    let _ = Country::De;
     for r in de.detected_walls() {
         if !study.verify_wall(&r.domain) {
             continue;

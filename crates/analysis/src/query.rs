@@ -323,6 +323,7 @@ fn fmt_price(price: Option<f64>) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
 mod tests {
     use super::*;
     use crate::crawl::CrawlRecord;

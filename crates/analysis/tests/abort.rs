@@ -2,6 +2,8 @@
 //! cells reports, and has stored, exactly the `k` cells it completed, and
 //! a resume on the same store completes the whole matrix.
 
+#![allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
+
 use analysis::{crawl_all_regions_persistent, CheckpointPolicy, CrawlOptions, Study};
 use httpsim::Region;
 use store::Store;

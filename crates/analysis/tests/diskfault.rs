@@ -7,6 +7,8 @@
 //! decoded (the payload hash rejects them first), so no disk fault can
 //! bend the science.
 
+#![allow(clippy::disallowed_methods, reason = "PROPTEST_CASES sets the cases")]
+
 use analysis::persist::targets_hash;
 use analysis::{run_all, run_all_persistent, CheckpointPolicy, Study};
 use httpsim::Region;

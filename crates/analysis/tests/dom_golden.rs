@@ -13,6 +13,8 @@
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -p analysis --test dom_golden`.
 
+#![allow(clippy::disallowed_methods, reason = "UPDATE_GOLDEN regenerates it")]
+
 use analysis::experiments::botdetect::NAIVE_BOT_UA;
 use analysis::Study;
 use bannerclick::{observed_provider, BannerClick, BannerFinding, DetectorOptions};

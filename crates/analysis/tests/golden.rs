@@ -8,6 +8,8 @@
 //! change that must be reviewed (and the fixtures regenerated with
 //! `UPDATE_GOLDEN=1 cargo test -p analysis --test golden`).
 
+#![allow(clippy::disallowed_methods, reason = "UPDATE_GOLDEN and scratch dirs")]
+
 use analysis::persist::targets_hash;
 use analysis::runner::EPOCH_SUMMARY_NOTE;
 use analysis::{run_all_persistent, CheckpointPolicy, RetryPolicy, Study};

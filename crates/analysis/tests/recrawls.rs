@@ -4,6 +4,8 @@
 //! the sweep can leave its cache in — and pin that every re-crawl honours
 //! the study's retry budget.
 
+#![allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
+
 use analysis::crawl::{
     analyze_domain, crawl_region_with, CrawlRecord, RegionMetrics, VantageCrawl,
 };

@@ -3,6 +3,8 @@
 //! JSON is byte-identical to an uninterrupted `run_all` — with and
 //! without deterministic fault injection.
 
+#![allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
+
 use analysis::persist::targets_hash;
 use analysis::{run_all, run_all_persistent, CheckpointPolicy, Study};
 use httpsim::{FaultConfig, Region};

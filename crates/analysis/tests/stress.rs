@@ -8,6 +8,8 @@
 //! shake out interleaving bugs a single run can miss; a persistent
 //! abort + resume pass at 64 workers pins the pipelined checkpoint path.
 
+#![allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
+
 use analysis::persist::targets_hash;
 use analysis::{run_all, run_all_persistent, CheckpointPolicy, Study};
 use httpsim::{FaultConfig, Region};

@@ -9,6 +9,8 @@
 //!
 //! Exit status: 0 clean, 1 findings, 2 usage/IO error.
 
+#![allow(clippy::disallowed_methods, reason = "the CLI reads its flags")]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -18,7 +20,6 @@ const USAGE: &str =
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
-    // lint:allow(determinism) — CLI flag parsing at the binary entry point
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

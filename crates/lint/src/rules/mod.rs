@@ -4,12 +4,10 @@
 //! [`crate::engine`], so rules always report what they see.
 
 pub mod blocking_under_lock;
-pub mod determinism;
 pub mod hot_path_alloc;
 pub mod journal_format;
 pub mod lock_order;
 pub mod ordered_serialization;
-pub mod panic_hygiene;
 pub mod persist_parity;
 pub mod seed_taint;
 pub mod swallowed_io;
@@ -17,16 +15,14 @@ pub mod test_only_api;
 pub mod unbounded_growth;
 
 use crate::callgraph::Model;
-use crate::lexer::Token;
 use crate::source::SourceFile;
 
-/// The twelve invariant rules, in report order. `R1`–`R12` aliases match
-/// the issue/DESIGN numbering; either name works in `lint:allow(...)`.
+/// The ten invariant rules, in report order. The `R2`–`R12` codes match
+/// DESIGN.md §10 (R1 and R4 moved to clippy; the codes were not reused);
+/// either name works in `lint:allow(...)`.
 pub const RULES: &[&dyn Rule] = &[
-    &determinism::Determinism,
     &ordered_serialization::OrderedSerialization,
     &persist_parity::PersistParity,
-    &panic_hygiene::PanicHygiene,
     &journal_format::JournalFormat,
     &lock_order::LockOrder,
     &blocking_under_lock::BlockingUnderLock,
@@ -89,30 +85,9 @@ pub struct Finding {
 pub trait Rule {
     /// Stable rule name used in reports and `lint:allow(...)`.
     fn name(&self) -> &'static str;
-    /// The issue/DESIGN shorthand (`R1`…`R5`), also accepted in
+    /// The DESIGN.md shorthand (`R2`…`R12`), also accepted in
     /// `lint:allow(...)`.
     fn code(&self) -> &'static str;
     /// Scan the workspace, appending findings.
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>);
-}
-
-/// Does `tokens[i..]` start with the path `segments[0] :: segments[1] ::
-/// …`? Returns the matched token length.
-pub(crate) fn match_path(tokens: &[Token], i: usize, segments: &[&str]) -> Option<usize> {
-    let mut k = i;
-    for (n, seg) in segments.iter().enumerate() {
-        if n > 0 {
-            if !(tokens.get(k).is_some_and(|t| t.is_punct(':'))
-                && tokens.get(k + 1).is_some_and(|t| t.is_punct(':')))
-            {
-                return None;
-            }
-            k += 2;
-        }
-        if !tokens.get(k).is_some_and(|t| t.is_ident(seg)) {
-            return None;
-        }
-        k += 1;
-    }
-    Some(k - i)
 }

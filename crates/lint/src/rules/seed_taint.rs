@@ -9,14 +9,16 @@
 //! ambient origin — `SystemTime::now`, `Instant::now`, `thread_rng`,
 //! `from_entropy`, `DefaultHasher::new`, `RandomState::new` — either as
 //! a call in a traced binding or via a called function whose body uses
-//! one (propagated through the call graph). This complements R1's local
-//! token ban: R1 flags the ambient call itself; R8 flags seed state that
-//! *flows* from one, across function boundaries.
+//! one (propagated through the call graph). This complements clippy's
+//! `disallowed-methods` list (`clippy.toml`), which flags the ambient
+//! call itself; R8 flags seed state that *flows* from one, across
+//! function boundaries, and also knows `thread_rng`, which the vendored
+//! `rand` lacks and so cannot be listed there.
 //!
 //! Documented approximations (DESIGN.md §10): struct fields and calls
 //! with [`Unknown`](crate::callgraph::CallTarget::Unknown) targets are
 //! trusted, and `std::env::args` in `src/main.rs` is the CLI seed
-//! boundary (R1 owns ambient-env discipline).
+//! boundary (clippy's `disallowed-methods` owns ambient-env discipline).
 
 use crate::callgraph::{witness_chain, CallSite, CallTarget, FnId, Model, Origin};
 use crate::lexer::TokenKind;

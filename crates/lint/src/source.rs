@@ -435,7 +435,7 @@ mod tests {
         SourceFile::parse(
             "test.rs".to_string(),
             src,
-            &["determinism", "panic-hygiene"],
+            &["seed-taint", "swallowed-io-errors"],
         )
     }
 
@@ -493,21 +493,21 @@ mod tests {
 
     #[test]
     fn suppression_with_reason_covers_its_line_and_the_next() {
-        let src = "// lint:allow(determinism) — wall-clock metrics only\nlet t = now();";
+        let src = "// lint:allow(seed-taint) — wall-clock metrics only\nlet t = now();";
         let f = parse(src);
         assert!(f.bad_suppressions.is_empty());
         let [s] = &f.suppressions[..] else {
             panic!("one directive")
         };
-        assert!(s.covers("determinism", 1));
-        assert!(s.covers("DETERMINISM", 2));
-        assert!(!s.covers("determinism", 3));
-        assert!(!s.covers("panic-hygiene", 2));
+        assert!(s.covers("seed-taint", 1));
+        assert!(s.covers("SEED-TAINT", 2));
+        assert!(!s.covers("seed-taint", 3));
+        assert!(!s.covers("swallowed-io-errors", 2));
     }
 
     #[test]
     fn suppression_without_reason_is_rejected() {
-        let src = "// lint:allow(determinism)\nlet t = now();";
+        let src = "// lint:allow(seed-taint)\nlet t = now();";
         let f = parse(src);
         assert_eq!(f.suppressions.len(), 0);
         assert_eq!(f.bad_suppressions.len(), 1);
@@ -524,13 +524,13 @@ mod tests {
 
     #[test]
     fn multi_rule_suppression_parses() {
-        let src = "stmt(); // lint:allow(determinism, panic-hygiene): intentional here\n";
+        let src = "stmt(); // lint:allow(seed-taint, swallowed-io-errors): intentional here\n";
         let f = parse(src);
         assert!(f.bad_suppressions.is_empty());
         let [s] = &f.suppressions[..] else {
             panic!("one directive")
         };
-        assert!(s.covers("determinism", 1));
-        assert!(s.covers("panic-hygiene", 1));
+        assert!(s.covers("seed-taint", 1));
+        assert!(s.covers("swallowed-io-errors", 1));
     }
 }

@@ -3,6 +3,8 @@
 //! reports nothing, and the CLI maps outcomes to exit codes (0 clean, 1
 //! findings, 2 usage).
 
+#![allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
+
 use lint::run;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -29,11 +31,6 @@ fn fires_exactly_once(tree: &str, rule: &str) {
 }
 
 #[test]
-fn r1_determinism_fires_exactly_once() {
-    fires_exactly_once("r1", "determinism");
-}
-
-#[test]
 fn r2_ordered_serialization_fires_exactly_once() {
     fires_exactly_once("r2", "ordered-serialization");
 }
@@ -41,11 +38,6 @@ fn r2_ordered_serialization_fires_exactly_once() {
 #[test]
 fn r3_persist_parity_fires_exactly_once() {
     fires_exactly_once("r3", "persist-parity");
-}
-
-#[test]
-fn r4_panic_hygiene_fires_exactly_once() {
-    fires_exactly_once("r4", "panic-hygiene");
 }
 
 #[test]
@@ -151,11 +143,11 @@ fn r9_roots_are_named_by_path() {
 
 #[test]
 fn a_cfg_test_module_file_is_test_code() {
-    // `samples.rs`, included by `#[cfg(test)] mod samples;`, reads the
-    // clock silently; its production sibling `clock.rs` fires.
-    fires_exactly_once("r1-test-module", "determinism");
-    let report = run(&fixture("r1-test-module")).unwrap();
-    assert_eq!(report.findings[0].path, "src/clock.rs");
+    // `samples.rs`, included by `#[cfg(test)] mod samples;`, discards a
+    // write silently; its production sibling `save.rs` fires.
+    fires_exactly_once("r11-test-module", "swallowed-io-errors");
+    let report = run(&fixture("r11-test-module")).unwrap();
+    assert_eq!(report.findings[0].path, "src/save.rs");
 }
 
 #[test]
@@ -282,13 +274,15 @@ fn workspace_suppressions_name_live_rules() {
 
 #[test]
 fn stale_rule_suppression_becomes_a_finding() {
-    // If a rule is ever retired, directives naming it must surface as
+    // R1 `determinism` and R4 `panic-hygiene` moved to clippy: directives
+    // naming a retired rule, by name or code, must surface as
     // `suppression` findings rather than rot silently.
     let dir = std::env::temp_dir().join("lint-stale-rule-test");
     std::fs::create_dir_all(dir.join("src")).unwrap();
     std::fs::write(
         dir.join("src/lib.rs"),
-        "// lint:allow(retired-rule) — rule no longer exists\npub fn f() {}\n",
+        "// lint:allow(determinism) — clippy owns it now\npub fn f() {}\n\
+         // lint:allow(r4) — clippy owns it now\npub fn g() {}\n",
     )
     .unwrap();
     let report = run(&dir).expect("temp tree scans");
@@ -298,12 +292,13 @@ fn stale_rule_suppression_becomes_a_finding() {
         .filter(|f| f.rule == "suppression")
         .map(|f| f.message.as_str())
         .collect();
-    assert_eq!(suppression_findings.len(), 1);
-    assert!(
-        suppression_findings[0].contains("unknown rule `retired-rule`"),
-        "got: {}",
-        suppression_findings[0]
+    assert_eq!(
+        suppression_findings.len(),
+        2,
+        "got: {suppression_findings:?}"
     );
+    assert!(suppression_findings[0].contains("unknown rule `determinism`"));
+    assert!(suppression_findings[1].contains("unknown rule `r4`"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -318,7 +313,7 @@ fn cli(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn cli_exit_codes_map_outcomes() {
-    let violation = cli(&["--root", fixture("r1").to_str().unwrap()]);
+    let violation = cli(&["--root", fixture("r2").to_str().unwrap()]);
     assert_eq!(violation.status.code(), Some(1), "findings must exit 1");
 
     let clean = cli(&["--root", fixture("clean").to_str().unwrap()]);
@@ -343,15 +338,14 @@ fn cli_exit_codes_map_outcomes() {
 }
 
 #[test]
-fn cli_lists_all_twelve_rules() {
+fn cli_lists_the_ten_rules() {
     let out = cli(&["--list-rules"]);
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(text.lines().count(), 10, "--list-rules:\n{text}");
     for rule in [
-        "determinism",
         "ordered-serialization",
         "persist-parity",
-        "panic-hygiene",
         "journal-format",
         "lock-order",
         "blocking-under-lock",
@@ -362,6 +356,14 @@ fn cli_lists_all_twelve_rules() {
         "test-only-api",
     ] {
         assert!(text.contains(rule), "--list-rules must name {rule}");
+    }
+    // R1 and R4 are clippy's now (`clippy.toml` and the crate-level
+    // `deny` attributes).
+    for retired in ["determinism", "panic-hygiene"] {
+        assert!(
+            !text.contains(retired),
+            "--list-rules still names {retired}"
+        );
     }
 }
 

@@ -1,19 +1,15 @@
 //! Clean fixture: every construct here *looks* like a violation but is
 //! legitimately exempt — the linter must report nothing.
 
-use std::time::Instant;
-
-/// A suppressed wall-clock read, with the mandatory reason.
-pub fn timed<F: FnOnce()>(f: F) -> u128 {
-    // lint:allow(determinism) — fixture demonstrating a well-formed suppression
-    let start = Instant::now();
-    f();
-    start.elapsed().as_nanos()
+/// A suppressed discarded write, with the mandatory reason.
+pub fn best_effort(path: &std::path::Path) {
+    // lint:allow(swallowed-io-errors) — fixture demonstrating a well-formed suppression
+    let _ = std::fs::write(path, b"");
 }
 
-/// Banned names inside string literals are text, not calls.
+/// Discarded writes inside string literals are text, not calls.
 pub fn docs() -> &'static str {
-    r#"Call SystemTime::now() or thread_rng() and the linter will // object"#
+    r#"let _ = std::fs::write(path, data); and the linter will // object"#
 }
 
 /// `HashMap` outside a `Serialize` derive is fine.
@@ -24,12 +20,8 @@ pub struct Scratch {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
-    fn wall_clock_is_fine_in_tests() {
-        let t = std::time::SystemTime::now();
-        let dir = std::env::temp_dir();
-        assert!(t.elapsed().is_ok() || dir.as_os_str().is_empty());
+    fn discarded_io_is_fine_in_tests() {
+        let _ = std::fs::remove_file("no-such-scratch-file");
     }
 }

@@ -1,13 +1,10 @@
 //! R8 fixture: RNG seed state mixed with an ambient wall-clock value
 //! that flows through a helper and two `let` bindings — fires
-//! `seed-taint` exactly once at the `seed_from_u64` sink. The R1
-//! suppression on the ambient read is deliberate: R1 flags the call
-//! itself, R8 flags the interprocedural *flow* into the seed.
+//! `seed-taint` exactly once at the `seed_from_u64` sink.
 
 use std::time::SystemTime;
 
 fn jitter() -> u64 {
-    // lint:allow(determinism) — fixture isolates the R8 interprocedural flow
     SystemTime::now().elapsed_nanos()
 }
 

@@ -2,5 +2,5 @@
 //! rule flags silences nothing, so it is stale — fires the engine's
 //! `suppression` finding exactly once.
 
-// lint:allow(determinism) — the clock read this excused is long gone
+// lint:allow(seed-taint) — the clock-mixed seed this excused is long gone
 pub fn nothing() {}

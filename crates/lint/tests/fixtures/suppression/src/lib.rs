@@ -2,5 +2,5 @@
 //! — fires the engine's `suppression` finding exactly once. The directive
 //! sits on a clean line so no other rule fires.
 
-// lint:allow(panic-hygiene)
+// lint:allow(seed-taint)
 pub fn nothing() {}

@@ -3,6 +3,8 @@
 //! change deliberately (regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p lint --test golden`).
 
+#![allow(clippy::disallowed_methods, reason = "UPDATE_GOLDEN regenerates it")]
+
 use std::path::Path;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_report.txt");

@@ -27,7 +27,7 @@ const SNIPPETS: &[&str] = &[
 
 /// Run every layer on one input; any panic or hang fails the property.
 fn full_pipeline(src: &str) {
-    let file = SourceFile::parse("fuzz.rs".to_string(), src, &["determinism"]);
+    let file = SourceFile::parse("fuzz.rs".to_string(), src, &["seed-taint"]);
     let parsed = parse_file(&file, 0);
     let files = vec![file];
     let model = Model::build(&files, Crates::default());

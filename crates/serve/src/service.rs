@@ -207,6 +207,7 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
 mod tests {
     use super::*;
     use analysis::crawl::CrawlRecord;

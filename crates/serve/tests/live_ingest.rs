@@ -6,6 +6,8 @@
 //! half-installed epoch. Real latencies are perfbench's job
 //! (`serve.answer_us.*`); this test pins correctness only.
 
+#![allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
+
 use analysis::crawl::CrawlRecord;
 use analysis::persist::encode_record;
 use analysis::query::{evaluate, Query};

@@ -114,6 +114,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod backend;
 mod index;
@@ -806,6 +813,7 @@ fn meta_lookup<'a>(meta: &'a [(String, String)], key: &str) -> Option<&'a str> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
 mod tests {
     use super::*;
     use journal::MAGIC;

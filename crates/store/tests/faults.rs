@@ -4,6 +4,8 @@
 //! must leave a store that fscks clean, keeps only exact payloads, and
 //! recovers to the full set once the missing cells are re-put.
 
+#![allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
+
 use proptest::test_runner::{run_cases, TestCaseError};
 use std::collections::BTreeSet;
 use std::io;

@@ -8,6 +8,8 @@
 //! hammer concurrent `put`s against cadence flushes that may find another
 //! writer mid-append.
 
+#![allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
+
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;

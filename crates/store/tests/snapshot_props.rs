@@ -5,6 +5,8 @@
 //! opened mid-ingest (while a writer races puts and seals) never observe
 //! a torn index: some complete, verified seal always serves.
 
+#![allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
+
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;

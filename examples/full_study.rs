@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example full_study`
 
+#![allow(clippy::disallowed_methods, reason = "wall time is printed, not kept")]
+
 fn main() {
     let t0 = std::time::Instant::now();
     eprintln!("generating the synthetic web (45,222 targets, 280 walls)…");

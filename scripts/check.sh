@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, release build, lint-clean clippy, the
-# invariant linter (plus its fixture self-test), the whole test suite,
-# the release-mode batteries, the perfbench counts gate, and end-to-end
+# Full local gate: formatting, release build, lint-clean clippy (plus
+# its R1/R4 fixture), the invariant linter (plus its fixture self-test),
+# the whole test suite, the release-mode batteries, the perfbench counts gate, and end-to-end
 # resume/fsck/diff/serve/stats smoke tests through the CLI binary, and a
 # check that the committed paper-scale results are what the study prints.
 # Everything runs offline — external dependencies are vendored under
@@ -12,6 +12,17 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# Clippy carries R1 (determinism: `clippy.toml`'s disallowed methods) and
+# R4 (panic hygiene: the crate-level `deny`s). On its fixture crate it
+# must fail with exactly the lint codes and counts in expected_codes.txt,
+# so a compile error alone, which reports none of them, cannot pass.
+CLIPPY_FIXTURE=crates/lint/tests/fixtures/clippy
+CLIPPY_JSON=$(CARGO_TARGET_DIR=target/clippy-fixture cargo clippy --offline --quiet --tests \
+    --manifest-path "$CLIPPY_FIXTURE/Cargo.toml" --message-format=json -- -D warnings 2>/dev/null) \
+    && { echo "check.sh: clippy passes its fixture crate" >&2; exit 1; }
+diff "$CLIPPY_FIXTURE/expected_codes.txt" <(echo "$CLIPPY_JSON" | grep -o '"code":{"code":"[^"]*"' \
+    | sed 's/.*"code":"//; s/"$//' | sort | uniq -c | awk '{print $1, $2}') \
+    || { echo "check.sh: clippy fixture lint codes differ from expected_codes.txt" >&2; exit 1; }
 # Rustdoc gate: a broken or private intra-doc link (say, to a deleted
 # entry point) fails the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
@@ -21,9 +32,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # the gate itself has rotted and the run fails.
 LINT=target/release/lint
 "$LINT" || { echo "check.sh: workspace lint failed" >&2; exit 1; }
-for fixture in r1 r1-test-module r2 r3 r4 r5 r5-index r6 r7 r7-backend r7-cross-crate r7-module-path \
-               r7-serve r8 \
-               r9-alloc r9-cold r9-crates r9-roots r9-trait r10-growth r11-swallow \
+for fixture in r2 r3 r5 r5-index r6 r7 r7-backend r7-cross-crate r7-module-path r7-serve r8 \
+               r9-alloc r9-cold r9-crates r9-roots r9-trait r10-growth r11-swallow r11-test-module \
                r12-test-only r12-field cfg-liveness suppression suppression-unused; do
     if "$LINT" --root "crates/lint/tests/fixtures/$fixture" >/dev/null; then
         echo "check.sh: lint fixture $fixture no longer trips its rule" >&2

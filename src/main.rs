@@ -24,6 +24,8 @@
 //! `Flags::value_in`, and return `Result<(), String>`; `main` prints an `Err`
 //! as `error: …` and exits with status 1.
 
+#![allow(clippy::disallowed_methods, reason = "CLI flags and run timing")]
+
 use analysis::crawl::MAX_RETRIES;
 use analysis::experiments::longitudinal;
 use analysis::persist::targets_hash;

@@ -16,6 +16,8 @@
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test cli`.
 
+#![allow(clippy::disallowed_methods, reason = "UPDATE_GOLDEN and scratch dirs")]
+
 use std::process::Command;
 use store::Store;
 
