@@ -13,6 +13,7 @@
 //! Two more tests check that `stats` reports an unreadable quarantine
 //! ledger instead of counting it as empty, and that `run --resume` refuses
 //! a store whose retry budget is above the bound instead of truncating it.
+//! A last one pins the bytes of every file a tiny `run --store` writes.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test cli`.
 
@@ -206,4 +207,60 @@ fn resume_rejects_a_stored_retry_budget_above_the_bound() {
         ),
         "{stderr}"
     );
+}
+
+/// `content_hash` of every file a tiny single-worker `run --store`
+/// writes: the meta, the journal, every shard, the sealed index slot and
+/// the epoch-summary note. The store's on-disk formats are a contract
+/// with stores already written, so a change to how the store holds its
+/// cells in memory must leave all of them byte-identical.
+const TINY_STORE_DIGESTS: &[(&str, u64)] = &[
+    ("index-1.cwi", 0x242e8f2c2855b074),
+    ("journal.wal", 0xc1fef84c0a076a29),
+    ("meta", 0xd86355e14b37f07d),
+    ("note-epoch-summary", 0xcc51b16d7b422dc3),
+    ("shards/shard-0.bin", 0x52e1ad0b35306497),
+    ("shards/shard-1.bin", 0xeb0579c2e9d0c258),
+    ("shards/shard-2.bin", 0xeb0579c2e9d0c258),
+    ("shards/shard-3.bin", 0xdfa1cde9999c8d3a),
+    ("shards/shard-4.bin", 0xdfa1cde9999c8d3a),
+    ("shards/shard-5.bin", 0xeb0579c2e9d0c258),
+    ("shards/shard-6.bin", 0xeb0579c2e9d0c258),
+    ("shards/shard-7.bin", 0xeb0579c2e9d0c258),
+];
+
+#[test]
+fn tiny_store_bytes_match_their_digests() {
+    let dir = std::env::temp_dir().join(format!("cookiewall-cli-digests-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let output = Command::new(env!("CARGO_BIN_EXE_cookiewall-study"))
+        .args(["run", "--scale", "tiny", "--workers", "1", "--store"])
+        .arg(&dir)
+        .output()
+        .expect("spawn cookiewall-study");
+    assert!(output.status.success(), "run --store failed: {output:?}");
+    let mut files = Vec::new();
+    let mut pending = vec![dir.clone()];
+    while let Some(at) = pending.pop() {
+        for entry in std::fs::read_dir(&at).expect("read store dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let name = path.strip_prefix(&dir).expect("under the store");
+                let bytes = std::fs::read(&path).expect("read store file");
+                files.push((
+                    name.to_string_lossy().into_owned(),
+                    httpsim::content_hash(&bytes),
+                ));
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    files.sort();
+    let want: Vec<(String, u64)> = TINY_STORE_DIGESTS
+        .iter()
+        .map(|&(name, hash)| (name.to_string(), hash))
+        .collect();
+    assert_eq!(files, want, "store files or their bytes drifted");
 }
