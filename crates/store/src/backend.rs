@@ -156,6 +156,27 @@ impl StorageBackend for FsBackend {
     }
 }
 
+/// Replace `target` whole: `fill` hands its pieces (at least one) to
+/// `temp`, which is synced and renamed over `target`. A failure or crash
+/// before the rename leaves `target`'s old bytes, never a torn mix.
+pub(crate) fn publish(
+    backend: &dyn StorageBackend,
+    temp: &Path,
+    target: &Path,
+    fill: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut first = true;
+    fill(&mut |piece| {
+        if std::mem::take(&mut first) {
+            backend.write_file(temp, piece)
+        } else {
+            backend.append_file(temp, piece)
+        }
+    })?;
+    backend.sync_file(temp)?;
+    backend.rename(temp, target)
+}
+
 /// One in-memory file: the cached image every operation sees, plus the
 /// durable image a crash reverts to. `durable` is `None` until the first
 /// sync — a file that was created but never synced vanishes on crash.

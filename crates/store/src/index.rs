@@ -32,7 +32,7 @@
 //! `payload_hash` lets a snapshot verify the shard bytes an entry points
 //! at before trusting the slot.
 
-use crate::backend::StorageBackend;
+use crate::backend::{publish, StorageBackend};
 use httpsim::{content_hash, content_hash_extend};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -71,9 +71,9 @@ fn temp_path(dir: &Path) -> PathBuf {
 
 /// One sealed cell: where its payload lives in the frozen shard prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct IndexEntry {
+pub(crate) struct IndexEntry<D = Arc<str>> {
     pub region: u8,
-    pub domain: Arc<str>,
+    pub domain: D,
     /// Generation that first sealed the cell at this offset.
     pub segment: u64,
     pub offset: u64,
@@ -91,16 +91,19 @@ pub(crate) struct IndexFile {
     pub entries: Vec<IndexEntry>,
 }
 
-/// Stream a sealed view into `sink`, `piece` bytes at a time (the last
-/// piece may be shorter). Entries must come sorted by `(region, domain)`;
-/// the encoder trusts its callers: the seal sorts its ledger positions
-/// and fsck walks a `BTreeMap`. The trailing checksum is `content_hash`
-/// carried across the pieces, so it equals the hash of every byte
-/// before it although those bytes are never held at once.
-pub(crate) fn encode_index(
+/// Stream a sealed view of `count` entries into `sink`, `piece` bytes at
+/// a time (the last piece may be shorter). Entries must come sorted by
+/// `(region, domain)`; the encoder trusts its callers: the seal walks the
+/// store's domain table region by region and fsck walks a `BTreeMap`.
+/// An iterator that yields other than `count` entries is an error before
+/// the last piece. The trailing checksum is `content_hash` carried across
+/// the pieces, so it equals the hash of every byte before it although
+/// those bytes are never held at once.
+pub(crate) fn encode_index<D: AsRef<str>>(
     generation: u64,
     sealed_len: &[u64],
-    entries: impl ExactSizeIterator<Item = IndexEntry>,
+    count: u64,
+    entries: impl Iterator<Item = IndexEntry<D>>,
     piece: usize,
     sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
 ) -> io::Result<()> {
@@ -117,16 +120,22 @@ pub(crate) fn encode_index(
     for len in sealed_len {
         out.put(&len.to_le_bytes())?;
     }
-    out.put(&(entries.len() as u64).to_le_bytes())?;
+    out.put(&count.to_le_bytes())?;
+    let mut written = 0u64;
     for entry in entries {
+        let domain = entry.domain.as_ref();
         out.put(&[entry.region])?;
-        out.put(&(entry.domain.len() as u16).to_le_bytes())?;
-        out.put(entry.domain.as_bytes())?;
-        out.put(&content_hash(entry.domain.as_bytes()).to_le_bytes())?;
+        out.put(&(domain.len() as u16).to_le_bytes())?;
+        out.put(domain.as_bytes())?;
+        out.put(&content_hash(domain.as_bytes()).to_le_bytes())?;
         out.put(&entry.segment.to_le_bytes())?;
         out.put(&entry.offset.to_le_bytes())?;
         out.put(&entry.len.to_le_bytes())?;
         out.put(&entry.payload_hash.to_le_bytes())?;
+        written += 1;
+    }
+    if written != count {
+        return Err(io::Error::other("index slot entry count mismatch"));
     }
     out.finish()
 }
@@ -168,29 +177,21 @@ impl Pieces<'_> {
     }
 }
 
-/// Publish one slot: stream it into the temp file, sync that, and
-/// rename it over `index-{slot}.cwi`. The rename is the commit point: a
-/// failure or crash before it leaves the slot's previous bytes in place.
-pub(crate) fn write_slot(
+/// Publish one slot of `count` entries over `index-{slot}.cwi` through
+/// the temp file (see [`publish`]): a failure or crash before the rename
+/// leaves the slot's previous bytes in place.
+pub(crate) fn write_slot<D: AsRef<str>>(
     dir: &Path,
     backend: &dyn StorageBackend,
     slot: usize,
     generation: u64,
     sealed_len: &[u64],
-    entries: impl ExactSizeIterator<Item = IndexEntry>,
+    count: u64,
+    entries: impl Iterator<Item = IndexEntry<D>>,
 ) -> io::Result<()> {
-    let temp = temp_path(dir);
-    // The first piece replaces whatever an interrupted write left there.
-    let mut first = true;
-    encode_index(generation, sealed_len, entries, SLOT_PIECE, &mut |piece| {
-        if std::mem::take(&mut first) {
-            backend.write_file(&temp, piece)
-        } else {
-            backend.append_file(&temp, piece)
-        }
-    })?;
-    backend.sync_file(&temp)?;
-    backend.rename(&temp, &slot_path(dir, slot))
+    publish(backend, &temp_path(dir), &slot_path(dir, slot), |sink| {
+        encode_index(generation, sealed_len, count, entries, SLOT_PIECE, sink)
+    })
 }
 
 /// Decode and validate one slot file. Returns `None` on any structural
@@ -382,9 +383,11 @@ pub(crate) fn encode_index_pieces(
         pieces.push(bytes.to_vec());
         Ok(())
     };
+    let count = entries.len() as u64;
     encode_index(
         generation,
         sealed_len,
+        count,
         entries.iter().cloned(),
         piece,
         &mut sink,
@@ -501,7 +504,17 @@ mod tests {
         let slot = slot_path(dir, 0);
         mem.write_file(&slot, b"old").unwrap();
         mem.sync_file(&slot).unwrap();
-        write_slot(dir, &mem, 0, generation, &sealed, entries.iter().cloned()).unwrap();
+        let count = entries.len() as u64;
+        write_slot(
+            dir,
+            &mem,
+            0,
+            generation,
+            &sealed,
+            count,
+            entries.iter().cloned(),
+        )
+        .unwrap();
         let oracle = encode_index_oneshot(generation, &sealed, &entries);
         assert_eq!(mem.read_file(&slot).unwrap(), oracle);
         assert_eq!(mem.durable_bytes(&slot), Some(oracle));

@@ -15,7 +15,8 @@
 //!                          (see [`index`] — the `CWI1` contract)
 //! <dir>/index.tmp          a slot being written, renamed over its slot
 //!                          once synced
-//! <dir>/note-<name>        free-form text attachments (epoch summaries)
+//! <dir>/note-<name>        free-form text attachments (epoch summaries),
+//!                          replaced like a slot through note-<name>.tmp
 //! <dir>/quarantine         fsck's sidecar of damaged cells (see below)
 //! ```
 //!
@@ -47,29 +48,35 @@
 //! ## Write path
 //!
 //! The in-memory side is one `Buffer` behind one mutex, and it holds
-//! keys, not payloads: the per-region domain index maps each stored cell
-//! to its `u32` ledger position, and the puts accepted since the last
-//! flush keep their payloads, in put order, until a flush takes them. A
-//! flush takes those puts and advances the buffer's `flushed` watermark,
-//! gives each the shard offset after every byte already durable or
-//! queued for retry, encodes their journal records, and appends — so the
-//! journal lands in put order, its bytes are a pure function of the
-//! flushed sequence, and per-region shard offsets stay monotone in
-//! journal order. Positions below the watermark index the durable ledger
-//! followed by the entries a failed flush left queued; that order holds
-//! because a failed flush retries in put order.
+//! keys, not payloads, with one copy of each domain: a domain table gives
+//! each distinct domain a dense id and holds its only `Arc<str>`, and
+//! each region keeps a column of `u32` ledger positions indexed by id,
+//! `u32::MAX` where it has not stored the domain. A put allocates its
+//! domain only when no region has stored it yet. The puts accepted since
+//! the last flush keep the table's domain and their payloads, in put
+//! order, until a flush takes them. A flush takes those puts and
+//! advances the buffer's `flushed` watermark, gives each the shard offset
+//! after every byte already durable or queued for retry, encodes their
+//! journal records, and appends — so the journal lands in put order, its
+//! bytes are a pure function of the flushed sequence, and per-region
+//! shard offsets stay monotone in journal order. Positions below the
+//! watermark index the durable ledger followed by the entries a failed
+//! flush left queued; that order holds because a failed flush retries in
+//! put order.
 //!
 //! ## Read path
 //!
 //! [`Store::get`] reads a payload back from wherever its bytes are. It
-//! copies the cell's position out under the buffer lock (or the payload
-//! itself, while no flush has taken it) and releases the lock. Under the
-//! io lock it finds the ledger entry, and slices the queued retry bytes
-//! when the extent is not yet durable. A durable extent is read after the
-//! io lock is released, with [`StorageBackend::read_range`], and handed
-//! out only if it hashes to the entry's payload hash; otherwise `get`
-//! returns `None` and the caller recomputes the cell. A read never holds
-//! two locks, and no backend call runs under a lock.
+//! copies the cell's position out under the buffer lock (one table probe
+//! and one column read; or the payload itself, while no flush has taken
+//! it) and releases the lock. Under the io lock it finds the ledger
+//! entry, and slices the queued retry bytes when the extent is not yet
+//! durable. A durable extent is read after the io lock is released, with
+//! [`StorageBackend::read_range`], and handed out only if it hashes to
+//! the entry's payload hash; otherwise `get` returns `None` and the
+//! caller recomputes the cell. A region walk goes through the table in
+//! domain order and skips the domains the region's column marks absent.
+//! A read never holds two locks, and no backend call runs under a lock.
 //!
 //! ## Durability model
 //!
@@ -103,9 +110,13 @@
 //! [`Store::seal`] (run by every [`Store::checkpoint`]) freezes the
 //! durable prefix of every shard and describes it in a double-buffered,
 //! FNV-checksummed index file (the `CWI1` contract, see the `index` module).
-//! The seal reads the durable ledger in place and streams the slot into
-//! a temp file in fixed pieces, then syncs it and renames it over the
-//! slot, so it never holds a copy of the ledger or of the slot, and a
+//! The seal walks the index, not the ledger: under the buffer lock it
+//! copies the table's domain order and each region's positions below the
+//! durable ledger's length, which are exactly the cells' last durable
+//! entries because `put` is exactly-once. With the buffer released it
+//! streams the slot into a temp file in fixed pieces, reading each
+//! position's ledger entry in place, then syncs it and renames it over
+//! the slot, so it holds no copy of the ledger or of the slot, and a
 //! reader only ever sees a whole slot. [`StoreSnapshot`] opens that
 //! sealed view straight from disk — it never takes the writer's buffer
 //! or io locks, so an always-on query service reads at full speed while
@@ -139,7 +150,7 @@ use httpsim::content_hash;
 use index::{IndexEntry, SlotState, INDEX_SLOTS};
 use journal::{encode_record, shard_path, JOURNAL_FILE, META_FILE, SHARD_DIR};
 use parking_lot::Mutex;
-use state::{Buffer, DiskState, Extent, LedgerEntry, Located};
+use state::{next_position, Buffer, DiskState, Extent, LedgerEntry, Located, ABSENT};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -261,7 +272,7 @@ impl Store {
             meta_map: pairs.into_iter().collect(),
             backend,
             checkpoint_every: AtomicUsize::new(DEFAULT_CHECKPOINT_EVERY),
-            buffer: Mutex::new(Buffer::new(vec![BTreeMap::new(); regions], 0)),
+            buffer: Mutex::new(Buffer::new(regions)),
             io: Mutex::new(DiskState::new(vec![0; regions], 0, Vec::new())),
             seal_state: Mutex::new(SealState {
                 next_generation: 1,
@@ -338,7 +349,7 @@ impl Store {
             // merge from depending on it.
             file.entries
                 .sort_unstable_by(|a, b| (a.region, &a.domain).cmp(&(b.region, &b.domain)));
-            stamp_segments(&mut ledger, &file.entries)?;
+            stamp_segments(regions, &replay.buffer, &mut ledger, &file.entries);
         }
 
         Ok(Store {
@@ -347,7 +358,7 @@ impl Store {
             meta_map: meta.into_iter().collect(),
             backend,
             checkpoint_every: AtomicUsize::new(DEFAULT_CHECKPOINT_EVERY),
-            buffer: Mutex::new(Buffer::new(replay.index, ledger.len())),
+            buffer: Mutex::new(replay.buffer),
             io: Mutex::new(DiskState::new(replay.high_water, replay.keep_len, ledger)),
             seal_state: Mutex::new(SealState {
                 next_generation,
@@ -396,10 +407,10 @@ impl Store {
             if buffer.position(region, domain).is_some() {
                 return Ok(false);
             }
-            let position = u32::try_from(buffer.flushed + buffer.fresh.len())
-                .map_err(|_| invalid("store full: a ledger position must fit in a u32"))?;
-            let domain: Arc<str> = domain.into();
-            buffer.index[region as usize].insert(Arc::clone(&domain), position);
+            let position = next_position(buffer.flushed + buffer.fresh.len()).ok_or_else(|| {
+                invalid("store full: a ledger position must be a u32 below u32::MAX")
+            })?;
+            let domain = buffer.insert(region, domain, position);
             buffer.fresh.push((region, domain, payload.into()));
             buffer.fresh.len() >= self.checkpoint_every.load(Ordering::Relaxed).max(1)
         };
@@ -448,12 +459,22 @@ impl Store {
 
     /// Is this task already stored?
     pub fn contains(&self, region: u8, domain: &str) -> bool {
-        self.buffer.lock().position(region, domain).is_some()
+        let buffer = self.buffer.lock();
+        buffer.position(region, domain).is_some()
     }
 
     /// Total stored task results across all regions.
     pub fn len(&self) -> usize {
-        self.buffer.lock().len()
+        let buffer = self.buffer.lock();
+        let regions = 0..self.regions as u8;
+        regions.map(|r| buffer.walk(r).count()).sum()
+    }
+
+    /// Stored task results of one region, counted from the index: no
+    /// payload is read.
+    pub fn region_len(&self, region: u8) -> usize {
+        let buffer = self.buffer.lock();
+        buffer.walk(region).count()
     }
 
     /// True when nothing is stored.
@@ -546,22 +567,34 @@ impl Store {
             return Ok(seal.next_generation - 1);
         }
         let generation = seal.next_generation;
-        let cells = last_wins(&disk.ledger)?;
+        // The cells to index are the positions below the durable ledger's
+        // length: `put` is exactly-once and replay keeps each cell's last
+        // record, so each is its cell's last durable entry, and a put that
+        // arrived after the flush lies past them. They are copied under
+        // `buffer` and walked with it released.
+        let (domains, columns) = {
+            let buffer = self.buffer.lock();
+            buffer.ordered(disk.ledger.len())
+        };
+        let sealed = || columns.iter().flatten().filter(|&&p| p != ABSENT);
         let ledger = &disk.ledger;
-        let entries = cells.iter().map(|&i| {
-            let cell = &ledger[i as usize];
-            IndexEntry {
-                region: cell.region,
-                domain: Arc::clone(&cell.domain),
-                segment: if cell.segment == 0 {
-                    generation
-                } else {
-                    cell.segment
-                },
-                offset: cell.offset,
-                len: cell.len,
-                payload_hash: cell.payload_hash,
-            }
+        let entries = (0u8..).zip(&columns).flat_map(|(region, column)| {
+            let cells = domains.iter().zip(column).filter(|(_, &p)| p != ABSENT);
+            cells.map(move |(domain, &position)| {
+                let cell = &ledger[position as usize];
+                IndexEntry {
+                    region,
+                    domain: &**domain,
+                    segment: if cell.segment == 0 {
+                        generation
+                    } else {
+                        cell.segment
+                    },
+                    offset: cell.offset,
+                    len: cell.len,
+                    payload_hash: cell.payload_hash,
+                }
+            })
         });
         let slot = (generation % INDEX_SLOTS as u64) as usize;
         // lint:allow(blocking-under-lock) — `seal_state` and `io` exist to order these appends and slot writes; puts only `try_lock` `io`
@@ -571,12 +604,13 @@ impl Store {
             slot,
             generation,
             &disk.durable_shard,
+            sealed().count() as u64,
             entries,
         )?;
         // Only a published slot names its generation: stamp the entries
         // it indexed for the first time.
-        for &i in &cells {
-            let cell = &mut disk.ledger[i as usize];
+        for &position in sealed() {
+            let cell = &mut disk.ledger[position as usize];
             if cell.segment == 0 {
                 cell.segment = generation;
             }
@@ -610,7 +644,6 @@ impl Store {
             disk.retry_journal.extend_from_slice(&record);
             disk.retry_ledger.push(LedgerEntry {
                 region,
-                domain,
                 offset,
                 len: payload.len() as u32,
                 payload_hash: content_hash(&payload),
@@ -673,10 +706,14 @@ impl Store {
     }
 
     /// Attach (or replace) a free-form text note, e.g. an epoch summary.
+    /// The note is written to `note-<name>.tmp` and renamed over its
+    /// path once synced, so a crash leaves the old note or the new one.
     pub fn write_note(&self, name: &str, text: &str) -> io::Result<()> {
         let path = self.note_path(name)?;
-        self.backend.write_file(&path, text.as_bytes())?;
-        self.backend.sync_file(&path)
+        let temp = path.with_extension("tmp");
+        backend::publish(self.backend.as_ref(), &temp, &path, |sink| {
+            sink(text.as_bytes())
+        })
     }
 
     /// Read back a note written by [`Store::write_note`].
@@ -717,42 +754,29 @@ impl StoreRead for Store {
     }
 }
 
-/// Ledger positions of each cell's last entry, in `(region, domain)`
-/// order. Last wins because a re-crawled cell shadows its quarantined
-/// predecessor: a stable sort of the reversed positions puts each
-/// cell's newest entry first, and dedup keeps it.
-fn last_wins(ledger: &[LedgerEntry]) -> io::Result<Vec<u32>> {
-    let len = u32::try_from(ledger.len()).map_err(|_| invalid("ledger too long to seal"))?;
-    let key = |i: &u32| {
-        let cell = &ledger[*i as usize];
-        (cell.region, &*cell.domain)
-    };
-    let mut cells: Vec<u32> = (0..len).rev().collect();
-    cells.sort_by(|a, b| key(a).cmp(&key(b)));
-    cells.dedup_by(|a, b| key(a) == key(b));
-    Ok(cells)
-}
-
-/// Give each cell's last ledger entry the segment `sealed` (a slot's
-/// entries, in `(region, domain)` order) recorded for it, when the slot
-/// names that same entry: offsets are unique within a shard, so the
-/// same offset is the same entry. Both sides ascend by key, so one
-/// merge pass pairs them.
-fn stamp_segments(ledger: &mut [LedgerEntry], sealed: &[IndexEntry]) -> io::Result<()> {
+/// Give each replayed cell's ledger entry the segment `sealed` (a
+/// slot's entries, in `(region, domain)` order) recorded for it, when the
+/// slot names that same entry: offsets are unique within a shard, so the
+/// same offset is the same entry. The table walks each region in domain
+/// order, so one merge pass pairs the two.
+fn stamp_segments(
+    regions: usize,
+    replayed: &Buffer,
+    ledger: &mut [LedgerEntry],
+    sealed: &[IndexEntry],
+) {
     let mut sealed = sealed.iter().peekable();
-    for i in last_wins(ledger)? {
-        let cell = &mut ledger[i as usize];
-        while sealed
-            .next_if(|e| (e.region, &*e.domain) < (cell.region, &*cell.domain))
-            .is_some()
-        {}
-        if let Some(e) = sealed.peek() {
-            if (e.region, &*e.domain, e.offset) == (cell.region, &*cell.domain, cell.offset) {
+    for region in 0..regions as u8 {
+        for (domain, position) in replayed.walk(region) {
+            let key = (region, &**domain);
+            while sealed.next_if(|e| (e.region, &*e.domain) < key).is_some() {}
+            let cell = &mut ledger[position as usize];
+            let same = |e: &&&IndexEntry| (e.region, &*e.domain) == key && e.offset == cell.offset;
+            if let Some(e) = sealed.peek().filter(same) {
                 cell.segment = e.segment;
             }
         }
     }
-    Ok(())
 }
 
 /// Validated path of a note attachment under a store directory. Shared
@@ -858,6 +882,66 @@ mod tests {
         let mut domains = Vec::new();
         store.for_each_region_entry(0, &mut |domain, _| domains.push(domain.to_string()));
         assert_eq!(domains, ["a.example", "c.example"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every region that stores a domain shares the table's one copy of
+    /// it, in a live store and in a reopened one.
+    #[test]
+    fn regions_share_one_copy_of_each_domain() {
+        let dir = tempdir("shared");
+        let store = Store::create(&dir, 3, &[]).unwrap();
+        for (region, domain) in [(0, "a.example"), (2, "a.example"), (2, "b.example")] {
+            store.put(region, domain, &payload(region, domain)).unwrap();
+        }
+        let shared = |store: &Store| {
+            let buffer = store.buffer.lock();
+            let (first, last) = (buffer.region_cells(0), buffer.region_cells(2));
+            assert_eq!((first.len(), last.len()), (1, 2));
+            Arc::ptr_eq(&first[0].0, &last[0].0)
+        };
+        assert!(shared(&store), "one allocation for a.example");
+        store.checkpoint().unwrap();
+        drop(store);
+        let store = Store::open(&dir).unwrap();
+        assert!(shared(&store), "replay shares it too");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A domain stored in one region only is in no other region: not to
+    /// `get`, `contains`, `region_len` or a region walk, before or after
+    /// a flush and a reopen.
+    #[test]
+    fn a_domain_of_one_region_is_absent_from_the_others() {
+        let dir = tempdir("absent");
+        let store = Store::create(&dir, 3, &[]).unwrap();
+        store.set_checkpoint_every(usize::MAX);
+        store.put(0, "a.example", &payload(0, "a.example")).unwrap();
+        store.put(1, "b.example", &payload(1, "b.example")).unwrap();
+        let check = |store: &Store| {
+            for region in 0..3u8 {
+                let mut walked = Vec::new();
+                store.for_each_region_entry(region, &mut |d, _| walked.push(d.to_string()));
+                let want: &[&str] = match region {
+                    0 => &["a.example"],
+                    1 => &["b.example"],
+                    _ => &[],
+                };
+                assert_eq!(walked, want, "region {region}");
+                assert_eq!(store.region_len(region), want.len());
+                for domain in ["a.example", "b.example"] {
+                    let stored = want.contains(&domain);
+                    assert_eq!(store.contains(region, domain), stored);
+                    assert_eq!(store.get(region, domain).is_some(), stored);
+                }
+            }
+            assert_eq!(store.len(), 2);
+        };
+        check(&store);
+        store.checkpoint().unwrap();
+        check(&store);
+        drop(store);
+        check(&Store::open(&dir).unwrap());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,12 +29,11 @@
 use crate::backend::StorageBackend;
 use crate::index::{write_slot, IndexEntry, INDEX_SLOTS};
 use crate::journal::{parse_record, shard_path, JOURNAL_FILE, MAGIC, QUARANTINE_FILE};
-use crate::state::LedgerEntry;
+use crate::state::{next_position, Buffer, LedgerEntry};
 use httpsim::content_hash;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 /// How a scanned record relates to the bytes on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,10 +161,11 @@ pub(crate) fn scan_journal(journal: &[u8], shards: &[Vec<u8>]) -> Scan {
 /// logical shard lengths new appends must start from, and the damage
 /// counts the open-time warning reports.
 pub(crate) struct Replay {
-    /// Each surviving cell's position in [`Replay::ledger`], one
-    /// domain-keyed map per region, in the form the store's buffer holds
-    /// them. No payload is copied: the bytes stay in the shards.
-    pub index: Vec<BTreeMap<Arc<str>, u32>>,
+    /// Each surviving cell's position in [`Replay::ledger`], in the
+    /// store's buffer, every position flushed, so a reopened store keeps
+    /// one copy of each domain too. No payload is copied: the bytes stay
+    /// in the shards.
+    pub buffer: Buffer,
     /// Per-region logical length: the max extent of every record whose
     /// bytes exist on disk (valid *and* corrupt — corrupt extents are
     /// kept so already-journaled offsets stay aligned until `fsck`
@@ -184,10 +184,11 @@ pub(crate) struct Replay {
 
 /// Tolerant replay: last-wins over valid records (a re-crawled cell
 /// shadows its quarantined predecessor), bad records skipped. Fails only
-/// when the valid records outnumber the `u32` ledger positions.
+/// when the valid records outnumber the ledger positions (a `u32` below
+/// `u32::MAX`, which marks an absent cell).
 pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> io::Result<Replay> {
     let scan = scan_journal(journal, shards);
-    let mut index = vec![BTreeMap::new(); shards.len()];
+    let mut buffer = Buffer::new(shards.len());
     let mut high_water = vec![0u64; shards.len()];
     let mut ledger = Vec::new();
     for rec in &scan.records {
@@ -198,14 +199,13 @@ pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> io::Result<Replay> {
         let end = rec.offset.saturating_add(rec.len as u64);
         match rec.class {
             RecordClass::Valid => {
-                let position = u32::try_from(ledger.len())
-                    .map_err(|_| crate::invalid("journal too long: ledger positions are u32"))?;
-                let domain: Arc<str> = rec.domain.as_str().into();
-                index[r].insert(Arc::clone(&domain), position);
+                let position = next_position(ledger.len()).ok_or_else(|| {
+                    crate::invalid("journal too long: ledger positions are u32 below u32::MAX")
+                })?;
+                buffer.insert(rec.region, &rec.domain, position);
                 high_water[r] = high_water[r].max(end);
                 ledger.push(LedgerEntry {
                     region: rec.region,
-                    domain,
                     offset: rec.offset,
                     len: rec.len,
                     payload_hash: rec.payload_hash,
@@ -219,8 +219,9 @@ pub(crate) fn replay(journal: &[u8], shards: &[Vec<u8>]) -> io::Result<Replay> {
             RecordClass::Torn => {}
         }
     }
+    buffer.flushed = ledger.len();
     Ok(Replay {
-        index,
+        buffer,
         high_water,
         ledger,
         keep_len: scan.keep_len,
@@ -594,7 +595,7 @@ pub fn fsck(dir: &Path, backend: &dyn StorageBackend, dry_run: bool) -> io::Resu
             };
             IndexEntry {
                 region,
-                domain: domain.into(),
+                domain,
                 segment,
                 offset,
                 len,
@@ -603,7 +604,8 @@ pub fn fsck(dir: &Path, backend: &dyn StorageBackend, dry_run: bool) -> io::Resu
         };
         for slot in 0..INDEX_SLOTS {
             let view = cells.iter().map(entry);
-            write_slot(dir, backend, slot, generation, &valid_water, view)?;
+            let count = cells.len() as u64;
+            write_slot(dir, backend, slot, generation, &valid_water, count, view)?;
         }
         report.index_slots_rewritten = INDEX_SLOTS;
     }

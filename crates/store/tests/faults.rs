@@ -2,7 +2,8 @@
 //! deterministic fault trace, fsck quarantine/repair, and an exhaustive
 //! crash-point sweep — a crash after *every* mutated byte of a schedule
 //! must leave a store that fscks clean, keeps only exact payloads, and
-//! recovers to the full set once the missing cells are re-put.
+//! recovers to the full set once the missing cells are re-put — and a
+//! second sweep over a note replacement, which must read back whole.
 
 #![allow(clippy::disallowed_methods, reason = "tests use scratch dirs")]
 
@@ -487,6 +488,64 @@ fn every_crash_point_recovers_to_an_exact_store() {
         ["rename", "temp sync", "temp write"],
         "the sweep crashes inside every step of a slot write"
     );
+}
+
+/// A note is replaced by a rename: a power cut at every byte of the
+/// replacement (its temp write, the sync and the rename) reads back the
+/// old note or the new one, never a prefix or nothing, and the new one
+/// once `write_note` has returned.
+#[test]
+fn every_crash_point_of_a_note_replacement_reads_old_or_new() {
+    let dir = mem_dir();
+    let (old, new) = ("walls=3\n", "walls=4\nprices=2.99,3.99\n");
+    let with_old_note = || {
+        let mem = Arc::new(MemBackend::default());
+        let store = Store::create_with(&dir, 1, &[], mem.clone()).unwrap();
+        store.write_note("summary", old).unwrap();
+        mem
+    };
+    let replace = |crash_at: Option<u64>| {
+        let mem = with_old_note();
+        let faulty = Arc::new(FaultyBackend::with_crash_point(
+            mem.clone(),
+            DiskFaultConfig::noop(),
+            crash_at,
+        ));
+        let store = Store::open_with(&dir, faulty.clone()).unwrap();
+        assert_eq!(
+            faulty.mutated_bytes(),
+            0,
+            "opening a clean store writes nothing"
+        );
+        let acked = store.write_note("summary", new).is_ok();
+        (mem, faulty, acked)
+    };
+    let (_, probe, acked) = replace(None);
+    assert!(acked);
+    let total = probe.mutated_bytes();
+    assert!(
+        total > new.len() as u64,
+        "the temp write, its sync and the rename"
+    );
+    // One past the last byte: the replacement completes, then the power goes.
+    for crash_at in 1..=total + 1 {
+        let (mem, faulty, acked) = replace(Some(crash_at));
+        assert_eq!(
+            acked,
+            crash_at > total,
+            "crash at {crash_at}: {:?}",
+            faulty.trace()
+        );
+        mem.crash();
+        let store = Store::open_with(&dir, mem.clone()).unwrap();
+        let note = store.read_note("summary").unwrap();
+        let want: &[&str] = if acked { &[new] } else { &[old, new] };
+        assert!(
+            note.as_deref().is_some_and(|note| want.contains(&note)),
+            "crash at {crash_at} ({:?}) read back {note:?}",
+            faulty.trace()
+        );
+    }
 }
 
 /// Random disk chaos (no crash): whatever mix of torn writes, bit rot,

@@ -2,9 +2,11 @@
 //! (drop without flushing) and reopens on a small `(region × domain)`
 //! matrix, journal replay is exactly-once — a reopened store holds every
 //! task that was checkpointed, none that was not, each exactly once with
-//! its original payload. A second property reads every cell back after
-//! every step — through failed flushes, aborts, reopens and fsck
-//! quarantines — and compares it with a model. The torture tests below
+//! its original payload. A second property reads every cell and walks
+//! every region after every step — through domains stored in several
+//! regions and skipped by others, failed flushes, aborts, reopens, seals
+//! and fsck quarantines — and compares them with a model, the sealed
+//! view after each checkpoint included. The torture tests below
 //! hammer concurrent `put`s against cadence flushes that may find another
 //! writer mid-append.
 
@@ -16,7 +18,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use store::{fsck, MemBackend, StorageBackend, Store};
+use store::{fsck, MemBackend, StorageBackend, Store, StoreRead, StoreSnapshot};
 
 const REGIONS: u8 = 3;
 const DOMAINS: [&str; 12] = [
@@ -160,6 +162,8 @@ proptest! {
 #[derive(Debug, Clone, Copy)]
 enum ReadOp {
     Put(u8, usize),
+    /// Put one domain in every region but one.
+    PutAcross(usize, u8),
     Checkpoint,
     /// A checkpoint whose appends fail with ENOSPC: nothing lands, every
     /// payload stays queued.
@@ -174,12 +178,13 @@ enum ReadOp {
 }
 
 fn read_op_strategy() -> impl Strategy<Value = ReadOp> {
-    (0u32..12, 0u8..REGIONS, 0usize..DOMAINS.len()).prop_map(|(kind, r, d)| match kind {
+    (0u32..14, 0u8..REGIONS, 0usize..DOMAINS.len()).prop_map(|(kind, r, d)| match kind {
         0..5 => ReadOp::Put(r, d),
-        5 | 6 => ReadOp::Checkpoint,
-        7 => ReadOp::FailedCheckpoint,
-        8 => ReadOp::AbortAndReopen,
-        9 => ReadOp::CheckpointAndReopen,
+        5 | 6 => ReadOp::PutAcross(d, r),
+        7 | 8 => ReadOp::Checkpoint,
+        9 => ReadOp::FailedCheckpoint,
+        10 => ReadOp::AbortAndReopen,
+        11 => ReadOp::CheckpointAndReopen,
         _ => ReadOp::Quarantine(r, d),
     })
 }
@@ -224,6 +229,32 @@ impl StorageBackend for Flaky {
     }
 }
 
+/// Every `(domain, payload)` of each region, in domain order.
+fn walks(store: &dyn StoreRead) -> Vec<Vec<(String, Vec<u8>)>> {
+    (0..REGIONS)
+        .map(|r| {
+            let mut cells = Vec::new();
+            store.for_each_region_entry(r, &mut |d, p| cells.push((d.to_string(), p.to_vec())));
+            cells
+        })
+        .collect()
+}
+
+/// What [`walks`] must return for the cells of `model`.
+fn model_walks(model: &BTreeMap<(u8, usize), Vec<u8>>) -> Vec<Vec<(String, Vec<u8>)>> {
+    (0..REGIONS)
+        .map(|r| {
+            let mut cells: Vec<(String, Vec<u8>)> = model
+                .iter()
+                .filter(|((region, _), _)| *region == r)
+                .map(|(&(_, d), payload)| (DOMAINS[d].to_string(), payload.clone()))
+                .collect();
+            cells.sort();
+            cells
+        })
+        .collect()
+}
+
 proptest! {
     fn every_get_matches_the_model(ops in prop::collection::vec(read_op_strategy(), 1..40)) {
         let dir = PathBuf::from("/mem/store");
@@ -235,18 +266,27 @@ proptest! {
         let mut model: BTreeMap<(u8, usize), Vec<u8>> = BTreeMap::new();
         let mut durable = model.clone();
         let mut takes = 0;
+        let mut put = |live: &Store, model: &mut BTreeMap<(u8, usize), Vec<u8>>, r: u8, d: usize| {
+            takes += 1;
+            let payload = format!("<{} in {r}, take {takes}>", DOMAINS[d]).into_bytes();
+            let fresh = !model.contains_key(&(r, d));
+            prop_assert_eq!(live.put(r, DOMAINS[d], &payload).unwrap(), fresh);
+            model.entry((r, d)).or_insert(payload);
+            Ok(())
+        };
         for op in ops {
+            let mut sealed = false;
             match op {
-                ReadOp::Put(r, d) => {
-                    takes += 1;
-                    let payload = format!("<{} in {r}, take {takes}>", DOMAINS[d]).into_bytes();
-                    let fresh = !model.contains_key(&(r, d));
-                    prop_assert_eq!(live.put(r, DOMAINS[d], &payload).unwrap(), fresh);
-                    model.entry((r, d)).or_insert(payload);
+                ReadOp::Put(r, d) => put(&live, &mut model, r, d)?,
+                ReadOp::PutAcross(d, skip) => {
+                    for r in (0..REGIONS).filter(|&r| r != skip) {
+                        put(&live, &mut model, r, d)?;
+                    }
                 }
                 ReadOp::Checkpoint => {
                     live.checkpoint().unwrap();
                     durable = model.clone();
+                    sealed = true;
                 }
                 ReadOp::FailedCheckpoint => {
                     disk.full.store(true, Ordering::Relaxed);
@@ -264,6 +304,7 @@ proptest! {
                     drop(live);
                     live = open();
                     durable = model.clone();
+                    sealed = true;
                 }
                 ReadOp::Quarantine(r, d) => {
                     live.checkpoint().unwrap();
@@ -295,6 +336,15 @@ proptest! {
                 }
             }
             prop_assert_eq!(live.len(), model.len());
+            let want = model_walks(&model);
+            prop_assert_eq!(walks(&live), want.clone(), "region walks after {:?}", op);
+            for (r, cells) in (0..REGIONS).zip(&want) {
+                prop_assert_eq!(live.region_len(r), cells.len());
+            }
+            if sealed {
+                let snapshot = StoreSnapshot::open_with(&dir, disk.clone()).unwrap();
+                prop_assert_eq!(walks(&snapshot), want, "sealed view after {:?}", op);
+            }
         }
     }
 }

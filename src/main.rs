@@ -986,13 +986,16 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
     };
     let store = Store::open(Path::new(dir)).map_err(|e| format!("opening store {dir}: {e}"))?;
     let quarantined = store::quarantine_ledger(Path::new(dir), &FsBackend).map(|c| c.len());
-    // Per-region census over the live store (streaming, no buffering).
-    let mut region_cells: Vec<(String, usize)> = Vec::new();
-    for region in 0..store.regions() as u8 {
-        let mut n = 0usize;
-        store.for_each_region_entry(region, &mut |_, _| n += 1);
-        region_cells.push((analysis::query::region_label(region), n));
-    }
+    // Per-region census from the live store's index: `Store::open` has
+    // just verified every payload it indexed, so no extent is read.
+    let region_cells: Vec<(String, usize)> = (0..store.regions() as u8)
+        .map(|region| {
+            (
+                analysis::query::region_label(region),
+                store.region_len(region),
+            )
+        })
+        .collect();
     // The sealed view, if the store has ever been sealed and its index
     // slots verify: (generation, segments, sealed cells, coverage %). A
     // damaged index is reported, not fatal.
