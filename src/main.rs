@@ -989,12 +989,7 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
     // Per-region census from the live store's index: `Store::open` has
     // just verified every payload it indexed, so no extent is read.
     let region_cells: Vec<(String, usize)> = (0..store.regions() as u8)
-        .map(|region| {
-            (
-                analysis::query::region_label(region),
-                store.region_len(region),
-            )
-        })
+        .map(|r| (analysis::query::region_label(r), store.region_len(r)))
         .collect();
     // The sealed view, if the store has ever been sealed and its index
     // slots verify: (generation, segments, sealed cells, coverage %). A
